@@ -1,120 +1,159 @@
-//! **Micro-benchmark: the bridge wire protocol, binary v1 vs legacy
-//! JSON.**
+//! **Micro-benchmark: what a bridged control message pays per layer.**
 //!
-//! PR 6 replaced the bridge's length-prefixed JSON codec (payload bytes
-//! as a base-10 JSON array) with a 9-byte binary frame header and
-//! zero-copy payload slices. This bench pins the claim with numbers on
-//! three axes, all written to `BENCH_wire.json` at the workspace root:
+//! A job's messages pass through two codecs — `rtcm_rt::proto`'s payload
+//! layout inside `rtcm_events::wire`'s frame — and, when bridged, one TCP
+//! link. This bench puts a number on each, appended as one trajectory
+//! point to `BENCH_wire.json` at the workspace root:
 //!
-//! * **Wire size** — encoded bytes per canonical protocol event.
-//! * **Codec throughput** — encode and decode frames/s per codec, in
-//!   isolation (no sockets).
-//! * **Bridge receive throughput** — pre-encoded frame streams pushed
-//!   through a *real* TCP bridge (read → decode → republish), timed at
-//!   the subscriber. The bridge auto-detects the codec per frame, so both
-//!   arms run the identical receive path.
+//! * **Sizes** — frame bytes per canonical event, payload bytes per
+//!   `AcceptMsg`.
+//! * **Frame codec** — encode and decode frames/s in isolation.
+//! * **Payload codec** — ns per `AcceptMsg` encode / decode, and per
+//!   whole 2-stage job (every encode plus every receiver's decode: the
+//!   end-to-end benchmark's `rt.proto.job_codec_ns` row).
+//! * **Bridge receive** — pre-encoded frame streams pushed through a
+//!   *real* bridge's read → decode → republish path, timed at the
+//!   subscriber.
+//! * **Bridged one-way burst** — events published on one federation and
+//!   received on another across a real bridged pair, nothing flowing back:
+//!   the shape that stalled on Nagle + delayed ACK before `TCP_NODELAY`.
 //!
-//! Criterion arms cover the per-frame codec costs; the JSON document
-//! carries the tracked apples-to-apples numbers.
+//! Criterion arms cover the per-operation codec costs; the JSON point
+//! carries the tracked numbers.
 
 use criterion::{black_box, criterion_group, Criterion};
 use rtcm_bench::events::PAYLOAD;
-use rtcm_bench::wire::{decode_all, encode_binary, encode_json, BridgeRig};
+use rtcm_bench::wire::{decode_all, encode_frames, BridgeRig, BridgedPair, JobMessages};
+use rtcm_rt::proto::{self, AcceptMsg};
+use serde_json::json;
+
+/// Nodes decoding each ACCEPT/TRIGGER in the whole-job arm (as in the
+/// end-to-end benchmark's three-processor system).
+const PROCESSORS: usize = 3;
 
 fn bench_wire(c: &mut Criterion) {
     let mut group = c.benchmark_group("wire");
+    group.bench_function("encode_frame", |b| b.iter(|| black_box(encode_frames(1))));
+    let frames = encode_frames(64);
+    group.bench_function("decode_frames_64", |b| b.iter(|| black_box(decode_all(&frames))));
 
-    group.bench_function("encode_binary", |b| b.iter(|| black_box(encode_binary(1))));
-    group.bench_function("encode_json", |b| b.iter(|| black_box(encode_json(1))));
-
-    let binary = encode_binary(64);
-    let json = encode_json(64);
-    group.bench_function("decode_binary_64", |b| b.iter(|| black_box(decode_all(&binary))));
-    group.bench_function("decode_json_64", |b| b.iter(|| black_box(decode_all(&json))));
+    let job = JobMessages::two_stage(PROCESSORS);
+    let accept_bytes = proto::encode(&job.accept);
+    group.bench_function("encode_accept", |b| b.iter(|| black_box(proto::encode(&job.accept))));
+    group.bench_function("decode_accept", |b| {
+        b.iter(|| black_box(proto::decode::<AcceptMsg>(black_box(&accept_bytes))));
+    });
+    group.bench_function("job_codec", |b| b.iter(|| black_box(job.codec_pass())));
     group.finish();
 }
 
-/// Frames/s for `op` run `rounds` times over a `count`-frame batch.
-fn codec_rate(rounds: usize, count: usize, mut op: impl FnMut() -> usize) -> f64 {
+/// Items/s for `op` (which reports how many items it handled) run
+/// `rounds` times.
+fn rate(rounds: usize, mut op: impl FnMut() -> usize) -> f64 {
     let start = std::time::Instant::now();
-    let mut frames = 0usize;
+    let mut items = 0usize;
     for _ in 0..rounds {
-        frames += black_box(op());
+        items += black_box(op());
     }
-    assert_eq!(frames, rounds * count, "every frame accounted for");
-    frames as f64 / start.elapsed().as_secs_f64()
+    items as f64 / start.elapsed().as_secs_f64()
+}
+
+/// Mean ns per call of `op` over `rounds` calls.
+fn ns_per_op(rounds: usize, mut op: impl FnMut()) -> f64 {
+    let start = std::time::Instant::now();
+    for _ in 0..rounds {
+        op();
+    }
+    start.elapsed().as_nanos() as f64 / rounds as f64
 }
 
 fn emit_json() {
     let quick = std::env::var("RTCM_QUICK").is_ok_and(|v| v != "0");
     let (rounds, batch, bridge_batches) = if quick { (200, 256, 20) } else { (2000, 256, 200) };
+    let mut results = Vec::new();
 
-    // Axis 1: bytes per event on the wire.
-    let binary_frame = encode_binary(1).len();
-    let json_frame = encode_json(1).len();
+    // Sizes.
+    let job = JobMessages::two_stage(PROCESSORS);
+    let accept_bytes = proto::encode(&job.accept);
+    let frame_bytes = encode_frames(1).len();
     println!(
-        "wire/size payload {}B: binary {binary_frame}B, json {json_frame}B ({:.2}x)",
+        "wire/size frame {frame_bytes}B for a {}B payload, AcceptMsg payload {}B",
         PAYLOAD.len(),
-        json_frame as f64 / binary_frame as f64
+        accept_bytes.len()
     );
-
-    // Axis 2: codec throughput in isolation.
-    let binary_stream = encode_binary(batch);
-    let json_stream = encode_json(batch);
-    let encode_binary_rate = codec_rate(rounds, batch, || {
-        black_box(encode_binary(batch));
-        batch
-    });
-    let encode_json_rate = codec_rate(rounds, batch, || {
-        black_box(encode_json(batch));
-        batch
-    });
-    let decode_binary_rate = codec_rate(rounds, batch, || decode_all(&binary_stream));
-    let decode_json_rate = codec_rate(rounds, batch, || decode_all(&json_stream));
-    println!(
-        "wire/codec encode {encode_binary_rate:>12.0} vs {encode_json_rate:>12.0} frames/s, \
-         decode {decode_binary_rate:>12.0} vs {decode_json_rate:>12.0} frames/s (binary vs json)"
-    );
-
-    // Axis 3: a real bridge receive path, per codec.
-    let mut bridge_rows = Vec::new();
-    for (codec, stream) in [("binary", &binary_stream), ("json", &json_stream)] {
-        let mut rig = BridgeRig::new();
-        rig.pump(stream, batch); // warm-up: connection + first republish
-        let mut total = std::time::Duration::ZERO;
-        for _ in 0..bridge_batches {
-            total += rig.pump(stream, batch);
-        }
-        let stats = rig.stats();
-        assert_eq!(stats.bridge_rx_errors, 0, "bench streams are clean");
-        let rate = (bridge_batches * batch) as f64 / total.as_secs_f64();
-        println!("wire/bridge_rx_{codec:<8} {rate:>12.0} events/s");
-        bridge_rows.push(serde_json::json!({ "codec": codec, "events_per_sec": rate }));
-    }
-
-    let doc = serde_json::json!({
-        "bench": "micro_wire",
-        "quick": quick,
+    results.push(json!({
+        "arm": "sizes",
         "payload_bytes": PAYLOAD.len(),
-        "wire_size": {
-            "binary_bytes_per_event": binary_frame,
-            "json_bytes_per_event": json_frame,
-            "json_over_binary": json_frame as f64 / binary_frame as f64,
-        },
-        "codec": {
-            "encode_binary_frames_per_sec": encode_binary_rate,
-            "encode_json_frames_per_sec": encode_json_rate,
-            "decode_binary_frames_per_sec": decode_binary_rate,
-            "decode_json_frames_per_sec": decode_json_rate,
-        },
-        "bridge_rx": bridge_rows,
+        "frame_bytes_per_event": frame_bytes,
+        "accept_payload_bytes": accept_bytes.len(),
+    }));
+
+    // Frame codec in isolation.
+    let stream = encode_frames(batch);
+    let encode_rate = rate(rounds, || {
+        black_box(encode_frames(batch));
+        batch
     });
-    // CARGO_MANIFEST_DIR = crates/bench → the workspace root is two up.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let path = root.join("BENCH_wire.json");
-    match std::fs::write(&path, serde_json::to_string_pretty(&doc).expect("plain data")) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
+    let decode_rate = rate(rounds, || decode_all(&stream));
+    println!("wire/frame_codec encode {encode_rate:>12.0} decode {decode_rate:>12.0} frames/s");
+    results.push(json!({
+        "arm": "frame_codec",
+        "encode_frames_per_sec": encode_rate,
+        "decode_frames_per_sec": decode_rate,
+    }));
+
+    // Payload codec in isolation.
+    let ops = rounds * batch;
+    let encode_ns = ns_per_op(ops, || {
+        black_box(proto::encode(black_box(&job.accept)));
+    });
+    let decode_ns = ns_per_op(ops, || {
+        black_box(proto::decode::<AcceptMsg>(black_box(&accept_bytes)));
+    });
+    let job_ns = ns_per_op(ops / 8, || {
+        black_box(job.codec_pass());
+    });
+    println!(
+        "wire/payload_codec AcceptMsg encode {encode_ns:.0} ns, decode {decode_ns:.0} ns; \
+         whole 2-stage job {job_ns:.0} ns"
+    );
+    results.push(json!({
+        "arm": "payload_codec",
+        "encode_accept_ns": encode_ns,
+        "decode_accept_ns": decode_ns,
+        "job_codec_ns": job_ns,
+    }));
+
+    // A real bridge's receive path.
+    let mut rig = BridgeRig::new();
+    rig.pump(&stream, batch); // warm-up: connection + first republish
+    let mut total = std::time::Duration::ZERO;
+    for _ in 0..bridge_batches {
+        total += rig.pump(&stream, batch);
+    }
+    assert_eq!(rig.stats().bridge_rx_errors, 0, "bench streams are clean");
+    let rx_rate = (bridge_batches * batch) as f64 / total.as_secs_f64();
+    println!("wire/bridge_rx      {rx_rate:>12.0} events/s");
+    results.push(json!({ "arm": "bridge_rx", "events_per_sec": rx_rate }));
+
+    // A whole bridged pair, one way.
+    let pair = BridgedPair::new();
+    pair.burst(&accept_bytes, batch); // warm-up
+    let mut total = std::time::Duration::ZERO;
+    for _ in 0..bridge_batches {
+        total += pair.burst(&accept_bytes, batch);
+    }
+    let burst_rate = (bridge_batches * batch) as f64 / total.as_secs_f64();
+    println!("wire/bridged_burst  {burst_rate:>12.0} events/s one way ({batch} per burst)");
+    results.push(json!({
+        "arm": "bridged_one_way_burst",
+        "burst": batch,
+        "events_per_sec": burst_rate,
+    }));
+
+    match rtcm_bench::append_bench_point("BENCH_wire.json", "micro_wire", quick, results) {
+        Ok(path) => println!("appended a point to {}", path.display()),
+        Err(e) => eprintln!("could not append to BENCH_wire.json: {e}"),
     }
 }
 

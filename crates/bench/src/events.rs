@@ -14,8 +14,9 @@ pub const FANOUT_TOPIC: Topic = Topic(100);
 /// without subscribing it to [`FANOUT_TOPIC`].
 pub const QUIET_TOPIC_BASE: u32 = 200;
 
-/// Payload published by the fixture drivers: the size of a small protocol
-/// message (`ArriveMsg`-ish JSON).
+/// Payload published by the fixture drivers: 53 opaque bytes, about the
+/// size of an encoded `AcceptMsg` (kept byte-for-byte so the
+/// `BENCH_events.json` / `BENCH_wire.json` trajectories stay comparable).
 pub const PAYLOAD: &[u8] = b"{\"job\":{\"task\":7,\"seq\":4242},\"arrival_ns\":1234567890}";
 
 /// A canned publish topology: one publisher handle plus every subscriber

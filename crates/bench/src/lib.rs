@@ -172,6 +172,61 @@ pub fn to_json(results: &[ComboResult]) -> String {
     serde_json::to_string_pretty(&rows).expect("json of plain data")
 }
 
+/// Schema tag of one `BENCH_*.json` trajectory point.
+pub const BENCH_SCHEMA: &str = "rtcm-bench/1";
+
+/// Appends one trajectory point — `{schema, bench, git_rev, cores, quick,
+/// results[]}` — to the JSON array in `BENCH_<bench>.json` at the
+/// workspace root, so the file accumulates one point per recorded run
+/// instead of holding only the last. A file still in a bench's earlier
+/// single-object layout becomes the array's first element.
+///
+/// # Errors
+///
+/// I/O errors from reading or writing the file; an existing file that is
+/// not JSON is reported as `InvalidData` and left untouched.
+pub fn append_bench_point(
+    file_name: &str,
+    bench: &str,
+    quick: bool,
+    results: Vec<serde_json::Value>,
+) -> std::io::Result<std::path::PathBuf> {
+    use serde_json::Value;
+    // CARGO_MANIFEST_DIR = crates/bench → the workspace root is two up.
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let path = root.join(file_name);
+    let mut points = match std::fs::read_to_string(&path) {
+        Ok(text) => match serde_json::from_str::<Value>(&text) {
+            Ok(Value::Seq(points)) => points,
+            Ok(single) => vec![single],
+            Err(e) => return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, e)),
+        },
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => return Err(e),
+    };
+    let git_rev = std::process::Command::new("git")
+        // `-dirty` marks a point measured on uncommitted changes.
+        .args(["describe", "--always", "--dirty", "--abbrev=7"])
+        .current_dir(&root)
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |rev| rev.trim().to_string());
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    points.push(serde_json::json!({
+        "schema": BENCH_SCHEMA,
+        "bench": bench,
+        "git_rev": git_rev,
+        "cores": cores,
+        "quick": quick,
+        "results": Value::Seq(results),
+    }));
+    let text = serde_json::to_string_pretty(&Value::Seq(points)).expect("plain data");
+    std::fs::write(&path, text + "\n")?;
+    Ok(path)
+}
+
 /// Shared CLI/env parameters for the bench binaries.
 #[derive(Debug, Clone)]
 pub struct BenchParams {

@@ -113,8 +113,8 @@ pub struct Event {
     pub topic: Topic,
     /// The publishing node.
     pub source: NodeId,
-    /// Serialized payload (the runtime uses `serde_json`; the channel does
-    /// not interpret it).
+    /// Serialized payload (the runtime uses `rtcm_rt::proto`'s binary
+    /// layout; the channel does not interpret it).
     pub payload: Bytes,
 }
 

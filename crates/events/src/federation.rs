@@ -68,6 +68,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::event::{Event, NodeId, Topic};
 use crate::fanout::{EventLog, EventReceiver, FanoutCounters, FederationStats};
+use crate::remote::LiveBridge;
 
 /// One-way network delay injected between distinct nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -220,6 +221,9 @@ struct Inner {
     generation: AtomicU64,
     net: Mutex<NetState>,
     counters: FanoutCounters,
+    /// TCP bridges currently running on this federation (see
+    /// [`ChannelHandle::fail_bridges_from`]).
+    bridges: Mutex<Vec<LiveBridge>>,
 }
 
 impl Inner {
@@ -311,6 +315,7 @@ impl Federation {
             generation: AtomicU64::new(0),
             net: Mutex::new(NetState { rng: StdRng::seed_from_u64(seed), seq: 0, tx: Some(tx) }),
             counters: FanoutCounters::default(),
+            bridges: Mutex::new(Vec::new()),
         });
         let thread_inner = Arc::clone(&inner);
         let net_thread = std::thread::Builder::new()
@@ -660,6 +665,12 @@ impl ChannelHandle {
     /// rx-error / disconnect / tx-drop tallies through this).
     pub(crate) fn counters(&self) -> &FanoutCounters {
         &self.inner.counters
+    }
+
+    /// The owning federation's running TCP bridges (each registers itself
+    /// for as long as its pumps run).
+    pub(crate) fn bridges(&self) -> &Mutex<Vec<LiveBridge>> {
+        &self.inner.bridges
     }
 
     /// Snapshot of the owning federation's event-path counters — the same

@@ -17,8 +17,7 @@
 //! bridged event never echoes.
 //!
 //! The wire format is the versioned binary codec of [`crate::wire`]
-//! (4-byte length prefix, version byte, topic, raw payload bytes); frames
-//! from peers still speaking the legacy JSON format decode transparently.
+//! (4-byte length prefix, version byte, topic, raw payload bytes).
 //!
 //! Both directions of a bridge are batched. The forwarding side rides the
 //! event fast path: all bridged topics feed **one** gateway mailbox
@@ -31,10 +30,19 @@
 //! republished through **one** locked pass
 //! ([`ChannelHandle::publish_batch`]).
 //!
+//! Both ends set `TCP_NODELAY`. The forwarder already hands the kernel one
+//! buffer per drained batch, so Nagle's algorithm has nothing left to
+//! coalesce; what it did do was hold a lone small event (a prepare, a
+//! vote) back until the peer's delayed ACK fired — 40 ms on Linux — which
+//! put one delayed-ACK timer inside every bridged reconfiguration round.
+//! With it off an idle link sends each batch at once, and a burst is still
+//! one segment per drained batch, not one per event.
+//!
 //! Lifecycle: a [`BridgeHandle`] exposes its real [`BridgeState`]
 //! (`Connecting` → `Connected` → `Closed { reason }`). Any failure — a
-//! forwarder write error, a peer disconnect, a corrupt frame — tears the
-//! whole link down in both directions (stop flag, `Shutdown::Both`,
+//! forwarder write error, a peer disconnect, a corrupt frame, a consumer
+//! reporting an undecodable payload
+//! ([`ChannelHandle::fail_bridges_from`]) — tears the whole link down in both directions (stop flag, `Shutdown::Both`,
 //! shared stream cleared) so no thread is ever left blocked on a half-open
 //! socket, and is accounted in [`crate::FederationStats`]
 //! (`bridge_rx_errors`, `bridge_disconnects`, `bridge_tx_dropped`).
@@ -92,6 +100,11 @@ pub enum BridgeCloseReason {
     /// A corrupt, oversized or undecodable frame arrived; framing is lost,
     /// so the link closed (counted in `bridge_rx_errors`).
     CorruptFrame,
+    /// A consumer could not decode a payload this link's gateway
+    /// published (see [`ChannelHandle::fail_bridges_from`]); the peer is
+    /// no longer trusted, so the link closed (counted in
+    /// `bridge_rx_errors`).
+    CorruptPayload,
 }
 
 /// Observable lifecycle of a bridge link.
@@ -117,18 +130,48 @@ struct LinkState {
 
 type SharedLink = Arc<Mutex<LinkState>>;
 
+/// A running link as its federation sees it: enough to close it from a
+/// consumer thread that was handed a payload it could not decode.
+pub(crate) struct LiveBridge {
+    gateway: NodeId,
+    link: SharedLink,
+    stop: Arc<AtomicBool>,
+}
+
 /// Tears the link down from either direction: raises the stop flag, shuts
 /// the socket both ways (unblocking a reader parked in `read`), clears the
 /// shared stream so `is_connected()` turns false, and records the first
-/// close reason.
-fn close_link(link: &SharedLink, stop: &AtomicBool, reason: BridgeCloseReason) {
+/// close reason. Returns true if this call is the one that closed it.
+fn close_link(link: &SharedLink, stop: &AtomicBool, reason: BridgeCloseReason) -> bool {
     stop.store(true, Ordering::SeqCst);
     let mut l = link.lock();
     if let Some(stream) = l.stream.take() {
         let _ = stream.shutdown(std::net::Shutdown::Both);
     }
-    if !matches!(l.state, BridgeState::Closed { .. }) {
+    let first = !matches!(l.state, BridgeState::Closed { .. });
+    if first {
         l.state = BridgeState::Closed { reason };
+    }
+    first
+}
+
+impl ChannelHandle {
+    /// Fail-stops every live TCP bridge of this federation whose gateway
+    /// node is `source`, and returns how many it closed. For consumers
+    /// that were delivered an undecodable *payload* from that node: local
+    /// publishers never produce one, so it came over the bridge, and a
+    /// peer that sends garbage inside valid frames is trusted no more than
+    /// one that breaks framing. Each closed link counts one
+    /// `bridge_rx_errors` and reports [`BridgeCloseReason::CorruptPayload`].
+    pub fn fail_bridges_from(&self, source: NodeId) -> usize {
+        let mut closed = 0;
+        for bridge in self.bridges().lock().iter().filter(|b| b.gateway == source) {
+            if close_link(&bridge.link, &bridge.stop, BridgeCloseReason::CorruptPayload) {
+                closed += 1;
+            }
+        }
+        self.counters().bridge_rx_errors.fetch_add(closed as u64, Ordering::Relaxed);
+        closed
     }
 }
 
@@ -234,7 +277,7 @@ pub fn listen(
                     Err(_) => return,
                 }
             };
-            if peer.set_nonblocking(false).is_err() {
+            if peer.set_nonblocking(false).is_err() || peer.set_nodelay(true).is_err() {
                 return;
             }
             if let Ok(clone) = peer.try_clone() {
@@ -262,6 +305,7 @@ pub fn connect(
     topics: Vec<Topic>,
 ) -> std::io::Result<BridgeHandle> {
     let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
     let handle = federation
         .handle(gateway)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()))?;
@@ -317,6 +361,11 @@ fn run_bridge(
             return;
         }
     };
+    handle.bridges().lock().push(LiveBridge {
+        gateway,
+        link: Arc::clone(link),
+        stop: Arc::clone(stop),
+    });
     let fwd_stop = Arc::clone(stop);
     let fwd_link = Arc::clone(link);
     let fwd_handle = handle.clone();
@@ -399,6 +448,7 @@ fn run_bridge(
         }
     };
     close_link(link, stop, reason);
+    handle.bridges().lock().retain(|b| !Arc::ptr_eq(&b.link, link));
     // One disconnect per established link, counted where the link's pumps
     // end (covers peer loss, write failure, corrupt frames and shutdown).
     handle.counters().bridge_disconnects.fetch_add(1, Ordering::Relaxed);
@@ -488,6 +538,42 @@ mod tests {
     }
 
     #[test]
+    fn a_lone_small_event_is_not_held_for_the_peers_delayed_ack() {
+        // Two one-way events 1 ms apart on an otherwise idle link, with
+        // nothing coming back to piggyback an ACK on. With Nagle on, the
+        // second waits for the ACK of the first — the peer's delayed-ACK
+        // timer, 40 ms on Linux (measured here: median 42.9 ms); with
+        // TCP_NODELAY both leave as they are published.
+        let (a, b, server, client) = pair(vec![Topic(1), Topic(2)]);
+        assert!(wait_for(|| client.is_connected() && server.is_connected()));
+        let on_a = a.handle(NodeId(1)).unwrap().subscribe(Topic(1));
+        let on_b = b.handle(NodeId(1)).unwrap().subscribe(Topic(2));
+        let h = b.handle(NodeId(2)).unwrap();
+        let mut both_arrived: Vec<StdDuration> = (0..5)
+            .map(|_| {
+                // One event the other way first: Linux delays ACKs only
+                // on a connection it has seen answer data with data, the
+                // request/response pattern prepare → vote → commit has.
+                a.handle(NodeId(2)).unwrap().publish(Topic(2), vec![0]);
+                assert_eq!(on_b.recv_timeout(RECV).unwrap().payload.as_ref(), &[0]);
+                let start = Instant::now();
+                h.publish(Topic(1), vec![1]);
+                std::thread::sleep(StdDuration::from_millis(1));
+                h.publish(Topic(1), vec![2]);
+                assert_eq!(on_a.recv_timeout(RECV).unwrap().payload.as_ref(), &[1]);
+                assert_eq!(on_a.recv_timeout(RECV).unwrap().payload.as_ref(), &[2]);
+                start.elapsed()
+            })
+            .collect();
+        both_arrived.sort();
+        let median = both_arrived[2];
+        assert!(
+            median < StdDuration::from_millis(20),
+            "median of 5: {median:?} ({both_arrived:?})"
+        );
+    }
+
+    #[test]
     fn multi_topic_bridges_preserve_cross_topic_order() {
         // One mailbox forwards both topics, so a burst interleaving them
         // arrives in the exact publish order (the old per-topic forwarder
@@ -563,7 +649,7 @@ mod tests {
         let mut raw = TcpStream::connect(addr).unwrap();
         assert!(wait_for(|| server.is_connected()));
 
-        // A well-framed body that is neither binary (0x01) nor JSON ('{').
+        // A well-framed body that does not open with the version byte.
         let body = [0xEEu8, 1, 2, 3];
         raw.write_all(&4u32.to_be_bytes()).unwrap();
         raw.write_all(&body).unwrap();
@@ -663,25 +749,6 @@ mod tests {
         let start = Instant::now();
         client.shutdown();
         assert!(start.elapsed() < StdDuration::from_secs(2), "no thread left blocked");
-    }
-
-    #[test]
-    fn legacy_json_peer_interoperates() {
-        // A peer still speaking PR 5's JSON wire format: its frames decode
-        // transparently and surface as normal events.
-        let fed = Federation::new(2, Latency::None, 0);
-        let (addr, server) = listen(&fed, NodeId(0), "127.0.0.1:0", vec![Topic(7)]).unwrap();
-        let rx = fed.handle(NodeId(1)).unwrap().subscribe(Topic(7));
-        let mut raw = TcpStream::connect(addr).unwrap();
-        assert!(wait_for(|| server.is_connected()));
-
-        let mut frame = Vec::new();
-        wire::append_frame_json(&mut frame, Topic(7), b"old wire").unwrap();
-        raw.write_all(&frame).unwrap();
-
-        let got = rx.recv_timeout(RECV).unwrap();
-        assert_eq!(got.payload.as_ref(), b"old wire");
-        assert_eq!(got.source, NodeId(0), "published from the gateway");
     }
 
     #[test]

@@ -13,24 +13,18 @@
 //! format; the version byte leaves room to evolve the body without
 //! breaking framing.
 //!
-//! # Legacy compatibility
-//!
-//! The previous wire format was the same 4-byte length prefix around a
-//! JSON object `{"topic":…,"payload":[…]}`. A JSON body's first byte is
-//! always `{` (0x7B) and can never be 0x01, so the decoder dispatches on
-//! the first body byte: peers speaking either format interoperate through
-//! one codec, and golden frames of both kinds are pinned in the tests.
+//! A body that does not open with a known version byte is corrupt: framing
+//! can no longer be trusted, so the link that carried it closes.
 //!
 //! # Batched, zero-copy decode
 //!
 //! [`FrameDecoder`] accumulates raw socket reads and [`FrameDecoder::drain`]s
 //! every complete frame at once: the complete-frame prefix of the buffer is
-//! moved (not copied) into one shared [`Bytes`] allocation and each binary
+//! moved (not copied) into one shared [`Bytes`] allocation and each
 //! frame's payload is handed out as a [`Bytes::slice`] view into it — a
-//! burst of *n* frames costs zero payload copies on the binary path.
+//! burst of *n* frames costs zero payload copies.
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 
 use crate::event::Topic;
 
@@ -45,16 +39,8 @@ pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 /// 4-byte length prefix + version byte + 4-byte topic.
 pub const FRAME_OVERHEAD: usize = 4 + 1 + 4;
 
-/// The legacy JSON body (kept for golden-frame tests, the wire bench's
-/// baseline arm, and decoding frames from old peers).
-#[derive(Debug, Serialize, Deserialize)]
-struct JsonWireEvent {
-    topic: u32,
-    payload: Vec<u8>,
-}
-
-/// One decoded frame: the topic plus a payload that (on the binary path)
-/// is a zero-copy view into the drained batch buffer.
+/// One decoded frame: the topic plus a payload that is a zero-copy view
+/// into the drained batch buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireFrame {
     /// The event type tag carried by the frame.
@@ -71,7 +57,8 @@ pub enum FrameError {
         /// The advertised body length.
         len: usize,
     },
-    /// The body is neither a valid binary frame nor legacy JSON.
+    /// The body does not open with a known version byte, or is too short
+    /// to hold the frame header.
     Corrupt,
 }
 
@@ -107,30 +94,6 @@ pub fn append_frame(buf: &mut Vec<u8>, topic: Topic, payload: &[u8]) -> Result<(
     buf.push(WIRE_VERSION);
     buf.extend_from_slice(&topic.0.to_be_bytes());
     buf.extend_from_slice(payload);
-    Ok(())
-}
-
-/// Appends one legacy JSON frame to `buf` (the pre-binary wire format).
-/// Kept for compatibility tests and as the bench baseline.
-///
-/// # Errors
-///
-/// Returns [`FrameError::Oversized`] (appending nothing) if the encoded
-/// body would exceed [`MAX_FRAME`].
-pub fn append_frame_json(
-    buf: &mut Vec<u8>,
-    topic: Topic,
-    payload: &[u8],
-) -> Result<(), FrameError> {
-    let wire = JsonWireEvent { topic: topic.0, payload: payload.to_vec() };
-    let body = serde_json::to_vec(&wire).expect("plain data");
-    if body.len() > MAX_FRAME {
-        return Err(FrameError::Oversized { len: body.len() });
-    }
-    buf.reserve(4 + body.len());
-    #[allow(clippy::cast_possible_truncation)] // MAX_FRAME < u32::MAX
-    buf.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    buf.extend_from_slice(&body);
     Ok(())
 }
 
@@ -173,7 +136,7 @@ impl FrameDecoder {
 
     /// Decodes every complete frame currently buffered, in one pass. The
     /// complete-frame prefix is moved into a single shared allocation and
-    /// binary payloads are returned as zero-copy slices of it; any partial
+    /// payloads are returned as zero-copy slices of it; any partial
     /// trailing frame stays buffered for the next read.
     pub fn drain(&mut self) -> Drained {
         // First pass: find the complete-frame prefix (and the first fatal
@@ -225,23 +188,13 @@ impl FrameDecoder {
 /// Decodes one frame body at `batch[start..start + len]`.
 fn decode_body(batch: &Bytes, start: usize, len: usize) -> Result<WireFrame, FrameError> {
     let body = &batch.as_slice()[start..start + len];
-    match body.first() {
-        Some(&WIRE_VERSION) => {
-            if len < 5 {
-                return Err(FrameError::Corrupt);
-            }
-            let topic = u32::from_be_bytes(body[1..5].try_into().expect("4-byte topic"));
-            // The zero-copy hand-off: a view of the batch, not a copy.
-            let payload = batch.slice(start + 5..start + len);
-            Ok(WireFrame { topic: Topic(topic), payload })
-        }
-        Some(&b'{') => {
-            let wire: JsonWireEvent =
-                serde_json::from_slice(body).map_err(|_| FrameError::Corrupt)?;
-            Ok(WireFrame { topic: Topic(wire.topic), payload: wire.payload.into() })
-        }
-        _ => Err(FrameError::Corrupt),
+    if len < 5 || body[0] != WIRE_VERSION {
+        return Err(FrameError::Corrupt);
     }
+    let topic = u32::from_be_bytes(body[1..5].try_into().expect("4-byte topic"));
+    // The zero-copy hand-off: a view of the batch, not a copy.
+    let payload = batch.slice(start + 5..start + len);
+    Ok(WireFrame { topic: Topic(topic), payload })
 }
 
 #[cfg(test)]
@@ -274,34 +227,6 @@ mod tests {
         let mut buf = Vec::new();
         append_frame(&mut buf, Topic(7), &[0xAA, 0xBB]).unwrap();
         assert_eq!(buf, vec![0, 0, 0, 7, 0x01, 0, 0, 0, 7, 0xAA, 0xBB]);
-    }
-
-    #[test]
-    fn golden_json_frame_still_decodes() {
-        // A frame exactly as PR 5's JSON codec would have written it.
-        let body = br#"{"topic":42,"payload":[1,2,3]}"#;
-        let mut buf = Vec::new();
-        #[allow(clippy::cast_possible_truncation)]
-        buf.extend_from_slice(&(body.len() as u32).to_be_bytes());
-        buf.extend_from_slice(body);
-        let out = drain_all(&buf);
-        assert!(out.fatal.is_none());
-        assert_eq!(out.frames.len(), 1);
-        assert_eq!(out.frames[0].topic, Topic(42));
-        assert_eq!(out.frames[0].payload.as_ref(), &[1, 2, 3]);
-    }
-
-    #[test]
-    fn json_and_binary_frames_interleave() {
-        let mut buf = Vec::new();
-        append_frame_json(&mut buf, Topic(1), b"old").unwrap();
-        append_frame(&mut buf, Topic(2), b"new").unwrap();
-        append_frame_json(&mut buf, Topic(3), b"old2").unwrap();
-        let out = drain_all(&buf);
-        assert!(out.fatal.is_none());
-        let got: Vec<(u32, &[u8])> =
-            out.frames.iter().map(|f| (f.topic.0, f.payload.as_ref())).collect();
-        assert_eq!(got, vec![(1, &b"old"[..]), (2, &b"new"[..]), (3, &b"old2"[..])]);
     }
 
     #[test]
@@ -366,24 +291,18 @@ mod tests {
 
     #[test]
     fn unknown_version_byte_is_fatal() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&6u32.to_be_bytes());
-        buf.extend_from_slice(&[0x02, 0, 0, 0, 7, 0xFF]); // future version
-        let out = drain_all(&buf);
-        assert!(out.frames.is_empty());
-        assert_eq!(out.fatal, Some(FrameError::Corrupt));
-    }
-
-    #[test]
-    fn corrupt_json_body_is_fatal() {
-        let body = b"{not json";
-        let mut buf = Vec::new();
-        #[allow(clippy::cast_possible_truncation)]
-        buf.extend_from_slice(&(body.len() as u32).to_be_bytes());
-        buf.extend_from_slice(body);
-        let out = drain_all(&buf);
-        assert!(out.frames.is_empty());
-        assert_eq!(out.fatal, Some(FrameError::Corrupt));
+        // A future version, the retired JSON body (opened with `{`), and a
+        // body too short for its own header.
+        for body in [&[0x02, 0, 0, 0, 7, 0xFF][..], br#"{"topic":42,"payload":[]}"#, &[0x01, 0, 0]]
+        {
+            let mut buf = Vec::new();
+            #[allow(clippy::cast_possible_truncation)]
+            buf.extend_from_slice(&(body.len() as u32).to_be_bytes());
+            buf.extend_from_slice(body);
+            let out = drain_all(&buf);
+            assert!(out.frames.is_empty());
+            assert_eq!(out.fatal, Some(FrameError::Corrupt));
+        }
     }
 
     #[test]
@@ -393,20 +312,5 @@ mod tests {
         let err = append_frame(&mut buf, Topic(1), &huge).unwrap_err();
         assert!(matches!(err, FrameError::Oversized { .. }));
         assert!(buf.is_empty(), "nothing appended on refusal");
-    }
-
-    #[test]
-    fn binary_frames_are_smaller_than_json() {
-        let payload = vec![0xABu8; 256];
-        let mut bin = Vec::new();
-        append_frame(&mut bin, Topic(6), &payload).unwrap();
-        let mut json = Vec::new();
-        append_frame_json(&mut json, Topic(6), &payload).unwrap();
-        assert!(
-            bin.len() * 2 < json.len(),
-            "binary {} bytes vs JSON {} bytes",
-            bin.len(),
-            json.len()
-        );
     }
 }

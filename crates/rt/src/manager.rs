@@ -37,8 +37,8 @@ use rtcm_events::{topics, ChannelHandle, Event, EventReceiver};
 
 use crate::clock::Clock;
 use crate::proto::{
-    self, AcceptMsg, ArriveMsg, IdleResetMsg, ReconfigAbortReason, ReconfigAckMsg, ReconfigMsg,
-    ReconfigPhase, RejectMsg,
+    self, AcceptMsg, ArriveMsg, IdleResetMsg, ReconfigAbortReason, ReconfigMsg, ReconfigPhase,
+    RejectMsg, Wire,
 };
 use crate::quorum_sm::{CoordinatorSm, QuorumStatus};
 use crate::reactor::{Reactor, TimerId, Wake, DEFAULT_TICK};
@@ -171,10 +171,21 @@ impl Manager {
     /// are dropped, exactly as the ack check inside the prepare loop would.
     fn on_event(&mut self, ev: &Event) {
         if ev.topic == topics::TASK_ARRIVE {
-            self.on_arrive(&proto::decode(&ev.payload));
+            if let Some(msg) = self.decode(ev) {
+                self.on_arrive(&msg);
+            }
         } else if ev.topic == topics::IDLE_RESET {
-            self.on_reset(&proto::decode(&ev.payload));
+            if let Some(msg) = self.decode(ev) {
+                self.on_reset(&msg);
+            }
         }
+    }
+
+    /// Decodes a mailbox payload; a malformed one is dropped and counted
+    /// (see [`proto::DecodeErrors::receive`]).
+    fn decode<T: Wire>(&self, ev: &Event) -> Option<T> {
+        let m = self.cfg.stats.metrics();
+        m.decode_errors.receive(ev, &self.cfg.channel, &m.trace, self.cfg.clock)
     }
 
     /// Polls the launcher's control channels without blocking.
@@ -262,13 +273,18 @@ impl Manager {
             match self.reactor.wait(&self.cfg.mailbox) {
                 Wake::Event(ev) => {
                     if ev.topic == topics::RECONFIG_ACK {
-                        let ack: ReconfigAckMsg = proto::decode(&ev.payload);
-                        quorum.on_ack(&ack);
+                        // An undecodable vote is no vote: the quorum
+                        // stays pending until a valid one or the deadline.
+                        if let Some(ack) = self.decode(&ev) {
+                            quorum.on_ack(&ack);
+                        }
                     } else if ev.topic == topics::TASK_ARRIVE {
-                        deferred.push(proto::decode(&ev.payload));
+                        deferred.extend(self.decode::<ArriveMsg>(&ev));
                     } else if ev.topic == topics::IDLE_RESET {
                         // Idle resets carry no decision; apply immediately.
-                        self.on_reset(&proto::decode(&ev.payload));
+                        if let Some(msg) = self.decode(&ev) {
+                            self.on_reset(&msg);
+                        }
                     }
                 }
                 Wake::Timer => {
@@ -502,6 +518,9 @@ impl Manager {
     }
 
     fn on_reset(&mut self, msg: &IdleResetMsg) {
+        if msg.processor >= self.cfg.processors {
+            return; // decodable, but no processor of this deployment
+        }
         let now = self.cfg.clock.now();
         let keys: Vec<ContributionKey> = msg
             .completed

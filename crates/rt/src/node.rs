@@ -31,7 +31,7 @@ use rtcm_events::{topics, ChannelHandle, Event, EventReceiver, Topic};
 use crate::clock::Clock;
 use crate::proto::{
     self, AcceptMsg, ArriveMsg, IdleResetMsg, InjectMsg, ReconfigAckMsg, ReconfigMsg,
-    ReconfigPhase, RejectMsg, TriggerMsg,
+    ReconfigPhase, RejectMsg, TriggerMsg, Wire,
 };
 use crate::reactor::{Reactor, TimerId, Wake, DEFAULT_TICK};
 use crate::stats::SharedStats;
@@ -208,18 +208,35 @@ impl Node {
     fn dispatch(&mut self, ev: &Event) {
         let topic = ev.topic;
         if topic == topics::ACCEPT {
-            self.on_accept(proto::decode(&ev.payload));
+            if let Some(msg) = self.decode(ev) {
+                self.on_accept(msg);
+            }
         } else if topic == topics::REJECT {
-            self.on_reject(&proto::decode(&ev.payload));
+            if let Some(msg) = self.decode(ev) {
+                self.on_reject(&msg);
+            }
         } else if topic == topics::TRIGGER {
-            self.on_trigger(proto::decode(&ev.payload));
+            if let Some(msg) = self.decode(ev) {
+                self.on_trigger(msg);
+            }
         } else if topic == topics::RECONFIG {
-            self.on_reconfig(proto::decode(&ev.payload));
+            if let Some(msg) = self.decode(ev) {
+                self.on_reconfig(msg);
+            }
         } else if topic == self.inject_topic {
-            self.on_inject(proto::decode(&ev.payload));
+            if let Some(msg) = self.decode(ev) {
+                self.on_inject(msg);
+            }
         } else if topic == self.ctl_topic {
             self.running = false;
         }
+    }
+
+    /// Decodes a mailbox payload; a malformed one is dropped and counted
+    /// (see [`proto::DecodeErrors::receive`]).
+    fn decode<T: Wire>(&self, ev: &Event) -> Option<T> {
+        let m = self.cfg.stats.metrics();
+        m.decode_errors.receive(ev, &self.cfg.channel, &m.trace, self.cfg.clock)
     }
 
     /// One phase of a live reconfiguration (published by the AC on the
@@ -369,6 +386,9 @@ impl Node {
     /// releasing TE performs the release (op 5/6).
     fn on_accept(&mut self, msg: AcceptMsg) {
         let Some(task) = self.cfg.tasks.get(msg.job.task) else { return };
+        if msg.assignment.len() != task.subtasks().len() {
+            return; // decodable but not a placement of this task
+        }
         let arrival_proc = task.subtasks()[0].primary.0;
 
         if arrival_proc == self.cfg.processor
@@ -435,8 +455,11 @@ impl Node {
         deadline_ns: u64,
         trace: u64,
     ) {
-        let Some(task) = self.cfg.tasks.get(job.task) else { return };
-        let exec: StdDuration = task.subtasks()[subtask].execution_time.into();
+        let Some(stage) = self.cfg.tasks.get(job.task).and_then(|t| t.subtasks().get(subtask))
+        else {
+            return;
+        };
+        let exec: StdDuration = stage.execution_time.into();
         let remaining = match self.cfg.exec {
             ExecMode::Noop => StdDuration::ZERO,
             ExecMode::Sleep | ExecMode::Spin => exec,

@@ -49,7 +49,7 @@ use rtcm_events::{topics, ChannelHandle, Federation, NodeId, UnknownNodeError};
 use rtcm_telemetry::{TraceBuffer, DEFAULT_TRACE_CAPACITY};
 
 use crate::clock::{Clock, TimerDriver};
-use crate::proto::{self, ReconfigMsg, ReconfigVote};
+use crate::proto::{self, DecodeErrors, ReconfigMsg, ReconfigVote};
 use crate::quorum_sm::{MemberReaction, MemberSm};
 use crate::reactor::{Reactor, TimerId, Wake, DEFAULT_TICK};
 
@@ -75,6 +75,7 @@ pub struct QuorumMember {
     hold: Arc<AtomicBool>,
     state: Arc<Mutex<MemberSm>>,
     trace: Arc<TraceBuffer>,
+    decode_errors: Arc<DecodeErrors>,
     stop: Sender<()>,
     /// Publishes the `topics::QUORUM_CTL` kick that wakes the delegate's
     /// blocking mailbox wait after a stop request is enqueued.
@@ -110,12 +111,14 @@ impl QuorumMember {
         let hold = Arc::new(AtomicBool::new(false));
         let state: Arc<Mutex<MemberSm>> = Arc::new(Mutex::new(MemberSm::new()));
         let trace = Arc::new(TraceBuffer::new(DEFAULT_TRACE_CAPACITY));
+        let decode_errors = Arc::new(DecodeErrors::default());
         let (stop_tx, stop_rx) = unbounded::<()>();
         let clock = Clock::new();
         let fence_timeout_ns = options.fence_timeout.as_nanos() as u64;
         let thread_hold = Arc::clone(&hold);
         let thread_state = Arc::clone(&state);
         let thread_trace = Arc::clone(&trace);
+        let thread_errors = Arc::clone(&decode_errors);
         let thread = std::thread::Builder::new()
             .name("rtcm-quorum-member".into())
             .spawn(move || {
@@ -163,7 +166,18 @@ impl QuorumMember {
                     }
                     match reactor.wait(&mailbox) {
                         Wake::Event(ev) if ev.topic == topics::RECONFIG => {
-                            let msg: ReconfigMsg = proto::decode(&ev.payload);
+                            // Prepares arrive from a foreign host over the
+                            // bridge: a malformed one is dropped, counted,
+                            // and costs that bridge its link — never this
+                            // thread.
+                            let Some(msg) = thread_errors.receive::<ReconfigMsg>(
+                                &ev,
+                                &handle,
+                                &thread_trace,
+                                clock,
+                            ) else {
+                                continue;
+                            };
                             let holding = thread_hold.load(Ordering::SeqCst);
                             let reaction = thread_state.lock().on_phase(
                                 &msg,
@@ -181,7 +195,16 @@ impl QuorumMember {
                 }
             })
             .expect("spawn quorum member");
-        Ok(QuorumMember { host, hold, state, trace, stop: stop_tx, wake, thread: Some(thread) })
+        Ok(QuorumMember {
+            host,
+            hold,
+            state,
+            trace,
+            decode_errors,
+            stop: stop_tx,
+            wake,
+            thread: Some(thread),
+        })
     }
 
     /// The host identity this member votes as (its federation's id).
@@ -227,6 +250,13 @@ impl QuorumMember {
     #[must_use]
     pub fn trace(&self) -> &Arc<TraceBuffer> {
         &self.trace
+    }
+
+    /// Reconfiguration payloads this member dropped because they did not
+    /// decode (each one also fail-stopped the bridge it arrived over).
+    #[must_use]
+    pub fn decode_errors(&self) -> u64 {
+        self.decode_errors.total()
     }
 
     /// Detaches the member, joining its thread.

@@ -33,7 +33,7 @@ use rtcm_telemetry::{
     Counter, Exposition, Gauge, Histogram, HistogramSnapshot, Registry, TraceBuffer,
 };
 
-use crate::proto::ReconfigAbortReason;
+use crate::proto::{DecodeErrors, MsgKind, ReconfigAbortReason};
 
 /// Per-reason counts of abandoned reconfigurations, so a governor's
 /// failed actuations are diagnosable from the report alone: `ack_timeout`
@@ -229,6 +229,9 @@ pub struct RtMetrics {
     pub admission_cross_shard: Arc<Counter>,
     /// Targeted shard-summary refreshes during admission checks.
     pub admission_summary_refreshes: Arc<Counter>,
+    /// Mailbox payloads the manager or a node dropped because they did
+    /// not decode, per message kind.
+    pub decode_errors: DecodeErrors,
 
     /// End-to-end response times (ns).
     pub response: Arc<Histogram>,
@@ -336,6 +339,7 @@ impl RtMetrics {
                 rtcm_telemetry::DEFAULT_TRACE_CAPACITY,
                 sample_every,
             )),
+            decode_errors: DecodeErrors::default(),
             registry: Arc::new(r),
         }
     }
@@ -607,6 +611,12 @@ impl SharedStats {
             "Outbound events dropped for exceeding the wire frame limit.",
             report.bridge_tx_dropped,
         );
+        e.counter_by(
+            "rtcm_proto_decode_errors_total",
+            "Mailbox payloads dropped because they did not decode.",
+            "topic",
+            &MsgKind::ALL.map(|k| (k.label(), self.metrics.decode_errors.get(k))),
+        );
         e.counter(
             "rtcm_trace_records_dropped_total",
             "Trace records evicted from the bounded ring.",
@@ -711,5 +721,6 @@ mod tests {
         assert!(page.contains("# TYPE rtcm_response_ns histogram"));
         assert!(page.contains("rtcm_response_ns_count 1"));
         assert!(page.contains("rtcm_events_published_total 42"));
+        assert!(page.contains("rtcm_proto_decode_errors_total{topic=\"reconfig\"} 0"));
     }
 }

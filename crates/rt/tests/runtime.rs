@@ -513,7 +513,7 @@ fn bridge_fault_counters_surface_in_the_system_report() {
         remote::listen(system.federation(), NodeId(1), "127.0.0.1:0", vec![topics::RECONFIG])
             .unwrap();
     let mut raw = std::net::TcpStream::connect(addr).unwrap();
-    // Well-framed, but the body is neither binary (0x01) nor JSON ('{').
+    // Well-framed, but the body does not open with the version byte.
     raw.write_all(&3u32.to_be_bytes()).unwrap();
     raw.write_all(&[0xEE, 0xEE, 0xEE]).unwrap();
 
@@ -534,13 +534,24 @@ fn bridge_quorum(
     system: &System,
     gateway: rtcm_events::NodeId,
 ) -> (rtcm_events::Federation, rtcm_events::BridgeHandle, rtcm_events::BridgeHandle) {
-    use rtcm_events::{remote, topics, Federation, Latency, NodeId};
+    let remote_host = rtcm_events::Federation::new(2, rtcm_events::Latency::None, 0);
+    let (server, client) = link_quorum(system, gateway, &remote_host);
+    (remote_host, server, client)
+}
+
+/// One RECONFIG-out / RECONFIG_ACK-back link between `system` and an
+/// existing remote federation (whose gateway is its node 0).
+fn link_quorum(
+    system: &System,
+    gateway: rtcm_events::NodeId,
+    remote_host: &rtcm_events::Federation,
+) -> (rtcm_events::BridgeHandle, rtcm_events::BridgeHandle) {
+    use rtcm_events::{remote, topics, NodeId};
     let topics = vec![topics::RECONFIG, topics::RECONFIG_ACK];
     let (addr, server) =
         remote::listen(system.federation(), gateway, "127.0.0.1:0", topics.clone()).unwrap();
-    let remote_host = Federation::new(2, Latency::None, 0);
-    let client = remote::connect(&remote_host, NodeId(0), addr, topics).unwrap();
-    (remote_host, server, client)
+    let client = remote::connect(remote_host, NodeId(0), addr, topics).unwrap();
+    (server, client)
 }
 
 #[test]
@@ -583,14 +594,7 @@ fn bridged_host_vote_is_required_and_sufficient_for_commit() {
 fn withheld_bridged_vote_aborts_with_ack_timeout() {
     use rtcm_rt::{QuorumMember, QuorumOptions, ReconfigAbortReason, ReconfigureError};
 
-    let deployment = configure_with(
-        &spec("workload w\nprocessors 1\ntask t aperiodic deadline=200ms\n  subtask exec=1ms proc=0\n"),
-        "J_N_N".parse().unwrap(),
-    )
-    .unwrap();
-    let mut options = RtOptions::fast();
-    options.reconfig_ack_timeout = StdDuration::from_millis(300);
-    let system = System::launch(&deployment, options).unwrap();
+    let system = launch_with_short_ack_timeout();
 
     let (remote_host, _server, _client) = bridge_quorum(&system, rtcm_events::NodeId(1));
     let member =
@@ -673,6 +677,187 @@ fn foreign_fenced_member_vetoes_the_prepare() {
 
     let stats = system.shutdown();
     assert_eq!(stats.reconfig_abort_reasons.foreign_coordinator, 1);
+}
+
+/// Polls `cond` for up to 5 s (bridge hops and teardowns are asynchronous).
+fn eventually(what: &str, mut cond: impl FnMut() -> bool) {
+    let deadline = std::time::Instant::now() + StdDuration::from_secs(5);
+    while !cond() {
+        assert!(std::time::Instant::now() < deadline, "timed out waiting for: {what}");
+        std::thread::sleep(StdDuration::from_millis(5));
+    }
+}
+
+/// A one-processor system whose prepare phase gives up after 300 ms.
+fn launch_with_short_ack_timeout() -> System {
+    let deployment = configure_with(
+        &spec("workload w\nprocessors 1\ntask t aperiodic deadline=200ms\n  subtask exec=1ms proc=0\n"),
+        "J_N_N".parse().unwrap(),
+    )
+    .unwrap();
+    let mut options = RtOptions::fast();
+    options.reconfig_ack_timeout = StdDuration::from_millis(300);
+    System::launch(&deployment, options).unwrap()
+}
+
+#[test]
+fn garbage_reconfig_payload_costs_the_member_its_link_not_its_thread() {
+    use rtcm_events::{topics, BridgeCloseReason, BridgeState, NodeId};
+    use rtcm_rt::proto::MsgKind;
+    use rtcm_rt::{QuorumMember, QuorumOptions, ReconfigAbortReason, ReconfigureError};
+
+    let system = launch_with_short_ack_timeout();
+    let (remote_host, server, client) = bridge_quorum(&system, NodeId(1));
+    let member = QuorumMember::attach(&remote_host, NodeId(1), QuorumOptions::default()).unwrap();
+    system.register_remote_voter(member.host_id());
+    eventually("bridge up", || server.is_connected() && client.is_connected());
+
+    // A valid frame around a payload that is no ReconfigMsg: published on
+    // the coordinator's side, it crosses the bridge like any phase would.
+    system
+        .federation()
+        .handle(NodeId(0))
+        .unwrap()
+        .publish(topics::RECONFIG, &b"\x01\x07 not a reconfig message"[..]);
+
+    // The member drops it, counts it, and fail-stops the link it came over
+    // (its federation's gateway republished it) — the delegate survives.
+    eventually("member counted the payload", || member.decode_errors() == 1);
+    eventually("member's link closed", || !client.is_connected());
+    assert_eq!(client.state(), BridgeState::Closed { reason: BridgeCloseReason::CorruptPayload });
+    assert_eq!(remote_host.stats().bridge_rx_errors, 1);
+    assert!(!member.is_fenced());
+    // The coordinator's own node saw the same payload, from a local node
+    // that is no gateway: dropped and counted, nothing to close.
+    eventually("local node counted the payload", || {
+        system.telemetry().decode_errors.get(MsgKind::Reconfig) == 1
+    });
+    assert_eq!(system.stats().bridge_rx_errors, 0);
+
+    // With the link gone the member cannot vote: quorum rules abort.
+    let err = system.reconfigure("J_J_J".parse().unwrap()).unwrap_err();
+    assert!(
+        matches!(err, ReconfigureError::Aborted { reason: ReconfigAbortReason::AckTimeout, .. }),
+        "expected an ack-timeout abort, got {err}"
+    );
+
+    // A fresh link, and the same delegate thread votes the next swap in.
+    drop((server, client));
+    let _link = link_quorum(&system, NodeId(1), &remote_host);
+    let report = system.reconfigure("J_J_J".parse().unwrap()).unwrap();
+    assert_eq!(report.acked_remote, 1);
+    assert_eq!(member.ack_count(), 1);
+    assert_eq!(member.decode_errors(), 1);
+    let _ = system.shutdown();
+}
+
+#[test]
+fn garbage_vote_mid_prepare_is_no_vote_and_the_manager_lives() {
+    use rtcm_events::{topics, BridgeCloseReason, BridgeState, NodeId};
+    use rtcm_rt::proto::{self, ReconfigMsg, ReconfigPhase};
+    use rtcm_rt::{QuorumMember, QuorumOptions, ReconfigAbortReason, ReconfigureError};
+
+    let system = launch_with_short_ack_timeout();
+    let oam = system.serve_oam("127.0.0.1:0").unwrap();
+    let (remote_host, server, client) = bridge_quorum(&system, NodeId(1));
+    let member = QuorumMember::attach(&remote_host, NodeId(1), QuorumOptions::default()).unwrap();
+    system.register_remote_voter(member.host_id());
+    eventually("bridge up", || server.is_connected() && client.is_connected());
+    // The member withholds its vote, so the prepare window stays open for
+    // the whole ack timeout.
+    member.set_holding(true);
+
+    let observer = system.federation().handle(NodeId(0)).unwrap().subscribe(topics::RECONFIG);
+    std::thread::scope(|scope| {
+        let swap = scope.spawn(|| system.reconfigure("J_J_J".parse().unwrap()));
+        let prepare: ReconfigMsg =
+            proto::decode(&observer.recv_timeout(StdDuration::from_secs(5)).unwrap().payload);
+        assert_eq!(prepare.phase, ReconfigPhase::Prepare);
+        // Mid-prepare, the remote host sends a vote that is garbage inside
+        // a valid frame.
+        remote_host.handle(NodeId(1)).unwrap().publish(topics::RECONFIG_ACK, &b"\x01\x08\xff"[..]);
+
+        // No vote was cast: the swap ends by the quorum's own rule.
+        let err = swap.join().unwrap().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ReconfigureError::Aborted { reason: ReconfigAbortReason::AckTimeout, .. }
+            ),
+            "expected an ack-timeout abort, got {err}"
+        );
+    });
+    let page = rtcm_telemetry::scrape(oam.addr(), "/metrics").unwrap();
+    assert_eq!(metric(&page, "rtcm_proto_decode_errors_total{topic=\"reconfig_ack\"}"), 1);
+    assert_eq!(metric(&page, "rtcm_proto_decode_errors_total{topic=\"task_arrive\"}"), 0);
+    // The coordinator's gateway republished the payload: its link is gone.
+    assert_eq!(server.state(), BridgeState::Closed { reason: BridgeCloseReason::CorruptPayload });
+    assert_eq!(metric(&page, "rtcm_bridge_rx_errors_total"), 1);
+
+    // The manager thread is alive: once the host is reachable and willing
+    // again, the next swap commits.
+    member.set_holding(false);
+    drop((server, client));
+    let _link = link_quorum(&system, NodeId(1), &remote_host);
+    let report = system.reconfigure("J_J_J".parse().unwrap()).unwrap();
+    assert_eq!(report.acked_remote, 1);
+    assert_eq!(system.services().label(), "J_J_J");
+    oam.shutdown();
+    let _ = system.shutdown();
+}
+
+#[test]
+fn well_formed_messages_naming_things_that_do_not_exist_are_ignored() {
+    // Payloads that decode but point outside the deployment — a processor
+    // it does not have, a stage the task does not have, a placement of the
+    // wrong length — used to index out of bounds in the receiving thread.
+    use rtcm_events::{topics, NodeId};
+    use rtcm_rt::proto::{self, AcceptMsg, IdleResetMsg, TriggerMsg};
+
+    let system = launch(
+        "workload w\nprocessors 2\n\
+         task chain aperiodic deadline=500ms\n  subtask exec=1ms proc=0\n  subtask exec=1ms proc=1\n",
+        "J_J_N",
+    );
+    let outsider = system.federation().handle(NodeId(0)).unwrap();
+    let job = proto::job(0, 99);
+    outsider.publish(
+        topics::IDLE_RESET,
+        proto::encode(&IdleResetMsg { processor: 9_999, completed: vec![(job, 0)], started_ns: 0 }),
+    );
+    outsider.publish(
+        topics::TRIGGER,
+        proto::encode(&TriggerMsg {
+            job,
+            next_subtask: 7,
+            assignment: vec![0; 8],
+            arrival_ns: 0,
+            deadline_ns: u64::MAX,
+            sent_ns: 0,
+            trace: 0,
+        }),
+    );
+    outsider.publish(
+        topics::ACCEPT,
+        proto::encode(&AcceptMsg {
+            job,
+            assignment: Vec::new(),
+            release_proc: 0,
+            arrival_ns: 0,
+            deadline_ns: u64::MAX,
+            newly_admitted: true,
+            sent_ns: 0,
+            trace: 0,
+        }),
+    );
+
+    // Every thread is still there: a real job runs both stages and its
+    // idle resets are applied.
+    system.submit(TaskId(0), 0).unwrap();
+    assert!(system.quiesce(QUIESCE));
+    let report = system.shutdown();
+    assert_eq!(report.jobs_completed, 1);
+    assert!(report.ir_reports >= 1);
 }
 
 #[test]

@@ -61,6 +61,15 @@ impl Exposition {
         let _ = writeln!(self.out, "{name} {value}");
     }
 
+    /// Appends one counter broken down by a label: a single HELP/TYPE
+    /// header, then one `name{label="value"} n` sample per series.
+    pub fn counter_by(&mut self, name: &str, help: &str, label: &str, series: &[(&str, u64)]) {
+        self.header(name, help, "counter");
+        for (value, n) in series {
+            let _ = writeln!(self.out, "{name}{{{label}=\"{}\"}} {n}", escape_label(value));
+        }
+    }
+
     /// Appends one gauge sample.
     pub fn gauge(&mut self, name: &str, help: &str, value: f64) {
         self.header(name, help, "gauge");
@@ -149,6 +158,17 @@ mod tests {
         let text = e.finish();
         assert!(text.contains("# TYPE rtcm_jobs_total counter\nrtcm_jobs_total 7\n"));
         assert!(text.contains("# TYPE rtcm_slack gauge\nrtcm_slack 0.25\n"));
+    }
+
+    #[test]
+    fn labelled_counter_shares_one_header() {
+        let mut e = Exposition::new();
+        e.counter_by("rtcm_errs_total", "Errors.", "topic", &[("accept", 2), ("reject", 0)]);
+        assert_eq!(
+            e.finish(),
+            "# HELP rtcm_errs_total Errors.\n# TYPE rtcm_errs_total counter\n\
+             rtcm_errs_total{topic=\"accept\"} 2\nrtcm_errs_total{topic=\"reject\"} 0\n"
+        );
     }
 
     #[test]
