@@ -6,10 +6,13 @@
 //! add/expire churn — plus the incremental-vs-brute-force scaling arms
 //! (`admission_scaling/*`) at 1k/10k-task current sets, the ablation
 //! behind the indexed-ledger admission path (see `rtcm_bench::scaling`).
+//! The scaling arms are appended to `BENCH_admission.json` as one
+//! trajectory point per run.
 //!
 //! `RTCM_QUICK=1` drops the 10240-entry arms so smoke runs stay fast.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, Criterion};
+use serde_json::json;
 
 use rtcm_bench::scaling::{probe_once, scaling_controller, scaling_probes};
 use rtcm_core::admission::{AdmissionController, AdmissionMode};
@@ -72,36 +75,51 @@ fn bench_admission_test(c: &mut Criterion) {
 
 /// The scaling ablation: one steady-state admission decision (arrival +
 /// expiry churn) against current sets far beyond the paper's 9-task scale,
-/// incremental vs. brute-force. Each iteration advances virtual time so
-/// the previous probe expires and the next is admitted — state stays
-/// bounded without cloning the controller into the measured region.
-fn bench_admission_scaling(c: &mut Criterion) {
-    let quick = std::env::var("RTCM_QUICK").is_ok();
+/// incremental vs. brute-force. Each round advances virtual time so the
+/// previous probe expires and the next is admitted — state stays bounded
+/// without cloning the controller into the measured region.
+fn admission_scaling() {
+    let quick = std::env::var("RTCM_QUICK").is_ok_and(|v| v != "0");
     let sizes: &[(u32, u16)] =
         if quick { &[(128, 8), (1024, 64)] } else { &[(128, 8), (1024, 64), (10240, 64)] };
-    let mut group = c.benchmark_group("admission_scaling");
+    let rounds: u64 = if quick { 2_000 } else { 20_000 };
+    println!("group: admission_scaling");
+    let mut results = Vec::new();
     for &(n, procs) in sizes {
         for (label, mode) in
             [("incremental", AdmissionMode::Incremental), ("brute", AdmissionMode::BruteForce)]
         {
-            group.bench_function(format!("{label}_{n}_p{procs}"), |b| {
-                let mut ac = scaling_controller(n, procs, mode);
-                // Alternate two probe sizes so consecutive expire+admit
-                // rounds never net a processor back to exactly its prior
-                // utilization (which would skip the delta work).
-                let probes = scaling_probes(procs);
-                let mut now = Time::ZERO;
-                let mut seq = 0u64;
-                b.iter(|| {
-                    seq += 1;
-                    now = now.saturating_add(Duration::from_millis(2));
-                    let probe = &probes[(seq % 2) as usize];
-                    black_box(probe_once(&mut ac, black_box(probe), seq, now))
-                });
-            });
+            let mut ac = scaling_controller(n, procs, mode);
+            // Alternate two probe sizes so consecutive expire+admit
+            // rounds never net a processor back to exactly its prior
+            // utilization (which would skip the delta work).
+            let probes = scaling_probes(procs);
+            let mut now = Time::ZERO;
+            let mut decide = |seq: u64| {
+                now = now.saturating_add(Duration::from_millis(2));
+                let probe = &probes[(seq % 2) as usize];
+                black_box(probe_once(&mut ac, black_box(probe), seq, now));
+            };
+            let warm_up = rounds / 10;
+            (0..warm_up).for_each(&mut decide);
+            let started = std::time::Instant::now();
+            (warm_up..warm_up + rounds).for_each(&mut decide);
+            let ns = started.elapsed().as_nanos() as f64 / rounds as f64;
+            let arm = format!("{label}_{n}_p{procs}");
+            println!("admission_scaling/{arm:<31} time: {ns:>9.0} ns/decision  ({rounds} rounds)");
+            results.push(json!({
+                "arm": arm,
+                "current_set": n,
+                "processors": procs,
+                "ns_per_decision": ns,
+            }));
         }
     }
-    group.finish();
+    match rtcm_bench::append_bench_point("BENCH_admission.json", "micro_admission", quick, results)
+    {
+        Ok(path) => println!("appended a point to {}", path.display()),
+        Err(e) => eprintln!("could not append to BENCH_admission.json: {e}"),
+    }
 }
 
 fn bench_lb_proposal(c: &mut Criterion) {
@@ -155,8 +173,11 @@ criterion_group!(
     benches,
     bench_aub_math,
     bench_admission_test,
-    bench_admission_scaling,
     bench_lb_proposal,
     bench_ledger_churn
 );
-criterion_main!(benches);
+
+fn main() {
+    benches();
+    admission_scaling();
+}

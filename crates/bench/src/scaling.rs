@@ -112,56 +112,6 @@ pub fn probe_once(ac: &mut AdmissionController, probe: &TaskSpec, seq: u64, now:
     ac.handle_arrival(probe, seq, now).expect("probe jobs are unique")
 }
 
-// ---------------------------------------------------------------------
-// Sharded-plane scaling fixtures (the `admission_scaling` bench)
-// ---------------------------------------------------------------------
-
-/// Processors in the sharded-plane scaling host.
-pub const SHARD_BENCH_PROCS: usize = 64;
-
-/// Independent arrival streams, one per contiguous 8-processor block.
-/// Blocks always nest inside shard groups for shard counts 1/2/4/8, so
-/// every stream is single-homed under every measured layout.
-pub const SHARD_BENCH_BLOCKS: usize = 8;
-
-/// Distinct task specs cycled by each block stream (job `k` of a block
-/// reuses spec `k % TASKS`, at sequence `k / TASKS`).
-pub const SHARD_BENCH_TASKS_PER_BLOCK: usize = 16;
-
-/// Deadline of each stream job. With one arrival per virtual millisecond
-/// per stream, about ten entries are live per block at any instant —
-/// enough churn to keep the expiry heap and inverted index honest, low
-/// enough that every arrival is accepted (the work being compared is the
-/// full tentative-add → system-check → commit path).
-pub const SHARD_BENCH_DEADLINE: Duration = Duration::from_millis(10);
-
-/// The task specs of one block's arrival stream: aperiodic single-stage
-/// tasks whose primary and replica both live inside the block, rotating
-/// over its eight processors.
-///
-/// # Panics
-///
-/// Panics if `block` is outside the fixture's [`SHARD_BENCH_BLOCKS`].
-#[must_use]
-pub fn shard_block_tasks(block: usize) -> Vec<TaskSpec> {
-    assert!(block < SHARD_BENCH_BLOCKS, "block {block} out of range");
-    let width = (SHARD_BENCH_PROCS / SHARD_BENCH_BLOCKS) as u16;
-    let base = block as u16 * width;
-    (0..SHARD_BENCH_TASKS_PER_BLOCK)
-        .map(|i| {
-            #[allow(clippy::cast_possible_truncation)]
-            let id = (block * 1_000 + i) as u32;
-            let primary = base + (i as u16 % width);
-            let replica = base + ((i as u16 + 3) % width);
-            TaskBuilder::aperiodic(TaskId(id))
-                .deadline(SHARD_BENCH_DEADLINE)
-                .subtask(Duration::from_millis(1), ProcessorId(primary), [ProcessorId(replica)])
-                .build()
-                .expect("stream tasks are valid")
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,20 +130,6 @@ mod tests {
             // Steady state: exactly one live probe entry on top of the
             // background set.
             assert_eq!(ac.current_entries(), 65);
-        }
-    }
-
-    #[test]
-    fn shard_block_tasks_are_block_local() {
-        use rtcm_core::shard::ShardLayout;
-        for shards in [1usize, 2, 4, 8] {
-            let layout = ShardLayout::new(SHARD_BENCH_PROCS, shards);
-            for block in 0..SHARD_BENCH_BLOCKS {
-                for task in shard_block_tasks(block) {
-                    let home = layout.home_of(&task);
-                    assert!(home.is_some(), "{shards} shards: block {block} task spans shards");
-                }
-            }
         }
     }
 }

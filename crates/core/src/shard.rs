@@ -1,1816 +1,138 @@
-//! A **sharded admission plane**: N shard controllers over disjoint
-//! processor groups, tied together by a two-level AUB sum tree.
+//! Source-compatibility handle for the retired sharded admission plane.
 //!
-//! PR 2 made the paper's §4 admission test incremental; this module removes
-//! its last structural ceiling — one serialized decision point per host —
-//! by partitioning the [`AdmissionController`] by *processor group*:
-//!
-//! * Processors `0..P` are split into `N` contiguous groups
-//!   ([`ShardLayout`]). Each shard owns a full controller — ledger slice,
-//!   inverted index, cached per-entry AUB sums — and **every processor's
-//!   contributions live in exactly one shard**, so per-processor
-//!   utilizations (and therefore every `f(U)` term of the bound) are
-//!   identical to the monolithic controller's by construction.
-//! * Each shard publishes a `(utilization_sum, violating_count, revision)`
-//!   summary through atomics after every locked operation — the upper
-//!   level of the sum tree ([`ShardSummary`]). An arrival whose candidate
-//!   placements all fall in one group (*single-homed*) takes the **fast
-//!   path**: the system-wide AUB answer is assembled from the home shard's
-//!   own incremental check plus the foreign summaries alone, with zero
-//!   cross-shard locking. Only a summary that cannot be trusted — a
-//!   non-zero violating count, which lazy expiry may have already cured —
-//!   forces a targeted refresh of that one shard (counted in
-//!   [`AdmissionPlaneStats::summary_refreshes`]).
-//! * Placements spanning groups (multi-group replica sets, and every
-//!   operation in [`AdmissionMode::BruteForce`], which stays the
-//!   differential oracle) take the **cross path**: a short full-order
-//!   reservation section that locks the cross registry and the shards in
-//!   ascending index order, preserving the no-partial-application
-//!   guarantee of the drain→reseed handover.
-//!
-//! ## Lazy expiry and the floor
-//!
-//! The monolithic controller expires *all* processors at every arrival;
-//! doing that here would serialize the shards again. Instead the layer
-//! maintains a monotone **expiry floor** — the maximum `now` of every
-//! operation that expires in the monolithic controller — and each shard is
-//! expired *to the floor* the next time it is locked. Between locks a
-//! shard's state is stale only by expirations, which can only remove
-//! utilization: a published `violating == 0` therefore stays trustworthy,
-//! and `violating > 0` is exactly the case the fast path refreshes.
-//!
-//! ## Equivalence
-//!
-//! Every decision point delegates to the monolithic controller's own code
-//! with the cross-shard condition injected as an [`ExtraCheck`] at exactly
-//! the place the monolithic check runs, and every per-processor ledger
-//! mutation is applied in the same order the monolithic controller would
-//! apply it. `crates/core/tests/differential_sharded.rs` replays the
-//! differential corpus through this plane against a monolithic
-//! [`AdmissionMode::BruteForce`] oracle with step-level decision equality.
-//!
-//! [`ExtraCheck`]: crate::admission::AdmissionController
+//! There is one admission engine, [`AdmissionController`], owned by value in
+//! every substrate. The frozen `benchmark/` package still names this type and
+//! calls it through `&self`, so it survives as a mutex around that engine with
+//! exactly the methods `benchmark/src/adapter.rs` calls. The next `benchmark`
+//! PR switches `adapter.rs::controller()` to the engine and deletes this file.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
-use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard};
 
-use serde::{Deserialize, Serialize};
-
-use crate::admission::{
-    AcStats, AdmissionController, AdmissionError, AdmissionMode, Decision, DriftReport,
-    RejectReason, RemoteCommit, RESERVED_SEQ,
-};
-use crate::analysis::{audit_controller, ControllerAudit};
-use crate::aub::{bound_lhs, BOUND_EPSILON};
-use crate::balance::{Assignment, LoadBalancer};
-use crate::ledger::{ContributionKey, Lifetime};
-use crate::reconfig::{HandoverReport, ReconfigPlan, TransitionStep};
-use crate::strategy::{AcStrategy, InvalidConfigError, LbStrategy, ServiceConfig};
-use crate::task::{JobId, ProcessorId, TaskId, TaskSet, TaskSpec};
+use crate::admission::{AdmissionController, AdmissionError, AdmissionMode, Decision};
+use crate::balance::Assignment;
+use crate::ledger::ContributionKey;
+use crate::reconfig::HandoverReport;
+use crate::strategy::{InvalidConfigError, ServiceConfig};
+use crate::task::{ProcessorId, TaskSet, TaskSpec};
 use crate::time::Time;
 
-/// The static processor-group partition behind a sharded plane: `P`
-/// processors split into contiguous groups of `ceil(P / N)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardLayout {
-    processor_count: usize,
-    group_size: usize,
-    shard_count: usize,
-}
+type Decided = Result<Decision, AdmissionError>;
 
-impl ShardLayout {
-    /// Builds the layout for `processor_count` processors and (at most)
-    /// `shards` groups. The request is clamped to `1..=P`; the effective
-    /// shard count is derived from the rounded-up group size, so every
-    /// shard is non-empty.
-    #[must_use]
-    pub fn new(processor_count: usize, shards: usize) -> Self {
-        let procs = processor_count.max(1);
-        let requested = shards.clamp(1, procs);
-        let group_size = procs.div_ceil(requested);
-        let shard_count = procs.div_ceil(group_size);
-        ShardLayout { processor_count, group_size, shard_count }
-    }
-
-    /// Number of processors partitioned.
-    #[must_use]
-    pub fn processor_count(&self) -> usize {
-        self.processor_count
-    }
-
-    /// Number of (non-empty) shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shard_count
-    }
-
-    /// The shard owning `processor`.
-    #[must_use]
-    pub fn shard_of(&self, processor: ProcessorId) -> usize {
-        processor.index() / self.group_size
-    }
-
-    /// The processor-index range of shard `shard`.
-    #[must_use]
-    pub fn group(&self, shard: usize) -> Range<usize> {
-        let start = shard * self.group_size;
-        start..(start + self.group_size).min(self.processor_count)
-    }
-
-    /// The home shard of `task`: `Some(s)` iff *every* candidate processor
-    /// of every subtask (primaries and replicas) falls in group `s` — the
-    /// static single-homed test behind the fast path. `None` means the
-    /// task can span groups and must take the cross path. Unknown
-    /// processors also return `None`; the caller's processor check turns
-    /// those into the proper error before routing matters.
-    #[must_use]
-    pub fn home_of(&self, task: &TaskSpec) -> Option<usize> {
-        let mut home = None;
-        for sub in task.subtasks() {
-            for candidate in sub.candidates() {
-                if candidate.index() >= self.processor_count {
-                    return None;
-                }
-                let shard = self.shard_of(candidate);
-                match home {
-                    None => home = Some(shard),
-                    Some(h) if h == shard => {}
-                    Some(_) => return None,
-                }
-            }
-        }
-        home
-    }
-}
-
-/// One shard's published summary — a node of the upper level of the
-/// two-level AUB sum tree.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ShardSummary {
-    /// The shard index.
-    pub shard: usize,
-    /// Sum of the group's per-processor synthetic utilizations at publish
-    /// time.
-    pub utilization_sum: f64,
-    /// The shard's violating-entry count at publish time. Zero stays
-    /// trustworthy under lazy expiry (expiry only removes utilization);
-    /// non-zero may be stale and triggers a targeted refresh.
-    pub violating: usize,
-    /// The shard controller's state revision at publish time. A summary
-    /// whose revision still equals the controller's is provably current —
-    /// the "epoch" of the sum tree, checked by
-    /// [`ShardedAdmissionController::audit`].
-    pub revision: u64,
-}
-
-/// Lock-free publication cell of one shard's summary.
-#[derive(Debug, Default)]
-struct Published {
-    revision: AtomicU64,
-    violating: AtomicUsize,
-    util_bits: AtomicU64,
-}
-
-/// One shard: a full-width controller plus its published summary.
+/// [`AdmissionController`] behind a mutex; every method locks and forwards to its namesake.
 #[derive(Debug)]
-struct ShardCell {
-    ctl: Mutex<AdmissionController>,
-    published: Published,
-}
+pub struct ShardedAdmissionController(Mutex<AdmissionController>);
 
-/// A current entry spanning shard groups. Its *contributions* live in the
-/// shard ledgers (each processor's utilization has exactly one home); the
-/// AUB bookkeeping — visits, outstanding count, registry identity — lives
-/// here in the layer.
-#[derive(Debug, Clone)]
-struct CrossEntry {
-    job: JobId,
-    visits: Vec<ProcessorId>,
-    outstanding: usize,
-    gen: u64,
-}
-
-/// The layer-owned registry of cross-shard entries, mirroring the
-/// monolithic controller's bookkeeping for exactly the entries whose
-/// placements span groups.
-#[derive(Debug)]
-struct CrossState {
-    balancer: LoadBalancer,
-    entries: Vec<Option<CrossEntry>>,
-    free: Vec<usize>,
-    live: usize,
-    by_job: HashMap<JobId, usize>,
-    expiry: BinaryHeap<Reverse<(Time, usize, u64)>>,
-    reserved: HashMap<TaskId, usize>,
-    rejected: HashSet<TaskId>,
-    next_gen: u64,
-    next_drain_seq: u64,
-    stats: AcStats,
-}
-
-impl CrossState {
-    fn new(lb: LbStrategy) -> Self {
-        CrossState {
-            balancer: LoadBalancer::new(lb),
-            entries: Vec::new(),
-            free: Vec::new(),
-            live: 0,
-            by_job: HashMap::new(),
-            expiry: BinaryHeap::new(),
-            reserved: HashMap::new(),
-            rejected: HashSet::new(),
-            next_gen: 1,
-            next_drain_seq: RESERVED_SEQ - 1,
-            stats: AcStats::default(),
-        }
-    }
-
-    fn register(&mut self, job: JobId, visits: Vec<ProcessorId>) -> (usize, u64) {
-        let gen = self.next_gen;
-        self.next_gen += 1;
-        let outstanding = visits.len();
-        let entry = CrossEntry { job, visits, outstanding, gen };
-        let eid = match self.free.pop() {
-            Some(eid) => {
-                self.entries[eid] = Some(entry);
-                eid
-            }
-            None => {
-                self.entries.push(Some(entry));
-                self.entries.len() - 1
-            }
-        };
-        self.by_job.insert(job, eid);
-        self.live += 1;
-        (eid, gen)
-    }
-
-    fn unregister(&mut self, eid: usize) -> Option<CrossEntry> {
-        let entry = self.entries.get_mut(eid)?.take()?;
-        self.by_job.remove(&entry.job);
-        self.free.push(eid);
-        self.live -= 1;
-        Some(entry)
-    }
-
-    /// Lazy registry expiry, mirroring the monolithic controller's
-    /// generation-stamped heap (the shard ledgers expire the deadline-bound
-    /// *contributions* themselves).
-    fn expire(&mut self, now: Time) {
-        while let Some(&Reverse((deadline, eid, gen))) = self.expiry.peek() {
-            if deadline > now {
-                break;
-            }
-            self.expiry.pop();
-            if self.entries.get(eid).and_then(Option::as_ref).is_some_and(|e| e.gen == gen) {
-                self.unregister(eid);
-            }
-        }
-    }
-
-    /// The AUB rows of every live cross entry still outstanding: the data
-    /// the fast path folds into its guard.
-    fn rows(&self) -> Vec<Vec<ProcessorId>> {
-        self.entries
-            .iter()
-            .flatten()
-            .filter(|e| e.outstanding > 0)
-            .map(|e| e.visits.clone())
-            .collect()
-    }
-}
-
-/// Fast-path / cross-path counters of the sharded plane (the per-shard
-/// admission counters exported as `rtcm_admission_shard_local_total`,
-/// `rtcm_admission_cross_shard_total` and the summary-refresh count).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AdmissionPlaneStats {
-    /// Decisions that completed entirely inside one shard (plus summary
-    /// reads).
-    pub local_decisions: u64,
-    /// Decisions that took the full-order cross-shard path.
-    pub cross_decisions: u64,
-    /// Targeted shard refreshes forced by an untrustworthy summary or by
-    /// cross entries needing a foreign shard's live utilizations.
-    pub summary_refreshes: u64,
-}
-
-/// One shard's consistency audit, plus whether its published summary is
-/// current (`revision` and `violating` both match the controller).
-#[derive(Debug, Clone)]
-pub struct ShardAudit {
-    /// The shard index.
-    pub shard: usize,
-    /// The shard controller's audit (cached vs. fresh AUB sums).
-    pub audit: ControllerAudit,
-    /// True iff the published summary matches the controller's live state.
-    pub summary_coherent: bool,
-}
-
-/// One shard's reconciliation result: the drift correction is attributed
-/// to the shard by index instead of folding into one global residual.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ShardDrift {
-    /// The shard index.
-    pub shard: usize,
-    /// What the shard's reconciliation corrected.
-    pub drift: DriftReport,
-}
-
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The sharded admission plane: N shard controllers over processor groups,
-/// a cross-shard registry, and the summary layer gluing them into one
-/// system-wide AUB answer. All operations take `&self`; single-shard
-/// arrivals in [`AdmissionMode::Incremental`] never take more than their
-/// home shard's lock.
-#[derive(Debug)]
-pub struct ShardedAdmissionController {
-    layout: ShardLayout,
-    mode: AdmissionMode,
-    config: Mutex<ServiceConfig>,
-    shards: Vec<ShardCell>,
-    cross: Mutex<CrossState>,
-    /// Mirror of `cross.live`, readable without the cross lock. A stale
-    /// non-zero read costs one uncontended lock. A stale *zero* is
-    /// possible in exactly one window — between an unlocked read and the
-    /// reader's own shard-lock acquisition, a concurrent cross commit can
-    /// complete — so every fast path that skipped the cross lock on a
-    /// zero read MUST re-read the mirror after acquiring its shard lock
-    /// and fall back if it became non-zero. That re-check is sufficient:
-    /// every operation that *registers* a cross entry publishes the
-    /// mirror while holding all shard locks, so once any shard lock is
-    /// held the mirror cannot go zero→non-zero underneath it (lock-free
-    /// concurrent updates only ever *remove* entries via expiry).
-    cross_live: AtomicUsize,
-    /// Max `now` (ns) over every operation that expires in the monolithic
-    /// controller; every shard is expired to this floor when locked.
-    floor_ns: AtomicU64,
-    local_decisions: AtomicU64,
-    cross_decisions: AtomicU64,
-    summary_refreshes: AtomicU64,
-    reset_reports: AtomicU64,
-}
-
+#[allow(missing_docs)] // forwards; the engine's methods carry the documentation
 impl ShardedAdmissionController {
-    /// Creates a sharded plane in the default
-    /// [`AdmissionMode::Incremental`] with (at most) `shards` groups.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InvalidConfigError`] for the contradictory AC-per-task +
-    /// IR-per-job combinations (§4.5).
-    pub fn new(
-        config: ServiceConfig,
-        processor_count: usize,
-        shards: usize,
-    ) -> Result<Self, InvalidConfigError> {
-        Self::with_mode(config, processor_count, shards, AdmissionMode::default())
-    }
-
-    /// Creates a sharded plane with an explicit [`AdmissionMode`]. In
-    /// [`AdmissionMode::BruteForce`] every operation takes the cross path
-    /// (the mode exists as the differential oracle, not for throughput).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InvalidConfigError`] for invalid strategy combinations.
+    /// `shards` is accepted and ignored: there is one engine.
     pub fn with_mode(
         config: ServiceConfig,
         processor_count: usize,
-        shards: usize,
+        _shards: usize,
         mode: AdmissionMode,
     ) -> Result<Self, InvalidConfigError> {
-        config.validate()?;
-        let layout = ShardLayout::new(processor_count, shards);
-        let cells = (0..layout.shard_count())
-            .map(|_| ShardCell {
-                ctl: Mutex::new(
-                    AdmissionController::with_mode(config, processor_count, mode)
-                        .expect("config validated above"),
-                ),
-                published: Published::default(),
-            })
-            .collect();
-        Ok(ShardedAdmissionController {
-            layout,
-            mode,
-            config: Mutex::new(config),
-            shards: cells,
-            cross: Mutex::new(CrossState::new(config.lb)),
-            cross_live: AtomicUsize::new(0),
-            floor_ns: AtomicU64::new(0),
-            local_decisions: AtomicU64::new(0),
-            cross_decisions: AtomicU64::new(0),
-            summary_refreshes: AtomicU64::new(0),
-            reset_reports: AtomicU64::new(0),
-        })
+        AdmissionController::with_mode(config, processor_count, mode).map(|ac| Self(Mutex::new(ac)))
     }
 
-    /// The static processor-group partition.
-    #[must_use]
-    pub fn layout(&self) -> ShardLayout {
-        self.layout
+    fn engine(&self) -> MutexGuard<'_, AdmissionController> {
+        self.0.lock().expect("poisoned only if the engine panicked, which is a bug")
     }
 
-    /// Number of shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.layout.shard_count()
-    }
-
-    /// The active admission mode (fixed at construction).
-    #[must_use]
-    pub fn mode(&self) -> AdmissionMode {
-        self.mode
-    }
-
-    /// The active service configuration.
-    #[must_use]
-    pub fn config(&self) -> ServiceConfig {
-        *lock(&self.config)
-    }
-
-    /// Fast-path / cross-path decision counters.
-    #[must_use]
-    pub fn plane_stats(&self) -> AdmissionPlaneStats {
-        AdmissionPlaneStats {
-            local_decisions: self.local_decisions.load(Ordering::Relaxed),
-            cross_decisions: self.cross_decisions.load(Ordering::Relaxed),
-            summary_refreshes: self.summary_refreshes.load(Ordering::Relaxed),
-        }
-    }
-
-    /// The published summaries — the sum tree's upper level, read without
-    /// any shard lock.
-    #[must_use]
-    pub fn shard_summaries(&self) -> Vec<ShardSummary> {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(shard, cell)| ShardSummary {
-                shard,
-                utilization_sum: f64::from_bits(cell.published.util_bits.load(Ordering::Relaxed)),
-                violating: cell.published.violating.load(Ordering::Relaxed),
-                revision: cell.published.revision.load(Ordering::Acquire),
-            })
-            .collect()
-    }
-
-    fn floor(&self) -> Time {
-        Time::from_nanos(self.floor_ns.load(Ordering::Acquire))
-    }
-
-    fn bump_floor(&self, now: Time) {
-        self.floor_ns.fetch_max(now.as_nanos(), Ordering::AcqRel);
-    }
-
-    /// Locks shard `s` and expires it to the floor — the lazy-expiry
-    /// discipline every delegated operation starts with.
-    fn shard_guard(&self, s: usize) -> MutexGuard<'_, AdmissionController> {
-        let mut guard = lock(&self.shards[s].ctl);
-        guard.expire(self.floor());
-        guard
-    }
-
-    /// Publishes shard `s`'s summary from its locked controller.
-    fn publish(&self, s: usize, ctl: &AdmissionController) {
-        let sum: f64 =
-            self.layout.group(s).map(|p| ctl.ledger().utilization(ProcessorId(p as u16))).sum();
-        let cell = &self.shards[s].published;
-        cell.util_bits.store(sum.to_bits(), Ordering::Relaxed);
-        cell.violating.store(ctl.violating_entries(), Ordering::Relaxed);
-        cell.revision.store(ctl.revision(), Ordering::Release);
-    }
-
-    /// Locks the cross registry and every shard in ascending order (the
-    /// full-order section behind the cross path), expiring everything to
-    /// the floor.
-    fn full_lock(&self) -> (MutexGuard<'_, CrossState>, Vec<MutexGuard<'_, AdmissionController>>) {
-        let mut cross = lock(&self.cross);
-        let guards: Vec<_> = (0..self.layout.shard_count()).map(|s| self.shard_guard(s)).collect();
-        cross.expire(self.floor());
-        self.cross_live.store(cross.live, Ordering::Release);
-        (cross, guards)
-    }
-
-    fn publish_all(&self, guards: &[MutexGuard<'_, AdmissionController>]) {
-        for (s, guard) in guards.iter().enumerate() {
-            self.publish(s, guard);
-        }
-    }
-
-    fn check_processors(&self, task: &TaskSpec) -> Result<(), AdmissionError> {
-        let count = self.layout.processor_count();
-        for sub in task.subtasks() {
-            for candidate in sub.candidates() {
-                if candidate.index() >= count {
-                    return Err(AdmissionError::UnknownProcessor {
-                        processor: candidate,
-                        processor_count: count,
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// True if arrivals of `task` route through the fast path: incremental
-    /// mode and a single-homed candidate set. Everything else takes the
-    /// cross path ([`AdmissionMode::BruteForce`] unconditionally — it is
-    /// the oracle, not a throughput mode).
-    fn fast_route(&self, task: &TaskSpec) -> Option<usize> {
-        if self.mode != AdmissionMode::Incremental {
-            return None;
-        }
-        self.layout.home_of(task)
-    }
-}
-
-// --- Decision paths ----------------------------------------------------
-
-impl ShardedAdmissionController {
-    /// Handles the arrival of job `seq` of `task` at `now` — the sharded
-    /// equivalent of [`AdmissionController::handle_arrival`]. Single-homed
-    /// tasks in incremental mode decide under their home shard's lock
-    /// alone; spanning tasks take the cross path.
-    ///
-    /// # Errors
-    ///
-    /// As [`AdmissionController::handle_arrival`].
-    pub fn handle_arrival(
-        &self,
-        task: &TaskSpec,
-        seq: u64,
-        now: Time,
-    ) -> Result<Decision, AdmissionError> {
-        AdmissionController::check_seq(task.id(), seq)?;
-        self.check_processors(task)?;
-        self.bump_floor(now);
-        match self.fast_route(task) {
-            Some(home) => self.local_decide(home, task, seq, now, None),
-            None => self.cross_decide(task, seq, now, None),
-        }
-    }
-
-    /// [`AdmissionController::admit_with`] over the sharded plane: a
-    /// caller-supplied placement, routed like an arrival.
-    ///
-    /// # Errors
-    ///
-    /// As [`AdmissionController::admit_with`].
-    pub fn admit_with(
-        &self,
-        task: &TaskSpec,
-        seq: u64,
-        now: Time,
-        assignment: Assignment,
-    ) -> Result<Decision, AdmissionError> {
-        AdmissionController::check_seq(task.id(), seq)?;
-        self.check_processors(task)?;
-        self.bump_floor(now);
-        match self.fast_route(task) {
-            Some(home) => self.local_decide(home, task, seq, now, Some(assignment)),
-            None => self.cross_decide(task, seq, now, Some(assignment)),
-        }
-    }
-
-    /// The fast path: assemble the system-wide condition from published
-    /// summaries (refreshing only untrusted ones), then delegate the
-    /// decision to the home shard with the cross-shard condition injected
-    /// as an [`ExtraCheck`](crate::admission::AdmissionController) at the
-    /// exact point the monolithic check runs.
-    fn local_decide(
-        &self,
-        home: usize,
-        task: &TaskSpec,
-        seq: u64,
-        now: Time,
-        forced: Option<Assignment>,
-    ) -> Result<Decision, AdmissionError> {
-        // Cross entries touching the home group must be re-evaluated under
-        // the candidate's tentative load; when any are live, hold the
-        // cross lock through the decision so the row set cannot shift
-        // underneath it. A zero mirror read lets the common case skip the
-        // cross lock entirely, but it is only *validated* under the home
-        // shard lock below: a concurrent cross commit (which takes every
-        // shard lock) can complete between the unlocked read and the home
-        // acquisition. On that race the decision restarts with the cross
-        // lock held — at most once, since holding the cross lock stops
-        // further cross commits.
-        let mut take_cross = self.cross_live.load(Ordering::Acquire) > 0;
-        loop {
-            let mut cross_guard = None;
-            let rows: Vec<Vec<ProcessorId>> = if take_cross {
-                let mut cross = lock(&self.cross);
-                cross.expire(self.floor());
-                self.cross_live.store(cross.live, Ordering::Release);
-                let rows = cross.rows();
-                cross_guard = Some(cross);
-                rows
-            } else {
-                Vec::new()
-            };
-
-            // Foreign shards the guard needs live state from: any shard
-            // whose published violating count is non-zero (may be stale —
-            // refresh decides), and any shard a cross row's visit lands in.
-            let mut needed: BTreeSet<usize> = BTreeSet::new();
-            for (s, cell) in self.shards.iter().enumerate() {
-                if s != home && cell.published.violating.load(Ordering::Relaxed) > 0 {
-                    needed.insert(s);
-                }
-            }
-            for visits in &rows {
-                for p in visits {
-                    let s = self.layout.shard_of(*p);
-                    if s != home {
-                        needed.insert(s);
-                    }
-                }
-            }
-
-            let mut others_ok = true;
-            let mut foreign = vec![0.0f64; self.layout.processor_count()];
-            for &s in &needed {
-                let guard = self.shard_guard(s);
-                self.summary_refreshes.fetch_add(1, Ordering::Relaxed);
-                if guard.violating_entries() > 0 {
-                    others_ok = false;
-                }
-                for p in self.layout.group(s) {
-                    foreign[p] = guard.ledger().utilization(ProcessorId(p as u16));
-                }
-                self.publish(s, &guard);
-            }
-
-            let layout = self.layout;
-            let guard_needed = !others_ok || !rows.is_empty();
-            let extra = move |ctl: &AdmissionController| -> bool {
-                others_ok
-                    && rows.iter().all(|visits| {
-                        bound_lhs(visits.iter().map(|p| {
-                            if layout.shard_of(*p) == home {
-                                ctl.ledger().utilization(*p)
-                            } else {
-                                foreign[p.index()]
-                            }
-                        })) <= 1.0 + BOUND_EPSILON
-                    })
-            };
-
-            let mut ctl = self.shard_guard(home);
-            if cross_guard.is_none() && self.cross_live.load(Ordering::Acquire) > 0 {
-                // A cross entry committed in the unguarded window; its
-                // rows are not folded into this decision. Restart with
-                // the cross lock held (see the `cross_live` field doc).
-                drop(ctl);
-                take_cross = true;
-                continue;
-            }
-            let extra_ref: Option<&dyn Fn(&AdmissionController) -> bool> =
-                if guard_needed { Some(&extra) } else { None };
-            let result = match forced {
-                None => ctl.handle_arrival_ext(task, seq, now, extra_ref),
-                Some(assignment) => ctl.admit_with_ext(task, seq, now, assignment, extra_ref),
-            };
-            self.publish(home, &ctl);
-            drop(ctl);
-            drop(cross_guard);
-            self.local_decisions.fetch_add(1, Ordering::Relaxed);
-            return result;
-        }
-    }
-
-    /// The cross path: full-order lock, then an exact transcription of the
-    /// monolithic decision sequence over the combined utilization view.
-    fn cross_decide(
-        &self,
-        task: &TaskSpec,
-        seq: u64,
-        now: Time,
-        forced: Option<Assignment>,
-    ) -> Result<Decision, AdmissionError> {
-        // Hold the config lock across the whole decision (config ≺ cross
-        // ≺ shards, matching `reconfigure`'s order): a reconfigure
-        // committing between a config snapshot and `full_lock()` would
-        // otherwise apply the old config's reservation/LB semantics to
-        // post-handover shard state.
-        let config_guard = lock(&self.config);
-        let config = *config_guard;
-        let (mut cross, mut guards) = self.full_lock();
-        if let Some(assignment) = &forced {
-            if !assignment.is_valid_for(task) {
-                return Err(AdmissionError::InvalidAssignment { task: task.id() });
-            }
-        }
-
-        let uses_reservation = task.is_periodic() && config.ac == AcStrategy::PerTask;
-        if uses_reservation {
-            if cross.rejected.contains(&task.id()) {
-                cross.stats.rejected += 1;
-                self.finish_cross(&cross, &guards);
-                return Ok(Decision::Reject { reason: RejectReason::TaskPreviouslyRejected });
-            }
-            if let Some(&eid) = cross.reserved.get(&task.id()) {
-                cross.stats.pass_throughs += 1;
-                let assignment = if config.lb == LbStrategy::PerJob {
-                    self.cross_relocate(&mut cross, &mut guards, task, eid)
-                } else {
-                    Assignment::new(
-                        cross.entries[eid].as_ref().expect("reserved ids stay live").visits.clone(),
-                    )
-                };
-                self.finish_cross(&cross, &guards);
-                return Ok(Decision::Accept { assignment, newly_admitted: false });
-            }
-        }
-
-        let assignment = match forced {
-            Some(assignment) => assignment,
-            None => {
-                let layout = self.layout;
-                let view = {
-                    let guards = &guards;
-                    move |p: ProcessorId| guards[layout.shard_of(p)].ledger().utilization(p)
-                };
-                cross.balancer.assignment_for_with(task, layout.processor_count(), view)
-            }
-        };
-
-        let decision =
-            self.cross_admit(&mut cross, &mut guards, task, seq, now, assignment, uses_reservation);
-        self.finish_cross(&cross, &guards);
-        decision
-    }
-
-    /// Publishes every shard summary, syncs the cross-live mirror and
-    /// counts the decision; the tail of every cross-path operation.
-    fn finish_cross(&self, cross: &CrossState, guards: &[MutexGuard<'_, AdmissionController>]) {
-        self.publish_all(guards);
-        self.cross_live.store(cross.live, Ordering::Release);
-        self.cross_decisions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The combined system-wide check under the full-order lock: candidate
-    /// fresh, every shard's own condition per the mode, every outstanding
-    /// cross entry fresh.
-    fn cross_schedulable(
-        &self,
-        cross: &CrossState,
-        guards: &[MutexGuard<'_, AdmissionController>],
-        candidate_visits: &[ProcessorId],
-    ) -> bool {
-        let layout = self.layout;
-        let util = |p: ProcessorId| guards[layout.shard_of(p)].ledger().utilization(p);
-        if bound_lhs(candidate_visits.iter().map(|p| util(*p))) > 1.0 + BOUND_EPSILON {
-            return false;
-        }
-        let shards_ok = match self.mode {
-            AdmissionMode::Incremental => guards.iter().all(|g| g.violating_entries() == 0),
-            AdmissionMode::BruteForce => guards.iter().all(|g| g.system_schedulable_brute()),
-        };
-        shards_ok
-            && cross
-                .entries
-                .iter()
-                .flatten()
-                .filter(|e| e.outstanding > 0)
-                .all(|e| bound_lhs(e.visits.iter().map(|p| util(*p))) <= 1.0 + BOUND_EPSILON)
-    }
-
-    /// The monolithic `decide_in_open_epoch` transcribed over shard
-    /// ledgers: tentative contributions, combined check, commit or revert.
-    #[allow(clippy::too_many_arguments)]
-    fn cross_admit(
-        &self,
-        cross: &mut CrossState,
-        guards: &mut [MutexGuard<'_, AdmissionController>],
-        task: &TaskSpec,
-        seq: u64,
-        now: Time,
-        assignment: Assignment,
-        reserve: bool,
-    ) -> Result<Decision, AdmissionError> {
-        let job = JobId::new(task.id(), seq);
-        if cross.by_job.contains_key(&job) {
-            return Err(AdmissionError::DuplicateArrival { job });
-        }
-        cross.stats.tested += 1;
-
-        let (key_job, lifetime, entry_deadline) = if reserve {
-            (JobId::new(task.id(), RESERVED_SEQ), Lifetime::Reserved, Time::MAX)
-        } else {
-            let deadline = now.saturating_add(task.deadline());
-            (job, Lifetime::UntilDeadline(deadline), deadline)
-        };
-
-        let mut added = 0usize;
-        let mut collided = false;
-        for (subtask, processor) in assignment.iter() {
-            let key = ContributionKey::new(key_job, subtask);
-            let shard = self.layout.shard_of(processor);
-            match guards[shard].external_add(
-                processor,
-                key,
-                task.subtask_utilization(subtask),
-                lifetime,
-            ) {
-                Ok(()) => added += 1,
-                Err(_) => {
-                    collided = true;
-                    break;
-                }
-            }
-        }
-        if collided {
-            for (subtask, processor) in assignment.iter().take(added) {
-                let shard = self.layout.shard_of(processor);
-                guards[shard].external_remove(processor, ContributionKey::new(key_job, subtask));
-            }
-            return Err(AdmissionError::DuplicateArrival { job });
-        }
-
-        if self.cross_schedulable(cross, guards, assignment.as_slice()) {
-            let (eid, gen) = cross.register(job, assignment.as_slice().to_vec());
-            if reserve {
-                cross.reserved.insert(task.id(), eid);
-            } else {
-                cross.expiry.push(Reverse((entry_deadline, eid, gen)));
-            }
-            cross.stats.admitted += 1;
-            Ok(Decision::Accept { assignment, newly_admitted: true })
-        } else {
-            for (subtask, processor) in assignment.iter() {
-                let shard = self.layout.shard_of(processor);
-                guards[shard].external_remove(processor, ContributionKey::new(key_job, subtask));
-            }
-            if reserve {
-                cross.rejected.insert(task.id());
-            }
-            cross.balancer.forget_task(task.id());
-            cross.stats.rejected += 1;
-            Ok(Decision::Reject { reason: RejectReason::Unschedulable })
-        }
-    }
-
-    /// The monolithic reservation relocation (LB per-job over an AC
-    /// per-task reservation) transcribed over shard ledgers.
-    fn cross_relocate(
-        &self,
-        cross: &mut CrossState,
-        guards: &mut [MutexGuard<'_, AdmissionController>],
-        task: &TaskSpec,
-        eid: usize,
-    ) -> Assignment {
-        let old_visits =
-            cross.entries[eid].as_ref().expect("reserved ids stay live").visits.clone();
-        let reserved_job = JobId::new(task.id(), RESERVED_SEQ);
-        let layout = self.layout;
-
-        for (subtask, processor) in old_visits.iter().enumerate() {
-            guards[layout.shard_of(*processor)]
-                .external_remove(*processor, ContributionKey::new(reserved_job, subtask));
-        }
-        let proposal = {
-            let view = {
-                let guards = &guards;
-                move |p: ProcessorId| guards[layout.shard_of(p)].ledger().utilization(p)
-            };
-            cross.balancer.assignment_for_with(task, layout.processor_count(), view)
-        };
-        for (subtask, processor) in proposal.iter() {
-            guards[layout.shard_of(processor)]
-                .external_add(
-                    processor,
-                    ContributionKey::new(reserved_job, subtask),
-                    task.subtask_utilization(subtask),
-                    Lifetime::Reserved,
-                )
-                .expect("reserved keys were just removed");
-        }
-        cross.entries[eid].as_mut().expect("reserved ids stay live").visits =
-            proposal.as_slice().to_vec();
-
-        if self.cross_schedulable(cross, guards, proposal.as_slice()) {
-            return proposal;
-        }
-
-        // Revert: the relocation would violate someone's bound.
-        for (subtask, processor) in proposal.iter() {
-            guards[layout.shard_of(processor)]
-                .external_remove(processor, ContributionKey::new(reserved_job, subtask));
-        }
-        for (subtask, processor) in old_visits.iter().enumerate() {
-            guards[layout.shard_of(*processor)]
-                .external_add(
-                    *processor,
-                    ContributionKey::new(reserved_job, subtask),
-                    task.subtask_utilization(subtask),
-                    Lifetime::Reserved,
-                )
-                .expect("restoring the original reservation cannot collide");
-        }
-        cross.entries[eid].as_mut().expect("reserved ids stay live").visits = old_visits.clone();
-        Assignment::new(old_visits)
-    }
-}
-
-// --- Maintenance operations --------------------------------------------
-
-impl ShardedAdmissionController {
-    /// Records a job admitted by a peer controller — the sharded
-    /// equivalent of [`AdmissionController::apply_remote_commit`].
-    /// Single-homed commits delegate to their home shard; spanning commits
-    /// enter the cross registry with contributions distributed into the
-    /// owning shards.
-    ///
-    /// # Errors
-    ///
-    /// As [`AdmissionController::apply_remote_commit`].
-    pub fn apply_remote_commit(
-        &self,
-        task: &TaskSpec,
-        seq: u64,
-        arrival: Time,
-        assignment: &Assignment,
-    ) -> Result<(), AdmissionError> {
-        self.commit_one(task, seq, arrival, assignment).map(|_entered| ())
-    }
-
-    fn commit_one(
-        &self,
-        task: &TaskSpec,
-        seq: u64,
-        arrival: Time,
-        assignment: &Assignment,
-    ) -> Result<bool, AdmissionError> {
-        AdmissionController::check_seq(task.id(), seq)?;
-        self.check_processors(task)?;
-        if !assignment.is_valid_for(task) {
-            return Err(AdmissionError::InvalidAssignment { task: task.id() });
-        }
-        if let Some(home) = self.layout.home_of(task) {
-            let mut guard = self.shard_guard(home);
-            let before = guard.current_entries();
-            guard.apply_remote_commit(task, seq, arrival, assignment)?;
-            let entered = guard.current_entries() > before;
-            self.publish(home, &guard);
-            return Ok(entered);
-        }
-
-        let (mut cross, mut guards) = self.full_lock();
-        let job = JobId::new(task.id(), seq);
-        let deadline = arrival.saturating_add(task.deadline());
-        let entered = if cross.by_job.contains_key(&job) || deadline <= self.floor() {
-            false // idempotent duplicate, or stale (already past its deadline)
-        } else {
-            for (subtask, processor) in assignment.iter() {
-                let key = ContributionKey::new(job, subtask);
-                // A collision means the peer double-assigned; keep the
-                // first contribution, like the monolithic path.
-                let _ = guards[self.layout.shard_of(processor)].external_add(
-                    processor,
-                    key,
-                    task.subtask_utilization(subtask),
-                    Lifetime::UntilDeadline(deadline),
-                );
-            }
-            let (eid, gen) = cross.register(job, assignment.as_slice().to_vec());
-            cross.expiry.push(Reverse((deadline, eid, gen)));
-            true
-        };
-        self.cross_live.store(cross.live, Ordering::Release);
-        self.publish_all(&guards);
-        Ok(entered)
-    }
-
-    /// Bulk form of [`ShardedAdmissionController::apply_remote_commit`]:
-    /// commits are grouped by home shard and loaded through each shard's
-    /// own bulk path (raw contribution entry + one cached-sum rebuild), so
-    /// seeding `n` single-homed commits costs O(total contributions)
-    /// instead of O(n²) in bucket growth. Relative order is preserved
-    /// *within* each shard's batch (and within the spanning batch), not
-    /// across them — fixture seeding does not care, and per-processor
-    /// state cannot: a processor's commits all share its home batch.
-    ///
-    /// Returns the number of commits actually entered.
-    ///
-    /// # Errors
-    ///
-    /// As [`AdmissionController::apply_remote_commits`]; the first error
-    /// encountered is returned after every batch has been attempted, with
-    /// commits before the offending one (per batch) left applied.
-    pub fn apply_remote_commits(
-        &self,
-        commits: &[RemoteCommit<'_>],
-    ) -> Result<usize, AdmissionError> {
-        let mut per_shard: Vec<Vec<RemoteCommit<'_>>> = vec![Vec::new(); self.layout.shard_count()];
-        let mut spanning: Vec<RemoteCommit<'_>> = Vec::new();
-        for commit in commits {
-            match self.layout.home_of(commit.task) {
-                Some(home) => per_shard[home].push(*commit),
-                None => spanning.push(*commit),
-            }
-        }
-        let mut applied = 0usize;
-        let mut first_err = None;
-        for (shard, batch) in per_shard.iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            let mut guard = self.shard_guard(shard);
-            match guard.apply_remote_commits(batch) {
-                Ok(entered) => applied += entered,
-                Err(err) => {
-                    first_err.get_or_insert(err);
-                }
-            }
-            self.publish(shard, &guard);
-        }
-        for commit in &spanning {
-            match self.commit_one(commit.task, commit.seq, commit.arrival, commit.assignment) {
-                Ok(true) => applied += 1,
-                Ok(false) => {}
-                Err(err) => {
-                    first_err.get_or_insert(err);
-                }
-            }
-        }
-        match first_err {
-            Some(err) => Err(err),
-            None => Ok(applied),
-        }
-    }
-
-    /// Applies an idle-reset report from `processor` — the sharded
-    /// equivalent of [`AdmissionController::apply_idle_reset`]. Keys of
-    /// cross-registered jobs update the cross registry's outstanding
-    /// counts; everything else is delegated to the processor's home shard
-    /// in contiguous runs, preserving the report's per-processor removal
-    /// order exactly.
-    pub fn apply_idle_reset(&self, processor: ProcessorId, keys: &[ContributionKey]) -> f64 {
-        self.reset_reports.fetch_add(1, Ordering::Relaxed);
-        let shard = self.layout.shard_of(processor);
-        if self.cross_live.load(Ordering::Acquire) == 0 {
-            let mut guard = self.shard_guard(shard);
-            // Validate the zero read under the shard lock (see the
-            // `cross_live` field doc): a cross commit completing in the
-            // unguarded window would otherwise have this report remove a
-            // cross-registered key shard-locally, leaving the cross
-            // entry's outstanding count permanently over-counted.
-            if self.cross_live.load(Ordering::Acquire) == 0 {
-                let freed = guard.apply_idle_reset(processor, keys);
-                self.publish(shard, &guard);
-                return freed;
-            }
-            // Release and fall through to the cross path (cross ≺ shards).
-        }
-
-        let mut cross = lock(&self.cross);
-        cross.expire(self.floor());
-        let mut guard = self.shard_guard(shard);
-        let mut freed = 0.0;
-        let mut run: Vec<ContributionKey> = Vec::new();
-        for key in keys {
-            if let Some(&eid) = cross.by_job.get(&key.job) {
-                if !run.is_empty() {
-                    freed += guard.apply_idle_reset(processor, &run);
-                    run.clear();
-                }
-                if let Some(u) = guard.external_remove(processor, *key) {
-                    freed += u;
-                    cross.stats.reset_utilization += u;
-                    if let Some(entry) = cross.entries[eid].as_mut() {
-                        entry.outstanding = entry.outstanding.saturating_sub(1);
-                    }
-                }
-            } else {
-                run.push(*key);
-            }
-        }
-        if !run.is_empty() {
-            freed += guard.apply_idle_reset(processor, &run);
-        }
-        self.publish(shard, &guard);
-        self.cross_live.store(cross.live, Ordering::Release);
-        freed
-    }
-
-    /// Removes expired jobs everywhere — the sharded equivalent of
-    /// [`AdmissionController::expire`]. Bumps the floor and eagerly
-    /// expires every shard and the cross registry to it.
     pub fn expire(&self, now: Time) {
-        self.bump_floor(now);
-        {
-            let mut cross = lock(&self.cross);
-            cross.expire(self.floor());
-            self.cross_live.store(cross.live, Ordering::Release);
-        }
-        for shard in 0..self.layout.shard_count() {
-            let guard = self.shard_guard(shard);
-            self.publish(shard, &guard);
-        }
+        self.engine().expire(now);
     }
-
-    /// Withdraws a periodic task entirely — the sharded equivalent of
-    /// [`AdmissionController::withdraw_task`]. The reservation lives
-    /// either in the task's home shard or in the cross registry; both are
-    /// cleaned (the misses are no-ops).
-    pub fn withdraw_task(&self, task: TaskId) {
-        let (mut cross, mut guards) = self.full_lock();
-        if let Some(eid) = cross.reserved.remove(&task) {
-            if let Some(entry) = cross.unregister(eid) {
-                let reserved_job = JobId::new(task, RESERVED_SEQ);
-                for (subtask, processor) in entry.visits.iter().enumerate() {
-                    guards[self.layout.shard_of(*processor)]
-                        .external_remove(*processor, ContributionKey::new(reserved_job, subtask));
-                }
-            }
-        }
-        cross.rejected.remove(&task);
-        cross.balancer.forget_task(task);
-        for guard in guards.iter_mut() {
-            guard.withdraw_task(task);
-        }
-        self.cross_live.store(cross.live, Ordering::Release);
-        self.publish_all(&guards);
+    pub fn propose_assignment(&self, task: &TaskSpec) -> Assignment {
+        self.engine().propose_assignment(task)
     }
-
-    /// Hot-swaps the full service configuration — the sharded equivalent
-    /// of [`AdmissionController::reconfigure`]. The layer executes the
-    /// [`ReconfigPlan`] itself: drains and reseeds are merged across
-    /// shards and the cross registry into one globally ascending task-id
-    /// order, so the per-processor operation sequence — and therefore
-    /// every ledger total — matches the monolithic handover exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InvalidConfigError`] for invalid target combinations,
-    /// with the plane untouched.
+    pub fn admit_with(&self, task: &TaskSpec, seq: u64, now: Time, plan: Assignment) -> Decided {
+        self.engine().admit_with(task, seq, now, plan)
+    }
+    pub fn handle_arrival(&self, task: &TaskSpec, seq: u64, now: Time) -> Decided {
+        self.engine().handle_arrival(task, seq, now)
+    }
+    pub fn apply_idle_reset(&self, processor: ProcessorId, keys: &[ContributionKey]) -> f64 {
+        self.engine().apply_idle_reset(processor, keys)
+    }
     pub fn reconfigure(
         &self,
         target: ServiceConfig,
         now: Time,
         tasks: &TaskSet,
     ) -> Result<HandoverReport, InvalidConfigError> {
-        let mut config = lock(&self.config);
-        let plan = ReconfigPlan::between(*config, target)?;
-        self.bump_floor(now);
-        let (mut cross, mut guards) = self.full_lock();
-        let mut report = HandoverReport::new(*config, target);
-        for step in plan.steps().to_vec() {
-            match step {
-                TransitionStep::DrainReservations => {
-                    let mut drains: Vec<(TaskId, Option<usize>)> = Vec::new();
-                    for (shard, guard) in guards.iter().enumerate() {
-                        drains.extend(
-                            guard.reserved_task_ids().into_iter().map(|t| (t, Some(shard))),
-                        );
-                    }
-                    drains.extend(cross.reserved.keys().map(|&t| (t, None)));
-                    drains.sort_unstable_by_key(|(task, _)| *task);
-                    for (task_id, location) in drains {
-                        match location {
-                            Some(shard) => {
-                                guards[shard].drain_reserved_task(task_id, now, tasks, &mut report);
-                            }
-                            None => self.cross_drain(
-                                &mut cross,
-                                &mut guards,
-                                task_id,
-                                now,
-                                tasks,
-                                &mut report,
-                            ),
-                        }
-                    }
-                    report.rejections_cleared =
-                        guards.iter_mut().map(|g| g.take_sticky_rejections()).sum::<usize>()
-                            + cross.rejected.len();
-                    cross.rejected.clear();
-                }
-                TransitionStep::ReseedReservations => {
-                    let mut candidates: Vec<(TaskId, Option<usize>, usize)> = Vec::new();
-                    for (shard, guard) in guards.iter().enumerate() {
-                        candidates.extend(
-                            guard
-                                .reseed_candidates(tasks)
-                                .into_iter()
-                                .map(|(t, eid)| (t, Some(shard), eid)),
-                        );
-                    }
-                    candidates.extend(
-                        Self::cross_reseed_candidates(&cross, tasks)
-                            .into_iter()
-                            .map(|(t, eid)| (t, None, eid)),
-                    );
-                    candidates.sort_unstable_by_key(|(task, _, _)| *task);
-                    for (task_id, location, eid) in candidates {
-                        match location {
-                            Some(shard) => self.shard_reseed(
-                                &cross,
-                                &mut guards,
-                                shard,
-                                task_id,
-                                eid,
-                                tasks,
-                                &mut report,
-                            ),
-                            None => self.cross_reseed(
-                                &mut cross,
-                                &mut guards,
-                                task_id,
-                                eid,
-                                tasks,
-                                &mut report,
-                            ),
-                        }
-                    }
-                }
-                TransitionStep::SwapIr(_) => {}
-                TransitionStep::SwapLb(lb) => {
-                    report.pins_forgotten =
-                        guards.iter_mut().map(|g| g.set_lb_strategy(lb)).sum::<usize>()
-                            + cross.balancer.set_strategy(lb);
-                }
-            }
-        }
-        *config = target;
-        for guard in guards.iter_mut() {
-            guard.force_config(target);
-        }
-        report.entries_carried =
-            guards.iter().map(|g| g.current_entries()).sum::<usize>() + cross.live;
-        self.cross_live.store(cross.live, Ordering::Release);
-        self.publish_all(&guards);
-        Ok(report)
+        self.engine().reconfigure(target, now, tasks)
     }
-
-    /// Drains one cross reservation — the monolithic
-    /// `drain_reserved_task` transcribed over shard ledgers.
-    fn cross_drain(
-        &self,
-        cross: &mut CrossState,
-        guards: &mut [MutexGuard<'_, AdmissionController>],
-        task_id: TaskId,
-        now: Time,
-        tasks: &TaskSet,
-        report: &mut HandoverReport,
-    ) {
-        let Some(eid) = cross.reserved.remove(&task_id) else { return };
-        let Some(entry) = cross.unregister(eid) else { return };
-        let reserved_job = JobId::new(task_id, RESERVED_SEQ);
-        let layout = self.layout;
-        let Some(task) = tasks.get(task_id) else {
-            // No deadline horizon known: withdraw the reservation.
-            for (subtask, processor) in entry.visits.iter().enumerate() {
-                guards[layout.shard_of(*processor)]
-                    .external_remove(*processor, ContributionKey::new(reserved_job, subtask));
-            }
-            report.reservations_withdrawn += 1;
-            return;
-        };
-        let deadline = now.saturating_add(task.deadline());
-        cross.next_drain_seq -= 1;
-        let drained_job = JobId::new(task_id, cross.next_drain_seq);
-        for (subtask, processor) in entry.visits.iter().enumerate() {
-            if let Some(u) = guards[layout.shard_of(*processor)]
-                .external_remove(*processor, ContributionKey::new(reserved_job, subtask))
-            {
-                guards[layout.shard_of(*processor)]
-                    .external_add(
-                        *processor,
-                        ContributionKey::new(drained_job, subtask),
-                        u,
-                        Lifetime::UntilDeadline(deadline),
-                    )
-                    .expect("drain ids are unique, so the key is free");
-            }
-        }
-        let (new_eid, gen) = cross.register(drained_job, entry.visits.clone());
-        cross.expiry.push(Reverse((deadline, new_eid, gen)));
-        report.reservations_drained += 1;
-    }
-
-    /// The cross registry's reseed-candidate list, mirroring
-    /// [`AdmissionController::reseed_candidates`].
-    fn cross_reseed_candidates(cross: &CrossState, tasks: &TaskSet) -> Vec<(TaskId, usize)> {
-        let mut latest: HashMap<TaskId, (u64, usize)> = HashMap::new();
-        for (eid, entry) in cross.entries.iter().enumerate() {
-            let Some(entry) = entry else { continue };
-            if !tasks.get(entry.job.task).is_some_and(TaskSpec::is_periodic) {
-                continue;
-            }
-            let slot = latest.entry(entry.job.task).or_insert((entry.job.seq, eid));
-            if entry.job.seq >= slot.0 {
-                *slot = (entry.job.seq, eid);
-            }
-        }
-        let mut candidates: Vec<(TaskId, usize)> =
-            latest.into_iter().map(|(task, (_, eid))| (task, eid)).collect();
-        candidates.sort_unstable_by_key(|(task, _)| *task);
-        candidates
-    }
-
-    /// One shard-homed reseed attempt under the full-order lock: the
-    /// cross-shard condition is snapshotted (the closure cannot borrow the
-    /// other shard guards while the home controller is mutably borrowed)
-    /// and injected into the shard's own reseed logic.
-    #[allow(clippy::too_many_arguments)]
-    fn shard_reseed(
-        &self,
-        cross: &CrossState,
-        guards: &mut [MutexGuard<'_, AdmissionController>],
-        home: usize,
-        task_id: TaskId,
-        eid: usize,
-        tasks: &TaskSet,
-        report: &mut HandoverReport,
-    ) {
-        let layout = self.layout;
-        let mut others_ok = true;
-        let mut foreign = vec![0.0f64; layout.processor_count()];
-        for (shard, guard) in guards.iter().enumerate() {
-            if shard == home {
-                continue;
-            }
-            let ok = match self.mode {
-                AdmissionMode::Incremental => guard.violating_entries() == 0,
-                AdmissionMode::BruteForce => guard.system_schedulable_brute(),
-            };
-            if !ok {
-                others_ok = false;
-            }
-            for p in layout.group(shard) {
-                foreign[p] = guard.ledger().utilization(ProcessorId(p as u16));
-            }
-        }
-        let rows = cross.rows();
-        let guard_needed = !others_ok || !rows.is_empty();
-        let extra = move |ctl: &AdmissionController| -> bool {
-            others_ok
-                && rows.iter().all(|visits| {
-                    bound_lhs(visits.iter().map(|p| {
-                        if layout.shard_of(*p) == home {
-                            ctl.ledger().utilization(*p)
-                        } else {
-                            foreign[p.index()]
-                        }
-                    })) <= 1.0 + BOUND_EPSILON
-                })
-        };
-        let extra_ref: Option<&dyn Fn(&AdmissionController) -> bool> =
-            if guard_needed { Some(&extra) } else { None };
-        guards[home].try_reseed_candidate(task_id, eid, tasks, extra_ref, report);
-    }
-
-    /// One cross-registered reseed attempt — the monolithic
-    /// `try_reseed_candidate` transcribed over shard ledgers.
-    #[allow(clippy::too_many_arguments)]
-    fn cross_reseed(
-        &self,
-        cross: &mut CrossState,
-        guards: &mut [MutexGuard<'_, AdmissionController>],
-        task_id: TaskId,
-        eid: usize,
-        tasks: &TaskSet,
-        report: &mut HandoverReport,
-    ) {
-        if cross.reserved.contains_key(&task_id) {
-            return;
-        }
-        let Some(entry) = cross.entries.get(eid).and_then(Option::as_ref) else { return };
-        let visits = entry.visits.clone();
-        let old_job = entry.job;
-        let outstanding = entry.outstanding;
-        let task = tasks.get(task_id).expect("candidates filtered on membership");
-        let reserved_job = JobId::new(task_id, RESERVED_SEQ);
-        let layout = self.layout;
-
-        let intact = outstanding == visits.len()
-            && visits.iter().enumerate().all(|(subtask, processor)| {
-                guards[layout.shard_of(*processor)]
-                    .ledger()
-                    .contribution(*processor, ContributionKey::new(old_job, subtask))
-                    .is_some()
-            });
-
-        if intact {
-            // Utilization-neutral conversion: the guard runs up front, no
-            // rollback path needed.
-            if !self.cross_schedulable(cross, guards, &visits) {
-                report.reseeds_skipped += 1;
-                return;
-            }
-            cross.unregister(eid);
-            for (subtask, processor) in visits.iter().enumerate() {
-                let u = guards[layout.shard_of(*processor)]
-                    .external_remove(*processor, ContributionKey::new(old_job, subtask))
-                    .expect("intact entries hold every contribution (checked above)");
-                guards[layout.shard_of(*processor)]
-                    .external_add(
-                        *processor,
-                        ContributionKey::new(reserved_job, subtask),
-                        u,
-                        Lifetime::Reserved,
-                    )
-                    .expect("the reserved key space was free");
-            }
-            let (new_eid, _gen) = cross.register(old_job, visits);
-            cross.reserved.insert(task_id, new_eid);
-            report.reservations_reseeded += 1;
-            return;
-        }
-
-        // Additive fallback: the partial entry keeps its remaining
-        // contributions; the reservation is added fresh under the
-        // post-addition system-wide check.
-        for (subtask, processor) in visits.iter().enumerate() {
-            guards[layout.shard_of(*processor)]
-                .external_add(
-                    *processor,
-                    ContributionKey::new(reserved_job, subtask),
-                    task.subtask_utilization(subtask),
-                    Lifetime::Reserved,
-                )
-                .expect("the reserved key space was free");
-        }
-        if self.cross_schedulable(cross, guards, &visits) {
-            let (new_eid, _gen) = cross.register(reserved_job, visits);
-            cross.reserved.insert(task_id, new_eid);
-            report.reservations_reseeded += 1;
-        } else {
-            for (subtask, processor) in visits.iter().enumerate() {
-                guards[layout.shard_of(*processor)]
-                    .external_remove(*processor, ContributionKey::new(reserved_job, subtask));
-            }
-            report.reseeds_skipped += 1;
-        }
-    }
-}
-
-// --- Read and diagnostic API -------------------------------------------
-
-impl ShardedAdmissionController {
-    /// Proposes a placement without running the admission test (the
-    /// paper's "Location" call) — the sharded equivalent of
-    /// [`AdmissionController::propose_assignment`].
-    pub fn propose_assignment(&self, task: &TaskSpec) -> Assignment {
-        match self.fast_route(task) {
-            Some(home) => {
-                let mut guard = self.shard_guard(home);
-                let assignment = guard.propose_assignment(task);
-                self.publish(home, &guard);
-                assignment
-            }
-            None => {
-                let (mut cross, guards) = self.full_lock();
-                let layout = self.layout;
-                let view = {
-                    let guards = &guards;
-                    move |p: ProcessorId| guards[layout.shard_of(p)].ledger().utilization(p)
-                };
-                let assignment =
-                    cross.balancer.assignment_for_with(task, layout.processor_count(), view);
-                self.publish_all(&guards);
-                assignment
-            }
-        }
-    }
-
-    /// Live per-processor synthetic utilizations, assembled from the shard
-    /// ledgers (each shard is expired to the floor first, matching the
-    /// monolithic controller's already-expired view).
-    #[must_use]
-    pub fn utilizations(&self) -> Vec<f64> {
-        let mut utils = vec![0.0f64; self.layout.processor_count()];
-        for shard in 0..self.layout.shard_count() {
-            let guard = self.shard_guard(shard);
-            for p in self.layout.group(shard) {
-                utils[p] = guard.ledger().utilization(ProcessorId(p as u16));
-            }
-            self.publish(shard, &guard);
-        }
-        utils
-    }
-
-    /// Number of current registry entries (shard entries + cross entries).
-    #[must_use]
     pub fn current_entries(&self) -> usize {
-        let cross = lock(&self.cross);
-        let shard_total: usize =
-            self.shards.iter().map(|cell| lock(&cell.ctl).current_entries()).sum();
-        shard_total + cross.live
+        self.engine().current_entries()
     }
-
-    /// Number of per-task reservations held anywhere.
-    #[must_use]
-    pub fn reserved_tasks(&self) -> usize {
-        let cross = lock(&self.cross);
-        let shard_total: usize =
-            self.shards.iter().map(|cell| lock(&cell.ctl).reserved_tasks()).sum();
-        shard_total + cross.reserved.len()
-    }
-
-    /// True if `task` holds a per-task reservation anywhere.
-    #[must_use]
-    pub fn is_reserved(&self, task: TaskId) -> bool {
-        if lock(&self.cross).reserved.contains_key(&task) {
-            return true;
-        }
-        self.shards.iter().any(|cell| lock(&cell.ctl).is_reserved(task))
-    }
-
-    /// True if `task` was permanently rejected by a per-task test.
-    #[must_use]
-    pub fn is_rejected(&self, task: TaskId) -> bool {
-        if lock(&self.cross).rejected.contains(&task) {
-            return true;
-        }
-        self.shards.iter().any(|cell| lock(&cell.ctl).is_rejected(task))
-    }
-
-    /// Accumulated counters, summed across shards and the cross path.
-    /// `reset_reports` counts *plane-level* reports (a report split across
-    /// the cross registry and a shard still counts once, as the monolithic
-    /// controller would count it).
-    #[must_use]
-    pub fn stats(&self) -> AcStats {
-        let cross = lock(&self.cross);
-        let mut total = cross.stats;
-        for cell in &self.shards {
-            let stats = lock(&cell.ctl).stats();
-            total.tested += stats.tested;
-            total.admitted += stats.admitted;
-            total.rejected += stats.rejected;
-            total.pass_throughs += stats.pass_throughs;
-            total.reset_utilization += stats.reset_utilization;
-        }
-        total.reset_reports = self.reset_reports.load(Ordering::Relaxed);
-        total
-    }
-
-    /// The full brute-force system-wide check under the full-order lock —
-    /// the layer's agreement point with the monolithic oracle.
-    #[must_use]
-    pub fn system_schedulable(&self) -> bool {
-        let (cross, guards) = self.full_lock();
-        let layout = self.layout;
-        let util = |p: ProcessorId| guards[layout.shard_of(p)].ledger().utilization(p);
-        let ok = guards.iter().all(|g| g.system_schedulable_brute())
-            && cross
-                .entries
-                .iter()
-                .flatten()
-                .filter(|e| e.outstanding > 0)
-                .all(|e| bound_lhs(e.visits.iter().map(|p| util(*p))) <= 1.0 + BOUND_EPSILON);
-        self.publish_all(&guards);
-        ok
-    }
-
-    /// Per-shard consistency audit: each shard controller's cached-vs-fresh
-    /// AUB sums, plus whether its published summary is current. Read-only
-    /// (no expiry), so a coherent summary stays coherent across the call.
-    #[must_use]
-    pub fn audit(&self) -> Vec<ShardAudit> {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(shard, cell)| {
-                let guard = lock(&cell.ctl);
-                let summary_coherent = cell.published.revision.load(Ordering::Acquire)
-                    == guard.revision()
-                    && cell.published.violating.load(Ordering::Relaxed)
-                        == guard.violating_entries();
-                ShardAudit { shard, audit: audit_controller(&guard), summary_coherent }
-            })
-            .collect()
-    }
-
-    /// Reconciles every shard (recompute ledger totals and cached AUB sums
-    /// from scratch) and republishes the summaries. Drift is reported
-    /// **per shard**, so one noisy shard is identified by index instead of
-    /// folding into a single global residual.
-    pub fn reconcile(&self) -> Vec<ShardDrift> {
-        (0..self.layout.shard_count())
-            .map(|shard| {
-                let mut guard = lock(&self.shards[shard].ctl);
-                let drift = guard.reconcile_detailed();
-                self.publish(shard, &guard);
-                ShardDrift { shard, drift }
-            })
-            .collect()
+    pub fn utilizations(&self) -> Vec<f64> {
+        self.engine().ledger().utilizations()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::{TaskBuilder, TaskSet};
+    use crate::task::{JobId, TaskBuilder, TaskId};
     use crate::time::Duration;
 
-    fn config(s: &str) -> ServiceConfig {
-        s.parse().expect("valid config string")
-    }
-
-    /// An aperiodic task whose candidates all live in `block` (procs
-    /// 2·block and 2·block+1 of a 4-processor host).
-    fn homed_task(id: u32, block: u16, exec_ms: u64) -> TaskSpec {
-        let base = block * 2;
-        TaskBuilder::aperiodic(TaskId(id))
-            .deadline(Duration::from_millis(100))
-            .subtask(Duration::from_millis(exec_ms), ProcessorId(base), [ProcessorId(base + 1)])
+    #[test]
+    fn handle_matches_a_bare_controller() {
+        let config = |label: &str| label.parse::<ServiceConfig>().unwrap();
+        let at = |ms: u64| Time::ZERO + Duration::from_millis(ms);
+        let exec = Duration::from_millis(20);
+        let aperiodic = |id: u32| {
+            TaskBuilder::aperiodic(TaskId(id))
+                .deadline(Duration::from_millis(100))
+                .subtask(exec, ProcessorId(0), [])
+                .build()
+                .unwrap()
+        };
+        let periodic = TaskBuilder::periodic(TaskId(0), Duration::from_millis(100))
+            .subtask(exec, ProcessorId(0), [])
             .build()
-            .expect("valid task")
-    }
+            .unwrap();
+        let (first, second) = (aperiodic(1), aperiodic(2));
+        let tasks = TaskSet::from_tasks([periodic.clone(), first.clone(), second.clone()]).unwrap();
 
-    /// An aperiodic task spanning both blocks.
-    fn spanning_task(id: u32, exec_ms: u64) -> TaskSpec {
-        TaskBuilder::aperiodic(TaskId(id))
-            .deadline(Duration::from_millis(100))
-            .subtask(Duration::from_millis(exec_ms), ProcessorId(0), [ProcessorId(3)])
-            .build()
-            .expect("valid task")
-    }
+        let mode = AdmissionMode::Incremental;
+        let handle = ShardedAdmissionController::with_mode(config("J_N_N"), 2, 7, mode).unwrap();
+        let mut bare = AdmissionController::with_mode(config("J_N_N"), 2, mode).unwrap();
+        let same_state = |bare: &AdmissionController, step: &str| {
+            assert_eq!(handle.utilizations(), bare.ledger().utilizations(), "{step}");
+            assert_eq!(handle.current_entries(), bare.current_entries(), "{step}");
+        };
 
-    #[test]
-    fn layout_partitions_into_contiguous_nonempty_groups() {
-        let layout = ShardLayout::new(64, 4);
-        assert_eq!(layout.shard_count(), 4);
-        assert_eq!(layout.group(0), 0..16);
-        assert_eq!(layout.group(3), 48..64);
-        assert_eq!(layout.shard_of(ProcessorId(15)), 0);
-        assert_eq!(layout.shard_of(ProcessorId(16)), 1);
-
-        // Uneven split: 10 procs over 4 shards -> groups of 3, last short.
-        let layout = ShardLayout::new(10, 4);
-        assert_eq!(layout.shard_count(), 4);
-        assert_eq!(layout.group(3), 9..10);
-
-        // Over-asking clamps to one shard per processor.
-        let layout = ShardLayout::new(2, 8);
-        assert_eq!(layout.shard_count(), 2);
-    }
-
-    #[test]
-    fn home_routing_is_static() {
-        let layout = ShardLayout::new(4, 2);
-        assert_eq!(layout.home_of(&homed_task(0, 0, 10)), Some(0));
-        assert_eq!(layout.home_of(&homed_task(1, 1, 10)), Some(1));
-        assert_eq!(layout.home_of(&spanning_task(2, 10)), None);
-    }
-
-    #[test]
-    fn single_homed_arrivals_match_the_monolithic_controller() {
-        let cfg = config("J_J_J");
-        let sharded = ShardedAdmissionController::new(cfg, 4, 2).expect("valid");
-        let mut mono = AdmissionController::new(cfg, 4).expect("valid");
-
-        let mut now = Time::ZERO;
-        for seq in 0..50u64 {
-            for block in 0..2u16 {
-                let task = homed_task(u32::from(block), block, 60);
-                let a = sharded.handle_arrival(&task, seq, now).expect("no misuse");
-                let b = mono.handle_arrival(&task, seq, now).expect("no misuse");
-                assert_eq!(a, b, "decision diverged at seq {seq} block {block}");
-            }
-            now = now.saturating_add(Duration::from_millis(7));
+        // Two accepts fill processor 0 to 0.4; a third 0.2 is over the bound.
+        for task in [&periodic, &first] {
+            let decision = handle.handle_arrival(task, 0, at(0)).unwrap();
+            assert!(decision.is_accept());
+            assert_eq!(decision, bare.handle_arrival(task, 0, at(0)).unwrap());
         }
-        assert_eq!(sharded.utilizations(), mono.ledger().utilizations());
-        let stats = sharded.plane_stats();
-        assert_eq!(stats.cross_decisions, 0, "single-homed arrivals must stay local");
-        assert_eq!(stats.local_decisions, 100);
-    }
+        let plan = handle.propose_assignment(&second);
+        assert_eq!(plan, bare.propose_assignment(&second));
+        let decision = handle.admit_with(&second, 0, at(0), plan.clone()).unwrap();
+        assert!(!decision.is_accept());
+        assert_eq!(decision, bare.admit_with(&second, 0, at(0), plan).unwrap());
+        same_state(&bare, "reject");
 
-    #[test]
-    fn spanning_arrivals_take_the_cross_path_and_match() {
-        let cfg = config("J_J_J");
-        let sharded = ShardedAdmissionController::new(cfg, 4, 2).expect("valid");
-        let mut mono = AdmissionController::new(cfg, 4).expect("valid");
+        let done = [ContributionKey::new(JobId::new(first.id(), 0), 0)];
+        let freed = handle.apply_idle_reset(ProcessorId(0), &done);
+        assert_eq!(freed, bare.apply_idle_reset(ProcessorId(0), &done));
+        same_state(&bare, "idle reset");
 
-        let mut now = Time::ZERO;
-        for seq in 0..40u64 {
-            let spanning = spanning_task(9, 45);
-            let local = homed_task(1, 1, 45);
-            let a1 = sharded.handle_arrival(&spanning, seq, now).expect("no misuse");
-            let b1 = mono.handle_arrival(&spanning, seq, now).expect("no misuse");
-            assert_eq!(a1, b1, "spanning decision diverged at seq {seq}");
-            let a2 = sharded.handle_arrival(&local, seq, now).expect("no misuse");
-            let b2 = mono.handle_arrival(&local, seq, now).expect("no misuse");
-            assert_eq!(a2, b2, "local decision diverged at seq {seq}");
-            now = now.saturating_add(Duration::from_millis(11));
+        // Reseed the periodic job as a reservation, pass a job through it,
+        // drain it again.
+        for (label, ms) in [("T_N_N", 10), ("J_N_N", 110)] {
+            let report = handle.reconfigure(config(label), at(ms), &tasks).unwrap();
+            assert_eq!(report, bare.reconfigure(config(label), at(ms), &tasks).unwrap());
+            let decision = handle.handle_arrival(&periodic, ms, at(ms)).unwrap();
+            assert_eq!(decision, bare.handle_arrival(&periodic, ms, at(ms)).unwrap());
+            same_state(&bare, label);
         }
-        assert_eq!(sharded.utilizations(), mono.ledger().utilizations());
-        assert!(sharded.plane_stats().cross_decisions > 0);
-        assert_eq!(sharded.stats(), mono.stats());
-    }
 
-    #[test]
-    fn summaries_publish_and_stay_coherent() {
-        let cfg = config("J_J_J");
-        let sharded = ShardedAdmissionController::new(cfg, 4, 2).expect("valid");
-        let task = homed_task(0, 0, 30);
-        sharded.handle_arrival(&task, 0, Time::ZERO).expect("no misuse");
-
-        let summaries = sharded.shard_summaries();
-        assert!(summaries[0].utilization_sum > 0.0);
-        assert_eq!(summaries[1].utilization_sum, 0.0);
-        for audit in sharded.audit() {
-            assert!(audit.summary_coherent, "shard {} summary stale", audit.shard);
-            assert!(audit.audit.is_consistent(1e-9));
-        }
-    }
-
-    #[test]
-    fn reconciliation_reports_drift_per_shard() {
-        let cfg = config("J_J_J");
-        let sharded = ShardedAdmissionController::new(cfg, 4, 2).expect("valid");
-        for block in 0..2u16 {
-            let task = homed_task(u32::from(block), block, 40);
-            sharded.handle_arrival(&task, 0, Time::ZERO).expect("no misuse");
-        }
-        let drifts = sharded.reconcile();
-        assert_eq!(drifts.len(), 2);
-        for (shard, drift) in drifts.iter().enumerate() {
-            assert_eq!(drift.shard, shard);
-            assert!(drift.drift.max_drift <= 1e-12);
-        }
-        // Reconciliation republishes: summaries remain coherent.
-        for audit in sharded.audit() {
-            assert!(audit.summary_coherent);
-        }
-    }
-
-    /// Concurrent single-homed and spanning arrivals on `&self` — the
-    /// regression surface for the fast path's cross-mirror TOCTOU: a
-    /// cross entry committing between the unlocked `cross_live` read and
-    /// the home-shard lock must not let a local decision admit past an
-    /// AUB row's bound. Decision outcomes are nondeterministic under the
-    /// storm; the admitted *state* must satisfy every row regardless.
-    #[test]
-    fn concurrent_local_and_cross_storm_never_over_admits() {
-        let cfg = config("J_J_J");
-        let sharded = ShardedAdmissionController::new(cfg, 4, 2).expect("valid");
-        std::thread::scope(|scope| {
-            let plane = &sharded;
-            for block in 0..2u16 {
-                scope.spawn(move || {
-                    for seq in 0..200u64 {
-                        let task = homed_task(u32::from(block), block, 35);
-                        plane.handle_arrival(&task, seq, Time::ZERO).expect("unique jobs");
-                    }
-                });
-            }
-            scope.spawn(move || {
-                for seq in 0..200u64 {
-                    let task = spanning_task(9, 35);
-                    plane.handle_arrival(&task, seq, Time::ZERO).expect("unique jobs");
-                }
-            });
-        });
-        assert!(
-            sharded.system_schedulable(),
-            "an admitted state must satisfy every AUB row under any interleaving"
-        );
-        for audit in sharded.audit() {
-            assert!(audit.audit.is_consistent(1e-9), "shard {} cached sums drifted", audit.shard);
-            assert!(audit.summary_coherent, "shard {} summary stale at quiescence", audit.shard);
-        }
-        for drift in sharded.reconcile() {
-            assert!(drift.drift.max_drift <= 1e-9, "shard {} ledger drifted", drift.shard);
-        }
-    }
-
-    #[test]
-    fn per_task_reservations_work_across_paths() {
-        let cfg = config("T_T_T");
-        let sharded = ShardedAdmissionController::new(cfg, 4, 2).expect("valid");
-        let mut mono = AdmissionController::new(cfg, 4).expect("valid");
-        let mut tasks = TaskSet::new();
-        let periodic = TaskBuilder::periodic(TaskId(7), Duration::from_millis(50))
-            .subtask(Duration::from_millis(10), ProcessorId(0), [ProcessorId(3)])
-            .build()
-            .expect("valid task");
-        tasks.insert(periodic.clone()).expect("fresh id");
-
-        for seq in 0..3u64 {
-            let now = Time::from_nanos(seq * 1_000_000);
-            let a = sharded.handle_arrival(&periodic, seq, now).expect("no misuse");
-            let b = mono.handle_arrival(&periodic, seq, now).expect("no misuse");
-            assert_eq!(a, b);
-        }
-        assert!(sharded.is_reserved(TaskId(7)));
-        assert_eq!(sharded.reserved_tasks(), mono.reserved_tasks());
-
-        sharded.withdraw_task(TaskId(7));
-        mono.withdraw_task(TaskId(7));
-        assert!(!sharded.is_reserved(TaskId(7)));
-        assert_eq!(sharded.utilizations(), mono.ledger().utilizations());
+        handle.expire(at(1_000));
+        bare.expire(at(1_000));
+        same_state(&bare, "expiry");
+        assert_eq!(handle.current_entries(), 0);
     }
 }

@@ -178,17 +178,6 @@ pub struct SystemReport {
     /// polling design paid ~2000 wakeups/s/node. Pinned by the
     /// zero-wakeup runtime test.
     pub timer_wakeups: u64,
-
-    /// Admission decisions that stayed on one shard's lock-free fast path
-    /// (single-group candidate sets under the sharded admission plane).
-    pub admission_shard_local: u64,
-    /// Admission decisions that took the cross-shard reservation path
-    /// (multi-group candidate sets, or brute-force mode).
-    pub admission_cross_shard: u64,
-    /// Targeted shard-summary refreshes performed when a published
-    /// `(sum, violating, epoch)` summary could not answer the system-wide
-    /// AUB check on its own.
-    pub admission_summary_refreshes: u64,
 }
 
 /// The lock-free half of the runtime's accounting: every metric a hot
@@ -223,12 +212,6 @@ pub struct RtMetrics {
     pub ir_reports: Arc<Counter>,
     /// Timer-deadline wakeups performed by reactor threads.
     pub timer_wakeups: Arc<Counter>,
-    /// Admission decisions kept on a single shard's fast path.
-    pub admission_shard_local: Arc<Counter>,
-    /// Admission decisions through the cross-shard reservation path.
-    pub admission_cross_shard: Arc<Counter>,
-    /// Targeted shard-summary refreshes during admission checks.
-    pub admission_summary_refreshes: Arc<Counter>,
     /// Mailbox payloads the manager or a node dropped because they did
     /// not decode, per message kind.
     pub decode_errors: DecodeErrors,
@@ -296,18 +279,6 @@ impl RtMetrics {
             timer_wakeups: r.counter(
                 "rtcm_timer_wakeups_total",
                 "Timer-deadline wakeups performed by reactor threads.",
-            ),
-            admission_shard_local: r.counter(
-                "rtcm_admission_shard_local_total",
-                "Admission decisions kept on a single shard's fast path.",
-            ),
-            admission_cross_shard: r.counter(
-                "rtcm_admission_cross_shard_total",
-                "Admission decisions through the cross-shard reservation path.",
-            ),
-            admission_summary_refreshes: r.counter(
-                "rtcm_admission_summary_refreshes_total",
-                "Targeted shard-summary refreshes during admission checks.",
             ),
             arrived_utilization: r.gauge(
                 "rtcm_arrived_utilization",
@@ -433,9 +404,6 @@ impl SharedStats {
         report.reallocations = m.reallocations.get();
         report.ir_reports = m.ir_reports.get();
         report.timer_wakeups = m.timer_wakeups.get();
-        report.admission_shard_local = m.admission_shard_local.get();
-        report.admission_cross_shard = m.admission_cross_shard.get();
-        report.admission_summary_refreshes = m.admission_summary_refreshes.get();
         let mut scratch = HistogramSnapshot::default();
         report.response = delay_from(&m.response, &mut scratch);
         report.hold = delay_from(&m.hold, &mut scratch);
