@@ -13,8 +13,8 @@
 //! no-partial-swap at 16 hosts fails the bench, not just a reader's eye.
 //!
 //! Output: per-arm mean/p50/p99 wall nanoseconds plus processed-event
-//! counts, written to `BENCH_simfed.json` at the workspace root
-//! (uploaded as a CI artifact for the scaling trajectory).
+//! counts, appended as one point to `BENCH_simfed.json` at the workspace
+//! root (uploaded as a CI artifact for the scaling trajectory).
 
 use std::time::Instant;
 
@@ -56,6 +56,7 @@ fn main() {
         rows.push(serde_json::json!({
             "arm": format!("hosts_{hosts}"),
             "hosts": hosts,
+            "horizon_ms": HORIZON_MS,
             "mean_ns": mean_ns,
             "p50_ns": p50_ns,
             "p99_ns": p99_ns,
@@ -72,19 +73,8 @@ fn main() {
     let ratio = scaling[3] / scaling[0].max(1.0);
     assert!(ratio < 64.0, "16-host campaigns cost {ratio:.1}x the 2-host baseline (bar: 64x)");
 
-    let doc = serde_json::json!({
-        "bench": "micro_simfed",
-        "quick": quick,
-        "horizon_ms": HORIZON_MS,
-        "runs_per_arm": runs,
-        "bars": { "hosts_16_vs_2_max_ratio": 64.0 },
-        "results": rows,
-    });
-    // CARGO_MANIFEST_DIR = crates/bench → the workspace root is two up.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let path = root.join("BENCH_simfed.json");
-    match std::fs::write(&path, serde_json::to_string_pretty(&doc).expect("plain data")) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
+    match rtcm_bench::append_bench_point("BENCH_simfed.json", "micro_simfed", quick, rows) {
+        Ok(path) => println!("appended a point to {}", path.display()),
+        Err(e) => eprintln!("could not append to BENCH_simfed.json: {e}"),
     }
 }

@@ -12,8 +12,8 @@
 //! * rendering the full exposition page is timed per scrape — cold-path,
 //!   but an operator polling at 1 Hz should know what they spend.
 //!
-//! The burst section mirrors `micro_events`: timed 16-op windows, p50/p99
-//! over samples, written to `BENCH_telemetry.json` at the workspace root.
+//! The burst section times 16-op windows, p50/p99 over samples, and
+//! appends one point to `BENCH_telemetry.json` at the workspace root.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -103,6 +103,7 @@ fn emit_json() {
         );
         rows.push(serde_json::json!({
             "arm": arm,
+            "ops": total,
             "mean_ns": mean_ns,
             "p50_ns": p50_ns,
             "p99_ns": p99_ns,
@@ -152,19 +153,9 @@ fn emit_json() {
     bar("counter_inc", counter_ns);
     bar("histogram_record", hist_ns);
 
-    let doc = serde_json::json!({
-        "bench": "micro_telemetry",
-        "quick": quick,
-        "ops_per_arm": total,
-        "bars": { "record_max_ns": 100.0, "record_max_vs_atomic": 2.0 },
-        "results": rows,
-    });
-    // CARGO_MANIFEST_DIR = crates/bench → the workspace root is two up.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let path = root.join("BENCH_telemetry.json");
-    match std::fs::write(&path, serde_json::to_string_pretty(&doc).expect("plain data")) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
+    match rtcm_bench::append_bench_point("BENCH_telemetry.json", "micro_telemetry", quick, rows) {
+        Ok(path) => println!("appended a point to {}", path.display()),
+        Err(e) => eprintln!("could not append to BENCH_telemetry.json: {e}"),
     }
 }
 

@@ -14,12 +14,8 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod dispatch;
-pub mod events;
 pub mod govern;
 pub mod reconfig;
-pub mod scaling;
-pub mod wire;
 
 use rtcm_core::strategy::ServiceConfig;
 use rtcm_core::task::TaskSet;
@@ -191,11 +187,20 @@ pub fn append_bench_point(
     quick: bool,
     results: Vec<serde_json::Value>,
 ) -> std::io::Result<std::path::PathBuf> {
-    use serde_json::Value;
     // CARGO_MANIFEST_DIR = crates/bench → the workspace root is two up.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let path = root.join(file_name);
-    let mut points = match std::fs::read_to_string(&path) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(file_name);
+    append_point_at(&path, bench, quick, results)?;
+    Ok(path)
+}
+
+fn append_point_at(
+    path: &std::path::Path,
+    bench: &str,
+    quick: bool,
+    results: Vec<serde_json::Value>,
+) -> std::io::Result<()> {
+    use serde_json::Value;
+    let mut points = match std::fs::read_to_string(path) {
         Ok(text) => match serde_json::from_str::<Value>(&text) {
             Ok(Value::Seq(points)) => points,
             Ok(single) => vec![single],
@@ -207,7 +212,7 @@ pub fn append_bench_point(
     let git_rev = std::process::Command::new("git")
         // `-dirty` marks a point measured on uncommitted changes.
         .args(["describe", "--always", "--dirty", "--abbrev=7"])
-        .current_dir(&root)
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
         .output()
         .ok()
         .filter(|out| out.status.success())
@@ -223,8 +228,7 @@ pub fn append_bench_point(
         "results": Value::Seq(results),
     }));
     let text = serde_json::to_string_pretty(&Value::Seq(points)).expect("plain data");
-    std::fs::write(&path, text + "\n")?;
-    Ok(path)
+    std::fs::write(path, text + "\n")
 }
 
 /// Shared CLI/env parameters for the bench binaries.
@@ -294,5 +298,49 @@ mod tests {
         assert!(table.contains("J_J_J"));
         let json = to_json(&results);
         assert!(json.contains("mean_ratio"));
+    }
+
+    #[test]
+    fn append_point_starts_wraps_and_refuses() {
+        use serde_json::{json, Value};
+        let dir = std::env::temp_dir().join(format!("rtcm-bench-append-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let read = |path: &std::path::Path| -> Vec<Value> {
+            match serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap() {
+                Value::Seq(points) => points,
+                other => panic!("not an array: {other:?}"),
+            }
+        };
+
+        // Missing file: a one-element array carrying the whole schema.
+        let fresh = dir.join("fresh.json");
+        append_point_at(&fresh, "micro_x", true, vec![json!({ "arm": "a" })]).unwrap();
+        let points = read(&fresh);
+        assert_eq!(points.len(), 1);
+        assert_eq!(points[0].get("schema"), Some(&Value::Str(BENCH_SCHEMA.to_string())));
+        assert_eq!(points[0].get("bench"), Some(&Value::Str("micro_x".to_string())));
+        assert_eq!(points[0].get("quick"), Some(&Value::Bool(true)));
+        assert!(matches!(points[0].get("git_rev"), Some(Value::Str(rev)) if !rev.is_empty()));
+        assert!(matches!(points[0].get("cores"), Some(Value::U64(n)) if *n >= 1));
+        assert_eq!(points[0].get("results"), Some(&Value::Seq(vec![json!({ "arm": "a" })])));
+
+        // A bench's earlier single-object layout becomes element 0.
+        let legacy = dir.join("legacy.json");
+        let old = json!({ "bench": "micro_x", "quick": false });
+        std::fs::write(&legacy, serde_json::to_string_pretty(&old).unwrap()).unwrap();
+        append_point_at(&legacy, "micro_x", false, Vec::new()).unwrap();
+        let points = read(&legacy);
+        assert_eq!(points.len(), 2);
+        assert_eq!(points[0], old);
+        assert_eq!(points[1].get("schema"), Some(&Value::Str(BENCH_SCHEMA.to_string())));
+
+        // Not JSON: refused, and the file is left byte-identical.
+        let garbage = dir.join("garbage.json");
+        std::fs::write(&garbage, b"not json {").unwrap();
+        let err = append_point_at(&garbage, "micro_x", false, Vec::new()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(std::fs::read(&garbage).unwrap(), b"not json {");
+
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,25 +1,17 @@
 //! Fast smoke test for the bench harness: drives [`run_combo_experiment`]
 //! through the same `RTCM_QUICK=1` environment path the bench binaries
 //! use, so `cargo test` exercises the §7 experiment plumbing without a
-//! full `cargo bench` run — plus a smoke pass over the `micro_admission`
-//! scaling arms' shared fixture (`rtcm_bench::scaling`).
+//! full `cargo bench` run — plus a smoke pass over the `micro_govern` and
+//! `micro_reconfig` fixtures (`rtcm_bench::{govern, reconfig}`).
 //!
 //! The combo experiment lives in one `#[test]`: its knobs are
 //! process-global environment variables, and a single test keeps their
-//! mutation sequential under the parallel test runner. The scaling smoke
-//! test reads no environment variables, so it may run in parallel.
+//! mutation sequential under the parallel test runner. The fixture smoke
+//! tests read no environment variables, so they may run in parallel.
 
-use rtcm_bench::dispatch::{
-    deadline_schedule, poll_dispatch, reactor_idle_wakeups, wheel_dispatch,
-};
-use rtcm_bench::events::{fanout_fixture, gateway_fixture, remote_fixture, FANOUT_TOPIC, PAYLOAD};
 use rtcm_bench::govern::{governor_policy, metrics_stream};
 use rtcm_bench::reconfig::{loaded_reconfig_controller, reconfig_fixture};
-use rtcm_bench::scaling::{
-    probe_once, scaling_controller, scaling_probes, TARGET_PROC_UTILIZATION,
-};
 use rtcm_bench::{format_ratio_table, instances, run_combo_experiment, to_json, BenchParams};
-use rtcm_core::admission::AdmissionMode;
 use rtcm_core::analysis::audit_controller;
 use rtcm_core::time::{Duration, Time};
 use rtcm_sim::OverheadModel;
@@ -70,43 +62,6 @@ fn quick_env_drives_combo_experiment_end_to_end() {
     assert!(json.contains("mean_ratio"));
 }
 
-/// Smoke coverage of `micro_admission`'s `admission_scaling/*` arms at the
-/// `RTCM_QUICK` sizes: the incremental and brute-force controllers built
-/// from the shared fixture must agree on every steady-state probe
-/// decision, keep their cached AUB sums consistent with fresh
-/// recomputation, and stay inside the fixture's load envelope.
-#[test]
-fn scaling_fixture_arms_agree_at_quick_sizes() {
-    for (n, procs) in [(128u32, 8u16), (1024, 64)] {
-        let mut inc = scaling_controller(n, procs, AdmissionMode::Incremental);
-        let mut brute = scaling_controller(n, procs, AdmissionMode::BruteForce);
-        let probes = scaling_probes(procs);
-        let mut now = Time::ZERO;
-        for seq in 0..64u64 {
-            now = now.saturating_add(Duration::from_millis(2));
-            let probe = &probes[(seq % 2) as usize];
-            let a = probe_once(&mut inc, probe, seq, now);
-            let b = probe_once(&mut brute, probe, seq, now);
-            assert_eq!(a, b, "n={n}: probe {seq} diverged across admission modes");
-            assert!(a.is_accept(), "n={n}: steady-state probe {seq} rejected");
-        }
-        for (label, ac) in [("incremental", &inc), ("brute", &brute)] {
-            let audit = audit_controller(ac);
-            assert!(
-                audit.is_consistent(1e-9),
-                "n={n} {label}: cached sums drifted {}",
-                audit.max_cached_drift
-            );
-            assert_eq!(audit.violating_entries, 0, "n={n} {label}");
-            assert!(
-                audit.processor_utilization.iter().all(|&u| u < 2.0 * TARGET_PROC_UTILIZATION),
-                "n={n} {label}: load out of envelope"
-            );
-        }
-        assert_eq!(inc.current_entries(), brute.current_entries());
-    }
-}
-
 /// Smoke coverage of the `micro_govern` bench arms at the `RTCM_QUICK`
 /// widths: policy evaluation over the shared alternating-load stream must
 /// be deterministic, and the cooldown must hold the anti-flapping rate
@@ -145,52 +100,6 @@ fn govern_fixture_evaluation_is_deterministic_and_rate_bounded() {
     }
 }
 
-/// Smoke coverage of the `micro_events` bench arms at the `RTCM_QUICK`
-/// sizes: every fixture topology round-trips a burst — each publish fans
-/// out to every subscriber exactly once, quiet gateways stay quiet, remote
-/// subscribers receive across the in-process network — and the federation
-/// counters reconcile with the observed deliveries.
-#[test]
-fn events_fixture_round_trips_at_quick_sizes() {
-    const BURST: usize = 64;
-
-    // Local fan-out: n subscribers ⇒ n deliveries per publish.
-    for subs in [1usize, 8] {
-        let fx = fanout_fixture(subs);
-        for _ in 0..BURST {
-            assert_eq!(fx.publisher.publish(FANOUT_TOPIC, PAYLOAD), subs);
-        }
-        assert_eq!(fx.drain(), BURST * subs, "subs={subs}");
-        let stats = fx.federation.stats();
-        assert_eq!(stats.events_published, BURST as u64);
-        assert_eq!(stats.local_deliveries, (BURST * subs) as u64);
-        assert_eq!(stats.events_dropped, 0);
-        assert_eq!(stats.remote_parcels, 0, "pure-local topology");
-    }
-
-    // Quiet gateways: registered nodes on unrelated topics cost nothing.
-    let fx = gateway_fixture(8);
-    for _ in 0..BURST {
-        assert_eq!(fx.publisher.publish(FANOUT_TOPIC, PAYLOAD), 1);
-    }
-    assert_eq!(fx.drain(), BURST, "only the local subscriber is reached");
-    assert_eq!(fx.federation.stats().remote_parcels, 0);
-
-    // Remote fan-out: every publish emits one parcel per remote node, and
-    // each arrives (Latency::None) once the network thread runs.
-    let fx = remote_fixture(4);
-    for _ in 0..BURST {
-        assert_eq!(fx.publisher.publish(FANOUT_TOPIC, PAYLOAD), 4);
-    }
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    let mut drained = 0;
-    while drained < BURST * 4 && std::time::Instant::now() < deadline {
-        drained += fx.drain();
-    }
-    assert_eq!(drained, BURST * 4, "every parcel delivered");
-    assert_eq!(fx.federation.stats().remote_parcels, (BURST * 4) as u64);
-}
-
 /// Smoke coverage of the `micro_reconfig` bench arms at the `RTCM_QUICK`
 /// sizes: a full drain/reseed round trip over the shared fixture must be
 /// utilization-neutral, preserve the current set, and leave the cached
@@ -225,25 +134,4 @@ fn reconfig_fixture_round_trip_is_lossless_at_quick_sizes() {
             audit.max_cached_drift
         );
     }
-}
-
-/// Smoke coverage of the `micro_dispatch` bench arms at tiny sizes: both
-/// dispatch styles fire every scheduled timer, the wheel's lateness stays
-/// sane (sleep overshoot, not seconds), and an idle reactor performs zero
-/// timer wakeups over a measured window — the counter the full-size bench
-/// reports in `BENCH_dispatch.json`.
-#[test]
-fn dispatch_fixture_fires_everything_and_idles_for_free() {
-    let offsets = deadline_schedule(8, 2, std::time::Duration::from_millis(40), 3);
-
-    let wheel = wheel_dispatch(&offsets);
-    assert_eq!(wheel.fired, offsets.len(), "wheel dispatch must fire every timer");
-    assert!(wheel.p50_us <= wheel.p99_us && wheel.p99_us <= wheel.max_us);
-    assert!(wheel.max_us < 40_000.0, "wheel lateness blew past the whole horizon");
-
-    let poll = poll_dispatch(&offsets, std::time::Duration::from_millis(2));
-    assert_eq!(poll.fired, offsets.len(), "poll dispatch must fire every timer");
-
-    let wakeups = reactor_idle_wakeups(std::time::Duration::from_millis(100));
-    assert_eq!(wakeups, 0, "an idle reactor must not wake on timers");
 }

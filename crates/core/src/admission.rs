@@ -34,8 +34,7 @@
 //! decision then costs O(candidate visits + touched entries). The original
 //! scan survives as [`AdmissionController::system_schedulable_brute`] (see
 //! [`AdmissionMode`]), serving as the differential-testing oracle
-//! (`crates/core/tests/differential.rs`) and the ablation baseline
-//! (`micro_admission` bench).
+//! (`crates/core/tests/differential.rs`).
 //!
 //! # Examples
 //!
@@ -103,8 +102,7 @@ pub enum AdmissionMode {
     Incremental,
     /// Re-evaluate every current entry's bound per decision — the original
     /// O(current set × visits) scan, kept alive as the differential-testing
-    /// oracle and the ablation baseline (see
-    /// [`AdmissionController::system_schedulable_brute`]).
+    /// oracle (see [`AdmissionController::system_schedulable_brute`]).
     BruteForce,
 }
 
@@ -744,15 +742,14 @@ impl AdmissionController {
         self.balancer.assignment_for(task, &self.ledger)
     }
 
-    /// Records a job admitted by a *peer* controller, without running the
-    /// admission test — the synchronization primitive of a **distributed**
-    /// AC architecture (§3 discusses this as the alternative to the paper's
-    /// centralized design: "the AC components on multiple processors may
-    /// need to coordinate and synchronize with each other").
+    /// Records a job as admitted under `assignment` without running the
+    /// admission test, so the ledger may end up over the AUB bound: the
+    /// differential oracle traces replay it as an op, and the saturation
+    /// tests build their over-bound ledgers with it.
     ///
-    /// Contributions are entered with the job's real deadline so expiry
-    /// stays consistent across peers. Duplicate commits are ignored (the
-    /// peer may re-broadcast).
+    /// Contributions are entered with the job's real deadline, so they
+    /// expire like an admitted job's. A commit for a job already in the
+    /// current set is ignored.
     ///
     /// # Errors
     ///
@@ -1136,8 +1133,8 @@ impl AdmissionController {
 
     /// The original O(current set × visits) system-wide AUB check: every
     /// outstanding current entry's bound recomputed from the live ledger.
-    /// Kept public as the differential-testing oracle and the ablation
-    /// baseline for the incremental path.
+    /// Kept public as the differential-testing oracle for the incremental
+    /// path.
     #[must_use]
     pub fn system_schedulable_brute(&self) -> bool {
         let u = self.ledger.utilizations();

@@ -383,27 +383,13 @@ impl UtilizationLedger {
     /// sums) must reconcile it against the corrected totals; see
     /// `AdmissionController::reconcile`.
     pub fn recompute_totals(&mut self) -> f64 {
-        self.recompute_totals_detailed().0
-    }
-
-    /// [`UtilizationLedger::recompute_totals`] with attribution: also
-    /// returns *which* processor received the largest correction (`None`
-    /// when no correction was applied anywhere), so a single noisy
-    /// processor is identified instead of disappearing into one global
-    /// residual.
-    pub fn recompute_totals_detailed(&mut self) -> (f64, Option<ProcessorId>) {
         let mut max_drift = 0.0f64;
-        let mut worst = None;
-        for (idx, proc) in self.procs.iter_mut().enumerate() {
+        for proc in &mut self.procs {
             let fresh: f64 = proc.entries.values().map(|e| e.utilization).sum();
-            let drift = (proc.total - fresh).abs();
-            if drift > max_drift {
-                max_drift = drift;
-                worst = Some(ProcessorId(idx as u16));
-            }
+            max_drift = max_drift.max((proc.total - fresh).abs());
             proc.total = fresh;
         }
-        (max_drift, worst)
+        max_drift
     }
 }
 
@@ -661,21 +647,18 @@ mod tests {
 
     #[test]
     fn recompute_totals_identifies_the_noisy_processor() {
-        // Perturb one processor's running total directly: the detailed
-        // recompute must both correct it and name that processor.
+        // Perturb one processor's running total directly: the recompute
+        // must correct it and report the size of the correction.
         let mut l = UtilizationLedger::new(4);
         for p in 0..4u16 {
             l.add(ProcessorId(p), key(u32::from(p), 0, 0), 0.25, Lifetime::Reserved).unwrap();
         }
         l.procs[2].total += 1e-7;
-        let (drift, worst) = l.recompute_totals_detailed();
+        let drift = l.recompute_totals();
         assert!((drift - 1e-7).abs() < 1e-12, "corrected drift {drift}");
-        assert_eq!(worst, Some(ProcessorId(2)));
         assert!((l.utilization(ProcessorId(2)) - 0.25).abs() < 1e-12);
-        // A clean ledger reports no attribution.
-        let (drift, worst) = l.recompute_totals_detailed();
-        assert_eq!(drift, 0.0);
-        assert_eq!(worst, None);
+        // A clean ledger has nothing to correct.
+        assert_eq!(l.recompute_totals(), 0.0);
     }
 
     #[test]

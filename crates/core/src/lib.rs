@@ -25,9 +25,7 @@
 //! * the evaluation **metrics** ([`metrics`]): accepted utilization ratio
 //!   and delay statistics;
 //! * design-time **feasibility analysis** ([`analysis`]): which tasks can
-//!   never be admitted, which only contend under worst-case phasing;
-//! * a **deferrable-server** admission alternative ([`server`]) from the
-//!   authors' prior work, used by the ablation benches.
+//!   never be admitted, which only contend under worst-case phasing.
 //!
 //! The discrete-event simulator (`rtcm-sim`) and the threaded runtime
 //! (`rtcm-rt`) both drive these same types, so admission behavior is
@@ -72,7 +70,6 @@ pub mod priority;
 pub mod reconfig;
 pub mod reset;
 pub mod response;
-pub mod server;
 pub mod shard;
 pub mod strategy;
 pub mod task;

@@ -45,7 +45,7 @@ pub use fed::federation::{
 };
 pub use overhead::{DelayModel, OverheadModel};
 pub use simulation::{
-    simulate, simulate_distributed, simulate_governed, simulate_governed_recorded,
-    simulate_recorded, simulate_recorded_with_schedule, simulate_traced, simulate_with_schedule,
-    ExecSpan, GovernedSwitch, GovernorTrace, JobRecord, SimConfig, SimError, SimReport,
+    simulate, simulate_governed, simulate_governed_recorded, simulate_recorded,
+    simulate_recorded_with_schedule, simulate_traced, simulate_with_schedule, ExecSpan,
+    GovernedSwitch, GovernorTrace, JobRecord, SimConfig, SimError, SimReport,
 };

@@ -125,13 +125,6 @@ pub enum SimError {
         /// The offending task id.
         task: TaskId,
     },
-    /// The distributed admission architecture only supports per-job
-    /// admission control without idle resetting (see
-    /// [`simulate_distributed`]).
-    UnsupportedDistributed {
-        /// The offending combination.
-        services: ServiceConfig,
-    },
     /// The governor policy is unusable (invalid rule target, zero
     /// hysteresis, non-finite threshold) — see [`simulate_governed`].
     InvalidPolicy(PolicyError),
@@ -144,10 +137,6 @@ impl fmt::Display for SimError {
             SimError::UnknownTask { task } => {
                 write!(f, "arrival trace references unknown task {task}")
             }
-            SimError::UnsupportedDistributed { services } => write!(
-                f,
-                "distributed admission control supports only J_N_* combinations, got {services}"
-            ),
             SimError::InvalidPolicy(e) => write!(f, "invalid governor policy: {e}"),
         }
     }
@@ -184,13 +173,6 @@ enum Ev {
     /// strategy state. Ties with same-instant arrivals resolve switch
     /// first, so the new mode governs the arrival.
     ModeSwitch(usize),
-    /// Distributed mode: a peer's admission commit reaches `node`.
-    CommitSync {
-        node: usize,
-        job: JobId,
-        arrival: Time,
-        assignment: Assignment,
-    },
 }
 
 #[derive(Debug)]
@@ -272,7 +254,7 @@ pub fn simulate(
     trace: &ArrivalTrace,
     config: &SimConfig,
 ) -> Result<SimReport, SimError> {
-    Simulation::new(tasks, trace, config, false)?.run().map(|(report, _)| report)
+    Ok(Simulation::new(tasks, trace, config, false)?.run().0)
 }
 
 /// Like [`simulate`], but with a [`ModeSchedule`] of timed `ServiceConfig`
@@ -297,7 +279,7 @@ pub fn simulate_with_schedule(
     schedule.validate()?;
     let mut sim = Simulation::new(tasks, trace, config, false)?;
     sim.schedule = schedule.changes().to_vec();
-    sim.run().map(|(report, _)| report)
+    Ok(sim.run().0)
 }
 
 /// Like [`simulate`], additionally returning one [`JobRecord`] per trace
@@ -311,7 +293,7 @@ pub fn simulate_recorded(
     trace: &ArrivalTrace,
     config: &SimConfig,
 ) -> Result<(SimReport, Vec<JobRecord>), SimError> {
-    let (report, records) = Simulation::new(tasks, trace, config, true)?.run()?;
+    let (report, records) = Simulation::new(tasks, trace, config, true)?.run();
     Ok((report, records.expect("recording was enabled")))
 }
 
@@ -330,7 +312,7 @@ pub fn simulate_recorded_with_schedule(
     schedule.validate()?;
     let mut sim = Simulation::new(tasks, trace, config, true)?;
     sim.schedule = schedule.changes().to_vec();
-    let (report, records) = sim.run()?;
+    let (report, records) = sim.run();
     Ok((report, records.expect("recording was enabled")))
 }
 
@@ -396,7 +378,7 @@ pub fn simulate_governed(
 ) -> Result<(SimReport, GovernorTrace), SimError> {
     let mut sim = Simulation::new(tasks, trace, config, false)?;
     sim.attach_governor(policy, window)?;
-    let (report, gov_trace, _) = sim.run_full()?;
+    let (report, gov_trace, _, _) = sim.run_full();
     Ok((report, gov_trace))
 }
 
@@ -419,7 +401,7 @@ pub fn simulate_governed_recorded(
 ) -> Result<(SimReport, GovernorTrace, Vec<JobRecord>), SimError> {
     let mut sim = Simulation::new(tasks, trace, config, true)?;
     sim.attach_governor(policy, window)?;
-    let (report, gov_trace, records) = sim.run_full()?;
+    let (report, gov_trace, records, _) = sim.run_full();
     Ok((report, gov_trace, records.expect("recording was enabled")))
 }
 
@@ -457,46 +439,8 @@ pub fn simulate_traced(
     for cpu in &mut sim.cpus {
         cpu.set_tracing(true);
     }
-    sim.run_traced()
-}
-
-/// Runs the **distributed** admission architecture the paper's §3 weighs
-/// against its centralized design: one admission controller per
-/// application processor decides *locally and immediately* (no manager
-/// round-trip), and commits are synchronized to peers with one network
-/// delay. The stale views let concurrent admissions race past the bound,
-/// so — unlike the centralized architecture — admitted jobs **can** miss
-/// deadlines; the `ablation_distributed` bench quantifies that trade
-/// against the saved round-trip.
-///
-/// Only `J_N_*` combinations are supported: per-task reservations and
-/// idle-reset fan-out would each need their own synchronization protocol,
-/// which is exactly the complexity §3 cites for preferring the
-/// centralized design.
-///
-/// # Errors
-///
-/// As [`simulate`], plus [`SimError::UnsupportedDistributed`] for
-/// combinations other than `J_N_*`.
-pub fn simulate_distributed(
-    tasks: &TaskSet,
-    trace: &ArrivalTrace,
-    config: &SimConfig,
-) -> Result<SimReport, SimError> {
-    if config.services.ac != AcStrategy::PerJob
-        || config.services.ir != rtcm_core::strategy::IrStrategy::None
-    {
-        return Err(SimError::UnsupportedDistributed { services: config.services });
-    }
-    let mut sim = Simulation::new(tasks, trace, config, false)?;
-    sim.distributed = true;
-    let procs = tasks.processor_count();
-    sim.node_acs = (0..procs)
-        .map(|_| {
-            AdmissionController::new(config.services, procs).expect("J_N_* combinations are valid")
-        })
-        .collect();
-    sim.run().map(|(report, _)| report)
+    let (report, _, _, spans) = sim.run_full();
+    Ok((report, spans))
 }
 
 struct Simulation<'a> {
@@ -523,9 +467,6 @@ struct Simulation<'a> {
     schedule: Vec<ModeChange>,
     /// Closed-loop governor state (None for ungoverned runs).
     gov: Option<GovState>,
-    /// Distributed-architecture state (empty in centralized mode).
-    distributed: bool,
-    node_acs: Vec<AdmissionController>,
 }
 
 /// Everything a governed run threads through its sensing ticks.
@@ -596,8 +537,6 @@ impl<'a> Simulation<'a> {
             skips: rtcm_core::metrics::SkipTracker::new(),
             schedule: Vec::new(),
             gov: None,
-            distributed: false,
-            node_acs: Vec::new(),
         })
     }
 
@@ -637,12 +576,14 @@ impl<'a> Simulation<'a> {
         }
     }
 
-    fn run(self) -> Result<(SimReport, Option<Vec<JobRecord>>), SimError> {
-        let (report, _, records) = self.run_full()?;
-        Ok((report, records))
+    fn run(self) -> (SimReport, Option<Vec<JobRecord>>) {
+        let (report, _, records, _) = self.run_full();
+        (report, records)
     }
 
-    fn run_full(mut self) -> Result<(SimReport, GovernorTrace, Option<Vec<JobRecord>>), SimError> {
+    /// The event loop. The spans are empty unless the CPUs were tracing
+    /// ([`simulate_traced`]).
+    fn run_full(mut self) -> (SimReport, GovernorTrace, Option<Vec<JobRecord>>, Vec<ExecSpan>) {
         self.schedule_mode_switches();
         if let Some(gov) = &self.gov {
             // First sensing tick one window in; ticks chain themselves.
@@ -660,42 +601,21 @@ impl<'a> Simulation<'a> {
             self.now = time;
             self.dispatch(ev);
         }
+        let spans = self.drain_spans();
         self.report.end = self.now;
-        self.report.ac = if self.distributed {
-            let mut total = AcStats::default();
-            for ac in &self.node_acs {
-                let s = ac.stats();
-                total.tested += s.tested;
-                total.admitted += s.admitted;
-                total.rejected += s.rejected;
-                total.pass_throughs += s.pass_throughs;
-                total.reset_reports += s.reset_reports;
-                total.reset_utilization += s.reset_utilization;
-            }
-            total
-        } else {
-            self.ac.stats()
-        };
+        self.report.ac = self.ac.stats();
         for (p, cpu) in self.cpus.iter().enumerate() {
             self.report.cpu_busy[p] = cpu.busy_time();
         }
         self.report.skip_runs = self.skips.per_task();
         self.report.max_consecutive_skips = self.skips.worst_case();
         let gov_trace = self.gov.map(|g| g.trace).unwrap_or_default();
-        Ok((self.report, gov_trace, self.records.map(|(records, _)| records)))
+        (self.report, gov_trace, self.records.map(|(records, _)| records), spans)
     }
 
-    /// [`run`](Self::run) plus execution-span extraction from the CPUs'
-    /// transition logs.
-    fn run_traced(mut self) -> Result<(SimReport, Vec<ExecSpan>), SimError> {
-        if !self.trace.is_empty() {
-            let t = self.trace.arrivals()[0].time;
-            self.schedule(t, Ev::Arrival(0));
-        }
-        while let Some(Scheduled { time, ev, .. }) = self.heap.pop() {
-            self.now = time;
-            self.dispatch(ev);
-        }
+    /// Pairs the CPUs' transition logs (recorded only while tracing) into
+    /// execution spans, ordered by start time.
+    fn drain_spans(&mut self) -> Vec<ExecSpan> {
         let mut spans = Vec::new();
         for (p, cpu) in self.cpus.iter_mut().enumerate() {
             let mut open: Option<(SubjobCtx, Time)> = None;
@@ -724,14 +644,7 @@ impl<'a> Simulation<'a> {
             }
         }
         spans.sort_by_key(|s| (s.start, s.processor));
-        self.report.end = self.now;
-        self.report.ac = self.ac.stats();
-        for (p, cpu) in self.cpus.iter().enumerate() {
-            self.report.cpu_busy[p] = cpu.busy_time();
-        }
-        self.report.skip_runs = self.skips.per_task();
-        self.report.max_consecutive_skips = self.skips.worst_case();
-        Ok((self.report, spans))
+        spans
     }
 
     fn record_arrival(&mut self, job: JobId, arrival: Time, utilization: f64) {
@@ -786,13 +699,6 @@ impl<'a> Simulation<'a> {
             Ev::CpuComplete { proc, gen } => self.on_cpu_complete(proc, gen),
             Ev::ModeSwitch(idx) => self.on_mode_switch(idx),
             Ev::GovernorTick => self.on_governor_tick(),
-            Ev::CommitSync { node, job, arrival, assignment } => {
-                let task = self.tasks.get(job.task).expect("validated in new()");
-                let ac = &mut self.node_acs[node];
-                ac.expire(self.now);
-                ac.apply_remote_commit(task, job.seq, arrival, &assignment)
-                    .expect("peers commit validated assignments");
-            }
         }
     }
 
@@ -877,11 +783,6 @@ impl<'a> Simulation<'a> {
             task.job_utilization(),
         );
 
-        if self.distributed {
-            self.distributed_arrival(arrival.task, arrival.seq, arrival.time);
-            return;
-        }
-
         // The TE's per-task fast path: release or drop locally when the
         // periodic task's fate is already known and no per-job relocation is
         // configured.
@@ -927,51 +828,6 @@ impl<'a> Simulation<'a> {
                 te_arrival: arrival.time,
             }),
         );
-    }
-
-    /// Distributed mode: the arrival processor's own controller decides
-    /// immediately on its (possibly stale) view, releases locally, and
-    /// broadcasts the commit to every peer with one network delay.
-    fn distributed_arrival(&mut self, task_id: TaskId, seq: u64, arrival: Time) {
-        let task = self.tasks.get(task_id).expect("validated in new()");
-        let arrival_proc = task.subtasks()[0].primary.index();
-        let ac = &mut self.node_acs[arrival_proc];
-        ac.expire(self.now);
-        let decision = ac
-            .handle_arrival(task, seq, arrival)
-            .expect("trace arrivals are unique and tasks fit the deployment");
-        match decision {
-            Decision::Accept { assignment, .. } => {
-                self.skips.record(task_id, true);
-                if assignment.is_reallocation(task) {
-                    self.report.reallocations += 1;
-                }
-                let job = JobId::new(task_id, seq);
-                self.jobs.insert(
-                    job,
-                    JobState {
-                        te_arrival: arrival,
-                        abs_deadline: arrival + task.deadline(),
-                        assignment: assignment.clone(),
-                    },
-                );
-                let release_at = self.now + self.overheads.te_release;
-                self.schedule(release_at, Ev::Release { job, subtask: 0, is_job_release: true });
-                for node in 0..self.node_acs.len() {
-                    if node == arrival_proc {
-                        continue;
-                    }
-                    let delay = self.comm();
-                    self.schedule(
-                        self.now + delay,
-                        Ev::CommitSync { node, job, arrival, assignment: assignment.clone() },
-                    );
-                }
-            }
-            Decision::Reject { .. } => {
-                self.skips.record(task_id, false);
-            }
-        }
     }
 
     fn manager_service_time(&self, req: &ManagerReq) -> Duration {
@@ -1294,61 +1150,6 @@ mod tests {
         assert!(lb.ratio.ratio() > no_lb.ratio.ratio());
         assert!(lb.reallocations > 0);
         assert!(lb.cpu_busy[1] > Duration::ZERO, "P1 actually executed work");
-    }
-
-    #[test]
-    fn distributed_rejects_unsupported_configs() {
-        let tasks = one_task_set();
-        let trace = trace_for(&tasks, 200);
-        for bad in ["T_N_N", "J_J_N", "J_T_T"] {
-            let cfg = SimConfig::ideal(bad.parse().unwrap());
-            assert!(
-                matches!(
-                    super::simulate_distributed(&tasks, &trace, &cfg),
-                    Err(SimError::UnsupportedDistributed { .. })
-                ),
-                "combo {bad}"
-            );
-        }
-    }
-
-    #[test]
-    fn distributed_matches_centralized_on_one_processor() {
-        // With a single application processor there are no peers to race:
-        // under zero overheads both architectures admit identically.
-        let t0 = TaskBuilder::periodic(TaskId(0), Duration::from_millis(100))
-            .subtask(Duration::from_millis(45), ProcessorId(0), [])
-            .build()
-            .unwrap();
-        let t1 = TaskBuilder::periodic(TaskId(1), Duration::from_millis(100))
-            .subtask(Duration::from_millis(45), ProcessorId(0), [])
-            .build()
-            .unwrap();
-        let tasks = TaskSet::from_tasks([t0, t1]).unwrap();
-        let trace = trace_for(&tasks, 1_000);
-        let cfg = SimConfig::ideal("J_N_N".parse().unwrap());
-        let central = simulate(&tasks, &trace, &cfg).unwrap();
-        let distributed = super::simulate_distributed(&tasks, &trace, &cfg).unwrap();
-        assert_eq!(central.ratio, distributed.ratio);
-        assert_eq!(central.deadline_misses, distributed.deadline_misses);
-    }
-
-    #[test]
-    fn distributed_decides_without_manager_round_trip() {
-        let tasks = one_task_set();
-        let trace = trace_for(&tasks, 1_000);
-        // Full overheads: centralized pays ~1 ms of admission path per job;
-        // distributed releases locally after te_release only.
-        let cfg = SimConfig::new("J_N_N".parse().unwrap());
-        let central = simulate(&tasks, &trace, &cfg).unwrap();
-        let distributed = super::simulate_distributed(&tasks, &trace, &cfg).unwrap();
-        assert!(
-            distributed.response.mean() + Duration::from_micros(500) < central.response.mean(),
-            "distributed {} vs centralized {}",
-            distributed.response.mean(),
-            central.response.mean()
-        );
-        assert_eq!(distributed.ir_reports, 0);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   standard way to realize that and is seedable here).
 //! * **Aperiodic tasks** arrive as a Poisson process: exponential
 //!   interarrival times with mean `poisson_factor × deadline`. The paper
-//!   does not state its rate; 2× the deadline is our documented default,
-//!   and the ablation benches sweep the factor.
+//!   does not state its rate; 2× the deadline is our documented default
+//!   (EXPERIMENTS.md, "Retired: `ablation_poisson`", has the sweep).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -369,116 +369,6 @@ impl CorrelatedBurstScenario {
     }
 }
 
-/// A sustained **event storm**: every aperiodic task fires at a high
-/// Poisson rate across the *entire* horizon — no burst window, no relief.
-/// Where [`BurstScenario`] models a transient overload the admission
-/// control must survive, the storm models the paper's testbed at its
-/// event-handling limit: a steady flood in which every arrival crosses
-/// the federated channel (Task Arrive → Accept/Reject → Trigger → Idle
-/// Reset), so middleware overhead — not schedulability — dominates. It is
-/// the workload behind the `micro_events` fast-path numbers at system
-/// scale.
-///
-/// `poisson_factor` is the mean interarrival in units of each task's
-/// deadline; the default 0.02 fires each aperiodic task about fifty times
-/// per deadline — a hundredfold the nominal `2.0` of [`BurstScenario`]'s
-/// calm phase, thousands of channel crossings per minute on the §7.1
-/// task set.
-///
-/// # Examples
-///
-/// ```
-/// use rtcm_workload::EventStormScenario;
-///
-/// let scenario = EventStormScenario::default();
-/// let (tasks, trace) = scenario.generate(1)?;
-/// assert!(trace.len() > 1000, "a storm floods the channel");
-/// # let _ = tasks;
-/// # Ok::<(), rtcm_workload::WorkloadError>(())
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EventStormScenario {
-    /// The underlying task-set shape.
-    pub workload: RandomWorkload,
-    /// Total trace horizon.
-    pub horizon: Duration,
-    /// Mean aperiodic interarrival = `poisson_factor × deadline`
-    /// (smaller ⇒ denser storm; must be positive).
-    pub poisson_factor: f64,
-    /// Periodic phasing.
-    pub phasing: Phasing,
-}
-
-impl Default for EventStormScenario {
-    fn default() -> Self {
-        EventStormScenario {
-            workload: RandomWorkload::default(),
-            horizon: Duration::from_secs(60),
-            poisson_factor: 0.02,
-            phasing: Phasing::RandomPhase,
-        }
-    }
-}
-
-impl EventStormScenario {
-    /// Expected aperiodic arrival rate (events/second) of the storm over
-    /// `tasks`: `Σ 1 / (poisson_factor × deadline)` over aperiodic tasks.
-    #[must_use]
-    pub fn expected_aperiodic_rate(&self, tasks: &TaskSet) -> f64 {
-        tasks
-            .iter()
-            .filter(|t| !t.is_periodic())
-            .map(|t| 1.0 / t.deadline().mul_f64(self.poisson_factor).as_secs_f64())
-            .sum()
-    }
-
-    /// Generates the task set and its storm-shaped arrival trace.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WorkloadError`] for non-positive/non-finite
-    /// `poisson_factor` or unsatisfiable workload shapes.
-    pub fn generate(&self, seed: u64) -> Result<(TaskSet, ArrivalTrace), WorkloadError> {
-        if !(self.poisson_factor.is_finite() && self.poisson_factor > 0.0) {
-            return Err(WorkloadError::Parameters(format!(
-                "storm poisson factor {} must be positive and finite",
-                self.poisson_factor
-            )));
-        }
-        let tasks = self.workload.generate(seed)?;
-        let mut arrivals = Vec::new();
-        for task in tasks.iter() {
-            let mut rng = task_stream(seed, task.id());
-            match task.kind().period() {
-                Some(period) => push_periodic_arrivals(
-                    &mut rng,
-                    period,
-                    self.phasing,
-                    self.horizon,
-                    task.id(),
-                    &mut arrivals,
-                ),
-                None => {
-                    // Homogeneous storm: the "burst" window is empty, so
-                    // the sampler runs at the storm mean throughout.
-                    let mean = task.deadline().mul_f64(self.poisson_factor);
-                    sample_piecewise_poisson(
-                        &mut rng,
-                        mean,
-                        mean,
-                        Duration::ZERO,
-                        Duration::ZERO,
-                        self.horizon,
-                        task.id(),
-                        &mut arrivals,
-                    );
-                }
-            }
-        }
-        Ok((tasks, ArrivalTrace::from_arrivals(arrivals)))
-    }
-}
-
 /// A [`BurstScenario`] paired with a **defensive mode change**: the system
 /// starts in a vulnerable baseline configuration, and a timed
 /// [`ModeSchedule`] switches it to a defensive configuration mid-burst
@@ -801,52 +691,6 @@ mod tests {
         let mut bad = correlated(Vec::new());
         bad.burst_start = Duration::from_secs(80);
         bad.burst_duration = Duration::from_secs(30);
-        assert!(bad.generate(0).is_err());
-    }
-
-    #[test]
-    fn event_storm_is_dense_deterministic_and_in_horizon() {
-        let s = EventStormScenario {
-            horizon: Duration::from_secs(30),
-            ..EventStormScenario::default()
-        };
-        let (t1, a1) = s.generate(2).unwrap();
-        let (t2, a2) = s.generate(2).unwrap();
-        assert_eq!(t1.tasks(), t2.tasks());
-        assert_eq!(a1, a2, "same seed, same storm");
-
-        // The realized aperiodic density tracks the analytic rate.
-        let aperiodic: Vec<TaskId> =
-            t1.iter().filter(|t| !t.is_periodic()).map(|t| t.id()).collect();
-        assert!(!aperiodic.is_empty(), "the §7.1 workload carries aperiodic tasks");
-        let count = a1.iter().filter(|a| aperiodic.contains(&a.task)).count() as f64;
-        let expected = s.expected_aperiodic_rate(&t1) * 30.0;
-        assert!(
-            count > expected * 0.5 && count < expected * 2.0,
-            "{count} aperiodic arrivals vs ~{expected} expected"
-        );
-
-        for pair in a1.arrivals().windows(2) {
-            assert!(pair[0].time <= pair[1].time, "sorted trace");
-        }
-        for a in a1.iter() {
-            assert!(a.time.elapsed_since(Time::ZERO) < s.horizon);
-        }
-
-        // A storm is *much* denser than the burst scenario's calm phase
-        // (factor 0.02 vs 2.0: a hundredfold the aperiodic rate).
-        let calm = BurstScenario {
-            workload: s.workload.clone(),
-            horizon: s.horizon,
-            burst_start: Duration::from_secs(10),
-            burst_duration: Duration::from_secs(1),
-            ..BurstScenario::default()
-        };
-        let (_, calm_trace) = calm.generate(2).unwrap();
-        assert!(a1.len() > 2 * calm_trace.len(), "storm {} vs calm {}", a1.len(), calm_trace.len());
-
-        let mut bad = s;
-        bad.poisson_factor = 0.0;
         assert!(bad.generate(0).is_err());
     }
 
