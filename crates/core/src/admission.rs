@@ -69,7 +69,7 @@ use crate::aub::{aub_delta, aub_term, bound_lhs, BOUND_EPSILON};
 use crate::balance::{Assignment, LoadBalancer};
 use crate::ledger::{ContributionKey, Lifetime, UtilizationLedger};
 use crate::reconfig::{HandoverReport, ReconfigPlan, TransitionStep};
-use crate::strategy::{AcStrategy, InvalidConfigError, ServiceConfig};
+use crate::strategy::{InvalidConfigError, ServiceConfig};
 use crate::task::{JobId, ProcessorId, TaskId, TaskSet, TaskSpec};
 use crate::time::Time;
 
@@ -689,7 +689,7 @@ impl AdmissionController {
         Self::check_seq(task.id(), seq)?;
         self.check_processors(task)?;
 
-        if self.uses_reservation(task) {
+        if self.config.decides_per_task(task) {
             // Reservation path (pass-throughs, relocation): funnel-per-step.
             self.expire(now);
             if let Some(decision) = self.try_pass_through(task)? {
@@ -914,14 +914,10 @@ impl AdmissionController {
         Ok(())
     }
 
-    fn uses_reservation(&self, task: &TaskSpec) -> bool {
-        task.is_periodic() && self.config.ac == AcStrategy::PerTask
-    }
-
     /// Pre-test short-circuits for per-task periodic tasks: pass-through on
     /// an existing reservation, immediate reject after an earlier failure.
     fn try_pass_through(&mut self, task: &TaskSpec) -> Result<Option<Decision>, AdmissionError> {
-        if !self.uses_reservation(task) {
+        if !self.config.decides_per_task(task) {
             return Ok(None);
         }
         if self.rejected_tasks.contains(&task.id()) {
@@ -1058,7 +1054,7 @@ impl AdmissionController {
     ) -> Result<Decision, AdmissionError> {
         self.stats.tested += 1;
 
-        let reserve = self.uses_reservation(task);
+        let reserve = self.config.decides_per_task(task);
         let (key_job, lifetime, entry_deadline) = if reserve {
             (JobId::new(task.id(), RESERVED_SEQ), Lifetime::Reserved, Time::MAX)
         } else {
@@ -1354,7 +1350,7 @@ impl AdmissionController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy::{IrStrategy, LbStrategy};
+    use crate::strategy::{AcStrategy, IrStrategy, LbStrategy};
     use crate::task::TaskBuilder;
     use crate::time::Duration;
 

@@ -31,6 +31,8 @@ use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
 
+use crate::task::TaskSpec;
+
 /// When the admission test (paper eq. 1) is applied to periodic tasks.
 ///
 /// Aperiodic arrivals are always tested individually: every aperiodic job
@@ -240,6 +242,23 @@ impl ServiceConfig {
     #[must_use]
     pub fn all_valid() -> Vec<ServiceConfig> {
         ServiceConfig::all().into_iter().filter(|c| c.is_valid()).collect()
+    }
+
+    /// The task-effector rule, first half: `task`'s admission is decided
+    /// once per task — its first job's verdict stands for every later job —
+    /// because it is periodic and admission control is per task (§4.1).
+    /// Aperiodic jobs are always decided one by one.
+    #[must_use]
+    pub fn decides_per_task(self, task: &TaskSpec) -> bool {
+        task.is_periodic() && self.ac == AcStrategy::PerTask
+    }
+
+    /// The task-effector rule, second half: `task`'s accepted jobs release
+    /// locally at the arrival processor, with no manager round trip — it is
+    /// decided per task and load balancing does not re-place each job (§5).
+    #[must_use]
+    pub fn releases_locally(self, task: &TaskSpec) -> bool {
+        self.decides_per_task(task) && self.lb != LbStrategy::PerJob
     }
 
     /// The figure label, e.g. `J_T_N`.

@@ -31,9 +31,9 @@
 //!   one [`crate::fanout::EventLog`]: a publish is one lock + one buffer
 //!   push for *all* of them, and every receiver observes the same
 //!   [`bytes::Bytes`] payload allocation.
-//! * **Single-lock parcels.** Remote destinations are sequenced and
-//!   latency-sampled under **one** `net` lock acquisition per publish, and
-//!   the whole parcel batch rides one channel send to the network thread.
+//! * **Single-lock parcels.** Remote destinations are sequenced,
+//!   latency-sampled and handed to the network thread under **one** `net`
+//!   lock acquisition per publish: its inbox lives behind that same lock.
 //!
 //! Determinism contract: for a fixed seed, a fixed subscription set and a
 //! single publishing thread, delivery order and the sampled parcel
@@ -58,10 +58,9 @@
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 use std::time::{Duration as StdDuration, Instant};
 
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -202,12 +201,15 @@ impl Registry {
 }
 
 /// Remote-parcel state: the jitter RNG, the parcel sequencer and the
-/// network-thread sender share **one** lock so a publish acquires it once
+/// network thread's inbox share **one** lock so a publish acquires it once
 /// for its whole destination batch.
 struct NetState {
     rng: StdRng,
     seq: u64,
-    tx: Option<Sender<Vec<Parcel>>>,
+    /// Parcels sequenced but not yet taken by the network thread, which
+    /// parks on [`Inner::net_ready`] while it is empty; `None` once shut
+    /// down.
+    inbox: Option<Vec<Parcel>>,
 }
 
 struct Inner {
@@ -219,7 +221,10 @@ struct Inner {
     /// Published *after* the table swap (release); handle caches validate
     /// against it with one acquire load.
     generation: AtomicU64,
-    net: Mutex<NetState>,
+    /// A std mutex, unlike its neighbours: the network thread waits on
+    /// `net_ready` with it.
+    net: std::sync::Mutex<NetState>,
+    net_ready: Condvar,
     counters: FanoutCounters,
     /// TCP bridges currently running on this federation (see
     /// [`ChannelHandle::fail_bridges_from`]).
@@ -227,6 +232,13 @@ struct Inner {
 }
 
 impl Inner {
+    /// Every update under the `net` lock leaves it valid at every step (a
+    /// push, a counter bump), so a poisoned lock is recovered, as the
+    /// other locks here do.
+    fn lock_net(&self) -> MutexGuard<'_, NetState> {
+        self.net.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Rebuilds the routing snapshot from the registry (caller holds the
     /// registry lock, serializing writers).
     fn rebuild_table(&self, reg: &Registry) {
@@ -305,7 +317,6 @@ impl Federation {
     /// jitter sampling.
     #[must_use]
     pub fn new(node_count: u16, latency: Latency, seed: u64) -> Self {
-        let (tx, rx) = channel::unbounded::<Vec<Parcel>>();
         let inner = Arc::new(Inner {
             node_count,
             host_id: mint_host_id(),
@@ -313,14 +324,19 @@ impl Federation {
             registry: Mutex::new(Registry::default()),
             table: RwLock::new(Arc::new(RouteTable { generation: 0, routes: HashMap::new() })),
             generation: AtomicU64::new(0),
-            net: Mutex::new(NetState { rng: StdRng::seed_from_u64(seed), seq: 0, tx: Some(tx) }),
+            net: std::sync::Mutex::new(NetState {
+                rng: StdRng::seed_from_u64(seed),
+                seq: 0,
+                inbox: Some(Vec::new()),
+            }),
+            net_ready: Condvar::new(),
             counters: FanoutCounters::default(),
             bridges: Mutex::new(Vec::new()),
         });
         let thread_inner = Arc::clone(&inner);
         let net_thread = std::thread::Builder::new()
             .name("rtcm-events-net".into())
-            .spawn(move || network_loop(&thread_inner, &rx))
+            .spawn(move || network_loop(&thread_inner))
             .expect("spawn network thread");
         Federation { inner, net_thread: Some(net_thread) }
     }
@@ -365,9 +381,14 @@ impl Federation {
     /// immediately (best effort). Local publish/subscribe keeps working;
     /// cross-node forwarding stops.
     pub fn shutdown(&mut self) {
-        self.inner.net.lock().tx = None;
+        let unsent = self.inner.lock_net().inbox.take();
+        self.inner.net_ready.notify_one();
         if let Some(t) = self.net_thread.take() {
             let _ = t.join();
+        }
+        // After the thread flushed what it already held, in hand-over order.
+        for p in unsent.into_iter().flatten() {
+            self.inner.deliver_remote(p.to, &p.event);
         }
     }
 }
@@ -378,7 +399,7 @@ impl Drop for Federation {
     }
 }
 
-fn network_loop(inner: &Arc<Inner>, rx: &Receiver<Vec<Parcel>>) {
+fn network_loop(inner: &Arc<Inner>) {
     let mut heap: BinaryHeap<Parcel> = BinaryHeap::new();
     loop {
         let now = Instant::now();
@@ -399,25 +420,27 @@ fn network_loop(inner: &Arc<Inner>, rx: &Receiver<Vec<Parcel>>) {
                 std::hint::spin_loop();
                 continue;
             }
-            Some(d) => match rx.recv_timeout(d) {
-                Ok(batch) => heap.extend(batch),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
-            },
-            None => match rx.recv() {
-                Ok(batch) => heap.extend(batch),
-                Err(_) => break,
-            },
+            _ => {}
+        }
+        // Park until parcels arrive, the next delivery is due, or shutdown;
+        // whatever woke us, take what is there and look again.
+        let mut net = inner.lock_net();
+        if net.inbox.as_ref().is_some_and(Vec::is_empty) {
+            net = match wait {
+                Some(d) => {
+                    inner.net_ready.wait_timeout(net, d).unwrap_or_else(PoisonError::into_inner).0
+                }
+                None => inner.net_ready.wait(net).unwrap_or_else(PoisonError::into_inner),
+            };
+        }
+        match net.inbox.as_mut() {
+            Some(inbox) => heap.extend(inbox.drain(..)),
+            None => break,
         }
     }
     // Shutdown: flush whatever is left, immediately.
     while let Some(p) = heap.pop() {
         inner.deliver_remote(p.to, &p.event);
-    }
-    while let Ok(batch) = rx.try_recv() {
-        for p in batch {
-            inner.deliver_remote(p.to, &p.event);
-        }
     }
 }
 
@@ -565,7 +588,7 @@ impl ChannelHandle {
         // sent, as documented).
         let mut delivered = local_delivered;
         if !route.remotes.is_empty() {
-            delivered += self.send_parcels(&route.remotes, &event);
+            delivered += self.send_parcels(route.remotes.iter().map(|&to| (to, &event)));
         }
         if local_delivered > 0 {
             counters.delivered.fetch_add(local_delivered as u64, Ordering::Relaxed);
@@ -620,37 +643,15 @@ impl ChannelHandle {
             start = end;
         }
 
-        // One net-lock acquisition and one channel send for every remote
-        // parcel of the whole batch.
-        let mut sent = 0usize;
-        if !parcels.is_empty() {
-            let mut net = self.inner.net.lock();
-            if net.tx.is_some() {
-                let now = Instant::now();
-                let mut out = Vec::new();
-                for (remotes, events) in &parcels {
-                    for event in events {
-                        for &to in *remotes {
-                            let delay = self.inner.latency.sample(&mut net.rng);
-                            net.seq += 1;
-                            out.push(Parcel {
-                                deliver_at: now + delay,
-                                seq: net.seq,
-                                to,
-                                event: event.clone(),
-                            });
-                        }
-                    }
-                }
-                sent = out.len();
-                let tx = net.tx.as_ref().expect("checked above");
-                if tx.send(out).is_ok() {
-                    counters.remote_parcels.fetch_add(sent as u64, Ordering::Relaxed);
-                } else {
-                    sent = 0;
-                }
-            }
-        }
+        // One net-lock acquisition for every remote parcel of the whole
+        // batch.
+        let sent = if parcels.is_empty() {
+            0
+        } else {
+            self.send_parcels(parcels.iter().flat_map(|(remotes, events)| {
+                events.iter().flat_map(move |event| remotes.iter().map(move |&to| (to, event)))
+            }))
+        };
 
         if local_delivered > 0 {
             counters.delivered.fetch_add(local_delivered as u64, Ordering::Relaxed);
@@ -682,29 +683,28 @@ impl ChannelHandle {
         self.inner.counters.snapshot()
     }
 
-    /// Sequences and latency-samples the whole destination batch under one
-    /// `net` lock acquisition, then hands it to the network thread as one
-    /// message. Destinations ascend, so the per-seed RNG stream is stable.
-    fn send_parcels(&self, remotes: &[NodeId], event: &Event) -> usize {
-        let mut net = self.inner.net.lock();
-        if net.tx.is_none() {
+    /// Sequences and latency-samples a publish's whole destination batch
+    /// and puts it in the network thread's inbox, all under one `net` lock
+    /// acquisition. Destinations ascend per event, so the per-seed RNG
+    /// stream is stable.
+    fn send_parcels<'e>(&self, parcels: impl Iterator<Item = (NodeId, &'e Event)>) -> usize {
+        let mut guard = self.inner.lock_net();
+        let net = &mut *guard;
+        let Some(inbox) = net.inbox.as_mut() else {
             return 0; // shut down: no forwarding, no RNG consumption
-        }
+        };
         let now = Instant::now();
-        let mut batch = Vec::with_capacity(remotes.len());
-        for &to in remotes {
+        let before = inbox.len();
+        for (to, event) in parcels {
             let delay = self.inner.latency.sample(&mut net.rng);
             net.seq += 1;
-            batch.push(Parcel { deliver_at: now + delay, seq: net.seq, to, event: event.clone() });
+            inbox.push(Parcel { deliver_at: now + delay, seq: net.seq, to, event: event.clone() });
         }
-        let sent = batch.len();
-        let tx = net.tx.as_ref().expect("checked above");
-        if tx.send(batch).is_ok() {
-            self.inner.counters.remote_parcels.fetch_add(sent as u64, Ordering::Relaxed);
-            sent
-        } else {
-            0
-        }
+        let sent = inbox.len() - before;
+        drop(guard);
+        self.inner.net_ready.notify_one();
+        self.inner.counters.remote_parcels.fetch_add(sent as u64, Ordering::Relaxed);
+        sent
     }
 }
 

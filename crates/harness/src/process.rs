@@ -8,9 +8,8 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, ChildStdin, Command as OsCommand, Stdio};
+use std::sync::mpsc::{self, Receiver};
 use std::time::Duration;
-
-use crossbeam::channel::{self, Receiver};
 
 use crate::protocol::{Command, Reply, READY_PREFIX};
 
@@ -77,7 +76,7 @@ impl NodeProc {
         let stdout =
             child.stdout.take().ok_or_else(|| ProcError::Spawn("no stdout pipe".into()))?;
 
-        let (tx, lines) = channel::unbounded();
+        let (tx, lines) = mpsc::channel();
         std::thread::Builder::new()
             .name("rtcm-node-stdout".into())
             .spawn(move || {

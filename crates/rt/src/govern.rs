@@ -27,10 +27,9 @@
 //! boundary it overruns entirely is skipped and counted in
 //! [`SystemReport::governor_overruns`](crate::stats::SystemReport::governor_overruns).
 
+use std::sync::mpsc::{channel, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::Duration as StdDuration;
-
-use crossbeam::channel::{unbounded, Sender, TryRecvError};
 
 use rtcm_core::govern::{
     CumulativeLoad, Governor, GovernorDecision, GovernorPolicy, PolicyError, WindowSensor,
@@ -152,7 +151,7 @@ pub(crate) fn spawn_governor_thread(
     clock: Clock,
 ) -> Result<GovernorHandle, PolicyError> {
     let mut governor = Governor::new(policy)?;
-    let (stop_tx, stop_rx) = unbounded();
+    let (stop_tx, stop_rx) = channel();
     let log = Arc::new(GovernorLog {
         events: std::sync::Mutex::new(Vec::new()),
         appended: std::sync::Condvar::new(),

@@ -56,7 +56,7 @@ pub use govern::{GovernorEvent, GovernorHandle};
 pub use node::ExecMode;
 pub use proto::ReconfigAbortReason;
 pub use quorum::{QuorumMember, QuorumOptions};
-pub use quorum_sm::{CoordinatorSm, Fence, MemberReaction, MemberSm, QuorumStatus};
+pub use quorum_sm::{CoordinatorSm, Fence, MemberReaction, MemberSm, SwapResolution};
 pub use reactor::{Reactor, TimerId, TimerWheel, Wake, DEFAULT_TICK};
 pub use stats::{ReconfigAbortBreakdown, SharedStats, SystemReport};
 pub use system::{LaunchError, ReconfigReport, ReconfigureError, RtOptions, SubmitError, System};

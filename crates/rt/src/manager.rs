@@ -16,20 +16,23 @@
 //! event fencing every task effector's local fast path, defers incoming
 //! admission decisions while collecting acks, executes the admission
 //! controller's ledger handover, and publishes *commit* — or *abort*,
-//! restoring the old configuration, if a node never acks.
+//! restoring the old configuration, if a node never acks. The protocol
+//! itself is the pure [`CoordinatorSm`]; this thread only moves its
+//! messages and arms its timer, from the one loop that does everything
+//! else.
 
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
+use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant};
 
-use crossbeam::channel::{Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
 
 use rtcm_core::admission::{AdmissionController, Decision};
 use rtcm_core::balance::Assignment;
 use rtcm_core::govern::slack_and_imbalance;
 use rtcm_core::ledger::ContributionKey;
-use rtcm_core::strategy::{AcStrategy, ServiceConfig};
+use rtcm_core::strategy::ServiceConfig;
 use rtcm_core::task::{ProcessorId, TaskSet};
 use rtcm_core::time::{Duration, Time};
 use rtcm_events::{topics, ChannelHandle, Event, EventReceiver};
@@ -39,15 +42,18 @@ use crate::proto::{
     self, AcceptMsg, ArriveMsg, IdleResetMsg, ReconfigAbortReason, ReconfigMsg, ReconfigPhase,
     RejectMsg, Wire,
 };
-use crate::quorum_sm::{CoordinatorSm, QuorumStatus};
+use crate::quorum_sm::{CoordinatorSm, SwapResolution};
 use crate::reactor::{Reactor, TimerId, Wake, DEFAULT_TICK};
 use crate::stats::SharedStats;
 use crate::system::{ReconfigReport, ReconfigureError};
 
+/// Where a swap's outcome goes.
+type SwapReply = Sender<Result<ReconfigReport, ReconfigureError>>;
+
 /// Control requests from the launcher to the manager thread.
 pub(crate) enum ManagerCtl {
     /// Run the two-phase swap to `target` and reply with the outcome.
-    Reconfigure { target: ServiceConfig, reply: Sender<Result<ReconfigReport, ReconfigureError>> },
+    Reconfigure { target: ServiceConfig, reply: SwapReply },
     /// Expire the current set up to *now* and reply with fresh
     /// `(aub_slack, imbalance)` gauges from the ledger's maintained
     /// totals. Sent once per governor sensing window, so an idle system's
@@ -92,7 +98,8 @@ pub(crate) fn run_manager(cfg: ManagerConfig) {
     let coordinator = (u64::from(std::process::id()) << 32)
         | NEXT_COORDINATOR.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let reactor = Reactor::new(cfg.clock, DEFAULT_TICK);
-    let mut manager = Manager { cfg, coordinator, epoch: 0, reactor };
+    let swap = CoordinatorSm::new(coordinator, cfg.channel.host_id());
+    let mut manager = Manager { cfg, swap, parked: None, queued: VecDeque::new(), reactor };
     manager.run();
 }
 
@@ -107,12 +114,17 @@ enum MgrTimer {
 
 struct Manager {
     cfg: ManagerConfig,
-    /// This manager's protocol identity; acks not bearing it are ignored,
+    /// The swap coordinator — the same machine the federation simulator
+    /// drives in virtual time. Its wire identity is unique to this manager,
     /// so a bridged-in foreign reconfiguration can never pre-satisfy a
     /// local prepare quorum.
-    coordinator: u64,
-    /// Monotone reconfiguration epoch (acks echo it).
-    epoch: u64,
+    swap: CoordinatorSm<ArriveMsg>,
+    /// The pending swap's requester and its ack-deadline wheel entry;
+    /// `Some` exactly while `swap` has a prepare out.
+    parked: Option<(SwapReply, Option<TimerId>)>,
+    /// Requests that found a prepare out, oldest first: a coordinator
+    /// serializes its swaps, so they wait their turn.
+    queued: VecDeque<(ServiceConfig, SwapReply)>,
     /// Timer wheel + single-wait loop (see [`MgrTimer`]).
     reactor: Reactor<Clock, MgrTimer>,
 }
@@ -125,10 +137,8 @@ enum CtlFlow {
 
 impl Manager {
     fn run(&mut self) {
-        loop {
-            if matches!(self.poll_ctl(), CtlFlow::Exit) {
-                return;
-            }
+        let mut fired: Vec<(TimerId, MgrTimer)> = Vec::new();
+        while matches!(self.poll_ctl(), CtlFlow::Continue) {
             // Park on the mailbox. Every control sender (reconfigure
             // requests, gauge probes, shutdown) publishes a
             // `topics::MANAGER_WAKE` kick after enqueueing, so this wait
@@ -149,28 +159,55 @@ impl Manager {
                     }
                 }
                 Wake::Timer => {
-                    // No steady-state wheel entries exist; reap anything
-                    // stale (e.g. a prepare deadline that raced its cancel).
+                    // Either the ack deadline or an intermediate cascade
+                    // boundary, which fires nothing.
                     self.cfg.stats.timer_wakeup();
-                    let mut fired = Vec::new();
+                    fired.clear();
                     self.reactor.poll(&mut fired);
+                    if !fired.is_empty() {
+                        let now_ns = self.cfg.clock.now().as_nanos();
+                        if let Some(resolution) = self.swap.on_deadline(now_ns) {
+                            self.finish_swap(resolution);
+                        }
+                    }
                 }
-                Wake::Closed => return,
+                Wake::Closed => break,
             }
+        }
+        // Leaving with a prepare out: nothing was applied anywhere and
+        // member fences expire on their own, so there is no abort to
+        // publish — the requester just learns the system closed.
+        if let Some((reply, _)) = self.parked.take() {
+            let _ = reply.send(Err(ReconfigureError::Closed));
         }
     }
 
-    /// Steady-state event dispatch. Reconfiguration acks arriving outside
-    /// a prepare window are stale (the swap they voted on is decided) and
-    /// are dropped, exactly as the ack check inside the prepare loop would.
+    /// The one event dispatch, inside a prepare window and out.
     fn on_event(&mut self, ev: &Event) {
         if ev.topic == topics::TASK_ARRIVE {
-            if let Some(msg) = self.decode(ev) {
-                self.on_arrive(&msg);
+            if let Some(msg) = self.decode::<ArriveMsg>(ev) {
+                // Quiesce-free: running subjobs continue through a swap;
+                // only *new admission decisions* wait for it to resolve.
+                if self.swap.pending_epoch().is_some() {
+                    self.swap.defer(msg);
+                } else {
+                    self.on_arrive(&msg);
+                }
             }
         } else if ev.topic == topics::IDLE_RESET {
+            // Idle resets carry no decision; mid-prepare too they apply
+            // at once.
             if let Some(msg) = self.decode(ev) {
                 self.on_reset(&msg);
+            }
+        } else if ev.topic == topics::RECONFIG_ACK {
+            // An undecodable vote is no vote, and one arriving outside a
+            // prepare window is stale: the machine drops it.
+            if let Some(ack) = self.decode(ev) {
+                let now_ns = self.cfg.clock.now().as_nanos();
+                if let Some(resolution) = self.swap.on_ack(&ack, now_ns) {
+                    self.finish_swap(resolution);
+                }
             }
         }
     }
@@ -191,9 +228,7 @@ impl Manager {
         loop {
             match self.cfg.ctl_rx.try_recv() {
                 Ok(ManagerCtl::Reconfigure { target, reply }) => {
-                    if !self.on_reconfigure(target, &reply) {
-                        return CtlFlow::Exit;
-                    }
+                    self.queued.push_back((target, reply));
                 }
                 Ok(ManagerCtl::SenseGauges { reply }) => {
                     self.cfg.ac.expire(self.cfg.clock.now());
@@ -204,179 +239,126 @@ impl Manager {
                     });
                     let _ = reply.send(gauges);
                 }
-                Err(TryRecvError::Empty) => return CtlFlow::Continue,
+                Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => return CtlFlow::Exit,
+            }
+        }
+        while self.parked.is_none() {
+            let Some((target, reply)) = self.queued.pop_front() else { break };
+            self.begin_swap(target, reply);
+        }
+        CtlFlow::Continue
+    }
+
+    /// Phase 1 (prepare): fence every task effector's local fast path. The
+    /// prepare quorum is every local processor *plus* every registered
+    /// TCP-bridged federation: bridged hosts are voting members, not
+    /// observers, and their silence (partition, crash) aborts the swap at
+    /// the same deadline a silent local node would.
+    fn begin_swap(&mut self, target: ServiceConfig, reply: SwapReply) {
+        let remote: HashSet<u64> = self.cfg.remote_voters.lock().clone();
+        let begun = self.swap.begin(
+            target,
+            self.cfg.ac.config(),
+            self.cfg.processors,
+            remote,
+            self.cfg.clock.now().as_nanos(),
+            self.cfg.ack_timeout.as_nanos() as u64,
+        );
+        match begun {
+            Err(e) => {
+                self.cfg
+                    .stats
+                    .with(|r| r.reconfig_abort_reasons.record(ReconfigAbortReason::Validation));
+                let _ = reply.send(Err(ReconfigureError::InvalidConfig(e)));
+            }
+            Ok((prepare, resolution)) => {
+                self.publish_phase(&prepare);
+                // The ack deadline is a wheel entry, not a poll cadence:
+                // the loop parks on min(deadline, mailbox).
+                let timer = self
+                    .swap
+                    .deadline_ns()
+                    .map(|at| self.reactor.schedule_at(at, MgrTimer::PrepareDeadline));
+                self.parked = Some((reply, timer));
+                if let Some(resolution) = resolution {
+                    self.finish_swap(resolution);
+                }
             }
         }
     }
 
-    /// The two-phase swap. Returns false if shutdown arrived mid-protocol
-    /// (the manager loop must exit).
-    fn on_reconfigure(
-        &mut self,
-        target: ServiceConfig,
-        reply: &Sender<Result<ReconfigReport, ReconfigureError>>,
-    ) -> bool {
-        let started_ns = self.cfg.clock.now().as_nanos();
-        if let Err(e) = target.validate() {
-            self.cfg
-                .stats
-                .with(|r| r.reconfig_abort_reasons.record(ReconfigAbortReason::Validation));
-            let _ = reply.send(Err(ReconfigureError::InvalidConfig(e)));
-            return true;
+    /// Closes the pending swap as the machine resolved it: publish, book,
+    /// decide the deferred arrivals, and answer the requester last.
+    fn finish_swap(&mut self, resolution: SwapResolution<ArriveMsg>) {
+        let (reply, timer) = self.parked.take().expect("a resolution closes the parked request");
+        if let Some(timer) = timer {
+            self.reactor.cancel(timer);
         }
-        self.epoch += 1;
-        let epoch = self.epoch;
-
-        // Phase 1 (prepare): fence every task effector's local fast path.
-        // Quiesce-free — running subjobs continue; only *new admission
-        // decisions* are deferred until commit so no decision straddles
-        // the handover. The prepare quorum is every local processor *plus*
-        // every registered TCP-bridged federation: bridged hosts are
-        // voting members, not observers, and their silence (partition,
-        // crash) aborts the swap at the same deadline a silent local node
-        // would. The vote bookkeeping is the pure [`CoordinatorSm`] —
-        // the same machine the federation simulator drives in virtual
-        // time — so this loop only moves messages and timers.
-        let remote: HashSet<u64> = self.cfg.remote_voters.lock().clone();
-        self.publish_phase(epoch, ReconfigPhase::Prepare, target);
-        let mut quorum = CoordinatorSm::begin(
-            self.coordinator,
-            epoch,
-            self.cfg.channel.host_id(),
-            self.cfg.processors,
-            remote,
-        );
-        // The ack deadline is a wheel entry, not a poll cadence: the loop
-        // parks on min(deadline, mailbox) and wakes exactly when an ack
-        // arrives, the deadline passes, or a shutdown kick is published.
-        let deadline_ns = self.cfg.clock.now().as_nanos() + self.cfg.ack_timeout.as_nanos() as u64;
-        let fence_timer = self.reactor.schedule_at(deadline_ns, MgrTimer::PrepareDeadline);
-        let mut timed_out = false;
-        let mut fired: Vec<(TimerId, MgrTimer)> = Vec::new();
-        let mut deferred: Vec<ArriveMsg> = Vec::new();
-        while matches!(quorum.status(), QuorumStatus::Pending) && !timed_out {
-            match self.cfg.shutdown_rx.try_recv() {
-                Ok(()) | Err(TryRecvError::Disconnected) => {
-                    self.reactor.cancel(fence_timer);
-                    let _ = reply.send(Err(ReconfigureError::Closed));
-                    return false;
-                }
-                Err(TryRecvError::Empty) => {}
-            }
-            match self.reactor.wait(&self.cfg.mailbox) {
-                Wake::Event(ev) => {
-                    if ev.topic == topics::RECONFIG_ACK {
-                        // An undecodable vote is no vote: the quorum
-                        // stays pending until a valid one or the deadline.
-                        if let Some(ack) = self.decode(&ev) {
-                            quorum.on_ack(&ack);
-                        }
-                    } else if ev.topic == topics::TASK_ARRIVE {
-                        deferred.extend(self.decode::<ArriveMsg>(&ev));
-                    } else if ev.topic == topics::IDLE_RESET {
-                        // Idle resets carry no decision; apply immediately.
-                        if let Some(msg) = self.decode(&ev) {
-                            self.on_reset(&msg);
-                        }
-                    }
-                }
-                Wake::Timer => {
-                    // Either the ack deadline or an intermediate cascade
-                    // boundary; only the former ends the wait.
-                    self.cfg.stats.timer_wakeup();
-                    fired.clear();
-                    self.reactor.poll(&mut fired);
-                    if fired.iter().any(|(_, t)| matches!(t, MgrTimer::PrepareDeadline)) {
-                        timed_out = true;
-                    }
-                }
-                Wake::Closed => break,
-            }
-        }
-        self.reactor.cancel(fence_timer);
-
-        let (acked, expected) = (quorum.acked(), quorum.expected());
-        let verdict = quorum.status();
-        if !matches!(verdict, QuorumStatus::Satisfied) {
-            // Abort: lift the fences, keep the old configuration, decide
-            // the deferred arrivals under it. Nothing was applied anywhere,
-            // so the rollback is exactly "publish abort".
-            let reason = match verdict {
-                QuorumStatus::Vetoed(reason) => reason,
-                _ => ReconfigAbortReason::AckTimeout,
-            };
-            let old = self.cfg.ac.config();
-            self.publish_phase(epoch, ReconfigPhase::Abort, old);
+        let SwapResolution { message, aborted, acked, expected, started_ns, deferred } = resolution;
+        let outcome = if let Some(reason) = aborted {
+            // Abort: lift the fences, keep the old configuration. Nothing
+            // was applied anywhere, so the rollback is exactly "publish
+            // abort".
+            self.publish_phase(&message);
             self.cfg.stats.with(|r| {
                 r.reconfig_aborts += 1;
                 r.reconfig_abort_reasons.record(reason);
             });
-            for msg in &deferred {
-                self.on_arrive(msg);
-            }
-            let _ = reply.send(Err(ReconfigureError::Aborted { reason, acked, expected }));
-            return true;
-        }
+            Err(ReconfigureError::Aborted { reason, acked, expected })
+        } else {
+            // Phase 2 (commit): every fast path is fenced, so the ledger
+            // handover runs race-free while jobs keep executing.
+            let now = self.cfg.clock.now();
+            let handover = self
+                .cfg
+                .ac
+                .reconfigure(message.services, now, &self.cfg.tasks)
+                .expect("begin validated the target");
+            self.publish_phase(&message);
 
-        // Phase 2 (commit): every fast path is fenced, so the ledger
-        // handover runs race-free while jobs keep executing.
-        let now = self.cfg.clock.now();
-        let handover =
-            self.cfg.ac.reconfigure(target, now, &self.cfg.tasks).expect("target validated above");
-        self.publish_phase(epoch, ReconfigPhase::Commit, target);
-
-        let swap_latency =
-            Duration::from_nanos(self.cfg.clock.now().as_nanos().saturating_sub(started_ns));
-        let jobs_in_flight = self.cfg.stats.in_flight();
-        let decisions_deferred = deferred.len() as u64;
-        self.cfg.stats.metrics().reconfig_latency.record(swap_latency.as_nanos());
-        self.cfg.stats.with(|r| {
-            r.reconfig_swaps += 1;
-            r.reconfig_deferred += decisions_deferred;
-            r.reconfig_max_inflight = r.reconfig_max_inflight.max(jobs_in_flight);
-        });
-        // Deferred arrivals are decided now, under the new configuration.
+            let swap_latency =
+                Duration::from_nanos(self.cfg.clock.now().as_nanos().saturating_sub(started_ns));
+            let jobs_in_flight = self.cfg.stats.in_flight();
+            let decisions_deferred = deferred.len() as u64;
+            self.cfg.stats.metrics().reconfig_latency.record(swap_latency.as_nanos());
+            self.cfg.stats.with(|r| {
+                r.reconfig_swaps += 1;
+                r.reconfig_deferred += decisions_deferred;
+                r.reconfig_max_inflight = r.reconfig_max_inflight.max(jobs_in_flight);
+            });
+            Ok(ReconfigReport {
+                epoch: message.epoch,
+                handover,
+                swap_latency,
+                decisions_deferred,
+                jobs_in_flight,
+                acked_nodes: usize::from(self.cfg.processors),
+                acked_remote: expected - usize::from(self.cfg.processors),
+            })
+        };
+        // Deferred arrivals are decided now, under whichever configuration
+        // won.
         for msg in &deferred {
             self.on_arrive(msg);
         }
-        let _ = reply.send(Ok(ReconfigReport {
-            epoch,
-            handover,
-            swap_latency,
-            decisions_deferred,
-            jobs_in_flight,
-            acked_nodes: usize::from(self.cfg.processors),
-            acked_remote: expected - usize::from(self.cfg.processors),
-        }));
-        true
+        let _ = reply.send(outcome);
     }
 
-    fn publish_phase(&self, epoch: u64, phase: ReconfigPhase, services: ServiceConfig) {
-        let trace = proto::swap_trace(self.coordinator, epoch);
-        let now = self.cfg.clock.now().as_nanos();
-        let msg = ReconfigMsg {
-            coordinator: self.coordinator,
-            host: self.cfg.channel.host_id(),
-            epoch,
-            phase,
-            services,
-            sent_ns: now,
-            trace,
-        };
-        let stage = match phase {
+    fn publish_phase(&self, msg: &ReconfigMsg) {
+        let stage = match msg.phase {
             ReconfigPhase::Prepare => "reconfig_prepare",
             ReconfigPhase::Commit => "reconfig_commit",
             ReconfigPhase::Abort => "reconfig_abort",
         };
         self.cfg.stats.metrics().trace.record(
-            trace,
-            now,
-            self.cfg.channel.host_id(),
+            msg.trace,
+            msg.sent_ns,
+            msg.host,
             stage,
-            format!("epoch {epoch}, target {}", services.label()),
+            format!("epoch {}, target {}", msg.epoch, msg.services.label()),
         );
-        self.cfg.channel.publish(topics::RECONFIG, proto::encode(&msg));
+        self.cfg.channel.publish(topics::RECONFIG, proto::encode(msg));
     }
 
     /// The governor's boundary gauges, read from the ledger's
@@ -459,8 +441,7 @@ impl Manager {
                 self.cfg.channel.publish(topics::ACCEPT, proto::encode(&reply));
             }
             Ok(Decision::Reject { .. }) => {
-                let task_rejected =
-                    task.is_periodic() && self.cfg.ac.config().ac == AcStrategy::PerTask;
+                let task_rejected = self.cfg.ac.config().decides_per_task(task);
                 metrics.trace.record(
                     msg.trace,
                     self.cfg.clock.now().as_nanos(),

@@ -2,12 +2,11 @@
 //! the idle resetter, and the prioritized subtask dispatcher (the F/I and
 //! Last Subtask components of Figure 3).
 //!
-//! Subjobs execute in **time slices** (default 200 µs): the dispatcher
+//! Subjobs execute in **time slices** ([`SLICE`], 200 µs): the dispatcher
 //! checks for more-urgent ready work at every slice boundary, giving
 //! quasi-preemptive EDMS scheduling without relying on OS real-time
 //! priorities (see DESIGN.md for this substitution). Execution itself is
-//! simulated by sleeping or spinning for the subtask's execution time
-//! ([`ExecMode`]).
+//! simulated by sleeping for the subtask's execution time ([`ExecMode`]).
 //!
 //! The loop is reactor-driven: in [`ExecMode::Sleep`] a slice boundary is a
 //! timer-wheel entry and the thread parks on `min(slice deadline, mailbox)`
@@ -23,7 +22,7 @@ use std::time::{Duration as StdDuration, Instant};
 use rtcm_core::ledger::ContributionKey;
 use rtcm_core::priority::Priority;
 use rtcm_core::reset::IdleResetter;
-use rtcm_core::strategy::{AcStrategy, LbStrategy, ServiceConfig};
+use rtcm_core::strategy::ServiceConfig;
 use rtcm_core::task::{JobId, ProcessorId, TaskId, TaskSet};
 use rtcm_core::time::{Duration, Time};
 use rtcm_events::{topics, ChannelHandle, Event, EventReceiver, Topic};
@@ -42,11 +41,12 @@ pub enum ExecMode {
     /// Sleep for the execution time (cooperative; default).
     #[default]
     Sleep,
-    /// Busy-spin for the execution time (burns CPU; closest to real work).
-    Spin,
     /// Complete instantly (control-plane tests).
     Noop,
 }
+
+/// Dispatcher slice length: the preemption granularity.
+const SLICE: StdDuration = StdDuration::from_micros(200);
 
 #[derive(Debug, Clone)]
 enum TeDecision {
@@ -110,7 +110,6 @@ pub(crate) struct NodeConfig {
     pub clock: Clock,
     pub stats: Arc<SharedStats>,
     pub exec: ExecMode,
-    pub slice: StdDuration,
     pub mailbox: EventReceiver,
 }
 
@@ -321,13 +320,11 @@ impl Node {
         // While fenced for a pending reconfiguration, the fast path is
         // disabled: every arrival routes through the AC, which defers it
         // to whichever configuration wins the swap.
-        let per_task = self.fence.is_none()
-            && self.cfg.services.ac == AcStrategy::PerTask
-            && task.is_periodic();
+        let per_task = self.fence.is_none() && self.cfg.services.decides_per_task(task);
         if per_task {
             match self.te_cache.get(&inj.task) {
                 Some(TeDecision::Admitted(assignment))
-                    if self.cfg.services.lb != LbStrategy::PerJob =>
+                    if self.cfg.services.releases_locally(task) =>
                 {
                     let assignment = assignment.clone();
                     let now = self.cfg.clock.now().as_nanos();
@@ -391,11 +388,7 @@ impl Node {
         }
         let arrival_proc = task.subtasks()[0].primary.0;
 
-        if arrival_proc == self.cfg.processor
-            && task.is_periodic()
-            && self.cfg.services.ac == AcStrategy::PerTask
-            && self.cfg.services.lb != LbStrategy::PerJob
-        {
+        if arrival_proc == self.cfg.processor && self.cfg.services.releases_locally(task) {
             self.te_cache.insert(msg.job.task, TeDecision::Admitted(msg.assignment.clone()));
         }
 
@@ -462,7 +455,7 @@ impl Node {
         let exec: StdDuration = stage.execution_time.into();
         let remaining = match self.cfg.exec {
             ExecMode::Noop => StdDuration::ZERO,
-            ExecMode::Sleep | ExecMode::Spin => exec,
+            ExecMode::Sleep => exec,
         };
         let priority = self.cfg.priorities[&job.task];
         let seq = self.next_seq;
@@ -495,9 +488,9 @@ impl Node {
 
     /// Advances execution until the node either goes mid-slice (Sleep mode:
     /// a `SliceEnd` wheel entry stands and the thread can park) or runs out
-    /// of ready work. Spin and Noop modes execute inline — a spinning slice
-    /// cannot park, and a no-op one completes instantly — draining the
-    /// mailbox between slices exactly like the boundary discipline.
+    /// of ready work. Subjobs with nothing left to run — every Noop-mode
+    /// subjob is enqueued that way — complete inline, draining the mailbox
+    /// between them exactly like the boundary discipline.
     fn pump(&mut self) {
         if self.slice_timer.is_some() {
             // Mid-slice: the boundary lives on the wheel; events are only
@@ -509,48 +502,22 @@ impl Node {
             if self.current.is_none() {
                 self.current = self.ready.pop();
             }
-            let Some(mut run) = self.current.take() else {
+            let Some(run) = self.current.take() else {
                 self.report_idle();
                 return;
             };
-            if run.remaining.is_zero() {
-                self.complete(run);
-            } else {
-                let slice = run.remaining.min(self.cfg.slice);
-                match self.cfg.exec {
-                    ExecMode::Sleep => {
-                        // Park until the boundary: the slice becomes a
-                        // wheel entry and run() waits on
-                        // min(boundary, mailbox).
-                        self.slice_started = Instant::now();
-                        self.slice_len = slice;
-                        let deadline = self.cfg.clock.now().as_nanos() + slice.as_nanos() as u64;
-                        self.slice_timer =
-                            Some(self.reactor.schedule_at(deadline, NodeTimer::SliceEnd));
-                        self.current = Some(run);
-                        return;
-                    }
-                    ExecMode::Spin => {
-                        let started = Instant::now();
-                        let until = started + slice;
-                        while Instant::now() < until {
-                            std::hint::spin_loop();
-                        }
-                        // Charge the time that actually passed (see
-                        // finish_slice).
-                        run.remaining = run.remaining.saturating_sub(started.elapsed().max(slice));
-                        if run.remaining.is_zero() {
-                            self.complete(run);
-                        } else {
-                            self.current = Some(run);
-                        }
-                    }
-                    ExecMode::Noop => {
-                        run.remaining = StdDuration::ZERO;
-                        self.complete(run);
-                    }
-                }
+            if !run.remaining.is_zero() {
+                // Park until the boundary: the slice becomes a wheel entry
+                // and run() waits on min(boundary, mailbox).
+                let slice = run.remaining.min(SLICE);
+                self.slice_started = Instant::now();
+                self.slice_len = slice;
+                let deadline = self.cfg.clock.now().as_nanos() + slice.as_nanos() as u64;
+                self.slice_timer = Some(self.reactor.schedule_at(deadline, NodeTimer::SliceEnd));
+                self.current = Some(run);
+                return;
             }
+            self.complete(run);
             self.drain_messages();
             if !self.running {
                 return;

@@ -38,10 +38,10 @@
 //! `topics::QUORUM_CTL` kick so the indefinite block stays interruptible.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::Duration as StdDuration;
 
-use crossbeam::channel::{unbounded, Sender, TryRecvError};
 use parking_lot::Mutex;
 
 use rtcm_core::strategy::ServiceConfig;
@@ -112,7 +112,7 @@ impl QuorumMember {
         let state: Arc<Mutex<MemberSm>> = Arc::new(Mutex::new(MemberSm::new()));
         let trace = Arc::new(TraceBuffer::new(DEFAULT_TRACE_CAPACITY));
         let decode_errors = Arc::new(DecodeErrors::default());
-        let (stop_tx, stop_rx) = unbounded::<()>();
+        let (stop_tx, stop_rx) = channel::<()>();
         let clock = Clock::new();
         let fence_timeout_ns = options.fence_timeout.as_nanos() as u64;
         let thread_hold = Arc::clone(&hold);

@@ -1,7 +1,8 @@
 //! Pure state machines of the two-phase reconfiguration quorum protocol.
 //!
 //! The protocol has two roles: the **coordinator** (the manager running a
-//! swap: publish prepare, collect votes, commit or abort) and the
+//! swap: publish prepare, collect votes while deferring admission
+//! decisions, commit or abort at the ack deadline) and the
 //! **member** (any voter: fence on a prepare, ack or veto, release the
 //! fence on commit/abort or after a timeout). Both roles used to live
 //! inline in their host threads (`manager.rs`, `quorum.rs`), entangled
@@ -14,15 +15,15 @@
 //! machines run against the wall clock (threaded runtime), a manual
 //! clock (tests) or a per-host *virtual* clock with injected skew
 //! (`rtcm-sim`'s federation). The threaded [`crate::quorum::QuorumMember`]
-//! and the manager's prepare loop delegate here; the simulator drives the
+//! and the manager thread are shells around them; the simulator drives the
 //! identical transition functions — one protocol, two schedulers.
 
 use std::collections::HashSet;
 
-use rtcm_core::strategy::ServiceConfig;
+use rtcm_core::strategy::{InvalidConfigError, ServiceConfig};
 
 use crate::proto::{
-    ReconfigAbortReason, ReconfigAckMsg, ReconfigMsg, ReconfigPhase, ReconfigVote,
+    swap_trace, ReconfigAbortReason, ReconfigAckMsg, ReconfigMsg, ReconfigPhase, ReconfigVote,
     QUORUM_MEMBER_PROC,
 };
 
@@ -188,106 +189,198 @@ impl MemberSm {
     }
 }
 
-/// The coordinator's view of one prepare quorum in flight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QuorumStatus {
-    /// Votes are still outstanding.
-    Pending,
-    /// Every local processor and every required remote voter acked.
-    Satisfied,
-    /// A voter vetoed; the swap must abort with this reason.
-    Vetoed(ReconfigAbortReason),
+/// How one swap ended at its coordinator: everything the host shell needs
+/// to close it, built here and nowhere else.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SwapResolution<A> {
+    /// The closing phase to publish: `Commit(target)`, or `Abort` carrying
+    /// the configuration that stays in force.
+    pub message: ReconfigMsg,
+    /// `None` for a committed swap; otherwise why it aborted — the vetoing
+    /// member's reason, or [`ReconfigAbortReason::AckTimeout`] for silence.
+    pub aborted: Option<ReconfigAbortReason>,
+    /// Votes collected when the swap closed (local + remote).
+    pub acked: usize,
+    /// Votes the quorum required (local + remote).
+    pub expected: usize,
+    /// The `now_ns` the swap began at.
+    pub started_ns: u64,
+    /// Arrivals deferred while the prepare was out, in arrival order; the
+    /// caller decides them under whichever configuration won.
+    pub deferred: Vec<A>,
 }
 
-/// The coordinator role: one instance per prepare phase, tracking which
-/// local processors and remote voter hosts have acked.
+/// One prepare in flight.
 #[derive(Debug)]
-pub struct CoordinatorSm {
-    coordinator: u64,
-    epoch: u64,
-    own_host: u64,
+struct Pending<A> {
+    target: ServiceConfig,
+    current: ServiceConfig,
     expected_local: u16,
     remote: HashSet<u64>,
     local_acked: HashSet<u16>,
     remote_acked: HashSet<u64>,
-    nack: Option<ReconfigAbortReason>,
+    started_ns: u64,
+    deadline_ns: u64,
+    deferred: Vec<A>,
 }
 
-impl CoordinatorSm {
-    /// Starts tracking epoch `epoch` of coordinator `coordinator` on host
-    /// `own_host`: the quorum is every local processor `0..expected_local`
-    /// plus every host in `remote`.
+/// The coordinator role, one instance per coordinator: the epoch counter
+/// and the whole lifecycle of its swaps — prepare, vote tally, ack
+/// deadline, the arrivals deferred meanwhile (`A`: the runtime's
+/// `ArriveMsg`, the simulator's trace index), and the closing commit or
+/// abort. No decision straddles a handover because the only way out of a
+/// prepare window is a [`SwapResolution`] handing the deferred arrivals
+/// back.
+#[derive(Debug)]
+pub struct CoordinatorSm<A> {
+    coordinator: u64,
+    own_host: u64,
+    epoch: u64,
+    pending: Option<Pending<A>>,
+}
+
+impl<A> CoordinatorSm<A> {
+    /// An idle coordinator with wire identity `coordinator` on host
+    /// `own_host`; its first swap is epoch 1.
     #[must_use]
+    pub fn new(coordinator: u64, own_host: u64) -> Self {
+        CoordinatorSm { coordinator, own_host, epoch: 0, pending: None }
+    }
+
+    /// Starts a swap from `current` to `target` at `now_ns`: returns the
+    /// `Prepare` to publish and, when the quorum — every local processor
+    /// `0..expected_local` plus every host in `remote` — is empty, the
+    /// immediate commit. An invalid target (§4.5) consumes no epoch.
+    ///
+    /// # Errors
+    ///
+    /// [`InvalidConfigError`] if `target` is not a valid combination.
+    ///
+    /// # Panics
+    ///
+    /// If a swap is already pending: a coordinator serializes its swaps.
     pub fn begin(
-        coordinator: u64,
-        epoch: u64,
-        own_host: u64,
+        &mut self,
+        target: ServiceConfig,
+        current: ServiceConfig,
         expected_local: u16,
         remote: HashSet<u64>,
-    ) -> Self {
-        CoordinatorSm {
-            coordinator,
-            epoch,
-            own_host,
+        now_ns: u64,
+        ack_timeout_ns: u64,
+    ) -> Result<(ReconfigMsg, Option<SwapResolution<A>>), InvalidConfigError> {
+        assert!(self.pending.is_none(), "a coordinator serializes its swaps");
+        target.validate()?;
+        self.epoch += 1;
+        self.pending = Some(Pending {
+            target,
+            current,
             expected_local,
             remote,
             local_acked: HashSet::new(),
             remote_acked: HashSet::new(),
-            nack: None,
-        }
+            started_ns: now_ns,
+            deadline_ns: now_ns.saturating_add(ack_timeout_ns),
+            deferred: Vec::new(),
+        });
+        Ok((self.phase(ReconfigPhase::Prepare, target, now_ns), self.settle(now_ns)))
     }
 
-    /// Feeds one ack/nack. Votes for other coordinators or epochs, from
-    /// unknown hosts, or from out-of-range processors are ignored — a
-    /// bridged-in foreign reconfiguration can never pre-satisfy a local
-    /// prepare quorum.
-    pub fn on_ack(&mut self, ack: &ReconfigAckMsg) {
+    /// Queues an arrival until the pending swap resolves.
+    ///
+    /// # Panics
+    ///
+    /// If no swap is pending (check [`CoordinatorSm::pending_epoch`]).
+    pub fn defer(&mut self, arrival: A) {
+        self.pending.as_mut().expect("defer needs a pending swap").deferred.push(arrival);
+    }
+
+    /// Feeds one ack/nack, observed at `now_ns`. Votes outside a prepare
+    /// window, for other coordinators or epochs, from unknown hosts, or
+    /// from out-of-range processors are ignored — a bridged-in foreign
+    /// reconfiguration can never pre-satisfy a local prepare quorum. A veto
+    /// from a quorum member (it is fenced for someone else's swap) aborts
+    /// at once — no point waiting out the timeout.
+    pub fn on_ack(&mut self, ack: &ReconfigAckMsg, now_ns: u64) -> Option<SwapResolution<A>> {
+        let p = self.pending.as_mut()?;
         if ack.coordinator != self.coordinator || ack.epoch != self.epoch {
-            return;
+            return None;
         }
         match ack.vote {
             ReconfigVote::Ack => {
-                if ack.host == self.own_host && ack.processor < self.expected_local {
-                    self.local_acked.insert(ack.processor);
-                } else if self.remote.contains(&ack.host) {
-                    self.remote_acked.insert(ack.host);
+                if ack.host == self.own_host && ack.processor < p.expected_local {
+                    p.local_acked.insert(ack.processor);
+                } else if p.remote.contains(&ack.host) {
+                    p.remote_acked.insert(ack.host);
                 }
+                self.settle(now_ns)
             }
-            ReconfigVote::Nack(reason) => {
-                // A vetoing quorum member (it is fenced for someone else's
-                // swap) fails the prepare immediately — no point waiting
-                // out the timeout.
-                if ack.host == self.own_host || self.remote.contains(&ack.host) {
-                    self.nack = Some(reason);
-                }
-            }
+            ReconfigVote::Nack(reason) => (ack.host == self.own_host
+                || p.remote.contains(&ack.host))
+            .then(|| self.resolve(Some(reason), now_ns)),
         }
     }
 
-    /// Where the quorum stands.
+    /// The ack deadline check: aborts the pending swap with
+    /// [`ReconfigAbortReason::AckTimeout`] once `now_ns` has reached
+    /// [`CoordinatorSm::deadline_ns`]; earlier (a re-aimed or stale timer)
+    /// it does nothing.
+    pub fn on_deadline(&mut self, now_ns: u64) -> Option<SwapResolution<A>> {
+        (now_ns >= self.pending.as_ref()?.deadline_ns)
+            .then(|| self.resolve(Some(ReconfigAbortReason::AckTimeout), now_ns))
+    }
+
+    /// Drops the pending swap unresolved (coordinator crash): its epoch and
+    /// the arrivals deferred under it. Members' fences expire on their own.
+    pub fn abandon(&mut self) -> Option<(u64, Vec<A>)> {
+        self.pending.take().map(|p| (self.epoch, p.deferred))
+    }
+
+    /// The pending swap's epoch; `None` while idle.
     #[must_use]
-    pub fn status(&self) -> QuorumStatus {
-        if let Some(reason) = self.nack {
-            QuorumStatus::Vetoed(reason)
-        } else if self.local_acked.len() >= usize::from(self.expected_local)
-            && self.remote_acked.len() >= self.remote.len()
-        {
-            QuorumStatus::Satisfied
-        } else {
-            QuorumStatus::Pending
+    pub fn pending_epoch(&self) -> Option<u64> {
+        self.pending.as_ref().map(|_| self.epoch)
+    }
+
+    /// The pending swap's ack deadline, for the caller to aim its timer at.
+    #[must_use]
+    pub fn deadline_ns(&self) -> Option<u64> {
+        self.pending.as_ref().map(|p| p.deadline_ns)
+    }
+
+    /// Commits once every local processor and every remote voter acked.
+    fn settle(&mut self, now_ns: u64) -> Option<SwapResolution<A>> {
+        let p = self.pending.as_ref()?;
+        (p.local_acked.len() >= usize::from(p.expected_local)
+            && p.remote_acked.len() >= p.remote.len())
+        .then(|| self.resolve(None, now_ns))
+    }
+
+    fn resolve(&mut self, aborted: Option<ReconfigAbortReason>, now_ns: u64) -> SwapResolution<A> {
+        let p = self.pending.take().expect("callers checked a swap is pending");
+        let (phase, services) = match aborted {
+            None => (ReconfigPhase::Commit, p.target),
+            Some(_) => (ReconfigPhase::Abort, p.current),
+        };
+        SwapResolution {
+            message: self.phase(phase, services, now_ns),
+            aborted,
+            acked: p.local_acked.len() + p.remote_acked.len(),
+            expected: usize::from(p.expected_local) + p.remote.len(),
+            started_ns: p.started_ns,
+            deferred: p.deferred,
         }
     }
 
-    /// Votes collected so far (local + remote).
-    #[must_use]
-    pub fn acked(&self) -> usize {
-        self.local_acked.len() + self.remote_acked.len()
-    }
-
-    /// Votes required (local + remote).
-    #[must_use]
-    pub fn expected(&self) -> usize {
-        usize::from(self.expected_local) + self.remote.len()
+    fn phase(&self, phase: ReconfigPhase, services: ServiceConfig, now_ns: u64) -> ReconfigMsg {
+        ReconfigMsg {
+            coordinator: self.coordinator,
+            host: self.own_host,
+            epoch: self.epoch,
+            phase,
+            services,
+            sent_ns: now_ns,
+            trace: swap_trace(self.coordinator, self.epoch),
+        }
     }
 }
 
@@ -410,48 +503,132 @@ mod tests {
         }
     }
 
+    const ACK_TIMEOUT: u64 = 2_000;
+
+    fn config(label: &str) -> ServiceConfig {
+        label.parse().unwrap()
+    }
+
+    /// Coordinator 9 on host 5 with a J_N_N → J_J_J swap begun at t = 100.
+    fn begun(expected_local: u16, remote: &[u64]) -> CoordinatorSm<u32> {
+        let mut c = CoordinatorSm::new(9, 5);
+        let remote = remote.iter().copied().collect();
+        let begun = c
+            .begin(config("J_J_J"), config("J_N_N"), expected_local, remote, 100, ACK_TIMEOUT)
+            .unwrap();
+        assert_eq!(begun, (ReconfigMsg { sent_ns: 100, ..prepare(9, 5, 1) }, None));
+        c
+    }
+
     #[test]
     fn coordinator_waits_for_locals_and_remotes() {
-        let remote: HashSet<u64> = [77, 88].into_iter().collect();
-        let mut c = CoordinatorSm::begin(9, 1, 5, 2, remote);
-        assert_eq!(c.status(), QuorumStatus::Pending);
-        assert_eq!(c.expected(), 4);
-        c.on_ack(&ack(9, 1, 5, 0));
-        c.on_ack(&ack(9, 1, 5, 1));
-        c.on_ack(&ack(9, 1, 77, QUORUM_MEMBER_PROC));
-        assert_eq!(c.status(), QuorumStatus::Pending);
-        assert_eq!(c.acked(), 3);
-        c.on_ack(&ack(9, 1, 88, QUORUM_MEMBER_PROC));
-        assert_eq!(c.status(), QuorumStatus::Satisfied);
+        let mut c = begun(2, &[77, 88]);
+        assert_eq!(c.on_ack(&ack(9, 1, 5, 0), 110), None);
+        assert_eq!(c.on_ack(&ack(9, 1, 5, 1), 120), None);
+        assert_eq!(c.on_ack(&ack(9, 1, 77, QUORUM_MEMBER_PROC), 130), None);
+        assert_eq!(c.pending_epoch(), Some(1));
+        let res = c.on_ack(&ack(9, 1, 88, QUORUM_MEMBER_PROC), 140).expect("quorum satisfied");
+        assert_eq!(res.aborted, None);
+        assert_eq!((res.acked, res.expected, res.started_ns), (4, 4, 100));
+        let commit = ReconfigMsg { sent_ns: 140, ..phase_msg(9, 5, 1, ReconfigPhase::Commit) };
+        assert_eq!(res.message, commit);
+        assert_eq!((c.pending_epoch(), c.deadline_ns()), (None, None));
     }
 
     #[test]
     fn coordinator_ignores_stale_foreign_and_unknown_votes() {
-        let mut c = CoordinatorSm::begin(9, 2, 5, 1, HashSet::new());
-        c.on_ack(&ack(9, 1, 5, 0)); // stale epoch
-        c.on_ack(&ack(8, 2, 5, 0)); // foreign coordinator
-        c.on_ack(&ack(9, 2, 6, QUORUM_MEMBER_PROC)); // unregistered host
-        c.on_ack(&ack(9, 2, 5, 7)); // out-of-range processor
-        assert_eq!(c.status(), QuorumStatus::Pending);
-        assert_eq!(c.acked(), 0);
-        c.on_ack(&ack(9, 2, 5, 0));
-        assert_eq!(c.status(), QuorumStatus::Satisfied);
+        let mut c = begun(1, &[]);
+        c.on_deadline(100 + ACK_TIMEOUT).expect("epoch 1 times out");
+        c.begin(config("J_J_J"), config("J_N_N"), 1, HashSet::new(), 5_000, ACK_TIMEOUT).unwrap();
+        assert_eq!(c.on_ack(&ack(9, 1, 5, 0), 5_010), None); // stale epoch
+        assert_eq!(c.on_ack(&ack(8, 2, 5, 0), 5_010), None); // foreign coordinator
+        assert_eq!(c.on_ack(&ack(9, 2, 6, QUORUM_MEMBER_PROC), 5_010), None); // unregistered host
+        assert_eq!(c.on_ack(&ack(9, 2, 5, 7), 5_010), None); // out-of-range processor
+        let res = c.on_ack(&ack(9, 2, 5, 0), 5_020).expect("the one valid vote settles it");
+        assert_eq!((res.aborted, res.acked, res.expected), (None, 1, 1));
+        // Outside a prepare window every vote is stale.
+        assert_eq!(c.on_ack(&ack(9, 2, 5, 0), 5_030), None);
     }
 
     #[test]
     fn coordinator_veto_fails_fast() {
-        let remote: HashSet<u64> = [77].into_iter().collect();
-        let mut c = CoordinatorSm::begin(9, 1, 5, 1, remote);
-        c.on_ack(&ack(9, 1, 5, 0));
-        let mut veto = ack(9, 1, 77, QUORUM_MEMBER_PROC);
-        veto.vote = ReconfigVote::Nack(ReconfigAbortReason::ForeignCoordinator);
-        c.on_ack(&veto);
-        assert_eq!(c.status(), QuorumStatus::Vetoed(ReconfigAbortReason::ForeignCoordinator));
-        // A nack from a host outside the quorum would have been ignored.
-        let mut c2 = CoordinatorSm::begin(9, 1, 5, 1, HashSet::new());
+        let mut c = begun(1, &[77]);
+        assert_eq!(c.on_ack(&ack(9, 1, 5, 0), 110), None);
+        // A nack from a host outside the quorum is ignored.
         let mut stray = ack(9, 1, 66, QUORUM_MEMBER_PROC);
         stray.vote = ReconfigVote::Nack(ReconfigAbortReason::ForeignCoordinator);
-        c2.on_ack(&stray);
-        assert_eq!(c2.status(), QuorumStatus::Pending);
+        assert_eq!(c.on_ack(&stray, 115), None);
+        let mut veto = ack(9, 1, 77, QUORUM_MEMBER_PROC);
+        veto.vote = ReconfigVote::Nack(ReconfigAbortReason::ForeignCoordinator);
+        let res = c.on_ack(&veto, 120).expect("a veto resolves at once");
+        assert_eq!(res.aborted, Some(ReconfigAbortReason::ForeignCoordinator));
+        assert_eq!((res.acked, res.expected), (1, 2));
+        assert_eq!(res.message.phase, ReconfigPhase::Abort);
+        assert_eq!(res.message.services, config("J_N_N"), "abort carries the current config");
+    }
+
+    #[test]
+    fn empty_quorum_commits_at_begin() {
+        let mut c: CoordinatorSm<u32> = CoordinatorSm::new(9, 5);
+        let (prepare, resolved) =
+            c.begin(config("J_J_J"), config("J_N_N"), 0, HashSet::new(), 100, ACK_TIMEOUT).unwrap();
+        assert_eq!(prepare.phase, ReconfigPhase::Prepare);
+        let res = resolved.expect("nobody to wait for");
+        assert_eq!((res.aborted, res.acked, res.expected), (None, 0, 0));
+        assert_eq!((res.message.phase, res.message.epoch), (ReconfigPhase::Commit, 1));
+        assert_eq!(c.pending_epoch(), None);
+    }
+
+    #[test]
+    fn deadline_aborts_with_the_current_configuration() {
+        let mut c = begun(1, &[77]);
+        assert_eq!(c.deadline_ns(), Some(100 + ACK_TIMEOUT));
+        assert_eq!(c.on_ack(&ack(9, 1, 5, 0), 110), None);
+        // Early (a drift re-aim in the simulator): nothing happens and the
+        // deadline stands.
+        assert_eq!(c.on_deadline(100 + ACK_TIMEOUT - 1), None);
+        assert_eq!(c.deadline_ns(), Some(100 + ACK_TIMEOUT));
+        let res = c.on_deadline(100 + ACK_TIMEOUT).expect("silence aborts at the deadline");
+        assert_eq!(res.aborted, Some(ReconfigAbortReason::AckTimeout));
+        assert_eq!((res.acked, res.expected), (1, 2));
+        let abort = ReconfigMsg {
+            services: config("J_N_N"),
+            sent_ns: 100 + ACK_TIMEOUT,
+            ..phase_msg(9, 5, 1, ReconfigPhase::Abort)
+        };
+        assert_eq!(res.message, abort);
+        assert_eq!(c.on_deadline(u64::MAX), None, "idle coordinators have no deadline");
+    }
+
+    #[test]
+    fn deferred_arrivals_come_back_once_in_order() {
+        // On commit...
+        let mut c = begun(1, &[]);
+        c.defer(3);
+        c.defer(1);
+        c.defer(2);
+        assert_eq!(c.on_ack(&ack(9, 1, 5, 0), 110).unwrap().deferred, vec![3, 1, 2]);
+        // ...on abort (the queue starts empty again)...
+        c.begin(config("J_N_N"), config("J_J_J"), 1, HashSet::new(), 200, ACK_TIMEOUT).unwrap();
+        c.defer(7);
+        assert_eq!(c.on_deadline(200 + ACK_TIMEOUT).unwrap().deferred, vec![7]);
+        // ...and on abandon, which also names the epoch it drops.
+        c.begin(config("J_N_N"), config("J_J_J"), 1, HashSet::new(), 9_000, ACK_TIMEOUT).unwrap();
+        c.defer(8);
+        c.defer(9);
+        assert_eq!(c.abandon(), Some((3, vec![8, 9])));
+        assert_eq!(c.abandon(), None);
+        assert_eq!(c.on_ack(&ack(9, 3, 5, 0), 9_010), None, "an abandoned epoch takes no votes");
+    }
+
+    #[test]
+    fn invalid_target_consumes_no_epoch() {
+        let mut c: CoordinatorSm<u32> = CoordinatorSm::new(9, 5);
+        let invalid = config("T_J_N");
+        assert!(c.begin(invalid, config("J_N_N"), 1, HashSet::new(), 100, ACK_TIMEOUT).is_err());
+        assert_eq!(c.pending_epoch(), None);
+        let (prepare, _) =
+            c.begin(config("J_J_J"), config("J_N_N"), 1, HashSet::new(), 200, ACK_TIMEOUT).unwrap();
+        assert_eq!(prepare.epoch, 1);
     }
 }

@@ -252,13 +252,6 @@ impl RtMetrics {
     /// the golden exposition test).
     #[must_use]
     pub fn new() -> Self {
-        RtMetrics::with_trace_sampling(1)
-    }
-
-    /// Like [`RtMetrics::new`] but the job tracer keeps only 1-in-N
-    /// traces (per trace id, so jobs keep all stages or none).
-    #[must_use]
-    pub fn with_trace_sampling(sample_every: u64) -> Self {
         let r = Registry::new();
         RtMetrics {
             arrived_jobs: r.counter("rtcm_jobs_arrived_total", "Jobs injected at task effectors."),
@@ -306,10 +299,7 @@ impl RtMetrics {
                 .histogram("rtcm_total_realloc_ns", "Arrival-to-release total with re-allocation."),
             reconfig_latency: r
                 .histogram("rtcm_reconfig_latency_ns", "End-to-end two-phase swap latency."),
-            trace: Arc::new(TraceBuffer::sampled(
-                rtcm_telemetry::DEFAULT_TRACE_CAPACITY,
-                sample_every,
-            )),
+            trace: Arc::new(TraceBuffer::new(rtcm_telemetry::DEFAULT_TRACE_CAPACITY)),
             decode_errors: DecodeErrors::default(),
             registry: Arc::new(r),
         }
@@ -359,16 +349,6 @@ impl SharedStats {
     #[must_use]
     pub fn new() -> Arc<Self> {
         Arc::new(SharedStats::default())
-    }
-
-    /// Creates an empty accumulator whose job tracer keeps 1-in-N traces
-    /// (see [`RtMetrics::with_trace_sampling`]).
-    #[must_use]
-    pub fn with_trace_sampling(sample_every: u64) -> Arc<Self> {
-        Arc::new(SharedStats {
-            metrics: RtMetrics::with_trace_sampling(sample_every),
-            ..SharedStats::default()
-        })
     }
 
     /// The lock-free telemetry registry (hot-path metric handles, job
@@ -590,11 +570,6 @@ impl SharedStats {
             "Trace records evicted from the bounded ring.",
             self.metrics.trace.dropped(),
         );
-        e.counter(
-            "rtcm_trace_records_sampled_out_total",
-            "Trace records discarded by the 1-in-N trace sampler.",
-            self.metrics.trace.sampled_out(),
-        );
         e.finish()
     }
 }
@@ -603,13 +578,6 @@ impl SharedStats {
 mod tests {
     use super::*;
     use rtcm_core::time::Duration;
-
-    #[test]
-    fn trace_sampling_knob_reaches_the_tracer() {
-        let stats = SharedStats::with_trace_sampling(8);
-        assert_eq!(stats.metrics().trace.sample_every(), 8);
-        assert_eq!(SharedStats::new().metrics().trace.sample_every(), 1);
-    }
 
     #[test]
     fn metrics_fold_into_snapshot() {

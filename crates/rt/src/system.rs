@@ -4,10 +4,10 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, Sender};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
@@ -37,17 +37,11 @@ pub struct RtOptions {
     pub latency: Latency,
     /// How subtask execution consumes time.
     pub exec: ExecMode,
-    /// Dispatcher slice length (preemption granularity).
-    pub slice: StdDuration,
     /// Seed for latency jitter.
     pub seed: u64,
     /// How long a reconfiguration's prepare phase waits for node acks
     /// before aborting the swap (see [`System::reconfigure`]).
     pub reconfig_ack_timeout: StdDuration,
-    /// Keep 1-in-N job traces in the bounded tracer (1 = trace every
-    /// job). Sampling is per trace id, so a sampled job keeps all of its
-    /// lifecycle stages and an unsampled one records nothing.
-    pub trace_sample_every: u64,
 }
 
 impl Default for RtOptions {
@@ -58,10 +52,8 @@ impl Default for RtOptions {
                 hi: StdDuration::from_micros(361),
             },
             exec: ExecMode::Sleep,
-            slice: StdDuration::from_micros(200),
             seed: 0,
             reconfig_ack_timeout: StdDuration::from_secs(2),
-            trace_sample_every: 1,
         }
     }
 }
@@ -271,7 +263,7 @@ impl SwapClient {
         &self,
         timeout: StdDuration,
     ) -> Result<Option<(f64, f64)>, ReconfigureError> {
-        let (reply_tx, reply_rx) = bounded(1);
+        let (reply_tx, reply_rx) = channel();
         self.mgr_ctl
             .send(ManagerCtl::SenseGauges { reply: reply_tx })
             .map_err(|_| ReconfigureError::Closed)?;
@@ -297,7 +289,7 @@ impl SwapClient {
         services: &mut ServiceConfig,
         target: ServiceConfig,
     ) -> Result<ReconfigReport, ReconfigureError> {
-        let (reply_tx, reply_rx) = bounded(1);
+        let (reply_tx, reply_rx) = channel();
         self.mgr_ctl
             .send(ManagerCtl::Reconfigure { target, reply: reply_tx })
             .map_err(|_| ReconfigureError::Closed)?;
@@ -335,14 +327,14 @@ impl System {
             .map_err(LaunchError::InvalidConfig)?;
 
         let clock = Clock::new();
-        let stats = SharedStats::with_trace_sampling(options.trace_sample_every);
+        let stats = SharedStats::new();
         // Node 0 is the task manager; app processor p is node p + 1.
         let federation = Federation::new(procs + 1, options.latency, options.seed);
 
         let mut handles = Vec::with_capacity(procs as usize + 1);
 
-        let (mgr_shutdown_tx, mgr_shutdown_rx) = unbounded();
-        let (mgr_ctl_tx, mgr_ctl_rx) = unbounded();
+        let (mgr_shutdown_tx, mgr_shutdown_rx) = channel();
+        let (mgr_ctl_tx, mgr_ctl_rx) = channel();
         let remote_voters: Arc<Mutex<HashSet<u64>>> = Arc::new(Mutex::new(HashSet::new()));
         // Subscribe every consumer on this thread, before any node runs, so
         // no early publication can be dropped for lack of subscribers.
@@ -395,7 +387,6 @@ impl System {
                 clock,
                 stats: Arc::clone(&stats),
                 exec: options.exec,
-                slice: options.slice,
                 mailbox,
             };
             handles.push(

@@ -21,15 +21,18 @@
 //!
 //! ## The swap protocol
 //!
-//! A coordinating host publishes `Prepare` to every peer, collects votes
-//! through a [`CoordinatorSm`] (every peer is a required voter — a
+//! Every host owns one [`CoordinatorSm`] — the machine the threaded
+//! manager runs — and drives it with its local clock readings: `begin`
+//! yields the `Prepare` to broadcast (every peer is a required voter — a
 //! crashed or partitioned peer's silence aborts the swap at the ack
-//! deadline, never half-applies it), then publishes `Commit` or `Abort`.
+//! deadline, never half-applies it), votes and the deadline event feed
+//! `on_ack` / `on_deadline`, and the resolution they return carries the
+//! `Commit` or `Abort` to broadcast plus the arrivals deferred meanwhile.
 //! Peers run [`MemberSm`]: fence on prepare, ack or veto, apply the
 //! configuration on a witnessed commit, drop stale fences after the
-//! fence timeout on their own (possibly skewed) clocks. Arrivals at a
-//! coordinating host are deferred until its swap resolves, mirroring the
-//! threaded manager whose prepare loop queues its mailbox.
+//! fence timeout on their own (possibly skewed) clocks. What stays here is
+//! the simulator's own: the oracle's epoch records, the trace, the links
+//! and re-aiming timers when a virtual clock is skewed.
 
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BinaryHeap, HashSet};
@@ -42,8 +45,8 @@ use rtcm_core::admission::{AdmissionController, Decision};
 use rtcm_core::strategy::{InvalidConfigError, ServiceConfig};
 use rtcm_core::task::TaskSet;
 use rtcm_core::time::Time;
-use rtcm_rt::proto::{swap_trace, ReconfigAbortReason, ReconfigAckMsg, ReconfigMsg, ReconfigPhase};
-use rtcm_rt::quorum_sm::{CoordinatorSm, MemberReaction, MemberSm, QuorumStatus};
+use rtcm_rt::proto::{ReconfigAbortReason, ReconfigAckMsg, ReconfigMsg};
+use rtcm_rt::quorum_sm::{CoordinatorSm, MemberReaction, MemberSm, SwapResolution};
 use rtcm_workload::ArrivalTrace;
 
 use super::clock::VirtualClock;
@@ -272,16 +275,6 @@ impl Ord for Scheduled {
     }
 }
 
-struct PendingSwap {
-    sm: CoordinatorSm,
-    epoch: u64,
-    target: ServiceConfig,
-    /// Ack deadline on the coordinator's clock.
-    deadline_local_ns: u64,
-    /// Index into [`Federation::epochs`].
-    record: usize,
-}
-
 struct SimHost {
     wire_id: u64,
     up: bool,
@@ -294,9 +287,10 @@ struct SimHost {
     processors: usize,
     member: MemberSm,
     holding: bool,
-    pending: Option<PendingSwap>,
-    deferred: Vec<usize>,
-    epoch_counter: u64,
+    /// Coordinator role; deferred arrivals are indices into `arrivals`.
+    coord: CoordinatorSm<usize>,
+    /// The pending swap's index into [`Federation::epochs`].
+    record: usize,
     proc_free: Vec<u64>,
     proc_busy: Vec<u64>,
     admitted: u64,
@@ -390,9 +384,8 @@ impl Federation {
                 processors,
                 member: MemberSm::new(),
                 holding: false,
-                pending: None,
-                deferred: Vec::new(),
-                epoch_counter: 0,
+                coord: CoordinatorSm::new(coordinator_id(i), i as u64),
+                record: 0,
                 proc_free: vec![0; processors],
                 proc_busy: vec![0; processors],
                 admitted: 0,
@@ -581,10 +574,8 @@ impl Federation {
             self.hosts[host].skipped_down += 1;
             return Ok(());
         }
-        if self.hosts[host].pending.is_some() {
-            // The coordinator's manager thread is inside its prepare loop:
-            // arrivals queue in the mailbox and run after resolution.
-            self.hosts[host].deferred.push(idx);
+        if self.hosts[host].coord.pending_epoch().is_some() {
+            self.hosts[host].coord.defer(idx);
             return Ok(());
         }
         self.admit(host, idx)
@@ -713,87 +704,67 @@ impl Federation {
         Ok(())
     }
 
-    /// A vote reaches coordinator `to`: feed the pending [`CoordinatorSm`]
-    /// and resolve the swap if the quorum settled.
+    /// A vote reaches coordinator `to`, at its local clock reading.
     fn on_ack(&mut self, to: usize, ack: &ReconfigAckMsg) -> Result<(), FedError> {
-        let Some(pending) = self.hosts[to].pending.as_mut() else {
-            return Ok(());
-        };
-        pending.sm.on_ack(ack);
-        match pending.sm.status() {
-            QuorumStatus::Pending => Ok(()),
-            QuorumStatus::Satisfied => self.resolve_swap(to, None),
-            QuorumStatus::Vetoed(reason) => self.resolve_swap(to, Some(reason)),
+        let h = &mut self.hosts[to];
+        let local = h.local_ns(self.now);
+        match h.coord.on_ack(ack, local) {
+            Some(resolution) => self.finish_swap(to, resolution),
+            None => Ok(()),
         }
     }
 
     /// The coordinator's ack deadline fires (on its clock).
     fn on_ack_deadline(&mut self, host: usize, epoch: u64) -> Result<(), FedError> {
-        let now = self.now;
-        let (deadline_local, local) = {
-            let h = &self.hosts[host];
-            match &h.pending {
-                Some(p) if p.epoch == epoch => (p.deadline_local_ns, h.local_ns(now)),
-                _ => return Ok(()),
-            }
-        };
-        if local < deadline_local {
-            // A drift change moved the local deadline; re-aim.
-            let at =
-                self.hosts[host].clock.global_for_local(deadline_local, now).unwrap_or(now + 1);
-            self.schedule(at, FedEv::AckDeadline { host, epoch });
+        let h = &mut self.hosts[host];
+        if h.coord.pending_epoch() != Some(epoch) {
             return Ok(());
         }
-        self.resolve_swap(host, Some(ReconfigAbortReason::AckTimeout))
+        let local = h.local_ns(self.now);
+        match h.coord.on_deadline(local) {
+            Some(resolution) => self.finish_swap(host, resolution),
+            None => {
+                // A drift change moved the local deadline; re-aim.
+                self.aim_ack_deadline(host);
+                Ok(())
+            }
+        }
     }
 
-    /// Commits (`abort == None`) or aborts the pending swap on `host`,
-    /// publishes the closing phase, and replays deferred arrivals.
-    fn resolve_swap(
+    /// Schedules the pending swap's deadline event where the coordinator's
+    /// clock will read its local deadline.
+    fn aim_ack_deadline(&mut self, host: usize) {
+        let now = self.now;
+        let h = &self.hosts[host];
+        if let (Some(epoch), Some(deadline)) = (h.coord.pending_epoch(), h.coord.deadline_ns()) {
+            let at = h.clock.global_for_local(deadline, now).unwrap_or(now + 1);
+            self.schedule(at, FedEv::AckDeadline { host, epoch });
+        }
+    }
+
+    /// Closes the swap on `host` as its coordinator machine resolved it:
+    /// oracle record, closing broadcast, local application on commit, and
+    /// the deferred arrivals.
+    fn finish_swap(
         &mut self,
         host: usize,
-        abort: Option<ReconfigAbortReason>,
+        resolution: SwapResolution<usize>,
     ) -> Result<(), FedError> {
         let now = self.now;
-        let Some(pending) = self.hosts[host].pending.take() else {
-            return Ok(());
-        };
+        let SwapResolution { message, aborted, deferred, .. } = resolution;
         let h = &self.hosts[host];
         let local = h.local_ns(now);
-        let wire_id = h.wire_id;
-        let old = h.services;
-        let coordinator = coordinator_id(host);
-        let (phase, services, outcome) = match abort {
-            None => (ReconfigPhase::Commit, pending.target, EpochOutcome::Committed),
-            Some(reason) => (ReconfigPhase::Abort, old, EpochOutcome::Aborted(reason)),
+        let epoch = message.epoch;
+        let (outcome, how) = match aborted {
+            None => (EpochOutcome::Committed, format!("committed {}", message.services.label())),
+            Some(reason) => (EpochOutcome::Aborted(reason), format!("aborted {reason}")),
         };
-        self.epochs[pending.record].outcome = Some(outcome);
-        let msg = ReconfigMsg {
-            coordinator,
-            host: wire_id,
-            epoch: pending.epoch,
-            phase,
-            services,
-            sent_ns: local,
-            trace: swap_trace(coordinator, pending.epoch),
-        };
-        match abort {
-            None => self.note(format!(
-                "t={now} local={local} h{host} swap e={} committed {}",
-                pending.epoch,
-                pending.target.label(),
-            )),
-            Some(reason) => self.note(format!(
-                "t={now} local={local} h{host} swap e={} aborted {reason}",
-                pending.epoch,
-            )),
+        self.epochs[h.record].outcome = Some(outcome);
+        self.note(format!("t={now} local={local} h{host} swap e={epoch} {how}"));
+        self.broadcast(host, &message);
+        if aborted.is_none() {
+            self.apply_config(host, message.coordinator, epoch, message.services)?;
         }
-        self.broadcast(host, &msg);
-        if abort.is_none() {
-            self.apply_config(host, coordinator, pending.epoch, pending.target)?;
-        }
-        // The manager leaves its prepare loop: queued arrivals run now.
-        let deferred = std::mem::take(&mut self.hosts[host].deferred);
         self.hosts[host].deferred_replayed += deferred.len() as u64;
         for idx in deferred {
             self.admit(host, idx)?;
@@ -857,7 +828,7 @@ impl Federation {
                 let h = usize::from(host);
                 if !self.hosts[h].up {
                     self.note(format!("t={now} fault swap h{host} ignored: down"));
-                } else if self.hosts[h].pending.is_some() {
+                } else if self.hosts[h].coord.pending_epoch().is_some() {
                     self.note(format!("t={now} fault swap h{host} ignored: in flight"));
                 } else {
                     self.initiate_swap(h, target)?;
@@ -875,52 +846,37 @@ impl Federation {
     fn initiate_swap(&mut self, host: usize, target: ServiceConfig) -> Result<(), FedError> {
         let now = self.now;
         let ack_timeout_ns = self.ack_timeout_ns();
-        let m = self.hosts.len();
-        let record = self.epochs.len();
-        let coordinator = coordinator_id(host);
+        let m = self.hosts.len() as u64;
         let h = &mut self.hosts[host];
-        h.epoch_counter += 1;
-        let epoch = h.epoch_counter;
         let local = h.local_ns(now);
-        let wire_id = h.wire_id;
         // Every peer is a required voter — crashed or partitioned peers
         // abort the swap by silence, exactly like the threaded runtime's
         // registered remote voters.
-        let remote: HashSet<u64> = (0..m as u64).filter(|id| *id != wire_id).collect();
-        let sm = CoordinatorSm::begin(coordinator, epoch, wire_id, 0, remote);
-        let deadline_local_ns = local + ack_timeout_ns;
-        h.pending = Some(PendingSwap { sm, epoch, target, deadline_local_ns, record });
+        let remote: HashSet<u64> = (0..m).filter(|id| *id != h.wire_id).collect();
+        let (prepare, resolution) =
+            h.coord.begin(target, h.services, 0, remote, local, ack_timeout_ns)?;
+        h.record = self.epochs.len();
         self.epochs.push(EpochRecord {
             host: host as u16,
-            coordinator,
-            epoch,
+            coordinator: prepare.coordinator,
+            epoch: prepare.epoch,
             target: target.label(),
             outcome: None,
         });
         self.note(format!(
-            "t={now} local={local} h{host} swap e={epoch} prepare target={}",
+            "t={now} local={local} h{host} swap e={} prepare target={}",
+            prepare.epoch,
             target.label()
         ));
-        let msg = ReconfigMsg {
-            coordinator,
-            host: wire_id,
-            epoch,
-            phase: ReconfigPhase::Prepare,
-            services: target,
-            sent_ns: local,
-            trace: swap_trace(coordinator, epoch),
-        };
-        self.broadcast(host, &msg);
-        let at = self.hosts[host].clock.global_for_local(deadline_local_ns, now).unwrap_or(now + 1);
-        self.schedule(at, FedEv::AckDeadline { host, epoch });
-        // A one-host federation has an empty quorum: commit immediately.
-        if matches!(
-            self.hosts[host].pending.as_ref().map(|p| p.sm.status()),
-            Some(QuorumStatus::Satisfied)
-        ) {
-            self.resolve_swap(host, None)?;
+        self.broadcast(host, &prepare);
+        match resolution {
+            // A one-host federation has an empty quorum: commit immediately.
+            Some(resolution) => self.finish_swap(host, resolution),
+            None => {
+                self.aim_ack_deadline(host);
+                Ok(())
+            }
         }
-        Ok(())
     }
 
     fn crash(&mut self, host: usize) {
@@ -933,20 +889,17 @@ impl Federation {
         h.crashes += 1;
         h.lost_on_crash += h.in_flight;
         h.in_flight = 0;
-        h.deferred_dropped += h.deferred.len() as u64;
-        h.deferred.clear();
         h.member = MemberSm::new();
         h.holding = false;
         for free in &mut h.proc_free {
             *free = now;
         }
-        let pending = h.pending.take();
-        let dropped_epoch = pending.map(|p| {
-            self.epochs[p.record].outcome = Some(EpochOutcome::CoordinatorCrashed);
-            p.epoch
-        });
-        match dropped_epoch {
-            Some(e) => self.note(format!("t={now} fault crash h{host} (coordinating e={e})")),
+        match h.coord.abandon() {
+            Some((epoch, deferred)) => {
+                h.deferred_dropped += deferred.len() as u64;
+                self.epochs[h.record].outcome = Some(EpochOutcome::CoordinatorCrashed);
+                self.note(format!("t={now} fault crash h{host} (coordinating e={epoch})"));
+            }
             None => self.note(format!("t={now} fault crash h{host}")),
         }
     }
@@ -982,7 +935,7 @@ impl Federation {
                 FedEv::FenceCheck { host, coordinator: f.coordinator, epoch: f.epoch },
             );
         }
-        if let Some(epoch) = self.hosts[host].pending.as_ref().map(|p| p.epoch) {
+        if let Some(epoch) = self.hosts[host].coord.pending_epoch() {
             self.schedule(now + 1, FedEv::AckDeadline { host, epoch });
         }
     }

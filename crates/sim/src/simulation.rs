@@ -39,7 +39,7 @@ use rtcm_core::metrics::{DelayStats, UtilizationRatio};
 use rtcm_core::priority::{assign_edms, Priority};
 use rtcm_core::reconfig::{HandoverReport, ModeChange, ModeSchedule};
 use rtcm_core::reset::{IdleResetReport, IdleResetter};
-use rtcm_core::strategy::{AcStrategy, InvalidConfigError, LbStrategy, ServiceConfig};
+use rtcm_core::strategy::{InvalidConfigError, ServiceConfig};
 use rtcm_core::task::{JobId, TaskId, TaskSet};
 use rtcm_core::time::{Duration, Time};
 use rtcm_workload::ArrivalTrace;
@@ -786,12 +786,9 @@ impl<'a> Simulation<'a> {
         // The TE's per-task fast path: release or drop locally when the
         // periodic task's fate is already known and no per-job relocation is
         // configured.
-        let per_task_te = self.services.ac == AcStrategy::PerTask && task.is_periodic();
-        if per_task_te {
+        if self.services.decides_per_task(task) {
             match self.te_cache.get(&arrival.task) {
-                Some(TeDecision::Admitted(assignment))
-                    if self.services.lb != LbStrategy::PerJob =>
-                {
+                Some(TeDecision::Admitted(assignment)) if self.services.releases_locally(task) => {
                     self.skips.record(arrival.task, true);
                     let assignment = assignment.clone();
                     let job = JobId::new(arrival.task, arrival.seq);
@@ -898,10 +895,7 @@ impl<'a> Simulation<'a> {
                         assignment: assignment.clone(),
                     },
                 );
-                if task.is_periodic()
-                    && self.services.ac == AcStrategy::PerTask
-                    && self.services.lb != LbStrategy::PerJob
-                {
+                if self.services.releases_locally(task) {
                     self.te_cache.insert(task_id, TeDecision::Admitted(assignment.clone()));
                 }
                 let t = self.now + self.comm() + self.overheads.te_release;
@@ -909,7 +903,7 @@ impl<'a> Simulation<'a> {
             }
             Decision::Reject { .. } => {
                 self.skips.record(task_id, false);
-                if task.is_periodic() && self.services.ac == AcStrategy::PerTask {
+                if self.services.decides_per_task(task) {
                     self.te_cache.insert(task_id, TeDecision::Rejected);
                 }
             }

@@ -40,11 +40,8 @@ pub struct TraceRecord {
 #[derive(Debug)]
 pub struct TraceBuffer {
     cap: usize,
-    /// Keep 1-in-N traces (N = `sample_every`); 1 keeps everything.
-    sample_every: u64,
     ring: Mutex<VecDeque<TraceRecord>>,
     dropped: AtomicU64,
-    sampled_out: AtomicU64,
 }
 
 impl Default for TraceBuffer {
@@ -54,48 +51,18 @@ impl Default for TraceBuffer {
 }
 
 impl TraceBuffer {
-    /// A ring holding at most `cap` records (minimum 1), keeping every
-    /// trace.
+    /// A ring holding at most `cap` records (minimum 1).
     #[must_use]
     pub fn new(cap: usize) -> Self {
-        TraceBuffer::sampled(cap, 1)
-    }
-
-    /// A ring that keeps roughly 1-in-`sample_every` *traces* (minimum 1
-    /// = keep all). Sampling is decided per trace id — a deterministic
-    /// hash of the id, not of arrival order — so every stage of one job
-    /// (or one reconfiguration) is kept or skipped together, including
-    /// stages recorded on bridged peer hosts sharing the id.
-    #[must_use]
-    pub fn sampled(cap: usize, sample_every: u64) -> Self {
         TraceBuffer {
             cap: cap.max(1),
-            sample_every: sample_every.max(1),
             ring: Mutex::new(VecDeque::new()),
             dropped: AtomicU64::new(0),
-            sampled_out: AtomicU64::new(0),
         }
     }
 
-    /// The sampling ratio: records are kept for 1-in-N trace ids.
-    #[must_use]
-    pub fn sample_every(&self) -> u64 {
-        self.sample_every
-    }
-
-    /// True when records for this trace id are kept by the sampler.
-    #[must_use]
-    pub fn keeps(&self, trace: u64) -> bool {
-        self.sample_every == 1 || splitmix64(trace).is_multiple_of(self.sample_every)
-    }
-
-    /// Appends a record, evicting the oldest when full. Records whose
-    /// trace id the sampler skips are counted and discarded.
+    /// Appends a record, evicting the oldest when full.
     pub fn push(&self, record: TraceRecord) {
-        if !self.keeps(record.trace) {
-            self.sampled_out.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
         let mut ring = self.ring.lock().expect("trace ring poisoned");
         if ring.len() == self.cap {
             ring.pop_front();
@@ -119,12 +86,6 @@ impl TraceBuffer {
     #[must_use]
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Records discarded by the 1-in-N sampler (never buffered).
-    #[must_use]
-    pub fn sampled_out(&self) -> u64 {
-        self.sampled_out.load(Ordering::Relaxed)
     }
 
     /// Number of buffered records.
@@ -165,7 +126,6 @@ pub fn splitmix64(seed: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
 
     #[test]
     fn ring_drops_oldest_when_full() {
@@ -190,43 +150,6 @@ mod tests {
         assert_eq!(back.trace, 42);
         assert_eq!(back.stage, "admission");
         assert_eq!(back.detail, "accepted");
-    }
-
-    #[test]
-    fn sampler_keeps_whole_traces_one_in_n() {
-        let buf = TraceBuffer::sampled(1024, 4);
-        let mut kept_ids = HashSet::new();
-        for trace in 0..256u64 {
-            for stage in ["arrival", "admission", "completion"] {
-                buf.push(TraceRecord {
-                    trace,
-                    at_ns: trace,
-                    host: 0,
-                    stage: stage.to_string(),
-                    detail: String::new(),
-                });
-            }
-            if buf.keeps(trace) {
-                kept_ids.insert(trace);
-            }
-        }
-        // Roughly a quarter of the trace ids survive, and each survivor
-        // keeps all three of its stages.
-        assert!(kept_ids.len() > 256 / 8 && kept_ids.len() < 256 / 2, "{}", kept_ids.len());
-        assert_eq!(buf.len(), kept_ids.len() * 3);
-        assert_eq!(buf.sampled_out(), (256 - kept_ids.len() as u64) * 3);
-        for r in buf.snapshot() {
-            assert!(kept_ids.contains(&r.trace));
-        }
-    }
-
-    #[test]
-    fn default_sampling_keeps_everything() {
-        let buf = TraceBuffer::new(16);
-        assert_eq!(buf.sample_every(), 1);
-        for trace in 0..10u64 {
-            assert!(buf.keeps(trace));
-        }
     }
 
     #[test]
