@@ -31,7 +31,9 @@
 //! f(U_old)` to exactly the entries listed under the *touched* processors.
 //! `f` depends only on a processor's synthetic utilization, so an entry
 //! visiting no touched processor has a provably unchanged sum — the
-//! decision then costs O(candidate visits + touched entries). The original
+//! decision then costs O(candidate visits + touched entries). Each visit
+//! of an entry remembers where its index record sits, so an entry leaves
+//! the index in O(visits) however deep the buckets are. The original
 //! scan survives as [`AdmissionController::system_schedulable_brute`] (see
 //! [`AdmissionMode`]), serving as the differential-testing oracle
 //! (`crates/core/tests/differential.rs`).
@@ -242,10 +244,33 @@ pub struct AcStats {
     pub reset_utilization: f64,
 }
 
+/// One stage of a current entry: the processor it runs on and the position
+/// of this visit's record in that processor's `proc_index` bucket. The
+/// back-pointer lives in the allocation `visits` owns anyway, so finding
+/// the record to remove costs no search and no memory of its own.
+#[derive(Debug, Clone, Copy)]
+struct Visit {
+    processor: ProcessorId,
+    slot: u32,
+}
+
+/// One inverted-index record: `(entry, visit)` — the entry's slab index and
+/// which of its visits put the record there. Eight bytes, what a bare
+/// entry id took.
+type IndexRecord = (u32, u32);
+
+// The back-pointers must stay free: a record no wider than the entry id it
+// replaced, and a three-stage chain's visits in 24 bytes — the smallest
+// block the allocator hands out, which three bare processor ids took too.
+const _: () = assert!(std::mem::size_of::<IndexRecord>() == 8 && std::mem::size_of::<Visit>() == 8);
+
 #[derive(Debug, Clone)]
 struct CurrentEntry {
     job: JobId,
-    visits: Vec<ProcessorId>,
+    /// While the entry is indexed, `visits[v].slot` is where the record
+    /// `(entry, v)` sits in `proc_index[visits[v].processor]` — the
+    /// back-pointer invariant `index_errors` audits.
+    visits: Vec<Visit>,
     /// Subtask contributions not yet removed by idle resetting. Entries at
     /// zero are provably complete and are skipped by the bound check.
     outstanding: usize,
@@ -255,6 +280,13 @@ struct CurrentEntry {
     /// entries in place) can never be aliased by a recycled slot when its
     /// stale heap entry finally surfaces.
     gen: u64,
+}
+
+impl CurrentEntry {
+    /// The processors visited, in subtask order.
+    fn processors(&self) -> impl Iterator<Item = ProcessorId> + '_ {
+        self.visits.iter().map(|v| v.processor)
+    }
 }
 
 /// The per-entry state the delta-application inner loop touches, kept in a
@@ -337,8 +369,11 @@ pub struct AdmissionController {
     /// makes a per-record delta application equivalent to multiplying by
     /// the visit multiplicity). The touched-set of any ledger mutation is
     /// read from here instead of scanning the whole current set; dense
-    /// buckets keep that inner loop hash-free.
-    proc_index: Vec<Vec<EntryId>>,
+    /// buckets keep that inner loop hash-free. Bucket order is arbitrary
+    /// (removal is `swap_remove`); each visit knows its record's position
+    /// (see [`CurrentEntry::visits`]), so un-registering an entry is
+    /// O(visits), not O(bucket).
+    proc_index: Vec<Vec<IndexRecord>>,
     /// Number of entries with `outstanding > 0` whose cached AUB sum
     /// exceeds `1 + BOUND_EPSILON`. The incremental admission condition is
     /// `violating_count == 0` (plus the candidate's own bound) — remote
@@ -496,11 +531,12 @@ impl AdmissionController {
         drained.sort_by_key(|(task, _)| *task);
         for (task_id, eid) in drained {
             let Some(entry) = self.unregister_entry(eid) else { continue };
+            let visits: Vec<ProcessorId> = entry.processors().collect();
             let reserved_job = JobId::new(task_id, RESERVED_SEQ);
             let Some(task) = tasks.get(task_id) else {
                 // No deadline horizon known: withdraw the reservation.
                 self.mutate_ledger(|ledger| {
-                    for (subtask, processor) in entry.visits.iter().enumerate() {
+                    for (subtask, processor) in visits.iter().enumerate() {
                         ledger.remove(*processor, ContributionKey::new(reserved_job, subtask));
                     }
                 });
@@ -511,7 +547,7 @@ impl AdmissionController {
             self.next_drain_seq -= 1;
             let drained_job = JobId::new(task_id, self.next_drain_seq);
             self.mutate_ledger(|ledger| {
-                for (subtask, processor) in entry.visits.iter().enumerate() {
+                for (subtask, processor) in visits.iter().enumerate() {
                     if let Some(u) =
                         ledger.remove(*processor, ContributionKey::new(reserved_job, subtask))
                     {
@@ -526,7 +562,7 @@ impl AdmissionController {
                     }
                 }
             });
-            let new_eid = self.register_entry(drained_job, entry.visits.clone());
+            let new_eid = self.register_entry(drained_job, &visits);
             self.entry_expiry.push(Reverse((deadline, new_eid, self.entry(new_eid).gen)));
             report.reservations_drained += 1;
         }
@@ -571,7 +607,7 @@ impl AdmissionController {
                 continue;
             }
             let entry = self.entry(eid);
-            let visits = entry.visits.clone();
+            let visits: Vec<ProcessorId> = entry.processors().collect();
             let old_job = entry.job;
             let task = tasks.get(task_id).expect("filtered on membership above");
             let reserved_job = JobId::new(task_id, RESERVED_SEQ);
@@ -611,7 +647,7 @@ impl AdmissionController {
                             .expect("the reserved key space was free");
                     }
                 });
-                let new_eid = self.register_entry(old_job, visits);
+                let new_eid = self.register_entry(old_job, &visits);
                 self.reserved.insert(task_id, new_eid);
                 report.reservations_reseeded += 1;
                 continue;
@@ -633,7 +669,7 @@ impl AdmissionController {
             }
             self.settle_epoch();
             if self.system_schedulable_with(&visits) {
-                let new_eid = self.register_entry(reserved_job, visits);
+                let new_eid = self.register_entry(reserved_job, &visits);
                 self.reserved.insert(task_id, new_eid);
                 report.reservations_reseeded += 1;
             } else {
@@ -788,7 +824,7 @@ impl AdmissionController {
                 );
             }
         });
-        let eid = self.register_entry(job, assignment.as_slice().to_vec());
+        let eid = self.register_entry(job, assignment.as_slice());
         self.entry_expiry.push(Reverse((deadline, eid, self.entry(eid).gen)));
         Ok(())
     }
@@ -866,8 +902,8 @@ impl AdmissionController {
             if let Some(entry) = self.unregister_entry(eid) {
                 let reserved_job = JobId::new(task, RESERVED_SEQ);
                 self.mutate_ledger(|ledger| {
-                    for (subtask, processor) in entry.visits.iter().enumerate() {
-                        ledger.remove(*processor, ContributionKey::new(reserved_job, subtask));
+                    for (subtask, processor) in entry.processors().enumerate() {
+                        ledger.remove(processor, ContributionKey::new(reserved_job, subtask));
                     }
                 });
             }
@@ -933,7 +969,7 @@ impl AdmissionController {
             let assignment = if self.config.lb == crate::strategy::LbStrategy::PerJob {
                 self.relocate_reservation(task, eid)
             } else {
-                Assignment::new(self.entry(eid).visits.clone())
+                Assignment::new(self.entry(eid).processors().collect())
             };
             return Ok(Some(Decision::Accept { assignment, newly_admitted: false }));
         }
@@ -943,14 +979,14 @@ impl AdmissionController {
     /// Moves a per-task reservation to a freshly balanced placement if that
     /// keeps the whole system schedulable; otherwise keeps the old plan.
     fn relocate_reservation(&mut self, task: &TaskSpec, eid: EntryId) -> Assignment {
-        let old_visits = self.entry(eid).visits.clone();
         let reserved_job = JobId::new(task.id(), RESERVED_SEQ);
 
         // Lift the old contributions out so the proposal does not see the
         // task's own load on its old processors. The entry is de-indexed
         // across the move: deltas flow to everyone else, and its own sum is
         // recomputed once the new placement is in.
-        self.deindex_entry(eid, &old_visits);
+        let old_visits: Vec<ProcessorId> = self.entry(eid).processors().collect();
+        self.detach_visits(eid);
         self.mutate_ledger(|ledger| {
             for (subtask, processor) in old_visits.iter().enumerate() {
                 ledger.remove(*processor, ContributionKey::new(reserved_job, subtask));
@@ -969,18 +1005,14 @@ impl AdmissionController {
                     .expect("reserved keys were just removed");
             }
         });
-        self.index_entry(eid, proposal.as_slice());
-        if let Some(entry) = self.entries[eid].as_mut() {
-            entry.visits = proposal.as_slice().to_vec();
-        }
-        self.refresh_entry(eid);
+        self.attach_visits(eid, proposal.as_slice());
 
         if self.system_schedulable_with(proposal.as_slice()) {
             return proposal;
         }
 
         // Revert: the relocation would violate someone's bound.
-        self.deindex_entry(eid, proposal.as_slice());
+        self.detach_visits(eid);
         self.mutate_ledger(|ledger| {
             for (subtask, processor) in proposal.iter() {
                 ledger.remove(processor, ContributionKey::new(reserved_job, subtask));
@@ -998,11 +1030,7 @@ impl AdmissionController {
                     .expect("restoring the original reservation cannot collide");
             }
         });
-        self.index_entry(eid, &old_visits);
-        if let Some(entry) = self.entries[eid].as_mut() {
-            entry.visits = old_visits.clone();
-        }
-        self.refresh_entry(eid);
+        self.attach_visits(eid, &old_visits);
         Assignment::new(old_visits)
     }
 
@@ -1084,7 +1112,7 @@ impl AdmissionController {
         self.settle_epoch();
 
         if self.system_schedulable_with(assignment.as_slice()) {
-            let eid = self.register_entry(job, assignment.as_slice().to_vec());
+            let eid = self.register_entry(job, assignment.as_slice());
             if reserve {
                 self.reserved.insert(task.id(), eid);
             } else {
@@ -1134,9 +1162,11 @@ impl AdmissionController {
     #[must_use]
     pub fn system_schedulable_brute(&self) -> bool {
         let u = self.ledger.utilizations();
-        self.entries.iter().flatten().filter(|entry| entry.outstanding > 0).all(|entry| {
-            bound_lhs(entry.visits.iter().map(|p| u[p.index()])) <= 1.0 + BOUND_EPSILON
-        })
+        self.entries
+            .iter()
+            .flatten()
+            .filter(|entry| entry.outstanding > 0)
+            .all(|entry| bound_lhs(entry.processors().map(|p| u[p.index()])) <= 1.0 + BOUND_EPSILON)
     }
 
     /// Per-entry cached vs. freshly recomputed AUB sums — the raw material
@@ -1151,7 +1181,7 @@ impl AdmissionController {
             .map(|(eid, e)| EntryBound {
                 job: e.job,
                 cached_lhs: self.hot[eid].cached_lhs,
-                fresh_lhs: bound_lhs(e.visits.iter().map(|p| self.ledger.utilization(*p))),
+                fresh_lhs: bound_lhs(e.processors().map(|p| self.ledger.utilization(p))),
                 outstanding: e.outstanding,
             })
             .collect()
@@ -1163,6 +1193,33 @@ impl AdmissionController {
     #[must_use]
     pub fn violating_entries(&self) -> usize {
         self.violating_count
+    }
+
+    /// Number of disagreements between the inverted index and the entries'
+    /// back-pointers — 0 on a sound controller. Counts every bucket record
+    /// `(e, v)` that does not name a live entry whose visit `v` is that
+    /// processor with the record's position as its stored slot, plus the
+    /// difference between records held and visits of live entries (so the
+    /// records and the visits pair off one to one). Read-only, O(records);
+    /// feeds `rtcm_core::analysis::audit_controller`.
+    #[must_use]
+    pub(crate) fn index_errors(&self) -> usize {
+        let mut errors = 0;
+        let mut records = 0;
+        for (p, bucket) in self.proc_index.iter().enumerate() {
+            records += bucket.len();
+            for (pos, &(eid, visit)) in bucket.iter().enumerate() {
+                let aimed = self
+                    .entries
+                    .get(eid as usize)
+                    .and_then(Option::as_ref)
+                    .and_then(|entry| entry.visits.get(visit as usize))
+                    .is_some_and(|v| v.processor.index() == p && v.slot as usize == pos);
+                errors += usize::from(!aimed);
+            }
+        }
+        let visits: usize = self.entries.iter().flatten().map(|entry| entry.visits.len()).sum();
+        errors + records.abs_diff(visits)
     }
 
     /// Recomputes the ledger totals *and* every cached AUB sum from
@@ -1248,8 +1305,8 @@ impl AdmissionController {
                 continue;
             }
             if delta.is_finite() && aub_term(old).max(aub_term(new)) <= Self::DELTA_REFRESH_LIMIT {
-                for &eid in &self.proc_index[idx] {
-                    let hot = &mut self.hot[eid];
+                for &(eid, _) in &self.proc_index[idx] {
+                    let hot = &mut self.hot[eid as usize];
                     hot.cached_lhs += delta;
                     Self::sync_violating(hot, &mut self.violating_count);
                 }
@@ -1259,10 +1316,11 @@ impl AdmissionController {
         }
         for idx in needs_refresh {
             // Duplicate records (visit multiplicity) refresh twice, which
-            // is idempotent.
-            let eids = self.proc_index[idx].clone();
-            for eid in eids {
-                self.refresh_entry(eid);
+            // is idempotent. A refresh never touches the index, so the
+            // bucket is walked in place.
+            for pos in 0..self.proc_index[idx].len() {
+                let (eid, _) = self.proc_index[idx][pos];
+                self.refresh_entry(eid as usize);
             }
         }
     }
@@ -1271,7 +1329,7 @@ impl AdmissionController {
     /// re-derives its `violating` status.
     fn refresh_entry(&mut self, eid: EntryId) {
         let Some(entry) = self.entries[eid].as_ref() else { return };
-        let cached = bound_lhs(entry.visits.iter().map(|p| self.ledger.utilization(*p)));
+        let cached = bound_lhs(entry.processors().map(|p| self.ledger.utilization(p)));
         let hot = &mut self.hot[eid];
         hot.cached_lhs = cached;
         Self::sync_violating(hot, &mut self.violating_count);
@@ -1292,25 +1350,69 @@ impl AdmissionController {
         }
     }
 
-    fn index_entry(&mut self, eid: EntryId, visits: &[ProcessorId]) {
-        for p in visits {
-            self.proc_index[p.index()].push(eid);
+    /// Appends one record per visit to the visited processors' buckets and
+    /// returns the visits, each carrying its record's position. The caller
+    /// stores them in the slab entry.
+    fn index_entry(&mut self, eid: EntryId, processors: &[ProcessorId]) -> Vec<Visit> {
+        let entry = u32::try_from(eid).expect("fewer than 2^32 current entries");
+        let mut visits = Vec::with_capacity(processors.len());
+        for (visit, &processor) in processors.iter().enumerate() {
+            let bucket = &mut self.proc_index[processor.index()];
+            let slot = u32::try_from(bucket.len()).expect("fewer than 2^32 records per processor");
+            bucket.push((entry, visit as u32));
+            visits.push(Visit { processor, slot });
         }
+        visits
     }
 
-    fn deindex_entry(&mut self, eid: EntryId, visits: &[ProcessorId]) {
-        for p in visits {
-            let bucket = &mut self.proc_index[p.index()];
-            if let Some(pos) = bucket.iter().rposition(|&e| e == eid) {
-                bucket.swap_remove(pos);
+    /// Removes the records of `visits` — entry `eid`'s, already taken out
+    /// of the slab entry (or the whole entry out of the slab) — from the
+    /// index: each visit `swap_remove`s the record at its own slot and
+    /// re-aims the back-pointer of the one record that moved into the
+    /// hole. A moved record of `eid` itself (a chain visiting one processor
+    /// twice) is re-aimed in `visits`, since the slab no longer holds them.
+    fn deindex_entry(&mut self, eid: EntryId, visits: &mut [Visit]) {
+        for visit in 0..visits.len() {
+            let Visit { processor, slot } = visits[visit];
+            let bucket = &mut self.proc_index[processor.index()];
+            debug_assert_eq!(
+                bucket.get(slot as usize),
+                Some(&(eid as u32, visit as u32)),
+                "back-pointer of entry {eid} visit {visit} is off its record on {processor}"
+            );
+            bucket.swap_remove(slot as usize);
+            if let Some(&(moved, moved_visit)) = bucket.get(slot as usize) {
+                let owner = if moved as usize == eid {
+                    &mut *visits
+                } else {
+                    let entry = self.entries[moved as usize].as_mut();
+                    &mut entry.expect("indexed entries are live").visits
+                };
+                owner[moved_visit as usize].slot = slot;
             }
         }
     }
 
+    /// Takes a live entry's visits out of the index. The entry stays in
+    /// the slab with no visits, so until
+    /// [`AdmissionController::attach_visits`] it receives no deltas.
+    fn detach_visits(&mut self, eid: EntryId) {
+        let entry = self.entries[eid].as_mut().expect("entry ids are only read while live");
+        let mut visits = std::mem::take(&mut entry.visits);
+        self.deindex_entry(eid, &mut visits);
+    }
+
+    /// Indexes a detached entry under `processors` and recomputes its sum.
+    fn attach_visits(&mut self, eid: EntryId, processors: &[ProcessorId]) {
+        let visits = self.index_entry(eid, processors);
+        self.entries[eid].as_mut().expect("entry ids are only read while live").visits = visits;
+        self.refresh_entry(eid);
+    }
+
     /// Inserts a new current entry, indexes it, and seeds its cached sum
     /// from the live ledger.
-    fn register_entry(&mut self, job: JobId, visits: Vec<ProcessorId>) -> EntryId {
-        let outstanding = visits.len();
+    fn register_entry(&mut self, job: JobId, processors: &[ProcessorId]) -> EntryId {
+        let outstanding = processors.len();
         let eid = match self.free_entries.pop() {
             Some(eid) => eid,
             None => {
@@ -1321,7 +1423,7 @@ impl AdmissionController {
         };
         let gen = self.next_entry_gen;
         self.next_entry_gen += 1;
-        self.index_entry(eid, &visits);
+        let visits = self.index_entry(eid, processors);
         self.entries[eid] = Some(CurrentEntry { job, visits, outstanding, gen });
         self.hot[eid] = HotEntry { cached_lhs: 0.0, violating: false, counted: outstanding > 0 };
         self.live_entries += 1;
@@ -1334,7 +1436,7 @@ impl AdmissionController {
     /// the violating count (but not its ledger contributions — callers own
     /// those).
     fn unregister_entry(&mut self, eid: EntryId) -> Option<CurrentEntry> {
-        let entry = self.entries.get_mut(eid)?.take()?;
+        let mut entry = self.entries.get_mut(eid)?.take()?;
         self.free_entries.push(eid);
         self.live_entries -= 1;
         self.by_job.remove(&entry.job);
@@ -1342,7 +1444,7 @@ impl AdmissionController {
             self.hot[eid].violating = false;
             self.violating_count -= 1;
         }
-        self.deindex_entry(eid, &entry.visits);
+        self.deindex_entry(eid, &mut entry.visits);
         Some(entry)
     }
 }
@@ -1599,6 +1701,7 @@ mod tests {
         assert!(ac.handle_arrival(&hog, 0, at(1)).unwrap().is_accept());
         let second = ac.handle_arrival(&replicated, 1, at(2)).unwrap();
         assert_eq!(second.assignment().unwrap().processor(0), ProcessorId(1));
+        assert_eq!(ac.index_errors(), 0, "de-index + re-index of an entry that stays in the slab");
         // The reservation's utilization moved with it.
         assert!((ac.ledger().utilization(ProcessorId(1)) - 0.2).abs() < 1e-12);
         assert!((ac.ledger().utilization(ProcessorId(0)) - 0.3).abs() < 1e-12);
@@ -1629,6 +1732,96 @@ mod tests {
         let _ = ac.handle_arrival(&spread, 1, at(2)).unwrap();
         let after: f64 = ac.ledger().utilizations().iter().sum();
         assert!((before - after).abs() < 1e-12, "relocation conserves reserved load");
+        assert_eq!(ac.index_errors(), 0);
+    }
+
+    /// Aperiodic chain over `procs` with a tiny load and its own deadline,
+    /// so tests can pick the order entries leave the registry in.
+    fn chain(id: u32, deadline_ms: u64, procs: &[u16]) -> TaskSpec {
+        let mut b = TaskBuilder::aperiodic(TaskId(id)).deadline(Duration::from_millis(deadline_ms));
+        for p in procs {
+            b = b.subtask(Duration::from_micros(10), ProcessorId(*p), []);
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn entry_visiting_a_processor_twice_deindexes_in_any_order() {
+        // P0's bucket holds [a, twice#0, twice#2, c]. Depending on who
+        // leaves first, the record swapped into a hole belongs to another
+        // entry (re-aimed through the slab) or to `twice` itself while it
+        // is already out of the slab (re-aimed in the detached visits).
+        let orders: [[u64; 3]; 6] =
+            [[1, 2, 3], [1, 3, 2], [2, 1, 3], [3, 1, 2], [2, 3, 1], [3, 2, 1]];
+        for order in orders {
+            let mut ac = AdmissionController::new(cfg("J_N_N"), 2).unwrap();
+            let a = chain(0, 100 * order[0], &[0]);
+            let twice = chain(1, 100 * order[1], &[0, 1, 0]);
+            let c = chain(2, 100 * order[2], &[0]);
+            for task in [&a, &twice, &c] {
+                assert!(ac.handle_arrival(task, 0, Time::ZERO).unwrap().is_accept());
+            }
+            assert_eq!(ac.proc_index[0].len(), 4);
+            assert_eq!(ac.index_errors(), 0, "{order:?}");
+            for (left, deadline_ms) in [(2, 100), (1, 200), (0, 300)] {
+                ac.expire(at(deadline_ms));
+                assert_eq!(ac.current_entries(), left, "{order:?}");
+                assert_eq!(ac.index_errors(), 0, "{order:?} at {deadline_ms} ms");
+                for b in ac.entry_bounds() {
+                    assert!((b.cached_lhs - b.fresh_lhs).abs() < 1e-12, "{order:?}");
+                }
+            }
+            assert!(ac.proc_index.iter().all(Vec::is_empty), "{order:?}");
+        }
+    }
+
+    #[test]
+    fn index_survives_register_reset_expire_churn() {
+        // The closed-loop benchmark's shape: every job is admitted, fully
+        // idle-reset at once, and then sits in the registry until its
+        // deadline — a few hundred stale entries per bucket, leaving in
+        // registration order from the *front* of buckets whose tails keep
+        // growing, so nearly every removal moves a foreign record.
+        let mut ac = AdmissionController::new(cfg("J_J_N"), 3).unwrap();
+        let tasks: Vec<TaskSpec> = (0..9u32)
+            .map(|i| {
+                let procs: Vec<u16> = (0..=i % 3).map(|k| ((i / 3 + k) % 3) as u16).collect();
+                chain(i, 50, &procs)
+            })
+            .collect();
+        let mut now = Time::ZERO;
+        for cycle in 0..10_000u64 {
+            let task = &tasks[(cycle % 9) as usize];
+            let decision = ac.handle_arrival(task, cycle, now).unwrap();
+            let plan = decision.assignment().expect("the load is tiny").clone();
+            let job = JobId::new(task.id(), cycle);
+            for (subtask, processor) in plan.iter() {
+                ac.apply_idle_reset(processor, &[ContributionKey::new(job, subtask)]);
+            }
+            if cycle % 1_000 == 999 {
+                assert_eq!(ac.current_entries(), 500, "50 ms of arrivals 100 µs apart");
+                assert_eq!(ac.index_errors(), 0, "cycle {cycle}");
+            }
+            now = now.saturating_add(Duration::from_micros(100));
+        }
+        ac.expire(now.saturating_add(Duration::from_millis(50)));
+        assert_eq!(ac.current_entries(), 0);
+        assert_eq!(ac.index_errors(), 0);
+        assert!(ac.proc_index.iter().all(Vec::is_empty));
+    }
+
+    #[test]
+    fn index_errors_counts_a_broken_back_pointer() {
+        let mut ac = AdmissionController::new(cfg("J_N_N"), 2).unwrap();
+        for (id, procs) in [(0, &[0u16, 1][..]), (1, &[0][..])] {
+            assert!(ac.handle_arrival(&chain(id, 100, procs), 0, Time::ZERO).unwrap().is_accept());
+        }
+        assert_eq!(ac.index_errors(), 0);
+        ac.proc_index[0].swap(0, 1);
+        assert_eq!(ac.index_errors(), 2, "both records sit off their visits' slots");
+        ac.proc_index[0].swap(0, 1);
+        ac.proc_index[1].clear();
+        assert_eq!(ac.index_errors(), 1, "a visit without its record");
     }
 
     #[test]

@@ -190,16 +190,22 @@ pub struct ControllerAudit {
     /// `f64::INFINITY` if a cache disagrees with a fresh sum about
     /// saturation itself.
     pub max_cached_drift: f64,
+    /// Disagreements between the per-processor inverted index and the
+    /// entries' back-pointers into it: records naming no live visit, or
+    /// one stored at another position, plus any surplus of records over
+    /// visits. Any non-zero value is a bug — deltas would reach the wrong
+    /// entries.
+    pub index_errors: usize,
     /// The per-entry evidence.
     pub entry_bounds: Vec<EntryBound>,
 }
 
 impl ControllerAudit {
     /// True when every cached sum matches its fresh recomputation within
-    /// `tolerance`.
+    /// `tolerance` and the inverted index is sound.
     #[must_use]
     pub fn is_consistent(&self, tolerance: f64) -> bool {
-        self.max_cached_drift <= tolerance
+        self.max_cached_drift <= tolerance && self.index_errors == 0
     }
 }
 
@@ -211,7 +217,8 @@ fn bound_drift(bound: &EntryBound) -> f64 {
     }
 }
 
-/// Audits `ac`'s cached AUB sums against fresh recomputation.
+/// Audits `ac`'s cached AUB sums against fresh recomputation, and its
+/// inverted index against the entries it lists.
 #[must_use]
 pub fn audit_controller(ac: &AdmissionController) -> ControllerAudit {
     let entry_bounds = ac.entry_bounds();
@@ -221,6 +228,7 @@ pub fn audit_controller(ac: &AdmissionController) -> ControllerAudit {
         current_entries: ac.current_entries(),
         violating_entries: ac.violating_entries(),
         max_cached_drift,
+        index_errors: ac.index_errors(),
         entry_bounds,
     }
 }
@@ -307,6 +315,7 @@ mod tests {
         let audit = audit_controller(&ac);
         assert_eq!(audit.current_entries, 2);
         assert_eq!(audit.violating_entries, 0);
+        assert_eq!(audit.index_errors, 0);
         assert!(audit.is_consistent(1e-9), "drift {}", audit.max_cached_drift);
 
         // Un-tested remote load can push current entries over the bound;

@@ -150,13 +150,15 @@ fn run_trace(config: ServiceConfig, tasks: &[TaskSpec], ops: &[RawOp]) -> usize 
 
         if step % 16 == 15 {
             // The declarative-model audit: cached sums must match fresh
-            // recomputation on both sides, mid-trace.
+            // recomputation, and the inverted index its entries, on both
+            // sides, mid-trace.
             for (label, ac) in [("incremental", &inc), ("brute", &brute)] {
                 let audit = audit_controller(ac);
                 assert!(
                     audit.is_consistent(1e-9),
-                    "{config}: {label} caches drifted {} at step {step}",
-                    audit.max_cached_drift
+                    "{config}: {label} caches drifted {}, {} index errors at step {step}",
+                    audit.max_cached_drift,
+                    audit.index_errors
                 );
             }
             assert_eq!(

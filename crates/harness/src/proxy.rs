@@ -377,8 +377,10 @@ mod tests {
         let _rx = a.handle(NodeId(1)).unwrap().subscribe(Topic(1));
         proxy.corrupt_next(Direction::Up);
         b.handle(NodeId(1)).unwrap().publish(Topic(1), &b"mangled"[..]);
+        // The receiver counts the frame, then tears the link down: wait for
+        // the second counter, or the first can be seen alone.
         let deadline = Instant::now() + RECV;
-        while a.stats().bridge_rx_errors == 0 && Instant::now() < deadline {
+        while a.stats().bridge_disconnects == 0 && Instant::now() < deadline {
             std::thread::sleep(StdDuration::from_millis(5));
         }
         assert_eq!(a.stats().bridge_rx_errors, 1, "receiver counted the corrupt frame");

@@ -402,6 +402,7 @@ impl Manager {
         let ac_elapsed = Duration::from(ac_start.elapsed());
         let metrics = self.cfg.stats.metrics();
         metrics.ac_test.record(ac_elapsed.as_nanos());
+        metrics.admission_live_entries.set(self.cfg.ac.current_entries() as f64);
 
         let host = self.cfg.channel.host_id();
         match decision {
@@ -495,6 +496,7 @@ impl Manager {
         let update = Duration::from(update_start.elapsed());
         let m = self.cfg.stats.metrics();
         m.ir_update.record(update.as_nanos());
+        m.admission_live_entries.set(self.cfg.ac.current_entries() as f64);
         m.ir_path.record(now.elapsed_since(Time::from_nanos(msg.started_ns)).as_nanos());
         m.ir_reports.inc();
     }

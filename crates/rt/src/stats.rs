@@ -198,6 +198,11 @@ pub struct RtMetrics {
     pub arrived_utilization: Arc<Gauge>,
     /// Σ C/D of released (admitted) jobs.
     pub released_utilization: Arc<Gauge>,
+    /// Current registry entries of the admission controller (jobs whose
+    /// deadlines have not passed, idle-reset or not, plus reservations) —
+    /// what one admission decision's bookkeeping walks. Set by the manager
+    /// after each arrival and idle-reset report.
+    pub admission_live_entries: Arc<Gauge>,
     /// Jobs arrived (count behind the ratio).
     pub arrived_jobs: Arc<Counter>,
     /// Jobs released (count behind the ratio).
@@ -280,6 +285,10 @@ impl RtMetrics {
             released_utilization: r.gauge(
                 "rtcm_released_utilization",
                 "Cumulative utilization weight (sum C/D) of released jobs.",
+            ),
+            admission_live_entries: r.gauge(
+                "rtcm_admission_live_entries",
+                "Current admission registry entries (unexpired jobs plus reservations).",
             ),
             response: r
                 .histogram("rtcm_response_ns", "End-to-end response time of completed jobs."),

@@ -1282,6 +1282,37 @@ fn oam_scrape_matches_the_report_snapshot() {
     let _ = system.shutdown();
 }
 
+/// The registry population one admission decision walks is on `/metrics`:
+/// a job stays a current entry until its *deadline* — completing and being
+/// idle-reset does not retire it — and the next arrival's expiry does.
+#[test]
+fn live_entries_gauge_counts_jobs_until_their_deadline() {
+    let system = launch(
+        "workload w\nprocessors 1\ntask t aperiodic deadline=50ms\n  subtask exec=1ms proc=0\n",
+        "J_J_N",
+    );
+    let oam = system.serve_oam("127.0.0.1:0").unwrap();
+    let live_entries = || {
+        let page = rtcm_telemetry::scrape(oam.addr(), "/metrics").unwrap();
+        assert!(page.contains("# TYPE rtcm_admission_live_entries gauge"));
+        metric(&page, "rtcm_admission_live_entries")
+    };
+    assert_eq!(live_entries(), 0);
+
+    system.submit(TaskId(0), 0).unwrap();
+    assert!(system.quiesce(QUIESCE));
+    assert_eq!(live_entries(), 1, "done and idle-reset, but its deadline has not passed");
+
+    // Past the first job's deadline: the second arrival expires it first.
+    std::thread::sleep(StdDuration::from_millis(60));
+    system.submit(TaskId(0), 1).unwrap();
+    assert!(system.quiesce(QUIESCE));
+    assert_eq!(live_entries(), 1, "the expired entry left; only the new job is current");
+
+    oam.shutdown();
+    let _ = system.shutdown();
+}
+
 /// "Both substrates drive the same service logic": the manager thread's
 /// decisions are the ones a bare `AdmissionController` makes for the same
 /// `(task, seq)` order. Timing-independent — under `J_N_N` nothing is idle
