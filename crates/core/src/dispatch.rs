@@ -1,19 +1,24 @@
-//! A single simulated processor: preemptive fixed-priority dispatching of
-//! subjobs in virtual time.
+//! The prioritized subtask dispatcher of one processor (the F/I and Last
+//! Subtask components of Figure 3): preemptive fixed-priority dispatching
+//! of subjobs, as a pure state machine.
 //!
 //! This is the execution model the AUB analysis assumes: one CPU per
 //! processor, the highest-priority ready subjob always running, preemption
-//! on arrival of more-urgent work. Completion events are validated through
-//! generation tokens, the standard discrete-event pattern for cancellable
-//! timers: every (re)start of a subjob bumps the generation, so completion
-//! events scheduled for preempted runs are recognized as stale and ignored.
+//! on arrival of more-urgent work. Time enters only as the `now` argument,
+//! so the simulator drives it in virtual time and the threaded runtime's
+//! node drives it off its wall clock, where a completion is delivered at or
+//! after its nominal instant, never before. Completion events are validated
+//! through generation tokens, the standard discrete-event pattern for
+//! cancellable timers: every (re)start of a subjob bumps the generation, so
+//! completion events scheduled for preempted runs are recognized as stale
+//! and ignored.
 //!
 //! # Examples
 //!
 //! ```
+//! use rtcm_core::dispatch::{Completion, Cpu};
 //! use rtcm_core::priority::Priority;
 //! use rtcm_core::time::{Duration, Time};
-//! use rtcm_sim::cpu::{Completion, Cpu};
 //!
 //! let mut cpu: Cpu<&str> = Cpu::new();
 //! let start = cpu
@@ -30,8 +35,8 @@
 
 use std::collections::BinaryHeap;
 
-use rtcm_core::priority::Priority;
-use rtcm_core::time::{Duration, Time};
+use crate::priority::Priority;
+use crate::time::{Duration, Time};
 
 /// Directive returned when a subjob starts running: the caller must
 /// schedule a [`Cpu::complete`] call at `completes_at` carrying `gen`.
@@ -39,7 +44,7 @@ use rtcm_core::time::{Duration, Time};
 pub struct Started {
     /// Generation token validating the completion event.
     pub gen: u64,
-    /// Virtual instant at which the run finishes if not preempted.
+    /// Instant at which the run finishes if not preempted.
     pub completes_at: Time,
 }
 
@@ -179,7 +184,7 @@ impl<T> Cpu<T> {
         self.ready.len()
     }
 
-    /// Total virtual time spent busy up to the last state change.
+    /// Total time spent busy up to the last state change.
     #[must_use]
     pub fn busy_time(&self) -> Duration {
         self.busy_accum
@@ -242,7 +247,8 @@ impl<T: Clone> Cpu<T> {
             _ => return Completion::Stale,
         }
         let run = self.running.take().expect("checked above");
-        debug_assert_eq!(now, run.started_at + run.remaining_at_start, "completion drift");
+        // A wall-clock driver delivers late, never early.
+        debug_assert!(now >= run.started_at + run.remaining_at_start, "early completion");
         if let Some(trace) = &mut self.trace {
             trace.push(Transition::Finish { at: now, payload: run.payload.clone() });
         }
@@ -433,5 +439,56 @@ mod tests {
             Completion::Stale => panic!(),
         }
         assert_eq!(cpu.busy_time(), Duration::from_micros(12));
+    }
+
+    // The three below are what a wall-clock driver relies on: its `now` is
+    // whatever the clock reads when the timer thread wakes.
+
+    #[test]
+    fn late_completion_starts_the_next_run_at_the_late_instant() {
+        let mut cpu: Cpu<&str> = Cpu::new();
+        let first = cpu.enqueue(at(0), Priority(1), Duration::from_micros(10), "first").unwrap();
+        assert!(cpu.enqueue(at(1), Priority(5), Duration::from_micros(4), "second").is_none());
+        // Nominally due at 10 µs; the wake-up arrives at 13 µs.
+        match cpu.complete(at(13), first.gen) {
+            Completion::Done { payload, next } => {
+                assert_eq!(payload, "first");
+                assert_eq!(next.unwrap().completes_at, at(17), "13 + 4, not 10 + 4");
+            }
+            Completion::Stale => panic!("live completion"),
+        }
+    }
+
+    #[test]
+    fn zero_length_run_is_due_at_once() {
+        let mut cpu: Cpu<u32> = Cpu::new();
+        let s = cpu.enqueue(at(42), Priority(3), Duration::ZERO, 9).unwrap();
+        assert_eq!(s.completes_at, at(42));
+        match cpu.complete(at(42), s.gen) {
+            Completion::Done { payload, next } => {
+                assert_eq!(payload, 9);
+                assert!(next.is_none());
+            }
+            Completion::Stale => panic!("live completion"),
+        }
+        assert!(cpu.is_idle());
+    }
+
+    #[test]
+    fn preemption_banks_exactly_the_elapsed_time() {
+        let mut cpu: Cpu<&str> = Cpu::new();
+        let started = Time::from_nanos(1_000_003);
+        let preempted = Time::from_nanos(1_417_920);
+        let low = cpu.enqueue(started, Priority(5), Duration::from_millis(1), "low").unwrap();
+        let high = cpu.enqueue(preempted, Priority(1), Duration::ZERO, "high").unwrap();
+        assert!(matches!(cpu.complete(low.completes_at, low.gen), Completion::Stale));
+        let resumed = match cpu.complete(preempted, high.gen) {
+            Completion::Done { next, .. } => next.unwrap(),
+            Completion::Stale => panic!("live completion"),
+        };
+        // 1 ms − (1 417 920 − 1 000 003) ns left, counted from the resume.
+        let left = Duration::from_millis(1).saturating_sub(preempted.elapsed_since(started));
+        assert_eq!(left, Duration::from_nanos(582_083));
+        assert_eq!(resumed.completes_at, preempted + left);
     }
 }

@@ -1,0 +1,170 @@
+//! The task effector's per-task verdict cache (§4.1, §5): what lets the
+//! arrival processor settle a periodic task's later jobs without a manager
+//! round trip.
+//!
+//! Under per-task admission control the verdict on a periodic task's first
+//! job stands for every later one: a rejected task's jobs are dropped where
+//! they arrive, and an accepted task's jobs are released there — unless
+//! load balancing re-places every job, in which case each one still asks.
+//! The effector holds that rule and the cache; the substrate holds the
+//! placement in whatever form it carries one (`P`) and performs the
+//! release. A reconfiguration commit calls [`TaskEffector::clear`]: cached
+//! verdicts were taken under the old configuration.
+//!
+//! # Examples
+//!
+//! ```
+//! use rtcm_core::effector::{Local, TaskEffector};
+//! use rtcm_core::task::{ProcessorId, TaskBuilder, TaskId};
+//! use rtcm_core::time::Duration;
+//!
+//! let scan = TaskBuilder::periodic(TaskId(0), Duration::from_millis(100))
+//!     .subtask(Duration::from_millis(10), ProcessorId(0), [])
+//!     .build()?;
+//! let services = "T_N_N".parse()?;
+//!
+//! let mut te: TaskEffector<Vec<u16>> = TaskEffector::default();
+//! assert_eq!(te.on_arrival(services, &scan), Local::AskManager);
+//! te.on_accept(services, &scan, &vec![0]);
+//! assert_eq!(te.on_arrival(services, &scan), Local::Release(&vec![0]));
+//! # Ok::<(), Box<dyn std::error::Error>>(())
+//! ```
+
+use std::collections::HashMap;
+
+use crate::strategy::ServiceConfig;
+use crate::task::{TaskId, TaskSpec};
+
+/// What the effector can do with an arriving job on its own.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Local<'a, P> {
+    /// The task was accepted earlier: release the job on this placement.
+    Release(&'a P),
+    /// The task was rejected earlier: drop the job.
+    Drop,
+    /// Nothing is known, or the configuration decides every job: hold the
+    /// job and push "Task Arrive" to the admission controller.
+    AskManager,
+}
+
+/// The per-task verdict cache of one task effector (or, in the simulator,
+/// of all of them — a task arrives at one processor).
+#[derive(Debug)]
+pub struct TaskEffector<P> {
+    /// `Some(plan)`: accepted, release locally; `None`: rejected.
+    verdicts: HashMap<TaskId, Option<P>>,
+}
+
+impl<P> Default for TaskEffector<P> {
+    fn default() -> Self {
+        TaskEffector { verdicts: HashMap::new() }
+    }
+}
+
+impl<P> TaskEffector<P> {
+    /// A job of `task` arrived: release it, drop it, or ask.
+    #[must_use]
+    pub fn on_arrival(&self, services: ServiceConfig, task: &TaskSpec) -> Local<'_, P> {
+        if !services.decides_per_task(task) {
+            return Local::AskManager;
+        }
+        match self.verdicts.get(&task.id()) {
+            Some(Some(plan)) if services.releases_locally(task) => Local::Release(plan),
+            Some(None) => Local::Drop,
+            _ => Local::AskManager,
+        }
+    }
+
+    /// The admission controller accepted a job of `task` on `plan`; the
+    /// plan is kept iff later jobs release locally.
+    pub fn on_accept(&mut self, services: ServiceConfig, task: &TaskSpec, plan: &P)
+    where
+        P: Clone,
+    {
+        if services.releases_locally(task) {
+            self.verdicts.insert(task.id(), Some(plan.clone()));
+        }
+    }
+
+    /// The admission controller rejected `task` as a whole (its verdict
+    /// said so; see [`ServiceConfig::decides_per_task`]).
+    pub fn on_task_rejected(&mut self, task: TaskId) {
+        self.verdicts.insert(task, None);
+    }
+
+    /// Forgets every verdict (a reconfiguration committed).
+    pub fn clear(&mut self) {
+        self.verdicts.clear();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::task::{ProcessorId, TaskBuilder};
+    use crate::time::Duration;
+
+    fn periodic() -> TaskSpec {
+        TaskBuilder::periodic(TaskId(0), Duration::from_millis(100))
+            .subtask(Duration::from_millis(10), ProcessorId(0), [ProcessorId(1)])
+            .build()
+            .unwrap()
+    }
+
+    fn cfg(label: &str) -> ServiceConfig {
+        label.parse().unwrap()
+    }
+
+    #[test]
+    fn a_per_job_configuration_never_caches() {
+        let aperiodic = TaskBuilder::aperiodic(TaskId(1))
+            .deadline(Duration::from_millis(100))
+            .subtask(Duration::from_millis(10), ProcessorId(0), [])
+            .build()
+            .unwrap();
+        // The last row: per-task admission control decides aperiodic jobs
+        // one by one all the same.
+        for (label, task) in
+            [("J_N_N", periodic()), ("J_N_N", aperiodic.clone()), ("T_N_N", aperiodic)]
+        {
+            let mut te = TaskEffector::default();
+            te.on_accept(cfg(label), &task, &7);
+            assert_eq!(te.on_arrival(cfg(label), &task), Local::AskManager, "{label}");
+        }
+    }
+
+    #[test]
+    fn an_accepted_per_task_task_releases_locally_unless_lb_is_per_job() {
+        for (label, then) in [
+            ("T_N_N", Local::Release(&7)),
+            ("T_N_T", Local::Release(&7)),
+            ("T_N_J", Local::AskManager),
+        ] {
+            let mut te = TaskEffector::default();
+            assert_eq!(te.on_arrival(cfg(label), &periodic()), Local::AskManager);
+            te.on_accept(cfg(label), &periodic(), &7);
+            assert_eq!(te.on_arrival(cfg(label), &periodic()), then, "{label}");
+        }
+    }
+
+    #[test]
+    fn a_rejected_task_drops() {
+        let mut te: TaskEffector<u8> = TaskEffector::default();
+        te.on_task_rejected(TaskId(0));
+        // Per-job load balancing re-places accepted jobs; a rejection
+        // stands all the same.
+        for label in ["T_N_N", "T_N_J"] {
+            assert_eq!(te.on_arrival(cfg(label), &periodic()), Local::Drop, "{label}");
+        }
+    }
+
+    #[test]
+    fn clear_forgets() {
+        let mut te = TaskEffector::default();
+        te.on_accept(cfg("T_N_N"), &periodic(), &7);
+        te.on_task_rejected(TaskId(2));
+        te.clear();
+        assert_eq!(te.on_arrival(cfg("T_N_N"), &periodic()), Local::AskManager);
+        assert!(te.verdicts.is_empty());
+    }
+}

@@ -542,12 +542,6 @@ impl Governor {
         self.stats
     }
 
-    /// Windows left in the post-swap cooldown.
-    #[must_use]
-    pub fn cooldown_remaining(&self) -> u32 {
-        self.cooldown
-    }
-
     /// Observes one closed window under the *actual* current configuration
     /// and returns a switch decision if a rule's hysteresis is satisfied.
     ///

@@ -16,6 +16,9 @@
 //!   ([`admission`]), **idle resetting** ([`reset`]) and **load balancing**
 //!   ([`balance`]) — with their per-task / per-job / disabled strategies
 //!   ([`strategy`]) and the §4.5 validity rule (15 of 18 combinations);
+//! * the two per-processor components both substrates drive: the
+//!   preemptive EDMS subtask **dispatcher** ([`dispatch`]) and the **task
+//!   effector**'s per-task decision cache ([`effector`]);
 //! * run-time **reconfiguration** ([`reconfig`]): transition plans, timed
 //!   mode schedules, and the admission-state handover behind
 //!   `AdmissionController::reconfigure`;
@@ -63,6 +66,8 @@ pub mod admission;
 pub mod analysis;
 pub mod aub;
 pub mod balance;
+pub mod dispatch;
+pub mod effector;
 pub mod govern;
 pub mod ledger;
 pub mod metrics;

@@ -59,7 +59,7 @@ impl TimerDriver for Clock {
 }
 
 /// A hand-cranked [`TimerDriver`]: time stands still until someone calls
-/// [`ManualClock::advance_by`] / [`ManualClock::set_ns`].
+/// [`ManualClock::advance_by`].
 ///
 /// Clones share the same axis, so a test can hold one handle while the
 /// reactor under test holds another. This is the determinism contract the
@@ -80,11 +80,6 @@ impl ManualClock {
     /// Moves time forward by `delta` nanoseconds.
     pub fn advance_by(&self, delta_ns: u64) {
         self.ns.fetch_add(delta_ns, Ordering::SeqCst);
-    }
-
-    /// Jumps time to an absolute nanosecond reading (must be monotone).
-    pub fn set_ns(&self, ns: u64) {
-        self.ns.fetch_max(ns, Ordering::SeqCst);
     }
 }
 

@@ -30,11 +30,12 @@
 //!   deterministic federation (time is injected, never read).
 //!
 //! Scheduling substitution (see DESIGN.md): instead of OS real-time
-//! priorities, each node runs a single dispatcher thread executing the
-//! most urgent ready subjob in 200 µs slices — quasi-preemptive
-//! fixed-priority scheduling with bounded priority-inversion (one slice).
-//! Slice boundaries are wheel entries on the reactor, not `thread::sleep`
-//! polls, so an idle node performs no timer wakeups at all.
+//! priorities, each node runs a single dispatcher thread driving
+//! `rtcm_core::dispatch::Cpu`, the preemptive fixed-priority state machine
+//! the simulator runs. Execution is parking until the running subjob's
+//! completion instant — the node's only wheel entry — and a more urgent
+//! arrival preempts when it is received, so a subjob costs one timer
+//! wakeup and an idle node none at all.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

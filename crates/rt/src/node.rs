@@ -2,23 +2,23 @@
 //! the idle resetter, and the prioritized subtask dispatcher (the F/I and
 //! Last Subtask components of Figure 3).
 //!
-//! Subjobs execute in **time slices** ([`SLICE`], 200 µs): the dispatcher
-//! checks for more-urgent ready work at every slice boundary, giving
-//! quasi-preemptive EDMS scheduling without relying on OS real-time
-//! priorities (see DESIGN.md for this substitution). Execution itself is
-//! simulated by sleeping for the subtask's execution time ([`ExecMode`]).
-//!
-//! The loop is reactor-driven: in [`ExecMode::Sleep`] a slice boundary is a
-//! timer-wheel entry and the thread parks on `min(slice deadline, mailbox)`
-//! — mid-slice events are enqueued immediately but preemption still only
-//! happens at the boundary. An idle node holds no wheel entries and blocks
-//! on its mailbox indefinitely: **zero wakeups while idle**, where the old
-//! design paid a 500 µs `recv_timeout` poll (~2000 wakeups/s/node).
+//! The dispatcher is [`rtcm_core::dispatch::Cpu`] — the preemptive EDMS
+//! state machine the simulator runs and the AUB analysis assumes — driven
+//! off the wall clock instead of OS real-time priorities (see DESIGN.md for
+//! this substitution). Execution is simulated ([`ExecMode`]): in
+//! [`ExecMode::Sleep`] the running subjob *is* a timer-wheel entry at its
+//! completion instant and the thread parks on `min(completion, mailbox)`.
+//! A more urgent arrival preempts the moment it is received: `Cpu` banks
+//! the time the preempted run consumed and the entry is re-aimed at the
+//! new run. That entry is the only one a node ever holds, so a subjob costs
+//! one timer wake-up however long it runs, and an idle node blocks on its
+//! mailbox indefinitely: **zero wakeups while idle**.
 
-use std::collections::BinaryHeap;
 use std::sync::Arc;
-use std::time::{Duration as StdDuration, Instant};
+use std::time::Instant;
 
+use rtcm_core::dispatch::{Completion, Cpu, Started};
+use rtcm_core::effector::{Local, TaskEffector};
 use rtcm_core::ledger::ContributionKey;
 use rtcm_core::priority::Priority;
 use rtcm_core::reset::IdleResetter;
@@ -38,59 +38,22 @@ use crate::stats::SharedStats;
 /// How subtask execution consumes time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// Sleep for the execution time (cooperative; default).
+    /// Park until the execution time has passed, preemptibly (default).
     #[default]
     Sleep,
     /// Complete instantly (control-plane tests).
     Noop,
 }
 
-/// Dispatcher slice length: the preemption granularity.
-const SLICE: StdDuration = StdDuration::from_micros(200);
-
+/// What a subjob carries through the dispatcher to its completion.
 #[derive(Debug, Clone)]
-enum TeDecision {
-    Admitted(Vec<u16>),
-    Rejected,
-}
-
-/// Wheel tags for the node's reactor.
-#[derive(Debug, Clone, Copy)]
-enum NodeTimer {
-    /// The current execution slice reached its boundary.
-    SliceEnd,
-}
-
-#[derive(Debug)]
-struct ReadySubjob {
-    priority: Priority,
-    enqueue_seq: u64,
+struct Subjob {
     job: JobId,
     subtask: usize,
-    remaining: StdDuration,
     assignment: Vec<u16>,
     arrival_ns: u64,
     deadline_ns: u64,
     trace: u64,
-}
-
-impl PartialEq for ReadySubjob {
-    fn eq(&self, other: &Self) -> bool {
-        self.enqueue_seq == other.enqueue_seq
-    }
-}
-impl Eq for ReadySubjob {}
-impl PartialOrd for ReadySubjob {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for ReadySubjob {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.priority
-            .cmp_urgency(other.priority)
-            .then_with(|| other.enqueue_seq.cmp(&self.enqueue_seq))
-    }
 }
 
 /// Everything a node thread needs at spawn time.
@@ -123,11 +86,9 @@ struct Node {
     cfg: NodeConfig,
     inject_topic: Topic,
     ctl_topic: Topic,
-    te_cache: std::collections::HashMap<TaskId, TeDecision>,
+    te: TaskEffector<Vec<u16>>,
     resetter: IdleResetter,
-    ready: BinaryHeap<ReadySubjob>,
-    current: Option<ReadySubjob>,
-    next_seq: u64,
+    cpu: Cpu<Subjob>,
     /// Set between a reconfiguration *prepare* and its *commit*/*abort*,
     /// keyed by `(coordinator, epoch)`: while fenced, the TE fast path is
     /// disabled so every arrival routes through the AC and no local
@@ -136,19 +97,14 @@ struct Node {
     /// can never half-apply.
     fence: Option<(u64, u64)>,
     running: bool,
-    /// Timer wheel + single-wait loop. In [`ExecMode::Sleep`] the pending
-    /// slice boundary is the only steady-state entry.
-    reactor: Reactor<Clock, NodeTimer>,
-    /// Wheel entry for the in-flight slice; `Some` exactly while `current`
-    /// holds a subjob mid-slice.
-    slice_timer: Option<TimerId>,
-    /// Wall instant the in-flight slice started (for consumed-time
-    /// compensation on kernels with coarse timers).
-    slice_started: Instant,
-    /// Nominal length of the in-flight slice.
-    slice_len: StdDuration,
+    /// Timer wheel + single-wait loop; entries are tagged with the
+    /// generation of the run they complete.
+    reactor: Reactor<Clock, u64>,
+    /// The node's one wheel entry: the running subjob's completion. `None`
+    /// while nothing runs — and always under [`ExecMode::Noop`].
+    completion: Option<TimerId>,
     /// Scratch buffer for fired timers (avoids per-wake allocation).
-    fired: Vec<(TimerId, NodeTimer)>,
+    fired: Vec<(TimerId, u64)>,
 }
 
 impl Node {
@@ -157,17 +113,13 @@ impl Node {
         Node {
             inject_topic: topics::inject(cfg.processor),
             ctl_topic: topics::node_ctl(cfg.processor),
-            te_cache: std::collections::HashMap::new(),
+            te: TaskEffector::default(),
             resetter,
-            ready: BinaryHeap::new(),
-            current: None,
-            next_seq: 0,
+            cpu: Cpu::new(),
             fence: None,
             running: true,
             reactor: Reactor::new(cfg.clock, DEFAULT_TICK),
-            slice_timer: None,
-            slice_started: Instant::now(),
-            slice_len: StdDuration::ZERO,
+            completion: None,
             fired: Vec::new(),
             cfg,
         }
@@ -178,17 +130,23 @@ impl Node {
             let mut fired = std::mem::take(&mut self.fired);
             fired.clear();
             self.reactor.poll(&mut fired);
-            for (_, timer) in fired.drain(..) {
-                self.on_timer(timer);
+            for (_, gen) in fired.drain(..) {
+                self.completion = None;
+                let next = self.complete(gen);
+                self.follow(next);
             }
             self.fired = fired;
             self.drain_messages();
             if !self.running {
                 break;
             }
-            self.pump();
-            if !self.running {
-                break;
+            // Idleness is declared here and nowhere else: only now is the
+            // mailbox known to be empty. A completion that empties the
+            // dispatcher says nothing about releases already queued behind
+            // it, and reporting there sends an idle reset per completion
+            // instead of one per idle period.
+            if self.cpu.is_idle() {
+                self.report_idle();
             }
             match self.reactor.wait(&self.cfg.mailbox) {
                 Wake::Event(ev) => self.dispatch(&ev),
@@ -282,7 +240,7 @@ impl Node {
                 // reservation must not keep fast-path releasing).
                 self.cfg.services = msg.services;
                 self.resetter.set_strategy(msg.services.ir);
-                self.te_cache.clear();
+                self.te.clear();
                 self.fence = None;
             }
         }
@@ -320,49 +278,48 @@ impl Node {
         // While fenced for a pending reconfiguration, the fast path is
         // disabled: every arrival routes through the AC, which defers it
         // to whichever configuration wins the swap.
-        let per_task = self.fence.is_none() && self.cfg.services.decides_per_task(task);
-        if per_task {
-            match self.te_cache.get(&inj.task) {
-                Some(TeDecision::Admitted(assignment))
-                    if self.cfg.services.releases_locally(task) =>
-                {
-                    let assignment = assignment.clone();
-                    let now = self.cfg.clock.now().as_nanos();
-                    let deadline = now + task.deadline().as_nanos();
-                    let job = JobId::new(inj.task, inj.seq);
-                    m.released_utilization.add(task.job_utilization());
-                    m.released_jobs.inc();
-                    m.trace.record(
-                        inj.trace,
-                        now,
-                        self.cfg.channel.host_id(),
-                        "release",
-                        format!("{job} fast path, proc {}", assignment[0]),
-                    );
-                    if assignment[0] == self.cfg.processor {
-                        self.enqueue(job, 0, assignment, now, deadline, inj.trace);
-                    } else {
-                        // Release the duplicate on its processor via a
-                        // trigger-style handoff.
-                        let msg = TriggerMsg {
-                            job,
-                            next_subtask: 0,
-                            assignment,
-                            arrival_ns: now,
-                            deadline_ns: deadline,
-                            sent_ns: now,
-                            trace: inj.trace,
-                        };
-                        self.cfg.channel.publish(topics::TRIGGER, proto::encode(&msg));
-                    }
-                    return;
+        let local = match self.fence {
+            Some(_) => Local::AskManager,
+            None => self.te.on_arrival(self.cfg.services, task),
+        };
+        match local {
+            Local::Release(assignment) => {
+                let assignment = assignment.clone();
+                let now = self.cfg.clock.now().as_nanos();
+                let deadline = now + task.deadline().as_nanos();
+                let job = JobId::new(inj.task, inj.seq);
+                m.released_utilization.add(task.job_utilization());
+                m.released_jobs.inc();
+                m.trace.record(
+                    inj.trace,
+                    now,
+                    self.cfg.channel.host_id(),
+                    "release",
+                    format!("{job} fast path, proc {}", assignment[0]),
+                );
+                if assignment[0] == self.cfg.processor {
+                    self.enqueue(job, 0, assignment, now, deadline, inj.trace);
+                } else {
+                    // Release the duplicate on its processor via a
+                    // trigger-style handoff.
+                    let msg = TriggerMsg {
+                        job,
+                        next_subtask: 0,
+                        assignment,
+                        arrival_ns: now,
+                        deadline_ns: deadline,
+                        sent_ns: now,
+                        trace: inj.trace,
+                    };
+                    self.cfg.channel.publish(topics::TRIGGER, proto::encode(&msg));
                 }
-                Some(TeDecision::Rejected) => {
-                    self.cfg.stats.job_out();
-                    return;
-                }
-                _ => {}
+                return;
             }
+            Local::Drop => {
+                self.cfg.stats.job_out();
+                return;
+            }
+            Local::AskManager => {}
         }
 
         let hold_start = Instant::now();
@@ -388,8 +345,8 @@ impl Node {
         }
         let arrival_proc = task.subtasks()[0].primary.0;
 
-        if arrival_proc == self.cfg.processor && self.cfg.services.releases_locally(task) {
-            self.te_cache.insert(msg.job.task, TeDecision::Admitted(msg.assignment.clone()));
+        if arrival_proc == self.cfg.processor {
+            self.te.on_accept(self.cfg.services, task, &msg.assignment);
         }
 
         if msg.release_proc != self.cfg.processor {
@@ -416,9 +373,10 @@ impl Node {
             "release",
             format!("{} on proc {}", msg.job, msg.release_proc),
         );
+        // The release (op 5/6) ends where the dispatcher takes over: what
+        // `enqueue` does next — under Noop, the whole run — is not the TE's.
+        m.release.record(Duration::from(release_start.elapsed()).as_nanos());
         self.enqueue(msg.job, 0, msg.assignment, msg.arrival_ns, msg.deadline_ns, msg.trace);
-        let release = Duration::from(release_start.elapsed());
-        self.cfg.stats.metrics().release.record(release.as_nanos());
     }
 
     fn on_reject(&mut self, msg: &RejectMsg) {
@@ -426,12 +384,16 @@ impl Node {
             return;
         }
         if msg.task_rejected {
-            self.te_cache.insert(msg.job.task, TeDecision::Rejected);
+            self.te.on_task_rejected(msg.job.task);
         }
         self.cfg.stats.job_out();
     }
 
     fn on_trigger(&mut self, msg: TriggerMsg) {
+        let Some(task) = self.cfg.tasks.get(msg.job.task) else { return };
+        if msg.assignment.len() != task.subtasks().len() {
+            return; // decodable but not a placement of this task
+        }
         let subtask = msg.next_subtask as usize;
         if msg.assignment.get(subtask).copied() != Some(self.cfg.processor) {
             return;
@@ -439,6 +401,8 @@ impl Node {
         self.enqueue(msg.job, subtask, msg.assignment, msg.arrival_ns, msg.deadline_ns, msg.trace);
     }
 
+    /// Offers a released subjob to the dispatcher; it starts at once if the
+    /// processor is idle or it is more urgent than the running one.
     fn enqueue(
         &mut self,
         job: JobId,
@@ -452,107 +416,47 @@ impl Node {
         else {
             return;
         };
-        let exec: StdDuration = stage.execution_time.into();
-        let remaining = match self.cfg.exec {
-            ExecMode::Noop => StdDuration::ZERO,
-            ExecMode::Sleep => exec,
+        let exec = match self.cfg.exec {
+            ExecMode::Noop => Duration::ZERO,
+            ExecMode::Sleep => stage.execution_time,
         };
-        let priority = self.cfg.priorities[&job.task];
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.ready.push(ReadySubjob {
-            priority,
-            enqueue_seq: seq,
-            job,
-            subtask,
-            remaining,
-            assignment,
-            arrival_ns,
-            deadline_ns,
-            trace,
-        });
+        let started = self.cpu.enqueue(
+            self.cfg.clock.now(),
+            self.cfg.priorities[&job.task],
+            exec,
+            Subjob { job, subtask, assignment, arrival_ns, deadline_ns, trace },
+        );
+        self.follow(started);
     }
 
-    /// At slice boundaries, a more urgent ready subjob preempts the current
-    /// one.
-    fn maybe_preempt(&mut self) {
-        let preempt = match (&self.current, self.ready.peek()) {
-            (Some(cur), Some(head)) => head.priority.is_higher_than(cur.priority),
-            _ => false,
-        };
-        if preempt {
-            let cur = self.current.take().expect("checked above");
-            self.ready.push(cur);
-        }
-    }
-
-    /// Advances execution until the node either goes mid-slice (Sleep mode:
-    /// a `SliceEnd` wheel entry stands and the thread can park) or runs out
-    /// of ready work. Subjobs with nothing left to run — every Noop-mode
-    /// subjob is enqueued that way — complete inline, draining the mailbox
-    /// between them exactly like the boundary discipline.
-    fn pump(&mut self) {
-        if self.slice_timer.is_some() {
-            // Mid-slice: the boundary lives on the wheel; events are only
-            // enqueued until it fires (preemption stays slice-granular).
-            return;
-        }
-        loop {
-            self.maybe_preempt();
-            if self.current.is_none() {
-                self.current = self.ready.pop();
+    /// Follows the dispatcher to the run it just started: the wheel entry
+    /// moves to that run's completion instant (whatever ran before was
+    /// preempted or is done, so its entry goes). A run that is already over
+    /// — every Noop subjob — completes here instead, with no timer armed,
+    /// and whatever that starts is followed in turn.
+    fn follow(&mut self, mut started: Option<Started>) {
+        while let Some(run) = started {
+            if let Some(previous) = self.completion.take() {
+                self.reactor.cancel(previous);
             }
-            let Some(run) = self.current.take() else {
-                self.report_idle();
-                return;
-            };
-            if !run.remaining.is_zero() {
-                // Park until the boundary: the slice becomes a wheel entry
-                // and run() waits on min(boundary, mailbox).
-                let slice = run.remaining.min(SLICE);
-                self.slice_started = Instant::now();
-                self.slice_len = slice;
-                let deadline = self.cfg.clock.now().as_nanos() + slice.as_nanos() as u64;
-                self.slice_timer = Some(self.reactor.schedule_at(deadline, NodeTimer::SliceEnd));
-                self.current = Some(run);
+            if run.completes_at > self.cfg.clock.now() {
+                self.completion =
+                    Some(self.reactor.schedule_at(run.completes_at.as_nanos(), run.gen));
                 return;
             }
-            self.complete(run);
-            self.drain_messages();
-            if !self.running {
-                return;
-            }
+            started = self.complete(run.gen);
         }
     }
 
-    /// A `SliceEnd` wheel entry fired: charge the in-flight subjob and
-    /// return to the boundary state.
-    fn on_timer(&mut self, timer: NodeTimer) {
-        match timer {
-            NodeTimer::SliceEnd => {
-                self.slice_timer = None;
-                if let Some(mut run) = self.current.take() {
-                    // Charge the subjob for the time that actually passed:
-                    // on kernels with coarse timers a 200 µs slice can
-                    // overshoot past a millisecond, and without this
-                    // compensation total execution would silently exceed
-                    // the declared C and break deadlines the admission
-                    // test guaranteed.
-                    let consumed = self.slice_started.elapsed().max(self.slice_len);
-                    run.remaining = run.remaining.saturating_sub(consumed);
-                    if run.remaining.is_zero() {
-                        self.complete(run);
-                    } else {
-                        self.current = Some(run);
-                    }
-                }
-            }
-        }
-    }
-
-    fn complete(&mut self, run: ReadySubjob) {
-        let Some(task) = self.cfg.tasks.get(run.job.task) else { return };
+    /// Completes run `gen` unless it was preempted meanwhile: the resetter
+    /// learns of it, and the job either finishes or triggers its next
+    /// stage. Returns the run the dispatcher started in its place.
+    fn complete(&mut self, gen: u64) -> Option<Started> {
         let now = self.cfg.clock.now();
+        let Completion::Done { payload: run, next } = self.cpu.complete(now, gen) else {
+            return None;
+        };
+        let Some(task) = self.cfg.tasks.get(run.job.task) else { return next };
         self.resetter.record_completion(
             ContributionKey::new(run.job, run.subtask),
             Time::from_nanos(run.deadline_ns),
@@ -592,12 +496,13 @@ impl Node {
             };
             self.cfg.channel.publish(topics::TRIGGER, proto::encode(&msg));
         }
+        next
     }
 
-    /// Idle transition: run the idle detector (op 7) once. `on_idle` drains
-    /// every pending completion in one call, so no periodic probe is
-    /// needed — the node then parks on its mailbox with an empty wheel
-    /// until the next event arrives.
+    /// Idle transition (called from [`Node::run`] only): run the idle
+    /// detector (op 7) once. `on_idle` drains every pending completion in
+    /// one call, so no periodic probe is needed — the node then parks on
+    /// its mailbox with an empty wheel until the next event arrives.
     fn report_idle(&mut self) {
         if let Some(report) = self.resetter.on_idle(self.cfg.clock.now()) {
             let started_ns = self.cfg.clock.now().as_nanos();

@@ -1,14 +1,15 @@
 //! Event-driven reactor core: a hierarchical timer wheel plus a single
 //! blocking wait on `min(next timer, mailbox)`.
 //!
-//! This replaces the runtime's polling loops (the 500 µs idle slice poll in
-//! the node dispatcher, the manager's 50 ms control poll, the quorum
-//! member's 20 ms fence sweep). Every time-driven obligation — slice
-//! boundaries, prepare-fence deadlines, quorum fence expiries — becomes a
-//! wheel entry, and each host thread parks on its merged mailbox (the PR 5
-//! shared-log cursor) until either an event arrives or the earliest entry
-//! is due. A thread with no pending timers blocks **indefinitely**: an idle
-//! host performs zero wakeups, where the polling design paid ~2000/s/node.
+//! This replaces the runtime's polling loops (the node dispatcher's 500 µs
+//! idle poll and 200 µs execution slices, the manager's 50 ms control poll,
+//! the quorum member's 20 ms fence sweep). Every time-driven obligation —
+//! subjob completions, prepare-fence deadlines, quorum fence expiries —
+//! becomes a wheel entry, and each host thread parks on its merged mailbox
+//! (the PR 5 shared-log cursor) until either an event arrives or the
+//! earliest entry is due. A thread with no pending timers blocks
+//! **indefinitely**: an idle host performs zero wakeups, where the polling
+//! design paid ~2000/s/node.
 //!
 //! # Wheel layout
 //!
@@ -39,8 +40,9 @@ use rtcm_events::{Event, EventReceiver, RecvTimeoutError};
 
 use crate::clock::TimerDriver;
 
-/// Default wheel resolution: fine enough that a 200 µs execution slice maps
-/// to its own slot, coarse enough that a level spans useful horizons.
+/// Default wheel resolution: fine enough that a sub-millisecond subjob's
+/// completion maps to its own slot, coarse enough that a level spans useful
+/// horizons.
 pub const DEFAULT_TICK: StdDuration = StdDuration::from_micros(100);
 
 const SLOT_BITS: u32 = 6;
@@ -377,12 +379,6 @@ impl<D: TimerDriver, T> Reactor<D, T> {
     /// driver's axis.
     pub fn schedule_at(&mut self, deadline_ns: u64, tag: T) -> TimerId {
         self.wheel.schedule_at(deadline_ns, tag)
-    }
-
-    /// Schedules a timer `delay` from the driver's current reading.
-    pub fn schedule_in(&mut self, delay: StdDuration, tag: T) -> TimerId {
-        let deadline = self.driver.now_ns().saturating_add(delay.as_nanos() as u64);
-        self.wheel.schedule_at(deadline, tag)
     }
 
     /// Cancels a pending timer (O(1), lazy).

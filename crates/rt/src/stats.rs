@@ -171,8 +171,8 @@ pub struct SystemReport {
     /// limit.
     pub bridge_tx_dropped: u64,
 
-    /// Timer-deadline wakeups performed by reactor threads (slice
-    /// boundaries, prepare-fence deadlines, governor window boundaries,
+    /// Timer-deadline wakeups performed by reactor threads (subjob
+    /// completions, prepare-fence deadlines, governor window boundaries,
     /// intermediate wheel cascades). An **idle** system records none:
     /// every thread parks on its mailbox with an empty wheel, where the
     /// polling design paid ~2000 wakeups/s/node. Pinned by the
@@ -318,12 +318,6 @@ impl RtMetrics {
     #[must_use]
     pub fn registry(&self) -> &Arc<Registry> {
         &self.registry
-    }
-
-    /// Records a core [`Duration`] into a nanosecond histogram.
-    #[inline]
-    pub fn record_delay(hist: &Histogram, delay: Duration) {
-        hist.record(delay.as_nanos());
     }
 }
 
@@ -593,7 +587,7 @@ mod tests {
         let stats = SharedStats::new();
         let m = stats.metrics();
         m.jobs_completed.add(3);
-        RtMetrics::record_delay(&m.comm, Duration::from_micros(100));
+        m.comm.record(Duration::from_micros(100).as_nanos());
         let snap = stats.snapshot();
         assert_eq!(snap.jobs_completed, 3);
         assert_eq!(snap.comm.count(), 1);
@@ -658,7 +652,7 @@ mod tests {
     fn exposition_covers_registry_and_report() {
         let stats = SharedStats::new();
         stats.metrics().jobs_completed.inc();
-        RtMetrics::record_delay(&stats.metrics().response, Duration::from_micros(250));
+        stats.metrics().response.record(250_000);
         let mut report = stats.snapshot();
         report.events_published = 42;
         let page = stats.render_exposition(&report);

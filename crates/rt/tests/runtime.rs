@@ -202,6 +202,13 @@ fn edms_priority_preempts_lower_priority_work() {
     std::thread::sleep(StdDuration::from_millis(20));
     system.submit(TaskId(1), 0).unwrap();
     assert!(system.quiesce(QUIESCE));
+    // One node thread records both completions, so the trace ring holds
+    // them in the order they finished.
+    let mint = |task| rtcm_rt::proto::mint_trace(system.host_id(), TaskId(task), 0);
+    let records = system.telemetry().trace.snapshot();
+    let done: Vec<u64> =
+        records.iter().filter(|r| r.stage == "completion").map(|r| r.trace).collect();
+    assert_eq!(done, [mint(1), mint(0)], "urgent first");
     let report = system.shutdown();
     assert_eq!(report.jobs_completed, 2);
     assert_eq!(report.deadline_misses, 0, "urgent job preempted the slow one");
@@ -813,7 +820,9 @@ fn garbage_vote_mid_prepare_is_no_vote_and_the_manager_lives() {
 fn well_formed_messages_naming_things_that_do_not_exist_are_ignored() {
     // Payloads that decode but point outside the deployment — a processor
     // it does not have, a stage the task does not have, a placement of the
-    // wrong length — used to index out of bounds in the receiving thread.
+    // wrong length — used to index out of bounds in the receiving thread;
+    // an over-long placement naming a *real* last stage used to run it,
+    // book a completion nobody submitted and take `in_flight` to −1.
     use rtcm_events::{topics, NodeId};
     use rtcm_rt::proto::{self, AcceptMsg, IdleResetMsg, TriggerMsg};
 
@@ -828,18 +837,22 @@ fn well_formed_messages_naming_things_that_do_not_exist_are_ignored() {
         topics::IDLE_RESET,
         proto::encode(&IdleResetMsg { processor: 9_999, completed: vec![(job, 0)], started_ns: 0 }),
     );
-    outsider.publish(
-        topics::TRIGGER,
-        proto::encode(&TriggerMsg {
-            job,
-            next_subtask: 7,
-            assignment: vec![0; 8],
-            arrival_ns: 0,
-            deadline_ns: u64::MAX,
-            sent_ns: 0,
-            trace: 0,
-        }),
-    );
+    // A stage past the chain's end, then its real last stage under a
+    // placement one processor too long.
+    for (next_subtask, assignment) in [(7, vec![0; 8]), (1, vec![0, 1, 1])] {
+        outsider.publish(
+            topics::TRIGGER,
+            proto::encode(&TriggerMsg {
+                job,
+                next_subtask,
+                assignment,
+                arrival_ns: 0,
+                deadline_ns: u64::MAX,
+                sent_ns: 0,
+                trace: 0,
+            }),
+        );
+    }
     outsider.publish(
         topics::ACCEPT,
         proto::encode(&AcceptMsg {
@@ -854,10 +867,17 @@ fn well_formed_messages_naming_things_that_do_not_exist_are_ignored() {
         }),
     );
 
-    // Every thread is still there: a real job runs both stages and its
-    // idle resets are applied.
+    // Every thread is still there: a real job — queued behind the forged
+    // messages on the same mailboxes — runs both stages, nothing else ran,
+    // and its idle resets are applied.
     system.submit(TaskId(0), 0).unwrap();
+    let submitted = proto::mint_trace(system.host_id(), TaskId(0), 0);
+    eventually("the submitted job completes", || {
+        let records = system.telemetry().trace.snapshot();
+        records.iter().any(|r| r.trace == submitted && r.stage == "completion")
+    });
     assert!(system.quiesce(QUIESCE));
+    assert_eq!(system.in_flight(), 0);
     let report = system.shutdown();
     assert_eq!(report.jobs_completed, 1);
     assert!(report.ir_reports >= 1);
@@ -1133,20 +1153,22 @@ fn idle_system_performs_zero_timer_wakeups() {
     assert_eq!(system.stats().timer_wakeups, 0, "idle threads must not wake on timers");
 
     // The system is not wedged: a submitted job still drains normally,
-    // and under Noop execution no slice timers are armed either.
+    // and under Noop execution no completion timer is armed either.
     system.submit(TaskId(0), 0).unwrap();
     assert!(system.quiesce(QUIESCE));
     let report = system.shutdown();
     assert_eq!(report.jobs_completed, 1);
-    assert_eq!(report.timer_wakeups, 0, "noop execution schedules no slices");
+    assert_eq!(report.timer_wakeups, 0, "noop execution completes inline");
 }
 
-/// The zero-wakeup counter's positive control: in `ExecMode::Sleep` every
-/// dispatcher slice boundary is a timer-wheel entry, so a multi-slice job
-/// must record timer wakeups — proving the counter actually observes the
-/// wheel and the idle test above isn't vacuously green.
+/// The zero-wakeup counter's positive control: in `ExecMode::Sleep` the
+/// running subjob's completion is a timer-wheel entry, so a job must
+/// record a timer wakeup — proving the counter actually observes the wheel
+/// and the idle test above isn't vacuously green. It is the node's only
+/// entry, so an uncontended job costs one wakeup however long it runs (two
+/// if the wheel cascades on the way), where 200 µs slices paid ≈ 25.
 #[test]
-fn sleep_mode_slices_ride_the_timer_wheel() {
+fn sleep_mode_completions_ride_the_timer_wheel() {
     let deployment = configure_with(
         &spec(
             "workload w\nprocessors 1\ntask t aperiodic deadline=500ms\n  subtask exec=5ms proc=0\n",
@@ -1161,10 +1183,9 @@ fn sleep_mode_slices_ride_the_timer_wheel() {
     assert!(system.quiesce(QUIESCE));
     let report = system.shutdown();
     assert_eq!(report.jobs_completed, 1);
-    // 5 ms of execution at the default 200 µs slice is ~25 boundaries.
     assert!(
-        report.timer_wakeups >= 1,
-        "sleep slices must expire via the wheel, got {}",
+        (1..=2).contains(&report.timer_wakeups),
+        "one completion entry per subjob, got {} wakeups",
         report.timer_wakeups
     );
 }

@@ -90,12 +90,6 @@ impl VirtualClock {
         self.anchor_local = local;
         self.ppm = ppm;
     }
-
-    /// The current rate error in parts-per-million.
-    #[must_use]
-    pub fn drift_ppm(&self) -> i64 {
-        self.ppm
-    }
 }
 
 #[cfg(test)]

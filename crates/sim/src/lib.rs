@@ -33,7 +33,6 @@
 #![warn(rust_2018_idioms)]
 #![forbid(unsafe_code)]
 
-pub mod cpu;
 pub mod fed;
 pub mod overhead;
 pub mod simulation;

@@ -30,6 +30,8 @@ use serde::{Deserialize, Serialize};
 
 use rtcm_core::admission::{AcStats, AdmissionController, Decision};
 use rtcm_core::balance::Assignment;
+use rtcm_core::dispatch::{Completion, Cpu, Transition};
+use rtcm_core::effector::{Local, TaskEffector};
 use rtcm_core::govern::{
     slack_and_imbalance, CumulativeLoad, Governor, GovernorPolicy, PolicyError, WindowMetrics,
     WindowSensor,
@@ -44,7 +46,6 @@ use rtcm_core::task::{JobId, TaskId, TaskSet};
 use rtcm_core::time::{Duration, Time};
 use rtcm_workload::ArrivalTrace;
 
-use crate::cpu::{Completion, Cpu};
 use crate::overhead::OverheadModel;
 
 /// Simulation parameters.
@@ -210,12 +211,6 @@ struct JobState {
     te_arrival: Time,
     abs_deadline: Time,
     assignment: Assignment,
-}
-
-#[derive(Debug, Clone)]
-enum TeDecision {
-    Admitted(Assignment),
-    Rejected,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -452,7 +447,7 @@ struct Simulation<'a> {
     ac: AdmissionController,
     cpus: Vec<Cpu<SubjobCtx>>,
     resetters: Vec<IdleResetter>,
-    te_cache: HashMap<TaskId, TeDecision>,
+    te: TaskEffector<Assignment>,
     jobs: HashMap<JobId, JobState>,
     manager_current: Option<ManagerReq>,
     manager_queue: VecDeque<ManagerReq>,
@@ -507,7 +502,7 @@ impl<'a> Simulation<'a> {
                     IdleResetter::new(config.services.ir, rtcm_core::task::ProcessorId(p as u16))
                 })
                 .collect(),
-            te_cache: HashMap::new(),
+            te: TaskEffector::default(),
             jobs: HashMap::new(),
             manager_current: None,
             manager_queue: VecDeque::new(),
@@ -621,13 +616,12 @@ impl<'a> Simulation<'a> {
             let mut open: Option<(SubjobCtx, Time)> = None;
             for transition in cpu.drain_transitions() {
                 match transition {
-                    crate::cpu::Transition::Start { at, payload } => {
+                    Transition::Start { at, payload } => {
                         debug_assert!(open.is_none(), "start while running");
                         open = Some((payload, at));
                     }
-                    crate::cpu::Transition::Preempt { at, payload }
-                    | crate::cpu::Transition::Finish { at, payload } => {
-                        let completed = matches!(transition, crate::cpu::Transition::Finish { .. });
+                    Transition::Preempt { at, payload } | Transition::Finish { at, payload } => {
+                        let completed = matches!(transition, Transition::Finish { .. });
                         if let Some((ctx, start)) = open.take() {
                             debug_assert_eq!(ctx.job, payload.job, "span pairing");
                             spans.push(ExecSpan {
@@ -717,7 +711,7 @@ impl<'a> Simulation<'a> {
             .reconfigure(target, self.now, self.tasks)
             .expect("switch targets are validated before the run starts");
         self.services = target;
-        self.te_cache.clear();
+        self.te.clear();
         for resetter in &mut self.resetters {
             resetter.set_strategy(target.ir);
         }
@@ -786,34 +780,32 @@ impl<'a> Simulation<'a> {
         // The TE's per-task fast path: release or drop locally when the
         // periodic task's fate is already known and no per-job relocation is
         // configured.
-        if self.services.decides_per_task(task) {
-            match self.te_cache.get(&arrival.task) {
-                Some(TeDecision::Admitted(assignment)) if self.services.releases_locally(task) => {
-                    self.skips.record(arrival.task, true);
-                    let assignment = assignment.clone();
-                    let job = JobId::new(arrival.task, arrival.seq);
-                    self.jobs.insert(
-                        job,
-                        JobState {
-                            te_arrival: arrival.time,
-                            abs_deadline: arrival.time + task.deadline(),
-                            assignment: assignment.clone(),
-                        },
-                    );
-                    let arrival_proc = task.subtasks()[0].primary;
-                    let mut t = self.now + self.overheads.te_release;
-                    if assignment.processor(0) != arrival_proc {
-                        t += self.comm();
-                    }
-                    self.schedule(t, Ev::Release { job, subtask: 0, is_job_release: true });
-                    return;
+        match self.te.on_arrival(self.services, task) {
+            Local::Release(assignment) => {
+                let assignment = assignment.clone();
+                self.skips.record(arrival.task, true);
+                let job = JobId::new(arrival.task, arrival.seq);
+                let arrival_proc = task.subtasks()[0].primary;
+                let mut t = self.now + self.overheads.te_release;
+                if assignment.processor(0) != arrival_proc {
+                    t += self.comm();
                 }
-                Some(TeDecision::Rejected) => {
-                    self.skips.record(arrival.task, false);
-                    return;
-                }
-                _ => {}
+                self.jobs.insert(
+                    job,
+                    JobState {
+                        te_arrival: arrival.time,
+                        abs_deadline: arrival.time + task.deadline(),
+                        assignment,
+                    },
+                );
+                self.schedule(t, Ev::Release { job, subtask: 0, is_job_release: true });
+                return;
             }
+            Local::Drop => {
+                self.skips.record(arrival.task, false);
+                return;
+            }
+            Local::AskManager => {}
         }
 
         let t = self.now + self.overheads.te_hold + self.comm();
@@ -887,24 +879,18 @@ impl<'a> Simulation<'a> {
                     self.report.reallocations += 1;
                 }
                 let job = JobId::new(task_id, seq);
+                self.te.on_accept(self.services, task, &assignment);
                 self.jobs.insert(
                     job,
-                    JobState {
-                        te_arrival,
-                        abs_deadline: te_arrival + task.deadline(),
-                        assignment: assignment.clone(),
-                    },
+                    JobState { te_arrival, abs_deadline: te_arrival + task.deadline(), assignment },
                 );
-                if self.services.releases_locally(task) {
-                    self.te_cache.insert(task_id, TeDecision::Admitted(assignment.clone()));
-                }
                 let t = self.now + self.comm() + self.overheads.te_release;
                 self.schedule(t, Ev::Release { job, subtask: 0, is_job_release: true });
             }
             Decision::Reject { .. } => {
                 self.skips.record(task_id, false);
                 if self.services.decides_per_task(task) {
-                    self.te_cache.insert(task_id, TeDecision::Rejected);
+                    self.te.on_task_rejected(task_id);
                 }
             }
         }

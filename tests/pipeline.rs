@@ -268,3 +268,61 @@ fn task_ids_survive_reindex_after_serde() {
     assert!(back.get(TaskId(0)).is_some());
     assert_eq!(back.len(), tasks.len());
 }
+
+/// One dispatcher, two drivers: `rtcm_core::dispatch::Cpu` under the
+/// simulator's virtual clock and under a node thread's wall clock finishes
+/// the same jobs in the same order. Three one-stage tasks share a
+/// processor and arrive least urgent first, each while its predecessor
+/// still runs, so the order is the reverse of arrival only if every
+/// arrival preempts.
+#[test]
+fn simulator_and_runtime_complete_in_the_same_order() {
+    use rtcm::core::time::Time;
+    use rtcm::rt::{proto::mint_trace, ExecMode, RtOptions, System};
+    use rtcm::sim::simulate_recorded;
+    use rtcm::workload::Arrival;
+
+    let spec = WorkloadSpec::parse(
+        "workload w\nprocessors 1\n\
+         task low aperiodic deadline=2s\n  subtask exec=120ms proc=0\n\
+         task mid aperiodic deadline=1s\n  subtask exec=60ms proc=0\n\
+         task high aperiodic deadline=300ms\n  subtask exec=20ms proc=0\n",
+    )
+    .unwrap();
+    let deployment = configure_with(&spec, "J_N_N".parse().unwrap()).unwrap();
+    let arrival = |task, ms| Arrival {
+        time: Time::ZERO + Duration::from_millis(ms),
+        task: TaskId(task),
+        seq: 0,
+    };
+    let trace = ArrivalTrace::from_arrivals(vec![arrival(0, 0), arrival(1, 30), arrival(2, 60)]);
+
+    let (_, records) =
+        simulate_recorded(&deployment.tasks, &trace, &SimConfig::ideal(deployment.services))
+            .unwrap();
+    let mut simulated: Vec<(Time, TaskId)> =
+        records.iter().map(|r| (r.completed.expect("all three finish"), r.job.task)).collect();
+    simulated.sort();
+    let simulated: Vec<TaskId> = simulated.into_iter().map(|(_, task)| task).collect();
+
+    let system =
+        System::launch(&deployment, RtOptions { exec: ExecMode::Sleep, ..RtOptions::default() })
+            .unwrap();
+    system.replay(&trace, 1.0).unwrap();
+    assert!(system.quiesce(std::time::Duration::from_secs(20)));
+    let task_of = |trace_id| {
+        (0..3).map(TaskId).find(|&t| mint_trace(system.host_id(), t, 0) == trace_id).unwrap()
+    };
+    let threaded: Vec<TaskId> = system
+        .telemetry()
+        .trace
+        .snapshot()
+        .iter()
+        .filter(|r| r.stage == "completion")
+        .map(|r| task_of(r.trace))
+        .collect();
+    let _ = system.shutdown();
+
+    assert_eq!(simulated, [TaskId(2), TaskId(1), TaskId(0)]);
+    assert_eq!(threaded, simulated);
+}
