@@ -62,13 +62,14 @@
 //! ```
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::BinaryHeap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
 use crate::aub::{aub_delta, aub_term, bound_lhs, BOUND_EPSILON};
 use crate::balance::{Assignment, LoadBalancer};
+use crate::hash::{IdMap, IdSet};
 use crate::ledger::{ContributionKey, Lifetime, UtilizationLedger};
 use crate::reconfig::{HandoverReport, ReconfigPlan, TransitionStep};
 use crate::strategy::{InvalidConfigError, ServiceConfig};
@@ -356,14 +357,14 @@ pub struct AdmissionController {
     hot: Vec<HotEntry>,
     free_entries: Vec<EntryId>,
     live_entries: usize,
-    by_job: HashMap<JobId, EntryId>,
+    by_job: IdMap<JobId, EntryId>,
     /// Min-heap of (deadline, entry, generation) registry expiries, with
     /// lazy deletion: a popped record whose generation no longer matches
     /// the slot (the entry was unregistered early, e.g. converted into a
     /// reservation by a reconfiguration) is discarded.
     entry_expiry: BinaryHeap<Reverse<(Time, EntryId, u64)>>,
-    reserved: HashMap<TaskId, EntryId>,
-    rejected_tasks: HashSet<TaskId>,
+    reserved: IdMap<TaskId, EntryId>,
+    rejected_tasks: IdSet<TaskId>,
     /// Inverted index: processor → entries visiting it, one record per
     /// visit (an entry visiting a processor twice appears twice, which
     /// makes a per-record delta application equivalent to multiplying by
@@ -428,10 +429,10 @@ impl AdmissionController {
             hot: Vec::new(),
             free_entries: Vec::new(),
             live_entries: 0,
-            by_job: HashMap::new(),
+            by_job: IdMap::default(),
             entry_expiry: BinaryHeap::new(),
-            reserved: HashMap::new(),
-            rejected_tasks: HashSet::new(),
+            reserved: IdMap::default(),
+            rejected_tasks: IdSet::default(),
             proc_index: vec![Vec::new(); processor_count],
             violating_count: 0,
             scratch_touched: Vec::new(),
@@ -587,7 +588,7 @@ impl AdmissionController {
         // Latest live entry per periodic task = the placement evidence. A
         // drained leftover from an earlier per-task phase (sentinel seq)
         // outranks real jobs: it carries the old reservation's placement.
-        let mut latest: HashMap<TaskId, (u64, EntryId)> = HashMap::new();
+        let mut latest: IdMap<TaskId, (u64, EntryId)> = IdMap::default();
         for (eid, entry) in self.entries.iter().enumerate() {
             let Some(entry) = entry else { continue };
             if !tasks.get(entry.job.task).is_some_and(TaskSpec::is_periodic) {
@@ -2233,6 +2234,36 @@ mod tests {
         for b in inc.entry_bounds().iter().chain(brute.entry_bounds().iter()) {
             assert!((b.cached_lhs - b.fresh_lhs).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn seqs_a_peer_aims_at_one_bucket_cost_what_sequential_ones_do() {
+        // Whoever submits a job names its seq, and a bridged peer is not
+        // ours. Seqs 2^32 apart share the low half of a plain product, so
+        // an unkeyed multiplicative hash would chain all 20 000 of these;
+        // the operation budget is three table slots per key looked up,
+        // where evenly placed keys read about one and a half.
+        const JOBS: usize = 20_000;
+        const PROCS: usize = 16;
+        let tasks: Vec<TaskSpec> = (0..PROCS)
+            .map(|p| {
+                TaskBuilder::aperiodic(TaskId(p as u32))
+                    .deadline(Duration::from_secs(100))
+                    .subtask(Duration::from_micros(1), ProcessorId(p as u16), [])
+                    .build()
+                    .unwrap()
+            })
+            .collect();
+        let mut ac = AdmissionController::new(cfg("J_N_N"), PROCS).unwrap();
+        for job in 0..JOBS {
+            let seq = ((job / PROCS) as u64) << 32;
+            assert!(ac.handle_arrival(&tasks[job % PROCS], seq, Time::ZERO).unwrap().is_accept());
+        }
+        assert_eq!(ac.current_entries(), JOBS);
+        let (registry, ledger) =
+            (crate::hash::collision_cost(&ac.by_job), ac.ledger.collision_cost());
+        assert!(registry <= 3 * JOBS, "registry lookups cost {registry} for {JOBS} jobs");
+        assert!(ledger <= 3 * JOBS, "ledger lookups cost {ledger} for {JOBS} contributions");
     }
 
     #[test]

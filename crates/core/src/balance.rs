@@ -34,11 +34,11 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use std::collections::HashMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use crate::hash::IdMap;
 use crate::ledger::UtilizationLedger;
 use crate::strategy::LbStrategy;
 use crate::task::{ProcessorId, TaskId, TaskSpec};
@@ -134,14 +134,14 @@ impl fmt::Display for Assignment {
 #[derive(Debug, Clone)]
 pub struct LoadBalancer {
     strategy: LbStrategy,
-    plans: HashMap<TaskId, Assignment>,
+    plans: IdMap<TaskId, Assignment>,
 }
 
 impl LoadBalancer {
     /// Creates a balancer with the given strategy.
     #[must_use]
     pub fn new(strategy: LbStrategy) -> Self {
-        LoadBalancer { strategy, plans: HashMap::new() }
+        LoadBalancer { strategy, plans: IdMap::default() }
     }
 
     /// The configured strategy.
@@ -194,22 +194,23 @@ impl LoadBalancer {
     /// processor id for determinism.
     #[must_use]
     pub fn propose(task: &TaskSpec, ledger: &UtilizationLedger) -> Assignment {
-        let mut pending = vec![0.0f64; ledger.processor_count()];
-        let mut choice = Vec::with_capacity(task.subtasks().len());
-        for (j, sub) in task.subtasks().iter().enumerate() {
-            let u = task.subtask_utilization(j);
+        let mut choice: Vec<ProcessorId> = Vec::with_capacity(task.subtasks().len());
+        for sub in task.subtasks() {
+            // A candidate's load with this job's earlier stages on it. A
+            // chain is a handful of stages, so walking the choices made so
+            // far (in stage order, as a running per-processor sum would
+            // add them) beats a per-processor scratch vector per call.
+            let load = |p: ProcessorId| {
+                let own = choice.iter().enumerate().filter(|(_, chosen)| **chosen == p);
+                let pending = own.fold(0.0f64, |sum, (j, _)| sum + task.subtask_utilization(j));
+                ledger.utilization(p) + pending
+            };
             let best = sub
                 .candidates()
                 .filter(|p| p.index() < ledger.processor_count())
-                .min_by(|a, b| {
-                    let ua = ledger.utilization(*a) + pending[a.index()];
-                    let ub = ledger.utilization(*b) + pending[b.index()];
-                    ua.total_cmp(&ub).then_with(|| a.cmp(b))
-                })
-                .unwrap_or(sub.primary);
-            if best.index() < pending.len() {
-                pending[best.index()] += u;
-            }
+                .map(|p| (load(p), p))
+                .min_by(|(ua, a), (ub, b)| ua.total_cmp(ub).then_with(|| a.cmp(b)))
+                .map_or(sub.primary, |(_, p)| p);
             choice.push(best);
         }
         Assignment::new(choice)

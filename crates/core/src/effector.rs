@@ -11,6 +11,10 @@
 //! release. A reconfiguration commit calls [`TaskEffector::clear`]: cached
 //! verdicts were taken under the old configuration.
 //!
+//! The cache is a `Vec` under the task's position in the deployed
+//! [`TaskSet`](crate::task::TaskSet) (`TaskSet::position`), which the
+//! substrate has in hand from looking the arriving task up.
+//!
 //! # Examples
 //!
 //! ```
@@ -23,17 +27,16 @@
 //!     .build()?;
 //! let services = "T_N_N".parse()?;
 //!
-//! let mut te: TaskEffector<Vec<u16>> = TaskEffector::default();
-//! assert_eq!(te.on_arrival(services, &scan), Local::AskManager);
-//! te.on_accept(services, &scan, &vec![0]);
-//! assert_eq!(te.on_arrival(services, &scan), Local::Release(&vec![0]));
+//! // One deployed task, at position 0.
+//! let mut te: TaskEffector<Vec<u16>> = TaskEffector::new(1);
+//! assert_eq!(te.on_arrival(services, 0, &scan), Local::AskManager);
+//! te.on_accept(services, 0, &scan, &vec![0]);
+//! assert_eq!(te.on_arrival(services, 0, &scan), Local::Release(&vec![0]));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use std::collections::HashMap;
-
 use crate::strategy::ServiceConfig;
-use crate::task::{TaskId, TaskSpec};
+use crate::task::TaskSpec;
 
 /// What the effector can do with an arriving job on its own.
 #[derive(Debug, PartialEq, Eq)]
@@ -47,61 +50,82 @@ pub enum Local<'a, P> {
     AskManager,
 }
 
+/// What the admission controller last said about a task as a whole.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Verdict<P> {
+    Unknown,
+    /// Accepted: release locally on this placement.
+    Accepted(P),
+    Rejected,
+}
+
 /// The per-task verdict cache of one task effector (or, in the simulator,
 /// of all of them — a task arrives at one processor).
 #[derive(Debug)]
 pub struct TaskEffector<P> {
-    /// `Some(plan)`: accepted, release locally; `None`: rejected.
-    verdicts: HashMap<TaskId, Option<P>>,
-}
-
-impl<P> Default for TaskEffector<P> {
-    fn default() -> Self {
-        TaskEffector { verdicts: HashMap::new() }
-    }
+    /// Indexed by the task's position in the deployed set.
+    verdicts: Vec<Verdict<P>>,
 }
 
 impl<P> TaskEffector<P> {
-    /// A job of `task` arrived: release it, drop it, or ask.
+    /// An effector for a deployment of `tasks` tasks, knowing nothing yet.
     #[must_use]
-    pub fn on_arrival(&self, services: ServiceConfig, task: &TaskSpec) -> Local<'_, P> {
+    pub fn new(tasks: usize) -> Self {
+        TaskEffector { verdicts: (0..tasks).map(|_| Verdict::Unknown).collect() }
+    }
+
+    /// A job of `task` — the deployed set's `index`-th — arrived: release
+    /// it, drop it, or ask.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not below the task count the effector was
+    /// built for; so do [`TaskEffector::on_accept`] and
+    /// [`TaskEffector::on_task_rejected`].
+    #[must_use]
+    pub fn on_arrival(
+        &self,
+        services: ServiceConfig,
+        index: usize,
+        task: &TaskSpec,
+    ) -> Local<'_, P> {
         if !services.decides_per_task(task) {
             return Local::AskManager;
         }
-        match self.verdicts.get(&task.id()) {
-            Some(Some(plan)) if services.releases_locally(task) => Local::Release(plan),
-            Some(None) => Local::Drop,
+        match &self.verdicts[index] {
+            Verdict::Accepted(plan) if services.releases_locally(task) => Local::Release(plan),
+            Verdict::Rejected => Local::Drop,
             _ => Local::AskManager,
         }
     }
 
     /// The admission controller accepted a job of `task` on `plan`; the
     /// plan is kept iff later jobs release locally.
-    pub fn on_accept(&mut self, services: ServiceConfig, task: &TaskSpec, plan: &P)
+    pub fn on_accept(&mut self, services: ServiceConfig, index: usize, task: &TaskSpec, plan: &P)
     where
         P: Clone,
     {
         if services.releases_locally(task) {
-            self.verdicts.insert(task.id(), Some(plan.clone()));
+            self.verdicts[index] = Verdict::Accepted(plan.clone());
         }
     }
 
-    /// The admission controller rejected `task` as a whole (its verdict
-    /// said so; see [`ServiceConfig::decides_per_task`]).
-    pub fn on_task_rejected(&mut self, task: TaskId) {
-        self.verdicts.insert(task, None);
+    /// The admission controller rejected the `index`-th task as a whole
+    /// (its verdict said so; see [`ServiceConfig::decides_per_task`]).
+    pub fn on_task_rejected(&mut self, index: usize) {
+        self.verdicts[index] = Verdict::Rejected;
     }
 
     /// Forgets every verdict (a reconfiguration committed).
     pub fn clear(&mut self) {
-        self.verdicts.clear();
+        self.verdicts.fill_with(|| Verdict::Unknown);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::{ProcessorId, TaskBuilder};
+    use crate::task::{ProcessorId, TaskBuilder, TaskId};
     use crate::time::Duration;
 
     fn periodic() -> TaskSpec {
@@ -127,9 +151,9 @@ mod tests {
         for (label, task) in
             [("J_N_N", periodic()), ("J_N_N", aperiodic.clone()), ("T_N_N", aperiodic)]
         {
-            let mut te = TaskEffector::default();
-            te.on_accept(cfg(label), &task, &7);
-            assert_eq!(te.on_arrival(cfg(label), &task), Local::AskManager, "{label}");
+            let mut te = TaskEffector::new(1);
+            te.on_accept(cfg(label), 0, &task, &7);
+            assert_eq!(te.on_arrival(cfg(label), 0, &task), Local::AskManager, "{label}");
         }
     }
 
@@ -140,31 +164,31 @@ mod tests {
             ("T_N_T", Local::Release(&7)),
             ("T_N_J", Local::AskManager),
         ] {
-            let mut te = TaskEffector::default();
-            assert_eq!(te.on_arrival(cfg(label), &periodic()), Local::AskManager);
-            te.on_accept(cfg(label), &periodic(), &7);
-            assert_eq!(te.on_arrival(cfg(label), &periodic()), then, "{label}");
+            let mut te = TaskEffector::new(1);
+            assert_eq!(te.on_arrival(cfg(label), 0, &periodic()), Local::AskManager);
+            te.on_accept(cfg(label), 0, &periodic(), &7);
+            assert_eq!(te.on_arrival(cfg(label), 0, &periodic()), then, "{label}");
         }
     }
 
     #[test]
     fn a_rejected_task_drops() {
-        let mut te: TaskEffector<u8> = TaskEffector::default();
-        te.on_task_rejected(TaskId(0));
+        let mut te: TaskEffector<u8> = TaskEffector::new(1);
+        te.on_task_rejected(0);
         // Per-job load balancing re-places accepted jobs; a rejection
         // stands all the same.
         for label in ["T_N_N", "T_N_J"] {
-            assert_eq!(te.on_arrival(cfg(label), &periodic()), Local::Drop, "{label}");
+            assert_eq!(te.on_arrival(cfg(label), 0, &periodic()), Local::Drop, "{label}");
         }
     }
 
     #[test]
     fn clear_forgets() {
-        let mut te = TaskEffector::default();
-        te.on_accept(cfg("T_N_N"), &periodic(), &7);
-        te.on_task_rejected(TaskId(2));
+        let mut te = TaskEffector::new(3);
+        te.on_accept(cfg("T_N_N"), 0, &periodic(), &7);
+        te.on_task_rejected(2);
         te.clear();
-        assert_eq!(te.on_arrival(cfg("T_N_N"), &periodic()), Local::AskManager);
-        assert!(te.verdicts.is_empty());
+        assert_eq!(te.on_arrival(cfg("T_N_N"), 0, &periodic()), Local::AskManager);
+        assert!(te.verdicts.iter().all(|v| *v == Verdict::Unknown));
     }
 }

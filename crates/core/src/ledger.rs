@@ -31,11 +31,13 @@
 //! ```
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::hash_map::Entry as Slot;
+use std::collections::BinaryHeap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use crate::hash::IdMap;
 use crate::task::{JobId, ProcessorId};
 use crate::time::Time;
 
@@ -90,7 +92,7 @@ struct Entry {
 #[derive(Debug, Clone, Default)]
 struct ProcLedger {
     total: f64,
-    entries: HashMap<ContributionKey, Entry>,
+    entries: IdMap<ContributionKey, Entry>,
 }
 
 impl ProcLedger {
@@ -176,14 +178,39 @@ impl UtilizationLedger {
         out.extend_from_slice(&self.touched);
     }
 
-    /// Records `idx` as touched this epoch, capturing its pre-mutation
-    /// utilization on first touch. Must be called *before* the total
-    /// changes.
-    fn note_touch(&mut self, idx: usize) {
+    /// Records `idx` as touched this epoch, keeping `before` — its
+    /// utilization ahead of the mutation — from the first touch only.
+    fn note_touch(&mut self, idx: usize, before: f64) {
         if self.touch_epoch[idx] != self.epoch {
             self.touch_epoch[idx] = self.epoch;
-            self.touched.push((idx, self.procs[idx].utilization()));
+            self.touched.push((idx, before));
         }
+    }
+
+    /// Takes `(processor, key)` out of its processor's map and total — the
+    /// one probe [`UtilizationLedger::remove`] and expiry share. Expiry
+    /// passes its heap record's sequence number, so a stale record (the
+    /// key re-added since, under a newer number) removes nothing.
+    fn take(
+        &mut self,
+        processor: ProcessorId,
+        key: ContributionKey,
+        expiry_seq: Option<u64>,
+    ) -> Option<Entry> {
+        let idx = processor.index();
+        let proc = self.procs.get_mut(idx)?;
+        let before = proc.utilization();
+        let Slot::Occupied(slot) = proc.entries.entry(key) else { return None };
+        if expiry_seq.is_some_and(|seq| seq != slot.get().expiry_seq) {
+            return None;
+        }
+        let entry = slot.remove();
+        proc.total -= entry.utilization;
+        if proc.entries.is_empty() {
+            proc.total = 0.0;
+        }
+        self.note_touch(idx, before);
+        Some(entry)
     }
 
     /// Number of processors tracked.
@@ -249,24 +276,25 @@ impl UtilizationLedger {
         if !utilization.is_finite() || utilization < 0.0 {
             return Err(LedgerError::InvalidUtilization { value: utilization });
         }
-        if self.procs[processor.index()].entries.contains_key(&key) {
+        let idx = processor.index();
+        // The touch record wants the total as it stood before this add.
+        let before = self.procs[idx].utilization();
+        let proc = &mut self.procs[idx];
+        let Slot::Vacant(slot) = proc.entries.entry(key) else {
             return Err(LedgerError::DuplicateContribution { processor, key });
-        }
-        self.note_touch(processor.index());
-        let expiry_seq = if let Lifetime::UntilDeadline(_) = lifetime {
+        };
+        let expiry_seq = if let Lifetime::UntilDeadline(deadline) = lifetime {
             let seq = self.next_expiry_seq;
             self.next_expiry_seq += 1;
+            self.expiry.push(Reverse((deadline, processor, key, seq)));
+            self.live_expiries += 1;
             seq
         } else {
             0
         };
-        let proc = &mut self.procs[processor.index()];
-        proc.entries.insert(key, Entry { utilization, lifetime, expiry_seq });
+        slot.insert(Entry { utilization, lifetime, expiry_seq });
         proc.total += utilization;
-        if let Lifetime::UntilDeadline(deadline) = lifetime {
-            self.expiry.push(Reverse((deadline, processor, key, expiry_seq)));
-            self.live_expiries += 1;
-        }
+        self.note_touch(idx, before);
         Ok(())
     }
 
@@ -274,16 +302,7 @@ impl UtilizationLedger {
     /// if it was not present (e.g. already expired — idle-reset reports can
     /// race with deadline expiry, so absence is not an error).
     pub fn remove(&mut self, processor: ProcessorId, key: ContributionKey) -> Option<f64> {
-        if !self.procs.get(processor.index())?.entries.contains_key(&key) {
-            return None;
-        }
-        self.note_touch(processor.index());
-        let proc = &mut self.procs[processor.index()];
-        let entry = proc.entries.remove(&key).expect("presence checked above");
-        proc.total -= entry.utilization;
-        if proc.entries.is_empty() {
-            proc.total = 0.0;
-        }
+        let entry = self.take(processor, key, None)?;
         if matches!(entry.lifetime, Lifetime::UntilDeadline(_)) {
             // Lazy deletion: the heap entry goes stale and is discarded when
             // it surfaces (or by compaction below).
@@ -328,27 +347,21 @@ impl UtilizationLedger {
 
     /// Removes every deadline-bound contribution whose deadline is at or
     /// before `now` (the current-set rule `S(t) = {T_i | A_i ≤ t < A_i +
-    /// D_i}`). Returns the removed keys.
-    pub fn expire_until(&mut self, now: Time) -> Vec<(ProcessorId, ContributionKey)> {
-        let mut removed = Vec::new();
+    /// D_i}`). Returns how many went.
+    pub fn expire_until(&mut self, now: Time) -> usize {
+        let mut removed = 0;
         while self.live_expiries > 0 {
             let Some(&Reverse((deadline, processor, key, seq))) = self.expiry.peek() else { break };
             if deadline > now {
                 break;
             }
             self.expiry.pop();
-            if !self.is_live_expiry(processor, key, seq) {
-                continue; // stale: removed early, discard lazily
+            // A stale record (its contribution was removed early) takes
+            // nothing and is discarded here.
+            if self.take(processor, key, Some(seq)).is_some() {
+                self.live_expiries -= 1;
+                removed += 1;
             }
-            self.note_touch(processor.index());
-            let proc = &mut self.procs[processor.index()];
-            let entry = proc.entries.remove(&key).expect("liveness checked above");
-            proc.total -= entry.utilization;
-            if proc.entries.is_empty() {
-                proc.total = 0.0;
-            }
-            self.live_expiries -= 1;
-            removed.push((processor, key));
         }
         if self.live_expiries == 0 {
             self.expiry.clear();
@@ -385,11 +398,23 @@ impl UtilizationLedger {
     pub fn recompute_totals(&mut self) -> f64 {
         let mut max_drift = 0.0f64;
         for proc in &mut self.procs {
-            let fresh: f64 = proc.entries.values().map(|e| e.utilization).sum();
+            // In key order: the map's own order differs from process to
+            // process, and a float sum follows its order in the last ulp.
+            let mut entries: Vec<_> = proc.entries.iter().collect();
+            entries.sort_unstable_by_key(|(key, _)| **key);
+            let fresh: f64 = entries.iter().map(|(_, e)| e.utilization).sum();
             max_drift = max_drift.max((proc.total - fresh).abs());
             proc.total = fresh;
         }
         max_drift
+    }
+}
+
+#[cfg(test)]
+impl UtilizationLedger {
+    /// [`crate::hash::collision_cost`] summed over the processors' tables.
+    pub(crate) fn collision_cost(&self) -> usize {
+        self.procs.iter().map(|proc| crate::hash::collision_cost(&proc.entries)).sum()
     }
 }
 
@@ -502,19 +527,19 @@ mod tests {
     fn expiry_removes_at_deadline_inclusive() {
         let mut l = UtilizationLedger::new(1);
         l.add(ProcessorId(0), key(0, 0, 0), 0.3, Lifetime::UntilDeadline(at(100))).unwrap();
-        assert!(l.expire_until(at(99)).is_empty());
-        let removed = l.expire_until(at(100));
-        assert_eq!(removed, vec![(ProcessorId(0), key(0, 0, 0))]);
+        assert_eq!(l.expire_until(at(99)), 0);
+        assert_eq!(l.expire_until(at(100)), 1);
+        assert_eq!(l.contribution(ProcessorId(0), key(0, 0, 0)), None);
         assert_eq!(l.utilization(ProcessorId(0)), 0.0);
         // Idempotent.
-        assert!(l.expire_until(at(200)).is_empty());
+        assert_eq!(l.expire_until(at(200)), 0);
     }
 
     #[test]
     fn reserved_contributions_never_expire() {
         let mut l = UtilizationLedger::new(1);
         l.add(ProcessorId(0), key(0, 0, 0), 0.3, Lifetime::Reserved).unwrap();
-        assert!(l.expire_until(Time::MAX).is_empty());
+        assert_eq!(l.expire_until(Time::MAX), 0);
         assert!((l.utilization(ProcessorId(0)) - 0.3).abs() < 1e-12);
         assert_eq!(l.remove(ProcessorId(0), key(0, 0, 0)), Some(0.3));
         assert_eq!(l.utilization(ProcessorId(0)), 0.0);
@@ -575,8 +600,9 @@ mod tests {
         l.add(ProcessorId(0), key(1, 0, 0), 0.1, Lifetime::UntilDeadline(at(200))).unwrap();
         assert_eq!(l.remove(ProcessorId(0), key(0, 0, 0)), Some(0.1));
         assert_eq!(l.next_expiry(), Some(at(200)));
-        assert_eq!(l.expire_until(at(150)), vec![]);
-        assert_eq!(l.expire_until(at(200)), vec![(ProcessorId(0), key(1, 0, 0))]);
+        assert_eq!(l.expire_until(at(150)), 0);
+        assert_eq!(l.expire_until(at(200)), 1);
+        assert_eq!(l.contribution(ProcessorId(0), key(1, 0, 0)), None);
         assert_eq!(l.next_expiry(), None);
     }
 
@@ -588,10 +614,9 @@ mod tests {
         l.add(ProcessorId(0), key(0, 0, 0), 0.1, Lifetime::UntilDeadline(at(100))).unwrap();
         l.remove(ProcessorId(0), key(0, 0, 0));
         l.add(ProcessorId(0), key(0, 0, 0), 0.2, Lifetime::UntilDeadline(at(100))).unwrap();
-        let removed = l.expire_until(at(100));
-        assert_eq!(removed, vec![(ProcessorId(0), key(0, 0, 0))]);
+        assert_eq!(l.expire_until(at(100)), 1);
         assert_eq!(l.utilization(ProcessorId(0)), 0.0);
-        assert!(l.expire_until(Time::MAX).is_empty());
+        assert_eq!(l.expire_until(Time::MAX), 0);
     }
 
     #[test]
@@ -620,7 +645,7 @@ mod tests {
             l.live_expiries
         );
         assert_eq!(l.next_expiry(), Some(at(900)));
-        assert_eq!(l.expire_until(at(900)), vec![(ProcessorId(0), key(0, 0, 0))]);
+        assert_eq!(l.expire_until(at(900)), 1);
         assert_eq!(l.utilization(ProcessorId(0)), 0.0);
     }
 
@@ -659,6 +684,30 @@ mod tests {
         assert!((l.utilization(ProcessorId(2)) - 0.25).abs() < 1e-12);
         // A clean ledger has nothing to correct.
         assert_eq!(l.recompute_totals(), 0.0);
+    }
+
+    #[test]
+    fn recompute_totals_ignores_insertion_and_table_order() {
+        // Two processes fed the same contributions hold them in differently
+        // keyed tables, and may have received them in another order: the
+        // recomputed totals must agree to the last bit all the same.
+        let contributions: Vec<(ContributionKey, f64)> = (0..300u64)
+            .map(|i| (key((i % 7) as u32, i, (i % 3) as usize), 0.001 + (i as f64) * 1.7e-7))
+            .collect();
+        let mut forward = UtilizationLedger::new(1);
+        let mut backward = UtilizationLedger::new(1);
+        for (k, u) in &contributions {
+            forward.add(ProcessorId(0), *k, *u, Lifetime::Reserved).unwrap();
+        }
+        for (k, u) in contributions.iter().rev() {
+            backward.add(ProcessorId(0), *k, *u, Lifetime::Reserved).unwrap();
+        }
+        forward.recompute_totals();
+        backward.recompute_totals();
+        assert_eq!(
+            forward.utilization(ProcessorId(0)).to_bits(),
+            backward.utilization(ProcessorId(0)).to_bits()
+        );
     }
 
     #[test]

@@ -27,6 +27,7 @@
 //!   reconfiguration automatically from observed load;
 //! * the evaluation **metrics** ([`metrics`]): accepted utilization ratio
 //!   and delay statistics;
+//! * the keyed **hasher** of every id-keyed table ([`hash`]);
 //! * design-time **feasibility analysis** ([`analysis`]): which tasks can
 //!   never be admitted, which only contend under worst-case phasing.
 //!
@@ -69,6 +70,7 @@ pub mod balance;
 pub mod dispatch;
 pub mod effector;
 pub mod govern;
+pub mod hash;
 pub mod ledger;
 pub mod metrics;
 pub mod priority;

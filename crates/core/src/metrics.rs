@@ -237,63 +237,74 @@ impl fmt::Display for DelayStats {
 /// skipping. The longest run of consecutive skipped jobs is the quantity
 /// such an application must be specified against.
 ///
+/// Tasks are named by their position in the deployed
+/// [`TaskSet`](crate::task::TaskSet) (`TaskSet::position`), which the caller
+/// has from looking the job's task up.
+///
 /// # Examples
 ///
 /// ```
 /// use rtcm_core::metrics::SkipTracker;
-/// use rtcm_core::task::TaskId;
 ///
-/// let mut s = SkipTracker::new();
-/// s.record(TaskId(0), false); // skipped
-/// s.record(TaskId(0), false); // skipped again
-/// s.record(TaskId(0), true);  // released
-/// assert_eq!(s.max_consecutive(TaskId(0)), 2);
+/// let mut s = SkipTracker::new(1);
+/// s.record(0, false); // skipped
+/// s.record(0, false); // skipped again
+/// s.record(0, true);  // released
+/// assert_eq!(s.max_consecutive(0), 2);
 /// assert_eq!(s.worst_case(), 2);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SkipTracker {
-    current: std::collections::HashMap<crate::task::TaskId, u32>,
-    max: std::collections::HashMap<crate::task::TaskId, u32>,
+    /// `(current run, longest run)` per task position.
+    runs: Vec<(u32, u32)>,
 }
 
 impl SkipTracker {
-    /// Creates an empty tracker.
+    /// Creates a tracker for a deployment of `tasks` tasks.
     #[must_use]
-    pub fn new() -> Self {
-        SkipTracker::default()
+    pub fn new(tasks: usize) -> Self {
+        SkipTracker { runs: vec![(0, 0); tasks] }
     }
 
-    /// Records one job outcome for `task`: `released = false` means the
-    /// job was skipped (rejected or dropped).
-    pub fn record(&mut self, task: crate::task::TaskId, released: bool) {
+    /// Records one job outcome for the `task`-th task: `released = false`
+    /// means the job was skipped (rejected or dropped).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `task` is not below the task count the tracker was built
+    /// for.
+    pub fn record(&mut self, task: usize, released: bool) {
+        let (run, longest) = &mut self.runs[task];
         if released {
-            self.current.insert(task, 0);
+            *run = 0;
         } else {
-            let run = self.current.entry(task).or_insert(0);
             *run += 1;
-            let max = self.max.entry(task).or_insert(0);
-            *max = (*max).max(*run);
+            *longest = (*longest).max(*run);
         }
     }
 
-    /// Longest skip run observed for `task`.
+    /// Longest skip run observed for the `task`-th task.
     #[must_use]
-    pub fn max_consecutive(&self, task: crate::task::TaskId) -> u32 {
-        self.max.get(&task).copied().unwrap_or(0)
+    pub fn max_consecutive(&self, task: usize) -> u32 {
+        self.runs.get(task).map_or(0, |&(_, longest)| longest)
     }
 
     /// Longest skip run observed across all tasks.
     #[must_use]
     pub fn worst_case(&self) -> u32 {
-        self.max.values().copied().max().unwrap_or(0)
+        self.runs.iter().map(|&(_, longest)| longest).max().unwrap_or(0)
     }
 
-    /// `(task, longest run)` pairs for every task that skipped at least
-    /// once, sorted by task id.
+    /// `(task, longest run)` pairs for every task of `tasks` — the set the
+    /// positions refer to — that skipped at least once, sorted by task id.
     #[must_use]
-    pub fn per_task(&self) -> Vec<(crate::task::TaskId, u32)> {
-        let mut v: Vec<_> =
-            self.max.iter().filter(|(_, m)| **m > 0).map(|(t, m)| (*t, *m)).collect();
+    pub fn per_task(&self, tasks: &crate::task::TaskSet) -> Vec<(crate::task::TaskId, u32)> {
+        let mut v: Vec<_> = tasks
+            .iter()
+            .zip(&self.runs)
+            .filter(|(_, &(_, longest))| longest > 0)
+            .map(|(task, &(_, longest))| (task.id(), longest))
+            .collect();
         v.sort();
         v
     }
@@ -369,27 +380,35 @@ mod tests {
 
     #[test]
     fn skip_tracker_runs_and_resets() {
-        use crate::task::TaskId;
-        let mut s = SkipTracker::new();
+        use crate::task::{ProcessorId, TaskBuilder, TaskId, TaskSet};
+        // Positions 0 and 1 hold ids 8 and 3: `per_task` answers in ids.
+        let tasks = TaskSet::from_tasks([8, 3].map(|id| {
+            TaskBuilder::periodic(TaskId(id), Duration::from_millis(100))
+                .subtask(Duration::from_millis(1), ProcessorId(0), [])
+                .build()
+                .unwrap()
+        }))
+        .unwrap();
+        let mut s = SkipTracker::new(tasks.len());
         // Run of 3, then release, then run of 1.
         for _ in 0..3 {
-            s.record(TaskId(0), false);
+            s.record(0, false);
         }
-        s.record(TaskId(0), true);
-        s.record(TaskId(0), false);
-        assert_eq!(s.max_consecutive(TaskId(0)), 3);
+        s.record(0, true);
+        s.record(0, false);
+        assert_eq!(s.max_consecutive(0), 3);
         // Independent task.
-        s.record(TaskId(1), true);
-        assert_eq!(s.max_consecutive(TaskId(1)), 0);
+        s.record(1, true);
+        assert_eq!(s.max_consecutive(1), 0);
         assert_eq!(s.worst_case(), 3);
-        assert_eq!(s.per_task(), vec![(TaskId(0), 3)]);
+        assert_eq!(s.per_task(&tasks), vec![(TaskId(8), 3)]);
     }
 
     #[test]
     fn skip_tracker_empty_is_zero() {
-        let s = SkipTracker::new();
+        let s = SkipTracker::new(0);
         assert_eq!(s.worst_case(), 0);
-        assert!(s.per_task().is_empty());
+        assert!(s.per_task(&crate::task::TaskSet::new()).is_empty());
     }
 
     #[test]

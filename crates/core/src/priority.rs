@@ -35,7 +35,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::task::{TaskId, TaskSet};
+use crate::task::{TaskId, TaskSet, TaskSpec};
 
 /// A fixed dispatching priority.
 ///
@@ -81,15 +81,22 @@ impl fmt::Display for Priority {
 /// plan (§6).
 #[must_use]
 pub fn assign_edms(tasks: &TaskSet) -> HashMap<TaskId, Priority> {
-    let mut order: Vec<_> = tasks.iter().map(|t| (t.deadline(), t.id())).collect();
+    tasks.iter().map(TaskSpec::id).zip(edms_levels(tasks)).collect()
+}
+
+/// [`assign_edms`] as a table under each task's position in the set
+/// (`TaskSet::position`) — the form the dispatchers' drivers hold, so a
+/// release costs an index and no hash.
+#[must_use]
+pub fn edms_levels(tasks: &TaskSet) -> Vec<Priority> {
+    let mut order: Vec<_> =
+        tasks.iter().enumerate().map(|(at, t)| (t.deadline(), t.id(), at)).collect();
     order.sort();
-    order
-        .into_iter()
-        .enumerate()
-        .map(|(level, (_, id))| {
-            (id, Priority(u32::try_from(level).expect("more than u32::MAX tasks")))
-        })
-        .collect()
+    let mut levels = vec![Priority::HIGHEST; order.len()];
+    for (level, (_, _, at)) in order.into_iter().enumerate() {
+        levels[at] = Priority(u32::try_from(level).expect("more than u32::MAX tasks"));
+    }
+    levels
 }
 
 #[cfg(test)]
@@ -129,6 +136,16 @@ mod tests {
         let mut levels: Vec<_> = prio.values().map(|p| p.0).collect();
         levels.sort_unstable();
         assert_eq!(levels, (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn levels_by_position_agree_with_the_map() {
+        let set = TaskSet::from_tasks([task(7, 500), task(2, 100), task(9, 100)]).unwrap();
+        assert_eq!(edms_levels(&set), vec![Priority(2), Priority(0), Priority(1)]);
+        let prio = assign_edms(&set);
+        for (at, t) in set.iter().enumerate() {
+            assert_eq!(prio[&t.id()], edms_levels(&set)[at]);
+        }
     }
 
     #[test]

@@ -24,11 +24,12 @@
 //! # Ok::<(), rtcm_core::task::TaskSpecError>(())
 //! ```
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::hash_map::Entry;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use crate::hash::IdMap;
 use crate::time::Duration;
 
 /// Identifier of a processor (a node hosting application components).
@@ -157,10 +158,12 @@ impl SubtaskSpec {
     /// All processors this subtask may be placed on: the primary followed by
     /// the replicas, without duplicates.
     pub fn candidates(&self) -> impl Iterator<Item = ProcessorId> + '_ {
-        let mut seen = BTreeSet::new();
-        std::iter::once(self.primary)
-            .chain(self.replicas.iter().copied())
-            .filter(move |p| seen.insert(*p))
+        // Replica lists are a handful long: looking back over the ones
+        // already yielded beats a set, which would allocate per call.
+        let fresh = move |(i, replica): (usize, &ProcessorId)| {
+            (*replica != self.primary && !self.replicas[..i].contains(replica)).then_some(*replica)
+        };
+        std::iter::once(self.primary).chain(self.replicas.iter().enumerate().filter_map(fresh))
     }
 
     /// Returns true if the subtask has at least one replica distinct from the
@@ -490,7 +493,7 @@ impl TaskBuilder {
 pub struct TaskSet {
     tasks: Vec<TaskSpec>,
     #[serde(skip)]
-    by_id: HashMap<TaskId, usize>,
+    by_id: IdMap<TaskId, usize>,
 }
 
 impl TaskSet {
@@ -519,10 +522,10 @@ impl TaskSet {
     ///
     /// Returns [`TaskSpecError::DuplicateTaskId`] if the id is taken.
     pub fn insert(&mut self, task: TaskSpec) -> Result<(), TaskSpecError> {
-        if self.by_id.contains_key(&task.id()) {
+        let Entry::Vacant(slot) = self.by_id.entry(task.id()) else {
             return Err(TaskSpecError::DuplicateTaskId { task: task.id() });
-        }
-        self.by_id.insert(task.id(), self.tasks.len());
+        };
+        slot.insert(self.tasks.len());
         self.tasks.push(task);
         Ok(())
     }
@@ -530,7 +533,15 @@ impl TaskSet {
     /// Looks a task up by id.
     #[must_use]
     pub fn get(&self, id: TaskId) -> Option<&TaskSpec> {
-        self.by_id.get(&id).map(|&i| &self.tasks[i])
+        self.position(id).map(|i| &self.tasks[i])
+    }
+
+    /// Where `id` sits in [`TaskSet::tasks`]. Whoever holds the set keeps
+    /// its per-task state in a `Vec` under this index: one lookup when an
+    /// id enters from outside, none after.
+    #[must_use]
+    pub fn position(&self, id: TaskId) -> Option<usize> {
+        self.by_id.get(&id).copied()
     }
 
     /// All tasks in insertion order.

@@ -18,14 +18,19 @@
 //! Each property runs 256 cases (the vendored proptest is deterministic
 //! per test, so a green run is exactly reproducible), giving ≥ 256 traces
 //! per strategy combination.
+//!
+//! A 32-trace slice of the same corpus is also replayed through two
+//! *incremental* controllers whose tables are keyed apart (`rtcm_core::hash`
+//! draws a key per table), which must agree to the bit.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use rtcm_core::admission::{AdmissionController, AdmissionMode, Decision};
+use rtcm_core::admission::{AdmissionController, AdmissionError, AdmissionMode, Decision};
 use rtcm_core::analysis::audit_controller;
 use rtcm_core::balance::Assignment;
 use rtcm_core::ledger::ContributionKey;
+use rtcm_core::reconfig::HandoverReport;
 use rtcm_core::strategy::ServiceConfig;
 use rtcm_core::task::{JobId, ProcessorId, TaskBuilder, TaskId, TaskSet, TaskSpec};
 use rtcm_core::time::{Duration, Time};
@@ -68,91 +73,120 @@ fn arb_tasks(n: usize) -> impl Strategy<Value = Vec<TaskSpec>> {
     (0..n as u32).map(arb_task).collect::<Vec<_>>().prop_map(|tasks| tasks)
 }
 
-/// Replays one trace through paired incremental/brute-force controllers,
-/// asserting step-by-step agreement. Returns the number of admission
-/// decisions compared.
-fn run_trace(config: ServiceConfig, tasks: &[TaskSpec], ops: &[RawOp]) -> usize {
-    let procs = usize::from(PROCS);
-    let mut inc = AdmissionController::with_mode(config, procs, AdmissionMode::Incremental)
-        .expect("valid config");
-    let mut brute = AdmissionController::with_mode(config, procs, AdmissionMode::BruteForce)
-        .expect("valid config");
-    let task_set = TaskSet::from_tasks(tasks.to_vec()).expect("generated ids are unique");
+/// What one trace step produced, compared between two replays.
+#[derive(Debug, PartialEq)]
+enum Outcome {
+    Decision(Result<Decision, AdmissionError>),
+    /// Bits of the utilization an idle reset freed.
+    Freed(u64),
+    Handover(HandoverReport),
+    Quiet,
+}
 
-    let mut now = Time::ZERO;
-    let mut seqs = vec![0u64; tasks.len()];
-    let mut admitted: Vec<(JobId, Assignment)> = Vec::new();
-    let mut decisions = 0usize;
+/// One controller replaying a trace. Each replay builds its own controller
+/// and task set, so each draws its own table keys.
+struct Replay<'a> {
+    ac: AdmissionController,
+    tasks: &'a [TaskSpec],
+    task_set: TaskSet,
+    now: Time,
+    seqs: Vec<u64>,
+    admitted: Vec<(JobId, Assignment)>,
+}
 
-    for (step, &(kind, dt, x, y)) in ops.iter().enumerate() {
-        now = now.saturating_add(Duration::from_millis(dt % 40));
-        let t_idx = (x as usize) % tasks.len();
-        let task = &tasks[t_idx];
+impl<'a> Replay<'a> {
+    fn new(config: ServiceConfig, mode: AdmissionMode, tasks: &'a [TaskSpec]) -> Self {
+        Replay {
+            ac: AdmissionController::with_mode(config, usize::from(PROCS), mode)
+                .expect("valid config"),
+            tasks,
+            task_set: TaskSet::from_tasks(tasks.to_vec()).expect("generated ids are unique"),
+            now: Time::ZERO,
+            seqs: vec![0; tasks.len()],
+            admitted: Vec::new(),
+        }
+    }
+
+    fn next_seq(&mut self, t_idx: usize) -> u64 {
+        self.seqs[t_idx] += 1;
+        self.seqs[t_idx] - 1
+    }
+
+    fn step(&mut self, (kind, dt, x, y): RawOp) -> Outcome {
+        self.now = self.now.saturating_add(Duration::from_millis(dt % 40));
+        let t_idx = (x as usize) % self.tasks.len();
+        let task = &self.tasks[t_idx];
         match kind % 9 {
             // Weighted toward arrivals: they exercise the decision path.
             0..=3 => {
-                let seq = seqs[t_idx];
-                seqs[t_idx] += 1;
-                let a = inc.handle_arrival(task, seq, now);
-                let b = brute.handle_arrival(task, seq, now);
-                assert_eq!(a, b, "{config}: step {step} diverged for {}", task.id());
-                decisions += 1;
-                if let Ok(Decision::Accept { assignment, .. }) = a {
-                    admitted.push((JobId::new(task.id(), seq), assignment));
+                let seq = self.next_seq(t_idx);
+                let decision = self.ac.handle_arrival(task, seq, self.now);
+                if let Ok(Decision::Accept { assignment, .. }) = &decision {
+                    self.admitted.push((JobId::new(task.id(), seq), assignment.clone()));
                 }
+                Outcome::Decision(decision)
             }
             4 => {
-                inc.expire(now);
-                brute.expire(now);
+                self.ac.expire(self.now);
+                Outcome::Quiet
             }
             5 => {
-                if !admitted.is_empty() {
-                    let (job, plan) = &admitted[(y as usize) % admitted.len()];
-                    let subtask = (x as usize) % plan.len();
-                    let key = ContributionKey::new(*job, subtask);
-                    let processor = plan.processor(subtask);
-                    let fa = inc.apply_idle_reset(processor, &[key]);
-                    let fb = brute.apply_idle_reset(processor, &[key]);
-                    assert_eq!(
-                        fa.to_bits(),
-                        fb.to_bits(),
-                        "{config}: step {step} freed different utilization"
-                    );
+                if self.admitted.is_empty() {
+                    return Outcome::Quiet;
                 }
+                let (job, plan) = &self.admitted[(y as usize) % self.admitted.len()];
+                let subtask = (x as usize) % plan.len();
+                let key = ContributionKey::new(*job, subtask);
+                Outcome::Freed(self.ac.apply_idle_reset(plan.processor(subtask), &[key]).to_bits())
             }
             6 => {
-                inc.withdraw_task(task.id());
-                brute.withdraw_task(task.id());
+                self.ac.withdraw_task(task.id());
+                Outcome::Quiet
             }
             7 => {
                 // Un-tested peer load: the one operation that can push
                 // current entries over the bound, forcing both paths to
                 // remember system-wide violations.
-                let seq = seqs[t_idx];
-                seqs[t_idx] += 1;
+                let seq = self.next_seq(t_idx);
                 let plan = Assignment::primaries(task);
-                inc.apply_remote_commit(task, seq, now, &plan).expect("primaries are valid");
-                brute.apply_remote_commit(task, seq, now, &plan).expect("primaries are valid");
+                self.ac
+                    .apply_remote_commit(task, seq, self.now, &plan)
+                    .expect("primaries are valid");
+                Outcome::Quiet
             }
             8 => {
-                // Mid-trace configuration swap: both controllers execute
-                // the same ledger handover (drain/reseed/axis swaps) and
-                // must report identical outcomes.
+                // Mid-trace configuration swap: the ledger handover
+                // (drain/reseed/axis swaps) must report identical outcomes.
                 let valid = ServiceConfig::all_valid();
                 let target = valid[(y as usize) % valid.len()];
-                let ra = inc.reconfigure(target, now, &task_set).expect("valid targets");
-                let rb = brute.reconfigure(target, now, &task_set).expect("valid targets");
-                assert_eq!(ra, rb, "{config}: step {step} handover diverged");
-                assert_eq!(inc.config(), target);
+                let report =
+                    self.ac.reconfigure(target, self.now, &self.task_set).expect("valid targets");
+                assert_eq!(self.ac.config(), target);
+                Outcome::Handover(report)
             }
             _ => unreachable!(),
         }
+    }
+}
+
+/// Replays one trace through paired incremental/brute-force controllers,
+/// asserting step-by-step agreement. Returns the number of admission
+/// decisions compared.
+fn run_trace(config: ServiceConfig, tasks: &[TaskSpec], ops: &[RawOp]) -> usize {
+    let mut inc = Replay::new(config, AdmissionMode::Incremental, tasks);
+    let mut brute = Replay::new(config, AdmissionMode::BruteForce, tasks);
+    let mut decisions = 0usize;
+
+    for (step, &op) in ops.iter().enumerate() {
+        let a = inc.step(op);
+        assert_eq!(a, brute.step(op), "{config}: step {step} diverged");
+        decisions += usize::from(matches!(a, Outcome::Decision(_)));
 
         if step % 16 == 15 {
             // The declarative-model audit: cached sums must match fresh
             // recomputation, and the inverted index its entries, on both
             // sides, mid-trace.
-            for (label, ac) in [("incremental", &inc), ("brute", &brute)] {
+            for (label, ac) in [("incremental", &inc.ac), ("brute", &brute.ac)] {
                 let audit = audit_controller(ac);
                 assert!(
                     audit.is_consistent(1e-9),
@@ -162,14 +196,15 @@ fn run_trace(config: ServiceConfig, tasks: &[TaskSpec], ops: &[RawOp]) -> usize 
                 );
             }
             assert_eq!(
-                inc.system_schedulable_brute(),
-                brute.system_schedulable_brute(),
+                inc.ac.system_schedulable_brute(),
+                brute.ac.system_schedulable_brute(),
                 "{config}: oracle views diverged at step {step}"
             );
         }
     }
 
     // Final-state agreement.
+    let (inc, brute) = (inc.ac, brute.ac);
     let ua = inc.ledger().utilizations();
     let ub = brute.ledger().utilizations();
     for (p, (a, b)) in ua.iter().zip(&ub).enumerate() {
@@ -185,6 +220,28 @@ fn run_trace(config: ServiceConfig, tasks: &[TaskSpec], ops: &[RawOp]) -> usize 
     );
     assert!((sa.reset_utilization - sb.reset_utilization).abs() <= 1e-9, "{config}");
     decisions
+}
+
+/// Replays one trace through two incremental controllers — same mode, same
+/// operations, tables keyed apart — which must agree to the bit at every
+/// step: nothing the controller decides or reports may follow a table's
+/// iteration order.
+fn run_trace_keyed_apart(config: ServiceConfig, tasks: &[TaskSpec], ops: &[RawOp]) {
+    let mut a = Replay::new(config, AdmissionMode::Incremental, tasks);
+    let mut b = Replay::new(config, AdmissionMode::Incremental, tasks);
+    let bits = |ac: &AdmissionController| -> Vec<u64> {
+        ac.ledger().utilizations().iter().map(|u| u.to_bits()).collect()
+    };
+    for (step, &op) in ops.iter().enumerate() {
+        assert_eq!(a.step(op), b.step(op), "{config}: step {step} diverged");
+        assert_eq!(bits(&a.ac), bits(&b.ac), "{config}: utilizations after step {step}");
+        if step % 16 == 15 {
+            assert_eq!(audit_controller(&a.ac), audit_controller(&b.ac), "{config}: step {step}");
+        }
+    }
+    // Reconciliation re-sums every total and cached bound from the tables.
+    assert_eq!(a.ac.reconcile().to_bits(), b.ac.reconcile().to_bits(), "{config}");
+    assert_eq!(audit_controller(&a.ac), audit_controller(&b.ac), "{config}: reconciled");
 }
 
 proptest! {
@@ -245,6 +302,23 @@ proptest! {
             "J_J_J".parse::<ServiceConfig>().unwrap(),
         ] {
             run_trace(config, &tasks, &ops);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Order independence: the hasher is ours and keyed per table, so two
+    /// controllers fed one trace hold their jobs in differently ordered
+    /// tables — and must not differ in anything else.
+    #[test]
+    fn decisions_do_not_depend_on_table_keys(
+        tasks in arb_tasks(6),
+        ops in vec((any::<u8>(), 0u64..40, any::<u32>(), any::<u32>()), 10..48),
+    ) {
+        for config in ServiceConfig::all_valid() {
+            run_trace_keyed_apart(config, &tasks, &ops);
         }
     }
 }

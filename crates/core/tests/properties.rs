@@ -106,7 +106,7 @@ proptest! {
             .unwrap();
         let removed = ledger.expire_until(Time::ZERO + Duration::from_millis(cut));
         let expected = deadlines.iter().filter(|d| **d <= cut).count();
-        prop_assert_eq!(removed.len(), expected);
+        prop_assert_eq!(removed, expected);
         prop_assert_eq!(
             ledger.contribution_count(ProcessorId(0)),
             deadlines.len() - expected + 1

@@ -23,7 +23,7 @@ use rtcm_core::ledger::ContributionKey;
 use rtcm_core::priority::Priority;
 use rtcm_core::reset::IdleResetter;
 use rtcm_core::strategy::ServiceConfig;
-use rtcm_core::task::{JobId, ProcessorId, TaskId, TaskSet};
+use rtcm_core::task::{JobId, ProcessorId, TaskSet};
 use rtcm_core::time::{Duration, Time};
 use rtcm_events::{topics, ChannelHandle, Event, EventReceiver, Topic};
 
@@ -68,7 +68,9 @@ pub(crate) struct NodeConfig {
     pub processor: u16,
     pub services: ServiceConfig,
     pub tasks: Arc<TaskSet>,
-    pub priorities: Arc<std::collections::HashMap<TaskId, Priority>>,
+    /// EDMS levels by task position in `tasks`, as the task effector's
+    /// verdicts are: one `TaskSet::position` per message names all three.
+    pub priorities: Arc<Vec<Priority>>,
     pub channel: ChannelHandle,
     pub clock: Clock,
     pub stats: Arc<SharedStats>,
@@ -113,7 +115,7 @@ impl Node {
         Node {
             inject_topic: topics::inject(cfg.processor),
             ctl_topic: topics::node_ctl(cfg.processor),
-            te: TaskEffector::default(),
+            te: TaskEffector::new(cfg.tasks.len()),
             resetter,
             cpu: Cpu::new(),
             fence: None,
@@ -260,10 +262,11 @@ impl Node {
     fn on_inject(&mut self, inj: InjectMsg) {
         // `System::submit` already counted the job in (so quiesce() sees it
         // immediately); this thread only records the arrival weight.
-        let Some(task) = self.cfg.tasks.get(inj.task) else {
+        let Some(at) = self.cfg.tasks.position(inj.task) else {
             self.cfg.stats.job_out();
             return;
         };
+        let task = &self.cfg.tasks.tasks()[at];
         let m = self.cfg.stats.metrics();
         m.arrived_utilization.add(task.job_utilization());
         m.arrived_jobs.inc();
@@ -280,7 +283,7 @@ impl Node {
         // to whichever configuration wins the swap.
         let local = match self.fence {
             Some(_) => Local::AskManager,
-            None => self.te.on_arrival(self.cfg.services, task),
+            None => self.te.on_arrival(self.cfg.services, at, task),
         };
         match local {
             Local::Release(assignment) => {
@@ -339,14 +342,15 @@ impl Node {
     /// "Accept" from the AC: the arrival TE learns the decision; the
     /// releasing TE performs the release (op 5/6).
     fn on_accept(&mut self, msg: AcceptMsg) {
-        let Some(task) = self.cfg.tasks.get(msg.job.task) else { return };
+        let Some(at) = self.cfg.tasks.position(msg.job.task) else { return };
+        let task = &self.cfg.tasks.tasks()[at];
         if msg.assignment.len() != task.subtasks().len() {
             return; // decodable but not a placement of this task
         }
         let arrival_proc = task.subtasks()[0].primary.0;
 
         if arrival_proc == self.cfg.processor {
-            self.te.on_accept(self.cfg.services, task, &msg.assignment);
+            self.te.on_accept(self.cfg.services, at, task, &msg.assignment);
         }
 
         if msg.release_proc != self.cfg.processor {
@@ -384,7 +388,9 @@ impl Node {
             return;
         }
         if msg.task_rejected {
-            self.te.on_task_rejected(msg.job.task);
+            if let Some(at) = self.cfg.tasks.position(msg.job.task) {
+                self.te.on_task_rejected(at);
+            }
         }
         self.cfg.stats.job_out();
     }
@@ -412,17 +418,15 @@ impl Node {
         deadline_ns: u64,
         trace: u64,
     ) {
-        let Some(stage) = self.cfg.tasks.get(job.task).and_then(|t| t.subtasks().get(subtask))
-        else {
-            return;
-        };
+        let Some(at) = self.cfg.tasks.position(job.task) else { return };
+        let Some(stage) = self.cfg.tasks.tasks()[at].subtasks().get(subtask) else { return };
         let exec = match self.cfg.exec {
             ExecMode::Noop => Duration::ZERO,
             ExecMode::Sleep => stage.execution_time,
         };
         let started = self.cpu.enqueue(
             self.cfg.clock.now(),
-            self.cfg.priorities[&job.task],
+            self.cfg.priorities[at],
             exec,
             Subjob { job, subtask, assignment, arrival_ns, deadline_ns, trace },
         );

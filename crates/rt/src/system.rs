@@ -2,7 +2,7 @@
 //! [`Deployment`] into running threads — one task-manager node plus one
 //! node per application processor, wired by the federated event channel.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
@@ -321,7 +321,9 @@ impl System {
     pub fn launch(deployment: &Deployment, options: RtOptions) -> Result<Self, LaunchError> {
         let procs = deployment.processors;
         let tasks = Arc::new(deployment.tasks.clone());
-        let priorities: Arc<HashMap<TaskId, Priority>> = Arc::new(deployment.priorities.clone());
+        // By task position, the form the nodes index.
+        let priorities: Arc<Vec<Priority>> =
+            Arc::new(tasks.iter().map(|t| deployment.priorities[&t.id()]).collect());
         let services = deployment.services;
         let ac = AdmissionController::new(services, procs as usize)
             .map_err(LaunchError::InvalidConfig)?;

@@ -21,7 +21,7 @@
 //! jobs release locally without any manager round-trip — and once rejected,
 //! later jobs are dropped locally.
 
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 
 use rand::rngs::StdRng;
@@ -37,14 +37,14 @@ use rtcm_core::govern::{
     WindowSensor,
 };
 use rtcm_core::ledger::ContributionKey;
-use rtcm_core::metrics::{DelayStats, UtilizationRatio};
-use rtcm_core::priority::{assign_edms, Priority};
+use rtcm_core::metrics::{DelayStats, SkipTracker, UtilizationRatio};
+use rtcm_core::priority::{edms_levels, Priority};
 use rtcm_core::reconfig::{HandoverReport, ModeChange, ModeSchedule};
 use rtcm_core::reset::{IdleResetReport, IdleResetter};
 use rtcm_core::strategy::{InvalidConfigError, ServiceConfig};
-use rtcm_core::task::{JobId, TaskId, TaskSet};
+use rtcm_core::task::{JobId, ProcessorId, TaskId, TaskSet};
 use rtcm_core::time::{Duration, Time};
-use rtcm_workload::ArrivalTrace;
+use rtcm_workload::{Arrival, ArrivalTrace};
 
 use crate::overhead::OverheadModel;
 
@@ -161,7 +161,8 @@ enum Ev {
     /// themselves while the trace horizon lasts.
     GovernorTick,
     Release {
-        job: JobId,
+        /// The job's slot in `Simulation::jobs`.
+        slot: usize,
         subtask: usize,
         is_job_release: bool,
     },
@@ -178,7 +179,11 @@ enum Ev {
 
 #[derive(Debug)]
 enum ManagerReq {
-    TaskArrive { task: TaskId, seq: u64, te_arrival: Time },
+    /// The trace's `arrival`-th job, of the task at position `task`.
+    TaskArrive {
+        arrival: usize,
+        task: usize,
+    },
     IdleReset(IdleResetReport),
 }
 
@@ -206,8 +211,13 @@ impl Ord for Scheduled {
     }
 }
 
-#[derive(Debug, Clone)]
+/// A released job, from its release to its last completion.
+#[derive(Debug)]
 struct JobState {
+    /// Position of the job's task in the deployed set.
+    task: usize,
+    /// Index of the job's arrival in the trace — and of its [`JobRecord`].
+    arrival: usize,
     te_arrival: Time,
     abs_deadline: Time,
     assignment: Assignment,
@@ -216,6 +226,8 @@ struct JobState {
 #[derive(Debug, Clone, Copy)]
 struct SubjobCtx {
     job: JobId,
+    /// The job's slot in `Simulation::jobs`.
+    slot: usize,
     subtask: usize,
 }
 
@@ -443,12 +455,16 @@ struct Simulation<'a> {
     trace: &'a ArrivalTrace,
     services: ServiceConfig,
     overheads: OverheadModel,
-    priorities: HashMap<TaskId, Priority>,
+    /// EDMS levels, by task position — as `te` and `skips` are.
+    priorities: Vec<Priority>,
     ac: AdmissionController,
     cpus: Vec<Cpu<SubjobCtx>>,
     resetters: Vec<IdleResetter>,
     te: TaskEffector<Assignment>,
-    jobs: HashMap<JobId, JobState>,
+    /// Released jobs in flight. Events name a job by its slot here, so the
+    /// job path hashes nothing; a finished job's slot is reused.
+    jobs: Vec<Option<JobState>>,
+    free_jobs: Vec<usize>,
     manager_current: Option<ManagerReq>,
     manager_queue: VecDeque<ManagerReq>,
     heap: BinaryHeap<Scheduled>,
@@ -456,8 +472,9 @@ struct Simulation<'a> {
     now: Time,
     rng: StdRng,
     report: SimReport,
-    records: Option<(Vec<JobRecord>, HashMap<JobId, usize>)>,
-    skips: rtcm_core::metrics::SkipTracker,
+    /// One record per arrival so far, in trace order.
+    records: Option<Vec<JobRecord>>,
+    skips: SkipTracker,
     /// Timed mode changes to apply (empty for static runs).
     schedule: Vec<ModeChange>,
     /// Closed-loop governor state (None for ungoverned runs).
@@ -494,16 +511,15 @@ impl<'a> Simulation<'a> {
             trace,
             services: config.services,
             overheads: config.overheads,
-            priorities: assign_edms(tasks),
+            priorities: edms_levels(tasks),
             ac,
             cpus: (0..procs).map(|_| Cpu::new()).collect(),
             resetters: (0..procs)
-                .map(|p| {
-                    IdleResetter::new(config.services.ir, rtcm_core::task::ProcessorId(p as u16))
-                })
+                .map(|p| IdleResetter::new(config.services.ir, ProcessorId(p as u16)))
                 .collect(),
-            te: TaskEffector::default(),
-            jobs: HashMap::new(),
+            te: TaskEffector::new(tasks.len()),
+            jobs: Vec::new(),
+            free_jobs: Vec::new(),
             manager_current: None,
             manager_queue: VecDeque::new(),
             heap: BinaryHeap::new(),
@@ -528,8 +544,8 @@ impl<'a> Simulation<'a> {
                 governor_swaps: 0,
                 end: Time::ZERO,
             },
-            records: if record_jobs { Some((Vec::new(), HashMap::new())) } else { None },
-            skips: rtcm_core::metrics::SkipTracker::new(),
+            records: record_jobs.then(Vec::new),
+            skips: SkipTracker::new(tasks.len()),
             schedule: Vec::new(),
             gov: None,
         })
@@ -602,10 +618,10 @@ impl<'a> Simulation<'a> {
         for (p, cpu) in self.cpus.iter().enumerate() {
             self.report.cpu_busy[p] = cpu.busy_time();
         }
-        self.report.skip_runs = self.skips.per_task();
+        self.report.skip_runs = self.skips.per_task(self.tasks);
         self.report.max_consecutive_skips = self.skips.worst_case();
         let gov_trace = self.gov.map(|g| g.trace).unwrap_or_default();
-        (self.report, gov_trace, self.records.map(|(records, _)| records), spans)
+        (self.report, gov_trace, self.records, spans)
     }
 
     /// Pairs the CPUs' transition logs (recorded only while tracing) into
@@ -642,8 +658,7 @@ impl<'a> Simulation<'a> {
     }
 
     fn record_arrival(&mut self, job: JobId, arrival: Time, utilization: f64) {
-        if let Some((records, index)) = &mut self.records {
-            index.insert(job, records.len());
+        if let Some(records) = &mut self.records {
             records.push(JobRecord {
                 job,
                 arrival,
@@ -655,21 +670,22 @@ impl<'a> Simulation<'a> {
         }
     }
 
-    fn record_release_of(&mut self, job: JobId) {
-        if let Some((records, index)) = &mut self.records {
-            if let Some(&i) = index.get(&job) {
-                records[i].released = true;
-            }
-        }
+    /// The record of the trace's `arrival`-th job, when recording.
+    fn record_of(&mut self, arrival: usize) -> Option<&mut JobRecord> {
+        self.records.as_mut().map(|records| &mut records[arrival])
     }
 
-    fn record_completion_of(&mut self, job: JobId, completed: Time, missed: bool) {
-        if let Some((records, index)) = &mut self.records {
-            if let Some(&i) = index.get(&job) {
-                records[i].completed = Some(completed);
-                records[i].missed = missed;
+    /// Puts a released job in flight and schedules its first subjob at `t`.
+    fn release_job(&mut self, t: Time, state: JobState) {
+        let slot = match self.free_jobs.pop() {
+            Some(slot) => slot,
+            None => {
+                self.jobs.push(None);
+                self.jobs.len() - 1
             }
-        }
+        };
+        self.jobs[slot] = Some(state);
+        self.schedule(t, Ev::Release { slot, subtask: 0, is_job_release: true });
     }
 
     fn schedule(&mut self, time: Time, ev: Ev) {
@@ -687,8 +703,8 @@ impl<'a> Simulation<'a> {
             Ev::Arrival(idx) => self.on_arrival(idx),
             Ev::ManagerRecv(req) => self.on_manager_recv(req),
             Ev::ManagerDone => self.on_manager_done(),
-            Ev::Release { job, subtask, is_job_release } => {
-                self.on_release(job, subtask, is_job_release);
+            Ev::Release { slot, subtask, is_job_release } => {
+                self.on_release(slot, subtask, is_job_release);
             }
             Ev::CpuComplete { proc, gen } => self.on_cpu_complete(proc, gen),
             Ev::ModeSwitch(idx) => self.on_mode_switch(idx),
@@ -769,7 +785,10 @@ impl<'a> Simulation<'a> {
             self.schedule(next.time, Ev::Arrival(idx + 1));
         }
         let arrival = self.trace.arrivals()[idx];
-        let task = self.tasks.get(arrival.task).expect("validated in new()");
+        // The one lookup by id a job pays: everything downstream names the
+        // task by its position in the set.
+        let at = self.tasks.position(arrival.task).expect("validated in new()");
+        let task = &self.tasks.tasks()[at];
         self.report.ratio.record_arrival(task.job_utilization());
         self.record_arrival(
             JobId::new(arrival.task, arrival.seq),
@@ -780,43 +799,36 @@ impl<'a> Simulation<'a> {
         // The TE's per-task fast path: release or drop locally when the
         // periodic task's fate is already known and no per-job relocation is
         // configured.
-        match self.te.on_arrival(self.services, task) {
+        match self.te.on_arrival(self.services, at, task) {
             Local::Release(assignment) => {
                 let assignment = assignment.clone();
-                self.skips.record(arrival.task, true);
-                let job = JobId::new(arrival.task, arrival.seq);
+                self.skips.record(at, true);
                 let arrival_proc = task.subtasks()[0].primary;
                 let mut t = self.now + self.overheads.te_release;
                 if assignment.processor(0) != arrival_proc {
                     t += self.comm();
                 }
-                self.jobs.insert(
-                    job,
+                self.release_job(
+                    t,
                     JobState {
+                        task: at,
+                        arrival: idx,
                         te_arrival: arrival.time,
                         abs_deadline: arrival.time + task.deadline(),
                         assignment,
                     },
                 );
-                self.schedule(t, Ev::Release { job, subtask: 0, is_job_release: true });
                 return;
             }
             Local::Drop => {
-                self.skips.record(arrival.task, false);
+                self.skips.record(at, false);
                 return;
             }
             Local::AskManager => {}
         }
 
         let t = self.now + self.overheads.te_hold + self.comm();
-        self.schedule(
-            t,
-            Ev::ManagerRecv(ManagerReq::TaskArrive {
-                task: arrival.task,
-                seq: arrival.seq,
-                te_arrival: arrival.time,
-            }),
-        );
+        self.schedule(t, Ev::ManagerRecv(ManagerReq::TaskArrive { arrival: idx, task: at }));
     }
 
     fn manager_service_time(&self, req: &ManagerReq) -> Duration {
@@ -848,9 +860,7 @@ impl<'a> Simulation<'a> {
     fn on_manager_done(&mut self) {
         let req = self.manager_current.take().expect("ManagerDone with no request in service");
         match req {
-            ManagerReq::TaskArrive { task, seq, te_arrival } => {
-                self.decide(task, seq, te_arrival);
-            }
+            ManagerReq::TaskArrive { arrival, task } => self.decide(arrival, task),
             ManagerReq::IdleReset(report) => {
                 self.ac.apply_idle_reset(report.processor, &report.completed);
                 self.report.ir_reports += 1;
@@ -863,8 +873,9 @@ impl<'a> Simulation<'a> {
         }
     }
 
-    fn decide(&mut self, task_id: TaskId, seq: u64, te_arrival: Time) {
-        let task = self.tasks.get(task_id).expect("validated in new()");
+    fn decide(&mut self, arrival: usize, at: usize) {
+        let task = &self.tasks.tasks()[at];
+        let Arrival { seq, time: te_arrival, .. } = self.trace.arrivals()[arrival];
         // Clean the current set up to manager time, then test against the
         // job's true (arrival-based) deadline.
         self.ac.expire(self.now);
@@ -874,41 +885,51 @@ impl<'a> Simulation<'a> {
             .expect("trace arrivals are unique and tasks fit the deployment");
         match decision {
             Decision::Accept { assignment, .. } => {
-                self.skips.record(task_id, true);
+                self.skips.record(at, true);
                 if assignment.is_reallocation(task) {
                     self.report.reallocations += 1;
                 }
-                let job = JobId::new(task_id, seq);
-                self.te.on_accept(self.services, task, &assignment);
-                self.jobs.insert(
-                    job,
-                    JobState { te_arrival, abs_deadline: te_arrival + task.deadline(), assignment },
-                );
+                self.te.on_accept(self.services, at, task, &assignment);
                 let t = self.now + self.comm() + self.overheads.te_release;
-                self.schedule(t, Ev::Release { job, subtask: 0, is_job_release: true });
+                self.release_job(
+                    t,
+                    JobState {
+                        task: at,
+                        arrival,
+                        te_arrival,
+                        abs_deadline: te_arrival + task.deadline(),
+                        assignment,
+                    },
+                );
             }
             Decision::Reject { .. } => {
-                self.skips.record(task_id, false);
+                self.skips.record(at, false);
                 if self.services.decides_per_task(task) {
-                    self.te.on_task_rejected(task_id);
+                    self.te.on_task_rejected(at);
                 }
             }
         }
     }
 
-    fn on_release(&mut self, job: JobId, subtask: usize, is_job_release: bool) {
-        let task = self.tasks.get(job.task).expect("validated in new()");
+    fn on_release(&mut self, slot: usize, subtask: usize, is_job_release: bool) {
+        let state = self.jobs[slot].as_ref().expect("release of a job not in flight");
+        let (at, arrival) = (state.task, state.arrival);
+        let proc = state.assignment.processor(subtask).index();
+        let task = &self.tasks.tasks()[at];
         if is_job_release {
             self.report.ratio.record_release(task.job_utilization());
-            self.record_release_of(job);
+            if let Some(record) = self.record_of(arrival) {
+                record.released = true;
+            }
         }
-        let state = self.jobs.get(&job).expect("release of unknown job");
-        let proc = state.assignment.processor(subtask).index();
-        let priority = self.priorities[&job.task];
+        let Arrival { task: id, seq, .. } = self.trace.arrivals()[arrival];
         let exec = task.subtasks()[subtask].execution_time;
-        if let Some(started) =
-            self.cpus[proc].enqueue(self.now, priority, exec, SubjobCtx { job, subtask })
-        {
+        if let Some(started) = self.cpus[proc].enqueue(
+            self.now,
+            self.priorities[at],
+            exec,
+            SubjobCtx { job: JobId::new(id, seq), slot, subtask },
+        ) {
             self.schedule(started.completes_at, Ev::CpuComplete { proc, gen: started.gen });
         }
     }
@@ -923,32 +944,38 @@ impl<'a> Simulation<'a> {
             self.schedule(started.completes_at, Ev::CpuComplete { proc, gen: started.gen });
         }
 
-        let task = self.tasks.get(ctx.job.task).expect("validated in new()");
-        let state = self.jobs.get(&ctx.job).expect("completion of unknown job").clone();
+        let state = self.jobs[ctx.slot].as_ref().expect("completion of a job not in flight");
+        let task = &self.tasks.tasks()[state.task];
+        let abs_deadline = state.abs_deadline;
 
         // Report to the local idle resetter (strategy-filtered inside).
         self.resetters[proc].record_completion(
             ContributionKey::new(ctx.job, ctx.subtask),
-            state.abs_deadline,
+            abs_deadline,
             task.is_periodic(),
         );
 
         if ctx.subtask + 1 == task.subtasks().len() {
+            let state = self.jobs[ctx.slot].take().expect("borrowed just above");
+            self.free_jobs.push(ctx.slot);
             let response = self.now.elapsed_since(state.te_arrival);
             self.report.response.record(response);
             self.report.jobs_completed += 1;
-            let missed = self.now > state.abs_deadline;
+            let missed = self.now > abs_deadline;
             if missed {
                 self.report.deadline_misses += 1;
             }
-            self.record_completion_of(ctx.job, self.now, missed);
-            self.jobs.remove(&ctx.job);
+            let completed = self.now;
+            if let Some(record) = self.record_of(state.arrival) {
+                record.completed = Some(completed);
+                record.missed = missed;
+            }
         } else {
             let next_proc = state.assignment.processor(ctx.subtask + 1);
             let delay = if next_proc.index() == proc { Duration::ZERO } else { self.comm() };
             self.schedule(
                 self.now + delay,
-                Ev::Release { job: ctx.job, subtask: ctx.subtask + 1, is_job_release: false },
+                Ev::Release { slot: ctx.slot, subtask: ctx.subtask + 1, is_job_release: false },
             );
         }
 
