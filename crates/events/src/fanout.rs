@@ -1,32 +1,19 @@
-//! Zero-copy local fan-out: the shared broadcast log behind every
-//! subscription.
+//! Local delivery: one queue per receiver.
 //!
-//! The pre-fast-path channel gave every subscriber its own MPMC queue, so
-//! a publish with *n* subscribers paid *n* lock acquisitions, *n* condvar
-//! notifies and *n* event clones. An [`EventLog`] inverts that: all
-//! subscribers of one `(node, topic)` share **one** buffer holding **one**
-//! [`Event`] per publish (the payload [`bytes::Bytes`] is never copied),
-//! and each subscriber is a *cursor* into it. A publish is a single lock
-//! acquisition, one `VecDeque` push and one conditional notify — flat in
-//! everything but the cheap per-cursor lag bookkeeping — and a receive
-//! clones the event out (a `Bytes` reference-count bump, not a payload
-//! copy).
-//!
-//! **Backpressure contract.** Publishers never block and never slow down
-//! for a stalled consumer. An unbounded cursor buffers arbitrarily; a
-//! bounded cursor (capacity *c*) holds at most *c* pending events — when a
-//! push would exceed that, the cursor's **oldest** pending event is
-//! dropped (the cursor skips past it) and the drop is counted, observable
-//! via [`EventReceiver::dropped`] and the federation's aggregate
-//! [`FederationStats`]. Other subscribers of the same log are unaffected:
-//! the log itself is garbage-collected up to the slowest *active* cursor,
-//! and bounded cursors can never hold the head back by more than their
-//! capacity.
+//! Every subscription — [`crate::ChannelHandle::subscribe`] is
+//! [`crate::ChannelHandle::subscribe_many`] with one topic — owns one
+//! `Mailbox`: a `VecDeque` behind a mutex plus a condvar, with exactly one
+//! consumer. A publish pushes one [`Event`] into each mailbox on its route
+//! (a [`bytes::Bytes`] reference-count bump: every receiver observes the
+//! same payload allocation) and notifies only a parked receiver; a receive
+//! pops the event out. Queues are unbounded, so publishers never block and
+//! nothing is dropped. Dropping the receiver frees its backlog, later
+//! pushes count no delivery, and the registry forgets the mailbox.
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::event::Event;
@@ -92,7 +79,6 @@ impl std::error::Error for RecvTimeoutError {}
 pub(crate) struct FanoutCounters {
     pub published: AtomicU64,
     pub delivered: AtomicU64,
-    pub dropped: AtomicU64,
     pub remote_parcels: AtomicU64,
     pub bridge_rx_errors: AtomicU64,
     pub bridge_disconnects: AtomicU64,
@@ -104,7 +90,6 @@ impl FanoutCounters {
         FederationStats {
             events_published: self.published.load(Ordering::Relaxed),
             local_deliveries: self.delivered.load(Ordering::Relaxed),
-            events_dropped: self.dropped.load(Ordering::Relaxed),
             remote_parcels: self.remote_parcels.load(Ordering::Relaxed),
             bridge_rx_errors: self.bridge_rx_errors.load(Ordering::Relaxed),
             bridge_disconnects: self.bridge_disconnects.load(Ordering::Relaxed),
@@ -119,11 +104,9 @@ impl FanoutCounters {
 pub struct FederationStats {
     /// `publish` calls made through any handle.
     pub events_published: u64,
-    /// Per-subscriber deliveries (one publish to a topic with *n* active
+    /// Per-subscriber deliveries (one publish to a topic with *n* live
     /// subscribers counts *n*; remote parcels count once delivered).
     pub local_deliveries: u64,
-    /// Events dropped at bounded subscribers (drop-oldest on overflow).
-    pub events_dropped: u64,
     /// Parcels handed to the in-process network for cross-node delivery.
     pub remote_parcels: u64,
     /// Corrupt, oversized or otherwise undecodable frames received on TCP
@@ -137,225 +120,111 @@ pub struct FederationStats {
     pub bridge_tx_dropped: u64,
 }
 
-/// One subscriber's position in a log.
-#[derive(Debug)]
-struct Cursor {
-    /// Sequence number of the next event this cursor will observe.
-    next_seq: u64,
-    /// Pending-event bound; `None` buffers without limit.
-    cap: Option<usize>,
-    /// Events this cursor skipped because its bound was hit.
-    dropped: u64,
-    active: bool,
-}
-
-#[derive(Debug)]
-struct LogState {
-    /// Events not yet consumed by every active cursor; `buf[0]` carries
-    /// sequence number `head_seq`.
-    buf: VecDeque<Event>,
-    head_seq: u64,
-    /// Sequence number the next push will take.
-    tail_seq: u64,
-    cursors: Vec<Cursor>,
-    /// Active cursor count (cursors are tombstoned on receiver drop).
-    active: usize,
+#[derive(Debug, Default)]
+struct MailboxState {
+    queue: VecDeque<Event>,
     /// Receivers currently parked on the condvar.
     waiters: usize,
-    /// Set when the owning federation is dropped.
+    /// Set when the owning federation is dropped (or a bridge link that
+    /// forwards from this mailbox closes).
     closed: bool,
+    /// Set when the receiver is dropped.
+    detached: bool,
 }
 
-/// A shared broadcast buffer: every active cursor observes every pushed
-/// event, in push order.
-#[derive(Debug)]
-pub(crate) struct EventLog {
-    state: Mutex<LogState>,
+/// One receiver's queue: the publish side holds it through the route
+/// table, the [`EventReceiver`] is its single consumer.
+#[derive(Debug, Default)]
+pub(crate) struct Mailbox {
+    state: Mutex<MailboxState>,
     ready: Condvar,
 }
 
-fn lock(state: &Mutex<LogState>) -> MutexGuard<'_, LogState> {
-    state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Drops every entry all active cursors have passed. With no active
-/// cursors the buffer empties entirely.
-fn gc(s: &mut LogState) {
-    let min = s.cursors.iter().filter(|c| c.active).map(|c| c.next_seq).min().unwrap_or(s.tail_seq);
-    while s.head_seq < min {
-        s.buf.pop_front();
-        s.head_seq += 1;
-    }
-}
-
-impl EventLog {
-    pub(crate) fn new() -> Self {
-        EventLog {
-            state: Mutex::new(LogState {
-                buf: VecDeque::new(),
-                head_seq: 0,
-                tail_seq: 0,
-                cursors: Vec::new(),
-                active: 0,
-                waiters: 0,
-                closed: false,
-            }),
-            ready: Condvar::new(),
-        }
+impl Mailbox {
+    /// Opens a fresh, empty mailbox: the handle publishers push into and
+    /// its receiver.
+    pub(crate) fn open() -> (Arc<Mailbox>, EventReceiver) {
+        let mailbox = Arc::new(Mailbox::default());
+        (Arc::clone(&mailbox), EventReceiver { mailbox })
     }
 
-    /// Registers a new subscriber starting at the current tail (it sees
-    /// only future events). Tombstoned slots of dropped receivers are
-    /// reused — safe because a tombstone's receiver is gone by definition
-    /// — so subscriber churn cannot grow the cursor list without bound.
-    pub(crate) fn add_cursor(self: &Arc<Self>, cap: Option<usize>) -> EventReceiver {
-        let mut s = lock(&self.state);
-        let next_seq = s.tail_seq;
-        let fresh = Cursor { next_seq, cap: cap.map(|c| c.max(1)), dropped: 0, active: true };
-        let cursor = match s.cursors.iter().position(|c| !c.active) {
-            Some(slot) => {
-                s.cursors[slot] = fresh;
-                slot
-            }
-            None => {
-                s.cursors.push(fresh);
-                s.cursors.len() - 1
-            }
-        };
-        s.active += 1;
-        EventReceiver { log: Arc::clone(self), cursor }
+    fn lock(&self) -> MutexGuard<'_, MailboxState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Whether any receiver is still attached (used by the federation's
-    /// registry to reclaim dead logs on subscription changes).
-    pub(crate) fn has_active_cursors(&self) -> bool {
-        lock(&self.state).active > 0
+    /// Whether the receiver is still alive (the registry reclaims
+    /// detached mailboxes on subscription changes).
+    pub(crate) fn is_attached(&self) -> bool {
+        !self.lock().detached
     }
 
-    /// Appends one event for every active cursor. Returns
-    /// `(deliveries, drops)`: the number of active cursors that will
-    /// observe the event, and the number of *older* events bounded cursors
-    /// skipped to stay within their capacity. One lock acquisition, one
-    /// event clone (payload shared), regardless of subscriber count.
-    pub(crate) fn push(&self, event: &Event) -> (usize, u64) {
+    /// Queues one event; returns the deliveries it counts (1, or 0 once
+    /// the receiver is gone or the mailbox closed).
+    pub(crate) fn push(&self, event: &Event) -> usize {
         self.push_batch(std::slice::from_ref(event))
     }
 
-    /// Appends a whole batch of events under **one** lock acquisition —
-    /// the reader side of a TCP bridge drains every buffered frame per
-    /// wakeup and republishes them through this single locked pass,
-    /// mirroring the forwarder's write coalescing. Returns the summed
-    /// `(deliveries, drops)` over the batch.
-    pub(crate) fn push_batch(&self, events: &[Event]) -> (usize, u64) {
-        let mut s = lock(&self.state);
-        if s.closed || s.active == 0 || events.is_empty() {
-            return (0, 0);
+    /// Queues a whole batch under **one** lock acquisition — the reader
+    /// side of a TCP bridge republishes every frame drained per wakeup
+    /// through this. Returns the deliveries it counts.
+    pub(crate) fn push_batch(&self, events: &[Event]) -> usize {
+        let mut s = self.lock();
+        if s.closed || s.detached {
+            return 0;
         }
-        let mut dropped = 0u64;
-        for event in events {
-            s.buf.push_back(event.clone());
-            s.tail_seq += 1;
-            let tail = s.tail_seq;
-            for c in &mut s.cursors {
-                if !c.active {
-                    continue;
-                }
-                if let Some(cap) = c.cap {
-                    if (tail - c.next_seq) as usize > cap {
-                        // Drop-oldest: the cursor skips its oldest pending
-                        // event; the publisher and its co-subscribers never
-                        // wait.
-                        c.next_seq += 1;
-                        c.dropped += 1;
-                        dropped += 1;
-                    }
-                }
-            }
-        }
-        gc(&mut s);
-        let delivered = s.active * events.len();
-        if s.waiters > 0 {
+        s.queue.extend(events.iter().cloned());
+        if s.waiters > 0 && !events.is_empty() {
             self.ready.notify_all();
         }
-        (delivered, dropped)
+        events.len()
     }
 
-    /// Marks the log closed (federation dropped): pending events remain
-    /// receivable, then receivers observe `Disconnected`.
+    /// Marks the mailbox closed: pending events remain receivable, then
+    /// the receiver observes `Disconnected`.
     pub(crate) fn close(&self) {
-        let mut s = lock(&self.state);
+        let mut s = self.lock();
         s.closed = true;
         if s.waiters > 0 {
             self.ready.notify_all();
         }
     }
 
-    fn take(&self, s: &mut LogState, cursor: usize) -> Option<Event> {
-        let (head, tail) = (s.head_seq, s.tail_seq);
-        let next = s.cursors[cursor].next_seq;
-        if next >= tail {
-            return None;
-        }
-        let event = s.buf[(next - head) as usize].clone();
-        s.cursors[cursor].next_seq = next + 1;
-        if next == head {
-            gc(s);
-        }
-        Some(event)
-    }
-
-    fn recv_deadline(
-        &self,
-        cursor: usize,
-        deadline: Option<Instant>,
-    ) -> Result<Event, RecvTimeoutError> {
-        let mut s = lock(&self.state);
+    fn recv_deadline(&self, deadline: Option<Instant>) -> Result<Event, RecvTimeoutError> {
+        let mut s = self.lock();
         loop {
-            if let Some(event) = self.take(&mut s, cursor) {
+            if let Some(event) = s.queue.pop_front() {
                 return Ok(event);
             }
             if s.closed {
                 return Err(RecvTimeoutError::Disconnected);
             }
+            let remaining = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if remaining == Some(Duration::ZERO) {
+                return Err(RecvTimeoutError::Timeout);
+            }
             s.waiters += 1;
-            s = match deadline {
-                Some(d) => {
-                    let now = Instant::now();
-                    let Some(remaining) = d.checked_duration_since(now).filter(|r| !r.is_zero())
-                    else {
-                        s.waiters -= 1;
-                        return Err(RecvTimeoutError::Timeout);
-                    };
-                    let (guard, _) = self
-                        .ready
-                        .wait_timeout(s, remaining)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    guard
-                }
-                None => self.ready.wait(s).unwrap_or_else(std::sync::PoisonError::into_inner),
+            s = match remaining {
+                Some(r) => self.ready.wait_timeout(s, r).unwrap_or_else(PoisonError::into_inner).0,
+                None => self.ready.wait(s).unwrap_or_else(PoisonError::into_inner),
             };
             s.waiters -= 1;
         }
     }
 }
 
-/// A subscription to a federated event channel: a cursor over the shared
-/// broadcast log of its `(node, topic)` registrations.
+/// A subscription to a federated event channel: the single consumer of
+/// its own mailbox.
 ///
 /// Receivers are single-owner (not `Clone`): every subscription observes
 /// every event of its topics exactly once, in publish order. Dropping the
-/// receiver detaches the cursor; the shared log reclaims its backlog.
+/// receiver frees its backlog.
 pub struct EventReceiver {
-    log: Arc<EventLog>,
-    cursor: usize,
+    mailbox: Arc<Mailbox>,
 }
 
 impl fmt::Debug for EventReceiver {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("EventReceiver")
-            .field("pending", &self.len())
-            .field("dropped", &self.dropped())
-            .finish()
+        f.debug_struct("EventReceiver").field("pending", &self.len()).finish()
     }
 }
 
@@ -368,8 +237,8 @@ impl EventReceiver {
     /// [`TryRecvError::Disconnected`] once the federation is dropped and
     /// the backlog is drained.
     pub fn try_recv(&self) -> Result<Event, TryRecvError> {
-        let mut s = lock(&self.log.state);
-        match self.log.take(&mut s, self.cursor) {
+        let mut s = self.mailbox.lock();
+        match s.queue.pop_front() {
             Some(event) => Ok(event),
             None if s.closed => Err(TryRecvError::Disconnected),
             None => Err(TryRecvError::Empty),
@@ -383,10 +252,12 @@ impl EventReceiver {
     /// [`RecvError`] once the federation is dropped and the backlog is
     /// drained.
     pub fn recv(&self) -> Result<Event, RecvError> {
-        self.log.recv_deadline(self.cursor, None).map_err(|_| RecvError)
+        self.mailbox.recv_deadline(None).map_err(|_| RecvError)
     }
 
-    /// Blocks up to `timeout` for an event.
+    /// Blocks up to `timeout` for an event. A timeout too large to add to
+    /// the current instant (e.g. [`Duration::MAX`]) blocks like
+    /// [`EventReceiver::recv`].
     ///
     /// # Errors
     ///
@@ -394,14 +265,13 @@ impl EventReceiver {
     /// [`RecvTimeoutError::Disconnected`] once the federation is dropped
     /// and the backlog is drained.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Event, RecvTimeoutError> {
-        self.log.recv_deadline(self.cursor, Some(Instant::now() + timeout))
+        self.mailbox.recv_deadline(Instant::now().checked_add(timeout))
     }
 
     /// Events currently pending for this subscriber.
     #[must_use]
     pub fn len(&self) -> usize {
-        let s = lock(&self.log.state);
-        (s.tail_seq - s.cursors[self.cursor].next_seq) as usize
+        self.mailbox.lock().queue.len()
     }
 
     /// Whether nothing is pending.
@@ -410,21 +280,18 @@ impl EventReceiver {
         self.len() == 0
     }
 
-    /// Events this (bounded) subscriber lost to its backpressure bound.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        lock(&self.log.state).cursors[self.cursor].dropped
+    /// The mailbox this receiver consumes, for closing it from elsewhere
+    /// (a bridge link's teardown wakes its blocked forwarder this way).
+    pub(crate) fn mailbox(&self) -> &Arc<Mailbox> {
+        &self.mailbox
     }
 }
 
 impl Drop for EventReceiver {
     fn drop(&mut self) {
-        let mut s = lock(&self.log.state);
-        if s.cursors[self.cursor].active {
-            s.cursors[self.cursor].active = false;
-            s.active -= 1;
-            gc(&mut s);
-        }
+        let mut s = self.mailbox.lock();
+        s.detached = true;
+        s.queue = VecDeque::new();
     }
 }
 
@@ -439,116 +306,79 @@ mod tests {
 
     #[test]
     fn every_cursor_sees_every_event_in_order() {
-        let log = Arc::new(EventLog::new());
-        let a = log.add_cursor(None);
-        let b = log.add_cursor(None);
+        let (a_box, a) = Mailbox::open();
+        let (b_box, b) = Mailbox::open();
         for i in 0..5u8 {
-            assert_eq!(log.push(&ev(i)), (2, 0));
+            assert_eq!(a_box.push(&ev(i)) + b_box.push(&ev(i)), 2);
         }
-        for i in 0..5u8 {
-            assert_eq!(a.try_recv().unwrap().payload.as_ref(), &[i]);
-        }
-        assert_eq!(a.try_recv(), Err(TryRecvError::Empty));
-        for i in 0..5u8 {
-            assert_eq!(b.try_recv().unwrap().payload.as_ref(), &[i]);
+        for rx in [&a, &b] {
+            for i in 0..5u8 {
+                assert_eq!(rx.try_recv().unwrap().payload.as_ref(), &[i]);
+            }
+            assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
         }
     }
 
     #[test]
     fn late_cursor_sees_only_future_events() {
-        let log = Arc::new(EventLog::new());
-        let _early = log.add_cursor(None);
-        log.push(&ev(0));
-        let late = log.add_cursor(None);
-        log.push(&ev(1));
+        let fed = crate::Federation::new(1, crate::Latency::None, 0);
+        let h = fed.handle(NodeId(0)).unwrap();
+        let _early = h.subscribe(Topic(1));
+        h.publish(Topic(1), vec![0]);
+        let late = h.subscribe(Topic(1));
+        h.publish(Topic(1), vec![1]);
         assert_eq!(late.try_recv().unwrap().payload.as_ref(), &[1]);
         assert!(late.try_recv().is_err());
     }
 
     #[test]
-    fn bounded_cursor_drops_oldest_and_counts() {
-        let log = Arc::new(EventLog::new());
-        let bounded = log.add_cursor(Some(2));
-        let unbounded = log.add_cursor(None);
-        let mut dropped = 0;
-        for i in 0..5u8 {
-            dropped += log.push(&ev(i)).1;
-        }
-        assert_eq!(dropped, 3, "3 oldest events dropped at the bounded cursor");
-        assert_eq!(bounded.dropped(), 3);
-        // Bounded keeps the newest `cap` events.
-        assert_eq!(bounded.try_recv().unwrap().payload.as_ref(), &[3]);
-        assert_eq!(bounded.try_recv().unwrap().payload.as_ref(), &[4]);
-        assert!(bounded.try_recv().is_err());
-        // The unbounded co-subscriber is unaffected.
-        for i in 0..5u8 {
-            assert_eq!(unbounded.try_recv().unwrap().payload.as_ref(), &[i]);
-        }
-        assert_eq!(unbounded.dropped(), 0);
-    }
-
-    #[test]
     fn push_batch_delivers_in_order_and_respects_bounds() {
-        let log = Arc::new(EventLog::new());
-        let bounded = log.add_cursor(Some(2));
-        let unbounded = log.add_cursor(None);
+        let (mailbox, rx) = Mailbox::open();
         let events: Vec<Event> = (0..5u8).map(ev).collect();
-        let (delivered, dropped) = log.push_batch(&events);
-        assert_eq!(delivered, 10, "2 cursors x 5 events");
-        assert_eq!(dropped, 3, "bounded cursor kept only the newest 2");
+        assert_eq!(mailbox.push_batch(&events), 5);
         for i in 0..5u8 {
-            assert_eq!(unbounded.try_recv().unwrap().payload.as_ref(), &[i]);
+            assert_eq!(rx.try_recv().unwrap().payload.as_ref(), &[i]);
         }
-        assert_eq!(bounded.try_recv().unwrap().payload.as_ref(), &[3]);
-        assert_eq!(bounded.try_recv().unwrap().payload.as_ref(), &[4]);
-        assert_eq!(bounded.dropped(), 3);
-        assert_eq!(log.push_batch(&[]), (0, 0), "empty batch is free");
+        assert_eq!(mailbox.push_batch(&[]), 0, "empty batch is free");
     }
 
     #[test]
     fn gc_reclaims_consumed_prefix() {
-        let log = Arc::new(EventLog::new());
-        let a = log.add_cursor(None);
-        for i in 0..10u8 {
-            log.push(&ev(i));
-        }
+        let (mailbox, rx) = Mailbox::open();
+        mailbox.push_batch(&(0..10).map(ev).collect::<Vec<_>>());
         for _ in 0..10 {
-            a.recv().unwrap();
+            rx.recv().unwrap();
         }
-        assert_eq!(lock(&log.state).buf.len(), 0, "fully consumed log holds nothing");
+        assert_eq!(mailbox.lock().queue.len(), 0, "fully consumed mailbox holds nothing");
     }
 
     #[test]
     fn dropping_a_stalled_receiver_releases_its_backlog() {
-        let log = Arc::new(EventLog::new());
-        let stalled = log.add_cursor(None);
-        let live = log.add_cursor(None);
-        for i in 0..8u8 {
-            log.push(&ev(i));
-        }
-        while live.try_recv().is_ok() {}
-        assert_eq!(lock(&log.state).buf.len(), 8, "held by the stalled cursor");
+        let (stalled_box, stalled) = Mailbox::open();
+        stalled_box.push_batch(&(0..8).map(ev).collect::<Vec<_>>());
+        assert_eq!(stalled.len(), 8);
         drop(stalled);
-        assert_eq!(lock(&log.state).buf.len(), 0, "backlog reclaimed");
-        assert_eq!(log.push(&ev(9)), (1, 0), "only the live cursor counts");
+        assert_eq!(stalled_box.lock().queue.len(), 0, "backlog freed with the receiver");
+        assert!(!stalled_box.is_attached());
+        assert_eq!(stalled_box.push(&ev(9)), 0, "a dropped receiver counts no delivery");
     }
 
     #[test]
     fn push_without_active_cursors_delivers_nothing() {
-        let log = Arc::new(EventLog::new());
-        assert_eq!(log.push(&ev(0)), (0, 0));
-        let rx = log.add_cursor(None);
-        drop(rx);
-        assert_eq!(log.push(&ev(1)), (0, 0));
-        assert_eq!(lock(&log.state).buf.len(), 0);
+        let fed = crate::Federation::new(1, crate::Latency::None, 0);
+        let h = fed.handle(NodeId(0)).unwrap();
+        assert_eq!(h.publish(Topic(1), vec![0]), 0);
+        drop(h.subscribe(Topic(1)));
+        assert_eq!(h.publish(Topic(1), vec![1]), 0);
+        assert_eq!(fed.stats().local_deliveries, 0);
     }
 
     #[test]
     fn close_drains_then_disconnects() {
-        let log = Arc::new(EventLog::new());
-        let rx = log.add_cursor(None);
-        log.push(&ev(0));
-        log.close();
+        let (mailbox, rx) = Mailbox::open();
+        mailbox.push(&ev(0));
+        mailbox.close();
+        assert_eq!(mailbox.push(&ev(1)), 0, "a closed mailbox takes nothing new");
         assert!(rx.try_recv().is_ok(), "pending events survive the close");
         assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
         assert_eq!(rx.recv_timeout(Duration::from_millis(5)), Err(RecvTimeoutError::Disconnected));
@@ -557,31 +387,50 @@ mod tests {
 
     #[test]
     fn recv_timeout_waits_and_wakes() {
-        let log = Arc::new(EventLog::new());
-        let rx = log.add_cursor(None);
+        let (mailbox, rx) = Mailbox::open();
         assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Err(RecvTimeoutError::Timeout));
-        let pusher = Arc::clone(&log);
         let t = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
-            pusher.push(&ev(7));
+            mailbox.push(&ev(7));
         });
-        let got = rx.recv_timeout(Duration::from_secs(2)).unwrap();
-        assert_eq!(got.payload.as_ref(), &[7]);
+        assert_eq!(rx.recv_timeout(Duration::from_secs(2)).unwrap().payload.as_ref(), &[7]);
         t.join().unwrap();
     }
 
     #[test]
+    fn recv_timeout_without_a_representable_deadline_blocks_like_recv() {
+        // `Instant::now() + Duration::MAX` overflows; std mpsc's rule is to
+        // block without a deadline instead of panicking.
+        let fed = crate::Federation::new(1, crate::Latency::None, 0);
+        let h = fed.handle(NodeId(0)).unwrap();
+        let rx = h.subscribe(Topic(1));
+        let t = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            h.publish(Topic(1), vec![7]);
+        });
+        assert_eq!(rx.recv_timeout(Duration::MAX).unwrap().payload.as_ref(), &[7]);
+        t.join().unwrap();
+        let closer = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            drop(fed);
+        });
+        assert_eq!(rx.recv_timeout(Duration::MAX), Err(RecvTimeoutError::Disconnected));
+        closer.join().unwrap();
+    }
+
+    #[test]
     fn payload_is_shared_not_copied() {
-        let log = Arc::new(EventLog::new());
-        let a = log.add_cursor(None);
-        let b = log.add_cursor(None);
-        let event = Event::new(Topic(1), NodeId(0), vec![1, 2, 3]);
-        log.push(&event);
+        let fed = crate::Federation::new(1, crate::Latency::None, 0);
+        let h = fed.handle(NodeId(0)).unwrap();
+        let a = h.subscribe(Topic(1));
+        let b = h.subscribe(Topic(1));
+        let payload = bytes::Bytes::from(vec![1, 2, 3]);
+        assert_eq!(h.publish(Topic(1), payload.clone()), 2);
         let ea = a.recv().unwrap();
         let eb = b.recv().unwrap();
         // Same allocation: the Bytes payload is reference-counted, so both
         // receivers observe the same backing slice address.
         assert_eq!(ea.payload.as_ref().as_ptr(), eb.payload.as_ref().as_ptr());
-        assert_eq!(ea.payload.as_ref().as_ptr(), event.payload.as_ref().as_ptr());
+        assert_eq!(ea.payload.as_ref().as_ptr(), payload.as_ref().as_ptr());
     }
 }

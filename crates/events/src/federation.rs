@@ -19,18 +19,19 @@
 //! "Event fast path"):
 //!
 //! * **Snapshot routing (RCU).** Subscriptions build an immutable
-//!   [`RouteTable`] — per `(node, topic)`, the local broadcast logs plus
-//!   the precomputed remote destination list — and swap it in under a
+//!   [`RouteTable`] — per `(node, topic)`, the local mailboxes plus the
+//!   precomputed remote destination list — and swap it in under a
 //!   write lock while bumping a generation counter. Publishers never
 //!   mutate shared routing state.
 //! * **Per-handle route cache.** Each [`ChannelHandle`] caches the route
 //!   of the last topic it published, validated by a single atomic
 //!   generation load — repeat publishes on one topic skip the table and
 //!   its lock entirely.
-//! * **Zero-copy fan-out.** Local subscribers of a `(node, topic)` share
-//!   one [`crate::fanout::EventLog`]: a publish is one lock + one buffer
-//!   push for *all* of them, and every receiver observes the same
-//!   [`bytes::Bytes`] payload allocation.
+//! * **One queue per receiver.** Every subscription — `subscribe(topic)`
+//!   is `subscribe_many(&[topic])` — owns one mailbox
+//!   ([`crate::fanout`]): a publish is one lock + one push per local
+//!   receiver, and every receiver observes the same [`bytes::Bytes`]
+//!   payload allocation.
 //! * **Single-lock parcels.** Remote destinations are sequenced,
 //!   latency-sampled and handed to the network thread under **one** `net`
 //!   lock acquisition per publish: its inbox lives behind that same lock.
@@ -66,7 +67,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::event::{Event, NodeId, Topic};
-use crate::fanout::{EventLog, EventReceiver, FanoutCounters, FederationStats};
+use crate::fanout::{EventReceiver, FanoutCounters, FederationStats, Mailbox};
 use crate::remote::LiveBridge;
 
 /// One-way network delay injected between distinct nodes.
@@ -157,8 +158,9 @@ fn mint_host_id() -> u64 {
 
 /// The precomputed route of one `(publisher node, topic)` pair.
 struct TopicRoute {
-    /// Broadcast logs with subscribers on the publishing node itself.
-    local: Vec<Arc<EventLog>>,
+    /// Mailboxes of subscribers on the publishing node itself, in
+    /// subscription order.
+    local: Vec<Arc<Mailbox>>,
     /// Other nodes with subscribers on the topic, ascending — empty for a
     /// pure-local topic, so such publishes do no remote work at all.
     remotes: Box<[NodeId]>,
@@ -175,28 +177,25 @@ struct RouteTable {
 /// only — publishers never touch it).
 #[derive(Default)]
 struct Registry {
-    /// Every log registered under a `(node, topic)`, in subscription
-    /// order: the shared single-topic log plus any multi-topic mailboxes.
-    subs: HashMap<(NodeId, Topic), Vec<Arc<EventLog>>>,
-    /// The shared log plain subscriptions of a `(node, topic)` attach to.
-    shared: HashMap<(NodeId, Topic), Arc<EventLog>>,
+    /// Every mailbox registered under a `(node, topic)`, in subscription
+    /// order.
+    subs: HashMap<(NodeId, Topic), Vec<Arc<Mailbox>>>,
     /// Which nodes have (ever had) subscribers per topic — drives remote
     /// forwarding, exactly like TAO's gateway subscription propagation.
     topic_nodes: HashMap<Topic, BTreeSet<NodeId>>,
 }
 
 impl Registry {
-    /// Drops logs whose receivers are all gone, so subscriber churn (e.g.
+    /// Drops mailboxes whose receivers are gone, so subscriber churn (e.g.
     /// a TCP bridge reconnecting and minting a fresh mailbox each time)
     /// cannot grow the registry — or the rebuilt routes, and with them
     /// per-publish cost — without bound. Run on every subscription change;
     /// `topic_nodes` intentionally keeps its "ever subscribed" semantics.
-    fn purge_dead_logs(&mut self) {
-        self.subs.retain(|_, logs| {
-            logs.retain(|log| log.has_active_cursors());
-            !logs.is_empty()
+    fn purge_detached(&mut self) {
+        self.subs.retain(|_, mailboxes| {
+            mailboxes.retain(|mailbox| mailbox.is_attached());
+            !mailboxes.is_empty()
         });
-        self.shared.retain(|_, log| log.has_active_cursors());
     }
 }
 
@@ -261,37 +260,26 @@ impl Inner {
         self.generation.store(generation, Ordering::Release);
     }
 
-    /// Delivers a network parcel to the destination node's local logs.
+    /// Delivers a network parcel to the destination node's local
+    /// mailboxes.
     fn deliver_remote(&self, to: NodeId, event: &Event) {
         let table = self.table.read();
         let Some(route) = table.routes.get(&(to, event.topic)) else { return };
-        let mut delivered = 0usize;
-        let mut dropped = 0u64;
-        for log in &route.local {
-            let (d, dr) = log.push(event);
-            delivered += d;
-            dropped += dr;
-        }
+        let delivered: usize = route.local.iter().map(|mailbox| mailbox.push(event)).sum();
         drop(table);
         if delivered > 0 {
             self.counters.delivered.fetch_add(delivered as u64, Ordering::Relaxed);
-        }
-        if dropped > 0 {
-            self.counters.dropped.fetch_add(dropped, Ordering::Relaxed);
         }
     }
 }
 
 impl Drop for Inner {
     fn drop(&mut self) {
-        // Close every log so outstanding receivers observe `Disconnected`
-        // once they drain (the old per-subscriber channels disconnected at
-        // exactly this point — when the last handle went away).
+        // Close every mailbox so outstanding receivers observe
+        // `Disconnected` once they drain — when the last handle went away.
         let reg = self.registry.get_mut();
-        for logs in reg.subs.values() {
-            for log in logs {
-                log.close();
-            }
+        for mailbox in reg.subs.values().flatten() {
+            mailbox.close();
         }
     }
 }
@@ -341,12 +329,6 @@ impl Federation {
         Federation { inner, net_thread: Some(net_thread) }
     }
 
-    /// Number of nodes in the federation.
-    #[must_use]
-    pub fn node_count(&self) -> u16 {
-        self.inner.node_count
-    }
-
     /// This federation's unique host identity. Events do not carry it; it
     /// exists for *protocols* layered on bridged federations (e.g. the
     /// runtime's reconfiguration quorum) to distinguish hosts — two
@@ -358,8 +340,8 @@ impl Federation {
     }
 
     /// Aggregate event-path counters: publishes, per-subscriber
-    /// deliveries, backpressure drops at bounded subscribers, and remote
-    /// parcels. Maintained with relaxed atomics on the publish path.
+    /// deliveries, remote parcels and bridge tallies. Maintained with
+    /// relaxed atomics on the publish path.
     #[must_use]
     pub fn stats(&self) -> FederationStats {
         self.inner.counters.snapshot()
@@ -480,12 +462,6 @@ impl ChannelHandle {
         ChannelHandle { node, inner, cache: Mutex::new(RouteCache::default()) }
     }
 
-    /// The node this handle publishes from / subscribes on.
-    #[must_use]
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
     /// The owning federation's host identity (see [`Federation::host_id`]).
     #[must_use]
     pub fn host_id(&self) -> u64 {
@@ -493,41 +469,11 @@ impl ChannelHandle {
     }
 
     /// Registers a consumer for `topic` on this node and returns its
-    /// queue. Subscription is propagated to all gateways (publishers on
-    /// other nodes start forwarding immediately). The subscriber buffers
-    /// without bound; see [`ChannelHandle::subscribe_bounded`] for the
-    /// backpressured variant.
+    /// queue — `subscribe_many(&[topic])`. Subscription is propagated to
+    /// all gateways (publishers on other nodes start forwarding
+    /// immediately). The queue is unbounded.
     pub fn subscribe(&self, topic: Topic) -> EventReceiver {
-        self.subscribe_with(topic, None)
-    }
-
-    /// Like [`ChannelHandle::subscribe`], but the subscriber holds at most
-    /// `capacity` pending events: when a publish would exceed that, the
-    /// subscriber's **oldest** pending event is dropped (and counted — see
-    /// [`EventReceiver::dropped`] and [`Federation::stats`]). Publishers
-    /// and co-subscribers are never blocked or slowed by a stalled bounded
-    /// subscriber. A zero capacity is treated as one.
-    pub fn subscribe_bounded(&self, topic: Topic, capacity: usize) -> EventReceiver {
-        self.subscribe_with(topic, Some(capacity))
-    }
-
-    fn subscribe_with(&self, topic: Topic, cap: Option<usize>) -> EventReceiver {
-        let mut reg = self.inner.registry.lock();
-        reg.purge_dead_logs();
-        let key = (self.node, topic);
-        let log = match reg.shared.get(&key) {
-            Some(log) => Arc::clone(log),
-            None => {
-                let log = Arc::new(EventLog::new());
-                reg.shared.insert(key, Arc::clone(&log));
-                reg.subs.entry(key).or_default().push(Arc::clone(&log));
-                log
-            }
-        };
-        reg.topic_nodes.entry(topic).or_default().insert(self.node);
-        let rx = log.add_cursor(cap);
-        self.inner.rebuild_table(&reg);
-        rx
+        self.subscribe_many(&[topic])
     }
 
     /// Registers one **mailbox** consuming every listed topic on this
@@ -537,14 +483,13 @@ impl ChannelHandle {
     /// Duplicate topics are ignored.
     pub fn subscribe_many(&self, topics: &[Topic]) -> EventReceiver {
         let mut reg = self.inner.registry.lock();
-        reg.purge_dead_logs();
-        let log = Arc::new(EventLog::new());
+        reg.purge_detached();
+        let (mailbox, rx) = Mailbox::open();
         let unique: BTreeSet<Topic> = topics.iter().copied().collect();
         for topic in unique {
-            reg.subs.entry((self.node, topic)).or_default().push(Arc::clone(&log));
+            reg.subs.entry((self.node, topic)).or_default().push(Arc::clone(&mailbox));
             reg.topic_nodes.entry(topic).or_default().insert(self.node);
         }
-        let rx = log.add_cursor(None);
         self.inner.rebuild_table(&reg);
         rx
     }
@@ -575,13 +520,7 @@ impl ChannelHandle {
             return 0; // no subscribers anywhere: nothing to do
         };
 
-        let mut local_delivered = 0usize;
-        let mut dropped = 0u64;
-        for log in &route.local {
-            let (d, dr) = log.push(&event);
-            local_delivered += d;
-            dropped += dr;
-        }
+        let local_delivered: usize = route.local.iter().map(|mailbox| mailbox.push(&event)).sum();
         // The delivered counter takes only the local fan-out here; remote
         // parcels are counted by `deliver_remote` when they actually land
         // (the return value still reports local deliveries + parcels
@@ -593,15 +532,12 @@ impl ChannelHandle {
         if local_delivered > 0 {
             counters.delivered.fetch_add(local_delivered as u64, Ordering::Relaxed);
         }
-        if dropped > 0 {
-            counters.dropped.fetch_add(dropped, Ordering::Relaxed);
-        }
         delivered
     }
 
     /// Publishes a whole batch of events from this node in **one** pass:
-    /// consecutive same-topic runs share one route resolution and one
-    /// broadcast-log lock ([`EventLog`] `push_batch`), the routing table is
+    /// consecutive same-topic runs share one route resolution and one lock
+    /// per local mailbox (`Mailbox::push_batch`), the routing table is
     /// read once for the entire batch, and every remote parcel of the
     /// batch is sequenced under a single `net` lock acquisition and sent
     /// to the network thread as one message. This is the reader side of a
@@ -617,7 +553,6 @@ impl ChannelHandle {
         let table = self.inner.table.read().clone();
 
         let mut local_delivered = 0usize;
-        let mut dropped = 0u64;
         let mut parcels: Vec<(&[NodeId], Vec<Event>)> = Vec::new();
         let mut start = 0usize;
         while start < batch.len() {
@@ -631,10 +566,8 @@ impl ChannelHandle {
                     .iter()
                     .map(|(t, p)| Event::new(*t, self.node, p.clone()))
                     .collect();
-                for log in &route.local {
-                    let (d, dr) = log.push_batch(&events);
-                    local_delivered += d;
-                    dropped += dr;
+                for mailbox in &route.local {
+                    local_delivered += mailbox.push_batch(&events);
                 }
                 if !route.remotes.is_empty() {
                     parcels.push((&route.remotes, events));
@@ -655,9 +588,6 @@ impl ChannelHandle {
 
         if local_delivered > 0 {
             counters.delivered.fetch_add(local_delivered as u64, Ordering::Relaxed);
-        }
-        if dropped > 0 {
-            counters.dropped.fetch_add(dropped, Ordering::Relaxed);
         }
         local_delivered + sent
     }
@@ -1026,36 +956,12 @@ mod tests {
             drop(h.subscribe_many(&[Topic(1), Topic(2)]));
         }
         // The next subscription change purges them from the registry, so
-        // a publish pays for live logs only.
+        // a publish pays for live mailboxes only.
         let live = h.subscribe(Topic(1));
         assert_eq!(h.publish(Topic(1), &b"x"[..]), 1);
         assert_eq!(live.len(), 1);
         let reg = fed.inner.registry.lock();
         assert_eq!(reg.subs.get(&(NodeId(0), Topic(1))).map(Vec::len), Some(1));
         assert!(!reg.subs.contains_key(&(NodeId(0), Topic(2))), "dead-only key removed");
-    }
-
-    #[test]
-    fn bounded_subscriber_backpressure_is_local_and_observable() {
-        let fed = Federation::new(1, Latency::None, 0);
-        let h = fed.handle(NodeId(0)).unwrap();
-        let slow = h.subscribe_bounded(Topic(1), 4);
-        let fast = h.subscribe(Topic(1));
-        for i in 0u8..32 {
-            // Publisher never blocks regardless of the stalled subscriber.
-            assert_eq!(h.publish(Topic(1), vec![i]), 2);
-        }
-        // The healthy subscriber got everything...
-        for i in 0u8..32 {
-            assert_eq!(fast.try_recv().unwrap().payload.as_ref(), &[i]);
-        }
-        // ...the stalled bounded one kept only the newest 4, with the
-        // drops counted per receiver and in the federation stats.
-        assert_eq!(slow.dropped(), 28);
-        for i in 28u8..32 {
-            assert_eq!(slow.try_recv().unwrap().payload.as_ref(), &[i]);
-        }
-        assert!(slow.try_recv().is_err());
-        assert_eq!(fed.stats().events_dropped, 28);
     }
 }

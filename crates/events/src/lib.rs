@@ -11,7 +11,11 @@
 //!   topics) and node ids;
 //! * [`federation`] — local channels + gateway forwarding over an
 //!   in-process network with injectable one-way [`Latency`], so
-//!   communication delay is measurable exactly where Figure 8 measures it.
+//!   communication delay is measurable exactly where Figure 8 measures it;
+//! * [`fanout`] — local delivery: every subscription owns one unbounded
+//!   single-consumer queue, its [`EventReceiver`];
+//! * [`remote`] / [`wire`] — TCP gateways between federations and their
+//!   binary frame codec.
 //!
 //! # Examples
 //!

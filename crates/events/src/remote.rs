@@ -76,7 +76,7 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 
 use crate::event::{Event, NodeId, Topic};
-use crate::fanout::EventReceiver;
+use crate::fanout::{EventReceiver, Mailbox};
 use crate::federation::{ChannelHandle, Federation};
 use crate::wire::{self, FrameDecoder};
 
@@ -121,10 +121,12 @@ pub enum BridgeState {
     },
 }
 
-/// Shared link state: the stream (for shutdown from any thread) plus the
-/// lifecycle state machine.
+/// Shared link state: the stream (for shutdown from any thread), the
+/// forwarder's mailbox (closed with the link, which ends the forwarder's
+/// blocking `recv`) and the lifecycle state machine.
 struct LinkState {
     stream: Option<TcpStream>,
+    forward: Arc<Mailbox>,
     state: BridgeState,
 }
 
@@ -139,15 +141,17 @@ pub(crate) struct LiveBridge {
 }
 
 /// Tears the link down from either direction: raises the stop flag, shuts
-/// the socket both ways (unblocking a reader parked in `read`), clears the
-/// shared stream so `is_connected()` turns false, and records the first
-/// close reason. Returns true if this call is the one that closed it.
+/// the socket both ways (unblocking a reader parked in `read`), closes the
+/// forwarder's mailbox (unblocking a forwarder parked in `recv`), clears
+/// the shared stream so `is_connected()` turns false, and records the
+/// first close reason. Returns true if this call is the one that closed it.
 fn close_link(link: &SharedLink, stop: &AtomicBool, reason: BridgeCloseReason) -> bool {
     stop.store(true, Ordering::SeqCst);
     let mut l = link.lock();
     if let Some(stream) = l.stream.take() {
         let _ = stream.shutdown(std::net::Shutdown::Both);
     }
+    l.forward.close();
     let first = !matches!(l.state, BridgeState::Closed { .. });
     if first {
         l.state = BridgeState::Closed { reason };
@@ -192,12 +196,6 @@ impl std::fmt::Debug for BridgeHandle {
 }
 
 impl BridgeHandle {
-    /// The peer's socket address, while connected.
-    #[must_use]
-    pub fn peer_addr(&self) -> Option<SocketAddr> {
-        self.link.lock().stream.as_ref().and_then(|s| s.peer_addr().ok())
-    }
-
     /// True while the link is live: a peer is connected **and** neither
     /// side has failed. Turns false as soon as the link tears down, even
     /// if this handle has not been dropped.
@@ -254,11 +252,14 @@ pub fn listen(
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()))?;
 
     let stop = Arc::new(AtomicBool::new(false));
-    let link: SharedLink =
-        Arc::new(Mutex::new(LinkState { stream: None, state: BridgeState::Connecting }));
     // Subscribe *now*, on the caller's thread: events published before the
     // peer connects queue up and are forwarded once the link is live.
     let mailbox = handle.subscribe_many(&topics);
+    let link: SharedLink = Arc::new(Mutex::new(LinkState {
+        stream: None,
+        forward: Arc::clone(mailbox.mailbox()),
+        state: BridgeState::Connecting,
+    }));
     let accept_stop = Arc::clone(&stop);
     let accept_link = Arc::clone(&link);
     let acceptor = std::thread::Builder::new()
@@ -314,8 +315,11 @@ pub fn connect(
     // unsubscribed forwarder.
     let mailbox = handle.subscribe_many(&topics);
     let bridge_stream = stream.try_clone()?;
-    let link: SharedLink =
-        Arc::new(Mutex::new(LinkState { stream: Some(stream), state: BridgeState::Connected }));
+    let link: SharedLink = Arc::new(Mutex::new(LinkState {
+        stream: Some(stream),
+        forward: Arc::clone(mailbox.mailbox()),
+        state: BridgeState::Connected,
+    }));
     let bridge_stop = Arc::clone(&stop);
     let bridge_link = Arc::clone(&link);
     let thread = std::thread::Builder::new()
@@ -373,10 +377,9 @@ fn run_bridge(
         .name("rtcm-events-fwd".into())
         .spawn(move || {
             let mut buf: Vec<u8> = Vec::with_capacity(4096);
-            while !fwd_stop.load(Ordering::SeqCst) {
-                let Ok(event) = mailbox.recv_timeout(std::time::Duration::from_millis(50)) else {
-                    continue;
-                };
+            // Blocks until an event arrives; `close_link` closes the
+            // mailbox, which ends the loop.
+            while let Ok(event) = mailbox.recv() {
                 buf.clear();
                 let mut tx_dropped = append_event(&mut buf, gateway, &event);
                 // Coalesce everything already queued into the same write.

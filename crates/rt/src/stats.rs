@@ -156,8 +156,9 @@ pub struct SystemReport {
     /// Per-subscriber fan-out deliveries (local pushes plus delivered
     /// remote parcels).
     pub events_delivered: u64,
-    /// Events dropped at bounded subscribers under backpressure
-    /// (drop-oldest; 0 for the runtime's own unbounded mailboxes).
+    /// Always 0: every subscription is an unbounded queue, so the event
+    /// path drops nothing. Kept only because the benchmark adapter reads
+    /// it (ROADMAP item 1(ix) retires it).
     pub events_dropped: u64,
     /// Parcels handed to the in-process network for cross-node delivery.
     pub remote_parcels: u64,
@@ -536,11 +537,6 @@ impl SharedStats {
             "rtcm_events_delivered_total",
             "Per-subscriber fan-out deliveries.",
             report.events_delivered,
-        );
-        e.counter(
-            "rtcm_events_dropped_total",
-            "Events dropped at bounded subscribers under backpressure.",
-            report.events_dropped,
         );
         e.counter(
             "rtcm_remote_parcels_total",

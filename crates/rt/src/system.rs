@@ -746,7 +746,6 @@ impl Drop for System {
 fn fold_federation(report: &mut SystemReport, events: &FederationStats) {
     report.events_published = events.events_published;
     report.events_delivered = events.local_deliveries;
-    report.events_dropped = events.events_dropped;
     report.remote_parcels = events.remote_parcels;
     report.bridge_rx_errors = events.bridge_rx_errors;
     report.bridge_disconnects = events.bridge_disconnects;

@@ -1132,7 +1132,6 @@ fn event_channel_counters_surface_in_the_report() {
         report.events_delivered,
         report.events_published
     );
-    assert_eq!(report.events_dropped, 0, "runtime mailboxes are unbounded");
     assert!(report.remote_parcels > 0, "TE↔AC traffic crosses nodes");
 }
 
