@@ -1,19 +1,24 @@
 //! The admission-control service (§4.2): on-line AUB schedulability tests
 //! for dynamically arriving aperiodic and periodic tasks.
 //!
-//! The controller keeps the [`UtilizationLedger`] of synthetic utilization,
-//! the registry of *current* entries (admitted jobs whose deadlines have not
-//! expired, plus per-task reservations), and the configured
-//! [`LoadBalancer`]. An arrival is admitted iff, after tentatively adding
-//! its contributions under the proposed placement, the AUB condition holds
-//! for it **and every current entry** — the tentative contributions are
-//! rolled back on rejection, leaving the ledger untouched.
+//! The controller keeps the registry of *current* entries (admitted jobs
+//! whose deadlines have not expired, plus per-task reservations), the
+//! [`UtilizationLedger`] of per-processor synthetic utilization, and the
+//! configured [`LoadBalancer`]. There is one copy of the current set: each
+//! entry owns its per-subtask shares `C_{i,j} / D_i`, and the ledger only
+//! sums them. One `(deadline, job)` heap retires deadline-bound entries and
+//! takes their remaining shares out of the ledger. An arrival is admitted
+//! iff, after tentatively adding its shares under the proposed placement,
+//! the AUB condition holds for it **and every current entry** — the
+//! tentative shares are taken back out on rejection, leaving the ledger as
+//! it was.
 //!
 //! Strategy semantics:
 //!
 //! * **AC per task** (periodic tasks): the test runs once, at the task's
-//!   first arrival, with [`Lifetime::Reserved`] contributions kept for the
-//!   task's lifetime; later jobs release immediately. A task that fails its
+//!   first arrival, with reserved shares kept for the task's lifetime
+//!   (reservations never enter the expiry heap); later jobs release
+//!   immediately. A task that fails its
 //!   first test is rejected permanently (until
 //!   [`AdmissionController::withdraw_task`]).
 //! * **AC per job**: every job is tested with contributions expiring at the
@@ -70,14 +75,14 @@ use serde::{Deserialize, Serialize};
 use crate::aub::{aub_delta, aub_term, bound_lhs, BOUND_EPSILON};
 use crate::balance::{Assignment, LoadBalancer};
 use crate::hash::{IdMap, IdSet};
-use crate::ledger::{ContributionKey, Lifetime, UtilizationLedger};
+use crate::ledger::{ContributionKey, UtilizationLedger};
 use crate::reconfig::{HandoverReport, ReconfigPlan, TransitionStep};
 use crate::strategy::{InvalidConfigError, ServiceConfig};
 use crate::task::{JobId, ProcessorId, TaskId, TaskSet, TaskSpec};
 use crate::time::Time;
 
-/// Sentinel job sequence number used for per-task reservations, so reserved
-/// contribution keys can never collide with real job keys.
+/// Sentinel job sequence number reservations key their shares under, so no
+/// idle-reset report for a real job can name a reserved share.
 pub const RESERVED_SEQ: u64 = u64::MAX;
 
 /// Job sequence numbers at or above this value are sentinels owned by the
@@ -245,14 +250,21 @@ pub struct AcStats {
     pub reset_utilization: f64,
 }
 
-/// One stage of a current entry: the processor it runs on and the position
-/// of this visit's record in that processor's `proc_index` bucket. The
-/// back-pointer lives in the allocation `visits` owns anyway, so finding
-/// the record to remove costs no search and no memory of its own.
+/// One stage of a current entry: the processor it runs on, its share
+/// `C_{i,j} / D_i` of that processor's synthetic utilization, and the
+/// position of this visit's record in that processor's `proc_index` bucket.
+/// The visit is the only copy of the share — the ledger holds sums — so
+/// whoever takes an entry out takes its shares out of the ledger with it.
+/// The back-pointer lives in the allocation `visits` owns anyway, so
+/// finding the record to remove costs no search and no memory of its own.
 #[derive(Debug, Clone, Copy)]
 struct Visit {
-    processor: ProcessorId,
+    share: f64,
     slot: u32,
+    processor: ProcessorId,
+    /// Set once an idle-reset report took `share` out of the ledger early;
+    /// expiry then leaves it be.
+    reset: bool,
 }
 
 /// One inverted-index record: `(entry, visit)` — the entry's slab index and
@@ -261,19 +273,26 @@ struct Visit {
 type IndexRecord = (u32, u32);
 
 // The back-pointers must stay free: a record no wider than the entry id it
-// replaced, and a three-stage chain's visits in 24 bytes — the smallest
-// block the allocator hands out, which three bare processor ids took too.
-const _: () = assert!(std::mem::size_of::<IndexRecord>() == 8 && std::mem::size_of::<Visit>() == 8);
+// replaced, and a visit no wider than its share plus the eight bytes the
+// processor and back-pointer took before the share moved in — a three-stage
+// chain's visits fit one 48-byte block.
+const _: () =
+    assert!(std::mem::size_of::<IndexRecord>() == 8 && std::mem::size_of::<Visit>() == 16);
 
 #[derive(Debug, Clone)]
 struct CurrentEntry {
     job: JobId,
-    /// While the entry is indexed, `visits[v].slot` is where the record
-    /// `(entry, v)` sits in `proc_index[visits[v].processor]` — the
-    /// back-pointer invariant `index_errors` audits.
+    /// The job the entry's shares are keyed under — the one an idle-reset
+    /// report must name, and the expiry heap's order. `job` itself, except
+    /// for a reservation: `(task, RESERVED_SEQ)`, which no report names.
+    key_job: JobId,
+    /// In subtask order. While the entry is indexed, `visits[v].slot` is
+    /// where the record `(entry, v)` sits in
+    /// `proc_index[visits[v].processor]` — the back-pointer invariant
+    /// `index_errors` audits.
     visits: Vec<Visit>,
-    /// Subtask contributions not yet removed by idle resetting. Entries at
-    /// zero are provably complete and are skipped by the bound check.
+    /// Visits whose share is not yet idle-reset. Entries at zero are
+    /// provably complete and are skipped by the bound check.
     outstanding: usize,
     /// Registration generation, unique per [`register_entry`] call. Heap
     /// entries in `entry_expiry` carry the generation they were queued
@@ -287,6 +306,42 @@ impl CurrentEntry {
     /// The processors visited, in subtask order.
     fn processors(&self) -> impl Iterator<Item = ProcessorId> + '_ {
         self.visits.iter().map(|v| v.processor)
+    }
+}
+
+/// `task`'s shares on `placement`, in subtask order, not yet indexed.
+fn visits_for(task: &TaskSpec, placement: &[ProcessorId]) -> Vec<Visit> {
+    let visit = |(j, &processor)| Visit {
+        share: task.subtask_utilization(j),
+        slot: 0,
+        processor,
+        reset: false,
+    };
+    placement.iter().enumerate().map(visit).collect()
+}
+
+/// Adds every share of `visits` to the ledger, in subtask order.
+fn charge(ledger: &mut UtilizationLedger, visits: &[Visit]) {
+    for v in visits {
+        ledger.add(v.processor, v.share).expect("processors are checked and shares finite");
+    }
+}
+
+/// Takes the shares `visits` still hold out of the ledger, in subtask order.
+fn release(ledger: &mut UtilizationLedger, visits: &[Visit]) {
+    for v in visits.iter().filter(|v| !v.reset) {
+        ledger.remove(v.processor, v.share);
+    }
+}
+
+/// Re-keys the shares of `visits` — none idle-reset: a reservation's or an
+/// intact entry's — in place: each leaves its total and re-enters it, one
+/// subtask at a time, so a handover's totals take exactly the `−u, +u`
+/// steps a move takes.
+fn rekey(ledger: &mut UtilizationLedger, visits: &[Visit]) {
+    for v in visits {
+        ledger.remove(v.processor, v.share);
+        ledger.add(v.processor, v.share).expect("the share was just in the ledger");
     }
 }
 
@@ -358,11 +413,15 @@ pub struct AdmissionController {
     free_entries: Vec<EntryId>,
     live_entries: usize,
     by_job: IdMap<JobId, EntryId>,
-    /// Min-heap of (deadline, entry, generation) registry expiries, with
-    /// lazy deletion: a popped record whose generation no longer matches
-    /// the slot (the entry was unregistered early, e.g. converted into a
+    /// Min-heap of `(deadline, key_job, entry, generation)`, one record per
+    /// deadline-bound entry (reservations never enter it). A popped record
+    /// retires its entry and takes the entry's remaining shares out of the
+    /// ledger: entries in `(deadline, key_job)` order, visits in subtask
+    /// order, so each processor's total loses its shares in `(deadline,
+    /// ContributionKey)` order. A record whose generation no longer matches
+    /// the slot (the entry was unregistered early, i.e. converted into a
     /// reservation by a reconfiguration) is discarded.
-    entry_expiry: BinaryHeap<Reverse<(Time, EntryId, u64)>>,
+    entry_expiry: BinaryHeap<Reverse<(Time, JobId, EntryId, u64)>>,
     reserved: IdMap<TaskId, EntryId>,
     rejected_tasks: IdSet<TaskId>,
     /// Inverted index: processor → entries visiting it, one record per
@@ -386,7 +445,7 @@ pub struct AdmissionController {
     scratch_touched: Vec<(usize, f64)>,
     /// Next sentinel sequence number for drained reservations, counting
     /// down from just below [`RESERVED_SEQ`]. Uniqueness keeps a drained
-    /// reservation's registry entry and ledger keys from ever colliding
+    /// reservation's registry entry and share keys from ever colliding
     /// with a later reservation (or drain) of the same task.
     next_drain_seq: u64,
     /// Source of registry-entry generation stamps (see
@@ -467,12 +526,12 @@ impl AdmissionController {
     /// (§5's run-time attribute modification, generalized to all three
     /// axes).
     ///
-    /// The handover keeps every admitted job's ledger contributions — and
-    /// therefore its AUB guarantee — across the swap:
+    /// The handover keeps every admitted job's shares — and therefore its
+    /// AUB guarantee — across the swap:
     ///
-    /// * **AC per-task → per-job** (*drain*): each reservation's
-    ///   contributions are converted in place to deadline-bound entries
-    ///   expiring at `now + deadline(task)`, the latest instant any job
+    /// * **AC per-task → per-job** (*drain*): each reservation is
+    ///   converted in place to a deadline-bound entry expiring at
+    ///   `now + deadline(task)`, the latest instant any job
     ///   released under the reservation can still be running toward its
     ///   deadline. In-flight jobs stay covered; the capacity frees once
     ///   they cannot exist anymore. Sticky per-task rejections are
@@ -523,48 +582,27 @@ impl AdmissionController {
         Ok(report)
     }
 
-    /// AC per-task → per-job handover: convert every reservation into
-    /// deadline-bound contributions under a fresh sentinel job id (so the
-    /// reserved key space is immediately free for a later reseed), keeping
-    /// utilization per processor exactly unchanged.
+    /// AC per-task → per-job handover: convert every reservation into a
+    /// deadline-bound entry under a fresh sentinel job id (so the reserved
+    /// key space is immediately free for a later reseed), carrying its
+    /// shares over.
     fn drain_reservations(&mut self, now: Time, tasks: &TaskSet, report: &mut HandoverReport) {
         let mut drained: Vec<(TaskId, EntryId)> = self.reserved.drain().collect();
         drained.sort_by_key(|(task, _)| *task);
         for (task_id, eid) in drained {
             let Some(entry) = self.unregister_entry(eid) else { continue };
-            let visits: Vec<ProcessorId> = entry.processors().collect();
-            let reserved_job = JobId::new(task_id, RESERVED_SEQ);
             let Some(task) = tasks.get(task_id) else {
                 // No deadline horizon known: withdraw the reservation.
-                self.mutate_ledger(|ledger| {
-                    for (subtask, processor) in visits.iter().enumerate() {
-                        ledger.remove(*processor, ContributionKey::new(reserved_job, subtask));
-                    }
-                });
+                self.mutate_ledger(|ledger| release(ledger, &entry.visits));
                 report.reservations_withdrawn += 1;
                 continue;
             };
             let deadline = now.saturating_add(task.deadline());
             self.next_drain_seq -= 1;
             let drained_job = JobId::new(task_id, self.next_drain_seq);
-            self.mutate_ledger(|ledger| {
-                for (subtask, processor) in visits.iter().enumerate() {
-                    if let Some(u) =
-                        ledger.remove(*processor, ContributionKey::new(reserved_job, subtask))
-                    {
-                        ledger
-                            .add(
-                                *processor,
-                                ContributionKey::new(drained_job, subtask),
-                                u,
-                                Lifetime::UntilDeadline(deadline),
-                            )
-                            .expect("drain ids are unique, so the key is free");
-                    }
-                }
-            });
-            let new_eid = self.register_entry(drained_job, &visits);
-            self.entry_expiry.push(Reverse((deadline, new_eid, self.entry(new_eid).gen)));
+            self.mutate_ledger(|ledger| rekey(ledger, &entry.visits));
+            let new_eid = self.register_entry(drained_job, drained_job, entry.visits);
+            self.queue_expiry(deadline, new_eid);
             report.reservations_drained += 1;
         }
     }
@@ -574,14 +612,14 @@ impl AdmissionController {
     ///
     /// The normal case is an *in-place conversion* — the exact inverse of
     /// [`AdmissionController::drain_reservations`]: the latest intact
-    /// entry's deadline-bound contributions are re-keyed as the task's
+    /// entry's deadline-bound shares are re-keyed as the task's
     /// reservation, a net-zero utilization move, guarded by the same
     /// system-wide AUB condition an admission checks (a violated system —
     /// e.g. under un-tested remote load — refuses to extend guarantees
     /// indefinitely, and the task is simply re-tested at its next
     /// arrival). Entries already partially freed by idle resetting cannot
     /// be converted exactly, so those tasks reseed *additively*: the full
-    /// reservation is added on top of the remaining contributions, under
+    /// reservation is added on top of the remaining shares, under
     /// the same guard. Candidates are processed in ascending task-id
     /// order for determinism.
     fn reseed_reservations(&mut self, tasks: &TaskSet, report: &mut HandoverReport) {
@@ -608,77 +646,41 @@ impl AdmissionController {
                 continue;
             }
             let entry = self.entry(eid);
-            let visits: Vec<ProcessorId> = entry.processors().collect();
+            let placement: Vec<ProcessorId> = entry.processors().collect();
             let old_job = entry.job;
             let task = tasks.get(task_id).expect("filtered on membership above");
             let reserved_job = JobId::new(task_id, RESERVED_SEQ);
-            // Intact = convertible: nothing idle-reset yet *and* every
-            // ledger key actually present (a remote-commit collision can
-            // leave an entry with fewer keys than visits). The
-            // utilization-neutrality premise of the up-front AUB guard
-            // below rests on this, so it is checked, not assumed.
-            let intact = entry.outstanding == visits.len()
-                && visits.iter().enumerate().all(|(subtask, processor)| {
-                    self.ledger
-                        .contribution(*processor, ContributionKey::new(old_job, subtask))
-                        .is_some()
-                });
 
-            if intact {
+            // Intact = convertible: no share idle-reset yet. The
+            // utilization-neutrality premise of the up-front AUB guard
+            // below rests on this.
+            if entry.outstanding == placement.len() {
                 // The conversion is utilization-neutral, so the guard can
                 // run up front and no rollback path is needed. Its stale
                 // expiry-heap record is discarded by the generation check.
-                if !self.system_schedulable_with(&visits) {
+                if !self.system_schedulable_with(&placement) {
                     report.reseeds_skipped += 1;
                     continue;
                 }
-                self.unregister_entry(eid);
-                self.mutate_ledger(|ledger| {
-                    for (subtask, processor) in visits.iter().enumerate() {
-                        let u = ledger
-                            .remove(*processor, ContributionKey::new(old_job, subtask))
-                            .expect("intact entries hold every contribution (checked above)");
-                        ledger
-                            .add(
-                                *processor,
-                                ContributionKey::new(reserved_job, subtask),
-                                u,
-                                Lifetime::Reserved,
-                            )
-                            .expect("the reserved key space was free");
-                    }
-                });
-                let new_eid = self.register_entry(old_job, &visits);
+                let entry = self.unregister_entry(eid).expect("candidates are live");
+                self.mutate_ledger(|ledger| rekey(ledger, &entry.visits));
+                let new_eid = self.register_entry(old_job, reserved_job, entry.visits);
                 self.reserved.insert(task_id, new_eid);
                 report.reservations_reseeded += 1;
                 continue;
             }
 
             // Additive fallback: the partial entry keeps its remaining
-            // contributions until its deadline; the reservation is added
-            // fresh, guarded by the post-addition system-wide check.
-            self.ledger.begin_touch_epoch();
-            for (subtask, processor) in visits.iter().enumerate() {
-                self.ledger
-                    .add(
-                        *processor,
-                        ContributionKey::new(reserved_job, subtask),
-                        task.subtask_utilization(subtask),
-                        Lifetime::Reserved,
-                    )
-                    .expect("the reserved key space was free");
-            }
-            self.settle_epoch();
-            if self.system_schedulable_with(&visits) {
-                let new_eid = self.register_entry(reserved_job, &visits);
+            // shares until its deadline; the reservation is added fresh,
+            // guarded by the post-addition system-wide check.
+            let visits = visits_for(task, &placement);
+            self.mutate_ledger(|ledger| charge(ledger, &visits));
+            if self.system_schedulable_with(&placement) {
+                let new_eid = self.register_entry(reserved_job, reserved_job, visits);
                 self.reserved.insert(task_id, new_eid);
                 report.reservations_reseeded += 1;
             } else {
-                self.mutate_ledger(|ledger| {
-                    for (subtask, processor) in visits.iter().enumerate() {
-                        ledger.remove(*processor, ContributionKey::new(reserved_job, subtask));
-                    }
-                });
+                self.mutate_ledger(|ledger| release(ledger, &visits));
                 report.reseeds_skipped += 1;
             }
         }
@@ -780,13 +782,13 @@ impl AdmissionController {
     }
 
     /// Records a job as admitted under `assignment` without running the
-    /// admission test, so the ledger may end up over the AUB bound: the
+    /// admission test — a test hook, and the one way to put current
+    /// entries over the AUB bound: no product path calls it, the
     /// differential oracle traces replay it as an op, and the saturation
     /// tests build their over-bound ledgers with it.
     ///
-    /// Contributions are entered with the job's real deadline, so they
-    /// expire like an admitted job's. A commit for a job already in the
-    /// current set is ignored.
+    /// The entry expires at the job's real deadline, like an admitted
+    /// job's. A commit for a job already in the current set is ignored.
     ///
     /// # Errors
     ///
@@ -812,21 +814,10 @@ impl AdmissionController {
         if deadline <= self.ledger_now_floor() {
             return Ok(()); // stale commit: already past its deadline
         }
-        self.mutate_ledger(|ledger| {
-            for (subtask, processor) in assignment.iter() {
-                let key = ContributionKey::new(job, subtask);
-                // A collision here means the peer double-assigned; keep the
-                // first contribution (idempotence beats precision for views).
-                let _ = ledger.add(
-                    processor,
-                    key,
-                    task.subtask_utilization(subtask),
-                    Lifetime::UntilDeadline(deadline),
-                );
-            }
-        });
-        let eid = self.register_entry(job, assignment.as_slice());
-        self.entry_expiry.push(Reverse((deadline, eid, self.entry(eid).gen)));
+        let visits = visits_for(task, assignment.as_slice());
+        self.mutate_ledger(|ledger| charge(ledger, &visits));
+        let eid = self.register_entry(job, job, visits);
+        self.queue_expiry(deadline, eid);
         Ok(())
     }
 
@@ -839,26 +830,34 @@ impl AdmissionController {
         self.last_expire
     }
 
-    /// Applies an idle-reset report from processor `processor`: removes the
-    /// listed completed contributions from the ledger. Returns the total
-    /// synthetic utilization freed. Keys already expired are ignored.
+    /// Applies an idle-reset report from processor `processor`: takes the
+    /// listed completed shares out of the ledger. Returns the total
+    /// synthetic utilization freed. A key naming no live job share on
+    /// `processor` — already expired or reset, another processor's, or a
+    /// reservation's, which stays for its task's lifetime — frees nothing.
     pub fn apply_idle_reset(&mut self, processor: ProcessorId, keys: &[ContributionKey]) -> f64 {
         self.ledger.begin_touch_epoch();
         let mut freed = 0.0;
         for key in keys {
-            let Some(u) = self.ledger.remove(processor, *key) else { continue };
-            freed += u;
-            if let Some(&eid) = self.by_job.get(&key.job) {
-                if let Some(entry) = self.entries[eid].as_mut() {
-                    entry.outstanding = entry.outstanding.saturating_sub(1);
-                    if entry.outstanding == 0 {
-                        // Provably complete: excluded from the admission
-                        // condition from here on.
-                        let hot = &mut self.hot[eid];
-                        hot.counted = false;
-                        Self::sync_violating(hot, &mut self.violating_count);
-                    }
-                }
+            let Some(&eid) = self.by_job.get(&key.job) else { continue };
+            let entry = self.entries[eid].as_mut().expect("registered entries are live");
+            if entry.key_job != key.job || key.job.seq == RESERVED_SEQ {
+                continue;
+            }
+            let Some(visit) = entry.visits.get_mut(key.subtask) else { continue };
+            if visit.processor != processor || visit.reset {
+                continue;
+            }
+            visit.reset = true;
+            self.ledger.remove(processor, visit.share);
+            freed += visit.share;
+            entry.outstanding -= 1;
+            if entry.outstanding == 0 {
+                // Provably complete: excluded from the admission condition
+                // from here on.
+                let hot = &mut self.hot[eid];
+                hot.counted = false;
+                Self::sync_violating(hot, &mut self.violating_count);
             }
         }
         self.settle_epoch();
@@ -880,19 +879,25 @@ impl AdmissionController {
     /// settling the epoch on every path out.
     fn expire_in_epoch(&mut self, now: Time) {
         self.last_expire = self.last_expire.max(now);
-        self.ledger.expire_until(now);
-        while let Some(&Reverse((deadline, eid, gen))) = self.entry_expiry.peek() {
+        while let Some(&Reverse((deadline, _, eid, gen))) = self.entry_expiry.peek() {
             if deadline > now {
                 break;
             }
             self.entry_expiry.pop();
-            // Lazy deletion: a generation mismatch means the entry left
-            // the registry early (e.g. converted into a reservation) and
-            // the slot may have been recycled — skip the stale record.
-            if self.entries.get(eid).and_then(Option::as_ref).is_some_and(|e| e.gen == gen) {
-                self.unregister_entry(eid);
+            // A generation mismatch means the entry left the registry early
+            // (converted into a reservation) and the slot may have been
+            // recycled — the stale record frees nothing.
+            if self.entries[eid].as_ref().is_some_and(|e| e.gen == gen) {
+                let entry = self.unregister_entry(eid).expect("checked live");
+                release(&mut self.ledger, &entry.visits);
             }
         }
+    }
+
+    /// Queues deadline-bound entry `eid` to expire at `deadline`.
+    fn queue_expiry(&mut self, deadline: Time, eid: EntryId) {
+        let entry = self.entry(eid);
+        self.entry_expiry.push(Reverse((deadline, entry.key_job, eid, entry.gen)));
     }
 
     /// Withdraws a periodic task entirely: releases its reservation (if
@@ -901,12 +906,7 @@ impl AdmissionController {
     pub fn withdraw_task(&mut self, task: TaskId) {
         if let Some(eid) = self.reserved.remove(&task) {
             if let Some(entry) = self.unregister_entry(eid) {
-                let reserved_job = JobId::new(task, RESERVED_SEQ);
-                self.mutate_ledger(|ledger| {
-                    for (subtask, processor) in entry.processors().enumerate() {
-                        ledger.remove(processor, ContributionKey::new(reserved_job, subtask));
-                    }
-                });
+                self.mutate_ledger(|ledger| release(ledger, &entry.visits));
             }
         }
         self.rejected_tasks.remove(&task);
@@ -980,59 +980,28 @@ impl AdmissionController {
     /// Moves a per-task reservation to a freshly balanced placement if that
     /// keeps the whole system schedulable; otherwise keeps the old plan.
     fn relocate_reservation(&mut self, task: &TaskSpec, eid: EntryId) -> Assignment {
-        let reserved_job = JobId::new(task.id(), RESERVED_SEQ);
-
-        // Lift the old contributions out so the proposal does not see the
-        // task's own load on its old processors. The entry is de-indexed
-        // across the move: deltas flow to everyone else, and its own sum is
+        // Lift the old shares out so the proposal does not see the task's
+        // own load on its old processors. The entry is de-indexed across
+        // the move: deltas flow to everyone else, and its own sum is
         // recomputed once the new placement is in.
-        let old_visits: Vec<ProcessorId> = self.entry(eid).processors().collect();
-        self.detach_visits(eid);
-        self.mutate_ledger(|ledger| {
-            for (subtask, processor) in old_visits.iter().enumerate() {
-                ledger.remove(*processor, ContributionKey::new(reserved_job, subtask));
-            }
-        });
+        let old = self.detach_visits(eid);
+        self.mutate_ledger(|ledger| release(ledger, &old));
         let proposal = self.balancer.assignment_for(task, &self.ledger);
-        self.mutate_ledger(|ledger| {
-            for (subtask, processor) in proposal.iter() {
-                ledger
-                    .add(
-                        processor,
-                        ContributionKey::new(reserved_job, subtask),
-                        task.subtask_utilization(subtask),
-                        Lifetime::Reserved,
-                    )
-                    .expect("reserved keys were just removed");
-            }
-        });
-        self.attach_visits(eid, proposal.as_slice());
+        let moved = visits_for(task, proposal.as_slice());
+        self.mutate_ledger(|ledger| charge(ledger, &moved));
+        self.attach_visits(eid, moved);
 
         if self.system_schedulable_with(proposal.as_slice()) {
             return proposal;
         }
 
         // Revert: the relocation would violate someone's bound.
-        self.detach_visits(eid);
-        self.mutate_ledger(|ledger| {
-            for (subtask, processor) in proposal.iter() {
-                ledger.remove(processor, ContributionKey::new(reserved_job, subtask));
-            }
-        });
-        self.mutate_ledger(|ledger| {
-            for (subtask, processor) in old_visits.iter().enumerate() {
-                ledger
-                    .add(
-                        *processor,
-                        ContributionKey::new(reserved_job, subtask),
-                        task.subtask_utilization(subtask),
-                        Lifetime::Reserved,
-                    )
-                    .expect("restoring the original reservation cannot collide");
-            }
-        });
-        self.attach_visits(eid, &old_visits);
-        Assignment::new(old_visits)
+        let moved = self.detach_visits(eid);
+        self.mutate_ledger(|ledger| release(ledger, &moved));
+        self.mutate_ledger(|ledger| charge(ledger, &old));
+        let placement = Assignment::new(old.iter().map(|v| v.processor).collect());
+        self.attach_visits(eid, old);
+        placement
     }
 
     fn admit_with_checked(
@@ -1047,12 +1016,12 @@ impl AdmissionController {
             return Err(AdmissionError::DuplicateArrival { job });
         }
         self.ledger.begin_touch_epoch();
-        self.decide_in_open_epoch(task, job, now, assignment)
+        Ok(self.decide_in_open_epoch(task, job, now, assignment))
     }
 
     /// The hot-path variant of [`AdmissionController::admit_with_checked`]:
     /// identical decision logic, but the caller has already opened a touch
-    /// epoch (covering expiry) that the tentative contributions join.
+    /// epoch (covering expiry) that the tentative shares join.
     fn admit_in_open_epoch(
         &mut self,
         task: &TaskSpec,
@@ -1065,66 +1034,45 @@ impl AdmissionController {
             self.settle_epoch();
             return Err(AdmissionError::DuplicateArrival { job });
         }
-        self.decide_in_open_epoch(task, job, now, assignment)
+        Ok(self.decide_in_open_epoch(task, job, now, assignment))
     }
 
     /// The admission decision proper, shared by both entry points above:
-    /// tentatively adds the candidate's contributions into the open touch
-    /// epoch, settles it exactly once (delta-applying every touched
-    /// processor's `f(U)` step to the entries visiting it), runs the
-    /// system-wide check, and commits the entry or reverts the
-    /// contributions. Every path out settles the epoch.
+    /// tentatively adds the candidate's shares to the ledger totals inside
+    /// the open touch epoch, settles it exactly once (delta-applying every
+    /// touched processor's `f(U)` step to the entries visiting it), runs
+    /// the system-wide check, and registers the entry or takes the shares
+    /// back out. Every path out settles the epoch.
     fn decide_in_open_epoch(
         &mut self,
         task: &TaskSpec,
         job: JobId,
         now: Time,
         assignment: Assignment,
-    ) -> Result<Decision, AdmissionError> {
+    ) -> Decision {
         self.stats.tested += 1;
-
-        let reserve = self.config.decides_per_task(task);
-        let (key_job, lifetime, entry_deadline) = if reserve {
-            (JobId::new(task.id(), RESERVED_SEQ), Lifetime::Reserved, Time::MAX)
-        } else {
-            let deadline = now.saturating_add(task.deadline());
-            (job, Lifetime::UntilDeadline(deadline), deadline)
-        };
-
-        let mut added = 0usize;
-        let mut collided = false;
         for (subtask, processor) in assignment.iter() {
-            let key = ContributionKey::new(key_job, subtask);
-            match self.ledger.add(processor, key, task.subtask_utilization(subtask), lifetime) {
-                Ok(()) => added += 1,
-                Err(_) => {
-                    collided = true;
-                    break;
-                }
-            }
-        }
-        if collided {
-            for (subtask, processor) in assignment.iter().take(added) {
-                self.ledger.remove(processor, ContributionKey::new(key_job, subtask));
-            }
-            self.settle_epoch();
-            return Err(AdmissionError::DuplicateArrival { job });
+            let share = task.subtask_utilization(subtask);
+            self.ledger.add(processor, share).expect("processors are checked and shares finite");
         }
         self.settle_epoch();
 
+        let reserve = self.config.decides_per_task(task);
         if self.system_schedulable_with(assignment.as_slice()) {
-            let eid = self.register_entry(job, assignment.as_slice());
+            let visits = visits_for(task, assignment.as_slice());
             if reserve {
+                let eid = self.register_entry(job, JobId::new(task.id(), RESERVED_SEQ), visits);
                 self.reserved.insert(task.id(), eid);
             } else {
-                self.entry_expiry.push(Reverse((entry_deadline, eid, self.entry(eid).gen)));
+                let eid = self.register_entry(job, job, visits);
+                self.queue_expiry(now.saturating_add(task.deadline()), eid);
             }
             self.stats.admitted += 1;
-            Ok(Decision::Accept { assignment, newly_admitted: true })
+            Decision::Accept { assignment, newly_admitted: true }
         } else {
             self.mutate_ledger(|ledger| {
                 for (subtask, processor) in assignment.iter() {
-                    ledger.remove(processor, ContributionKey::new(key_job, subtask));
+                    ledger.remove(processor, task.subtask_utilization(subtask));
                 }
             });
             if reserve {
@@ -1132,7 +1080,7 @@ impl AdmissionController {
             }
             self.balancer.forget_task(task.id());
             self.stats.rejected += 1;
-            Ok(Decision::Reject { reason: RejectReason::Unschedulable })
+            Decision::Reject { reason: RejectReason::Unschedulable }
         }
     }
 
@@ -1223,13 +1171,53 @@ impl AdmissionController {
         errors + records.abs_diff(visits)
     }
 
+    /// Every share still in the ledger, with its processor, in
+    /// [`ContributionKey`] order — the order a fresh sum takes so that it
+    /// does not depend on which slots the entries sit in.
+    fn live_shares(&self) -> Vec<(ContributionKey, ProcessorId, f64)> {
+        let mut shares: Vec<_> = self
+            .entries
+            .iter()
+            .flatten()
+            .flat_map(|entry| {
+                let live = entry.visits.iter().enumerate().filter(|(_, v)| !v.reset);
+                live.map(|(j, v)| (ContributionKey::new(entry.key_job, j), v.processor, v.share))
+            })
+            .collect();
+        shares.sort_unstable_by_key(|&(key, ..)| key);
+        shares
+    }
+
+    /// Number of processors whose ledger total disagrees with the shares
+    /// the entries hold — 0 on a sound controller: a live-share count other
+    /// than the ledger's, or a [`ContributionKey`]-ordered sum more than
+    /// `tolerance` away from its utilization. Read-only, O(shares · log
+    /// shares); feeds `rtcm_core::analysis::audit_controller`.
+    pub(crate) fn ledger_errors(&self, tolerance: f64) -> usize {
+        let mut fresh = vec![(0usize, 0.0f64); self.ledger.processor_count()];
+        for (_, processor, share) in self.live_shares() {
+            let (count, sum) = &mut fresh[processor.index()];
+            *count += 1;
+            *sum += share;
+        }
+        fresh
+            .iter()
+            .zip(0u16..)
+            .filter(|&(&(count, sum), p)| {
+                count != self.ledger.contribution_count(ProcessorId(p))
+                    || (self.ledger.utilization(ProcessorId(p)) - sum).abs() > tolerance
+            })
+            .count()
+    }
+
     /// Recomputes the ledger totals *and* every cached AUB sum from
     /// scratch, returning the largest absolute drift corrected anywhere.
     /// Incremental `+=`/`-=` bookkeeping accumulates floating-point drift
     /// over long runs; periodic reconciliation bounds it without giving up
     /// the hot path's incrementality.
     pub fn reconcile(&mut self) -> f64 {
-        let mut max_drift = self.ledger.recompute_totals();
+        let shares = self.live_shares();
+        let mut max_drift = self.ledger.recompute_totals(shares.iter().map(|&(_, p, u)| (p, u)));
         for eid in 0..self.entries.len() {
             if self.entries[eid].is_none() {
                 continue;
@@ -1352,18 +1340,14 @@ impl AdmissionController {
     }
 
     /// Appends one record per visit to the visited processors' buckets and
-    /// returns the visits, each carrying its record's position. The caller
-    /// stores them in the slab entry.
-    fn index_entry(&mut self, eid: EntryId, processors: &[ProcessorId]) -> Vec<Visit> {
+    /// points each visit's `slot` at its record.
+    fn index_entry(&mut self, eid: EntryId, visits: &mut [Visit]) {
         let entry = u32::try_from(eid).expect("fewer than 2^32 current entries");
-        let mut visits = Vec::with_capacity(processors.len());
-        for (visit, &processor) in processors.iter().enumerate() {
-            let bucket = &mut self.proc_index[processor.index()];
-            let slot = u32::try_from(bucket.len()).expect("fewer than 2^32 records per processor");
+        for (visit, v) in visits.iter_mut().enumerate() {
+            let bucket = &mut self.proc_index[v.processor.index()];
+            v.slot = u32::try_from(bucket.len()).expect("fewer than 2^32 records per processor");
             bucket.push((entry, visit as u32));
-            visits.push(Visit { processor, slot });
         }
-        visits
     }
 
     /// Removes the records of `visits` — entry `eid`'s, already taken out
@@ -1374,7 +1358,7 @@ impl AdmissionController {
     /// twice) is re-aimed in `visits`, since the slab no longer holds them.
     fn deindex_entry(&mut self, eid: EntryId, visits: &mut [Visit]) {
         for visit in 0..visits.len() {
-            let Visit { processor, slot } = visits[visit];
+            let Visit { processor, slot, .. } = visits[visit];
             let bucket = &mut self.proc_index[processor.index()];
             debug_assert_eq!(
                 bucket.get(slot as usize),
@@ -1394,26 +1378,29 @@ impl AdmissionController {
         }
     }
 
-    /// Takes a live entry's visits out of the index. The entry stays in
-    /// the slab with no visits, so until
+    /// Takes a live entry's visits out of the index and returns them. The
+    /// entry stays in the slab with no visits, so until
     /// [`AdmissionController::attach_visits`] it receives no deltas.
-    fn detach_visits(&mut self, eid: EntryId) {
+    fn detach_visits(&mut self, eid: EntryId) -> Vec<Visit> {
         let entry = self.entries[eid].as_mut().expect("entry ids are only read while live");
         let mut visits = std::mem::take(&mut entry.visits);
         self.deindex_entry(eid, &mut visits);
+        visits
     }
 
-    /// Indexes a detached entry under `processors` and recomputes its sum.
-    fn attach_visits(&mut self, eid: EntryId, processors: &[ProcessorId]) {
-        let visits = self.index_entry(eid, processors);
+    /// Indexes `visits` as a detached entry's and recomputes its sum.
+    fn attach_visits(&mut self, eid: EntryId, mut visits: Vec<Visit>) {
+        self.index_entry(eid, &mut visits);
         self.entries[eid].as_mut().expect("entry ids are only read while live").visits = visits;
         self.refresh_entry(eid);
     }
 
-    /// Inserts a new current entry, indexes it, and seeds its cached sum
-    /// from the live ledger.
-    fn register_entry(&mut self, job: JobId, processors: &[ProcessorId]) -> EntryId {
-        let outstanding = processors.len();
+    /// Inserts a new current entry owning `visits` — shares already in the
+    /// ledger, none idle-reset — indexes it, and seeds its cached sum from
+    /// the live ledger.
+    fn register_entry(&mut self, job: JobId, key_job: JobId, mut visits: Vec<Visit>) -> EntryId {
+        debug_assert!(visits.iter().all(|v| !v.reset), "a new entry owns every share it names");
+        let outstanding = visits.len();
         let eid = match self.free_entries.pop() {
             Some(eid) => eid,
             None => {
@@ -1424,8 +1411,8 @@ impl AdmissionController {
         };
         let gen = self.next_entry_gen;
         self.next_entry_gen += 1;
-        let visits = self.index_entry(eid, processors);
-        self.entries[eid] = Some(CurrentEntry { job, visits, outstanding, gen });
+        self.index_entry(eid, &mut visits);
+        self.entries[eid] = Some(CurrentEntry { job, key_job, visits, outstanding, gen });
         self.hot[eid] = HotEntry { cached_lhs: 0.0, violating: false, counted: outstanding > 0 };
         self.live_entries += 1;
         self.by_job.insert(job, eid);
@@ -1434,8 +1421,8 @@ impl AdmissionController {
     }
 
     /// Removes a current entry from the registry, the inverted index and
-    /// the violating count (but not its ledger contributions — callers own
-    /// those).
+    /// the violating count, and returns it: its shares are still in the
+    /// ledger, for the caller to release or carry over.
     fn unregister_entry(&mut self, eid: EntryId) -> Option<CurrentEntry> {
         let mut entry = self.entries.get_mut(eid)?.take()?;
         self.free_entries.push(eid);
@@ -2050,7 +2037,9 @@ mod tests {
         assert!(!ac.is_rejected(hog.id()), "sticky rejection cleared by the swap");
         // The drained contribution still guards in-flight jobs...
         assert!((ac.ledger().utilization(ProcessorId(0)) - 0.4).abs() < 1e-12);
-        // ...then frees at now + deadline (10 + 100 ms).
+        // ...then frees at now + deadline (10 + 100 ms), not a tick before.
+        ac.expire(at(109));
+        assert!((ac.ledger().utilization(ProcessorId(0)) - 0.4).abs() < 1e-12);
         ac.expire(at(110));
         assert_eq!(ac.ledger().utilization(ProcessorId(0)), 0.0);
         assert_eq!(ac.current_entries(), 0);
@@ -2157,15 +2146,20 @@ mod tests {
         // contribution (0.4) until the job's deadline.
         assert!((ac.ledger().utilization(ProcessorId(0)) - 0.2).abs() < 1e-12);
         assert!((ac.ledger().utilization(ProcessorId(1)) - 0.4).abs() < 1e-12);
+        // The additive reservation is registered under its own key job; a
+        // report naming it (no real job can) still frees nothing.
+        let reserved = ContributionKey::new(JobId::new(TaskId(0), RESERVED_SEQ), 0);
+        assert_eq!(ac.apply_idle_reset(ProcessorId(0), &[reserved]), 0.0);
         ac.expire(at(150));
         assert!((ac.ledger().utilization(ProcessorId(1)) - 0.2).abs() < 1e-12);
+        assert!((ac.ledger().utilization(ProcessorId(0)) - 0.2).abs() < 1e-12);
     }
 
     #[test]
     fn swap_with_idle_reset_stale_heap_entry_pending() {
-        // Edge case: a job contribution removed early by idle resetting
-        // leaves a stale entry in the ledger's lazy-deletion heap; a swap
-        // right after must not resurrect or double-free anything.
+        // Edge case: a job share taken out early by idle resetting stays in
+        // its entry, marked reset, until the entry expires; a swap right
+        // after must not resurrect or double-free anything.
         let mut ac = AdmissionController::new(cfg("J_T_N"), 2).unwrap();
         let a = aperiodic(0, 20, 0);
         let t = periodic(1, 20, 1);
@@ -2260,10 +2254,126 @@ mod tests {
             assert!(ac.handle_arrival(&tasks[job % PROCS], seq, Time::ZERO).unwrap().is_accept());
         }
         assert_eq!(ac.current_entries(), JOBS);
-        let (registry, ledger) =
-            (crate::hash::collision_cost(&ac.by_job), ac.ledger.collision_cost());
+        let registry = crate::hash::collision_cost(&ac.by_job);
         assert!(registry <= 3 * JOBS, "registry lookups cost {registry} for {JOBS} jobs");
-        assert!(ledger <= 3 * JOBS, "ledger lookups cost {ledger} for {JOBS} contributions");
+    }
+
+    #[test]
+    fn reseed_converted_entry_stale_record_frees_nothing() {
+        // J -> T converts the job's entry into the task's reservation in
+        // place: same slot, new generation. The job's expiry record is left
+        // in the heap, and when it surfaces at the job's deadline it must
+        // neither retire the reservation in that slot nor free its share.
+        let mut ac = AdmissionController::new(cfg("J_N_N"), 1).unwrap();
+        let t = periodic(0, 20, 0);
+        assert!(ac.handle_arrival(&t, 0, Time::ZERO).unwrap().is_accept());
+        let job_slot = ac.by_job[&JobId::new(TaskId(0), 0)];
+        let report = ac.reconfigure(cfg("T_N_N"), at(10), &set_of(&[&t])).unwrap();
+        assert_eq!(report.reservations_reseeded, 1);
+        assert_eq!(ac.reserved[&TaskId(0)], job_slot, "the reservation took the job's slot");
+        assert_eq!(ac.entry_expiry.len(), 1, "the job's record is still queued");
+        ac.expire(at(100));
+        assert!(ac.entry_expiry.is_empty());
+        assert!(ac.is_reserved(TaskId(0)));
+        assert_eq!(ac.current_entries(), 1);
+        assert!((ac.ledger().utilization(ProcessorId(0)) - 0.2).abs() < 1e-12);
+        assert_eq!(ac.ledger_errors(1e-12), 0);
+    }
+
+    #[test]
+    fn same_deadline_expiry_subtracts_in_key_order() {
+        // Seven jobs share one deadline and are admitted in descending
+        // JobId order, so their slots run opposite to key order; one chain
+        // visits P0 twice. A later job keeps P0 from emptying, so nothing
+        // resets the total to 0.0 and every rounding step shows. Expiry
+        // must leave the bits a (deadline, ContributionKey)-ordered
+        // subtraction leaves — the order every processor's total has
+        // always lost its shares in.
+        let mut ac = AdmissionController::new(cfg("J_N_N"), 2).unwrap();
+        let exec = |i: u64| Duration::from_nanos(123_457 + i * 100_003);
+        let single = |id: u32, deadline_ms: u64, stages: &[u16]| {
+            let mut b =
+                TaskBuilder::aperiodic(TaskId(id)).deadline(Duration::from_millis(deadline_ms));
+            for (j, p) in stages.iter().enumerate() {
+                b = b.subtask(exec(u64::from(id) * 3 + j as u64), ProcessorId(*p), []);
+            }
+            b.build().unwrap()
+        };
+        let keep = single(9, 200, &[0]);
+        let batch: Vec<TaskSpec> = (0..7u32)
+            .rev()
+            .map(|id| if id == 3 { single(id, 100, &[0, 1, 0]) } else { single(id, 100, &[0]) })
+            .collect();
+        let mut expected = 0.0f64;
+        let mut shares = Vec::new();
+        for task in std::iter::once(&keep).chain(&batch) {
+            assert!(ac.handle_arrival(task, 0, Time::ZERO).unwrap().is_accept());
+            for (j, sub) in task.subtasks().iter().enumerate() {
+                if sub.primary == ProcessorId(0) {
+                    expected += task.subtask_utilization(j);
+                    if task.id() != keep.id() {
+                        shares.push((ContributionKey::new(JobId::new(task.id(), 0), j), j));
+                    }
+                }
+            }
+        }
+        assert_eq!(ac.ledger().utilization(ProcessorId(0)).to_bits(), expected.to_bits());
+        let subtract = |total: f64, &(key, j): &(ContributionKey, usize)| {
+            total - batch.iter().find(|t| t.id() == key.job.task).unwrap().subtask_utilization(j)
+        };
+        shares.sort_by_key(|&(key, _)| (std::cmp::Reverse(key.job), key.subtask));
+        let in_slot_order = shares.iter().fold(expected, subtract);
+        shares.sort();
+        let in_key_order = shares.iter().fold(expected, subtract);
+        assert_ne!(in_key_order.to_bits(), in_slot_order.to_bits(), "the shares pin no order");
+        ac.expire(at(100));
+        assert_eq!(ac.current_entries(), 1);
+        assert_eq!(ac.ledger().utilization(ProcessorId(0)).to_bits(), in_key_order.to_bits());
+    }
+
+    #[test]
+    fn expiry_heap_holds_one_record_per_deadline_bound_entry() {
+        // Idle resets and rejections queue nothing: the heap holds exactly
+        // the registry's deadline-bound entries, however much churn goes
+        // through it, and drains with them.
+        let mut ac = AdmissionController::new(cfg("J_J_N"), 1).unwrap();
+        let hog = TaskBuilder::aperiodic(TaskId(0))
+            .deadline(Duration::from_secs(1_000))
+            .subtask(Duration::from_secs(450), ProcessorId(0), [])
+            .build()
+            .unwrap();
+        assert!(ac.handle_arrival(&hog, 0, Time::ZERO).unwrap().is_accept());
+        let small = chain(1, 100, &[0]);
+        let big = aperiodic(2, 30, 0);
+        let mut now = Time::ZERO;
+        let mut rejected = 0;
+        for seq in 0..10_000u64 {
+            now = now.saturating_add(Duration::from_micros(50));
+            assert!(ac.handle_arrival(&small, seq, now).unwrap().is_accept());
+            ac.apply_idle_reset(
+                ProcessorId(0),
+                &[ContributionKey::new(JobId::new(small.id(), seq), 0)],
+            );
+            rejected += usize::from(!ac.handle_arrival(&big, seq, now).unwrap().is_accept());
+            assert_eq!(ac.entry_expiry.len(), ac.current_entries(), "seq {seq}");
+        }
+        assert_eq!(rejected, 10_000, "the hog leaves no room for the big job");
+        ac.expire(now.saturating_add(Duration::from_millis(100)));
+        assert_eq!((ac.entry_expiry.len(), ac.current_entries()), (1, 1));
+    }
+
+    #[test]
+    fn ledger_errors_counts_a_lost_share() {
+        let mut ac = AdmissionController::new(cfg("J_N_N"), 3).unwrap();
+        for (id, procs) in [(0, &[0u16, 1][..]), (1, &[1][..])] {
+            assert!(ac.handle_arrival(&chain(id, 100, procs), 0, Time::ZERO).unwrap().is_accept());
+        }
+        assert_eq!(ac.ledger_errors(1e-12), 0);
+        let share = chain(1, 100, &[1]).subtask_utilization(0);
+        assert!(ac.ledger.remove(ProcessorId(1), share));
+        assert_eq!(ac.ledger_errors(1e-12), 1, "P1 counts one share fewer than its entries hold");
+        ac.ledger.add(ProcessorId(2), 0.0).unwrap();
+        assert_eq!(ac.ledger_errors(1e-12), 2, "P2 counts a share no entry holds");
     }
 
     #[test]

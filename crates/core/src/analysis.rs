@@ -196,16 +196,22 @@ pub struct ControllerAudit {
     /// visits. Any non-zero value is a bug — deltas would reach the wrong
     /// entries.
     pub index_errors: usize,
+    /// Processors whose ledger total disagrees with the shares the entries
+    /// hold: a live-share count other than the ledger's, or a
+    /// key-ordered sum of live shares more than 1e-9 from the total. Any non-zero value is a bug — a share was lost, counted
+    /// twice, or left behind by an entry that is gone.
+    pub ledger_errors: usize,
     /// The per-entry evidence.
     pub entry_bounds: Vec<EntryBound>,
 }
 
 impl ControllerAudit {
     /// True when every cached sum matches its fresh recomputation within
-    /// `tolerance` and the inverted index is sound.
+    /// `tolerance`, the inverted index is sound and the ledger totals are
+    /// the entries' shares.
     #[must_use]
     pub fn is_consistent(&self, tolerance: f64) -> bool {
-        self.max_cached_drift <= tolerance && self.index_errors == 0
+        self.max_cached_drift <= tolerance && self.index_errors == 0 && self.ledger_errors == 0
     }
 }
 
@@ -217,8 +223,16 @@ fn bound_drift(bound: &EntryBound) -> f64 {
     }
 }
 
-/// Audits `ac`'s cached AUB sums against fresh recomputation, and its
-/// inverted index against the entries it lists.
+/// How far a processor's running total may sit from the fresh sum of its
+/// live shares before [`ControllerAudit::ledger_errors`] counts it: far
+/// below any share a stage makes (a 1 µs stage in a 100 s deadline is
+/// 1e-8), far above the drift a run accumulates between
+/// `AdmissionController::reconcile` calls.
+const LEDGER_TOLERANCE: f64 = 1e-9;
+
+/// Audits `ac`'s cached AUB sums against fresh recomputation, its inverted
+/// index against the entries it lists, and its ledger totals against the
+/// entries' shares.
 #[must_use]
 pub fn audit_controller(ac: &AdmissionController) -> ControllerAudit {
     let entry_bounds = ac.entry_bounds();
@@ -229,6 +243,7 @@ pub fn audit_controller(ac: &AdmissionController) -> ControllerAudit {
         violating_entries: ac.violating_entries(),
         max_cached_drift,
         index_errors: ac.index_errors(),
+        ledger_errors: ac.ledger_errors(LEDGER_TOLERANCE),
         entry_bounds,
     }
 }
@@ -316,6 +331,7 @@ mod tests {
         assert_eq!(audit.current_entries, 2);
         assert_eq!(audit.violating_entries, 0);
         assert_eq!(audit.index_errors, 0);
+        assert_eq!(audit.ledger_errors, 0);
         assert!(audit.is_consistent(1e-9), "drift {}", audit.max_cached_drift);
 
         // Un-tested remote load can push current entries over the bound;

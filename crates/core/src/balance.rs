@@ -13,9 +13,9 @@
 //!
 //! ```
 //! use rtcm_core::balance::LoadBalancer;
-//! use rtcm_core::ledger::{ContributionKey, Lifetime, UtilizationLedger};
+//! use rtcm_core::ledger::UtilizationLedger;
 //! use rtcm_core::strategy::LbStrategy;
-//! use rtcm_core::task::{JobId, ProcessorId, TaskBuilder, TaskId};
+//! use rtcm_core::task::{ProcessorId, TaskBuilder, TaskId};
 //! use rtcm_core::time::Duration;
 //!
 //! let task = TaskBuilder::aperiodic(TaskId(0))
@@ -25,8 +25,7 @@
 //!
 //! let mut ledger = UtilizationLedger::new(2);
 //! // Processor 0 is busy; the balancer should route to processor 1.
-//! ledger.add(ProcessorId(0), ContributionKey::new(JobId::new(TaskId(9), 0), 0), 0.5,
-//!     Lifetime::Reserved)?;
+//! ledger.add(ProcessorId(0), 0.5)?;
 //!
 //! let mut lb = LoadBalancer::new(LbStrategy::PerJob);
 //! let plan = lb.assignment_for(&task, &ledger);
@@ -237,8 +236,7 @@ impl LoadBalancer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ledger::{ContributionKey, Lifetime};
-    use crate::task::{JobId, TaskBuilder};
+    use crate::task::TaskBuilder;
     use crate::time::Duration;
 
     fn replicated_task(id: u32) -> TaskSpec {
@@ -250,15 +248,8 @@ mod tests {
             .unwrap()
     }
 
-    fn load(ledger: &mut UtilizationLedger, proc: u16, amount: f64, tag: u32) {
-        ledger
-            .add(
-                ProcessorId(proc),
-                ContributionKey::new(JobId::new(TaskId(1000 + tag), 0), 0),
-                amount,
-                Lifetime::Reserved,
-            )
-            .unwrap();
+    fn load(ledger: &mut UtilizationLedger, proc: u16, amount: f64) {
+        ledger.add(ProcessorId(proc), amount).unwrap();
     }
 
     #[test]
@@ -275,8 +266,8 @@ mod tests {
     fn greedy_picks_least_loaded_candidate() {
         let task = replicated_task(0);
         let mut ledger = UtilizationLedger::new(3);
-        load(&mut ledger, 0, 0.6, 0);
-        load(&mut ledger, 1, 0.3, 1);
+        load(&mut ledger, 0, 0.6);
+        load(&mut ledger, 1, 0.3);
         // Candidates for subtask 0: {0, 1, 2}; P2 is empty -> P2.
         // Candidates for subtask 1: {1, 2}; P2 now carries this job's first
         // stage (0.1), P1 has 0.3 -> P2 again (0.1 < 0.3).
@@ -292,8 +283,8 @@ mod tests {
         let mut ledger = UtilizationLedger::new(3);
         // P1 slightly loaded; pending weight on P2 after stage 0 must push
         // stage 1 to P1 once P2's pending exceeds it.
-        load(&mut ledger, 0, 0.6, 0);
-        load(&mut ledger, 1, 0.05, 1);
+        load(&mut ledger, 0, 0.6);
+        load(&mut ledger, 1, 0.05);
         let plan = LoadBalancer::propose(&task, &ledger);
         assert_eq!(plan.processor(0), ProcessorId(2));
         // After stage 0, P2 carries 0.1 pending > P1's 0.05.
@@ -315,7 +306,7 @@ mod tests {
         let mut lb = LoadBalancer::new(LbStrategy::PerTask);
         let first = lb.assignment_for(&task, &ledger);
         // Load the chosen processor heavily; the pinned plan must not move.
-        load(&mut ledger, first.processor(0).0, 0.9, 0);
+        load(&mut ledger, first.processor(0).0, 0.9);
         let second = lb.assignment_for(&task, &ledger);
         assert_eq!(first, second);
         assert_eq!(lb.pinned_plan(task.id()), Some(&first));
@@ -330,7 +321,7 @@ mod tests {
         let mut lb = LoadBalancer::new(LbStrategy::PerJob);
         let first = lb.assignment_for(&task, &ledger);
         assert_eq!(first.processor(0), ProcessorId(0));
-        load(&mut ledger, 0, 0.9, 0);
+        load(&mut ledger, 0, 0.9);
         let second = lb.assignment_for(&task, &ledger);
         assert_ne!(second.processor(0), ProcessorId(0));
     }

@@ -1,47 +1,42 @@
-//! The synthetic-utilization ledger: the admission controller's bookkeeping
-//! of per-processor contributions `C_{i,j} / D_i` of current jobs and
-//! reserved tasks.
+//! The synthetic-utilization ledger: per-processor totals of the shares
+//! `C_{i,j} / D_i` of current jobs and reserved tasks.
 //!
-//! A *contribution* is one subtask's share of one job (or of a per-task
-//! reservation). Contributions live until:
-//!
-//! * their job's end-to-end deadline passes ([`Lifetime::UntilDeadline`],
-//!   removed by [`UtilizationLedger::expire_until`]),
-//! * the idle-resetting service reports them complete and the AC removes
-//!   them early ([`UtilizationLedger::remove`]), or
-//! * the owning task departs (per-task reservations,
-//!   [`Lifetime::Reserved`], also removed via `remove`).
+//! A *share* is one subtask's part of one job (or of a per-task
+//! reservation). The ledger keeps sums, not shares: each share lives in the
+//! admission entry that made it ([`crate::admission`]), and that entry says
+//! when the share leaves — at its job's end-to-end deadline, early on an
+//! idle-reset report, or with its task's reservation. Per processor the
+//! ledger holds the running total and how many live shares it sums; a
+//! processor with none reads exactly `0.0`, whatever drift the total picked
+//! up on the way. It also records which processors a mutation touched, so
+//! the controller can delta-apply each one's `f(U)` step once.
 //!
 //! # Examples
 //!
 //! ```
-//! use rtcm_core::ledger::{ContributionKey, Lifetime, UtilizationLedger};
-//! use rtcm_core::task::{JobId, ProcessorId, TaskId};
-//! use rtcm_core::time::{Duration, Time};
+//! use rtcm_core::ledger::UtilizationLedger;
+//! use rtcm_core::task::ProcessorId;
 //!
 //! let mut ledger = UtilizationLedger::new(2);
-//! let key = ContributionKey::new(JobId::new(TaskId(0), 0), 0);
-//! let deadline = Time::ZERO + Duration::from_millis(500);
-//! ledger.add(ProcessorId(0), key, 0.25, Lifetime::UntilDeadline(deadline))?;
-//! assert_eq!(ledger.utilization(ProcessorId(0)), 0.25);
+//! ledger.add(ProcessorId(0), 0.25)?;
+//! ledger.add(ProcessorId(0), 0.5)?;
+//! assert_eq!(ledger.utilization(ProcessorId(0)), 0.75);
+//! assert_eq!(ledger.contribution_count(ProcessorId(0)), 2);
 //!
-//! ledger.expire_until(deadline);
+//! ledger.remove(ProcessorId(0), 0.25);
+//! ledger.remove(ProcessorId(0), 0.5);
 //! assert_eq!(ledger.utilization(ProcessorId(0)), 0.0);
 //! # Ok::<(), rtcm_core::ledger::LedgerError>(())
 //! ```
 
-use std::cmp::Reverse;
-use std::collections::hash_map::Entry as Slot;
-use std::collections::BinaryHeap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::hash::IdMap;
 use crate::task::{JobId, ProcessorId};
-use crate::time::Time;
 
-/// Identifies one subtask's contribution of one job.
+/// Identifies one subtask's share of one job: what an idle-reset report
+/// names, and the order [`UtilizationLedger::recompute_totals`] is fed in.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
 )]
@@ -66,38 +61,16 @@ impl fmt::Display for ContributionKey {
     }
 }
 
-/// How long a contribution stays in the ledger.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Lifetime {
-    /// Until the job's absolute end-to-end deadline (per-job admission).
-    UntilDeadline(Time),
-    /// Until explicitly removed (per-task reservation: the AC "must reserve
-    /// the synthetic utilization of the task throughout its lifetime",
-    /// §4.2).
-    Reserved,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    utilization: f64,
-    lifetime: Lifetime,
-    /// Unique id of this contribution's pending expiry-heap entry
-    /// (deadline-bound contributions only; `0` for reservations). Makes
-    /// heap-entry liveness exact even when the same `(processor, key,
-    /// deadline)` is re-added after an early removal — the stale heap
-    /// entry carries the old sequence number.
-    expiry_seq: u64,
-}
-
-#[derive(Debug, Clone, Default)]
-struct ProcLedger {
+#[derive(Debug, Clone, Copy, Default)]
+struct ProcTotal {
     total: f64,
-    entries: IdMap<ContributionKey, Entry>,
+    /// Live shares summed into `total`.
+    live: usize,
 }
 
-impl ProcLedger {
+impl ProcTotal {
     fn utilization(&self) -> f64 {
-        if self.entries.is_empty() {
+        if self.live == 0 {
             0.0
         } else {
             self.total.max(0.0)
@@ -107,31 +80,13 @@ impl ProcLedger {
 
 /// Per-processor synthetic utilization accounting.
 ///
-/// Processor ids must be dense indices `0..processor_count`. All mutating
-/// operations keep the per-processor running totals exact at emptiness (a
-/// processor with no contributions reads exactly `0.0`), bounding
-/// floating-point drift over long runs.
-///
-/// Deadline expiries are tracked in a min-heap with *lazy deletion*: a
-/// [`UtilizationLedger::remove`] leaves the heap entry behind, and
-/// [`UtilizationLedger::expire_until`] / [`UtilizationLedger::next_expiry`]
-/// discard stale heap entries when they surface. This makes `remove` O(1)
-/// amortized (the old ordered-set design paid O(log n) twice per
-/// contribution) while expiry stays O(log n) per pop.
+/// Processor ids must be dense indices `0..processor_count`. Every mutation
+/// keeps the per-processor running totals exact at emptiness (a processor
+/// with no live share reads exactly `0.0`), bounding floating-point drift
+/// over long runs.
 #[derive(Debug, Clone)]
 pub struct UtilizationLedger {
-    procs: Vec<ProcLedger>,
-    /// Min-heap of pending deadline expiries, possibly containing stale
-    /// entries for contributions already removed early (idle resets,
-    /// reservation relocation). An entry is *live* iff the contribution is
-    /// still present with exactly this expiry sequence number.
-    expiry: BinaryHeap<Reverse<(Time, ProcessorId, ContributionKey, u64)>>,
-    /// Number of live (non-stale) heap entries; lets `expire_until` skip
-    /// the heap entirely when nothing deadline-bound is left.
-    live_expiries: usize,
-    /// Source of unique expiry-heap sequence numbers (starts at 1; `0`
-    /// marks reservations, which never enter the heap).
-    next_expiry_seq: u64,
+    procs: Vec<ProcTotal>,
     /// Touch-tracking epoch (see [`UtilizationLedger::begin_touch_epoch`]).
     epoch: u64,
     /// Last epoch each processor's total was touched in; `0` = never.
@@ -148,10 +103,7 @@ impl UtilizationLedger {
     #[must_use]
     pub fn new(processor_count: usize) -> Self {
         UtilizationLedger {
-            procs: (0..processor_count).map(|_| ProcLedger::default()).collect(),
-            expiry: BinaryHeap::new(),
-            live_expiries: 0,
-            next_expiry_seq: 1,
+            procs: vec![ProcTotal::default(); processor_count],
             epoch: 1,
             touch_epoch: vec![0; processor_count],
             touched: Vec::new(),
@@ -187,32 +139,6 @@ impl UtilizationLedger {
         }
     }
 
-    /// Takes `(processor, key)` out of its processor's map and total — the
-    /// one probe [`UtilizationLedger::remove`] and expiry share. Expiry
-    /// passes its heap record's sequence number, so a stale record (the
-    /// key re-added since, under a newer number) removes nothing.
-    fn take(
-        &mut self,
-        processor: ProcessorId,
-        key: ContributionKey,
-        expiry_seq: Option<u64>,
-    ) -> Option<Entry> {
-        let idx = processor.index();
-        let proc = self.procs.get_mut(idx)?;
-        let before = proc.utilization();
-        let Slot::Occupied(slot) = proc.entries.entry(key) else { return None };
-        if expiry_seq.is_some_and(|seq| seq != slot.get().expiry_seq) {
-            return None;
-        }
-        let entry = slot.remove();
-        proc.total -= entry.utilization;
-        if proc.entries.is_empty() {
-            proc.total = 0.0;
-        }
-        self.note_touch(idx, before);
-        Some(entry)
-    }
-
     /// Number of processors tracked.
     #[must_use]
     pub fn processor_count(&self) -> usize {
@@ -232,42 +158,35 @@ impl UtilizationLedger {
     /// Synthetic utilizations of all processors, indexed by processor id.
     #[must_use]
     pub fn utilizations(&self) -> Vec<f64> {
-        self.procs.iter().map(ProcLedger::utilization).collect()
+        self.procs.iter().map(ProcTotal::utilization).collect()
     }
 
-    /// Number of live contributions on `processor`.
+    /// Number of live shares on `processor`.
     ///
     /// # Panics
     ///
     /// Panics if `processor` is out of range.
     #[must_use]
     pub fn contribution_count(&self, processor: ProcessorId) -> usize {
-        self.procs[processor.index()].entries.len()
+        self.procs[processor.index()].live
     }
 
-    /// Total number of live contributions.
+    /// Total number of live shares.
     #[must_use]
     pub fn total_contributions(&self) -> usize {
-        self.procs.iter().map(|p| p.entries.len()).sum()
+        self.procs.iter().map(|p| p.live).sum()
     }
 
-    /// Adds a contribution of `utilization` to `processor`.
+    /// Adds a share of `utilization` to `processor`.
     ///
     /// # Errors
     ///
     /// * [`LedgerError::UnknownProcessor`] if the processor is out of range;
-    /// * [`LedgerError::DuplicateContribution`] if `(processor, key)` is
-    ///   already present;
     /// * [`LedgerError::InvalidUtilization`] if `utilization` is negative,
     ///   NaN or infinite.
-    pub fn add(
-        &mut self,
-        processor: ProcessorId,
-        key: ContributionKey,
-        utilization: f64,
-        lifetime: Lifetime,
-    ) -> Result<(), LedgerError> {
-        if processor.index() >= self.procs.len() {
+    pub fn add(&mut self, processor: ProcessorId, utilization: f64) -> Result<(), LedgerError> {
+        let idx = processor.index();
+        if idx >= self.procs.len() {
             return Err(LedgerError::UnknownProcessor {
                 processor,
                 processor_count: self.procs.len(),
@@ -276,145 +195,61 @@ impl UtilizationLedger {
         if !utilization.is_finite() || utilization < 0.0 {
             return Err(LedgerError::InvalidUtilization { value: utilization });
         }
-        let idx = processor.index();
-        // The touch record wants the total as it stood before this add.
-        let before = self.procs[idx].utilization();
         let proc = &mut self.procs[idx];
-        let Slot::Vacant(slot) = proc.entries.entry(key) else {
-            return Err(LedgerError::DuplicateContribution { processor, key });
-        };
-        let expiry_seq = if let Lifetime::UntilDeadline(deadline) = lifetime {
-            let seq = self.next_expiry_seq;
-            self.next_expiry_seq += 1;
-            self.expiry.push(Reverse((deadline, processor, key, seq)));
-            self.live_expiries += 1;
-            seq
-        } else {
-            0
-        };
-        slot.insert(Entry { utilization, lifetime, expiry_seq });
+        // The touch record wants the total as it stood before this add.
+        let before = proc.utilization();
         proc.total += utilization;
+        proc.live += 1;
         self.note_touch(idx, before);
         Ok(())
     }
 
-    /// Removes a contribution, returning the utilization freed, or `None`
-    /// if it was not present (e.g. already expired — idle-reset reports can
-    /// race with deadline expiry, so absence is not an error).
-    pub fn remove(&mut self, processor: ProcessorId, key: ContributionKey) -> Option<f64> {
-        let entry = self.take(processor, key, None)?;
-        if matches!(entry.lifetime, Lifetime::UntilDeadline(_)) {
-            // Lazy deletion: the heap entry goes stale and is discarded when
-            // it surfaces (or by compaction below).
-            self.live_expiries -= 1;
-            self.maybe_compact();
+    /// Takes a share added earlier back out of `processor`: the caller owns
+    /// the share and passes the value it added. Returns false, changing
+    /// nothing, if the processor is out of range or holds no share.
+    pub fn remove(&mut self, processor: ProcessorId, utilization: f64) -> bool {
+        let idx = processor.index();
+        let Some(proc) = self.procs.get_mut(idx) else { return false };
+        if proc.live == 0 {
+            return false;
         }
-        Some(entry.utilization)
-    }
-
-    /// Rebuilds the expiry heap without its stale entries once they
-    /// outnumber the live ones — bounds heap growth under workloads that
-    /// remove most contributions early (idle-reset heavy traffic), at
-    /// amortized O(1) per removal.
-    fn maybe_compact(&mut self) {
-        let stale = self.expiry.len() - self.live_expiries;
-        if stale <= self.live_expiries + 64 {
-            return;
+        let before = proc.utilization();
+        proc.total -= utilization;
+        proc.live -= 1;
+        if proc.live == 0 {
+            proc.total = 0.0;
         }
-        let heap = std::mem::take(&mut self.expiry);
-        let live: Vec<_> = heap
-            .into_iter()
-            .filter(|&Reverse((_, processor, key, seq))| self.is_live_expiry(processor, key, seq))
-            .collect();
-        self.expiry = live.into_iter().collect();
-        debug_assert_eq!(self.expiry.len(), self.live_expiries);
+        self.note_touch(idx, before);
+        true
     }
 
-    /// True if `(processor, key)` still holds the deadline-bound
-    /// contribution this heap entry was pushed for — the heap-entry
-    /// liveness test. Sequence numbers are unique per `add`, so a
-    /// re-added contribution never revives an older heap entry even with
-    /// an identical deadline.
-    fn is_live_expiry(&self, processor: ProcessorId, key: ContributionKey, seq: u64) -> bool {
-        self.procs[processor.index()].entries.get(&key).is_some_and(|e| e.expiry_seq == seq)
-    }
-
-    /// Returns the utilization of a live contribution, if present.
-    #[must_use]
-    pub fn contribution(&self, processor: ProcessorId, key: ContributionKey) -> Option<f64> {
-        self.procs.get(processor.index())?.entries.get(&key).map(|e| e.utilization)
-    }
-
-    /// Removes every deadline-bound contribution whose deadline is at or
-    /// before `now` (the current-set rule `S(t) = {T_i | A_i ≤ t < A_i +
-    /// D_i}`). Returns how many went.
-    pub fn expire_until(&mut self, now: Time) -> usize {
-        let mut removed = 0;
-        while self.live_expiries > 0 {
-            let Some(&Reverse((deadline, processor, key, seq))) = self.expiry.peek() else { break };
-            if deadline > now {
-                break;
-            }
-            self.expiry.pop();
-            // A stale record (its contribution was removed early) takes
-            // nothing and is discarded here.
-            if self.take(processor, key, Some(seq)).is_some() {
-                self.live_expiries -= 1;
-                removed += 1;
-            }
-        }
-        if self.live_expiries == 0 {
-            self.expiry.clear();
-        }
-        removed
-    }
-
-    /// The earliest pending deadline expiry, if any — useful for simulators
-    /// that want to schedule cleanup lazily.
+    /// Recomputes all running totals from `shares` — every live share with
+    /// its processor, summed per processor in the order given — and returns
+    /// the largest absolute correction applied to any processor: the
+    /// accumulated floating-point drift of the incremental `+=`/`-=`
+    /// bookkeeping. Callers holding derived state (the admission
+    /// controller's cached AUB sums) must reconcile it against the
+    /// corrected totals; see `AdmissionController::reconcile`, which feeds
+    /// the shares in [`ContributionKey`] order so that the result does not
+    /// depend on where its entries sit.
     ///
-    /// Takes `&mut self` because stale heap entries (contributions removed
-    /// early) are discarded on the way to the answer.
-    #[must_use]
-    pub fn next_expiry(&mut self) -> Option<Time> {
-        if self.live_expiries == 0 {
-            self.expiry.clear();
-            return None;
+    /// # Panics
+    ///
+    /// Panics if a share names a processor out of range.
+    pub fn recompute_totals(
+        &mut self,
+        shares: impl IntoIterator<Item = (ProcessorId, f64)>,
+    ) -> f64 {
+        let mut fresh = vec![0.0f64; self.procs.len()];
+        for (processor, share) in shares {
+            fresh[processor.index()] += share;
         }
-        while let Some(&Reverse((deadline, processor, key, seq))) = self.expiry.peek() {
-            if self.is_live_expiry(processor, key, seq) {
-                return Some(deadline);
-            }
-            self.expiry.pop();
-        }
-        None
-    }
-
-    /// Recomputes all running totals from scratch, returning the largest
-    /// absolute correction applied to any processor — the accumulated
-    /// floating-point drift of the incremental `+=`/`-=` bookkeeping.
-    /// Callers holding derived state (the admission controller's cached AUB
-    /// sums) must reconcile it against the corrected totals; see
-    /// `AdmissionController::reconcile`.
-    pub fn recompute_totals(&mut self) -> f64 {
         let mut max_drift = 0.0f64;
-        for proc in &mut self.procs {
-            // In key order: the map's own order differs from process to
-            // process, and a float sum follows its order in the last ulp.
-            let mut entries: Vec<_> = proc.entries.iter().collect();
-            entries.sort_unstable_by_key(|(key, _)| **key);
-            let fresh: f64 = entries.iter().map(|(_, e)| e.utilization).sum();
+        for (proc, fresh) in self.procs.iter_mut().zip(fresh) {
             max_drift = max_drift.max((proc.total - fresh).abs());
             proc.total = fresh;
         }
         max_drift
-    }
-}
-
-#[cfg(test)]
-impl UtilizationLedger {
-    /// [`crate::hash::collision_cost`] summed over the processors' tables.
-    pub(crate) fn collision_cost(&self) -> usize {
-        self.procs.iter().map(|proc| crate::hash::collision_cost(&proc.entries)).sum()
     }
 }
 
@@ -428,14 +263,7 @@ pub enum LedgerError {
         /// Number of processors the ledger tracks.
         processor_count: usize,
     },
-    /// `(processor, key)` already holds a live contribution.
-    DuplicateContribution {
-        /// The processor.
-        processor: ProcessorId,
-        /// The duplicated key.
-        key: ContributionKey,
-    },
-    /// Contribution utilizations must be finite and non-negative.
+    /// Shares must be finite and non-negative.
     InvalidUtilization {
         /// The rejected value.
         value: f64,
@@ -447,9 +275,6 @@ impl fmt::Display for LedgerError {
         match self {
             LedgerError::UnknownProcessor { processor, processor_count } => {
                 write!(f, "processor {processor} outside the ledger's 0..{processor_count} range")
-            }
-            LedgerError::DuplicateContribution { processor, key } => {
-                write!(f, "contribution {key} already present on {processor}")
             }
             LedgerError::InvalidUtilization { value } => {
                 write!(f, "contribution utilization {value} is not finite and non-negative")
@@ -463,8 +288,9 @@ impl std::error::Error for LedgerError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::TaskId;
-    use crate::time::Duration;
+    use crate::admission::{AdmissionController, AdmissionError};
+    use crate::task::{TaskBuilder, TaskId, TaskSpec};
+    use crate::time::{Duration, Time};
 
     fn key(task: u32, seq: u64, subtask: usize) -> ContributionKey {
         ContributionKey::new(JobId::new(TaskId(task), seq), subtask)
@@ -474,40 +300,65 @@ mod tests {
         Time::ZERO + Duration::from_millis(ms)
     }
 
+    // The controller owns every share's lifetime, so the tests of when a
+    // share leaves the totals drive the ledger through it.
+
+    fn controller(label: &str, processors: usize) -> AdmissionController {
+        AdmissionController::new(label.parse().unwrap(), processors).unwrap()
+    }
+
+    /// Aperiodic chain with `exec_ms` per stage, in a 100 ms deadline.
+    fn chain(id: u32, exec_ms: u64, procs: &[u16]) -> TaskSpec {
+        let mut b = TaskBuilder::aperiodic(TaskId(id)).deadline(Duration::from_millis(100));
+        for p in procs {
+            b = b.subtask(Duration::from_millis(exec_ms), ProcessorId(*p), []);
+        }
+        b.build().unwrap()
+    }
+
     #[test]
     fn add_and_read_back() {
         let mut l = UtilizationLedger::new(2);
-        l.add(ProcessorId(0), key(0, 0, 0), 0.3, Lifetime::UntilDeadline(at(100))).unwrap();
-        l.add(ProcessorId(0), key(1, 0, 0), 0.2, Lifetime::Reserved).unwrap();
+        l.add(ProcessorId(0), 0.3).unwrap();
+        l.add(ProcessorId(0), 0.2).unwrap();
         assert!((l.utilization(ProcessorId(0)) - 0.5).abs() < 1e-12);
         assert_eq!(l.utilization(ProcessorId(1)), 0.0);
         assert_eq!(l.contribution_count(ProcessorId(0)), 2);
         assert_eq!(l.total_contributions(), 2);
-        assert_eq!(l.contribution(ProcessorId(0), key(0, 0, 0)), Some(0.3));
+        assert_eq!(l.utilizations().len(), l.processor_count());
     }
 
     #[test]
     fn duplicate_contribution_rejected() {
-        let mut l = UtilizationLedger::new(1);
-        l.add(ProcessorId(0), key(0, 0, 0), 0.1, Lifetime::Reserved).unwrap();
-        let err = l.add(ProcessorId(0), key(0, 0, 0), 0.1, Lifetime::Reserved).unwrap_err();
-        assert!(matches!(err, LedgerError::DuplicateContribution { .. }));
+        // The registry, not the ledger, refuses a second copy of a job: it
+        // adds no share, and the ledger reads as before.
+        let mut ac = controller("J_N_N", 1);
+        let t = chain(0, 10, &[0]);
+        assert!(ac.handle_arrival(&t, 0, Time::ZERO).unwrap().is_accept());
+        let err = ac.handle_arrival(&t, 0, at(1)).unwrap_err();
+        assert_eq!(err, AdmissionError::DuplicateArrival { job: JobId::new(TaskId(0), 0) });
+        assert_eq!(ac.ledger().contribution_count(ProcessorId(0)), 1);
+        assert!((ac.ledger().utilization(ProcessorId(0)) - 0.1).abs() < 1e-12);
     }
 
     #[test]
     fn same_key_on_two_processors_is_fine() {
-        // A job visiting two processors reuses the (job, subtask) key only
-        // per subtask — but the ledger itself namespaces by processor.
-        let mut l = UtilizationLedger::new(2);
-        l.add(ProcessorId(0), key(0, 0, 0), 0.1, Lifetime::Reserved).unwrap();
-        l.add(ProcessorId(1), key(0, 0, 0), 0.1, Lifetime::Reserved).unwrap();
-        assert_eq!(l.total_contributions(), 2);
+        // A job's shares on two processors are apart: a report naming a
+        // share on the wrong processor frees nothing, the right one frees
+        // that processor's share alone.
+        let mut ac = controller("J_J_N", 2);
+        assert!(ac.handle_arrival(&chain(0, 10, &[0, 1]), 0, Time::ZERO).unwrap().is_accept());
+        assert_eq!(ac.apply_idle_reset(ProcessorId(1), &[key(0, 0, 0)]), 0.0);
+        assert!((ac.apply_idle_reset(ProcessorId(0), &[key(0, 0, 0)]) - 0.1).abs() < 1e-12);
+        assert_eq!(ac.ledger().utilization(ProcessorId(0)), 0.0);
+        assert!((ac.ledger().utilization(ProcessorId(1)) - 0.1).abs() < 1e-12);
+        assert_eq!(ac.ledger().total_contributions(), 1);
     }
 
     #[test]
     fn unknown_processor_rejected() {
         let mut l = UtilizationLedger::new(1);
-        let err = l.add(ProcessorId(3), key(0, 0, 0), 0.1, Lifetime::Reserved).unwrap_err();
+        let err = l.add(ProcessorId(3), 0.1).unwrap_err();
         assert_eq!(
             err,
             LedgerError::UnknownProcessor { processor: ProcessorId(3), processor_count: 1 }
@@ -518,71 +369,70 @@ mod tests {
     fn invalid_utilizations_rejected() {
         let mut l = UtilizationLedger::new(1);
         for bad in [-0.1, f64::NAN, f64::INFINITY] {
-            let err = l.add(ProcessorId(0), key(0, 0, 0), bad, Lifetime::Reserved).unwrap_err();
+            let err = l.add(ProcessorId(0), bad).unwrap_err();
             assert!(matches!(err, LedgerError::InvalidUtilization { .. }), "value {bad}");
         }
+        assert_eq!(l.total_contributions(), 0);
     }
 
     #[test]
     fn expiry_removes_at_deadline_inclusive() {
-        let mut l = UtilizationLedger::new(1);
-        l.add(ProcessorId(0), key(0, 0, 0), 0.3, Lifetime::UntilDeadline(at(100))).unwrap();
-        assert_eq!(l.expire_until(at(99)), 0);
-        assert_eq!(l.expire_until(at(100)), 1);
-        assert_eq!(l.contribution(ProcessorId(0), key(0, 0, 0)), None);
-        assert_eq!(l.utilization(ProcessorId(0)), 0.0);
+        let mut ac = controller("J_N_N", 1);
+        assert!(ac.handle_arrival(&chain(0, 30, &[0]), 0, Time::ZERO).unwrap().is_accept());
+        ac.expire(at(99));
+        assert!((ac.ledger().utilization(ProcessorId(0)) - 0.3).abs() < 1e-12);
+        ac.expire(at(100));
+        assert_eq!(ac.ledger().contribution_count(ProcessorId(0)), 0);
+        assert_eq!(ac.ledger().utilization(ProcessorId(0)), 0.0);
         // Idempotent.
-        assert_eq!(l.expire_until(at(200)), 0);
+        ac.expire(at(200));
+        assert_eq!(ac.current_entries(), 0);
     }
 
     #[test]
     fn reserved_contributions_never_expire() {
-        let mut l = UtilizationLedger::new(1);
-        l.add(ProcessorId(0), key(0, 0, 0), 0.3, Lifetime::Reserved).unwrap();
-        assert_eq!(l.expire_until(Time::MAX), 0);
-        assert!((l.utilization(ProcessorId(0)) - 0.3).abs() < 1e-12);
-        assert_eq!(l.remove(ProcessorId(0), key(0, 0, 0)), Some(0.3));
-        assert_eq!(l.utilization(ProcessorId(0)), 0.0);
+        let mut ac = controller("T_N_N", 1);
+        let t = TaskBuilder::periodic(TaskId(0), Duration::from_millis(100))
+            .subtask(Duration::from_millis(30), ProcessorId(0), [])
+            .build()
+            .unwrap();
+        assert!(ac.handle_arrival(&t, 0, Time::ZERO).unwrap().is_accept());
+        ac.expire(Time::MAX);
+        assert!((ac.ledger().utilization(ProcessorId(0)) - 0.3).abs() < 1e-12);
+        ac.withdraw_task(t.id());
+        assert_eq!(ac.ledger().utilization(ProcessorId(0)), 0.0);
+        assert_eq!(ac.current_entries(), 0);
     }
 
     #[test]
     fn remove_missing_is_none() {
         let mut l = UtilizationLedger::new(1);
-        assert_eq!(l.remove(ProcessorId(0), key(0, 0, 0)), None);
-        assert_eq!(l.remove(ProcessorId(9), key(0, 0, 0)), None);
+        assert!(!l.remove(ProcessorId(0), 0.1));
+        assert!(!l.remove(ProcessorId(9), 0.1));
+        assert_eq!(l.utilization(ProcessorId(0)), 0.0);
+        assert_eq!(l.total_contributions(), 0);
     }
 
     #[test]
     fn emptiness_resets_float_drift() {
         let mut l = UtilizationLedger::new(1);
         // Accumulate drift-prone values, then drain.
-        for seq in 0..1000 {
-            l.add(ProcessorId(0), key(0, seq, 0), 0.1 + 1e-13, Lifetime::Reserved).unwrap();
+        for _ in 0..1000 {
+            l.add(ProcessorId(0), 0.1 + 1e-13).unwrap();
         }
-        for seq in 0..1000 {
-            l.remove(ProcessorId(0), key(0, seq, 0));
+        for _ in 0..1000 {
+            l.remove(ProcessorId(0), 0.1 + 1e-13);
         }
         assert_eq!(l.utilization(ProcessorId(0)), 0.0);
     }
 
     #[test]
-    fn next_expiry_tracks_earliest() {
-        let mut l = UtilizationLedger::new(2);
-        assert_eq!(l.next_expiry(), None);
-        l.add(ProcessorId(0), key(0, 0, 0), 0.1, Lifetime::UntilDeadline(at(300))).unwrap();
-        l.add(ProcessorId(1), key(1, 0, 0), 0.1, Lifetime::UntilDeadline(at(100))).unwrap();
-        assert_eq!(l.next_expiry(), Some(at(100)));
-        l.expire_until(at(100));
-        assert_eq!(l.next_expiry(), Some(at(300)));
-    }
-
-    #[test]
     fn recompute_totals_matches_incremental() {
         let mut l = UtilizationLedger::new(2);
-        l.add(ProcessorId(0), key(0, 0, 0), 0.25, Lifetime::Reserved).unwrap();
-        l.add(ProcessorId(1), key(0, 0, 1), 0.5, Lifetime::Reserved).unwrap();
+        l.add(ProcessorId(0), 0.25).unwrap();
+        l.add(ProcessorId(1), 0.5).unwrap();
         let before = l.utilizations();
-        let drift = l.recompute_totals();
+        let drift = l.recompute_totals([(ProcessorId(0), 0.25), (ProcessorId(1), 0.5)]);
         let after = l.utilizations();
         for (b, a) in before.iter().zip(&after) {
             assert!((b - a).abs() < 1e-12);
@@ -592,82 +442,37 @@ mod tests {
 
     #[test]
     fn early_removal_leaves_no_phantom_expiry() {
-        // Remove a deadline-bound contribution before its deadline: the
-        // stale heap entry must not surface through `next_expiry` or
-        // `expire_until`.
-        let mut l = UtilizationLedger::new(1);
-        l.add(ProcessorId(0), key(0, 0, 0), 0.1, Lifetime::UntilDeadline(at(100))).unwrap();
-        l.add(ProcessorId(0), key(1, 0, 0), 0.1, Lifetime::UntilDeadline(at(200))).unwrap();
-        assert_eq!(l.remove(ProcessorId(0), key(0, 0, 0)), Some(0.1));
-        assert_eq!(l.next_expiry(), Some(at(200)));
-        assert_eq!(l.expire_until(at(150)), 0);
-        assert_eq!(l.expire_until(at(200)), 1);
-        assert_eq!(l.contribution(ProcessorId(0), key(1, 0, 0)), None);
-        assert_eq!(l.next_expiry(), None);
+        // A share idle-reset before its deadline is not subtracted again
+        // when its entry expires: the later job's share is all that goes.
+        let mut ac = controller("J_J_N", 1);
+        let (early, late) = (chain(0, 10, &[0]), chain(1, 20, &[0]));
+        assert!(ac.handle_arrival(&early, 0, Time::ZERO).unwrap().is_accept());
+        assert!(ac.handle_arrival(&late, 0, at(50)).unwrap().is_accept());
+        assert!((ac.apply_idle_reset(ProcessorId(0), &[key(0, 0, 0)]) - 0.1).abs() < 1e-12);
+        ac.expire(at(100));
+        assert!((ac.ledger().utilization(ProcessorId(0)) - 0.2).abs() < 1e-12);
+        assert_eq!(ac.ledger().contribution_count(ProcessorId(0)), 1);
+        ac.expire(at(150));
+        assert_eq!(ac.ledger().utilization(ProcessorId(0)), 0.0);
+        assert_eq!(ac.current_entries(), 0);
     }
 
     #[test]
     fn readd_after_early_removal_expires_once() {
-        // Same (processor, key, deadline) re-added after an early removal:
-        // the duplicate heap entry is stale and must expire exactly once.
-        let mut l = UtilizationLedger::new(1);
-        l.add(ProcessorId(0), key(0, 0, 0), 0.1, Lifetime::UntilDeadline(at(100))).unwrap();
-        l.remove(ProcessorId(0), key(0, 0, 0));
-        l.add(ProcessorId(0), key(0, 0, 0), 0.2, Lifetime::UntilDeadline(at(100))).unwrap();
-        assert_eq!(l.expire_until(at(100)), 1);
-        assert_eq!(l.utilization(ProcessorId(0)), 0.0);
-        assert_eq!(l.expire_until(Time::MAX), 0);
-    }
-
-    #[test]
-    fn compaction_survives_readd_with_identical_deadline() {
-        // Regression: a re-added (processor, key, deadline) used to leave
-        // TWO heap entries that both looked live, breaking compaction's
-        // postcondition (debug_assert) and its progress guarantee. The
-        // expiry sequence number disambiguates them.
-        let mut l = UtilizationLedger::new(1);
-        l.add(ProcessorId(0), key(0, 0, 0), 0.1, Lifetime::UntilDeadline(at(900))).unwrap();
-        l.remove(ProcessorId(0), key(0, 0, 0));
-        l.add(ProcessorId(0), key(0, 0, 0), 0.1, Lifetime::UntilDeadline(at(900))).unwrap();
-        // Force compaction with further early removals.
-        for seq in 1..=70u64 {
-            let k = key(1, seq, 0);
-            l.add(ProcessorId(0), k, 0.001, Lifetime::UntilDeadline(at(800))).unwrap();
-            l.remove(ProcessorId(0), k);
-        }
-        // The compaction pass inside the loop must have dropped the
-        // duplicate (its debug_assert postcondition would panic here
-        // otherwise); only the post-compaction trickle of stales remains.
-        assert!(
-            l.expiry.len() <= l.live_expiries + 65,
-            "stale duplicates survived compaction: {} entries for {} live",
-            l.expiry.len(),
-            l.live_expiries
-        );
-        assert_eq!(l.next_expiry(), Some(at(900)));
-        assert_eq!(l.expire_until(at(900)), 1);
-        assert_eq!(l.utilization(ProcessorId(0)), 0.0);
-    }
-
-    #[test]
-    fn heap_compaction_bounds_stale_growth() {
-        // Add/remove far-future contributions repeatedly: without
-        // compaction the heap would retain every stale entry.
-        let mut l = UtilizationLedger::new(1);
-        let keep = key(9, 0, 0);
-        l.add(ProcessorId(0), keep, 0.1, Lifetime::UntilDeadline(at(1_000_000))).unwrap();
-        for seq in 0..10_000 {
-            let k = key(0, seq, 0);
-            l.add(ProcessorId(0), k, 0.01, Lifetime::UntilDeadline(at(500_000))).unwrap();
-            l.remove(ProcessorId(0), k);
-        }
-        assert!(
-            l.expiry.len() <= 2 * l.live_expiries + 65,
-            "stale heap entries unbounded: {} entries for {} live",
-            l.expiry.len(),
-            l.live_expiries
-        );
-        assert_eq!(l.next_expiry(), Some(at(1_000_000)));
+        // Two jobs of one task with one deadline: the first's share leaves
+        // early, the second's is added after it, and expiry takes exactly
+        // the one that is left.
+        let mut ac = controller("J_J_N", 1);
+        let t = chain(0, 10, &[0]);
+        assert!(ac.handle_arrival(&t, 0, Time::ZERO).unwrap().is_accept());
+        ac.apply_idle_reset(ProcessorId(0), &[key(0, 0, 0)]);
+        assert!(ac.handle_arrival(&t, 1, Time::ZERO).unwrap().is_accept());
+        assert_eq!(ac.ledger().contribution_count(ProcessorId(0)), 1);
+        ac.expire(at(100));
+        assert_eq!(ac.ledger().utilization(ProcessorId(0)), 0.0);
+        assert_eq!(ac.ledger().contribution_count(ProcessorId(0)), 0);
+        ac.expire(Time::MAX);
+        assert_eq!(ac.ledger().total_contributions(), 0);
     }
 
     #[test]
@@ -675,39 +480,48 @@ mod tests {
         // Perturb one processor's running total directly: the recompute
         // must correct it and report the size of the correction.
         let mut l = UtilizationLedger::new(4);
-        for p in 0..4u16 {
-            l.add(ProcessorId(p), key(u32::from(p), 0, 0), 0.25, Lifetime::Reserved).unwrap();
+        let shares: Vec<_> = (0..4u16).map(|p| (ProcessorId(p), 0.25)).collect();
+        for &(p, u) in &shares {
+            l.add(p, u).unwrap();
         }
         l.procs[2].total += 1e-7;
-        let drift = l.recompute_totals();
+        let drift = l.recompute_totals(shares.iter().copied());
         assert!((drift - 1e-7).abs() < 1e-12, "corrected drift {drift}");
         assert!((l.utilization(ProcessorId(2)) - 0.25).abs() < 1e-12);
         // A clean ledger has nothing to correct.
-        assert_eq!(l.recompute_totals(), 0.0);
+        assert_eq!(l.recompute_totals(shares), 0.0);
     }
 
     #[test]
     fn recompute_totals_ignores_insertion_and_table_order() {
-        // Two processes fed the same contributions hold them in differently
-        // keyed tables, and may have received them in another order: the
-        // recomputed totals must agree to the last bit all the same.
-        let contributions: Vec<(ContributionKey, f64)> = (0..300u64)
-            .map(|i| (key((i % 7) as u32, i, (i % 3) as usize), 0.001 + (i as f64) * 1.7e-7))
+        // Two controllers fed the same jobs in opposite orders hold them in
+        // other slots and differently keyed tables: reconciled, their
+        // totals must agree to the last bit all the same.
+        let tasks: Vec<TaskSpec> = (0..60u32)
+            .map(|i| {
+                let exec = Duration::from_nanos(1_000 + u64::from(i) * 3_331);
+                TaskBuilder::aperiodic(TaskId(i))
+                    .deadline(Duration::from_millis(100))
+                    .subtask(exec, ProcessorId((i % 2) as u16), [])
+                    .subtask(exec, ProcessorId(2), [])
+                    .build()
+                    .unwrap()
+            })
             .collect();
-        let mut forward = UtilizationLedger::new(1);
-        let mut backward = UtilizationLedger::new(1);
-        for (k, u) in &contributions {
-            forward.add(ProcessorId(0), *k, *u, Lifetime::Reserved).unwrap();
+        let mut forward = controller("J_N_N", 3);
+        let mut backward = controller("J_N_N", 3);
+        for t in &tasks {
+            assert!(forward.handle_arrival(t, 0, Time::ZERO).unwrap().is_accept());
         }
-        for (k, u) in contributions.iter().rev() {
-            backward.add(ProcessorId(0), *k, *u, Lifetime::Reserved).unwrap();
+        for t in tasks.iter().rev() {
+            assert!(backward.handle_arrival(t, 0, Time::ZERO).unwrap().is_accept());
         }
-        forward.recompute_totals();
-        backward.recompute_totals();
-        assert_eq!(
-            forward.utilization(ProcessorId(0)).to_bits(),
-            backward.utilization(ProcessorId(0)).to_bits()
-        );
+        forward.reconcile();
+        backward.reconcile();
+        let bits = |ac: &AdmissionController| -> Vec<u64> {
+            ac.ledger().utilizations().iter().map(|u| u.to_bits()).collect()
+        };
+        assert_eq!(bits(&forward), bits(&backward));
     }
 
     #[test]
@@ -717,23 +531,18 @@ mod tests {
         // of a fresh recompute, and recompute must report the drift it
         // corrected.
         let mut l = UtilizationLedger::new(2);
-        for t in 0..8 {
-            l.add(
-                ProcessorId(t % 2),
-                key(100 + u32::from(t), 0, 0),
-                0.1 + 1e-13,
-                Lifetime::Reserved,
-            )
-            .unwrap();
+        let background: Vec<_> = (0..8u16).map(|t| (ProcessorId(t % 2), 0.1 + 1e-13)).collect();
+        for &(p, u) in &background {
+            l.add(p, u).unwrap();
         }
         for seq in 0..10_000u64 {
-            let k = key(0, seq, 0);
             let p = ProcessorId((seq % 2) as u16);
-            l.add(p, k, 0.031 + (seq as f64).mul_add(1e-12, 1e-9), Lifetime::Reserved).unwrap();
-            l.remove(p, k);
+            let u = 0.031 + (seq as f64).mul_add(1e-12, 1e-9);
+            l.add(p, u).unwrap();
+            l.remove(p, u);
         }
         let before = l.utilizations();
-        let drift = l.recompute_totals();
+        let drift = l.recompute_totals(background);
         let after = l.utilizations();
         assert!(drift < 1e-6, "drift {drift} exceeded the reconcilable budget");
         for (b, a) in before.iter().zip(&after) {

@@ -89,7 +89,7 @@ pub mod prelude {
     pub use crate::govern::{
         Governor, GovernorPolicy, GovernorRule, Metric, Trigger, WindowMetrics,
     };
-    pub use crate::ledger::{ContributionKey, Lifetime, UtilizationLedger};
+    pub use crate::ledger::{ContributionKey, UtilizationLedger};
     pub use crate::metrics::{DelayStats, UtilizationRatio};
     pub use crate::priority::{assign_edms, Priority};
     pub use crate::reconfig::{HandoverReport, ModeSchedule, ReconfigPlan};

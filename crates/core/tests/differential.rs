@@ -184,15 +184,17 @@ fn run_trace(config: ServiceConfig, tasks: &[TaskSpec], ops: &[RawOp]) -> usize 
 
         if step % 16 == 15 {
             // The declarative-model audit: cached sums must match fresh
-            // recomputation, and the inverted index its entries, on both
-            // sides, mid-trace.
+            // recomputation, the inverted index its entries, and the ledger
+            // totals the entries' shares, on both sides, mid-trace.
             for (label, ac) in [("incremental", &inc.ac), ("brute", &brute.ac)] {
                 let audit = audit_controller(ac);
                 assert!(
                     audit.is_consistent(1e-9),
-                    "{config}: {label} caches drifted {}, {} index errors at step {step}",
+                    "{config}: {label} caches drifted {}, {} index errors, {} ledger errors \
+                     at step {step}",
                     audit.max_cached_drift,
-                    audit.index_errors
+                    audit.index_errors,
+                    audit.ledger_errors
                 );
             }
             assert_eq!(
@@ -265,9 +267,9 @@ proptest! {
         }
     }
 
-    /// Idle-reset heavy traces: most contributions are removed before
-    /// their deadline, stressing the ledger's lazy-deletion expiry heap
-    /// and the outstanding-count bookkeeping on both paths.
+    /// Idle-reset heavy traces: most shares leave before their deadline,
+    /// stressing the reset marks the expiry heap must skip and the
+    /// outstanding-count bookkeeping on both paths.
     #[test]
     fn reset_heavy_traces_agree(
         tasks in arb_tasks(4),

@@ -1,5 +1,6 @@
 //! Property-based tests for the core scheduling machinery: ledger
-//! invariants, admission soundness and rollback, balancer validity, and
+//! invariants (driven through the admission controller, which owns every
+//! share), admission soundness and rollback, balancer validity, and
 //! strategy parsing.
 
 use proptest::collection::vec;
@@ -8,7 +9,7 @@ use proptest::prelude::*;
 use rtcm_core::admission::AdmissionController;
 use rtcm_core::aub::{aub_term, bound_lhs, BOUND_EPSILON};
 use rtcm_core::balance::{Assignment, LoadBalancer};
-use rtcm_core::ledger::{ContributionKey, Lifetime, UtilizationLedger};
+use rtcm_core::ledger::{ContributionKey, UtilizationLedger};
 use rtcm_core::priority::assign_edms;
 use rtcm_core::strategy::ServiceConfig;
 use rtcm_core::task::{JobId, ProcessorId, TaskBuilder, TaskId, TaskSet, TaskSpec};
@@ -57,60 +58,67 @@ proptest! {
         prop_assert!(aub_term(lo) <= aub_term(hi) + 1e-12);
     }
 
-    /// Ledger add/remove round-trips leave utilization at zero, and totals
-    /// never go negative along the way.
+    /// Driven through the controller, which owns every share: idle-reset
+    /// round trips leave utilization at exactly zero, and totals never go
+    /// negative along the way.
     #[test]
     fn ledger_add_remove_round_trip(
-        contributions in vec((0..PROCS, 0u32..50, 0.0f64..0.5), 1..60)
+        jobs in vec((0..PROCS, 1u64..2_000, 0u64..20), 1..60)
     ) {
-        let mut ledger = UtilizationLedger::new(PROCS as usize);
-        let mut added = Vec::new();
-        for (i, (proc, task, u)) in contributions.into_iter().enumerate() {
-            let key = ContributionKey::new(JobId::new(TaskId(task), i as u64), 0);
-            let p = ProcessorId(proc);
-            ledger.add(p, key, u, Lifetime::Reserved).unwrap();
-            added.push((p, key));
+        let mut ac = AdmissionController::new("J_J_N".parse().unwrap(), PROCS as usize).unwrap();
+        let mut now = Time::ZERO;
+        let mut admitted = Vec::new();
+        for (i, (proc, exec_us, dt_ms)) in jobs.into_iter().enumerate() {
+            now += Duration::from_millis(dt_ms);
+            let task = TaskBuilder::aperiodic(TaskId(i as u32))
+                .deadline(Duration::from_secs(10))
+                .subtask(Duration::from_micros(exec_us), ProcessorId(proc), [])
+                .build()
+                .unwrap();
+            if ac.handle_arrival(&task, 0, now).unwrap().is_accept() {
+                admitted.push((ProcessorId(proc), ContributionKey::new(JobId::new(task.id(), 0), 0)));
+            }
+            for p in 0..PROCS {
+                prop_assert!(ac.ledger().utilization(ProcessorId(p)) >= 0.0);
+            }
+        }
+        for (p, key) in admitted {
+            prop_assert!(ac.apply_idle_reset(p, &[key]) > 0.0);
+            prop_assert!(ac.ledger().utilization(p) >= 0.0);
         }
         for p in 0..PROCS {
-            prop_assert!(ledger.utilization(ProcessorId(p)) >= 0.0);
-        }
-        for (p, key) in added {
-            ledger.remove(p, key);
-            prop_assert!(ledger.utilization(p) >= 0.0);
-        }
-        for p in 0..PROCS {
-            prop_assert_eq!(ledger.utilization(ProcessorId(p)), 0.0);
+            prop_assert_eq!(ac.ledger().utilization(ProcessorId(p)), 0.0);
         }
     }
 
-    /// Expiry removes exactly the deadline-bound contributions at or before
-    /// `now`, never reserved ones.
+    /// Expiry takes exactly the deadline-bound shares at or before `now`,
+    /// never reserved ones.
     #[test]
     fn ledger_expiry_is_exact(
         deadlines in vec(1u64..1_000, 1..40),
         cut in 1u64..1_000
     ) {
-        let mut ledger = UtilizationLedger::new(1);
-        for (i, d) in deadlines.iter().enumerate() {
-            let key = ContributionKey::new(JobId::new(TaskId(0), i as u64), 0);
-            let deadline = Time::ZERO + Duration::from_millis(*d);
-            ledger.add(ProcessorId(0), key, 0.01, Lifetime::UntilDeadline(deadline)).unwrap();
-        }
-        ledger
-            .add(
-                ProcessorId(0),
-                ContributionKey::new(JobId::new(TaskId(1), 0), 0),
-                0.01,
-                Lifetime::Reserved,
-            )
+        let mut ac = AdmissionController::new("T_N_N".parse().unwrap(), 1).unwrap();
+        let reserved = TaskBuilder::periodic(TaskId(0), Duration::from_millis(100))
+            .subtask(Duration::from_millis(1), ProcessorId(0), [])
+            .build()
             .unwrap();
-        let removed = ledger.expire_until(Time::ZERO + Duration::from_millis(cut));
+        prop_assert!(ac.handle_arrival(&reserved, 0, Time::ZERO).unwrap().is_accept());
+        for (i, d) in deadlines.iter().enumerate() {
+            let task = TaskBuilder::aperiodic(TaskId(1 + i as u32))
+                .deadline(Duration::from_millis(*d))
+                .subtask(Duration::from_micros(10), ProcessorId(0), [])
+                .build()
+                .unwrap();
+            prop_assert!(ac.handle_arrival(&task, 0, Time::ZERO).unwrap().is_accept());
+        }
+        ac.expire(Time::ZERO + Duration::from_millis(cut));
         let expected = deadlines.iter().filter(|d| **d <= cut).count();
-        prop_assert_eq!(removed, expected);
         prop_assert_eq!(
-            ledger.contribution_count(ProcessorId(0)),
+            ac.ledger().contribution_count(ProcessorId(0)),
             deadlines.len() - expected + 1
         );
+        prop_assert_eq!(ac.current_entries(), deadlines.len() - expected + 1);
     }
 
     /// Whenever the admission controller accepts, the AUB condition holds
@@ -175,14 +183,7 @@ proptest! {
     ) {
         let mut ledger = UtilizationLedger::new(PROCS as usize);
         for (p, u) in loads.iter().enumerate() {
-            ledger
-                .add(
-                    ProcessorId(p as u16),
-                    ContributionKey::new(JobId::new(TaskId(999), p as u64), 0),
-                    *u,
-                    Lifetime::Reserved,
-                )
-                .unwrap();
+            ledger.add(ProcessorId(p as u16), *u).unwrap();
         }
         let plan = LoadBalancer::propose(&task, &ledger);
         let chosen = plan.processor(0);

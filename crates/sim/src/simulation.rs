@@ -42,7 +42,7 @@ use rtcm_core::priority::{edms_levels, Priority};
 use rtcm_core::reconfig::{HandoverReport, ModeChange, ModeSchedule};
 use rtcm_core::reset::{IdleResetReport, IdleResetter};
 use rtcm_core::strategy::{InvalidConfigError, ServiceConfig};
-use rtcm_core::task::{JobId, ProcessorId, TaskId, TaskSet};
+use rtcm_core::task::{JobId, ProcessorId, TaskId, TaskSet, TaskSpec};
 use rtcm_core::time::{Duration, Time};
 use rtcm_workload::{Arrival, ArrivalTrace};
 
@@ -457,6 +457,9 @@ struct Simulation<'a> {
     overheads: OverheadModel,
     /// EDMS levels, by task position — as `te` and `skips` are.
     priorities: Vec<Priority>,
+    /// `TaskSpec::job_utilization`, by task position: the weight every
+    /// arrival and release records, summed once per task, not per job.
+    job_utilizations: Vec<f64>,
     ac: AdmissionController,
     cpus: Vec<Cpu<SubjobCtx>>,
     resetters: Vec<IdleResetter>,
@@ -512,6 +515,7 @@ impl<'a> Simulation<'a> {
             services: config.services,
             overheads: config.overheads,
             priorities: edms_levels(tasks),
+            job_utilizations: tasks.iter().map(TaskSpec::job_utilization).collect(),
             ac,
             cpus: (0..procs).map(|_| Cpu::new()).collect(),
             resetters: (0..procs)
@@ -789,12 +793,9 @@ impl<'a> Simulation<'a> {
         // task by its position in the set.
         let at = self.tasks.position(arrival.task).expect("validated in new()");
         let task = &self.tasks.tasks()[at];
-        self.report.ratio.record_arrival(task.job_utilization());
-        self.record_arrival(
-            JobId::new(arrival.task, arrival.seq),
-            arrival.time,
-            task.job_utilization(),
-        );
+        let utilization = self.job_utilizations[at];
+        self.report.ratio.record_arrival(utilization);
+        self.record_arrival(JobId::new(arrival.task, arrival.seq), arrival.time, utilization);
 
         // The TE's per-task fast path: release or drop locally when the
         // periodic task's fate is already known and no per-job relocation is
@@ -917,7 +918,7 @@ impl<'a> Simulation<'a> {
         let proc = state.assignment.processor(subtask).index();
         let task = &self.tasks.tasks()[at];
         if is_job_release {
-            self.report.ratio.record_release(task.job_utilization());
+            self.report.ratio.record_release(self.job_utilizations[at]);
             if let Some(record) = self.record_of(arrival) {
                 record.released = true;
             }
