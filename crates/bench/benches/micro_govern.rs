@@ -6,72 +6,76 @@
 //! stay justifiable:
 //!
 //! * `observe_{n}_rules` — one full policy evaluation (streak update +
-//!   rule scan) per window, against rule-list width;
+//!   rule scan) per window, against rule-list width, over a 64-window
+//!   stream;
 //! * `sensor_sample` — turning a cumulative-counter snapshot into window
 //!   metrics (the O(1) incremental sensing step);
 //! * `governed_cycle_{n}_rules` — sensor + governor together over an
 //!   alternating collapse/recovery stream, the realistic steady state.
 //!
+//! Each `observe` / `governed_cycle` sample starts from a fresh clone of
+//! the governor, made outside the timed region (`rtcm_bench::measure`).
 //! `RTCM_QUICK=1` drops the widest policies so smoke runs stay fast.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use std::hint::black_box;
 
 use rtcm_bench::govern::{governor_policy, metrics_stream};
+use rtcm_bench::measure;
 use rtcm_core::govern::{CumulativeLoad, Governor, WindowSensor};
 
-fn bench_govern(c: &mut Criterion) {
+const SAMPLES: usize = 2_000;
+
+fn main() {
     let quick = std::env::var("RTCM_QUICK").is_ok();
     let widths: &[usize] = if quick { &[2, 16] } else { &[2, 16, 128] };
-    let mut group = c.benchmark_group("govern");
     let current = "J_N_N".parse().unwrap();
     let stream = metrics_stream(64, 4);
 
     for &rules in widths {
         let governor = Governor::new(governor_policy(rules)).expect("fixture policies validate");
-        group.bench_function(format!("observe_{rules}_rules"), |b| {
-            b.iter_batched(
-                || governor.clone(),
-                |mut g| {
-                    for m in &stream {
-                        black_box(g.observe(current, m));
-                    }
-                },
-                criterion::BatchSize::SmallInput,
-            );
-        });
+        let timing = measure(
+            SAMPLES,
+            1,
+            || governor.clone(),
+            |g| {
+                for m in &stream {
+                    black_box(g.observe(current, m));
+                }
+            },
+        );
+        println!("govern/{:<24} {timing}", format!("observe_{rules}_rules"));
 
-        group.bench_function(format!("governed_cycle_{rules}_rules"), |b| {
-            b.iter_batched(
-                || (governor.clone(), WindowSensor::new()),
-                |(mut g, mut sensor)| {
-                    let mut cum = CumulativeLoad::default();
-                    for (i, m) in stream.iter().enumerate() {
-                        cum.arrived_jobs += m.arrived_jobs;
-                        cum.arrived_utilization += m.arrived_utilization;
-                        cum.released_utilization += m.released_utilization;
-                        cum.ir_reports += m.ir_reports;
-                        let window = sensor.sample(cum, m.aub_slack, m.imbalance);
-                        black_box(g.observe(current, &window));
-                        black_box(i);
-                    }
-                },
-                criterion::BatchSize::SmallInput,
-            );
-        });
+        let timing = measure(
+            SAMPLES,
+            1,
+            || (governor.clone(), WindowSensor::new()),
+            |(g, sensor)| {
+                let mut cum = CumulativeLoad::default();
+                for m in &stream {
+                    cum.arrived_jobs += m.arrived_jobs;
+                    cum.arrived_utilization += m.arrived_utilization;
+                    cum.released_utilization += m.released_utilization;
+                    cum.ir_reports += m.ir_reports;
+                    let window = sensor.sample(cum, m.aub_slack, m.imbalance);
+                    black_box(g.observe(current, &window));
+                }
+            },
+        );
+        println!("govern/{:<24} {timing}", format!("governed_cycle_{rules}_rules"));
     }
 
-    group.bench_function("sensor_sample", |b| {
-        let mut sensor = WindowSensor::new();
-        let mut cum = CumulativeLoad::default();
-        b.iter(|| {
+    let mut sensor = WindowSensor::new();
+    let mut cum = CumulativeLoad::default();
+    let timing = measure(
+        SAMPLES * 10,
+        16,
+        || (),
+        |()| {
             cum.arrived_jobs += 10;
             cum.arrived_utilization += 1.0;
             cum.released_utilization += 0.5;
-            black_box(sensor.sample(cum, 0.4, 0.2))
-        });
-    });
-    group.finish();
+            sensor.sample(cum, 0.4, 0.2)
+        },
+    );
+    println!("govern/{:<24} {timing}", "sensor_sample");
 }
-
-criterion_group!(benches, bench_govern);
-criterion_main!(benches);

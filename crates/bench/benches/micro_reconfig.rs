@@ -15,70 +15,68 @@
 //!   avoids: throw the controller away and re-admit the whole current
 //!   set from scratch.
 //!
+//! Every swap sample starts from a fresh clone of the loaded controller,
+//! made outside the timed region (`rtcm_bench::measure`).
 //! `RTCM_QUICK=1` drops the largest current sets so smoke runs stay fast.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
-
 use rtcm_bench::reconfig::{loaded_reconfig_controller as loaded, reconfig_fixture as fixture};
+use rtcm_bench::{measure, Timing};
 use rtcm_core::strategy::ServiceConfig;
 use rtcm_core::time::{Duration, Time};
 
-fn bench_reconfig_handover(c: &mut Criterion) {
+const SAMPLES: usize = 200;
+
+fn main() {
     let quick = std::env::var("RTCM_QUICK").is_ok();
     let sizes: &[(u32, u16)] =
         if quick { &[(64, 8), (256, 16)] } else { &[(64, 8), (256, 16), (1024, 32), (4096, 64)] };
-    let mut group = c.benchmark_group("reconfig_handover");
     for &(n, procs) in sizes {
         let (task_set, tasks) = fixture(n, procs);
         let now = Time::ZERO + Duration::from_millis(1);
+        let print = |arm: String, timing: Timing| println!("reconfig_handover/{arm:<18} {timing}");
 
         // Per-job → per-task: one AUB-checked reseed per periodic task.
         let per_job = loaded("J_N_T", &tasks, procs);
         let target: ServiceConfig = "T_N_T".parse().unwrap();
-        group.bench_function(format!("reseed_{n}"), |b| {
-            b.iter_batched(
-                || per_job.clone(),
-                |mut ac| {
-                    let report = ac.reconfigure(target, now, &task_set).unwrap();
-                    assert_eq!(report.reservations_reseeded as u32, n);
-                    black_box(report)
-                },
-                criterion::BatchSize::SmallInput,
-            );
-        });
+        let timing = measure(
+            SAMPLES,
+            1,
+            || per_job.clone(),
+            |ac| {
+                let report = ac.reconfigure(target, now, &task_set).unwrap();
+                assert_eq!(report.reservations_reseeded as u32, n);
+                report
+            },
+        );
+        print(format!("reseed_{n}"), timing);
 
         // Per-task → per-job: in-place conversion, net-zero deltas.
         let per_task = loaded("T_N_T", &tasks, procs);
         let back: ServiceConfig = "J_N_T".parse().unwrap();
-        group.bench_function(format!("drain_{n}"), |b| {
-            b.iter_batched(
-                || per_task.clone(),
-                |mut ac| {
-                    let report = ac.reconfigure(back, now, &task_set).unwrap();
-                    assert_eq!(report.reservations_drained as u32, n);
-                    black_box(report)
-                },
-                criterion::BatchSize::SmallInput,
-            );
-        });
+        let timing = measure(
+            SAMPLES,
+            1,
+            || per_task.clone(),
+            |ac| {
+                let report = ac.reconfigure(back, now, &task_set).unwrap();
+                assert_eq!(report.reservations_drained as u32, n);
+                report
+            },
+        );
+        print(format!("drain_{n}"), timing);
 
         // IR-only swap: the protocol floor (no ledger handover).
         let ir_target: ServiceConfig = "J_T_T".parse().unwrap();
-        group.bench_function(format!("ir_axis_{n}"), |b| {
-            b.iter_batched(
-                || per_job.clone(),
-                |mut ac| black_box(ac.reconfigure(ir_target, now, &task_set).unwrap()),
-                criterion::BatchSize::SmallInput,
-            );
-        });
+        let timing = measure(
+            SAMPLES,
+            1,
+            || per_job.clone(),
+            |ac| ac.reconfigure(ir_target, now, &task_set).unwrap(),
+        );
+        print(format!("ir_axis_{n}"), timing);
 
         // The restart alternative: rebuild and re-admit everything.
-        group.bench_function(format!("cold_rebuild_{n}"), |b| {
-            b.iter(|| black_box(loaded("T_N_T", &tasks, procs)));
-        });
+        let timing = measure(SAMPLES, 1, || (), |()| loaded("T_N_T", &tasks, procs));
+        print(format!("cold_rebuild_{n}"), timing);
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_reconfig_handover);
-criterion_main!(benches);

@@ -168,6 +168,78 @@ pub fn to_json(results: &[ComboResult]) -> String {
     serde_json::to_string_pretty(&rows).expect("json of plain data")
 }
 
+/// What one timed arm of a micro-benchmark cost per op.
+#[derive(Debug, Clone, Copy)]
+pub struct Timing {
+    /// Ops timed (warm-up excluded).
+    pub ops: usize,
+    /// Mean over every timed op, in nanoseconds.
+    pub mean_ns: f64,
+    /// Median per-op cost over the timed windows, in nanoseconds.
+    pub p50_ns: f64,
+    /// 99th-percentile per-op cost over the timed windows, in nanoseconds.
+    pub p99_ns: f64,
+}
+
+impl std::fmt::Display for Timing {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "mean {:>10.1} ns  p50 {:>10.1} ns  p99 {:>10.1} ns",
+            self.mean_ns, self.p50_ns, self.p99_ns
+        )
+    }
+}
+
+/// The micro-benchmarks' one timing loop: `samples` timed windows of
+/// `window` calls of `op` each, after `samples / 10` untimed warm-up
+/// windows. Every window first builds its input with `setup`, and drops
+/// it after the clock stops, so neither is timed — a bench that must
+/// start each op from a fresh copy of some state clones it in `setup`
+/// with a window of 1. `op`'s result goes through [`std::hint::black_box`].
+///
+/// # Panics
+///
+/// Panics if `samples` or `window` is zero.
+pub fn measure<I, O>(
+    samples: usize,
+    window: usize,
+    mut setup: impl FnMut() -> I,
+    mut op: impl FnMut(&mut I) -> O,
+) -> Timing {
+    assert!(samples > 0 && window > 0, "nothing to time");
+    let mut run_window = || {
+        let mut input = setup();
+        let start = std::time::Instant::now();
+        for _ in 0..window {
+            std::hint::black_box(op(&mut input));
+        }
+        let elapsed = start.elapsed();
+        drop(input);
+        elapsed
+    };
+    for _ in 0..samples / 10 {
+        run_window();
+    }
+    let mut spent = std::time::Duration::ZERO;
+    let mut per_op: Vec<f64> = (0..samples)
+        .map(|_| {
+            let elapsed = run_window();
+            spent += elapsed;
+            elapsed.as_secs_f64() * 1e9 / window as f64
+        })
+        .collect();
+    per_op.sort_by(f64::total_cmp);
+    let pct = |p: f64| per_op[((samples - 1) as f64 * p) as usize];
+    let ops = samples * window;
+    Timing {
+        ops,
+        mean_ns: spent.as_secs_f64() * 1e9 / ops as f64,
+        p50_ns: pct(0.50),
+        p99_ns: pct(0.99),
+    }
+}
+
 /// Schema tag of one `BENCH_*.json` trajectory point.
 pub const BENCH_SCHEMA: &str = "rtcm-bench/1";
 
@@ -298,6 +370,27 @@ mod tests {
         assert!(table.contains("J_J_J"));
         let json = to_json(&results);
         assert!(json.contains("mean_ratio"));
+    }
+
+    #[test]
+    fn measure_keeps_setup_out_of_the_timed_windows() {
+        let (mut setups, mut ops) = (0, 0);
+        let timing = measure(
+            20,
+            4,
+            || {
+                setups += 1;
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            },
+            |()| ops += 1,
+        );
+        // 2 warm-up windows plus 20 timed ones, 4 ops each.
+        assert_eq!((setups, ops), (22, 88));
+        assert_eq!(timing.ops, 80);
+        assert!(timing.p50_ns <= timing.p99_ns);
+        // A sleeping setup inside the clock would put every window at
+        // ≥ 5 ms, i.e. ≥ 1.25 ms per op.
+        assert!(timing.p50_ns < 1e6, "setup leaked into the timed region: {timing}");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   the idle-resetting / load-balancing strategies.
 //! * [`ModeSchedule`] — a timed sequence of configuration changes (a
 //!   *mode schedule* in the sense of reconfigurable timed discrete-event
-//!   systems), consumed by `rtcm-sim`'s `simulate_with_schedule` and by
+//!   systems), consumed by `rtcm-sim` (`SimOptions::schedule`) and by
 //!   experiment drivers.
 //! * [`HandoverReport`] — what one executed transition did to the ledger
 //!   state: entries carried, reservations drained/reseeded, sticky
@@ -240,7 +240,7 @@ pub struct ModeChange {
 }
 
 /// A timed sequence of [`ServiceConfig`] changes — the declarative input
-/// for mode-change experiments (`rtcm_sim::simulate_with_schedule`) and
+/// for mode-change experiments (`rtcm_sim::SimOptions::schedule`) and
 /// for scripted runtime transitions.
 ///
 /// Changes are kept sorted by time (stably, so same-instant changes apply

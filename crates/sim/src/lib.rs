@@ -15,17 +15,39 @@
 //! traces are run across all 15 strategy combinations, exactly like the
 //! paper's methodology.
 //!
+//! The event loop has two entry points: [`simulate`] runs it plainly and
+//! returns the [`SimReport`]; [`simulate_with`] takes [`SimOptions`] — a
+//! mode schedule, a governor, per-job records, an execution trace — and
+//! returns a [`SimRun`] carrying whatever was asked for beside the report.
+//!
 //! # Examples
 //!
+//! A static run, then the same trace switching to per-task admission ten
+//! seconds in, with per-job records:
+//!
 //! ```
-//! use rtcm_sim::{simulate, SimConfig};
+//! use rtcm_core::reconfig::ModeSchedule;
+//! use rtcm_core::time::{Duration, Time};
+//! use rtcm_sim::{simulate, simulate_with, SimConfig, SimOptions};
 //! use rtcm_workload::{ArrivalConfig, ArrivalTrace, RandomWorkload};
 //!
 //! let tasks = RandomWorkload::default().generate(7)?;
 //! let trace = ArrivalTrace::generate(&tasks, &ArrivalConfig::default(), 7);
+//! let config = SimConfig::new("J_J_J".parse()?);
 //!
-//! let report = simulate(&tasks, &trace, &SimConfig::new("J_J_J".parse()?))?;
+//! let report = simulate(&tasks, &trace, &config)?;
 //! assert!(report.ratio.ratio() > 0.0);
+//!
+//! let switch_at = Time::ZERO + Duration::from_secs(10);
+//! let options = SimOptions {
+//!     schedule: ModeSchedule::new().then_at(switch_at, "T_T_T".parse()?),
+//!     record_jobs: true,
+//!     ..SimOptions::default()
+//! };
+//! let run = simulate_with(&tasks, &trace, &config, &options)?;
+//! let records = run.records.expect("recording was on");
+//! let after = records.iter().filter(|r| r.arrival >= switch_at && r.released).count();
+//! assert!(after > 0, "jobs keep being released after the switch");
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -44,7 +66,6 @@ pub use fed::federation::{
 };
 pub use overhead::{DelayModel, OverheadModel};
 pub use simulation::{
-    simulate, simulate_governed, simulate_governed_recorded, simulate_recorded,
-    simulate_recorded_with_schedule, simulate_traced, simulate_with_schedule, ExecSpan,
-    GovernedSwitch, GovernorTrace, JobRecord, SimConfig, SimError, SimReport,
+    simulate, simulate_with, ExecSpan, GovernedSwitch, GovernorTrace, JobRecord, SimConfig,
+    SimError, SimOptions, SimReport, SimRun,
 };

@@ -28,7 +28,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use rtcm_core::admission::{AcStats, AdmissionController, Decision};
+use rtcm_core::admission::{
+    AcStats, AdmissionController, AdmissionError, Decision, SENTINEL_SEQ_FLOOR,
+};
 use rtcm_core::balance::Assignment;
 use rtcm_core::dispatch::{Completion, Cpu, Transition};
 use rtcm_core::effector::{Local, TaskEffector};
@@ -100,35 +102,34 @@ pub struct SimReport {
     pub skip_runs: Vec<(TaskId, u32)>,
     /// Longest skip run across all tasks.
     pub max_consecutive_skips: u32,
-    /// Mode switches executed — scheduled ([`ModeSchedule`]) plus
-    /// governor-decided (0 for static runs).
-    pub mode_switches: u64,
-    /// One ledger-handover report per executed mode switch, in execution
-    /// order.
+    /// One ledger-handover report per executed mode switch — scheduled
+    /// ([`SimOptions::schedule`]) or governor-decided — in execution order
+    /// (empty for static runs). The governor's own counts live in its
+    /// [`GovernorTrace`].
     pub mode_changes: Vec<HandoverReport>,
-    /// Sensing windows closed by the governor ([`simulate_governed`]; 0
-    /// otherwise).
-    pub governor_windows: u64,
-    /// Mode switches decided by the governor (a subset of
-    /// [`SimReport::mode_switches`]).
-    pub governor_swaps: u64,
     /// Virtual time when the last event fired.
     pub end: Time,
 }
 
-/// Errors preventing a simulation from starting.
+/// Errors preventing a simulation from starting or finishing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
-    /// The strategy combination is one of the 3 invalid ones.
+    /// The strategy combination, or a [`SimOptions::schedule`] target, is
+    /// one of the 3 invalid ones.
     InvalidConfig(InvalidConfigError),
     /// The trace references a task missing from the set.
     UnknownTask {
         /// The offending task id.
         task: TaskId,
     },
-    /// The governor policy is unusable (invalid rule target, zero
-    /// hysteresis, non-finite threshold) — see [`simulate_governed`].
+    /// The [`SimOptions::governor`] policy is unusable (invalid rule
+    /// target, zero hysteresis, non-finite threshold).
     InvalidPolicy(PolicyError),
+    /// The trace offers a job the admission controller refuses to test: a
+    /// sequence number in the controller-owned sentinel range (checked
+    /// before the run starts), or a `(task, seq)` offered again while its
+    /// first copy is still current (ends the run at that decision).
+    InvalidArrival(AdmissionError),
 }
 
 impl fmt::Display for SimError {
@@ -139,6 +140,7 @@ impl fmt::Display for SimError {
                 write!(f, "arrival trace references unknown task {task}")
             }
             SimError::InvalidPolicy(e) => write!(f, "invalid governor policy: {e}"),
+            SimError::InvalidArrival(e) => write!(f, "invalid arrival trace: {e}"),
         }
     }
 }
@@ -249,78 +251,91 @@ pub struct JobRecord {
     pub utilization: f64,
 }
 
-/// Runs one simulation of `trace` over `tasks` under `config`.
+/// Runs one simulation of `trace` over `tasks` under `config`: the plain
+/// run, [`simulate_with`] under [`SimOptions::default`].
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] for invalid strategy combinations or traces
-/// referencing unknown tasks. Panics never occur for workloads produced by
-/// `rtcm-workload` against their own task sets.
+/// As [`simulate_with`].
 pub fn simulate(
     tasks: &TaskSet,
     trace: &ArrivalTrace,
     config: &SimConfig,
 ) -> Result<SimReport, SimError> {
-    Ok(Simulation::new(tasks, trace, config, false)?.run().0)
+    simulate_with(tasks, trace, config, &SimOptions::default()).map(|run| run.report)
 }
 
-/// Like [`simulate`], but with a [`ModeSchedule`] of timed `ServiceConfig`
-/// changes applied mid-run: at each change the manager's admission
-/// controller executes the full ledger handover
-/// (`AdmissionController::reconfigure` — reservations drained/reseeded,
-/// admitted jobs carried) and every node clears its task-effector cache
-/// and swaps its idle-resetter strategy, mirroring the runtime's two-phase
-/// commit point. Figure-5/6-style experiments can thereby compare static
-/// configurations against mid-run switches on identical traces.
+/// What a [`simulate_with`] run does besides the plain run, and what it
+/// returns besides the [`SimReport`]. The default is [`simulate`]'s plain
+/// run: static configuration, no governor, nothing recorded.
+#[derive(Debug, Clone, Default)]
+pub struct SimOptions {
+    /// Timed `ServiceConfig` changes applied mid-run (empty: a static run).
+    /// At each change the manager's admission controller executes the full
+    /// ledger handover (`AdmissionController::reconfigure` — reservations
+    /// drained/reseeded, admitted jobs carried) and every node clears its
+    /// task-effector cache and swaps its idle-resetter strategy, mirroring
+    /// the runtime's two-phase commit point, so Figure-5/6-style
+    /// experiments can compare static configurations against mid-run
+    /// switches on identical traces. A change and an arrival at the same
+    /// instant resolve switch first.
+    pub schedule: ModeSchedule,
+    /// A closed-loop governor: the policy senses the load every window of
+    /// virtual time and reconfigures the system itself when a rule's
+    /// hysteresis is satisfied, exactly as `System::spawn_governor` does on
+    /// the threaded runtime (same `rtcm_core::govern` state machine, so a
+    /// policy tuned here transfers verbatim). A window costs O(1): counter
+    /// deltas plus the ledger's maintained per-processor totals, never a
+    /// rescan of jobs or contributions.
+    pub governor: Option<(GovernorPolicy, Duration)>,
+    /// Return one [`JobRecord`] per trace arrival, in arrival order.
+    pub record_jobs: bool,
+    /// Return the execution trace: every start/preempt/finish segment on
+    /// every processor, for Gantt rendering and schedule inspection.
+    pub trace_execution: bool,
+}
+
+/// Everything one [`simulate_with`] run produced. Each `Option` is `Some`
+/// exactly when its [`SimOptions`] switch asked for it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SimRun {
+    /// The aggregate measurements, as [`simulate`] returns them.
+    pub report: SimReport,
+    /// One record per trace arrival ([`SimOptions::record_jobs`]).
+    pub records: Option<Vec<JobRecord>>,
+    /// The governor's windows and switches ([`SimOptions::governor`]).
+    pub governor: Option<GovernorTrace>,
+    /// Execution segments ordered by start ([`SimOptions::trace_execution`]).
+    pub spans: Option<Vec<ExecSpan>>,
+}
+
+/// Runs one simulation of `trace` over `tasks` under `config`, shaped by
+/// `options`: a mode schedule, a governor, per-job records, an execution
+/// trace, in any combination. Only a switch that fires changes a
+/// decision: an empty schedule, an inert governor and every recorder leave
+/// the report [`simulate`] returns untouched (a governor's tail sensing
+/// tick may extend [`SimReport::end`]). The [crate-level example](crate#examples)
+/// runs a mode schedule with per-job records.
 ///
 /// # Errors
 ///
-/// As [`simulate`], plus [`SimError::InvalidConfig`] for schedules
-/// containing §4.5-invalid combinations (checked before the run starts).
-pub fn simulate_with_schedule(
+/// [`SimError::InvalidConfig`] for an invalid strategy combination in
+/// `config` or the schedule, [`SimError::UnknownTask`] for a trace naming
+/// a task outside `tasks`, [`SimError::InvalidPolicy`] for an unusable
+/// governor policy — all checked before the run starts — and
+/// [`SimError::InvalidArrival`] for a trace offering a job the admission
+/// controller refuses to test.
+///
+/// # Panics
+///
+/// Panics if the governor window is zero.
+pub fn simulate_with(
     tasks: &TaskSet,
     trace: &ArrivalTrace,
     config: &SimConfig,
-    schedule: &ModeSchedule,
-) -> Result<SimReport, SimError> {
-    schedule.validate()?;
-    let mut sim = Simulation::new(tasks, trace, config, false)?;
-    sim.schedule = schedule.changes().to_vec();
-    Ok(sim.run().0)
-}
-
-/// Like [`simulate`], additionally returning one [`JobRecord`] per trace
-/// arrival (in arrival order).
-///
-/// # Errors
-///
-/// As [`simulate`].
-pub fn simulate_recorded(
-    tasks: &TaskSet,
-    trace: &ArrivalTrace,
-    config: &SimConfig,
-) -> Result<(SimReport, Vec<JobRecord>), SimError> {
-    let (report, records) = Simulation::new(tasks, trace, config, true)?.run();
-    Ok((report, records.expect("recording was enabled")))
-}
-
-/// [`simulate_with_schedule`] plus per-job records, for bucketed
-/// before/after-switch acceptance analysis.
-///
-/// # Errors
-///
-/// As [`simulate_with_schedule`].
-pub fn simulate_recorded_with_schedule(
-    tasks: &TaskSet,
-    trace: &ArrivalTrace,
-    config: &SimConfig,
-    schedule: &ModeSchedule,
-) -> Result<(SimReport, Vec<JobRecord>), SimError> {
-    schedule.validate()?;
-    let mut sim = Simulation::new(tasks, trace, config, true)?;
-    sim.schedule = schedule.changes().to_vec();
-    let (report, records) = sim.run();
-    Ok((report, records.expect("recording was enabled")))
+    options: &SimOptions,
+) -> Result<SimRun, SimError> {
+    Simulation::new(tasks, trace, config, options)?.run()
 }
 
 /// One governor-decided mode switch of a governed simulation, with full
@@ -352,68 +367,8 @@ pub struct GovernorTrace {
     pub switches: Vec<GovernedSwitch>,
 }
 
-/// Runs a **governed** simulation: no pre-programmed [`ModeSchedule`] —
-/// instead a [`GovernorPolicy`] senses the load every `window` of virtual
-/// time and reconfigures the system itself when a rule's hysteresis is
-/// satisfied, exactly as `System::spawn_governor` does on the threaded
-/// runtime (same `rtcm_core::govern` state machine, so a policy tuned
-/// here transfers verbatim).
-///
-/// Each window's metrics are produced **incrementally**: cumulative
-/// counters the simulation maintains anyway are differenced in O(1), and
-/// the AUB slack / imbalance gauges read the ledger's per-processor
-/// totals, which the admission funnel keeps current — the same
-/// touched-set discipline as the incremental admission path, so a
-/// governed run never pays a per-window rescan of jobs or contributions
-/// (the brute-force rescan survives as the differential oracle in the
-/// tests).
-///
-/// # Errors
-///
-/// As [`simulate`], plus [`SimError::InvalidPolicy`] for unusable
-/// policies (checked before the run starts).
-///
-/// # Panics
-///
-/// Panics if `window` is zero.
-pub fn simulate_governed(
-    tasks: &TaskSet,
-    trace: &ArrivalTrace,
-    config: &SimConfig,
-    policy: &GovernorPolicy,
-    window: Duration,
-) -> Result<(SimReport, GovernorTrace), SimError> {
-    let mut sim = Simulation::new(tasks, trace, config, false)?;
-    sim.attach_governor(policy, window)?;
-    let (report, gov_trace, _, _) = sim.run_full();
-    Ok((report, gov_trace))
-}
-
-/// [`simulate_governed`] plus per-job records, for bucketed acceptance
-/// analysis of governed runs.
-///
-/// # Errors
-///
-/// As [`simulate_governed`].
-///
-/// # Panics
-///
-/// Panics if `window` is zero.
-pub fn simulate_governed_recorded(
-    tasks: &TaskSet,
-    trace: &ArrivalTrace,
-    config: &SimConfig,
-    policy: &GovernorPolicy,
-    window: Duration,
-) -> Result<(SimReport, GovernorTrace, Vec<JobRecord>), SimError> {
-    let mut sim = Simulation::new(tasks, trace, config, true)?;
-    sim.attach_governor(policy, window)?;
-    let (report, gov_trace, records, _) = sim.run_full();
-    Ok((report, gov_trace, records.expect("recording was enabled")))
-}
-
 /// One contiguous stretch of a subjob executing on a processor —
-/// Gantt-chart material from [`simulate_traced`].
+/// Gantt-chart material from [`SimOptions::trace_execution`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExecSpan {
     /// The processor.
@@ -428,26 +383,6 @@ pub struct ExecSpan {
     pub end: Time,
     /// True if this segment finished the subjob; false if it was preempted.
     pub completed: bool,
-}
-
-/// Like [`simulate`], additionally returning the full execution trace
-/// (every start/preempt/finish segment on every processor), for Gantt
-/// rendering and schedule inspection.
-///
-/// # Errors
-///
-/// As [`simulate`].
-pub fn simulate_traced(
-    tasks: &TaskSet,
-    trace: &ArrivalTrace,
-    config: &SimConfig,
-) -> Result<(SimReport, Vec<ExecSpan>), SimError> {
-    let mut sim = Simulation::new(tasks, trace, config, false)?;
-    for cpu in &mut sim.cpus {
-        cpu.set_tracing(true);
-    }
-    let (report, _, _, spans) = sim.run_full();
-    Ok((report, spans))
 }
 
 struct Simulation<'a> {
@@ -479,9 +414,13 @@ struct Simulation<'a> {
     records: Option<Vec<JobRecord>>,
     skips: SkipTracker,
     /// Timed mode changes to apply (empty for static runs).
-    schedule: Vec<ModeChange>,
+    schedule: &'a [ModeChange],
     /// Closed-loop governor state (None for ungoverned runs).
     gov: Option<GovState>,
+    /// True if the CPUs log transitions for [`SimRun::spans`].
+    tracing: bool,
+    /// The admission error that ended the run early, if one did.
+    failed: Option<AdmissionError>,
 }
 
 /// Everything a governed run threads through its sensing ticks.
@@ -496,19 +435,48 @@ struct GovState {
 }
 
 impl<'a> Simulation<'a> {
+    /// Validates everything a run can be refused for up front and arms the
+    /// options' observers. Panics on a zero governor window (a zero-width
+    /// sensing window would tick forever at one instant).
     fn new(
         tasks: &'a TaskSet,
         trace: &'a ArrivalTrace,
         config: &SimConfig,
-        record_jobs: bool,
+        options: &'a SimOptions,
     ) -> Result<Self, SimError> {
+        options.schedule.validate()?;
         for arrival in trace.iter() {
             if tasks.get(arrival.task).is_none() {
                 return Err(SimError::UnknownTask { task: arrival.task });
             }
+            if arrival.seq >= SENTINEL_SEQ_FLOOR {
+                let job = JobId::new(arrival.task, arrival.seq);
+                return Err(SimError::InvalidArrival(AdmissionError::SentinelSequence { job }));
+            }
         }
         let procs = tasks.processor_count();
         let ac = AdmissionController::new(config.services, procs)?;
+        let gov = match &options.governor {
+            Some((policy, window)) => {
+                assert!(!window.is_zero(), "governor window must be positive");
+                let governor = Governor::new(policy.clone()).map_err(SimError::InvalidPolicy)?;
+                // Sense one window past the final arrival, so the tail
+                // window is still observed.
+                let horizon = trace.arrivals().last().map_or(Time::ZERO, |a| a.time) + *window;
+                Some(GovState {
+                    governor,
+                    sensor: WindowSensor::new(),
+                    window: *window,
+                    horizon,
+                    trace: GovernorTrace::default(),
+                })
+            }
+            None => None,
+        };
+        let mut cpus: Vec<Cpu<SubjobCtx>> = (0..procs).map(|_| Cpu::new()).collect();
+        for cpu in &mut cpus {
+            cpu.set_tracing(options.trace_execution);
+        }
         Ok(Simulation {
             tasks,
             trace,
@@ -517,7 +485,7 @@ impl<'a> Simulation<'a> {
             priorities: edms_levels(tasks),
             job_utilizations: tasks.iter().map(TaskSpec::job_utilization).collect(),
             ac,
-            cpus: (0..procs).map(|_| Cpu::new()).collect(),
+            cpus,
             resetters: (0..procs)
                 .map(|p| IdleResetter::new(config.services.ir, ProcessorId(p as u16)))
                 .collect(),
@@ -542,42 +510,16 @@ impl<'a> Simulation<'a> {
                 cpu_busy: vec![Duration::ZERO; procs],
                 skip_runs: Vec::new(),
                 max_consecutive_skips: 0,
-                mode_switches: 0,
                 mode_changes: Vec::new(),
-                governor_windows: 0,
-                governor_swaps: 0,
                 end: Time::ZERO,
             },
-            records: record_jobs.then(Vec::new),
+            records: options.record_jobs.then(Vec::new),
             skips: SkipTracker::new(tasks.len()),
-            schedule: Vec::new(),
-            gov: None,
+            schedule: options.schedule.changes(),
+            gov,
+            tracing: options.trace_execution,
+            failed: None,
         })
-    }
-
-    /// Arms the closed-loop governor: validates `policy` and computes the
-    /// sensing horizon from the trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero (a zero-width sensing window would tick
-    /// forever at one instant).
-    fn attach_governor(
-        &mut self,
-        policy: &GovernorPolicy,
-        window: Duration,
-    ) -> Result<(), SimError> {
-        assert!(!window.is_zero(), "governor window must be positive");
-        let governor = Governor::new(policy.clone()).map_err(SimError::InvalidPolicy)?;
-        let horizon = self.trace.arrivals().last().map_or(Time::ZERO, |a| a.time) + window;
-        self.gov = Some(GovState {
-            governor,
-            sensor: WindowSensor::new(),
-            window,
-            horizon,
-            trace: GovernorTrace::default(),
-        });
-        Ok(())
     }
 
     /// Enqueues every scheduled mode switch. Called before the first
@@ -591,14 +533,8 @@ impl<'a> Simulation<'a> {
         }
     }
 
-    fn run(self) -> (SimReport, Option<Vec<JobRecord>>) {
-        let (report, _, records, _) = self.run_full();
-        (report, records)
-    }
-
-    /// The event loop. The spans are empty unless the CPUs were tracing
-    /// ([`simulate_traced`]).
-    fn run_full(mut self) -> (SimReport, GovernorTrace, Option<Vec<JobRecord>>, Vec<ExecSpan>) {
+    /// The event loop, then the report and whatever the options recorded.
+    fn run(mut self) -> Result<SimRun, SimError> {
         self.schedule_mode_switches();
         if let Some(gov) = &self.gov {
             // First sensing tick one window in; ticks chain themselves.
@@ -616,7 +552,10 @@ impl<'a> Simulation<'a> {
             self.now = time;
             self.dispatch(ev);
         }
-        let spans = self.drain_spans();
+        if let Some(e) = self.failed {
+            return Err(SimError::InvalidArrival(e));
+        }
+        let spans = self.tracing.then(|| self.drain_spans());
         self.report.end = self.now;
         self.report.ac = self.ac.stats();
         for (p, cpu) in self.cpus.iter().enumerate() {
@@ -624,8 +563,12 @@ impl<'a> Simulation<'a> {
         }
         self.report.skip_runs = self.skips.per_task(self.tasks);
         self.report.max_consecutive_skips = self.skips.worst_case();
-        let gov_trace = self.gov.map(|g| g.trace).unwrap_or_default();
-        (self.report, gov_trace, self.records, spans)
+        Ok(SimRun {
+            report: self.report,
+            records: self.records,
+            governor: self.gov.map(|g| g.trace),
+            spans,
+        })
     }
 
     /// Pairs the CPUs' transition logs (recorded only while tracing) into
@@ -735,7 +678,6 @@ impl<'a> Simulation<'a> {
         for resetter in &mut self.resetters {
             resetter.set_strategy(target.ir);
         }
-        self.report.mode_switches += 1;
         self.report.mode_changes.push(handover);
         handover
     }
@@ -760,12 +702,10 @@ impl<'a> Simulation<'a> {
         };
         let (slack, imbalance) = slack_and_imbalance(&self.ac.ledger().utilizations());
         let metrics = gov.sensor.sample(cum, slack, imbalance);
-        self.report.governor_windows += 1;
         gov.trace.windows.push((self.now, metrics));
         if let Some(decision) = gov.governor.observe(self.services, &metrics) {
             let from = self.services;
             let handover = self.apply_switch(decision.target);
-            self.report.governor_swaps += 1;
             gov.trace.switches.push(GovernedSwitch {
                 at: self.now,
                 window: decision.window,
@@ -861,7 +801,14 @@ impl<'a> Simulation<'a> {
     fn on_manager_done(&mut self) {
         let req = self.manager_current.take().expect("ManagerDone with no request in service");
         match req {
-            ManagerReq::TaskArrive { arrival, task } => self.decide(arrival, task),
+            ManagerReq::TaskArrive { arrival, task } => {
+                if let Err(e) = self.decide(arrival, task) {
+                    // A duplicate job: stop here, and let `run` report it.
+                    self.failed = Some(e);
+                    self.heap.clear();
+                    return;
+                }
+            }
             ManagerReq::IdleReset(report) => {
                 self.ac.apply_idle_reset(report.processor, &report.completed);
                 self.report.ir_reports += 1;
@@ -874,17 +821,15 @@ impl<'a> Simulation<'a> {
         }
     }
 
-    fn decide(&mut self, arrival: usize, at: usize) {
+    /// Runs the admission test for the trace's `arrival`-th job. The only
+    /// error left after `new`'s validation is a duplicate job.
+    fn decide(&mut self, arrival: usize, at: usize) -> Result<(), AdmissionError> {
         let task = &self.tasks.tasks()[at];
         let Arrival { seq, time: te_arrival, .. } = self.trace.arrivals()[arrival];
         // Clean the current set up to manager time, then test against the
         // job's true (arrival-based) deadline.
         self.ac.expire(self.now);
-        let decision = self
-            .ac
-            .handle_arrival(task, seq, te_arrival)
-            .expect("trace arrivals are unique and tasks fit the deployment");
-        match decision {
+        match self.ac.handle_arrival(task, seq, te_arrival)? {
             Decision::Accept { assignment, .. } => {
                 self.skips.record(at, true);
                 if assignment.is_reallocation(task) {
@@ -910,6 +855,7 @@ impl<'a> Simulation<'a> {
                 }
             }
         }
+        Ok(())
     }
 
     fn on_release(&mut self, slot: usize, subtask: usize, is_job_release: bool) {
@@ -1015,6 +961,18 @@ mod tests {
         )
     }
 
+    fn recorded() -> SimOptions {
+        SimOptions { record_jobs: true, ..SimOptions::default() }
+    }
+
+    fn scheduled(schedule: ModeSchedule) -> SimOptions {
+        SimOptions { schedule, ..SimOptions::default() }
+    }
+
+    fn governed(policy: GovernorPolicy, window: Duration) -> SimOptions {
+        SimOptions { governor: Some((policy, window)), ..SimOptions::default() }
+    }
+
     #[test]
     fn single_periodic_task_all_jobs_released() {
         let tasks = one_task_set();
@@ -1070,6 +1028,36 @@ mod tests {
         assert_eq!(
             simulate(&tasks, &trace, &cfg).unwrap_err(),
             SimError::UnknownTask { task: TaskId(9) }
+        );
+    }
+
+    #[test]
+    fn sentinel_sequence_in_trace_is_rejected() {
+        let tasks = one_task_set();
+        let seq = SENTINEL_SEQ_FLOOR;
+        let trace =
+            ArrivalTrace::from_arrivals(vec![Arrival { time: Time::ZERO, task: TaskId(0), seq }]);
+        let cfg = SimConfig::ideal("J_N_N".parse().unwrap());
+        let job = JobId::new(TaskId(0), seq);
+        assert_eq!(
+            simulate(&tasks, &trace, &cfg).unwrap_err(),
+            SimError::InvalidArrival(AdmissionError::SentinelSequence { job })
+        );
+    }
+
+    #[test]
+    fn duplicate_arrival_in_trace_is_rejected() {
+        // The same job offered again 10 ms later, while its first copy is
+        // still current (100 ms deadline, no idle resetting).
+        let tasks = one_task_set();
+        let at =
+            |ms| Arrival { time: Time::ZERO + Duration::from_millis(ms), task: TaskId(0), seq: 0 };
+        let trace = ArrivalTrace::from_arrivals(vec![at(0), at(10)]);
+        let cfg = SimConfig::ideal("J_N_N".parse().unwrap());
+        let job = JobId::new(TaskId(0), 0);
+        assert_eq!(
+            simulate(&tasks, &trace, &cfg).unwrap_err(),
+            SimError::InvalidArrival(AdmissionError::DuplicateArrival { job })
         );
     }
 
@@ -1173,7 +1161,9 @@ mod tests {
         let tasks = TaskSet::from_tasks([t0, t1]).unwrap();
         let trace = trace_for(&tasks, 1_000);
         let cfg = SimConfig::ideal("J_N_N".parse().unwrap());
-        let (report, records) = super::simulate_recorded(&tasks, &trace, &cfg).unwrap();
+        let SimRun { report, records, .. } =
+            simulate_with(&tasks, &trace, &cfg, &recorded()).unwrap();
+        let records = records.unwrap();
         assert_eq!(records.len(), trace.len());
         let released = records.iter().filter(|r| r.released).count() as u64;
         assert_eq!(released, report.ratio.released_jobs());
@@ -1187,9 +1177,6 @@ mod tests {
                 assert!(r.completed.is_none());
             }
         }
-        // Recording does not change the aggregate outcome.
-        let plain = simulate(&tasks, &trace, &cfg).unwrap();
-        assert_eq!(plain, report);
     }
 
     #[test]
@@ -1203,8 +1190,7 @@ mod tests {
         let schedule = ModeSchedule::new()
             .then_at(Time::ZERO + Duration::from_millis(450), "T_N_N".parse().unwrap());
         let cfg = SimConfig::ideal("J_N_N".parse().unwrap());
-        let report = simulate_with_schedule(&tasks, &trace, &cfg, &schedule).unwrap();
-        assert_eq!(report.mode_switches, 1);
+        let report = simulate_with(&tasks, &trace, &cfg, &scheduled(schedule)).unwrap().report;
         assert_eq!(report.mode_changes.len(), 1);
         let handover = &report.mode_changes[0];
         assert_eq!(handover.to.label(), "T_N_N");
@@ -1224,8 +1210,9 @@ mod tests {
         let trace = trace_for(&tasks, 2_000);
         let cfg = SimConfig::new("J_J_T".parse().unwrap());
         let static_run = simulate(&tasks, &trace, &cfg).unwrap();
-        let scheduled = simulate_with_schedule(&tasks, &trace, &cfg, &ModeSchedule::new()).unwrap();
-        assert_eq!(static_run, scheduled);
+        let run = simulate_with(&tasks, &trace, &cfg, &scheduled(ModeSchedule::new())).unwrap();
+        assert_eq!(static_run, run.report);
+        assert!(run.report.mode_changes.is_empty());
     }
 
     #[test]
@@ -1236,7 +1223,7 @@ mod tests {
             .then_at(Time::ZERO + Duration::from_millis(50), "T_J_N".parse().unwrap());
         let cfg = SimConfig::ideal("J_N_N".parse().unwrap());
         assert!(matches!(
-            simulate_with_schedule(&tasks, &trace, &cfg, &schedule),
+            simulate_with(&tasks, &trace, &cfg, &scheduled(schedule)),
             Err(SimError::InvalidConfig(_))
         ));
     }
@@ -1249,14 +1236,65 @@ mod tests {
         let schedule = ModeSchedule::new()
             .then_at(Time::ZERO + Duration::from_millis(700), "T_T_T".parse().unwrap())
             .then_at(Time::ZERO + Duration::from_millis(1_400), "J_J_J".parse().unwrap());
-        let (a, records) =
-            simulate_recorded_with_schedule(&tasks, &trace, &cfg, &schedule).unwrap();
-        let b = simulate_with_schedule(&tasks, &trace, &cfg, &schedule).unwrap();
+        let options = SimOptions { record_jobs: true, ..scheduled(schedule) };
+        let SimRun { report: a, records, .. } =
+            simulate_with(&tasks, &trace, &cfg, &options).unwrap();
+        let b = simulate_with(&tasks, &trace, &cfg, &scheduled(options.schedule.clone()))
+            .unwrap()
+            .report;
         assert_eq!(a, b, "schedule runs are replayable");
-        assert_eq!(a.mode_switches, 2);
+        assert_eq!(a.mode_changes.len(), 2);
+        let records = records.unwrap();
         assert_eq!(records.len(), trace.len());
         let released = records.iter().filter(|r| r.released).count() as u64;
         assert_eq!(released, a.ratio.released_jobs());
+    }
+
+    /// Every option that only observes — records, execution spans, an
+    /// empty schedule, a governor whose rule never fires — leaves the
+    /// outcome exactly as the plain run has it, and returns its extra
+    /// output exactly when asked.
+    #[test]
+    fn observers_leave_the_outcome_alone() {
+        let heavy = |id: u32| {
+            TaskBuilder::periodic(TaskId(id), Duration::from_millis(100))
+                .subtask(Duration::from_millis(45), ProcessorId(0), [])
+                .build()
+                .unwrap()
+        };
+        // One light task under paper overheads (jitter draws on the RNG),
+        // and two heavy tasks that contend for P0 (rejections, no jitter).
+        let fixtures = [
+            (one_task_set(), SimConfig::new("J_J_T".parse().unwrap())),
+            (
+                TaskSet::from_tasks([heavy(0), heavy(1)]).unwrap(),
+                SimConfig::ideal("J_N_N".parse().unwrap()),
+            ),
+        ];
+        let rows = [
+            ("records", recorded()),
+            ("spans", SimOptions { trace_execution: true, ..SimOptions::default() }),
+            ("empty schedule", scheduled(ModeSchedule::new())),
+            ("inert governor", governed(inert_policy(), Duration::from_millis(100))),
+        ];
+        for (tasks, cfg) in &fixtures {
+            let trace = trace_for(tasks, 2_000);
+            let plain = simulate(tasks, &trace, cfg).unwrap();
+            for (row, options) in &rows {
+                let run = simulate_with(tasks, &trace, cfg, options).unwrap();
+                assert_eq!(run.records.is_some(), options.record_jobs, "{row}");
+                assert_eq!(run.spans.is_some(), options.trace_execution, "{row}");
+                assert_eq!(run.governor.is_some(), options.governor.is_some(), "{row}");
+                let mut report = run.report;
+                if let Some(gov_trace) = &run.governor {
+                    assert!(gov_trace.windows.len() > 10, "the sensing loop ran");
+                    assert!(gov_trace.switches.is_empty());
+                    // The tail sensing tick may extend the end instant.
+                    report.end = plain.end;
+                }
+                assert_eq!(report, plain, "{row} changed the outcome");
+            }
+        }
     }
 
     fn inert_policy() -> GovernorPolicy {
@@ -1276,18 +1314,21 @@ mod tests {
         let trace = trace_for(&tasks, 2_000);
         let cfg = SimConfig::new("J_J_T".parse().unwrap());
         let plain = simulate(&tasks, &trace, &cfg).unwrap();
-        let (governed, gov_trace) =
-            simulate_governed(&tasks, &trace, &cfg, &inert_policy(), Duration::from_millis(100))
-                .unwrap();
-        assert!(governed.governor_windows > 10, "the sensing loop ran");
-        assert_eq!(governed.governor_swaps, 0);
+        let run = simulate_with(
+            &tasks,
+            &trace,
+            &cfg,
+            &governed(inert_policy(), Duration::from_millis(100)),
+        )
+        .unwrap();
+        let gov_trace = run.governor.expect("a governed run returns its trace");
+        assert!(gov_trace.windows.len() > 10, "the sensing loop ran");
         assert!(gov_trace.switches.is_empty());
-        assert_eq!(gov_trace.windows.len() as u64, governed.governor_windows);
-        // Sensing must be a pure observer: everything except the
-        // governor's own counters (and the end instant, which the tail
-        // sensing tick can extend) matches the ungoverned run exactly.
-        let mut normalized = governed.clone();
-        normalized.governor_windows = 0;
+        assert!(run.report.mode_changes.is_empty());
+        // Sensing must be a pure observer: everything except the end
+        // instant, which the tail sensing tick can extend, matches the
+        // ungoverned run exactly.
+        let mut normalized = run.report;
         normalized.end = plain.end;
         assert_eq!(normalized, plain);
     }
@@ -1311,7 +1352,7 @@ mod tests {
         ));
         let cfg = SimConfig::ideal("J_N_N".parse().unwrap());
         assert!(matches!(
-            simulate_governed(&tasks, &trace, &cfg, &policy, Duration::from_millis(100)),
+            simulate_with(&tasks, &trace, &cfg, &governed(policy, Duration::from_millis(100))),
             Err(SimError::InvalidPolicy(_))
         ));
     }
@@ -1346,10 +1387,11 @@ mod tests {
         // window length keeps tick boundaries off any arrival instant.
         let cfg = SimConfig::ideal("J_N_N".parse().unwrap());
         let window = Duration::from_millis(333);
+        let options = SimOptions { record_jobs: true, ..governed(inert_policy(), window) };
+        let run = simulate_with(&tasks, &trace, &cfg, &options).unwrap();
         let (report, gov_trace, records) =
-            simulate_governed_recorded(&tasks, &trace, &cfg, &inert_policy(), window).unwrap();
+            (run.report, run.governor.unwrap(), run.records.unwrap());
         assert!(gov_trace.windows.len() > 10);
-        assert_eq!(report.governor_windows as usize, gov_trace.windows.len());
         assert!(report.ac.rejected > 0, "the fixture must exercise rejections");
 
         let mut prev = Time::ZERO;
@@ -1407,12 +1449,12 @@ mod tests {
         let cfg = SimConfig::new(baseline);
         let policy = GovernorPolicy::defensive_recovery(baseline, defensive);
 
-        let (_, static_records) = simulate_recorded(&tasks, &trace, &cfg).unwrap();
-        let (governed, gov_trace, governed_records) =
-            simulate_governed_recorded(&tasks, &trace, &cfg, &policy, Duration::from_secs(2))
-                .unwrap();
+        let static_records = simulate_with(&tasks, &trace, &cfg, &recorded()).unwrap().records;
+        let options = SimOptions { record_jobs: true, ..governed(policy, Duration::from_secs(2)) };
+        let run = simulate_with(&tasks, &trace, &cfg, &options).unwrap();
+        let gov_trace = run.governor.unwrap();
 
-        assert!(governed.governor_swaps >= 1, "the collapse must trip the defense");
+        assert!(!gov_trace.switches.is_empty(), "the collapse must trip the defense");
         let switch = &gov_trace.switches[0];
         assert_eq!(switch.rule, "collapse-defense");
         assert_eq!(switch.to, defensive);
@@ -1440,13 +1482,13 @@ mod tests {
                 1.0
             }
         };
-        let static_ratio = ratio(&static_records);
-        let governed_ratio = ratio(&governed_records);
+        let static_ratio = ratio(&static_records.unwrap());
+        let governed_ratio = ratio(&run.records.unwrap());
         assert!(
             governed_ratio > static_ratio,
             "governed {governed_ratio:.3} must beat static {static_ratio:.3} after the switch"
         );
-        assert_eq!(governed.deadline_misses, 0, "recovery never sacrifices guarantees");
+        assert_eq!(run.report.deadline_misses, 0, "recovery never sacrifices guarantees");
     }
 
     /// Satellite: bounded swaps under an oscillating load trace — the
@@ -1504,22 +1546,24 @@ mod tests {
             .cooldown(3);
         let cfg = SimConfig::ideal("J_N_N".parse().unwrap());
         let window = Duration::from_millis(250);
-        let (report, gov_trace) = simulate_governed(&tasks, &trace, &cfg, &policy, window).unwrap();
+        let options = governed(policy, window);
+        let run = simulate_with(&tasks, &trace, &cfg, &options).unwrap();
+        let gov_trace = run.governor.as_ref().unwrap();
 
-        let windows = report.governor_windows;
+        let windows = gov_trace.windows.len();
+        let swaps = gov_trace.switches.len();
         // Streaks keep accumulating during cooldown, so the minimum gap
         // between swaps is cooldown + 1 windows.
         let bound = windows / (3 + 1) + 1;
         assert!(
-            report.governor_swaps <= bound,
-            "{} swaps in {windows} windows exceeds the anti-flapping bound {bound}",
-            report.governor_swaps
+            swaps <= bound,
+            "{swaps} swaps in {windows} windows exceeds the anti-flapping bound {bound}"
         );
-        assert!(report.governor_swaps >= 2, "sustained blocks must still adapt");
-        assert_eq!(report.governor_swaps as usize, gov_trace.switches.len());
+        assert!(swaps >= 2, "sustained blocks must still adapt");
+        assert_eq!(swaps, run.report.mode_changes.len(), "every switch was the governor's");
         // Deterministic replay.
-        let (again, _) = simulate_governed(&tasks, &trace, &cfg, &policy, window).unwrap();
-        assert_eq!(report, again);
+        let again = simulate_with(&tasks, &trace, &cfg, &options).unwrap();
+        assert_eq!(run, again);
     }
 
     #[test]
@@ -1547,9 +1591,10 @@ mod tests {
             .unwrap();
         let tasks = TaskSet::from_tasks([urgent, slow]).unwrap();
         let trace = trace_for(&tasks, 400);
-        let (report, spans) =
-            super::simulate_traced(&tasks, &trace, &SimConfig::ideal("J_N_N".parse().unwrap()))
-                .unwrap();
+        let cfg = SimConfig::ideal("J_N_N".parse().unwrap());
+        let options = SimOptions { trace_execution: true, ..SimOptions::default() };
+        let SimRun { report, spans, .. } = simulate_with(&tasks, &trace, &cfg, &options).unwrap();
+        let spans = spans.unwrap();
         assert!(!spans.is_empty());
         // Non-overlap on the single CPU.
         let mut sorted = spans.clone();

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use rtcm_core::strategy::ServiceConfig;
 use rtcm_core::task::{ProcessorId, TaskBuilder, TaskId, TaskSet, TaskSpec};
 use rtcm_core::time::Duration;
-use rtcm_sim::{simulate, simulate_recorded, SimConfig};
+use rtcm_sim::{simulate, simulate_with, SimConfig, SimOptions};
 use rtcm_workload::{ArrivalConfig, ArrivalTrace, Phasing};
 
 const PROCS: u16 = 3;
@@ -64,8 +64,9 @@ proptest! {
     fn metrics_are_consistent(tasks in arb_task_set(5), combo_idx in 0usize..15, seed in 0u64..1000) {
         let combo = ServiceConfig::all_valid()[combo_idx];
         let trace = trace_for(&tasks, seed);
-        let (report, records) =
-            simulate_recorded(&tasks, &trace, &SimConfig::new(combo)).unwrap();
+        let options = SimOptions { record_jobs: true, ..SimOptions::default() };
+        let run = simulate_with(&tasks, &trace, &SimConfig::new(combo), &options).unwrap();
+        let (report, records) = (run.report, run.records.unwrap());
         let ratio = report.ratio.ratio();
         prop_assert!((0.0..=1.0 + 1e-9).contains(&ratio), "ratio {ratio}");
         prop_assert_eq!(report.ratio.arrived_jobs() as usize, trace.len());

@@ -8,7 +8,7 @@
 
 use rtcm::core::task::{ProcessorId, TaskBuilder, TaskId, TaskSet};
 use rtcm::core::time::{Duration, Time};
-use rtcm::sim::{simulate_traced, SimConfig};
+use rtcm::sim::{simulate_with, SimConfig, SimOptions};
 use rtcm::workload::{ArrivalConfig, ArrivalTrace, Phasing};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -34,7 +34,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         0,
     );
-    let (report, spans) = simulate_traced(&tasks, &trace, &SimConfig::ideal("J_N_N".parse()?))?;
+    let options = SimOptions { trace_execution: true, ..SimOptions::default() };
+    let run = simulate_with(&tasks, &trace, &SimConfig::ideal("J_N_N".parse()?), &options)?;
+    let (report, spans) = (run.report, run.spans.expect("tracing was on"));
 
     // Render: one row per processor, one column per millisecond.
     const HORIZON_MS: u64 = 200;

@@ -31,10 +31,7 @@ use rtcm::core::time::{Duration, Time};
 use rtcm::rt::{
     QuorumMember, QuorumOptions, ReconfigAbortReason, ReconfigureError, RtOptions, System,
 };
-use rtcm::sim::{
-    simulate_governed_recorded, simulate_recorded, simulate_recorded_with_schedule, JobRecord,
-    SimConfig,
-};
+use rtcm::sim::{simulate_with, JobRecord, SimConfig, SimOptions};
 use rtcm::workload::{CorrelatedBurstScenario, RandomWorkload};
 use rtcm_config::configure_with;
 
@@ -88,19 +85,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let cfg = SimConfig::new(baseline);
-    let (_, static_records) = simulate_recorded(&tasks, &trace, &cfg)?;
+    let recorded = SimOptions { record_jobs: true, ..SimOptions::default() };
+    let static_records =
+        simulate_with(&tasks, &trace, &cfg, &recorded)?.records.expect("recording was on");
 
     // PR 3's operator: knows the burst schedule in advance.
     let schedule = ModeSchedule::new()
         .then_at(Time::ZERO + Duration::from_secs(25), defensive)
         .then_at(Time::ZERO + Duration::from_secs(50), baseline);
-    let (_, scripted_records) = simulate_recorded_with_schedule(&tasks, &trace, &cfg, &schedule)?;
+    let scripted = SimOptions { schedule, ..recorded.clone() };
+    let scripted_records =
+        simulate_with(&tasks, &trace, &cfg, &scripted)?.records.expect("recording was on");
 
     // The governor: no schedule, only thresholds + hysteresis + cooldown.
     let policy = GovernorPolicy::defensive_recovery(baseline, defensive);
     println!("policy: {policy}\n");
-    let (governed_report, gov_trace, governed_records) =
-        simulate_governed_recorded(&tasks, &trace, &cfg, &policy, Duration::from_secs(2))?;
+    let governed = SimOptions { governor: Some((policy, Duration::from_secs(2))), ..recorded };
+    let governed = simulate_with(&tasks, &trace, &cfg, &governed)?;
+    let (gov_trace, governed_records) = (
+        governed.governor.expect("a governor was set"),
+        governed.records.expect("recording was on"),
+    );
 
     let horizon_secs = scenario.horizon.as_secs_f64() as u64;
     print_buckets(&format!("static {baseline}"), &static_records, horizon_secs);
@@ -114,7 +119,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             s.rule, s.window, s.at, s.from, s.to
         );
     }
-    assert!(governed_report.governor_swaps >= 1, "the governor must detect the collapse");
+    assert!(!gov_trace.switches.is_empty(), "the governor must detect the collapse");
     let switch = &gov_trace.switches[0];
     assert_eq!(switch.to, defensive, "J_N_N -> T_T_T without any pre-programmed schedule");
 
@@ -136,7 +141,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "  sensing cost: {} windows, each an O(1) counter delta (see micro_govern)",
-        governed_report.governor_windows
+        gov_trace.windows.len()
     );
 
     // ---- Act 2: the governor on the threaded runtime --------------------

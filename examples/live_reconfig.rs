@@ -27,7 +27,7 @@ use rtcm::core::time::{Duration, Time};
 use rtcm::events::{remote, topics, Federation, Latency, NodeId};
 use rtcm::rt::proto::{ReconfigMsg, ReconfigPhase};
 use rtcm::rt::{RtOptions, System};
-use rtcm::sim::{simulate_recorded, simulate_recorded_with_schedule, JobRecord, SimConfig};
+use rtcm::sim::{simulate_with, JobRecord, SimConfig, SimOptions};
 use rtcm::workload::ModeChangeScenario;
 use rtcm_config::configure_with;
 
@@ -73,9 +73,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let cfg = SimConfig::new(scenario.baseline);
-    let (static_report, static_records) = simulate_recorded(&tasks, &trace, &cfg)?;
+    let recorded = SimOptions { record_jobs: true, ..SimOptions::default() };
+    let static_run = simulate_with(&tasks, &trace, &cfg, &recorded)?;
+    let switched_run = simulate_with(&tasks, &trace, &cfg, &SimOptions { schedule, ..recorded })?;
+    let (static_report, static_records) =
+        (static_run.report, static_run.records.expect("recording was on"));
     let (switched_report, switched_records) =
-        simulate_recorded_with_schedule(&tasks, &trace, &cfg, &schedule)?;
+        (switched_run.report, switched_run.records.expect("recording was on"));
 
     let horizon_secs = scenario.burst.horizon.as_secs_f64() as u64;
     print_buckets(&format!("static {}", scenario.baseline), &static_records, horizon_secs);

@@ -8,7 +8,7 @@
 //! ```
 
 use rtcm::core::time::{Duration, Time};
-use rtcm::sim::{simulate_recorded, SimConfig};
+use rtcm::sim::{simulate_with, SimConfig, SimOptions};
 use rtcm::workload::BurstScenario;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -28,9 +28,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         scenario.burst_end()
     );
 
+    let recorded = SimOptions { record_jobs: true, ..SimOptions::default() };
     for services in ["T_N_N", "J_J_J"] {
-        let (report, records) =
-            simulate_recorded(&tasks, &trace, &SimConfig::new(services.parse()?))?;
+        let run = simulate_with(&tasks, &trace, &SimConfig::new(services.parse()?), &recorded)?;
+        let (report, records) = (run.report, run.records.expect("recording was on"));
 
         // 10-second buckets of acceptance ratio, by utilization weight.
         println!(

@@ -231,8 +231,9 @@ fn trace_identity_across_combos_is_what_makes_comparison_fair() {
 fn simulated_responses_within_holistic_bounds() {
     use rtcm::core::response::analyze_response_times;
     use rtcm::core::time::Duration;
-    use rtcm::sim::simulate_recorded;
+    use rtcm::sim::{simulate_with, SimOptions};
 
+    let recorded = SimOptions { record_jobs: true, ..SimOptions::default() };
     for seed in 0..5u64 {
         let workload = RandomWorkload {
             aperiodic_tasks: 0,
@@ -243,8 +244,8 @@ fn simulated_responses_within_holistic_bounds() {
         let tasks = workload.generate(seed).unwrap();
         let analysis = analyze_response_times(&tasks, Duration::ZERO).unwrap();
         let trace = ArrivalTrace::generate(&tasks, &arrival_config(60), seed);
-        let (_, records) =
-            simulate_recorded(&tasks, &trace, &SimConfig::ideal("J_N_N".parse().unwrap())).unwrap();
+        let cfg = SimConfig::ideal("J_N_N".parse().unwrap());
+        let records = simulate_with(&tasks, &trace, &cfg, &recorded).unwrap().records.unwrap();
         for record in records.iter().filter(|r| r.completed.is_some()) {
             let Some(bound) = analysis.end_to_end(record.job.task) else {
                 continue; // analysis could not bound this task
@@ -279,7 +280,7 @@ fn task_ids_survive_reindex_after_serde() {
 fn simulator_and_runtime_complete_in_the_same_order() {
     use rtcm::core::time::Time;
     use rtcm::rt::{proto::mint_trace, ExecMode, RtOptions, System};
-    use rtcm::sim::simulate_recorded;
+    use rtcm::sim::{simulate_with, SimOptions};
     use rtcm::workload::Arrival;
 
     let spec = WorkloadSpec::parse(
@@ -297,9 +298,10 @@ fn simulator_and_runtime_complete_in_the_same_order() {
     };
     let trace = ArrivalTrace::from_arrivals(vec![arrival(0, 0), arrival(1, 30), arrival(2, 60)]);
 
-    let (_, records) =
-        simulate_recorded(&deployment.tasks, &trace, &SimConfig::ideal(deployment.services))
-            .unwrap();
+    let cfg = SimConfig::ideal(deployment.services);
+    let recorded = SimOptions { record_jobs: true, ..SimOptions::default() };
+    let records =
+        simulate_with(&deployment.tasks, &trace, &cfg, &recorded).unwrap().records.unwrap();
     let mut simulated: Vec<(Time, TaskId)> =
         records.iter().map(|r| (r.completed.expect("all three finish"), r.job.task)).collect();
     simulated.sort();
