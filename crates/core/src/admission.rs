@@ -334,6 +334,14 @@ fn release(ledger: &mut UtilizationLedger, visits: &[Visit]) {
     }
 }
 
+/// Takes a tested candidate's tentative shares back out of the ledger, in
+/// subtask order.
+fn withdraw(ledger: &mut UtilizationLedger, task: &TaskSpec, assignment: &Assignment) {
+    for (subtask, processor) in assignment.iter() {
+        ledger.remove(processor, task.subtask_utilization(subtask));
+    }
+}
+
 /// Re-keys the shares of `visits` — none idle-reset: a reservation's or an
 /// intact entry's — in place: each leaves its total and re-enters it, one
 /// subtask at a time, so a handover's totals take exactly the `−u, +u`
@@ -370,6 +378,18 @@ impl HotEntry {
     fn is_violating(&self) -> bool {
         self.counted && self.cached_lhs > 1.0 + BOUND_EPSILON
     }
+}
+
+/// What one touched processor's utilization step does to the cached sums
+/// of the entries visiting it.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// No `f` change: nothing to apply.
+    Unchanged,
+    /// Add this `f(U_new) − f(U_old)` once per visit.
+    Delta(f64),
+    /// Too close to saturation for a delta: recompute from scratch.
+    Refresh,
 }
 
 /// Index into the controller's entry slab. Slots are recycled through a
@@ -440,6 +460,13 @@ pub struct AdmissionController {
     /// commits can legitimately push current entries over the bound, so
     /// this is not always zero.
     violating_count: usize,
+    /// The *binding entry*, as `(slot, generation)`: the first entry the
+    /// last walked rejection found over the bound on the candidate's
+    /// processors. While that entry is live and counted, an incremental
+    /// decision reads its end-of-epoch sum before walking and rejects
+    /// without the walk if it is still over (see
+    /// [`AdmissionController::rejection_decided`]).
+    binding: Option<(EntryId, u64)>,
     /// Reusable buffer for the funnel's touched-processor record (avoids a
     /// per-decision allocation on the hot path).
     scratch_touched: Vec<(usize, f64)>,
@@ -494,6 +521,7 @@ impl AdmissionController {
             rejected_tasks: IdSet::default(),
             proc_index: vec![Vec::new(); processor_count],
             violating_count: 0,
+            binding: None,
             scratch_touched: Vec::new(),
             next_drain_seq: RESERVED_SEQ - 1,
             next_entry_gen: 1,
@@ -1043,6 +1071,12 @@ impl AdmissionController {
     /// touched processor's `f(U)` step to the entries visiting it), runs
     /// the system-wide check, and registers the entry or takes the shares
     /// back out. Every path out settles the epoch.
+    ///
+    /// Under [`AdmissionMode::Incremental`] a rejection the open epoch
+    /// already decides ([`AdmissionController::rejection_decided`]) skips
+    /// the walk: the shares leave again inside the same epoch, through the
+    /// same `ledger.remove` calls a walked rejection makes, so the ledger
+    /// totals end bit-identical, and the epoch settles once.
     fn decide_in_open_epoch(
         &mut self,
         task: &TaskSpec,
@@ -1055,12 +1089,17 @@ impl AdmissionController {
             let share = task.subtask_utilization(subtask);
             self.ledger.add(processor, share).expect("processors are checked and shares finite");
         }
+        let incremental = self.mode == AdmissionMode::Incremental;
+        if incremental && self.rejection_decided(assignment.as_slice()) {
+            withdraw(&mut self.ledger, task, &assignment);
+            self.settle_epoch();
+            return self.reject(task);
+        }
         self.settle_epoch();
 
-        let reserve = self.config.decides_per_task(task);
         if self.system_schedulable_with(assignment.as_slice()) {
             let visits = visits_for(task, assignment.as_slice());
-            if reserve {
+            if self.config.decides_per_task(task) {
                 let eid = self.register_entry(job, JobId::new(task.id(), RESERVED_SEQ), visits);
                 self.reserved.insert(task.id(), eid);
             } else {
@@ -1070,18 +1109,82 @@ impl AdmissionController {
             self.stats.admitted += 1;
             Decision::Accept { assignment, newly_admitted: true }
         } else {
-            self.mutate_ledger(|ledger| {
-                for (subtask, processor) in assignment.iter() {
-                    ledger.remove(processor, task.subtask_utilization(subtask));
-                }
-            });
-            if reserve {
-                self.rejected_tasks.insert(task.id());
+            if incremental {
+                self.binding = self.first_violator(assignment.as_slice());
             }
-            self.balancer.forget_task(task.id());
-            self.stats.rejected += 1;
-            Decision::Reject { reason: RejectReason::Unschedulable }
+            self.mutate_ledger(|ledger| withdraw(ledger, task, &assignment));
+            self.reject(task)
         }
+    }
+
+    /// Books a rejection of `task` whose tentative shares are already out
+    /// of the ledger.
+    fn reject(&mut self, task: &TaskSpec) -> Decision {
+        if self.config.decides_per_task(task) {
+            self.rejected_tasks.insert(task.id());
+        }
+        self.balancer.forget_task(task.id());
+        self.stats.rejected += 1;
+        Decision::Reject { reason: RejectReason::Unschedulable }
+    }
+
+    /// True if the open epoch, with the candidate's shares added, already
+    /// decides a rejection without the walk: the candidate's own AUB sum
+    /// over the ledger, or the binding entry's end-of-epoch sum
+    /// ([`AdmissionController::binding_lhs`]), is over the bound. Both read
+    /// the values the epoch will settle to, never a transient one — the
+    /// epoch may also carry expiry's negative steps, which can cure a
+    /// violation the cached sums still show (so the pre-epoch
+    /// `violating_count` decides nothing here).
+    fn rejection_decided(&self, candidate: &[ProcessorId]) -> bool {
+        let own = bound_lhs(candidate.iter().map(|p| self.ledger.utilization(*p)));
+        own > 1.0 + BOUND_EPSILON || self.binding_lhs().is_some_and(|lhs| lhs > 1.0 + BOUND_EPSILON)
+    }
+
+    /// The entry the binding hint names, with its hot state — only while it
+    /// is live, of the hint's generation, and counted.
+    fn binding_entry(&self) -> Option<(&CurrentEntry, HotEntry)> {
+        let (eid, gen) = self.binding?;
+        let entry = self.entries[eid].as_ref().filter(|e| e.gen == gen)?;
+        let hot = self.hot[eid];
+        hot.counted.then_some((entry, hot))
+    }
+
+    /// The binding entry's AUB sum at the end of the open epoch: its cached
+    /// sum plus this epoch's `f` steps, added once per visit in the touched
+    /// order — exactly the additions the walk would make to it. `None`
+    /// without a [binding entry](AdmissionController::binding_entry), or
+    /// when one of its processors takes a refresh instead of a delta.
+    fn binding_lhs(&self) -> Option<f64> {
+        let (entry, hot) = self.binding_entry()?;
+        let mut lhs = hot.cached_lhs;
+        for &(idx, old) in self.ledger.touched() {
+            let visits = entry.visits.iter().filter(|v| v.processor.index() == idx).count();
+            if visits == 0 {
+                continue;
+            }
+            match self.step(idx, old) {
+                Step::Unchanged => {}
+                Step::Delta(delta) => {
+                    for _ in 0..visits {
+                        lhs += delta;
+                    }
+                }
+                Step::Refresh => return None,
+            }
+        }
+        Some(lhs)
+    }
+
+    /// The first violating entry in the candidate's processors' buckets,
+    /// as a binding-entry hint.
+    fn first_violator(&self, candidate: &[ProcessorId]) -> Option<(EntryId, u64)> {
+        let eid = candidate
+            .iter()
+            .flat_map(|p| &self.proc_index[p.index()])
+            .map(|&(eid, _)| eid as usize)
+            .find(|&eid| self.hot[eid].violating)?;
+        Some((eid, self.entry(eid).gen))
     }
 
     /// Checks the AUB condition for the candidate visits *and* every
@@ -1260,9 +1363,31 @@ impl AdmissionController {
     /// net `f` step to the entries indexed under it.
     fn settle_epoch(&mut self) {
         let mut touched = std::mem::take(&mut self.scratch_touched);
-        self.ledger.copy_touched_into(&mut touched);
+        touched.clear();
+        touched.extend_from_slice(self.ledger.touched());
         self.apply_deltas(&touched);
         self.scratch_touched = touched;
+    }
+
+    /// How processor `idx`'s move from `old` to its live utilization
+    /// reaches the cached sums — the one classification the walk and
+    /// [`AdmissionController::binding_lhs`] share. Inlined so that its
+    /// repeated `aub_term` evaluations merge.
+    #[inline]
+    fn step(&self, idx: usize, old: f64) -> Step {
+        let new = self.ledger.utilization(ProcessorId(idx as u16));
+        if new == old {
+            return Step::Unchanged;
+        }
+        let delta = aub_delta(old, new);
+        if delta == 0.0 {
+            Step::Unchanged
+        } else if delta.is_finite() && aub_term(old).max(aub_term(new)) <= Self::DELTA_REFRESH_LIMIT
+        {
+            Step::Delta(delta)
+        } else {
+            Step::Refresh
+        }
     }
 
     /// Above this per-term magnitude the delta path is numerically unsafe:
@@ -1285,22 +1410,16 @@ impl AdmissionController {
         // visits both a refreshed and a delta'd processor.
         let mut needs_refresh: Vec<usize> = Vec::new();
         for &(idx, old) in touched {
-            let new = self.ledger.utilization(ProcessorId(idx as u16));
-            if new == old {
-                continue;
-            }
-            let delta = aub_delta(old, new);
-            if delta == 0.0 {
-                continue;
-            }
-            if delta.is_finite() && aub_term(old).max(aub_term(new)) <= Self::DELTA_REFRESH_LIMIT {
-                for &(eid, _) in &self.proc_index[idx] {
-                    let hot = &mut self.hot[eid as usize];
-                    hot.cached_lhs += delta;
-                    Self::sync_violating(hot, &mut self.violating_count);
+            match self.step(idx, old) {
+                Step::Unchanged => {}
+                Step::Delta(delta) => {
+                    for &(eid, _) in &self.proc_index[idx] {
+                        let hot = &mut self.hot[eid as usize];
+                        hot.cached_lhs += delta;
+                        Self::sync_violating(hot, &mut self.violating_count);
+                    }
                 }
-            } else {
-                needs_refresh.push(idx);
+                Step::Refresh => needs_refresh.push(idx),
             }
         }
         for idx in needs_refresh {
@@ -1931,6 +2050,96 @@ mod tests {
             assert!(ac.handle_arrival(&aperiodic(3, 5, 1), 0, at(200)).unwrap().is_accept());
             assert_eq!(ac.violating_entries(), 0, "{mode}");
         }
+    }
+
+    /// Admits `twice` — a chain visiting P0, P0, P1 — then commits a remote
+    /// hog holding 45 % of P0: `twice` sums `2 f(0.45) ≈ 1.27`, over the
+    /// bound, while the hog's own `f(0.45) ≈ 0.63` is not. A probe on P1 is
+    /// then rejected by the walk, which records `twice` as the binding
+    /// entry.
+    fn bind(ac: &mut AdmissionController, twice: &TaskSpec) {
+        assert!(ac.handle_arrival(twice, 0, Time::ZERO).unwrap().is_accept());
+        let hog = aperiodic(1, 45, 0);
+        ac.apply_remote_commit(&hog, 0, Time::ZERO, &Assignment::primaries(&hog)).unwrap();
+        assert!(ac.binding_entry().is_none());
+        assert!(!ac.handle_arrival(&aperiodic(2, 5, 1), 0, at(1)).unwrap().is_accept());
+        let eid = ac.by_job[&JobId::new(twice.id(), 0)];
+        assert_eq!(ac.binding, Some((eid, ac.entry(eid).gen)));
+        assert!(ac.binding_entry().is_some_and(|(_, hot)| hot.cached_lhs > 1.0 + BOUND_EPSILON));
+    }
+
+    #[test]
+    fn binding_hint_of_an_expired_entry_never_rejects() {
+        let mut ac = AdmissionController::new(cfg("J_N_N"), 2).unwrap();
+        bind(&mut ac, &chain(0, 50, &[0, 0, 1]));
+        // `twice` expires inside this probe's epoch; its slot keeps the
+        // stale over-bound sum and `counted`, which must not be read.
+        assert!(ac.handle_arrival(&aperiodic(2, 5, 1), 1, at(50)).unwrap().is_accept());
+        assert!(ac.binding_entry().is_none());
+    }
+
+    #[test]
+    fn binding_hint_of_a_fully_reset_entry_never_rejects() {
+        let twice = chain(0, 100, &[0, 0, 1]);
+        let mut ac = AdmissionController::new(cfg("J_N_N"), 2).unwrap();
+        bind(&mut ac, &twice);
+        let job = JobId::new(twice.id(), 0);
+        let key = |subtask| ContributionKey::new(job, subtask);
+        ac.apply_idle_reset(ProcessorId(0), &[key(0), key(1)]);
+        ac.apply_idle_reset(ProcessorId(1), &[key(2)]);
+        // Still registered and still summing 2 f(0.45), but no longer
+        // counted.
+        let eid = ac.by_job[&job];
+        assert!(!ac.hot[eid].counted && ac.hot[eid].cached_lhs > 1.0 + BOUND_EPSILON);
+        assert!(ac.binding_entry().is_none());
+        assert!(ac.handle_arrival(&aperiodic(2, 5, 1), 1, at(2)).unwrap().is_accept());
+    }
+
+    #[test]
+    fn binding_hint_of_a_converted_entry_never_rejects() {
+        let twice = TaskBuilder::periodic(TaskId(0), Duration::from_millis(100))
+            .subtask(Duration::from_micros(10), ProcessorId(0), [])
+            .subtask(Duration::from_micros(10), ProcessorId(0), [])
+            .subtask(Duration::from_micros(10), ProcessorId(1), [])
+            .build()
+            .unwrap();
+        let mut ac = AdmissionController::new(cfg("T_N_N"), 2).unwrap();
+        bind(&mut ac, &twice);
+        let (eid, gen) = ac.binding.unwrap();
+        // The drain re-registers the reservation's shares in the same slot,
+        // under a new generation.
+        ac.reconfigure(cfg("J_N_N"), at(2), &set_of(&[&twice])).unwrap();
+        assert!(ac.entries[eid].as_ref().is_some_and(|e| e.gen != gen));
+        assert!(ac.binding_entry().is_none());
+        // The converted entry is as far over as before: the walk rejects
+        // and records it afresh.
+        assert!(!ac.handle_arrival(&aperiodic(2, 5, 1), 1, at(3)).unwrap().is_accept());
+        assert_eq!(ac.binding, Some((eid, ac.entry(eid).gen)));
+    }
+
+    #[test]
+    fn shortcut_rejections_match_walked_ones_to_the_bit() {
+        let mut ac = AdmissionController::new(cfg("J_N_N"), 2).unwrap();
+        bind(&mut ac, &chain(0, 100, &[0, 0, 1]));
+        // An entry on P1 that leaves inside the first probe's epoch, so the
+        // hint sums an expiry step before the probe's own.
+        let brief = chain(3, 20, &[1]);
+        ac.apply_remote_commit(&brief, 0, at(1), &Assignment::primaries(&brief)).unwrap();
+        let mut twin = ac.clone();
+        twin.binding = None;
+        let bits = |ac: &AdmissionController| -> Vec<u64> {
+            ac.ledger().utilizations().iter().map(|u| u.to_bits()).collect()
+        };
+        let probe = aperiodic(2, 5, 1);
+        for (seq, ms) in [(1, 21), (2, 40), (3, 99), (4, 100)] {
+            let decision = ac.handle_arrival(&probe, seq, at(ms)).unwrap();
+            assert_eq!(decision, twin.handle_arrival(&probe, seq, at(ms)).unwrap(), "{ms} ms");
+            assert_eq!(decision.is_accept(), ms == 100, "{ms} ms: `twice` leaves at 100 ms");
+            assert_eq!(bits(&ac), bits(&twin), "{ms} ms");
+            // The twin's walked rejection records the hint the other holds.
+            assert_eq!(ac.binding, twin.binding, "{ms} ms");
+        }
+        assert_eq!(ac.stats(), twin.stats());
     }
 
     #[test]

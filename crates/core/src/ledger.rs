@@ -111,7 +111,7 @@ impl UtilizationLedger {
     }
 
     /// Starts a touch-tracking epoch: clears the touched-processor record
-    /// so that [`UtilizationLedger::copy_touched_into`] reports exactly the
+    /// so that [`UtilizationLedger::touched`] reports exactly the
     /// processors whose totals change from here on (with their utilization
     /// at first touch). Without an explicit epoch the record is still
     /// bounded by the processor count (each processor is recorded at most
@@ -121,13 +121,13 @@ impl UtilizationLedger {
         self.touched.clear();
     }
 
-    /// Copies this epoch's `(processor index, utilization at first touch)`
-    /// record into `out` (cleared first). A recorded processor may have
-    /// ended the epoch back at its original utilization — callers compare
-    /// against the live value.
-    pub fn copy_touched_into(&self, out: &mut Vec<(usize, f64)>) {
-        out.clear();
-        out.extend_from_slice(&self.touched);
+    /// This epoch's `(processor index, utilization at first touch)` record,
+    /// in first-touch order. A recorded processor may have ended the epoch
+    /// back at its original utilization — callers compare against the live
+    /// value.
+    #[must_use]
+    pub fn touched(&self) -> &[(usize, f64)] {
+        &self.touched
     }
 
     /// Records `idx` as touched this epoch, keeping `before` — its

@@ -21,7 +21,7 @@
 //! jobs release locally without any manager round-trip — and once rejected,
 //! later jobs are dropped locally.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 use rand::rngs::StdRng;
@@ -189,27 +189,35 @@ enum ManagerReq {
     IdleReset(IdleResetReport),
 }
 
-struct Scheduled {
-    time: Time,
-    seq: u64,
-    ev: Ev,
+/// The pending events, fired in `(time, seq)` order, `seq` counting
+/// scheduling calls: same-instant events fire in the order they were
+/// scheduled. A run holds a handful at a time, so they sit in a vector
+/// sorted by `(time, seq)` descending and the next one pops off the back.
+/// `seq` only grows, so a new event belongs right after the last event due
+/// later than it — ahead of every same-instant one. Most events are due
+/// soon, so that position is found scanning from the back.
+struct EventQueue<E> {
+    events: Vec<(Time, u64, E)>,
+    next_seq: u64,
 }
 
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+impl<E> EventQueue<E> {
+    fn new() -> Self {
+        EventQueue { events: Vec::new(), next_seq: 0 }
     }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+
+    fn push(&mut self, time: Time, ev: E) {
+        let at = self.events.iter().rposition(|&(t, ..)| t > time).map_or(0, |i| i + 1);
+        self.events.insert(at, (time, self.next_seq, ev));
+        self.next_seq += 1;
     }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed for the max-heap: earliest (time, seq) first.
-        (other.time, other.seq).cmp(&(self.time, self.seq))
+
+    fn pop(&mut self) -> Option<(Time, E)> {
+        self.events.pop().map(|(time, _, ev)| (time, ev))
+    }
+
+    fn clear(&mut self) {
+        self.events.clear();
     }
 }
 
@@ -405,8 +413,7 @@ struct Simulation<'a> {
     free_jobs: Vec<usize>,
     manager_current: Option<ManagerReq>,
     manager_queue: VecDeque<ManagerReq>,
-    heap: BinaryHeap<Scheduled>,
-    next_seq: u64,
+    events: EventQueue<Ev>,
     now: Time,
     rng: StdRng,
     report: SimReport,
@@ -494,8 +501,7 @@ impl<'a> Simulation<'a> {
             free_jobs: Vec::new(),
             manager_current: None,
             manager_queue: VecDeque::new(),
-            heap: BinaryHeap::new(),
-            next_seq: 0,
+            events: EventQueue::new(),
             now: Time::ZERO,
             rng: StdRng::seed_from_u64(config.seed),
             report: SimReport {
@@ -529,7 +535,7 @@ impl<'a> Simulation<'a> {
     fn schedule_mode_switches(&mut self) {
         for i in 0..self.schedule.len() {
             let at = self.schedule[i].at;
-            self.schedule(at, Ev::ModeSwitch(i));
+            self.events.push(at, Ev::ModeSwitch(i));
         }
     }
 
@@ -540,14 +546,14 @@ impl<'a> Simulation<'a> {
             // First sensing tick one window in; ticks chain themselves.
             let first = Time::ZERO + gov.window;
             if first <= gov.horizon {
-                self.schedule(first, Ev::GovernorTick);
+                self.events.push(first, Ev::GovernorTick);
             }
         }
         if !self.trace.is_empty() {
             let t = self.trace.arrivals()[0].time;
-            self.schedule(t, Ev::Arrival(0));
+            self.events.push(t, Ev::Arrival(0));
         }
-        while let Some(Scheduled { time, ev, .. }) = self.heap.pop() {
+        while let Some((time, ev)) = self.events.pop() {
             debug_assert!(time >= self.now, "virtual time must be monotone");
             self.now = time;
             self.dispatch(ev);
@@ -632,13 +638,7 @@ impl<'a> Simulation<'a> {
             }
         };
         self.jobs[slot] = Some(state);
-        self.schedule(t, Ev::Release { slot, subtask: 0, is_job_release: true });
-    }
-
-    fn schedule(&mut self, time: Time, ev: Ev) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Scheduled { time, seq, ev });
+        self.events.push(t, Ev::Release { slot, subtask: 0, is_job_release: true });
     }
 
     fn comm(&mut self) -> Duration {
@@ -717,16 +717,16 @@ impl<'a> Simulation<'a> {
         }
         let next = self.now + gov.window;
         if next <= gov.horizon {
-            self.schedule(next, Ev::GovernorTick);
+            self.events.push(next, Ev::GovernorTick);
         }
         self.gov = Some(gov);
     }
 
     fn on_arrival(&mut self, idx: usize) {
-        // Chain the next trace arrival to keep the heap small.
+        // Chain the next trace arrival to keep the event queue small.
         if idx + 1 < self.trace.len() {
             let next = self.trace.arrivals()[idx + 1];
-            self.schedule(next.time, Ev::Arrival(idx + 1));
+            self.events.push(next.time, Ev::Arrival(idx + 1));
         }
         let arrival = self.trace.arrivals()[idx];
         // The one lookup by id a job pays: everything downstream names the
@@ -769,7 +769,7 @@ impl<'a> Simulation<'a> {
         }
 
         let t = self.now + self.overheads.te_hold + self.comm();
-        self.schedule(t, Ev::ManagerRecv(ManagerReq::TaskArrive { arrival: idx, task: at }));
+        self.events.push(t, Ev::ManagerRecv(ManagerReq::TaskArrive { arrival: idx, task: at }));
     }
 
     fn manager_service_time(&self, req: &ManagerReq) -> Duration {
@@ -790,7 +790,7 @@ impl<'a> Simulation<'a> {
         if self.manager_current.is_none() {
             let svc = self.manager_service_time(&req);
             self.manager_current = Some(req);
-            self.schedule(self.now + svc, Ev::ManagerDone);
+            self.events.push(self.now + svc, Ev::ManagerDone);
         } else {
             self.manager_queue.push_back(req);
             self.report.max_manager_queue =
@@ -805,7 +805,7 @@ impl<'a> Simulation<'a> {
                 if let Err(e) = self.decide(arrival, task) {
                     // A duplicate job: stop here, and let `run` report it.
                     self.failed = Some(e);
-                    self.heap.clear();
+                    self.events.clear();
                     return;
                 }
             }
@@ -817,7 +817,7 @@ impl<'a> Simulation<'a> {
         if let Some(next) = self.manager_queue.pop_front() {
             let svc = self.manager_service_time(&next);
             self.manager_current = Some(next);
-            self.schedule(self.now + svc, Ev::ManagerDone);
+            self.events.push(self.now + svc, Ev::ManagerDone);
         }
     }
 
@@ -877,7 +877,7 @@ impl<'a> Simulation<'a> {
             exec,
             SubjobCtx { job: JobId::new(id, seq), slot, subtask },
         ) {
-            self.schedule(started.completes_at, Ev::CpuComplete { proc, gen: started.gen });
+            self.events.push(started.completes_at, Ev::CpuComplete { proc, gen: started.gen });
         }
     }
 
@@ -888,7 +888,7 @@ impl<'a> Simulation<'a> {
             Completion::Done { payload, next } => (payload, next),
         };
         if let Some(started) = next {
-            self.schedule(started.completes_at, Ev::CpuComplete { proc, gen: started.gen });
+            self.events.push(started.completes_at, Ev::CpuComplete { proc, gen: started.gen });
         }
 
         let state = self.jobs[ctx.slot].as_ref().expect("completion of a job not in flight");
@@ -920,7 +920,7 @@ impl<'a> Simulation<'a> {
         } else {
             let next_proc = state.assignment.processor(ctx.subtask + 1);
             let delay = if next_proc.index() == proc { Duration::ZERO } else { self.comm() };
-            self.schedule(
+            self.events.push(
                 self.now + delay,
                 Ev::Release { slot: ctx.slot, subtask: ctx.subtask + 1, is_job_release: false },
             );
@@ -929,7 +929,7 @@ impl<'a> Simulation<'a> {
         if self.cpus[proc].is_idle() {
             if let Some(report) = self.resetters[proc].on_idle(self.now) {
                 let t = self.now + self.overheads.ir_report + self.comm();
-                self.schedule(t, Ev::ManagerRecv(ManagerReq::IdleReset(report)));
+                self.events.push(t, Ev::ManagerRecv(ManagerReq::IdleReset(report)));
             }
         }
     }
@@ -938,6 +938,7 @@ impl<'a> Simulation<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
     use rtcm_core::task::{ProcessorId, TaskBuilder};
     use rtcm_workload::{ArrivalConfig, Phasing};
 
@@ -1202,6 +1203,55 @@ mod tests {
         assert_eq!(report.ac.pass_throughs, 1);
         assert_eq!(report.jobs_completed, 10, "no job lost across the switch");
         assert_eq!(report.deadline_misses, 0);
+    }
+
+    #[test]
+    fn switch_at_an_arrival_instant_decides_that_arrival() {
+        // Arrivals every 100 ms from 0; switch T -> J at exactly 500 ms. The
+        // switch fires first: the reservation drains, the TE forgets the
+        // task, and the 500 ms job is tested per job with the four after
+        // it. Were the arrival first, the TE would release it locally under
+        // the reservation and only four jobs would be tested per job.
+        let tasks = one_task_set();
+        let trace = trace_for(&tasks, 1_000);
+        assert!(trace.iter().any(|a| a.time == Time::ZERO + Duration::from_millis(500)));
+        let schedule = ModeSchedule::new()
+            .then_at(Time::ZERO + Duration::from_millis(500), "J_N_N".parse().unwrap());
+        let cfg = SimConfig::ideal("T_N_N".parse().unwrap());
+        let report = simulate_with(&tasks, &trace, &cfg, &scheduled(schedule)).unwrap().report;
+        assert_eq!(report.mode_changes.len(), 1);
+        assert_eq!(report.mode_changes[0].reservations_drained, 1);
+        assert_eq!(report.ac.tested, 1 + 5, "the first job, then jobs 5..=9 per job");
+        assert_eq!(report.jobs_completed, 10);
+    }
+
+    #[test]
+    fn event_queue_pops_in_time_then_scheduling_order() {
+        // Few distinct instants, so most pushes tie; pops interleave.
+        let mut rng = StdRng::seed_from_u64(28);
+        let mut queue = EventQueue::new();
+        let mut pending: Vec<(Time, u64)> = Vec::new();
+        let mut now = Time::ZERO;
+        for seq in 0..5_000u64 {
+            let time = now + Duration::from_nanos(rng.gen_range(0..4u64));
+            queue.push(time, seq);
+            pending.push((time, seq));
+            while rng.gen_range(0..3u32) == 0 {
+                let (i, &(time, seq)) =
+                    pending.iter().enumerate().min_by_key(|&(_, key)| *key).expect("pushed");
+                pending.swap_remove(i);
+                assert_eq!(queue.pop(), Some((time, seq)));
+                now = time;
+                if pending.is_empty() {
+                    break;
+                }
+            }
+        }
+        pending.sort_unstable();
+        for (time, seq) in pending {
+            assert_eq!(queue.pop(), Some((time, seq)));
+        }
+        assert_eq!(queue.pop(), None);
     }
 
     #[test]

@@ -78,7 +78,10 @@ impl ArrivalTrace {
     ///
     /// # Panics
     ///
-    /// Panics if `config.poisson_factor` is not positive and finite.
+    /// Panics if `config.poisson_factor` is not positive and finite, or if
+    /// it makes an aperiodic task's mean interarrival round to 0 ns (every
+    /// draw would then be 0 ns, and the trace would never reach the
+    /// horizon).
     #[must_use]
     pub fn generate(tasks: &TaskSet, config: &ArrivalConfig, seed: u64) -> Self {
         assert!(
@@ -110,6 +113,12 @@ impl ArrivalTrace {
                 }
                 None => {
                     let mean = task.deadline().mul_f64(config.poisson_factor);
+                    assert!(
+                        !mean.is_zero(),
+                        "poisson_factor {} gives {} a mean interarrival of 0 ns",
+                        config.poisson_factor,
+                        task.id()
+                    );
                     let mut t = Time::ZERO + exponential(&mut rng, mean);
                     let mut seq = 0u64;
                     while t.elapsed_since(Time::ZERO) < config.horizon {
@@ -297,6 +306,15 @@ mod tests {
     fn zero_poisson_factor_panics() {
         let set = small_set();
         let cfg = ArrivalConfig { poisson_factor: 0.0, ..ArrivalConfig::default() };
+        let _ = ArrivalTrace::generate(&set, &cfg, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "gives T1 a mean interarrival of 0 ns")]
+    fn sub_nanosecond_mean_interarrival_panics_naming_the_task() {
+        // 200 ms × 1e-12 rounds to 0 ns: the draws would never advance.
+        let set = small_set();
+        let cfg = ArrivalConfig { poisson_factor: 1e-12, ..ArrivalConfig::default() };
         let _ = ArrivalTrace::generate(&set, &cfg, 0);
     }
 }

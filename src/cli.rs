@@ -19,6 +19,7 @@ use std::fmt;
 use rtcm_config::{configure, configure_with, CpsCharacteristics, OverheadTolerance, WorkloadSpec};
 use rtcm_core::analysis::analyze;
 use rtcm_core::strategy::ServiceConfig;
+use rtcm_core::task::TaskSet;
 use rtcm_core::time::Duration;
 use rtcm_sim::{simulate, OverheadModel, SimConfig};
 use rtcm_workload::{ArrivalConfig, ArrivalTrace};
@@ -242,6 +243,7 @@ fn simulate_cmd<'a>(it: &mut impl Iterator<Item = &'a str>) -> Result<String, Cl
         }
     }
     let tasks = spec.to_task_set().map_err(|e| CliError::Failed(e.to_string()))?;
+    check_poisson_factor(poisson, &tasks)?;
     let trace = ArrivalTrace::generate(
         &tasks,
         &ArrivalConfig {
@@ -274,6 +276,25 @@ fn simulate_cmd<'a>(it: &mut impl Iterator<Item = &'a str>) -> Result<String, Cl
         report.response.mean().as_secs_f64() * 1e3,
         report.ir_reports,
     ))
+}
+
+/// `--poisson-factor` must be positive and finite, and leave every aperiodic
+/// task a mean interarrival (`deadline × F`) of at least 1 ns — the
+/// conditions `ArrivalTrace::generate` panics on.
+fn check_poisson_factor(factor: f64, tasks: &TaskSet) -> Result<(), CliError> {
+    if !(factor.is_finite() && factor > 0.0) {
+        return Err(CliError::Usage(format!(
+            "--poisson-factor must be positive and finite (got {factor})"
+        )));
+    }
+    let starved = tasks.iter().find(|t| !t.is_periodic() && t.deadline().mul_f64(factor).is_zero());
+    match starved {
+        Some(task) => Err(CliError::Usage(format!(
+            "--poisson-factor {factor} gives aperiodic task {} a mean interarrival under 1 ns",
+            task.id()
+        ))),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -373,6 +394,38 @@ mod tests {
         let path = spec_file();
         let err = run(&args(&["simulate", path.to_str().unwrap(), "--combo", "X"])).unwrap_err();
         assert!(matches!(err, CliError::Usage(_)));
+    }
+
+    /// `rtcm simulate --poisson-factor <factor>`'s error.
+    fn poisson_factor_error(factor: &str) -> String {
+        let path = spec_file();
+        let p = path.to_str().unwrap();
+        match run(&args(&["simulate", p, "--poisson-factor", factor, "--horizon-secs", "1"])) {
+            Err(CliError::Usage(msg)) => msg,
+            other => panic!("--poisson-factor {factor}: expected a usage error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn zero_poisson_factor_is_a_usage_error() {
+        assert!(poisson_factor_error("0").contains("positive and finite"));
+    }
+
+    #[test]
+    fn negative_poisson_factor_is_a_usage_error() {
+        assert!(poisson_factor_error("-1").contains("positive and finite"));
+    }
+
+    #[test]
+    fn nan_poisson_factor_is_a_usage_error() {
+        assert!(poisson_factor_error("nan").contains("positive and finite"));
+    }
+
+    #[test]
+    fn sub_nanosecond_interarrival_is_a_usage_error() {
+        // 100 ms × 1e-12 = 0.0001 ns: every draw would be 0 ns.
+        let msg = poisson_factor_error("1e-12");
+        assert!(msg.contains("aperiodic task T1") && msg.contains("under 1 ns"), "{msg}");
     }
 
     #[test]
