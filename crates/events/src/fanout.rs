@@ -149,7 +149,7 @@ impl Mailbox {
     }
 
     fn lock(&self) -> MutexGuard<'_, MailboxState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+        crate::lock(&self.state)
     }
 
     /// Whether the receiver is still alive (the registry reclaims

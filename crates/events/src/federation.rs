@@ -59,15 +59,15 @@
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::time::{Duration as StdDuration, Instant};
 
-use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::event::{Event, NodeId, Topic};
 use crate::fanout::{EventReceiver, FanoutCounters, FederationStats, Mailbox};
+use crate::lock;
 use crate::remote::LiveBridge;
 
 /// One-way network delay injected between distinct nodes.
@@ -220,9 +220,8 @@ struct Inner {
     /// Published *after* the table swap (release); handle caches validate
     /// against it with one acquire load.
     generation: AtomicU64,
-    /// A std mutex, unlike its neighbours: the network thread waits on
-    /// `net_ready` with it.
-    net: std::sync::Mutex<NetState>,
+    /// The network thread waits on `net_ready` with this lock.
+    net: Mutex<NetState>,
     net_ready: Condvar,
     counters: FanoutCounters,
     /// TCP bridges currently running on this federation (see
@@ -231,13 +230,6 @@ struct Inner {
 }
 
 impl Inner {
-    /// Every update under the `net` lock leaves it valid at every step (a
-    /// push, a counter bump), so a poisoned lock is recovered, as the
-    /// other locks here do.
-    fn lock_net(&self) -> MutexGuard<'_, NetState> {
-        self.net.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Rebuilds the routing snapshot from the registry (caller holds the
     /// registry lock, serializing writers).
     fn rebuild_table(&self, reg: &Registry) {
@@ -256,14 +248,15 @@ impl Inner {
                 routes.insert((node, topic), Arc::new(TopicRoute { local, remotes }));
             }
         }
-        *self.table.write() = Arc::new(RouteTable { generation, routes });
+        *self.table.write().unwrap_or_else(PoisonError::into_inner) =
+            Arc::new(RouteTable { generation, routes });
         self.generation.store(generation, Ordering::Release);
     }
 
     /// Delivers a network parcel to the destination node's local
     /// mailboxes.
     fn deliver_remote(&self, to: NodeId, event: &Event) {
-        let table = self.table.read();
+        let table = self.table.read().unwrap_or_else(PoisonError::into_inner);
         let Some(route) = table.routes.get(&(to, event.topic)) else { return };
         let delivered: usize = route.local.iter().map(|mailbox| mailbox.push(event)).sum();
         drop(table);
@@ -277,7 +270,7 @@ impl Drop for Inner {
     fn drop(&mut self) {
         // Close every mailbox so outstanding receivers observe
         // `Disconnected` once they drain — when the last handle went away.
-        let reg = self.registry.get_mut();
+        let reg = self.registry.get_mut().unwrap_or_else(PoisonError::into_inner);
         for mailbox in reg.subs.values().flatten() {
             mailbox.close();
         }
@@ -312,7 +305,7 @@ impl Federation {
             registry: Mutex::new(Registry::default()),
             table: RwLock::new(Arc::new(RouteTable { generation: 0, routes: HashMap::new() })),
             generation: AtomicU64::new(0),
-            net: std::sync::Mutex::new(NetState {
+            net: Mutex::new(NetState {
                 rng: StdRng::seed_from_u64(seed),
                 seq: 0,
                 inbox: Some(Vec::new()),
@@ -363,7 +356,7 @@ impl Federation {
     /// immediately (best effort). Local publish/subscribe keeps working;
     /// cross-node forwarding stops.
     pub fn shutdown(&mut self) {
-        let unsent = self.inner.lock_net().inbox.take();
+        let unsent = lock(&self.inner.net).inbox.take();
         self.inner.net_ready.notify_one();
         if let Some(t) = self.net_thread.take() {
             let _ = t.join();
@@ -406,7 +399,7 @@ fn network_loop(inner: &Arc<Inner>) {
         }
         // Park until parcels arrive, the next delivery is due, or shutdown;
         // whatever woke us, take what is there and look again.
-        let mut net = inner.lock_net();
+        let mut net = lock(&inner.net);
         if net.inbox.as_ref().is_some_and(Vec::is_empty) {
             net = match wait {
                 Some(d) => {
@@ -482,7 +475,7 @@ impl ChannelHandle {
     /// runtime's node/manager inbox shape — one queue, one wait point.
     /// Duplicate topics are ignored.
     pub fn subscribe_many(&self, topics: &[Topic]) -> EventReceiver {
-        let mut reg = self.inner.registry.lock();
+        let mut reg = lock(&self.inner.registry);
         reg.purge_detached();
         let (mailbox, rx) = Mailbox::open();
         let unique: BTreeSet<Topic> = topics.iter().copied().collect();
@@ -506,9 +499,9 @@ impl ChannelHandle {
         // Fast path: one acquire load validates the cached route; repeat
         // publishes on one topic never touch the table or its lock.
         let generation = self.inner.generation.load(Ordering::Acquire);
-        let mut cache = self.cache.lock();
+        let mut cache = lock(&self.cache);
         if !(cache.valid && cache.generation == generation && cache.topic == topic) {
-            let table = self.inner.table.read().clone();
+            let table = self.inner.table.read().unwrap_or_else(PoisonError::into_inner).clone();
             *cache = RouteCache {
                 valid: true,
                 generation: table.generation,
@@ -550,7 +543,7 @@ impl ChannelHandle {
         }
         let counters = &self.inner.counters;
         counters.published.fetch_add(batch.len() as u64, Ordering::Relaxed);
-        let table = self.inner.table.read().clone();
+        let table = self.inner.table.read().unwrap_or_else(PoisonError::into_inner).clone();
 
         let mut local_delivered = 0usize;
         let mut parcels: Vec<(&[NodeId], Vec<Event>)> = Vec::new();
@@ -618,7 +611,7 @@ impl ChannelHandle {
     /// acquisition. Destinations ascend per event, so the per-seed RNG
     /// stream is stable.
     fn send_parcels<'e>(&self, parcels: impl Iterator<Item = (NodeId, &'e Event)>) -> usize {
-        let mut guard = self.inner.lock_net();
+        let mut guard = lock(&self.inner.net);
         let net = &mut *guard;
         let Some(inbox) = net.inbox.as_mut() else {
             return 0; // shut down: no forwarding, no RNG consumption
@@ -960,7 +953,7 @@ mod tests {
         let live = h.subscribe(Topic(1));
         assert_eq!(h.publish(Topic(1), &b"x"[..]), 1);
         assert_eq!(live.len(), 1);
-        let reg = fed.inner.registry.lock();
+        let reg = lock(&fed.inner.registry);
         assert_eq!(reg.subs.get(&(NodeId(0), Topic(1))).map(Vec::len), Some(1));
         assert!(!reg.subs.contains_key(&(NodeId(0), Topic(2))), "dead-only key removed");
     }

@@ -47,3 +47,11 @@ pub use event::{topics, Event, NodeId, Topic};
 pub use fanout::{EventReceiver, FederationStats, RecvError, RecvTimeoutError, TryRecvError};
 pub use federation::{ChannelHandle, Federation, Latency, UnknownNodeError};
 pub use remote::{BridgeCloseReason, BridgeHandle, BridgeState};
+
+/// Locks `mutex`, recovering it if a panicking thread poisoned it. Every
+/// critical section in this crate is an assignment, a push or one
+/// state-machine step, which leaves the data valid at every step, so one
+/// thread's panic is not re-raised in every thread sharing the lock.
+pub(crate) fn lock<T: ?Sized>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

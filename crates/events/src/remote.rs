@@ -70,14 +70,14 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 
 use crate::event::{Event, NodeId, Topic};
 use crate::fanout::{EventReceiver, Mailbox};
 use crate::federation::{ChannelHandle, Federation};
+use crate::lock;
 use crate::wire::{self, FrameDecoder};
 
 /// Most events coalesced into one framed write (bounds batch latency and
@@ -147,7 +147,7 @@ pub(crate) struct LiveBridge {
 /// first close reason. Returns true if this call is the one that closed it.
 fn close_link(link: &SharedLink, stop: &AtomicBool, reason: BridgeCloseReason) -> bool {
     stop.store(true, Ordering::SeqCst);
-    let mut l = link.lock();
+    let mut l = lock(link);
     if let Some(stream) = l.stream.take() {
         let _ = stream.shutdown(std::net::Shutdown::Both);
     }
@@ -169,7 +169,7 @@ impl ChannelHandle {
     /// `bridge_rx_errors` and reports [`BridgeCloseReason::CorruptPayload`].
     pub fn fail_bridges_from(&self, source: NodeId) -> usize {
         let mut closed = 0;
-        for bridge in self.bridges().lock().iter().filter(|b| b.gateway == source) {
+        for bridge in lock(self.bridges()).iter().filter(|b| b.gateway == source) {
             if close_link(&bridge.link, &bridge.stop, BridgeCloseReason::CorruptPayload) {
                 closed += 1;
             }
@@ -189,7 +189,7 @@ pub struct BridgeHandle {
 
 impl std::fmt::Debug for BridgeHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let l = self.link.lock();
+        let l = lock(&self.link);
         let peer = l.stream.as_ref().and_then(|s| s.peer_addr().ok());
         f.debug_struct("BridgeHandle").field("state", &l.state).field("peer", &peer).finish()
     }
@@ -201,13 +201,13 @@ impl BridgeHandle {
     /// if this handle has not been dropped.
     #[must_use]
     pub fn is_connected(&self) -> bool {
-        matches!(self.link.lock().state, BridgeState::Connected)
+        matches!(lock(&self.link).state, BridgeState::Connected)
     }
 
     /// The link's current lifecycle state.
     #[must_use]
     pub fn state(&self) -> BridgeState {
-        self.link.lock().state
+        lock(&self.link).state
     }
 
     /// Closes the link and waits for the forwarding threads.
@@ -282,7 +282,7 @@ pub fn listen(
                 return;
             }
             if let Ok(clone) = peer.try_clone() {
-                let mut l = accept_link.lock();
+                let mut l = lock(&accept_link);
                 l.stream = Some(clone);
                 l.state = BridgeState::Connected;
             }
@@ -365,7 +365,7 @@ fn run_bridge(
             return;
         }
     };
-    handle.bridges().lock().push(LiveBridge {
+    lock(handle.bridges()).push(LiveBridge {
         gateway,
         link: Arc::clone(link),
         stop: Arc::clone(stop),
@@ -451,7 +451,7 @@ fn run_bridge(
         }
     };
     close_link(link, stop, reason);
-    handle.bridges().lock().retain(|b| !Arc::ptr_eq(&b.link, link));
+    lock(handle.bridges()).retain(|b| !Arc::ptr_eq(&b.link, link));
     // One disconnect per established link, counted where the link's pumps
     // end (covers peer loss, write failure, corrupt frames and shutdown).
     handle.counters().bridge_disconnects.fetch_add(1, Ordering::Relaxed);

@@ -8,19 +8,15 @@
 //! process, which makes the Figure 8 measurements simpler and *more*
 //! precise; the trade-off is documented in DESIGN.md.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use rtcm_core::time::{Duration, Time};
 
-/// A monotonic nanosecond source that can drive a
-/// [`crate::reactor::TimerWheel`].
+/// A monotonic nanosecond source a [`crate::reactor::Reactor`] reads.
 ///
-/// The threaded runtime implements this with the wall [`Clock`]; tests and
-/// the deterministic simulator implement it with [`ManualClock`], whose time
-/// only moves when explicitly advanced — the wheel then fires the exact same
-/// entries in the exact same order on every run.
+/// The threaded runtime implements this with the wall [`Clock`]. The
+/// [`crate::reactor::TimerWheel`] under a reactor never reads a clock, so a
+/// test steps time by passing its own `now_ns` to `TimerWheel::advance`.
 pub trait TimerDriver {
     /// Nanoseconds elapsed on this driver's time axis (monotone).
     fn now_ns(&self) -> u64;
@@ -55,37 +51,6 @@ impl Default for Clock {
 impl TimerDriver for Clock {
     fn now_ns(&self) -> u64 {
         self.now().as_nanos()
-    }
-}
-
-/// A hand-cranked [`TimerDriver`]: time stands still until someone calls
-/// [`ManualClock::advance_by`].
-///
-/// Clones share the same axis, so a test can hold one handle while the
-/// reactor under test holds another. This is the determinism contract the
-/// sim relies on: with a `ManualClock`, wheel firing depends only on the
-/// sequence of schedule/cancel/advance calls, never on host scheduling.
-#[derive(Debug, Clone, Default)]
-pub struct ManualClock {
-    ns: Arc<AtomicU64>,
-}
-
-impl ManualClock {
-    /// A clock frozen at t = 0.
-    #[must_use]
-    pub fn new() -> Self {
-        ManualClock::default()
-    }
-
-    /// Moves time forward by `delta` nanoseconds.
-    pub fn advance_by(&self, delta_ns: u64) {
-        self.ns.fetch_add(delta_ns, Ordering::SeqCst);
-    }
-}
-
-impl TimerDriver for ManualClock {
-    fn now_ns(&self) -> u64 {
-        self.ns.load(Ordering::SeqCst)
     }
 }
 

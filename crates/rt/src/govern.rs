@@ -63,7 +63,7 @@ struct GovernorLog {
 
 impl GovernorLog {
     fn lock(&self) -> std::sync::MutexGuard<'_, Vec<GovernorEvent>> {
-        self.events.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        crate::lock(&self.events)
     }
 
     fn push(&self, event: GovernorEvent) {
@@ -196,7 +196,7 @@ pub(crate) fn spawn_governor_thread(
                 fired.clear();
                 reactor.poll(&mut fired);
                 if fired.is_empty() {
-                    continue; // intermediate cascade wake, not a boundary
+                    continue; // the boundary is not due yet
                 }
                 stats.timer_wakeup();
                 next_ns += window_ns;

@@ -16,11 +16,10 @@
 //! * [`stats`] — shared measurement, including per-operation delays
 //!   (Figure 7's ops 1–8);
 //! * [`clock`] — the shared time axis that makes one-way delays measurable,
-//!   plus the [`clock::TimerDriver`] abstraction that lets wall and manual
-//!   clocks drive the reactor interchangeably;
-//! * [`reactor`] — the event-driven core: a hierarchical timer wheel and
-//!   the single blocking wait on `min(next timer, mailbox)` every runtime
-//!   thread parks on (zero wakeups when idle);
+//!   plus the [`clock::TimerDriver`] trait a reactor reads it through;
+//! * [`reactor`] — the event-driven core: a sorted list of exact timer
+//!   deadlines and the single blocking wait on `min(next timer, mailbox)`
+//!   every runtime thread parks on (zero wakeups when idle);
 //! * [`govern`] — the adaptation governor loop (`System::spawn_governor`):
 //!   windowed load sensing driving automatic reconfiguration;
 //! * [`quorum`] — the voting delegate that makes a TCP-bridged federation
@@ -33,7 +32,7 @@
 //! priorities, each node runs a single dispatcher thread driving
 //! `rtcm_core::dispatch::Cpu`, the preemptive fixed-priority state machine
 //! the simulator runs. Execution is parking until the running subjob's
-//! completion instant — the node's only wheel entry — and a more urgent
+//! completion instant — the node's only timer entry — and a more urgent
 //! arrival preempts when it is received, so a subjob costs one timer
 //! wakeup and an idle node none at all.
 
@@ -52,7 +51,7 @@ pub mod reactor;
 pub mod stats;
 pub mod system;
 
-pub use clock::{Clock, ManualClock, TimerDriver};
+pub use clock::{Clock, TimerDriver};
 pub use govern::{GovernorEvent, GovernorHandle};
 pub use node::ExecMode;
 pub use proto::ReconfigAbortReason;
@@ -61,3 +60,11 @@ pub use quorum_sm::{CoordinatorSm, Fence, MemberReaction, MemberSm, SwapResoluti
 pub use reactor::{Reactor, TimerId, TimerWheel, Wake, DEFAULT_TICK};
 pub use stats::{ReconfigAbortBreakdown, SharedStats, SystemReport};
 pub use system::{LaunchError, ReconfigReport, ReconfigureError, RtOptions, SubmitError, System};
+
+/// Locks `mutex`, recovering it if a panicking thread poisoned it. Every
+/// critical section in this crate is an assignment, a push or one
+/// state-machine step, which leaves the data valid at every step, so one
+/// thread's panic is not re-raised in every thread sharing the lock.
+pub(crate) fn lock<T: ?Sized>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -23,10 +23,8 @@
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration as StdDuration, Instant};
-
-use parking_lot::Mutex;
 
 use rtcm_core::admission::{AdmissionController, Decision};
 use rtcm_core::balance::Assignment;
@@ -38,6 +36,7 @@ use rtcm_core::time::{Duration, Time};
 use rtcm_events::{topics, ChannelHandle, Event, EventReceiver};
 
 use crate::clock::Clock;
+use crate::lock;
 use crate::proto::{
     self, AcceptMsg, ArriveMsg, IdleResetMsg, ReconfigAbortReason, ReconfigMsg, ReconfigPhase,
     RejectMsg, Wire,
@@ -159,8 +158,7 @@ impl Manager {
                     }
                 }
                 Wake::Timer => {
-                    // Either the ack deadline or an intermediate cascade
-                    // boundary, which fires nothing.
+                    // The ack deadline, the only entry this reactor holds.
                     self.cfg.stats.timer_wakeup();
                     fired.clear();
                     self.reactor.poll(&mut fired);
@@ -256,7 +254,7 @@ impl Manager {
     /// observers, and their silence (partition, crash) aborts the swap at
     /// the same deadline a silent local node would.
     fn begin_swap(&mut self, target: ServiceConfig, reply: SwapReply) {
-        let remote: HashSet<u64> = self.cfg.remote_voters.lock().clone();
+        let remote: HashSet<u64> = lock(&self.cfg.remote_voters).clone();
         let begun = self.swap.begin(
             target,
             self.cfg.ac.config(),

@@ -39,16 +39,15 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Sender, TryRecvError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration as StdDuration;
-
-use parking_lot::Mutex;
 
 use rtcm_core::strategy::ServiceConfig;
 use rtcm_events::{topics, ChannelHandle, Federation, NodeId, UnknownNodeError};
 use rtcm_telemetry::{TraceBuffer, DEFAULT_TRACE_CAPACITY};
 
 use crate::clock::{Clock, TimerDriver};
+use crate::lock;
 use crate::proto::{self, DecodeErrors, ReconfigMsg, ReconfigVote};
 use crate::quorum_sm::{MemberReaction, MemberSm};
 use crate::reactor::{Reactor, TimerId, Wake, DEFAULT_TICK};
@@ -137,14 +136,13 @@ impl QuorumMember {
                     reactor.poll(&mut fired);
                     if !fired.is_empty() {
                         // The fence deadline fired (the only entry this
-                        // wheel ever holds; intermediate cascade wakes fire
-                        // nothing) — drop the stale fence *at* the
-                        // deadline, not up to a poll period later.
+                        // reactor ever holds) — drop the stale fence *at*
+                        // the deadline, not up to a poll period later.
                         fence_timer = None;
-                        thread_state.lock().expire_fence(clock.now_ns(), fence_timeout_ns);
+                        lock(&thread_state).expire_fence(clock.now_ns(), fence_timeout_ns);
                     }
                     // Re-sync the wheel with the current fence.
-                    let fence = thread_state.lock().fence();
+                    let fence = lock(&thread_state).fence();
                     match fence {
                         Some(f) => {
                             let key = (f.coordinator, f.epoch);
@@ -179,7 +177,7 @@ impl QuorumMember {
                                 continue;
                             };
                             let holding = thread_hold.load(Ordering::SeqCst);
-                            let reaction = thread_state.lock().on_phase(
+                            let reaction = lock(&thread_state).on_phase(
                                 &msg,
                                 host,
                                 clock.now_ns(),
@@ -223,25 +221,25 @@ impl QuorumMember {
     /// Configurations whose commits this member witnessed, in order.
     #[must_use]
     pub fn observed_commits(&self) -> Vec<ServiceConfig> {
-        self.state.lock().commits().to_vec()
+        lock(&self.state).commits().to_vec()
     }
 
     /// Prepares acked so far.
     #[must_use]
     pub fn ack_count(&self) -> u64 {
-        self.state.lock().acks()
+        lock(&self.state).acks()
     }
 
     /// Prepares vetoed so far (foreign-coordinator collisions).
     #[must_use]
     pub fn nack_count(&self) -> u64 {
-        self.state.lock().nacks()
+        lock(&self.state).nacks()
     }
 
     /// True while the member is fenced for a pending foreign swap.
     #[must_use]
     pub fn is_fenced(&self) -> bool {
-        self.state.lock().fence().is_some()
+        lock(&self.state).fence().is_some()
     }
 
     /// The member's trace buffer: every foreign reconfiguration phase it

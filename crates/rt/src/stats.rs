@@ -21,10 +21,9 @@
 //! registry into one Prometheus-style text page for the OAM endpoint.
 
 use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration as StdDuration, Instant};
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use rtcm_core::metrics::{DelayStats, UtilizationRatio};
@@ -33,6 +32,7 @@ use rtcm_telemetry::{
     Counter, Exposition, Gauge, Histogram, HistogramSnapshot, Registry, TraceBuffer,
 };
 
+use crate::lock;
 use crate::proto::{DecodeErrors, MsgKind, ReconfigAbortReason};
 
 /// Per-reason counts of abandoned reconfigurations, so a governor's
@@ -173,11 +173,11 @@ pub struct SystemReport {
     pub bridge_tx_dropped: u64,
 
     /// Timer-deadline wakeups performed by reactor threads (subjob
-    /// completions, prepare-fence deadlines, governor window boundaries,
-    /// intermediate wheel cascades). An **idle** system records none:
-    /// every thread parks on its mailbox with an empty wheel, where the
-    /// polling design paid ~2000 wakeups/s/node. Pinned by the
-    /// zero-wakeup runtime test.
+    /// completions, prepare-fence deadlines, governor window boundaries),
+    /// one per deadline. An **idle** system records none: every thread
+    /// parks on its mailbox with no pending timer, where the polling
+    /// design paid ~2000 wakeups/s/node. Pinned by the zero-wakeup runtime
+    /// test.
     pub timer_wakeups: u64,
 }
 
@@ -344,8 +344,8 @@ pub struct SharedStats {
     metrics: RtMetrics,
     /// Completion notification: `job_out` reaching zero in-flight jobs
     /// notifies here, so `wait_quiet` blocks instead of polling.
-    quiet: std::sync::Mutex<()>,
-    quiet_cv: std::sync::Condvar,
+    quiet: Mutex<()>,
+    quiet_cv: Condvar,
 }
 
 impl SharedStats {
@@ -367,7 +367,7 @@ impl SharedStats {
     /// the registry at snapshot time — mutate them through
     /// [`SharedStats::metrics`] instead.
     pub fn with<R>(&self, f: impl FnOnce(&mut SystemReport) -> R) -> R {
-        f(&mut self.report.lock())
+        f(&mut lock(&self.report))
     }
 
     /// Clones the current snapshot, folding the lock-free registry back
@@ -375,7 +375,7 @@ impl SharedStats {
     /// histogram parts).
     #[must_use]
     pub fn snapshot(&self) -> SystemReport {
-        let mut report = self.report.lock().clone();
+        let mut report = lock(&self.report).clone();
         let m = &self.metrics;
         report.ratio = UtilizationRatio::from_parts(
             m.arrived_utilization.get(),
@@ -419,7 +419,7 @@ impl SharedStats {
         if self.in_flight.fetch_sub(1, Ordering::SeqCst) <= 1 {
             // Take the lock so the notification cannot slip between a
             // waiter's counter check and its wait.
-            drop(self.quiet.lock().unwrap_or_else(std::sync::PoisonError::into_inner));
+            drop(lock(&self.quiet));
             self.quiet_cv.notify_all();
         }
     }
@@ -435,15 +435,13 @@ impl SharedStats {
     #[must_use]
     pub fn wait_quiet(&self, timeout: StdDuration) -> bool {
         let deadline = Instant::now() + timeout;
-        let mut guard = self.quiet.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut guard = lock(&self.quiet);
         while self.in_flight() > 0 {
             let Some(left) = deadline.checked_duration_since(Instant::now()) else {
                 return false;
             };
-            let (g, _) = self
-                .quiet_cv
-                .wait_timeout(guard, left)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let (g, _) =
+                self.quiet_cv.wait_timeout(guard, left).unwrap_or_else(PoisonError::into_inner);
             guard = g;
         }
         true

@@ -5,10 +5,9 @@
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::mpsc::{channel, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration as StdDuration, Instant};
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use rtcm_config::Deployment;
@@ -24,6 +23,7 @@ use rtcm_telemetry::{OamRoutes, OamServer};
 
 use crate::clock::Clock;
 use crate::govern::{spawn_governor_thread, GovernorHandle};
+use crate::lock;
 use crate::manager::{run_manager, ManagerConfig, ManagerCtl};
 use crate::node::{run_node, ExecMode, NodeConfig};
 use crate::proto::{self, ReconfigAbortReason};
@@ -239,7 +239,7 @@ pub(crate) struct SwapClient {
 impl SwapClient {
     /// The active configuration.
     pub(crate) fn services(&self) -> ServiceConfig {
-        *self.services.lock()
+        *lock(&self.services)
     }
 
     /// Runs the two-phase protocol with the services lock held (concurrent
@@ -249,7 +249,7 @@ impl SwapClient {
         &self,
         target: ServiceConfig,
     ) -> Result<ReconfigReport, ReconfigureError> {
-        let mut services = self.services.lock();
+        let mut services = lock(&self.services);
         self.run_swap(&mut services, target)
     }
 
@@ -480,7 +480,7 @@ impl System {
         &self,
         ir: rtcm_core::strategy::IrStrategy,
     ) -> Result<ServiceConfig, ReconfigureError> {
-        let mut services = self.swap.services.lock();
+        let mut services = lock(&self.swap.services);
         let target = ServiceConfig::new(services.ac, ir, services.lb);
         self.swap.run_swap(&mut services, target)?;
         Ok(target)
@@ -540,19 +540,19 @@ impl System {
             "register_remote_voter takes a *remote* federation's host id; this system's own \
              nodes already vote under {host}"
         );
-        self.remote_voters.lock().insert(host);
+        lock(&self.remote_voters).insert(host);
     }
 
     /// Removes a bridged federation from the prepare quorum (e.g. after a
     /// planned partition). Unknown ids are ignored.
     pub fn deregister_remote_voter(&self, host: u64) {
-        self.remote_voters.lock().remove(&host);
+        lock(&self.remote_voters).remove(&host);
     }
 
     /// Registered remote voting hosts.
     #[must_use]
     pub fn remote_voter_count(&self) -> usize {
-        self.remote_voters.lock().len()
+        lock(&self.remote_voters).len()
     }
 
     /// This system's federation host identity (convenience for wiring

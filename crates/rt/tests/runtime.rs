@@ -1162,31 +1162,33 @@ fn idle_system_performs_zero_timer_wakeups() {
 
 /// The zero-wakeup counter's positive control: in `ExecMode::Sleep` the
 /// running subjob's completion is a timer-wheel entry, so a job must
-/// record a timer wakeup — proving the counter actually observes the wheel
+/// record a timer wakeup — proving the counter actually observes the timers
 /// and the idle test above isn't vacuously green. It is the node's only
-/// entry, so an uncontended job costs one wakeup however long it runs (two
-/// if the wheel cascades on the way), where 200 µs slices paid ≈ 25.
+/// entry and the reactor wakes at its exact deadline, so an uncontended
+/// job costs exactly one wakeup however long it runs — 50 ms too, past the
+/// 6.4 ms horizon where a hierarchical wheel would first wake to cascade —
+/// where 200 µs slices paid ≈ 25.
 #[test]
 fn sleep_mode_completions_ride_the_timer_wheel() {
-    let deployment = configure_with(
-        &spec(
-            "workload w\nprocessors 1\ntask t aperiodic deadline=500ms\n  subtask exec=5ms proc=0\n",
-        ),
-        "J_N_N".parse().unwrap(),
-    )
-    .unwrap();
-    let system =
-        System::launch(&deployment, RtOptions { exec: ExecMode::Sleep, ..RtOptions::default() })
-            .unwrap();
-    system.submit(TaskId(0), 0).unwrap();
-    assert!(system.quiesce(QUIESCE));
-    let report = system.shutdown();
-    assert_eq!(report.jobs_completed, 1);
-    assert!(
-        (1..=2).contains(&report.timer_wakeups),
-        "one completion entry per subjob, got {} wakeups",
-        report.timer_wakeups
-    );
+    for exec in ["5ms", "50ms"] {
+        let deployment = configure_with(
+            &spec(&format!(
+                "workload w\nprocessors 1\ntask t aperiodic deadline=500ms\n  subtask exec={exec} proc=0\n"
+            )),
+            "J_N_N".parse().unwrap(),
+        )
+        .unwrap();
+        let system = System::launch(
+            &deployment,
+            RtOptions { exec: ExecMode::Sleep, ..RtOptions::default() },
+        )
+        .unwrap();
+        system.submit(TaskId(0), 0).unwrap();
+        assert!(system.quiesce(QUIESCE));
+        let report = system.shutdown();
+        assert_eq!(report.jobs_completed, 1);
+        assert_eq!(report.timer_wakeups, 1, "one completion wakeup for a {exec} subjob");
+    }
 }
 
 /// A stale fence (prepare whose commit/abort never arrives) now drops *at*
