@@ -87,10 +87,10 @@ pub mod topics {
         Topic(CONTROL_BASE | 0x0100_0000 | processor as u32)
     }
 
-    /// Launcher → task manager: a control request was enqueued on the
-    /// manager's out-of-band channel — wake its mailbox (payload
-    /// ignored). Lets the manager park on one wait point instead of
-    /// polling its control channel.
+    /// Launcher → task manager: a control request (a swap, a governor
+    /// attach or detach, shutdown) was enqueued on the manager's
+    /// out-of-band channel — wake its mailbox (payload ignored). Lets the
+    /// manager park on one wait point instead of polling that channel.
     pub const MANAGER_WAKE: Topic = Topic(CONTROL_BASE | 0x0200_0000);
 
     /// Owner → quorum-member delegate: a stop request was enqueued on the
@@ -98,12 +98,6 @@ pub mod topics {
     /// Lets the delegate park on one wait point (fence deadline or
     /// reconfiguration traffic) instead of polling its stop channel.
     pub const QUORUM_CTL: Topic = Topic(CONTROL_BASE | 0x0300_0000);
-
-    /// Owner → governor thread: a stop request was enqueued on the
-    /// governor's out-of-band channel — wake its mailbox (payload
-    /// ignored). The sensing tick itself rides the governor reactor's
-    /// timer wheel, so this is the *only* event its mailbox ever sees.
-    pub const GOVERNOR_CTL: Topic = Topic(CONTROL_BASE | 0x0400_0000);
 }
 
 /// One event in flight.

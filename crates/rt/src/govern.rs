@@ -1,45 +1,42 @@
-//! The runtime half of the adaptation governor: a background task that
-//! closes the sensing → policy → actuation loop over a live [`System`].
+//! The runtime half of the adaptation governor. It is not a thread:
+//! `System::spawn_governor` hands an [`Attached`] governor to the manager,
+//! and each window boundary is an entry on the manager's reactor, beside
+//! the prepare deadline. At a boundary the manager runs, on the admission
+//! thread and at one instant, the simulator's sequence: expire the current
+//! set, read AUB slack and imbalance from the ledger, read the cumulative
+//! counters from the [`RtMetrics`](crate::stats::RtMetrics) atomics (plus
+//! `reconfig_deferred`), and close the window in a
+//! [`rtcm_core::govern::WindowSensor`]. The gauges and the counters
+//! describe one instant, an *idle* system's slack still tracks entry
+//! expiry, and the admission hot path pays nothing for sensing.
 //!
-//! Sensing reads one [`SystemReport`](crate::stats::SystemReport) snapshot
-//! per window and turns it into per-window metrics through
-//! [`rtcm_core::govern::WindowSensor`] — an O(1) delta of counters the
-//! runtime maintains on its normal paths anyway. The AUB slack and
-//! imbalance gauges come from a once-per-window manager probe
-//! (`ManagerCtl::SenseGauges`), which expires the current set before
-//! reading the ledger's maintained totals — so an *idle* system's slack
-//! still tracks entry expiry (exactly the simulator's per-tick
-//! semantics) and the admission hot path pays nothing for sensing.
-//! Policy evaluation is the pure
-//! [`rtcm_core::govern::Governor`]; actuation is the same two-phase
-//! protocol `System::reconfigure` runs, serialized on the same lock, so a
-//! governor and an operator can coexist without racing each other.
+//! Policy evaluation is the pure [`rtcm_core::govern::Governor`], fed the
+//! admission controller's own configuration, and is skipped while a swap
+//! is pending or queued. A decision starts the same two-phase protocol
+//! `System::reconfigure` runs; its outcome goes to the
+//! [`GovernorHandle`]'s log.
 //!
-//! The sensing tick is a **timer-wheel entry** on the governor's own
-//! reactor, not a `recv_timeout` poll: the thread parks on its mailbox
-//! (which only ever carries the `topics::GOVERNOR_CTL` stop kick) until
-//! the window deadline fires, and every boundary fire is counted in
-//! [`SystemReport::timer_wakeups`](crate::stats::SystemReport::timer_wakeups)
-//! alongside the dispatcher's and idle-detector's wheel wakeups.
-//!
-//! Windows close on **absolute deadlines** (`next += window`): slow
-//! actuation delays at most its own boundary, never the cadence, and any
+//! Windows close on **absolute deadlines** (`next += window`): a busy
+//! manager delays at most one boundary, never the cadence, and any
 //! boundary it overruns entirely is skipped and counted in
 //! [`SystemReport::governor_overruns`](crate::stats::SystemReport::governor_overruns).
 
-use std::sync::mpsc::{channel, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Duration as StdDuration;
 
+use rtcm_core::admission::AdmissionController;
 use rtcm_core::govern::{
-    CumulativeLoad, Governor, GovernorDecision, GovernorPolicy, PolicyError, WindowSensor,
+    slack_and_imbalance, CumulativeLoad, Governor, GovernorDecision, GovernorPolicy, PolicyError,
+    WindowSensor,
 };
-use rtcm_events::{topics, ChannelHandle};
+use rtcm_core::strategy::ServiceConfig;
+use rtcm_core::time::Time;
 
 use crate::clock::Clock;
-use crate::reactor::{Reactor, Wake, DEFAULT_TICK};
+use crate::manager::{ManagerCtl, ManagerLink, SwapOutcome};
 use crate::stats::SharedStats;
-use crate::system::{ReconfigReport, ReconfigureError, SwapClient};
+use crate::system::{ReconfigReport, ReconfigureError};
 
 /// One governor actuation, as logged by [`GovernorHandle`].
 #[derive(Debug, Clone)]
@@ -56,7 +53,8 @@ pub struct GovernorEvent {
 /// The decision log plus the condvar that announces every append, so
 /// launchers block on "the governor has acted" instead of polling
 /// [`GovernorHandle::events`] in a sleep loop.
-struct GovernorLog {
+#[derive(Default)]
+pub(crate) struct GovernorLog {
     events: std::sync::Mutex<Vec<GovernorEvent>>,
     appended: std::sync::Condvar,
 }
@@ -72,16 +70,98 @@ impl GovernorLog {
     }
 }
 
-/// A running governor attached to a [`System`](crate::System). Dropping
-/// the handle (or calling [`GovernorHandle::stop`]) detaches the governor;
-/// the system itself is unaffected either way.
-pub struct GovernorHandle {
-    stop: Sender<()>,
-    /// Publishes the `topics::GOVERNOR_CTL` kick that wakes the governor's
-    /// blocking mailbox wait after a stop request is enqueued.
-    wake: ChannelHandle,
-    thread: Option<std::thread::JoinHandle<()>>,
+/// One attached governor, owned by the manager thread. It and each of its
+/// [`Actuation`]s hold a clone of `lease`, a sender nothing is sent on:
+/// [`GovernorHandle::stop`] returns once the last clone drops.
+pub(crate) struct Attached {
+    governor: Governor,
+    sensor: WindowSensor,
+    window_ns: u64,
+    /// Absolute deadline (shared-clock ns) of the next window boundary.
+    pub(crate) next_ns: u64,
     log: Arc<GovernorLog>,
+    lease: Sender<()>,
+}
+
+impl Attached {
+    /// Whether this is the governor `log` belongs to.
+    pub(crate) fn logs_to(&self, log: &Arc<GovernorLog>) -> bool {
+        Arc::ptr_eq(&self.log, log)
+    }
+
+    /// Closes the window ending at `now` in the simulator's order: expire
+    /// the current set, read the ledger gauges and the cumulative
+    /// counters, sample, and book the gauges, the window and the
+    /// boundaries overrun since the last one, under one report lock. Then,
+    /// if `actuate`, evaluates the policy; a decision comes back with the
+    /// [`Actuation`] that settles it.
+    pub(crate) fn close_window(
+        &mut self,
+        ac: &mut AdmissionController,
+        stats: &SharedStats,
+        now: Time,
+        actuate: bool,
+    ) -> Option<(ServiceConfig, Actuation)> {
+        let mut overruns = 0;
+        self.next_ns = self.next_ns.saturating_add(self.window_ns);
+        while self.next_ns <= now.as_nanos() {
+            self.next_ns = self.next_ns.saturating_add(self.window_ns);
+            overruns += 1;
+        }
+        ac.expire(now);
+        let (slack, imbalance) = slack_and_imbalance(&ac.ledger().utilizations());
+        let m = stats.metrics();
+        let metrics = stats.with(|r| {
+            r.aub_slack = slack;
+            r.util_imbalance = imbalance;
+            r.governor_windows += 1;
+            r.governor_overruns += overruns;
+            let cum = CumulativeLoad {
+                arrived_jobs: m.arrived_jobs.get(),
+                arrived_utilization: m.arrived_utilization.get(),
+                released_utilization: m.released_utilization.get(),
+                ir_reports: m.ir_reports.get(),
+                deferred: r.reconfig_deferred,
+            };
+            self.sensor.sample(cum, slack, imbalance)
+        });
+        if !actuate {
+            return None;
+        }
+        let decision = self.governor.observe(ac.config(), &metrics)?;
+        let (log, _lease) = (Arc::clone(&self.log), self.lease.clone());
+        Some((decision.target, Actuation { at_ns: now.as_nanos(), decision, log, _lease }))
+    }
+}
+
+/// A governor decision on its way through the swap protocol.
+pub(crate) struct Actuation {
+    at_ns: u64,
+    decision: GovernorDecision,
+    log: Arc<GovernorLog>,
+    _lease: Sender<()>,
+}
+
+impl Actuation {
+    /// Books the outcome: `governor_swaps` on commit, then the log entry.
+    /// The lease drops after the push, so a waiting
+    /// [`GovernorHandle::stop`] sees the entry.
+    pub(crate) fn settle(self, outcome: SwapOutcome, stats: &SharedStats) {
+        if outcome.is_ok() {
+            stats.with(|r| r.governor_swaps += 1);
+        }
+        self.log.push(GovernorEvent { at_ns: self.at_ns, decision: self.decision, outcome });
+    }
+}
+
+/// A governor attached to a [`System`](crate::System). Dropping the handle
+/// (or calling [`GovernorHandle::stop`]) detaches the governor; the system
+/// itself is unaffected either way.
+pub struct GovernorHandle {
+    manager: ManagerLink,
+    log: Arc<GovernorLog>,
+    /// Disconnects once the manager holds no lease of this governor.
+    settled: Receiver<()>,
 }
 
 impl std::fmt::Debug for GovernorHandle {
@@ -117,129 +197,45 @@ impl GovernorHandle {
         true
     }
 
-    /// Stops the governor and returns its full decision log.
+    /// Stops the governor and returns its full decision log. Returns once
+    /// every decision it took has its outcome in the log.
     #[must_use]
-    pub fn stop(mut self) -> Vec<GovernorEvent> {
-        self.halt();
-        let log = self.log.lock().clone();
-        log
-    }
-
-    fn halt(&mut self) {
-        let _ = self.stop.send(());
-        // Kick the mailbox *after* the stop request is visible, so the
-        // governor's indefinite block wakes and observes it.
-        self.wake.publish(topics::GOVERNOR_CTL, Vec::new());
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+    pub fn stop(self) -> Vec<GovernorEvent> {
+        let log = Arc::clone(&self.log);
+        drop(self);
+        let events = log.lock().clone();
+        events
     }
 }
 
 impl Drop for GovernorHandle {
     fn drop(&mut self) {
-        self.halt();
+        self.manager.send(ManagerCtl::DetachGovernor(Arc::clone(&self.log)));
+        // Nothing is ever sent: this returns when the last lease drops (at
+        // once if the manager has exited).
+        let _ = self.settled.recv();
     }
 }
 
-/// Spawns the governor loop (used by `System::spawn_governor`).
-pub(crate) fn spawn_governor_thread(
+/// Hands a governor to the manager behind `manager` (used by
+/// `System::spawn_governor`). Its first boundary is one `window` from now.
+pub(crate) fn attach(
     policy: GovernorPolicy,
     window: StdDuration,
-    stats: Arc<SharedStats>,
-    swap: SwapClient,
+    manager: &ManagerLink,
     clock: Clock,
 ) -> Result<GovernorHandle, PolicyError> {
-    let mut governor = Governor::new(policy)?;
-    let (stop_tx, stop_rx) = channel();
-    let log = Arc::new(GovernorLog {
-        events: std::sync::Mutex::new(Vec::new()),
-        appended: std::sync::Condvar::new(),
-    });
-    let thread_log = Arc::clone(&log);
-    let wake = swap.ctl_channel().clone();
-    // Subscribe on the caller's thread, before the governor runs, so a
-    // stop kick published immediately after spawn cannot be missed.
-    let mailbox = wake.subscribe(topics::GOVERNOR_CTL);
-    let window_ns = u64::try_from(window.as_nanos()).unwrap_or(u64::MAX).max(1);
-    let thread = std::thread::Builder::new()
-        .name("rtcm-governor".into())
-        .spawn(move || {
-            let mut sensor = WindowSensor::new();
-            // An untouched system is fully slack; thereafter the manager's
-            // per-window probe keeps the gauges fresh even while the
-            // system idles (expiry is applied before every read, matching
-            // the simulator's per-tick semantics exactly).
-            let mut gauges = (1.0, 0.0);
-            // The sensing tick is a wheel entry with an *absolute*
-            // deadline (`next_ns += window_ns`): a slow sense/actuate
-            // cycle — a reconfigure can block up to a full ack timeout —
-            // delays one boundary without stretching every later one, and
-            // a cycle that overruns whole boundaries skips them (counted
-            // in `governor_overruns`) rather than firing a burst of
-            // zero-length windows.
-            let mut reactor: Reactor<Clock, ()> = Reactor::new(clock, DEFAULT_TICK);
-            let mut next_ns = clock.now().as_nanos().saturating_add(window_ns);
-            reactor.schedule_at(next_ns, ());
-            let mut fired: Vec<(crate::reactor::TimerId, ())> = Vec::new();
-            loop {
-                match stop_rx.try_recv() {
-                    Ok(()) | Err(TryRecvError::Disconnected) => return,
-                    Err(TryRecvError::Empty) => {}
-                }
-                match reactor.wait(&mailbox) {
-                    // A GOVERNOR_CTL kick: loop back to the stop check.
-                    Wake::Event(_) => continue,
-                    Wake::Closed => return,
-                    Wake::Timer => {}
-                }
-                fired.clear();
-                reactor.poll(&mut fired);
-                if fired.is_empty() {
-                    continue; // the boundary is not due yet
-                }
-                stats.timer_wakeup();
-                next_ns += window_ns;
-                let now_ns = clock.now().as_nanos();
-                let mut overrun = 0u64;
-                while next_ns <= now_ns {
-                    next_ns += window_ns;
-                    overrun += 1;
-                }
-                if overrun > 0 {
-                    stats.with(|r| r.governor_overruns += overrun);
-                }
-                reactor.schedule_at(next_ns, ());
-                match swap.sense_gauges(window) {
-                    Ok(Some(fresh)) => gauges = fresh,
-                    Ok(None) => {}    // manager busy (mid-prepare): keep last
-                    Err(_) => return, // system shut down
-                }
-                let report = stats.snapshot();
-                let cum = CumulativeLoad {
-                    arrived_jobs: report.ratio.arrived_jobs(),
-                    arrived_utilization: report.ratio.arrived_utilization(),
-                    released_utilization: report.ratio.released_utilization(),
-                    ir_reports: report.ir_reports,
-                    deferred: report.reconfig_deferred,
-                };
-                let metrics = sensor.sample(cum, gauges.0, gauges.1);
-                stats.with(|r| r.governor_windows += 1);
-                let Some(decision) = governor.observe(swap.services(), &metrics) else {
-                    continue;
-                };
-                let at_ns = clock.now().as_nanos();
-                let outcome = swap.reconfigure(decision.target);
-                let closed = matches!(outcome, Err(ReconfigureError::Closed));
-                if outcome.is_ok() {
-                    stats.with(|r| r.governor_swaps += 1);
-                }
-                thread_log.push(GovernorEvent { at_ns, decision, outcome });
-                if closed {
-                    return;
-                }
-            }
-        })
-        .expect("spawn governor thread");
-    Ok(GovernorHandle { stop: stop_tx, wake, thread: Some(thread), log })
+    let governor = Governor::new(policy)?;
+    let window_ns = u64::try_from(window.as_nanos()).unwrap_or(u64::MAX);
+    let log = Arc::new(GovernorLog::default());
+    let (lease, settled) = channel();
+    manager.send(ManagerCtl::AttachGovernor(Attached {
+        governor,
+        sensor: WindowSensor::new(),
+        window_ns,
+        next_ns: clock.now().as_nanos().saturating_add(window_ns),
+        log: Arc::clone(&log),
+        lease,
+    }));
+    Ok(GovernorHandle { manager: manager.clone(), log, settled })
 }

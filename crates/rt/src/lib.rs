@@ -20,8 +20,10 @@
 //! * [`reactor`] — the event-driven core: a sorted list of exact timer
 //!   deadlines and the single blocking wait on `min(next timer, mailbox)`
 //!   every runtime thread parks on (zero wakeups when idle);
-//! * [`govern`] — the adaptation governor loop (`System::spawn_governor`):
-//!   windowed load sensing driving automatic reconfiguration;
+//! * [`govern`] — the adaptation governor (`System::spawn_governor`):
+//!   windowed load sensing driving automatic reconfiguration, closed by
+//!   the manager thread at window-boundary timer entries (no thread of
+//!   its own);
 //! * [`quorum`] — the voting delegate that makes a TCP-bridged federation
 //!   a full reconfiguration prepare-quorum member;
 //! * [`quorum_sm`] — the pure coordinator/member state machines of the

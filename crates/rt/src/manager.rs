@@ -20,6 +20,10 @@
 //! itself is the pure [`CoordinatorSm`]; this thread only moves its
 //! messages and arms its timer, from the one loop that does everything
 //! else.
+//!
+//! The same loop closes every attached adaptation governor's windows (see
+//! [`crate::govern`]): a window boundary is a second kind of timer entry,
+//! and a governor's decision is one more swap request.
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
@@ -28,7 +32,6 @@ use std::time::{Duration as StdDuration, Instant};
 
 use rtcm_core::admission::{AdmissionController, Decision};
 use rtcm_core::balance::Assignment;
-use rtcm_core::govern::slack_and_imbalance;
 use rtcm_core::ledger::ContributionKey;
 use rtcm_core::strategy::ServiceConfig;
 use rtcm_core::task::{ProcessorId, TaskSet};
@@ -36,6 +39,7 @@ use rtcm_core::time::{Duration, Time};
 use rtcm_events::{topics, ChannelHandle, Event, EventReceiver};
 
 use crate::clock::Clock;
+use crate::govern::{Actuation, Attached, GovernorLog};
 use crate::lock;
 use crate::proto::{
     self, AcceptMsg, ArriveMsg, IdleResetMsg, ReconfigAbortReason, ReconfigMsg, ReconfigPhase,
@@ -46,19 +50,50 @@ use crate::reactor::{Reactor, TimerId, Wake, DEFAULT_TICK};
 use crate::stats::SharedStats;
 use crate::system::{ReconfigReport, ReconfigureError};
 
-/// Where a swap's outcome goes.
-type SwapReply = Sender<Result<ReconfigReport, ReconfigureError>>;
+/// A swap's outcome, as one requester receives it.
+pub(crate) type SwapOutcome = Result<ReconfigReport, ReconfigureError>;
 
-/// Control requests from the launcher to the manager thread.
+/// Where a swap's outcome goes.
+enum SwapReply {
+    /// A `System::reconfigure` caller, blocked on the reply.
+    Caller(Sender<SwapOutcome>),
+    /// A governor's decision: the outcome is booked and logged.
+    Governor(Actuation),
+}
+
+/// Control requests to the manager thread, the one out-of-band channel
+/// beside its mailbox.
 pub(crate) enum ManagerCtl {
     /// Run the two-phase swap to `target` and reply with the outcome.
-    Reconfigure { target: ServiceConfig, reply: SwapReply },
-    /// Expire the current set up to *now* and reply with fresh
-    /// `(aub_slack, imbalance)` gauges from the ledger's maintained
-    /// totals. Sent once per governor sensing window, so an idle system's
-    /// gauges still track entry expiry — exactly the semantics of the
-    /// simulator's per-tick `expire` + ledger read.
-    SenseGauges { reply: Sender<(f64, f64)> },
+    Reconfigure { target: ServiceConfig, reply: Sender<SwapOutcome> },
+    /// Close this governor's windows from now on.
+    AttachGovernor(Attached),
+    /// Stop closing the windows of the governor logging to this log. Its
+    /// pending decision, if any, is still settled.
+    DetachGovernor(Arc<GovernorLog>),
+    /// Exit the loop.
+    Shutdown,
+}
+
+/// The sending side of [`ManagerCtl`]: every request is followed by a
+/// `topics::MANAGER_WAKE` kick, so the manager parks on its mailbox
+/// instead of polling the channel.
+#[derive(Clone)]
+pub(crate) struct ManagerLink {
+    pub(crate) ctl: Sender<ManagerCtl>,
+    pub(crate) wake: ChannelHandle,
+}
+
+impl ManagerLink {
+    /// Enqueues `request` and wakes the manager. False once the manager
+    /// has exited (the request is dropped).
+    pub(crate) fn send(&self, request: ManagerCtl) -> bool {
+        let sent = self.ctl.send(request).is_ok();
+        if sent {
+            let _ = self.wake.publish(topics::MANAGER_WAKE, &b""[..]);
+        }
+        sent
+    }
 }
 
 pub(crate) struct ManagerConfig {
@@ -74,7 +109,9 @@ pub(crate) struct ManagerConfig {
     /// prepare quorum (shared with `System::register_remote_voter`; read
     /// once per swap, so (de)registration never races a running prepare).
     pub remote_voters: Arc<Mutex<HashSet<u64>>>,
-    pub shutdown_rx: Receiver<()>,
+    /// The active configuration as `System::services` reads it. Only the
+    /// manager writes it, at commit, before the requester hears back.
+    pub services: Arc<Mutex<ServiceConfig>>,
     pub ctl_rx: Receiver<ManagerCtl>,
     /// The manager's single inbox — "Task Arrive", "Idle Resetting",
     /// reconfiguration acks and `topics::MANAGER_WAKE` kicks merged in
@@ -98,17 +135,27 @@ pub(crate) fn run_manager(cfg: ManagerConfig) {
         | NEXT_COORDINATOR.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let reactor = Reactor::new(cfg.clock, DEFAULT_TICK);
     let swap = CoordinatorSm::new(coordinator, cfg.channel.host_id());
-    let mut manager = Manager { cfg, swap, parked: None, queued: VecDeque::new(), reactor };
+    let mut manager = Manager {
+        cfg,
+        swap,
+        parked: None,
+        queued: VecDeque::new(),
+        governors: Vec::new(),
+        reactor,
+    };
     manager.run();
 }
 
-/// Wheel tags for the manager's reactor. The prepare-fence deadline is the
-/// only entry the manager ever schedules; in steady state its wheel is
-/// empty and the thread blocks on the mailbox indefinitely.
+/// Timer tags for the manager's reactor. With no swap pending and no
+/// governor attached its list is empty and the thread blocks on the
+/// mailbox indefinitely.
 #[derive(Debug, Clone, Copy)]
 enum MgrTimer {
     /// The prepare phase's ack deadline passed — abort the swap.
     PrepareDeadline,
+    /// An attached governor's window boundary; the governor is the one
+    /// holding this entry's `TimerId` in `Manager::governors`.
+    GovernorWindow,
 }
 
 struct Manager {
@@ -124,6 +171,8 @@ struct Manager {
     /// Requests that found a prepare out, oldest first: a coordinator
     /// serializes its swaps, so they wait their turn.
     queued: VecDeque<(ServiceConfig, SwapReply)>,
+    /// Attached governors, each with its pending window-boundary entry.
+    governors: Vec<(TimerId, Attached)>,
     /// Timer wheel + single-wait loop (see [`MgrTimer`]).
     reactor: Reactor<Clock, MgrTimer>,
 }
@@ -138,11 +187,10 @@ impl Manager {
     fn run(&mut self) {
         let mut fired: Vec<(TimerId, MgrTimer)> = Vec::new();
         while matches!(self.poll_ctl(), CtlFlow::Continue) {
-            // Park on the mailbox. Every control sender (reconfigure
-            // requests, gauge probes, shutdown) publishes a
-            // `topics::MANAGER_WAKE` kick after enqueueing, so this wait
-            // needs no poll cadence: with an empty wheel it blocks until
-            // something actually happens — zero wakeups while idle.
+            // Park on the mailbox. Every control request is followed by a
+            // `topics::MANAGER_WAKE` kick (`ManagerLink::send`), so this
+            // wait needs no poll cadence: with an empty wheel it blocks
+            // until something actually happens — zero wakeups while idle.
             match self.reactor.wait(&self.cfg.mailbox) {
                 Wake::Event(ev) => {
                     self.on_event(&ev);
@@ -158,14 +206,18 @@ impl Manager {
                     }
                 }
                 Wake::Timer => {
-                    // The ack deadline, the only entry this reactor holds.
                     self.cfg.stats.timer_wakeup();
                     fired.clear();
                     self.reactor.poll(&mut fired);
-                    if !fired.is_empty() {
-                        let now_ns = self.cfg.clock.now().as_nanos();
-                        if let Some(resolution) = self.swap.on_deadline(now_ns) {
-                            self.finish_swap(resolution);
+                    for &(id, timer) in &fired {
+                        match timer {
+                            MgrTimer::PrepareDeadline => {
+                                let now_ns = self.cfg.clock.now().as_nanos();
+                                if let Some(resolution) = self.swap.on_deadline(now_ns) {
+                                    self.finish_swap(resolution);
+                                }
+                            }
+                            MgrTimer::GovernorWindow => self.close_window(id),
                         }
                     }
                 }
@@ -176,7 +228,33 @@ impl Manager {
         // member fences expire on their own, so there is no abort to
         // publish — the requester just learns the system closed.
         if let Some((reply, _)) = self.parked.take() {
-            let _ = reply.send(Err(ReconfigureError::Closed));
+            self.reply(reply, Err(ReconfigureError::Closed));
+        }
+    }
+
+    /// Delivers a swap's outcome to whoever asked for it.
+    fn reply(&self, reply: SwapReply, outcome: SwapOutcome) {
+        match reply {
+            SwapReply::Caller(caller) => {
+                let _ = caller.send(outcome);
+            }
+            SwapReply::Governor(actuation) => actuation.settle(outcome, &self.cfg.stats),
+        }
+    }
+
+    /// One governor window boundary (see [`Attached::close_window`]). A
+    /// window that finds a swap out is sensed, but never actuates.
+    fn close_window(&mut self, fired: TimerId) {
+        let Some(at) = self.governors.iter().position(|(timer, _)| *timer == fired) else {
+            return; // detached since
+        };
+        let actuate = self.parked.is_none() && self.queued.is_empty();
+        let (timer, governor) = &mut self.governors[at];
+        let now = self.cfg.clock.now();
+        let decision = governor.close_window(&mut self.cfg.ac, &self.cfg.stats, now, actuate);
+        *timer = self.reactor.schedule_at(governor.next_ns, MgrTimer::GovernorWindow);
+        if let Some((target, actuation)) = decision {
+            self.begin_swap(target, SwapReply::Governor(actuation));
         }
     }
 
@@ -217,28 +295,26 @@ impl Manager {
         m.decode_errors.receive(ev, &self.cfg.channel, &m.trace, self.cfg.clock)
     }
 
-    /// Polls the launcher's control channels without blocking.
+    /// Polls the control channel without blocking.
     fn poll_ctl(&mut self) -> CtlFlow {
-        match self.cfg.shutdown_rx.try_recv() {
-            Ok(()) | Err(TryRecvError::Disconnected) => return CtlFlow::Exit,
-            Err(TryRecvError::Empty) => {}
-        }
         loop {
             match self.cfg.ctl_rx.try_recv() {
                 Ok(ManagerCtl::Reconfigure { target, reply }) => {
-                    self.queued.push_back((target, reply));
+                    self.queued.push_back((target, SwapReply::Caller(reply)));
                 }
-                Ok(ManagerCtl::SenseGauges { reply }) => {
-                    self.cfg.ac.expire(self.cfg.clock.now());
-                    let gauges = self.gauges();
-                    self.cfg.stats.with(|r| {
-                        r.aub_slack = gauges.0;
-                        r.util_imbalance = gauges.1;
-                    });
-                    let _ = reply.send(gauges);
+                Ok(ManagerCtl::AttachGovernor(governor)) => {
+                    let timer =
+                        self.reactor.schedule_at(governor.next_ns, MgrTimer::GovernorWindow);
+                    self.governors.push((timer, governor));
                 }
+                Ok(ManagerCtl::DetachGovernor(log)) => {
+                    if let Some(at) = self.governors.iter().position(|(_, g)| g.logs_to(&log)) {
+                        let (timer, _) = self.governors.swap_remove(at);
+                        self.reactor.cancel(timer);
+                    }
+                }
+                Ok(ManagerCtl::Shutdown) | Err(TryRecvError::Disconnected) => return CtlFlow::Exit,
                 Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => return CtlFlow::Exit,
             }
         }
         while self.parked.is_none() {
@@ -268,7 +344,7 @@ impl Manager {
                 self.cfg
                     .stats
                     .with(|r| r.reconfig_abort_reasons.record(ReconfigAbortReason::Validation));
-                let _ = reply.send(Err(ReconfigureError::InvalidConfig(e)));
+                self.reply(reply, Err(ReconfigureError::InvalidConfig(e)));
             }
             Ok((prepare, resolution)) => {
                 self.publish_phase(&prepare);
@@ -313,6 +389,7 @@ impl Manager {
                 .ac
                 .reconfigure(message.services, now, &self.cfg.tasks)
                 .expect("begin validated the target");
+            *lock(&self.cfg.services) = message.services;
             self.publish_phase(&message);
 
             let swap_latency =
@@ -340,7 +417,7 @@ impl Manager {
         for msg in &deferred {
             self.on_arrive(msg);
         }
-        let _ = reply.send(outcome);
+        self.reply(reply, outcome);
     }
 
     fn publish_phase(&self, msg: &ReconfigMsg) {
@@ -357,14 +434,6 @@ impl Manager {
             format!("epoch {}, target {}", msg.epoch, msg.services.label()),
         );
         self.cfg.channel.publish(topics::RECONFIG, proto::encode(msg));
-    }
-
-    /// The governor's boundary gauges, read from the ledger's
-    /// incrementally maintained per-processor totals. Computed only on a
-    /// [`ManagerCtl::SenseGauges`] probe (once per governor window) — the
-    /// admission and idle-reset hot paths pay nothing for sensing.
-    fn gauges(&self) -> (f64, f64) {
-        slack_and_imbalance(&self.cfg.ac.ledger().utilizations())
     }
 
     fn on_arrive(&mut self, msg: &ArriveMsg) {

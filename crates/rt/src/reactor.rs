@@ -2,11 +2,11 @@
 //! blocking wait on `min(next timer, mailbox)`.
 //!
 //! Every time-driven obligation of a runtime thread — a node's running
-//! subjob completion, the manager's prepare deadline, the quorum member's
-//! fence, the governor's window boundary — is a timer entry, and the thread
-//! parks on its merged mailbox until an event arrives or the earliest entry
-//! is due. With no pending timer it blocks **indefinitely**: an idle host
-//! performs zero wakeups.
+//! subjob completion, the manager's prepare deadline and each attached
+//! governor's window boundary, the quorum member's fence — is a timer
+//! entry, and the thread parks on its merged mailbox until an event
+//! arrives or the earliest entry is due. With no pending timer it blocks
+//! **indefinitely**: an idle host performs zero wakeups.
 //!
 //! No thread holds more than a few entries, so [`TimerWheel`] has the shape
 //! of RTFM's timer queue: a `Vec` sorted by `(deadline_ns, id)`, every

@@ -129,10 +129,10 @@ pub struct SystemReport {
     pub reconfig_abort_reasons: ReconfigAbortBreakdown,
 
     /// Gauge: AUB headroom `1 − max_p U_p` over the admission ledger's
-    /// per-processor synthetic utilizations. Refreshed by the manager once
-    /// per governor sensing window (after expiring the current set), so
-    /// the decision hot paths pay nothing for sensing; 0 until a governor
-    /// attaches and probes.
+    /// per-processor synthetic utilizations. Refreshed by the manager at
+    /// each governor window boundary (after expiring the current set), so
+    /// the decision hot paths pay nothing for sensing; 0 until an attached
+    /// governor closes its first window.
     pub aub_slack: f64,
     /// Gauge: synthetic-utilization spread `max_p U_p − min_p U_p`,
     /// refreshed alongside [`SystemReport::aub_slack`].
@@ -142,11 +142,9 @@ pub struct SystemReport {
     /// Committed swaps initiated by the governor (a subset of
     /// [`SystemReport::reconfig_swaps`]).
     pub governor_swaps: u64,
-    /// Governor windows whose sense+actuate work overran one or more
-    /// absolute window deadlines (each skipped boundary counts once).
-    /// Windows are scheduled on absolute deadlines, so an overrun shifts
-    /// no subsequent boundary — it is counted here instead of silently
-    /// stretching the window like the pre-reactor loop did.
+    /// Governor window boundaries the manager overran entirely (each
+    /// skipped boundary counts once). Windows are scheduled on absolute
+    /// deadlines, so an overrun shifts no subsequent boundary.
     pub governor_overruns: u64,
 
     /// Events published through the federation (every protocol message —

@@ -4,7 +4,7 @@
 
 use std::collections::HashSet;
 use std::fmt;
-use std::sync::mpsc::{channel, Sender};
+use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration as StdDuration, Instant};
 
@@ -22,9 +22,9 @@ use rtcm_events::{topics, ChannelHandle, Federation, FederationStats, Latency, N
 use rtcm_telemetry::{OamRoutes, OamServer};
 
 use crate::clock::Clock;
-use crate::govern::{spawn_governor_thread, GovernorHandle};
+use crate::govern::{self, GovernorHandle};
 use crate::lock;
-use crate::manager::{run_manager, ManagerConfig, ManagerCtl};
+use crate::manager::{run_manager, ManagerConfig, ManagerCtl, ManagerLink};
 use crate::node::{run_node, ExecMode, NodeConfig};
 use crate::proto::{self, ReconfigAbortReason};
 use crate::stats::{RtMetrics, SharedStats, SystemReport};
@@ -210,7 +210,11 @@ impl fmt::Display for ReconfigReport {
 /// ```
 pub struct System {
     tasks: Arc<TaskSet>,
-    swap: SwapClient,
+    /// The manager's control channel: swap requests, governor attach /
+    /// detach, shutdown.
+    manager: ManagerLink,
+    /// The active configuration; written by the manager at each commit.
+    services: Arc<Mutex<ServiceConfig>>,
     stats: Arc<SharedStats>,
     clock: Clock,
     federation: Federation,
@@ -220,90 +224,13 @@ pub struct System {
     /// shutdown publishes its control topic — launcher↔node traffic rides
     /// the same event fast path as everything else.
     node_handles: Vec<ChannelHandle>,
-    mgr_shutdown: Sender<()>,
     handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-/// The reconfiguration endpoint shared by [`System::reconfigure`] and the
-/// governor thread: the cached active configuration (whose lock doubles as
-/// the caller-serialization token) plus the manager control channel.
-#[derive(Clone)]
-pub(crate) struct SwapClient {
-    services: Arc<Mutex<ServiceConfig>>,
-    mgr_ctl: Sender<ManagerCtl>,
-    /// Publishes `topics::MANAGER_WAKE` after every control-channel send,
-    /// so the manager parks on its mailbox instead of polling.
-    wake: ChannelHandle,
-}
-
-impl SwapClient {
-    /// The active configuration.
-    pub(crate) fn services(&self) -> ServiceConfig {
-        *lock(&self.services)
-    }
-
-    /// Runs the two-phase protocol with the services lock held (concurrent
-    /// reconfigurers — callers and the governor — queue here, so the
-    /// cached value can never lag the manager's configuration).
-    pub(crate) fn reconfigure(
-        &self,
-        target: ServiceConfig,
-    ) -> Result<ReconfigReport, ReconfigureError> {
-        let mut services = lock(&self.services);
-        self.run_swap(&mut services, target)
-    }
-
-    /// Asks the manager for fresh `(aub_slack, imbalance)` gauges (the
-    /// manager expires the current set first, so an idle system's gauges
-    /// still track entry expiry). `Err` once the system has shut down;
-    /// `Ok(None)` if the manager is tied up past `timeout` (e.g.
-    /// mid-prepare) — the caller keeps its previous gauges for that
-    /// window.
-    pub(crate) fn sense_gauges(
-        &self,
-        timeout: StdDuration,
-    ) -> Result<Option<(f64, f64)>, ReconfigureError> {
-        let (reply_tx, reply_rx) = channel();
-        self.mgr_ctl
-            .send(ManagerCtl::SenseGauges { reply: reply_tx })
-            .map_err(|_| ReconfigureError::Closed)?;
-        self.kick();
-        Ok(reply_rx.recv_timeout(timeout).ok())
-    }
-
-    /// Wakes the manager's mailbox after a control-channel send.
-    fn kick(&self) {
-        let _ = self.wake.publish(topics::MANAGER_WAKE, &b""[..]);
-    }
-
-    /// The channel handle control-plane threads (the governor) subscribe
-    /// and publish their wake kicks on.
-    pub(crate) fn ctl_channel(&self) -> &ChannelHandle {
-        &self.wake
-    }
-
-    /// Validation (and its abort-reason accounting) lives in exactly one
-    /// place: the manager, which every reconfigure path funnels through.
-    fn run_swap(
-        &self,
-        services: &mut ServiceConfig,
-        target: ServiceConfig,
-    ) -> Result<ReconfigReport, ReconfigureError> {
-        let (reply_tx, reply_rx) = channel();
-        self.mgr_ctl
-            .send(ManagerCtl::Reconfigure { target, reply: reply_tx })
-            .map_err(|_| ReconfigureError::Closed)?;
-        self.kick();
-        let report = reply_rx.recv().map_err(|_| ReconfigureError::Closed)??;
-        *services = target;
-        Ok(report)
-    }
 }
 
 impl fmt::Debug for System {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("System")
-            .field("services", &self.swap.services().label())
+            .field("services", &self.services().label())
             .field("processors", &self.node_handles.len())
             .finish()
     }
@@ -335,9 +262,9 @@ impl System {
 
         let mut handles = Vec::with_capacity(procs as usize + 1);
 
-        let (mgr_shutdown_tx, mgr_shutdown_rx) = channel();
         let (mgr_ctl_tx, mgr_ctl_rx) = channel();
         let remote_voters: Arc<Mutex<HashSet<u64>>> = Arc::new(Mutex::new(HashSet::new()));
+        let active = Arc::new(Mutex::new(services));
         // Subscribe every consumer on this thread, before any node runs, so
         // no early publication can be dropped for lack of subscribers.
         let mgr_channel = federation.handle(NodeId(0)).expect("node 0 exists");
@@ -347,7 +274,7 @@ impl System {
             topics::RECONFIG_ACK,
             topics::MANAGER_WAKE,
         ]);
-        let mgr_wake = mgr_channel.clone();
+        let manager = ManagerLink { ctl: mgr_ctl_tx, wake: mgr_channel.clone() };
         let mgr_cfg = ManagerConfig {
             ac,
             tasks: Arc::clone(&tasks),
@@ -357,7 +284,7 @@ impl System {
             processors: procs,
             ack_timeout: options.reconfig_ack_timeout,
             remote_voters: Arc::clone(&remote_voters),
-            shutdown_rx: mgr_shutdown_rx,
+            services: Arc::clone(&active),
             ctl_rx: mgr_ctl_rx,
             mailbox: mgr_mailbox,
         };
@@ -401,25 +328,22 @@ impl System {
 
         Ok(System {
             tasks,
-            swap: SwapClient {
-                services: Arc::new(Mutex::new(services)),
-                mgr_ctl: mgr_ctl_tx,
-                wake: mgr_wake,
-            },
+            manager,
+            services: active,
             stats,
             clock,
             federation,
             remote_voters,
             node_handles,
-            mgr_shutdown: mgr_shutdown_tx,
             handles,
         })
     }
 
-    /// The active strategy combination (reflects runtime reconfiguration).
+    /// The active strategy combination (reflects runtime reconfiguration:
+    /// exact as soon as [`System::reconfigure`] returns).
     #[must_use]
     pub fn services(&self) -> ServiceConfig {
-        self.swap.services()
+        *lock(&self.services)
     }
 
     /// Hot-swaps the **full service configuration** of the running system
@@ -460,63 +384,44 @@ impl System {
     /// [`ReconfigureError::Aborted`] for aborted swaps,
     /// [`ReconfigureError::Closed`] after shutdown began.
     pub fn reconfigure(&self, target: ServiceConfig) -> Result<ReconfigReport, ReconfigureError> {
-        self.swap.reconfigure(target)
+        // Concurrent requests (other callers, a governor) wait their turn
+        // in the manager's queue; validation lives there too.
+        let (reply, outcome) = channel();
+        if !self.manager.send(ManagerCtl::Reconfigure { target, reply }) {
+            return Err(ReconfigureError::Closed);
+        }
+        outcome.recv().map_err(|_| ReconfigureError::Closed)?
     }
 
-    /// Hot-swaps only the idle-resetting strategy — a thin wrapper over
-    /// the same protocol kept for the common single-axis case. The target
-    /// is derived from the current configuration *under the services
-    /// lock*, so a concurrent [`System::reconfigure`] can never be
-    /// silently reverted by a stale read-modify-write. The §4.5 validity
-    /// rule still applies: switching to IR-per-job under per-task
-    /// admission control is refused.
-    ///
-    /// # Errors
-    ///
-    /// As [`System::reconfigure`] — in particular, a swap no node
-    /// acknowledged reports [`ReconfigureError::Aborted`] instead of
-    /// silently half-applying.
-    pub fn reconfigure_ir(
-        &self,
-        ir: rtcm_core::strategy::IrStrategy,
-    ) -> Result<ServiceConfig, ReconfigureError> {
-        let mut services = lock(&self.swap.services);
-        let target = ServiceConfig::new(services.ac, ir, services.lb);
-        self.swap.run_swap(&mut services, target)?;
-        Ok(target)
-    }
-
-    /// Attaches an **adaptation governor**: a background task that closes
-    /// the sensing → policy → actuation loop every `window` by sampling
-    /// this system's report (accepted ratio, AUB slack, idle-reset and
-    /// deferral counters, per-processor imbalance — all maintained
-    /// incrementally on paths the runtime takes anyway), evaluating
-    /// `policy`, and actuating decisions through the same two-phase
-    /// protocol as [`System::reconfigure`]. The governor and manual
-    /// reconfigurers serialize on the same lock, so they can coexist.
+    /// Attaches an **adaptation governor** that closes the sensing →
+    /// policy → actuation loop every `window`, on the manager thread (see
+    /// [`crate::govern`]): it senses the window as the simulator does
+    /// (`rtcm_sim::SimOptions::governor`), evaluates `policy` unless a
+    /// swap is already pending, and actuates through the same two-phase
+    /// protocol and queue as [`System::reconfigure`].
     ///
     /// The returned [`GovernorHandle`] logs every decision with its
     /// outcome; dropping it (or calling [`GovernorHandle::stop`]) detaches
-    /// the governor. The governor survives nothing it shouldn't: once the
-    /// system shuts down, its next actuation observes `Closed` and the
-    /// thread exits.
+    /// the governor. A decision still pending when the system shuts down
+    /// is logged as [`ReconfigureError::Closed`].
     ///
     /// # Errors
     ///
     /// Returns [`rtcm_core::govern::PolicyError`] for unusable policies
     /// (invalid targets, zero hysteresis, non-finite thresholds).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` is zero ("governor window must be positive"),
+    /// as `rtcm_sim::simulate_with` does: a zero-width window would close
+    /// forever at one instant.
     pub fn spawn_governor(
         &self,
         policy: GovernorPolicy,
         window: StdDuration,
     ) -> Result<GovernorHandle, rtcm_core::govern::PolicyError> {
-        spawn_governor_thread(
-            policy,
-            window,
-            Arc::clone(&self.stats),
-            self.swap.clone(),
-            self.clock,
-        )
+        assert!(!window.is_zero(), "governor window must be positive");
+        govern::attach(policy, window, &self.manager, self.clock)
     }
 
     /// Registers a TCP-bridged federation (by its `Federation::host_id`)
@@ -696,7 +601,7 @@ impl System {
             ("host".to_string(), self.host_id().to_string()),
         ]);
         let stats = Arc::clone(&self.stats);
-        let channel = self.swap.wake.clone();
+        let channel = self.federation.handle(NodeId(0)).expect("node 0 exists");
         let trace_stats = Arc::clone(&self.stats);
         OamServer::start(
             addr,
@@ -725,8 +630,7 @@ impl System {
     }
 
     fn stop_threads(&mut self) {
-        let _ = self.mgr_shutdown.send(());
-        self.swap.kick();
+        self.manager.send(ManagerCtl::Shutdown);
         for (p, handle) in self.node_handles.iter().enumerate() {
             let _ = handle.publish(topics::node_ctl(p as u16), &b""[..]);
         }

@@ -305,7 +305,7 @@ fn ir_per_task_reports_only_aperiodic_completions() {
 
 #[test]
 fn ir_strategy_reconfigures_at_runtime() {
-    use rtcm_core::strategy::IrStrategy;
+    use rtcm_core::strategy::{IrStrategy, ServiceConfig};
     let system = launch(
         "workload w\nprocessors 1\ntask t aperiodic deadline=400ms\n  subtask exec=1ms proc=0\n",
         "J_N_N",
@@ -319,7 +319,9 @@ fn ir_strategy_reconfigures_at_runtime() {
     assert_eq!(system.stats().ir_reports, 0);
 
     // Hot-swap to IR per job.
-    let new = system.reconfigure_ir(IrStrategy::PerJob).unwrap();
+    let s = system.services();
+    let new = ServiceConfig::new(s.ac, IrStrategy::PerJob, s.lb);
+    system.reconfigure(new).unwrap();
     assert_eq!(new.label(), "J_J_N");
     assert_eq!(system.services().ir, IrStrategy::PerJob);
     std::thread::sleep(StdDuration::from_millis(20)); // let nodes apply it
@@ -336,16 +338,20 @@ fn ir_strategy_reconfigures_at_runtime() {
 
 #[test]
 fn ir_reconfiguration_respects_validity_rule() {
-    use rtcm_core::strategy::IrStrategy;
+    use rtcm_core::strategy::{IrStrategy, ServiceConfig};
     let system = launch(
         "workload w\nprocessors 1\ntask t periodic period=100ms\n  subtask exec=1ms proc=0\n",
         "T_T_T",
     );
+    let with_ir = |ir| {
+        let s = system.services();
+        ServiceConfig::new(s.ac, ir, s.lb)
+    };
     // AC per task + IR per job is the §4.5 contradiction.
-    assert!(system.reconfigure_ir(IrStrategy::PerJob).is_err());
+    assert!(system.reconfigure(with_ir(IrStrategy::PerJob)).is_err());
     assert_eq!(system.services().label(), "T_T_T", "unchanged after refusal");
     // Downgrading to no IR is fine.
-    assert!(system.reconfigure_ir(IrStrategy::None).is_ok());
+    assert!(system.reconfigure(with_ir(IrStrategy::None)).is_ok());
     assert_eq!(system.services().label(), "T_N_T");
     let _ = system.shutdown();
 }
@@ -1081,6 +1087,57 @@ fn shutdown_mid_prepare_closes_the_pending_swap() {
     assert!(governor.wait_for_events(1, StdDuration::from_secs(5)));
     let events = governor.stop();
     assert_eq!(events.last().unwrap().outcome, Err(ReconfigureError::Closed));
+}
+
+/// A policy that fires every window still never stacks a second swap on a
+/// pending one: windows during a prepare are sensed and counted, not
+/// evaluated.
+#[test]
+fn governor_never_stacks_swaps_while_one_is_pending() {
+    use rtcm_core::govern::{GovernorPolicy, GovernorRule, Metric, Trigger};
+    use rtcm_events::{topics, NodeId};
+    use rtcm_rt::proto::{ReconfigMsg, ReconfigPhase};
+    use rtcm_rt::{ReconfigAbortReason, ReconfigureError};
+
+    let system = launch_with_short_ack_timeout();
+    // A required voter that never votes: every prepare aborts at 300 ms.
+    system.register_remote_voter(system.host_id() ^ 1);
+    let observer = system.federation().handle(NodeId(1)).unwrap().subscribe(topics::RECONFIG);
+
+    let policy = GovernorPolicy::new()
+        .rule(GovernorRule::new(
+            "always",
+            Metric::AubSlack,
+            Trigger::Above(0.5),
+            1,
+            "J_J_J".parse().unwrap(),
+        ))
+        .cooldown(0);
+    let governor = system.spawn_governor(policy, StdDuration::from_millis(10)).unwrap();
+    let phase = || -> ReconfigMsg {
+        rtcm_rt::proto::decode(&observer.recv_timeout(StdDuration::from_secs(5)).unwrap().payload)
+    };
+    let prepare = phase();
+    assert_eq!(prepare.phase, ReconfigPhase::Prepare);
+    let windows_at_prepare = system.stats().governor_windows;
+
+    let next = phase();
+    assert_eq!(next.phase, ReconfigPhase::Abort, "a second prepare was stacked on the first");
+    assert_eq!(next.epoch, prepare.epoch);
+    let windows = system.stats().governor_windows - windows_at_prepare;
+    assert!(windows >= 10, "windows kept closing during the prepare (got {windows})");
+
+    let reason = ReconfigAbortReason::AckTimeout;
+    let aborted = Err(ReconfigureError::Aborted { reason, acked: 1, expected: 2 });
+    assert_eq!(governor.stop()[0].outcome, aborted);
+    let _ = system.shutdown();
+}
+
+#[test]
+#[should_panic(expected = "governor window must be positive")]
+fn zero_governor_window_is_refused() {
+    let system = launch_with_short_ack_timeout();
+    let _ = system.spawn_governor(rtcm_core::govern::GovernorPolicy::new(), StdDuration::ZERO);
 }
 
 #[test]

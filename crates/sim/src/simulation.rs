@@ -291,10 +291,12 @@ pub struct SimOptions {
     /// A closed-loop governor: the policy senses the load every window of
     /// virtual time and reconfigures the system itself when a rule's
     /// hysteresis is satisfied, exactly as `System::spawn_governor` does on
-    /// the threaded runtime (same `rtcm_core::govern` state machine, so a
-    /// policy tuned here transfers verbatim). A window costs O(1): counter
-    /// deltas plus the ledger's maintained per-processor totals, never a
-    /// rescan of jobs or contributions.
+    /// the threaded runtime: the same `rtcm_core::govern` state machine,
+    /// fed by the same boundary sequence (expire, ledger gauges, counter
+    /// deltas, sample) on the thread that admits jobs, so a policy tuned
+    /// here transfers verbatim. A window costs O(1): counter deltas plus
+    /// the ledger's maintained per-processor totals, never a rescan of
+    /// jobs or contributions.
     pub governor: Option<(GovernorPolicy, Duration)>,
     /// Return one [`JobRecord`] per trace arrival, in arrival order.
     pub record_jobs: bool,

@@ -11,8 +11,8 @@
 //!    `GovernorPolicy` with **no schedule at all**. The governor must
 //!    recover accepted utilization comparably to the script it replaces.
 //! 2. **Threaded runtime**: `System::spawn_governor` senses a live
-//!    overload through `SystemReport` windows and actuates the two-phase
-//!    swap on its own.
+//!    overload in windows the manager closes on its own reactor and
+//!    actuates the two-phase swap on its own.
 //! 3. **Two-host quorum**: a TCP-bridged federation is registered as a
 //!    *voting* prepare-quorum member: its ack is required for commit, and
 //!    withholding it (a simulated partition) aborts the swap cleanly with
