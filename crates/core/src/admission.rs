@@ -753,6 +753,24 @@ impl AdmissionController {
         seq: u64,
         now: Time,
     ) -> Result<Decision, AdmissionError> {
+        self.handle_arrival_with(task, seq, now, |propose| propose())
+    }
+
+    /// [`AdmissionController::handle_arrival`], with the one balancer call
+    /// the decision makes wrapped by `place`, which must call `propose`
+    /// (else it panics). A pass-through makes no call. The runtime times
+    /// the call as Figure 8's op 3.
+    ///
+    /// # Errors
+    ///
+    /// As [`AdmissionController::handle_arrival`].
+    pub fn handle_arrival_with(
+        &mut self,
+        task: &TaskSpec,
+        seq: u64,
+        now: Time,
+        place: impl FnOnce(&mut dyn FnMut()),
+    ) -> Result<Decision, AdmissionError> {
         Self::check_seq(task.id(), seq)?;
         self.check_processors(task)?;
 
@@ -762,29 +780,28 @@ impl AdmissionController {
             if let Some(decision) = self.try_pass_through(task)? {
                 return Ok(decision);
             }
-            let assignment = self.balancer.assignment_for(task, &self.ledger);
-            return self.admit_with_checked(task, seq, now, assignment);
+            self.ledger.begin_touch_epoch();
+        } else {
+            // Hot path (aperiodic and per-job arrivals): expiry and the
+            // tentative placement share one touch epoch, so each touched
+            // processor's entries receive a single *net* `f` delta.
+            self.ledger.begin_touch_epoch();
+            self.expire_in_epoch(now);
         }
-
-        // Hot path (aperiodic and per-job arrivals): expiry and the
-        // tentative placement share one touch epoch, so each touched
-        // processor's entries receive a single *net* `f` delta.
-        self.ledger.begin_touch_epoch();
-        self.expire_in_epoch(now);
-        let assignment = self.balancer.assignment_for(task, &self.ledger);
-        self.admit_in_open_epoch(task, seq, now, assignment)
+        let mut plan = None;
+        place(&mut || plan = Some(self.balancer.assignment_for(task, &self.ledger)));
+        self.admit_in_open_epoch(task, seq, now, plan.expect("`place` calls `propose`"))
     }
 
     /// Like [`AdmissionController::handle_arrival`] but with a
-    /// caller-supplied placement (used by the runtime to time the balancer
-    /// and the test separately, and by tests to force placements).
+    /// caller-supplied placement: a test hook, like `apply_remote_commit`.
     ///
     /// # Errors
     ///
     /// As [`AdmissionController::handle_arrival`], plus
     /// [`AdmissionError::InvalidAssignment`] if the placement does not cover
     /// the task's chain with declared candidates.
-    pub fn admit_with(
+    pub(crate) fn admit_with(
         &mut self,
         task: &TaskSpec,
         seq: u64,
@@ -800,12 +817,14 @@ impl AdmissionController {
         if let Some(decision) = self.try_pass_through(task)? {
             return Ok(decision);
         }
-        self.admit_with_checked(task, seq, now, assignment)
+        self.ledger.begin_touch_epoch();
+        self.admit_in_open_epoch(task, seq, now, assignment)
     }
 
     /// Proposes a placement for `task` without running the admission test
-    /// (the paper's "Location" call from AC to LB).
-    pub fn propose_assignment(&mut self, task: &TaskSpec) -> Assignment {
+    /// (the paper's "Location" call from AC to LB): a test hook, like
+    /// `apply_remote_commit`.
+    pub(crate) fn propose_assignment(&mut self, task: &TaskSpec) -> Assignment {
         self.balancer.assignment_for(task, &self.ledger)
     }
 
@@ -1032,24 +1051,9 @@ impl AdmissionController {
         placement
     }
 
-    fn admit_with_checked(
-        &mut self,
-        task: &TaskSpec,
-        seq: u64,
-        now: Time,
-        assignment: Assignment,
-    ) -> Result<Decision, AdmissionError> {
-        let job = JobId::new(task.id(), seq);
-        if self.by_job.contains_key(&job) {
-            return Err(AdmissionError::DuplicateArrival { job });
-        }
-        self.ledger.begin_touch_epoch();
-        Ok(self.decide_in_open_epoch(task, job, now, assignment))
-    }
-
-    /// The hot-path variant of [`AdmissionController::admit_with_checked`]:
-    /// identical decision logic, but the caller has already opened a touch
-    /// epoch (covering expiry) that the tentative shares join.
+    /// Refuses a duplicate job, else decides it. The caller has opened the
+    /// touch epoch the tentative shares join (on the hot path, the one
+    /// that covers expiry); every path out settles it.
     fn admit_in_open_epoch(
         &mut self,
         task: &TaskSpec,
@@ -1065,12 +1069,11 @@ impl AdmissionController {
         Ok(self.decide_in_open_epoch(task, job, now, assignment))
     }
 
-    /// The admission decision proper, shared by both entry points above:
-    /// tentatively adds the candidate's shares to the ledger totals inside
-    /// the open touch epoch, settles it exactly once (delta-applying every
-    /// touched processor's `f(U)` step to the entries visiting it), runs
-    /// the system-wide check, and registers the entry or takes the shares
-    /// back out. Every path out settles the epoch.
+    /// The admission decision proper: tentatively adds the candidate's
+    /// shares to the ledger totals inside the open touch epoch, settles it
+    /// exactly once (delta-applying every touched processor's `f(U)` step
+    /// to the entries visiting it), runs the system-wide check, and
+    /// registers the entry or takes the shares back out.
     ///
     /// Under [`AdmissionMode::Incremental`] a rejection the open epoch
     /// already decides ([`AdmissionController::rejection_decided`]) skips

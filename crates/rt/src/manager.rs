@@ -4,11 +4,11 @@
 //!
 //! The manager consumes "Task Arrive" and "Idle Resetting" events, runs the
 //! core [`AdmissionController`] (which hosts the load balancer), and
-//! publishes "Accept"/"Reject" events back to the task effectors. Each
-//! operation is timed for the Figure 8 overhead table: op 3 (plan
-//! generation), op 4 (admission test), op 8 (utilization update), and the
-//! one-way communication delay of incoming events (op 2) measured on the
-//! shared clock.
+//! publishes "Accept"/"Reject" events back to the task effectors, deciding
+//! through the simulator's calls. Each operation is timed for the Figure 8
+//! overhead table: op 3 (plan generation), op 4 (admission test, expiry
+//! included), op 8 (utilization update), and the one-way communication
+//! delay of incoming events (op 2) measured on the shared clock.
 //!
 //! The manager is also the coordinator of the **two-phase live
 //! reconfiguration protocol** (see DESIGN.md "Live reconfiguration"):
@@ -31,7 +31,6 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration as StdDuration, Instant};
 
 use rtcm_core::admission::{AdmissionController, Decision};
-use rtcm_core::balance::Assignment;
 use rtcm_core::ledger::ContributionKey;
 use rtcm_core::strategy::ServiceConfig;
 use rtcm_core::task::{ProcessorId, TaskSet};
@@ -438,41 +437,35 @@ impl Manager {
 
     fn on_arrive(&mut self, msg: &ArriveMsg) {
         let now = self.cfg.clock.now();
-        self.cfg
-            .stats
-            .metrics()
-            .comm
-            .record(now.elapsed_since(Time::from_nanos(msg.sent_ns)).as_nanos());
+        let metrics = self.cfg.stats.metrics();
+        metrics.comm.record(now.elapsed_since(Time::from_nanos(msg.sent_ns)).as_nanos());
 
         let Some(task) = self.cfg.tasks.get(msg.job.task) else { return };
+        // On one shared clock a job cannot arrive after its decision starts;
+        // a stamp from the future would expire the whole current set.
+        let arrival = Time::from_nanos(msg.arrival_ns).min(now);
+
+        // The simulator's two calls, against the job's true arrival-based
+        // deadline. Op 3 is the balancer call the decision makes (the
+        // "Location" call on the LB component; a pass-through makes none),
+        // op 4 the rest of the decision, expiry included.
+        let mut lb_plan = None;
+        let started = Instant::now();
         self.cfg.ac.expire(now);
-
-        // Op 3: generate an acceptable deployment plan (the "Location"
-        // call on the LB component).
-        let lb_enabled = self.cfg.ac.config().lb.is_enabled();
-        let lb_start = Instant::now();
-        let assignment = if lb_enabled {
-            self.cfg.ac.propose_assignment(task)
-        } else {
-            Assignment::primaries(task)
-        };
-        let lb_elapsed = Duration::from(lb_start.elapsed());
-        if lb_enabled {
-            self.cfg.stats.metrics().lb_plan.record(lb_elapsed.as_nanos());
+        let decision = self.cfg.ac.handle_arrival_with(task, msg.job.seq, arrival, |propose| {
+            let lb_start = Instant::now();
+            propose();
+            lb_plan = Some(lb_start.elapsed());
+        });
+        let lb = lb_plan.unwrap_or_default();
+        metrics.ac_test.record(Duration::from(started.elapsed().saturating_sub(lb)).as_nanos());
+        if lb_plan.is_some() && self.cfg.ac.config().lb.is_enabled() {
+            metrics.lb_plan.record(Duration::from(lb).as_nanos());
         }
-
-        // Op 4: the admission test against the job's true arrival-based
-        // deadline.
-        let ac_start = Instant::now();
-        let decision =
-            self.cfg.ac.admit_with(task, msg.job.seq, Time::from_nanos(msg.arrival_ns), assignment);
-        let ac_elapsed = Duration::from(ac_start.elapsed());
-        let metrics = self.cfg.stats.metrics();
-        metrics.ac_test.record(ac_elapsed.as_nanos());
         metrics.admission_live_entries.set(self.cfg.ac.current_entries() as f64);
 
         let host = self.cfg.channel.host_id();
-        match decision {
+        let (task_rejected, why) = match decision {
             Ok(Decision::Accept { assignment, newly_admitted }) => {
                 metrics.trace.record(
                     msg.trace,
@@ -481,9 +474,7 @@ impl Manager {
                     "admission",
                     format!("{} accepted (fresh test: {newly_admitted})", msg.job),
                 );
-                let reallocated =
-                    assignment.as_slice().iter().zip(task.subtasks()).any(|(c, s)| *c != s.primary);
-                if reallocated {
+                if assignment.is_reallocation(task) {
                     metrics.trace.record(
                         msg.trace,
                         self.cfg.clock.now().as_nanos(),
@@ -500,51 +491,38 @@ impl Manager {
                     job: msg.job,
                     release_proc: assignment.processor(0).0,
                     assignment: assignment.as_slice().iter().map(|p| p.0).collect(),
-                    arrival_ns: msg.arrival_ns,
-                    deadline_ns: msg.arrival_ns + task.deadline().as_nanos(),
+                    arrival_ns: arrival.as_nanos(),
+                    deadline_ns: (arrival + task.deadline()).as_nanos(),
                     newly_admitted,
                     sent_ns: self.cfg.clock.now().as_nanos(),
                     trace: msg.trace,
                 };
                 self.cfg.channel.publish(topics::ACCEPT, proto::encode(&reply));
+                return;
             }
             Ok(Decision::Reject { .. }) => {
                 let task_rejected = self.cfg.ac.config().decides_per_task(task);
-                metrics.trace.record(
-                    msg.trace,
-                    self.cfg.clock.now().as_nanos(),
-                    host,
-                    "admission",
-                    format!("{} rejected (task rejected: {task_rejected})", msg.job),
-                );
-                let reply = RejectMsg {
-                    job: msg.job,
-                    arrival_proc: msg.arrival_proc,
-                    task_rejected,
-                    trace: msg.trace,
-                };
-                self.cfg.channel.publish(topics::REJECT, proto::encode(&reply));
+                (task_rejected, format!("task rejected: {task_rejected}"))
             }
-            Err(_duplicate_or_misroute) => {
-                // Duplicate submissions (same task, same sequence) are
-                // caller mistakes; reject the extra copy so the arrival TE
-                // releases its bookkeeping and the system stays live.
-                metrics.trace.record(
-                    msg.trace,
-                    self.cfg.clock.now().as_nanos(),
-                    host,
-                    "admission",
-                    format!("{} rejected (duplicate)", msg.job),
-                );
-                let reply = RejectMsg {
-                    job: msg.job,
-                    arrival_proc: msg.arrival_proc,
-                    task_rejected: false,
-                    trace: msg.trace,
-                };
-                self.cfg.channel.publish(topics::REJECT, proto::encode(&reply));
-            }
-        }
+            // Duplicate submissions (same task, same sequence) are caller
+            // mistakes; reject the extra copy so the arrival TE releases its
+            // bookkeeping and the system stays live.
+            Err(_duplicate_or_misroute) => (false, "duplicate".to_owned()),
+        };
+        metrics.trace.record(
+            msg.trace,
+            self.cfg.clock.now().as_nanos(),
+            host,
+            "admission",
+            format!("{} rejected ({why})", msg.job),
+        );
+        let reply = RejectMsg {
+            job: msg.job,
+            arrival_proc: msg.arrival_proc,
+            task_rejected,
+            trace: msg.trace,
+        };
+        self.cfg.channel.publish(topics::REJECT, proto::encode(&reply));
     }
 
     fn on_reset(&mut self, msg: &IdleResetMsg) {

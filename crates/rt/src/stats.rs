@@ -91,9 +91,9 @@ pub struct SystemReport {
     /// Op 2: one-way event-channel delay (TE → AC), measured directly on
     /// the shared clock.
     pub comm: DelayStats,
-    /// Op 3: LB plan generation.
+    /// Op 3: LB plan generation, per fresh test under load balancing.
     pub lb_plan: DelayStats,
-    /// Op 4: admission test.
+    /// Op 4: admission test, expiry included, per decision.
     pub ac_test: DelayStats,
     /// Op 5/6: release of the first subjob at the TE.
     pub release: DelayStats,
@@ -226,9 +226,9 @@ pub struct RtMetrics {
     pub hold: Arc<Histogram>,
     /// Op 2: one-way TE → AC event delay (ns).
     pub comm: Arc<Histogram>,
-    /// Op 3: LB plan generation (ns).
+    /// Op 3: LB plan generation (ns), per fresh test under LB.
     pub lb_plan: Arc<Histogram>,
-    /// Op 4: admission test (ns).
+    /// Op 4: admission test, expiry included (ns), per decision.
     pub ac_test: Arc<Histogram>,
     /// Op 5/6: first-subjob release at the TE (ns).
     pub release: Arc<Histogram>,
@@ -294,7 +294,7 @@ impl RtMetrics {
             hold: r.histogram("rtcm_op_hold_ns", "Op 1: TE hold plus Task-Arrive publish cost."),
             comm: r.histogram("rtcm_op_comm_ns", "Op 2: one-way TE to AC event-channel delay."),
             lb_plan: r.histogram("rtcm_op_lb_plan_ns", "Op 3: LB plan generation."),
-            ac_test: r.histogram("rtcm_op_ac_test_ns", "Op 4: admission test."),
+            ac_test: r.histogram("rtcm_op_ac_test_ns", "Op 4: admission test, expiry included."),
             release: r.histogram("rtcm_op_release_ns", "Op 5/6: first-subjob release at the TE."),
             ir_path: r
                 .histogram("rtcm_op_ir_path_ns", "Op 7 plus comm: idle-report assembly/delivery."),

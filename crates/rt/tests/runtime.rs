@@ -4,9 +4,7 @@
 use std::time::Duration as StdDuration;
 
 use rtcm_config::{configure_with, WorkloadSpec};
-use rtcm_core::admission::AdmissionController;
 use rtcm_core::task::TaskId;
-use rtcm_core::time::Time;
 use rtcm_rt::{ExecMode, RtOptions, System};
 
 const QUIESCE: StdDuration = StdDuration::from_secs(20);
@@ -1392,40 +1390,71 @@ fn live_entries_gauge_counts_jobs_until_their_deadline() {
     let _ = system.shutdown();
 }
 
-/// "Both substrates drive the same service logic": the manager thread's
-/// decisions are the ones a bare `AdmissionController` makes for the same
-/// `(task, seq)` order. Timing-independent — under `J_N_N` nothing is idle
-/// reset, and with 100 s deadlines nothing expires while the test runs, so
-/// each decision depends on the arrival order alone.
+/// Figure 8's op 3 (LB plan) is sampled only where the balancer runs: once
+/// per fresh decision under LB, never without it, and not for a
+/// pass-through, which relocates without a fresh test. Op 4 (the rest of
+/// the decision, expiry included) is sampled once per decision.
 #[test]
-fn manager_decides_like_a_bare_admission_controller() {
+fn fig8_ops_are_sampled_where_they_run() {
+    let n = 4;
+    for (services, lb_plans) in [("J_N_J", n), ("J_N_N", 0), ("T_N_J", 1)] {
+        let system = launch(
+            "workload w\nprocessors 2\n\
+             task t periodic period=100ms\n  subtask exec=1ms proc=0 replicas=1\n",
+            services,
+        );
+        for seq in 0..n {
+            system.submit(TaskId(0), seq).unwrap();
+            assert!(system.quiesce(QUIESCE));
+        }
+        let report = system.shutdown();
+        assert_eq!(report.lb_plan.count(), lb_plans, "{services}: op 3");
+        assert_eq!(report.ac_test.count(), n, "{services}: op 4");
+    }
+}
+
+/// The manager clamps an arrival stamp to its own clock: a well-formed
+/// `ArriveMsg` stamped near `u64::MAX` used to expire every admitted job
+/// (voiding the guarantee for jobs still running), and its accepted
+/// deadline overflowed, panicking the manager thread in debug builds.
+#[test]
+fn arrival_stamped_in_the_future_expires_nothing() {
+    use rtcm_events::{topics, NodeId};
+    use rtcm_rt::proto::{self, ArriveMsg, RejectMsg};
+
+    // `h` fits alone (f(0.55) < 1), not beside `a` (f(0.65) > 1).
     let system = launch(
-        "workload w\nprocessors 3\n\
-         task a aperiodic deadline=100s\n  subtask exec=2s proc=0\n  subtask exec=2s proc=1\n\
-         task b aperiodic deadline=100s\n  subtask exec=3s proc=1\n  subtask exec=3s proc=2\n\
-         task c aperiodic deadline=100s\n  subtask exec=7s proc=0\n\
-         task d aperiodic deadline=100s\n  subtask exec=1s proc=2\n",
+        "workload w\nprocessors 1\n\
+         task a aperiodic deadline=100s\n  subtask exec=10s proc=0\n\
+         task h aperiodic deadline=100s\n  subtask exec=55s proc=0\n",
         "J_N_N",
     );
-    let mut bare = AdmissionController::new(system.services(), 3).unwrap();
+    system.submit(TaskId(0), 0).unwrap();
+    assert!(system.quiesce(QUIESCE));
 
-    let (mut accepted, mut expected) = (Vec::new(), Vec::new());
-    for job in 0..60u64 {
-        let (task, seq) = (TaskId((job % 4) as u32), job / 4);
-        let released = system.stats().ratio.released_jobs();
-        system.submit(task, seq).unwrap();
-        assert!(system.quiesce(QUIESCE));
-        if system.stats().ratio.released_jobs() > released {
-            accepted.push((task, seq));
-        }
-        let spec = system.tasks().get(task).unwrap();
-        if bare.handle_arrival(spec, seq, Time::ZERO).unwrap().is_accept() {
-            expected.push((task, seq));
-        }
-    }
-    assert_eq!(accepted, expected);
-    assert!((10..=50).contains(&expected.len()), "{} of 60 accepted", expected.len());
-    let _ = system.shutdown();
+    let outsider = system.federation().handle(NodeId(0)).unwrap();
+    let rejects = outsider.subscribe(topics::REJECT);
+    let forged = proto::job(1, 0);
+    // Arrival processor 99: no node books the job either way.
+    outsider.publish(
+        topics::TASK_ARRIVE,
+        proto::encode(&ArriveMsg {
+            job: forged,
+            arrival_proc: 99,
+            arrival_ns: u64::MAX - 1,
+            sent_ns: 0,
+            trace: 0,
+        }),
+    );
+    let reject: RejectMsg =
+        proto::decode(&rejects.recv_timeout(StdDuration::from_secs(5)).unwrap().payload);
+    assert_eq!(reject.job, forged, "`a`'s shares still count against `h`");
+
+    // The manager is alive: a real submit is still decided.
+    system.submit(TaskId(0), 1).unwrap();
+    assert!(system.quiesce(QUIESCE));
+    let report = system.shutdown();
+    assert_eq!(report.ratio.released_jobs(), 2);
 }
 
 #[test]
