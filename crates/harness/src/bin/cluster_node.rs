@@ -20,6 +20,7 @@ use rtcm_config::{configure_with, WorkloadSpec};
 use rtcm_core::task::TaskId;
 use rtcm_events::{remote, topics, BridgeHandle, Federation, Latency, NodeId};
 use rtcm_harness::protocol::{Command, Reply, READY_PREFIX};
+use rtcm_rt::stats::render_federation;
 use rtcm_rt::{QuorumMember, QuorumOptions, ReconfigureError, RtOptions, System};
 use rtcm_telemetry::{Exposition, OamRoutes, OamServer};
 
@@ -298,7 +299,6 @@ fn run_member(fence_timeout: Duration) {
 /// The member role's scrape page: quorum vote counters, fence state, and
 /// the bridge-health counters of the federation it represents.
 fn member_exposition(member: &QuorumMember, channel: &rtcm_events::ChannelHandle) -> String {
-    let stats = channel.federation_stats();
     let mut expo = Exposition::new();
     expo.info(
         "rtcm_build_info",
@@ -321,19 +321,6 @@ fn member_exposition(member: &QuorumMember, channel: &rtcm_events::ChannelHandle
         "1 while fenced for a pending foreign swap.",
         if member.is_fenced() { 1.0 } else { 0.0 },
     );
-    expo.counter("rtcm_events_published_total", "Events published.", stats.events_published);
-    expo.counter(
-        "rtcm_events_delivered_total",
-        "Per-subscriber deliveries.",
-        stats.local_deliveries,
-    );
-    expo.counter("rtcm_remote_parcels_total", "Cross-node parcels.", stats.remote_parcels);
-    expo.counter("rtcm_bridge_rx_errors_total", "Corrupt bridge frames.", stats.bridge_rx_errors);
-    expo.counter("rtcm_bridge_disconnects_total", "Bridge links closed.", stats.bridge_disconnects);
-    expo.counter(
-        "rtcm_bridge_tx_dropped_total",
-        "Outbound events dropped at bridges.",
-        stats.bridge_tx_dropped,
-    );
+    render_federation(&mut expo, &channel.federation_stats());
     expo.finish()
 }

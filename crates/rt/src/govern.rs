@@ -4,8 +4,7 @@
 //! the prepare deadline. At a boundary the manager runs, on the admission
 //! thread and at one instant, the simulator's sequence: expire the current
 //! set, read AUB slack and imbalance from the ledger, read the cumulative
-//! counters from the [`RtMetrics`](crate::stats::RtMetrics) atomics (plus
-//! `reconfig_deferred`), and close the window in a
+//! counters from the [`RtMetrics`] atomics, and close the window in a
 //! [`rtcm_core::govern::WindowSensor`]. The gauges and the counters
 //! describe one instant, an *idle* system's slack still tracks entry
 //! expiry, and the admission hot path pays nothing for sensing.
@@ -35,7 +34,7 @@ use rtcm_core::time::Time;
 
 use crate::clock::Clock;
 use crate::manager::{ManagerCtl, ManagerLink, SwapOutcome};
-use crate::stats::SharedStats;
+use crate::stats::RtMetrics;
 use crate::system::{ReconfigReport, ReconfigureError};
 
 /// One governor actuation, as logged by [`GovernorHandle`].
@@ -92,13 +91,13 @@ impl Attached {
     /// Closes the window ending at `now` in the simulator's order: expire
     /// the current set, read the ledger gauges and the cumulative
     /// counters, sample, and book the gauges, the window and the
-    /// boundaries overrun since the last one, under one report lock. Then,
-    /// if `actuate`, evaluates the policy; a decision comes back with the
-    /// [`Actuation`] that settles it.
+    /// boundaries overrun since the last one. Then, if `actuate`,
+    /// evaluates the policy; a decision comes back with the [`Actuation`]
+    /// that settles it.
     pub(crate) fn close_window(
         &mut self,
         ac: &mut AdmissionController,
-        stats: &SharedStats,
+        stats: &RtMetrics,
         now: Time,
         actuate: bool,
     ) -> Option<(ServiceConfig, Actuation)> {
@@ -110,21 +109,18 @@ impl Attached {
         }
         ac.expire(now);
         let (slack, imbalance) = slack_and_imbalance(&ac.ledger().utilizations());
-        let m = stats.metrics();
-        let metrics = stats.with(|r| {
-            r.aub_slack = slack;
-            r.util_imbalance = imbalance;
-            r.governor_windows += 1;
-            r.governor_overruns += overruns;
-            let cum = CumulativeLoad {
-                arrived_jobs: m.arrived_jobs.get(),
-                arrived_utilization: m.arrived_utilization.get(),
-                released_utilization: m.released_utilization.get(),
-                ir_reports: m.ir_reports.get(),
-                deferred: r.reconfig_deferred,
-            };
-            self.sensor.sample(cum, slack, imbalance)
-        });
+        stats.aub_slack.set(slack);
+        stats.util_imbalance.set(imbalance);
+        stats.governor_windows.inc();
+        stats.governor_overruns.add(overruns);
+        let cum = CumulativeLoad {
+            arrived_jobs: stats.arrived_jobs.get(),
+            arrived_utilization: stats.arrived_utilization.get(),
+            released_utilization: stats.released_utilization.get(),
+            ir_reports: stats.ir_reports.get(),
+            deferred: stats.reconfig_deferred.get(),
+        };
+        let metrics = self.sensor.sample(cum, slack, imbalance);
         if !actuate {
             return None;
         }
@@ -146,9 +142,9 @@ impl Actuation {
     /// Books the outcome: `governor_swaps` on commit, then the log entry.
     /// The lease drops after the push, so a waiting
     /// [`GovernorHandle::stop`] sees the entry.
-    pub(crate) fn settle(self, outcome: SwapOutcome, stats: &SharedStats) {
+    pub(crate) fn settle(self, outcome: SwapOutcome, stats: &RtMetrics) {
         if outcome.is_ok() {
-            stats.with(|r| r.governor_swaps += 1);
+            stats.governor_swaps.inc();
         }
         self.log.push(GovernorEvent { at_ns: self.at_ns, decision: self.decision, outcome });
     }

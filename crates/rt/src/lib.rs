@@ -60,7 +60,7 @@ pub use proto::ReconfigAbortReason;
 pub use quorum::{QuorumMember, QuorumOptions};
 pub use quorum_sm::{CoordinatorSm, Fence, MemberReaction, MemberSm, SwapResolution};
 pub use reactor::{Reactor, TimerId, TimerWheel, Wake, DEFAULT_TICK};
-pub use stats::{ReconfigAbortBreakdown, SharedStats, SystemReport};
+pub use stats::{ReconfigAbortBreakdown, RtMetrics, SystemReport};
 pub use system::{LaunchError, ReconfigReport, ReconfigureError, RtOptions, SubmitError, System};
 
 /// Locks `mutex`, recovering it if a panicking thread poisoned it. Every

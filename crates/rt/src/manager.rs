@@ -46,7 +46,7 @@ use crate::proto::{
 };
 use crate::quorum_sm::{CoordinatorSm, SwapResolution};
 use crate::reactor::{Reactor, TimerId, Wake, DEFAULT_TICK};
-use crate::stats::SharedStats;
+use crate::stats::RtMetrics;
 use crate::system::{ReconfigReport, ReconfigureError};
 
 /// A swap's outcome, as one requester receives it.
@@ -100,7 +100,7 @@ pub(crate) struct ManagerConfig {
     pub tasks: Arc<TaskSet>,
     pub channel: ChannelHandle,
     pub clock: Clock,
-    pub stats: Arc<SharedStats>,
+    pub stats: Arc<RtMetrics>,
     pub processors: u16,
     /// How long the prepare phase waits for node acks before aborting.
     pub ack_timeout: StdDuration,
@@ -205,7 +205,7 @@ impl Manager {
                     }
                 }
                 Wake::Timer => {
-                    self.cfg.stats.timer_wakeup();
+                    self.cfg.stats.timer_wakeups.inc();
                     fired.clear();
                     self.reactor.poll(&mut fired);
                     for &(id, timer) in &fired {
@@ -290,7 +290,7 @@ impl Manager {
     /// Decodes a mailbox payload; a malformed one is dropped and counted
     /// (see [`proto::DecodeErrors::receive`]).
     fn decode<T: Wire>(&self, ev: &Event) -> Option<T> {
-        let m = self.cfg.stats.metrics();
+        let m = &self.cfg.stats;
         m.decode_errors.receive(ev, &self.cfg.channel, &m.trace, self.cfg.clock)
     }
 
@@ -340,9 +340,7 @@ impl Manager {
         );
         match begun {
             Err(e) => {
-                self.cfg
-                    .stats
-                    .with(|r| r.reconfig_abort_reasons.record(ReconfigAbortReason::Validation));
+                self.cfg.stats.record_abort(ReconfigAbortReason::Validation);
                 self.reply(reply, Err(ReconfigureError::InvalidConfig(e)));
             }
             Ok((prepare, resolution)) => {
@@ -374,10 +372,7 @@ impl Manager {
             // was applied anywhere, so the rollback is exactly "publish
             // abort".
             self.publish_phase(&message);
-            self.cfg.stats.with(|r| {
-                r.reconfig_aborts += 1;
-                r.reconfig_abort_reasons.record(reason);
-            });
+            self.cfg.stats.record_abort(reason);
             Err(ReconfigureError::Aborted { reason, acked, expected })
         } else {
             // Phase 2 (commit): every fast path is fenced, so the ledger
@@ -395,12 +390,11 @@ impl Manager {
                 Duration::from_nanos(self.cfg.clock.now().as_nanos().saturating_sub(started_ns));
             let jobs_in_flight = self.cfg.stats.in_flight();
             let decisions_deferred = deferred.len() as u64;
-            self.cfg.stats.metrics().reconfig_latency.record(swap_latency.as_nanos());
-            self.cfg.stats.with(|r| {
-                r.reconfig_swaps += 1;
-                r.reconfig_deferred += decisions_deferred;
-                r.reconfig_max_inflight = r.reconfig_max_inflight.max(jobs_in_flight);
-            });
+            let m = &self.cfg.stats;
+            m.reconfig_latency.record(swap_latency.as_nanos());
+            m.reconfig_swaps.inc();
+            m.reconfig_deferred.add(decisions_deferred);
+            m.reconfig_max_inflight.set(m.reconfig_max_inflight.get().max(jobs_in_flight as f64));
             Ok(ReconfigReport {
                 epoch: message.epoch,
                 handover,
@@ -425,7 +419,7 @@ impl Manager {
             ReconfigPhase::Commit => "reconfig_commit",
             ReconfigPhase::Abort => "reconfig_abort",
         };
-        self.cfg.stats.metrics().trace.record(
+        self.cfg.stats.trace.record(
             msg.trace,
             msg.sent_ns,
             msg.host,
@@ -437,7 +431,7 @@ impl Manager {
 
     fn on_arrive(&mut self, msg: &ArriveMsg) {
         let now = self.cfg.clock.now();
-        let metrics = self.cfg.stats.metrics();
+        let metrics = &self.cfg.stats;
         metrics.comm.record(now.elapsed_since(Time::from_nanos(msg.sent_ns)).as_nanos());
 
         let Some(task) = self.cfg.tasks.get(msg.job.task) else { return };
@@ -539,7 +533,7 @@ impl Manager {
         let update_start = Instant::now();
         self.cfg.ac.apply_idle_reset(ProcessorId(msg.processor), &keys);
         let update = Duration::from(update_start.elapsed());
-        let m = self.cfg.stats.metrics();
+        let m = &self.cfg.stats;
         m.ir_update.record(update.as_nanos());
         m.admission_live_entries.set(self.cfg.ac.current_entries() as f64);
         m.ir_path.record(now.elapsed_since(Time::from_nanos(msg.started_ns)).as_nanos());

@@ -33,7 +33,7 @@ use crate::proto::{
     ReconfigPhase, RejectMsg, TriggerMsg, Wire,
 };
 use crate::reactor::{Reactor, TimerId, Wake, DEFAULT_TICK};
-use crate::stats::SharedStats;
+use crate::stats::RtMetrics;
 
 /// How subtask execution consumes time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -73,7 +73,7 @@ pub(crate) struct NodeConfig {
     pub priorities: Arc<Vec<Priority>>,
     pub channel: ChannelHandle,
     pub clock: Clock,
-    pub stats: Arc<SharedStats>,
+    pub stats: Arc<RtMetrics>,
     pub exec: ExecMode,
     pub mailbox: EventReceiver,
 }
@@ -152,7 +152,7 @@ impl Node {
             }
             match self.reactor.wait(&self.cfg.mailbox) {
                 Wake::Event(ev) => self.dispatch(&ev),
-                Wake::Timer => self.cfg.stats.timer_wakeup(),
+                Wake::Timer => self.cfg.stats.timer_wakeups.inc(),
                 // Federation gone (launcher dropped without a shutdown
                 // event): nothing can ever arrive again, so stop instead
                 // of spinning.
@@ -194,7 +194,7 @@ impl Node {
     /// Decodes a mailbox payload; a malformed one is dropped and counted
     /// (see [`proto::DecodeErrors::receive`]).
     fn decode<T: Wire>(&self, ev: &Event) -> Option<T> {
-        let m = self.cfg.stats.metrics();
+        let m = &self.cfg.stats;
         m.decode_errors.receive(ev, &self.cfg.channel, &m.trace, self.cfg.clock)
     }
 
@@ -267,7 +267,7 @@ impl Node {
             return;
         };
         let task = &self.cfg.tasks.tasks()[at];
-        let m = self.cfg.stats.metrics();
+        let m = &self.cfg.stats;
         m.arrived_utilization.add(task.job_utilization());
         m.arrived_jobs.inc();
         m.trace.record(
@@ -336,7 +336,7 @@ impl Node {
         };
         self.cfg.channel.publish(topics::TASK_ARRIVE, proto::encode(&msg));
         let hold = Duration::from(hold_start.elapsed());
-        self.cfg.stats.metrics().hold.record(hold.as_nanos());
+        self.cfg.stats.hold.record(hold.as_nanos());
     }
 
     /// "Accept" from the AC: the arrival TE learns the decision; the
@@ -359,7 +359,7 @@ impl Node {
         let release_start = Instant::now();
         let now = self.cfg.clock.now();
         let total = now.elapsed_since(Time::from_nanos(msg.arrival_ns));
-        let m = self.cfg.stats.metrics();
+        let m = &self.cfg.stats;
         m.released_utilization.add(task.job_utilization());
         m.released_jobs.inc();
         if msg.release_proc == arrival_proc {
@@ -469,7 +469,7 @@ impl Node {
         if run.subtask + 1 == task.subtasks().len() {
             let response = now.elapsed_since(Time::from_nanos(run.arrival_ns));
             let missed = now.as_nanos() > run.deadline_ns;
-            let m = self.cfg.stats.metrics();
+            let m = &self.cfg.stats;
             m.response.record(response.as_nanos());
             m.jobs_completed.inc();
             if missed {

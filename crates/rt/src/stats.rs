@@ -1,24 +1,20 @@
-//! Shared runtime statistics, including the per-operation delay
+//! The runtime's statistics, including the per-operation delay
 //! accounting behind the paper's Figure 8.
 //!
-//! The accumulator is split along the hot/cold line:
+//! Every row lives in one place, the lock-free [`RtMetrics`] registry
+//! (`rtcm-telemetry`): per-job counters, the utilization ratio parts and
+//! every per-operation delay series, recorded by nodes, the manager and
+//! reactor threads with a couple of relaxed atomic adds, and the
+//! once-per-swap and once-per-window rows (reconfiguration outcomes,
+//! governor windows and gauges), which only the manager thread writes.
+//! The histograms keep exact counts, sums and extremes, so
+//! [`RtMetrics::snapshot`] reads the familiar [`DelayStats`] mean/min/max
+//! rows losslessly into a [`SystemReport`], and additionally serves
+//! p50/p90/p99/p999 within log2-bucket resolution.
 //!
-//! * **Hot-path metrics** — per-job counters, the utilization ratio parts
-//!   and every per-operation delay series — live in the lock-free
-//!   [`RtMetrics`] registry (`rtcm-telemetry`): recording a sample is a
-//!   couple of relaxed atomic adds into a log2 histogram, so nodes, the
-//!   manager, and reactor threads never touch the report mutex while
-//!   jobs flow. The histograms keep exact counts/sums/extremes, so
-//!   [`SharedStats::snapshot`] reconstructs the familiar
-//!   [`DelayStats`] mean/min/max rows losslessly — and additionally
-//!   serves p50/p90/p99/p999 within log2-bucket resolution.
-//! * **Cold fields** — once-per-swap and once-per-window accounting
-//!   (reconfiguration outcomes, governor gauges) — stay under the report
-//!   mutex via [`SharedStats::with`], where contention is structurally
-//!   impossible.
-//!
-//! [`SharedStats::render_exposition`] turns a report plus the live
-//! registry into one Prometheus-style text page for the OAM endpoint.
+//! [`RtMetrics::render_exposition`] renders the registry plus the
+//! federation's event-path rows ([`render_federation`]) as one
+//! Prometheus-style text page for the OAM endpoint.
 
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -28,6 +24,7 @@ use serde::{Deserialize, Serialize};
 
 use rtcm_core::metrics::{DelayStats, UtilizationRatio};
 use rtcm_core::time::Duration;
+use rtcm_events::FederationStats;
 use rtcm_telemetry::{
     Counter, Exposition, Gauge, Histogram, HistogramSnapshot, Registry, TraceBuffer,
 };
@@ -179,12 +176,13 @@ pub struct SystemReport {
     pub timer_wakeups: u64,
 }
 
-/// The lock-free half of the runtime's accounting: every metric a hot
-/// path records lives here as an atomic counter, gauge or log2 latency
-/// histogram from `rtcm-telemetry`, registered under stable
-/// `rtcm_*` exposition names. [`SharedStats::snapshot`] folds these back
-/// into the [`SystemReport`] rows; the OAM endpoint renders them (with
-/// full bucket distributions) straight from the registry.
+/// The runtime's one report plane: every row it measures lives here as
+/// an atomic counter, gauge or log2 latency histogram from
+/// `rtcm-telemetry`, registered under a stable `rtcm_*` exposition name,
+/// beside the in-flight gate that [`System::quiesce`](crate::System::quiesce)
+/// blocks on. [`RtMetrics::snapshot`] reads the registry into a
+/// [`SystemReport`]; the OAM endpoint renders it with full bucket
+/// distributions ([`RtMetrics::render_exposition`]).
 #[derive(Debug)]
 pub struct RtMetrics {
     registry: Arc<Registry>,
@@ -242,6 +240,41 @@ pub struct RtMetrics {
     pub total_realloc: Arc<Histogram>,
     /// End-to-end two-phase swap latency (ns).
     pub reconfig_latency: Arc<Histogram>,
+
+    // Once-per-swap and once-per-window rows. The manager thread is their
+    // only writer, so the governor reads them as consistently as it
+    // writes them; a concurrent scrape may see a swap or window
+    // half-booked, as it may see a job's hot rows mid-job.
+    /// [`SystemReport::reconfig_swaps`].
+    pub reconfig_swaps: Arc<Counter>,
+    /// [`SystemReport::reconfig_aborts`].
+    pub reconfig_aborts: Arc<Counter>,
+    /// [`ReconfigAbortBreakdown::ack_timeout`].
+    pub reconfig_aborts_ack_timeout: Arc<Counter>,
+    /// [`ReconfigAbortBreakdown::validation`].
+    pub reconfig_aborts_validation: Arc<Counter>,
+    /// [`ReconfigAbortBreakdown::foreign_coordinator`].
+    pub reconfig_aborts_foreign_coordinator: Arc<Counter>,
+    /// [`SystemReport::reconfig_deferred`].
+    pub reconfig_deferred: Arc<Counter>,
+    /// [`SystemReport::reconfig_max_inflight`].
+    pub reconfig_max_inflight: Arc<Gauge>,
+    /// [`SystemReport::aub_slack`].
+    pub aub_slack: Arc<Gauge>,
+    /// [`SystemReport::util_imbalance`].
+    pub util_imbalance: Arc<Gauge>,
+    /// [`SystemReport::governor_windows`].
+    pub governor_windows: Arc<Counter>,
+    /// [`SystemReport::governor_swaps`].
+    pub governor_swaps: Arc<Counter>,
+    /// [`SystemReport::governor_overruns`].
+    pub governor_overruns: Arc<Counter>,
+
+    in_flight: AtomicI64,
+    /// Completion notification: `job_out` reaching zero in-flight jobs
+    /// notifies here, so `wait_quiet` blocks instead of polling.
+    quiet: Mutex<()>,
+    quiet_cv: Condvar,
 }
 
 impl Default for RtMetrics {
@@ -252,8 +285,8 @@ impl Default for RtMetrics {
 
 impl RtMetrics {
     /// Builds the registry with every runtime metric registered under its
-    /// exposition name. Registration order is the scrape order (pinned by
-    /// the golden exposition test).
+    /// exposition name. Registration order is the order of the page's
+    /// registry section.
     #[must_use]
     pub fn new() -> Self {
         let r = Registry::new();
@@ -307,9 +340,49 @@ impl RtMetrics {
                 .histogram("rtcm_total_realloc_ns", "Arrival-to-release total with re-allocation."),
             reconfig_latency: r
                 .histogram("rtcm_reconfig_latency_ns", "End-to-end two-phase swap latency."),
+            reconfig_swaps: r
+                .counter("rtcm_reconfig_swaps_total", "Committed two-phase configuration swaps."),
+            reconfig_aborts: r
+                .counter("rtcm_reconfig_aborts_total", "Two-phase swaps abandoned mid-protocol."),
+            reconfig_aborts_ack_timeout: r.counter(
+                "rtcm_reconfig_aborts_ack_timeout_total",
+                "Aborts: prepare quorum incomplete at the ack deadline.",
+            ),
+            reconfig_aborts_validation: r.counter(
+                "rtcm_reconfig_aborts_validation_total",
+                "Aborts: target refused by the validity rule.",
+            ),
+            reconfig_aborts_foreign_coordinator: r.counter(
+                "rtcm_reconfig_aborts_foreign_coordinator_total",
+                "Aborts: a quorum member was fenced for another coordinator.",
+            ),
+            reconfig_deferred: r.counter(
+                "rtcm_reconfig_deferred_total",
+                "Admission decisions deferred during prepare windows.",
+            ),
+            reconfig_max_inflight: r.gauge(
+                "rtcm_reconfig_max_inflight",
+                "Largest in-flight job count observed at any commit point.",
+            ),
+            aub_slack: r.gauge("rtcm_aub_slack", "AUB headroom (1 - max synthetic utilization)."),
+            util_imbalance: r
+                .gauge("rtcm_util_imbalance", "Synthetic-utilization spread across processors."),
+            governor_windows: r.counter(
+                "rtcm_governor_windows_total",
+                "Sensing windows closed by the adaptation governor.",
+            ),
+            governor_swaps: r
+                .counter("rtcm_governor_swaps_total", "Committed swaps initiated by the governor."),
+            governor_overruns: r.counter(
+                "rtcm_governor_overruns_total",
+                "Governor window boundaries overrun by sense+actuate work.",
+            ),
             trace: Arc::new(TraceBuffer::new(rtcm_telemetry::DEFAULT_TRACE_CAPACITY)),
             decode_errors: DecodeErrors::default(),
             registry: Arc::new(r),
+            in_flight: AtomicI64::new(0),
+            quiet: Mutex::new(()),
+            quiet_cv: Condvar::new(),
         }
     }
 
@@ -318,92 +391,74 @@ impl RtMetrics {
     pub fn registry(&self) -> &Arc<Registry> {
         &self.registry
     }
-}
 
-/// Reconstructs a [`DelayStats`] row from a histogram's exact parts,
-/// refilling the caller's pooled snapshot instead of allocating one.
-fn delay_from(hist: &Histogram, scratch: &mut HistogramSnapshot) -> DelayStats {
-    hist.snapshot_into(scratch);
-    DelayStats::from_parts(
-        scratch.count,
-        u128::from(scratch.sum),
-        Duration::from_nanos(scratch.min),
-        Duration::from_nanos(scratch.max),
-    )
-}
-
-/// Thread-shared accumulator handed to every node.
-#[derive(Debug, Default)]
-pub struct SharedStats {
-    /// Cold fields only (reconfiguration outcomes, governor gauges); hot
-    /// paths record into [`SharedStats::metrics`] instead.
-    report: Mutex<SystemReport>,
-    in_flight: AtomicI64,
-    metrics: RtMetrics,
-    /// Completion notification: `job_out` reaching zero in-flight jobs
-    /// notifies here, so `wait_quiet` blocks instead of polling.
-    quiet: Mutex<()>,
-    quiet_cv: Condvar,
-}
-
-impl SharedStats {
-    /// Creates an empty accumulator.
-    #[must_use]
-    pub fn new() -> Arc<Self> {
-        Arc::new(SharedStats::default())
+    /// Books one failed reconfiguration under `reason`. A protocol abort
+    /// (a prepare was published and rolled back) also counts in
+    /// [`SystemReport::reconfig_aborts`]; a validation refusal, decided
+    /// before any phase went out, counts under its reason alone.
+    pub fn record_abort(&self, reason: ReconfigAbortReason) {
+        let by_reason = match reason {
+            ReconfigAbortReason::AckTimeout => &self.reconfig_aborts_ack_timeout,
+            ReconfigAbortReason::Validation => &self.reconfig_aborts_validation,
+            ReconfigAbortReason::ForeignCoordinator => &self.reconfig_aborts_foreign_coordinator,
+        };
+        by_reason.inc();
+        if reason != ReconfigAbortReason::Validation {
+            self.reconfig_aborts.inc();
+        }
     }
 
-    /// The lock-free telemetry registry (hot-path metric handles, job
-    /// tracer).
-    #[must_use]
-    pub fn metrics(&self) -> &RtMetrics {
-        &self.metrics
+    /// The accepted utilization ratio, from its four parts.
+    fn ratio(&self) -> UtilizationRatio {
+        UtilizationRatio::from_parts(
+            self.arrived_utilization.get(),
+            self.released_utilization.get(),
+            self.arrived_jobs.get(),
+            self.released_jobs.get(),
+        )
     }
 
-    /// Runs `f` with exclusive access to the report's **cold** fields.
-    /// Hot fields (per-job counters, delay series) are overwritten from
-    /// the registry at snapshot time — mutate them through
-    /// [`SharedStats::metrics`] instead.
-    pub fn with<R>(&self, f: impl FnOnce(&mut SystemReport) -> R) -> R {
-        f(&mut lock(&self.report))
-    }
-
-    /// Clones the current snapshot, folding the lock-free registry back
-    /// into the report's rows (delay series reconstructed from exact
-    /// histogram parts).
+    /// Reads the registry into a report (delay series reconstructed from
+    /// exact histogram parts). The federation rows are left at 0; the
+    /// system folds its event path's counters in.
     #[must_use]
     pub fn snapshot(&self) -> SystemReport {
-        let mut report = lock(&self.report).clone();
-        let m = &self.metrics;
-        report.ratio = UtilizationRatio::from_parts(
-            m.arrived_utilization.get(),
-            m.released_utilization.get(),
-            m.arrived_jobs.get(),
-            m.released_jobs.get(),
-        );
-        report.jobs_completed = m.jobs_completed.get();
-        report.deadline_misses = m.deadline_misses.get();
-        report.reallocations = m.reallocations.get();
-        report.ir_reports = m.ir_reports.get();
-        report.timer_wakeups = m.timer_wakeups.get();
         let mut scratch = HistogramSnapshot::default();
-        report.response = delay_from(&m.response, &mut scratch);
-        report.hold = delay_from(&m.hold, &mut scratch);
-        report.comm = delay_from(&m.comm, &mut scratch);
-        report.lb_plan = delay_from(&m.lb_plan, &mut scratch);
-        report.ac_test = delay_from(&m.ac_test, &mut scratch);
-        report.release = delay_from(&m.release, &mut scratch);
-        report.ir_path = delay_from(&m.ir_path, &mut scratch);
-        report.ir_update = delay_from(&m.ir_update, &mut scratch);
-        report.total_no_realloc = delay_from(&m.total_no_realloc, &mut scratch);
-        report.total_realloc = delay_from(&m.total_realloc, &mut scratch);
-        report.reconfig_latency = delay_from(&m.reconfig_latency, &mut scratch);
-        report
-    }
-
-    /// A reactor thread woke for a timer deadline.
-    pub fn timer_wakeup(&self) {
-        self.metrics.timer_wakeups.inc();
+        let mut delay = |hist: &Histogram| delay_from(hist, &mut scratch);
+        SystemReport {
+            ratio: self.ratio(),
+            response: delay(&self.response),
+            jobs_completed: self.jobs_completed.get(),
+            deadline_misses: self.deadline_misses.get(),
+            reallocations: self.reallocations.get(),
+            ir_reports: self.ir_reports.get(),
+            hold: delay(&self.hold),
+            comm: delay(&self.comm),
+            lb_plan: delay(&self.lb_plan),
+            ac_test: delay(&self.ac_test),
+            release: delay(&self.release),
+            ir_path: delay(&self.ir_path),
+            ir_update: delay(&self.ir_update),
+            total_no_realloc: delay(&self.total_no_realloc),
+            total_realloc: delay(&self.total_realloc),
+            reconfig_swaps: self.reconfig_swaps.get(),
+            reconfig_aborts: self.reconfig_aborts.get(),
+            reconfig_latency: delay(&self.reconfig_latency),
+            reconfig_deferred: self.reconfig_deferred.get(),
+            reconfig_max_inflight: self.reconfig_max_inflight.get() as i64,
+            reconfig_abort_reasons: ReconfigAbortBreakdown {
+                ack_timeout: self.reconfig_aborts_ack_timeout.get(),
+                validation: self.reconfig_aborts_validation.get(),
+                foreign_coordinator: self.reconfig_aborts_foreign_coordinator.get(),
+            },
+            aub_slack: self.aub_slack.get(),
+            util_imbalance: self.util_imbalance.get(),
+            governor_windows: self.governor_windows.get(),
+            governor_swaps: self.governor_swaps.get(),
+            governor_overruns: self.governor_overruns.get(),
+            timer_wakeups: self.timer_wakeups.get(),
+            ..SystemReport::default()
+        }
     }
 
     /// A job entered the system (arrived at a TE).
@@ -412,7 +467,7 @@ impl SharedStats {
     }
 
     /// A job left the system (completed, rejected or dropped). Reaching
-    /// zero in-flight jobs notifies [`SharedStats::wait_quiet`] blockers.
+    /// zero in-flight jobs notifies [`RtMetrics::wait_quiet`] blockers.
     pub fn job_out(&self) {
         if self.in_flight.fetch_sub(1, Ordering::SeqCst) <= 1 {
             // Take the lock so the notification cannot slip between a
@@ -429,7 +484,7 @@ impl SharedStats {
     }
 
     /// Blocks until no jobs are in flight (completion notification from
-    /// [`SharedStats::job_out`] — no polling). Returns false on timeout.
+    /// [`RtMetrics::job_out`] — no polling). Returns false on timeout.
     #[must_use]
     pub fn wait_quiet(&self, timeout: StdDuration) -> bool {
         let deadline = Instant::now() + timeout;
@@ -445,128 +500,86 @@ impl SharedStats {
         true
     }
 
-    /// Renders `report` plus the live registry as one Prometheus-style
-    /// text page (exposition format v0.0.4): the lock-free metrics with
-    /// their full bucket distributions first, then every remaining
-    /// [`SystemReport`] counter and gauge. Pass the *merged* report (with
-    /// federation counters folded in) so the bridge rows are live.
+    /// Renders the registry plus `events` as one Prometheus-style text
+    /// page (exposition format v0.0.4): every registered row with its full
+    /// bucket distribution, the accepted ratio and jobs in flight, the
+    /// federation's event-path rows, decode errors and trace drops.
     #[must_use]
-    pub fn render_exposition(&self, report: &SystemReport) -> String {
+    pub fn render_exposition(&self, events: &FederationStats) -> String {
         let mut e = Exposition::new();
-        self.metrics.registry().render(&mut e);
+        self.registry.render(&mut e);
         e.gauge(
             "rtcm_accepted_ratio",
             "Accepted utilization ratio (released / arrived weight).",
-            report.ratio.ratio(),
+            self.ratio().ratio(),
         );
         e.gauge(
             "rtcm_jobs_in_flight",
             "Jobs currently between arrival and completion.",
             self.in_flight() as f64,
         );
-        e.counter(
-            "rtcm_reconfig_swaps_total",
-            "Committed two-phase configuration swaps.",
-            report.reconfig_swaps,
-        );
-        e.counter(
-            "rtcm_reconfig_aborts_total",
-            "Two-phase swaps abandoned mid-protocol.",
-            report.reconfig_aborts,
-        );
-        e.counter(
-            "rtcm_reconfig_aborts_ack_timeout_total",
-            "Aborts: prepare quorum incomplete at the ack deadline.",
-            report.reconfig_abort_reasons.ack_timeout,
-        );
-        e.counter(
-            "rtcm_reconfig_aborts_validation_total",
-            "Aborts: target refused by the validity rule.",
-            report.reconfig_abort_reasons.validation,
-        );
-        e.counter(
-            "rtcm_reconfig_aborts_foreign_coordinator_total",
-            "Aborts: a quorum member was fenced for another coordinator.",
-            report.reconfig_abort_reasons.foreign_coordinator,
-        );
-        e.counter(
-            "rtcm_reconfig_deferred_total",
-            "Admission decisions deferred during prepare windows.",
-            report.reconfig_deferred,
-        );
-        e.gauge(
-            "rtcm_reconfig_max_inflight",
-            "Largest in-flight job count observed at any commit point.",
-            report.reconfig_max_inflight as f64,
-        );
-        e.gauge(
-            "rtcm_aub_slack",
-            "AUB headroom (1 - max synthetic utilization).",
-            report.aub_slack,
-        );
-        e.gauge(
-            "rtcm_util_imbalance",
-            "Synthetic-utilization spread across processors.",
-            report.util_imbalance,
-        );
-        e.counter(
-            "rtcm_governor_windows_total",
-            "Sensing windows closed by the adaptation governor.",
-            report.governor_windows,
-        );
-        e.counter(
-            "rtcm_governor_swaps_total",
-            "Committed swaps initiated by the governor.",
-            report.governor_swaps,
-        );
-        e.counter(
-            "rtcm_governor_overruns_total",
-            "Governor window boundaries overrun by sense+actuate work.",
-            report.governor_overruns,
-        );
-        e.counter(
-            "rtcm_events_published_total",
-            "Events published through the federation.",
-            report.events_published,
-        );
-        e.counter(
-            "rtcm_events_delivered_total",
-            "Per-subscriber fan-out deliveries.",
-            report.events_delivered,
-        );
-        e.counter(
-            "rtcm_remote_parcels_total",
-            "Parcels handed to the in-process network for cross-node delivery.",
-            report.remote_parcels,
-        );
-        e.counter(
-            "rtcm_bridge_rx_errors_total",
-            "Corrupt or undecodable frames received on TCP bridges.",
-            report.bridge_rx_errors,
-        );
-        e.counter(
-            "rtcm_bridge_disconnects_total",
-            "TCP bridge links torn down for any reason.",
-            report.bridge_disconnects,
-        );
-        e.counter(
-            "rtcm_bridge_tx_dropped_total",
-            "Outbound events dropped for exceeding the wire frame limit.",
-            report.bridge_tx_dropped,
-        );
+        render_federation(&mut e, events);
         e.counter_by(
             "rtcm_proto_decode_errors_total",
             "Mailbox payloads dropped because they did not decode.",
             "topic",
-            &MsgKind::ALL.map(|k| (k.label(), self.metrics.decode_errors.get(k))),
+            &MsgKind::ALL.map(|k| (k.label(), self.decode_errors.get(k))),
         );
         e.counter(
             "rtcm_trace_records_dropped_total",
             "Trace records evicted from the bounded ring.",
-            self.metrics.trace.dropped(),
+            self.trace.dropped(),
         );
         e.finish()
     }
+}
+
+/// Reconstructs a [`DelayStats`] row from a histogram's exact parts,
+/// refilling the caller's pooled snapshot instead of allocating one.
+fn delay_from(hist: &Histogram, scratch: &mut HistogramSnapshot) -> DelayStats {
+    hist.snapshot_into(scratch);
+    DelayStats::from_parts(
+        scratch.count,
+        u128::from(scratch.sum),
+        Duration::from_nanos(scratch.min),
+        Duration::from_nanos(scratch.max),
+    )
+}
+
+/// Appends a federation's event-path counters: the one place their
+/// exposition names and help text are written, for the system page and
+/// the quorum member's page alike.
+pub fn render_federation(e: &mut Exposition, events: &FederationStats) {
+    e.counter(
+        "rtcm_events_published_total",
+        "Events published through the federation.",
+        events.events_published,
+    );
+    e.counter(
+        "rtcm_events_delivered_total",
+        "Per-subscriber fan-out deliveries.",
+        events.local_deliveries,
+    );
+    e.counter(
+        "rtcm_remote_parcels_total",
+        "Parcels handed to the in-process network for cross-node delivery.",
+        events.remote_parcels,
+    );
+    e.counter(
+        "rtcm_bridge_rx_errors_total",
+        "Corrupt or undecodable frames received on TCP bridges.",
+        events.bridge_rx_errors,
+    );
+    e.counter(
+        "rtcm_bridge_disconnects_total",
+        "TCP bridge links torn down for any reason.",
+        events.bridge_disconnects,
+    );
+    e.counter(
+        "rtcm_bridge_tx_dropped_total",
+        "Outbound events dropped for exceeding the wire frame limit.",
+        events.bridge_tx_dropped,
+    );
 }
 
 #[cfg(test)]
@@ -576,11 +589,10 @@ mod tests {
 
     #[test]
     fn metrics_fold_into_snapshot() {
-        let stats = SharedStats::new();
-        let m = stats.metrics();
+        let m = RtMetrics::new();
         m.jobs_completed.add(3);
         m.comm.record(Duration::from_micros(100).as_nanos());
-        let snap = stats.snapshot();
+        let snap = m.snapshot();
         assert_eq!(snap.jobs_completed, 3);
         assert_eq!(snap.comm.count(), 1);
         assert_eq!(snap.comm.min(), Duration::from_micros(100));
@@ -588,69 +600,77 @@ mod tests {
     }
 
     #[test]
-    fn cold_fields_still_go_through_with() {
-        let stats = SharedStats::new();
-        stats.with(|r| r.governor_windows = 7);
-        assert_eq!(stats.snapshot().governor_windows, 7);
+    fn swap_and_window_rows_fold_into_snapshot() {
+        let m = RtMetrics::new();
+        m.record_abort(ReconfigAbortReason::AckTimeout);
+        m.record_abort(ReconfigAbortReason::ForeignCoordinator);
+        m.record_abort(ReconfigAbortReason::Validation);
+        m.governor_windows.add(7);
+        let snap = m.snapshot();
+        assert_eq!(snap.reconfig_aborts, 2, "a validation refusal publishes no phase");
+        assert_eq!(
+            snap.reconfig_abort_reasons,
+            ReconfigAbortBreakdown { ack_timeout: 1, validation: 1, foreign_coordinator: 1 }
+        );
+        assert_eq!(snap.governor_windows, 7);
     }
 
     #[test]
     fn ratio_reconstructs_from_parts() {
-        let stats = SharedStats::new();
-        let m = stats.metrics();
+        let m = RtMetrics::new();
         m.arrived_utilization.add(0.5);
         m.arrived_jobs.inc();
         m.arrived_utilization.add(0.25);
         m.arrived_jobs.inc();
         m.released_utilization.add(0.5);
         m.released_jobs.inc();
-        let ratio = stats.snapshot().ratio;
+        let ratio = m.snapshot().ratio;
         assert_eq!(ratio.arrived_jobs(), 2);
         assert!((ratio.ratio() - (0.5 / 0.75)).abs() < 1e-12);
     }
 
     #[test]
     fn in_flight_counts() {
-        let stats = SharedStats::new();
-        stats.job_in();
-        stats.job_in();
-        stats.job_out();
-        assert_eq!(stats.in_flight(), 1);
+        let m = RtMetrics::new();
+        m.job_in();
+        m.job_in();
+        m.job_out();
+        assert_eq!(m.in_flight(), 1);
     }
 
     #[test]
     fn wait_quiet_blocks_until_drained() {
-        let stats = SharedStats::new();
-        assert!(stats.wait_quiet(StdDuration::from_millis(1)), "empty system is quiet");
-        stats.job_in();
-        assert!(!stats.wait_quiet(StdDuration::from_millis(5)), "in-flight job times out");
-        let s2 = Arc::clone(&stats);
+        let m = Arc::new(RtMetrics::new());
+        assert!(m.wait_quiet(StdDuration::from_millis(1)), "empty system is quiet");
+        m.job_in();
+        assert!(!m.wait_quiet(StdDuration::from_millis(5)), "in-flight job times out");
+        let m2 = Arc::clone(&m);
         let t = std::thread::spawn(move || {
             std::thread::sleep(StdDuration::from_millis(10));
-            s2.job_out();
+            m2.job_out();
         });
-        assert!(stats.wait_quiet(StdDuration::from_secs(5)), "notified on drain");
+        assert!(m.wait_quiet(StdDuration::from_secs(5)), "notified on drain");
         t.join().unwrap();
     }
 
     #[test]
     fn report_serializes() {
-        let stats = SharedStats::new();
-        let json = serde_json::to_string(&stats.snapshot()).unwrap();
+        let json = serde_json::to_string(&RtMetrics::new().snapshot()).unwrap();
         assert!(json.contains("jobs_completed"));
     }
 
     #[test]
     fn exposition_covers_registry_and_report() {
-        let stats = SharedStats::new();
-        stats.metrics().jobs_completed.inc();
-        stats.metrics().response.record(250_000);
-        let mut report = stats.snapshot();
-        report.events_published = 42;
-        let page = stats.render_exposition(&report);
+        let m = RtMetrics::new();
+        m.jobs_completed.inc();
+        m.response.record(250_000);
+        m.governor_swaps.inc();
+        let events = FederationStats { events_published: 42, ..FederationStats::default() };
+        let page = m.render_exposition(&events);
         assert!(page.contains("rtcm_jobs_completed_total 1"));
         assert!(page.contains("# TYPE rtcm_response_ns histogram"));
         assert!(page.contains("rtcm_response_ns_count 1"));
+        assert!(page.contains("rtcm_governor_swaps_total 1"));
         assert!(page.contains("rtcm_events_published_total 42"));
         assert!(page.contains("rtcm_proto_decode_errors_total{topic=\"reconfig\"} 0"));
     }

@@ -27,7 +27,7 @@ use crate::lock;
 use crate::manager::{run_manager, ManagerConfig, ManagerCtl, ManagerLink};
 use crate::node::{run_node, ExecMode, NodeConfig};
 use crate::proto::{self, ReconfigAbortReason};
-use crate::stats::{RtMetrics, SharedStats, SystemReport};
+use crate::stats::{RtMetrics, SystemReport};
 
 /// Runtime options.
 #[derive(Debug, Clone, Copy)]
@@ -215,7 +215,7 @@ pub struct System {
     manager: ManagerLink,
     /// The active configuration; written by the manager at each commit.
     services: Arc<Mutex<ServiceConfig>>,
-    stats: Arc<SharedStats>,
+    stats: Arc<RtMetrics>,
     clock: Clock,
     federation: Federation,
     remote_voters: Arc<Mutex<HashSet<u64>>>,
@@ -256,7 +256,7 @@ impl System {
             .map_err(LaunchError::InvalidConfig)?;
 
         let clock = Clock::new();
-        let stats = SharedStats::new();
+        let stats = Arc::new(RtMetrics::new());
         // Node 0 is the task manager; app processor p is node p + 1.
         let federation = Federation::new(procs + 1, options.latency, options.seed);
 
@@ -576,42 +576,38 @@ impl System {
         self.merged_report()
     }
 
-    /// The live telemetry plane: the lock-free counters, gauges and
-    /// histograms the hot paths record into, plus the job trace buffer.
-    /// Reading them never touches the report mutex.
+    /// The live telemetry plane: every counter, gauge and histogram the
+    /// runtime records into, plus the job trace buffer. Reading a metric
+    /// is an atomic load; no report lock exists to contend on.
     #[must_use]
     pub fn telemetry(&self) -> &RtMetrics {
-        self.stats.metrics()
+        &self.stats
     }
 
     /// Mounts the OAM scrape endpoint on `addr` (port 0 for an
     /// OS-assigned port): `GET /metrics` serves the Prometheus-style text
-    /// exposition of the full merged report — registry metrics plus
-    /// federation event-path counters — and `GET /trace` serves the job
-    /// tracer's JSON-lines dump. The endpoint outlives this system
-    /// gracefully: scrapes after shutdown serve the final counters.
+    /// exposition of every registry row plus the federation's event-path
+    /// counters, and `GET /trace` serves the job tracer's JSON-lines dump.
+    /// The endpoint outlives this system gracefully: scrapes after
+    /// shutdown serve the final counters.
     ///
     /// # Errors
     ///
     /// I/O errors from binding `addr`.
     pub fn serve_oam(&self, addr: impl std::net::ToSocketAddrs) -> std::io::Result<OamServer> {
-        self.stats.metrics().registry().set_build_info(vec![
+        self.stats.registry().set_build_info(vec![
             ("version".to_string(), env!("CARGO_PKG_VERSION").to_string()),
             ("config".to_string(), self.services().label()),
             ("host".to_string(), self.host_id().to_string()),
         ]);
         let stats = Arc::clone(&self.stats);
         let channel = self.federation.handle(NodeId(0)).expect("node 0 exists");
-        let trace_stats = Arc::clone(&self.stats);
+        let trace = Arc::clone(&self.stats.trace);
         OamServer::start(
             addr,
             OamRoutes {
-                metrics: Arc::new(move || {
-                    let mut report = stats.snapshot();
-                    fold_federation(&mut report, &channel.federation_stats());
-                    stats.render_exposition(&report)
-                }),
-                trace: Arc::new(move || trace_stats.metrics().trace.dump_json_lines()),
+                metrics: Arc::new(move || stats.render_exposition(&channel.federation_stats())),
+                trace: Arc::new(move || trace.dump_json_lines()),
             },
         )
     }

@@ -1310,18 +1310,25 @@ fn stale_fence_recovers_at_the_wheel_deadline() {
 // Telemetry plane: OAM scrapes, job traces, governor wheel ticks
 // ---------------------------------------------------------------------
 
-/// Value of the single un-labelled sample line for `name` in an
-/// exposition page.
-fn metric(page: &str, name: &str) -> u64 {
+/// The single un-labelled sample line for `name` in an exposition page.
+fn sample<'p>(page: &'p str, name: &str) -> &'p str {
     page.lines()
         .find_map(|l| l.strip_prefix(name).and_then(|rest| rest.strip_prefix(' ')))
         .unwrap_or_else(|| panic!("metric {name} absent from exposition"))
-        .parse()
-        .unwrap_or_else(|_| panic!("metric {name} is not an integer"))
 }
 
+/// Value of the sample line for `name`, an integer.
+fn metric(page: &str, name: &str) -> u64 {
+    sample(page, name).parse().unwrap_or_else(|_| panic!("metric {name} is not an integer"))
+}
+
+/// Every runtime row reads on the page as in the report, the
+/// once-per-swap and once-per-window rows included: a governor swap, a
+/// caller's swap, a refused target and some governor windows book them.
 #[test]
 fn oam_scrape_matches_the_report_snapshot() {
+    use rtcm_core::govern::{GovernorPolicy, GovernorRule, Metric, Trigger};
+
     let system = launch(
         "workload w\nprocessors 2\n\
          task chain aperiodic deadline=500ms\n  subtask exec=1ms proc=0\n  subtask exec=1ms proc=1\n",
@@ -1338,6 +1345,21 @@ fn oam_scrape_matches_the_report_snapshot() {
     assert!(live.contains("# TYPE rtcm_jobs_arrived_total counter"));
     assert!(live.contains("# TYPE rtcm_response_ns histogram"));
 
+    // Slack is always above -1, so the first window swaps to T_T_T; from
+    // then on the target is current and the governor only senses.
+    let policy = GovernorPolicy::new().rule(GovernorRule::new(
+        "always",
+        Metric::AubSlack,
+        Trigger::Above(-1.0),
+        1,
+        "T_T_T".parse().unwrap(),
+    ));
+    let governor = system.spawn_governor(policy, StdDuration::from_millis(10)).unwrap();
+    assert!(governor.wait_for_events(1, StdDuration::from_secs(10)), "the governor acted");
+    assert!(governor.stop()[0].outcome.is_ok(), "the governor's swap committed");
+    system.reconfigure("J_N_N".parse().unwrap()).unwrap();
+    assert!(system.reconfigure("T_J_N".parse().unwrap()).is_err(), "§4.5 refuses T_J_N");
+
     assert!(system.quiesce(QUIESCE));
     let page = rtcm_telemetry::scrape(oam.addr(), "/metrics").unwrap();
     let report = system.stats();
@@ -1345,10 +1367,35 @@ fn oam_scrape_matches_the_report_snapshot() {
     assert_eq!(metric(&page, "rtcm_jobs_completed_total"), report.jobs_completed);
     assert_eq!(metric(&page, "rtcm_deadline_misses_total"), report.deadline_misses);
     assert_eq!(metric(&page, "rtcm_ir_reports_total"), report.ir_reports);
-    assert_eq!(metric(&page, "rtcm_reconfig_swaps_total"), report.reconfig_swaps);
     assert_eq!(metric(&page, "rtcm_events_published_total"), report.events_published);
     assert_eq!(metric(&page, "rtcm_response_ns_count"), report.response.count());
     assert_eq!(metric(&page, "rtcm_jobs_in_flight"), 0);
+
+    assert_eq!(report.reconfig_swaps, 2);
+    assert_eq!(report.governor_swaps, 1);
+    assert_eq!(report.reconfig_abort_reasons.validation, 1);
+    assert!(report.governor_windows >= 1);
+    let reasons = report.reconfig_abort_reasons;
+    for (name, value) in [
+        ("rtcm_reconfig_swaps_total", report.reconfig_swaps),
+        ("rtcm_reconfig_aborts_total", report.reconfig_aborts),
+        ("rtcm_reconfig_aborts_ack_timeout_total", reasons.ack_timeout),
+        ("rtcm_reconfig_aborts_validation_total", reasons.validation),
+        ("rtcm_reconfig_aborts_foreign_coordinator_total", reasons.foreign_coordinator),
+        ("rtcm_reconfig_deferred_total", report.reconfig_deferred),
+        ("rtcm_governor_windows_total", report.governor_windows),
+        ("rtcm_governor_swaps_total", report.governor_swaps),
+        ("rtcm_governor_overruns_total", report.governor_overruns),
+    ] {
+        assert_eq!(metric(&page, name), value, "{name}");
+    }
+    for (name, value) in [
+        ("rtcm_reconfig_max_inflight", report.reconfig_max_inflight as f64),
+        ("rtcm_aub_slack", report.aub_slack),
+        ("rtcm_util_imbalance", report.util_imbalance),
+    ] {
+        assert_eq!(sample(&page, name).parse::<f64>().unwrap(), value, "{name}");
+    }
 
     // The trace route serves one JSON object per line, covering the runs.
     let trace = rtcm_telemetry::scrape(oam.addr(), "/trace").unwrap();

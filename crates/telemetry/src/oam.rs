@@ -12,12 +12,22 @@
 //! in `accept` — zero wakeups while nobody scrapes, in keeping with the
 //! reactor's no-idle-polling discipline. Shutdown wakes the acceptor
 //! with a loopback connection, so no poll loop is needed for that either.
+//!
+//! Because requests are serial, one scraper must not be able to hold the
+//! thread: the whole request head has one 2 s deadline, however slowly
+//! its bytes trickle in, and each write of the response times out after
+//! the same span, so a client that stops reading is dropped too — and
+//! shutdown, which joins the thread, returns.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// How long a client has to send its whole request head, and how long
+/// one write of the response may block on a client that does not read.
+const CLIENT_DEADLINE: Duration = Duration::from_secs(2);
 
 /// Renders a route body on demand.
 pub type RouteFn = Arc<dyn Fn() -> String + Send + Sync>;
@@ -119,8 +129,6 @@ impl OamServer {
                     if accept_stop.load(Ordering::SeqCst) {
                         break;
                     }
-                    // One misbehaving scraper must not wedge the endpoint.
-                    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
                     let _ = serve_one(stream, &routes);
                 }
             })
@@ -157,8 +165,11 @@ impl Drop for OamServer {
     }
 }
 
-/// Reads one request head, dispatches on the path, writes one response.
+/// Reads one request head, dispatches on the path, writes one response,
+/// within the `CLIENT_DEADLINE` bounds.
 fn serve_one(mut stream: TcpStream, routes: &OamRoutes) -> std::io::Result<()> {
+    stream.set_write_timeout(Some(CLIENT_DEADLINE))?;
+    let deadline = Instant::now() + CLIENT_DEADLINE;
     let mut head = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
     // Read until the end of the request head; bodies are ignored (GET).
@@ -166,6 +177,12 @@ fn serve_one(mut stream: TcpStream, routes: &OamRoutes) -> std::io::Result<()> {
         if head.len() > 8192 {
             return respond(&mut stream, "400 Bad Request", "text/plain", "oversized request\n");
         }
+        // Each read may wait only for what is left of the head's deadline.
+        let left = deadline
+            .checked_duration_since(Instant::now())
+            .filter(|left| !left.is_zero())
+            .ok_or_else(|| std::io::Error::from(std::io::ErrorKind::TimedOut))?;
+        stream.set_read_timeout(Some(left))?;
         let n = stream.read(&mut chunk)?;
         if n == 0 {
             break;
@@ -303,6 +320,49 @@ mod tests {
         let server = OamServer::start("127.0.0.1:0", routes).unwrap();
         assert_eq!(scrape(server.addr(), "/metrics").unwrap(), "n 0\n");
         assert_eq!(scrape(server.addr(), "/metrics").unwrap(), "n 1\n");
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_scraper_that_stops_reading_cannot_hang_shutdown() {
+        // A page far larger than the loopback socket buffers.
+        let routes =
+            OamRoutes { metrics: Arc::new(|| "x".repeat(64 << 20)), trace: Arc::new(String::new) };
+        let server = OamServer::start("127.0.0.1:0", routes).unwrap();
+        let mut client = TcpStream::connect(server.addr()).unwrap();
+        client.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
+        // Let the server start writing the page the client never reads.
+        std::thread::sleep(Duration::from_millis(200));
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            server.shutdown();
+            let _ = done.send(());
+        });
+        assert!(
+            finished.recv_timeout(Duration::from_secs(15)).is_ok(),
+            "shutdown is stuck behind a client that does not read"
+        );
+        drop(client);
+    }
+
+    #[test]
+    fn a_trickling_scraper_cannot_hold_the_endpoint() {
+        let server = OamServer::start("127.0.0.1:0", routes("m 1\n", "")).unwrap();
+        let addr = server.addr();
+        // One byte of a request head every 300 ms, for at most 6 s: each
+        // read is quick, the head never ends.
+        let trickler = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            for byte in b"GET /metrics HTTP/1.0".iter().cycle().take(20) {
+                if stream.write_all(&[*byte]).is_err() {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(300));
+            }
+        });
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(scrape(addr, "/metrics").unwrap(), "m 1\n", "the endpoint is still served");
+        trickler.join().unwrap();
         server.shutdown();
     }
 }

@@ -6,9 +6,9 @@
 //!
 //! 1. **Mount**: a `System` under load serves `GET /metrics` (Prometheus
 //!    text exposition v0.0.4) and `GET /trace` (JSON lines) from a
-//!    dependency-free OAM endpoint; the hot paths record into lock-free
-//!    counters and log2-bucketed histograms, so scraping never touches
-//!    the report mutex.
+//!    dependency-free OAM endpoint; every runtime row is a lock-free
+//!    counter, gauge or log2-bucketed histogram, so a scrape reads atomics
+//!    while jobs keep recording.
 //! 2. **Scrape mid-run**: curl-style fetches show live counters and
 //!    percentile-ready histogram buckets while jobs are still in flight.
 //! 3. **Bridged swap**: a TCP-bridged remote host votes on a
