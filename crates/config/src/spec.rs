@@ -385,13 +385,22 @@ fn parse_duration(s: &str, line: usize) -> Result<Duration, SpecError> {
     let (digits, unit) = s.split_at(s.find(|c: char| c.is_ascii_alphabetic()).unwrap_or(s.len()));
     let value: u64 =
         digits.parse().map_err(|_| SpecError::parse(line, format!("bad duration {s:?}")))?;
-    match unit {
-        "ns" => Ok(Duration::from_nanos(value)),
-        "us" => Ok(Duration::from_micros(value)),
-        "ms" => Ok(Duration::from_millis(value)),
-        "s" => Ok(Duration::from_secs(value)),
-        _ => Err(SpecError::parse(line, format!("bad duration unit in {s:?} (use ns/us/ms/s)"))),
-    }
+    let nanos_per_unit: u64 = match unit {
+        "ns" => 1,
+        "us" => 1_000,
+        "ms" => 1_000_000,
+        "s" => 1_000_000_000,
+        _ => {
+            return Err(SpecError::parse(
+                line,
+                format!("bad duration unit in {s:?} (use ns/us/ms/s)"),
+            ))
+        }
+    };
+    value
+        .checked_mul(nanos_per_unit)
+        .map(Duration::from_nanos)
+        .ok_or_else(|| SpecError::parse(line, format!("duration {s:?} overflows the clock")))
 }
 
 /// Errors from specification parsing and validation.
@@ -573,6 +582,33 @@ task hazard-alert aperiodic deadline=300ms
         )
         .unwrap_err();
         assert!(err.to_string().contains("unit"));
+    }
+
+    #[test]
+    fn durations_past_the_clock_are_parse_errors() {
+        // u64 nanoseconds end inside second 18446744073; unchecked, the
+        // next whole second wraps to a deadline of about 290 ms.
+        for (deadline, exec, line_no) in
+            [("18446744074s", "1ms", 3), ("10ms", "18446744073710ms", 4)]
+        {
+            let text = format!(
+                "workload w\nprocessors 1\ntask t aperiodic deadline={deadline}\n  \
+                 subtask exec={exec} proc=0\n"
+            );
+            match WorkloadSpec::parse(&text).unwrap_err() {
+                SpecError::Parse { line, message } => {
+                    assert_eq!(line, line_no, "{message}");
+                    assert!(message.contains("overflows"), "{message}");
+                }
+                other => panic!("expected a parse error, got {other:?}"),
+            }
+        }
+        let spec = WorkloadSpec::parse(
+            "workload w\nprocessors 1\ntask t aperiodic deadline=18446744073s\n  \
+             subtask exec=1ms proc=0\n",
+        )
+        .unwrap();
+        assert_eq!(spec.tasks[0].deadline, Duration::from_secs(18_446_744_073));
     }
 
     #[test]

@@ -38,8 +38,11 @@
 //! visiting no touched processor has a provably unchanged sum — the
 //! decision then costs O(candidate visits + touched entries). Each visit
 //! of an entry remembers where its index record sits, so an entry leaves
-//! the index in O(visits) however deep the buckets are. The original
-//! scan survives as [`AdmissionController::system_schedulable_brute`] (see
+//! the index in O(visits) however deep the buckets are. A hot-path
+//! decision prunes the current set at its own instant inside the epoch
+//! that carries the candidate's shares, so a processor both touch takes
+//! one net delta. The original scan survives as
+//! [`AdmissionController::system_schedulable_brute`] (see
 //! [`AdmissionMode`]), serving as the differential-testing oracle
 //! (`crates/core/tests/differential.rs`).
 //!
@@ -738,9 +741,9 @@ impl AdmissionController {
         self.reserved.len()
     }
 
-    /// Handles the arrival of job `seq` of `task` at time `now`: proposes a
-    /// placement via the configured load balancer and runs the admission
-    /// test per the configured strategy.
+    /// Handles the arrival of job `seq` of `task` at time `now`, decided at
+    /// that instant: [`AdmissionController::handle_arrival_with`] with the
+    /// balancer's plan.
     ///
     /// # Errors
     ///
@@ -753,13 +756,20 @@ impl AdmissionController {
         seq: u64,
         now: Time,
     ) -> Result<Decision, AdmissionError> {
-        self.handle_arrival_with(task, seq, now, |propose| propose())
+        self.handle_arrival_with(task, seq, now, now, |locate| locate())
     }
 
-    /// [`AdmissionController::handle_arrival`], with the one balancer call
-    /// the decision makes wrapped by `place`, which must call `propose`
-    /// (else it panics). A pass-through makes no call. The runtime times
-    /// the call as Figure 8's op 3.
+    /// Decides job `seq` of `task`, stamped as arriving at `arrival`, at
+    /// the decision instant `now` — the one decision body. It prunes the
+    /// current set at `now` (jobs whose deadline is not after it leave),
+    /// takes a placement from `place`, and runs the admission test per
+    /// the configured strategy; an admitted job's shares expire at
+    /// `arrival` plus the task's deadline.
+    ///
+    /// `place` receives the one balancer call the decision makes (the
+    /// paper's "Location" call) and returns the plan to test:
+    /// `|locate| locate()` tests the balancer's. The runtime times the
+    /// call as Figure 8's op 3. A pass-through makes no call.
     ///
     /// # Errors
     ///
@@ -768,8 +778,9 @@ impl AdmissionController {
         &mut self,
         task: &TaskSpec,
         seq: u64,
+        arrival: Time,
         now: Time,
-        place: impl FnOnce(&mut dyn FnMut()),
+        place: impl FnOnce(&mut dyn FnMut() -> Assignment) -> Assignment,
     ) -> Result<Decision, AdmissionError> {
         Self::check_seq(task.id(), seq)?;
         self.check_processors(task)?;
@@ -788,13 +799,18 @@ impl AdmissionController {
             self.ledger.begin_touch_epoch();
             self.expire_in_epoch(now);
         }
-        let mut plan = None;
-        place(&mut || plan = Some(self.balancer.assignment_for(task, &self.ledger)));
-        self.admit_in_open_epoch(task, seq, now, plan.expect("`place` calls `propose`"))
+        let assignment = place(&mut || self.balancer.assignment_for(task, &self.ledger));
+        let job = JobId::new(task.id(), seq);
+        if self.by_job.contains_key(&job) {
+            self.settle_epoch();
+            return Err(AdmissionError::DuplicateArrival { job });
+        }
+        Ok(self.decide_in_open_epoch(task, job, arrival, assignment))
     }
 
     /// Like [`AdmissionController::handle_arrival`] but with a
-    /// caller-supplied placement: a test hook, like `apply_remote_commit`.
+    /// caller-supplied placement, validated and then decided by the same
+    /// body: a test hook, like `apply_remote_commit`.
     ///
     /// # Errors
     ///
@@ -809,16 +825,11 @@ impl AdmissionController {
         assignment: Assignment,
     ) -> Result<Decision, AdmissionError> {
         Self::check_seq(task.id(), seq)?;
-        self.expire(now);
         self.check_processors(task)?;
         if !assignment.is_valid_for(task) {
             return Err(AdmissionError::InvalidAssignment { task: task.id() });
         }
-        if let Some(decision) = self.try_pass_through(task)? {
-            return Ok(decision);
-        }
-        self.ledger.begin_touch_epoch();
-        self.admit_in_open_epoch(task, seq, now, assignment)
+        self.handle_arrival_with(task, seq, now, now, |_| assignment)
     }
 
     /// Proposes a placement for `task` without running the admission test
@@ -913,8 +924,9 @@ impl AdmissionController {
         freed
     }
 
-    /// Removes expired jobs from the current set (`S(t)`); called
-    /// automatically at every arrival, and callable eagerly.
+    /// Removes expired jobs from the current set (`S(t)`): every job whose
+    /// deadline is not after `now`. Each decision prunes at its own instant
+    /// ([`AdmissionController::handle_arrival_with`]); callable eagerly.
     pub fn expire(&mut self, now: Time) {
         self.ledger.begin_touch_epoch();
         self.expire_in_epoch(now);
@@ -1051,24 +1063,6 @@ impl AdmissionController {
         placement
     }
 
-    /// Refuses a duplicate job, else decides it. The caller has opened the
-    /// touch epoch the tentative shares join (on the hot path, the one
-    /// that covers expiry); every path out settles it.
-    fn admit_in_open_epoch(
-        &mut self,
-        task: &TaskSpec,
-        seq: u64,
-        now: Time,
-        assignment: Assignment,
-    ) -> Result<Decision, AdmissionError> {
-        let job = JobId::new(task.id(), seq);
-        if self.by_job.contains_key(&job) {
-            self.settle_epoch();
-            return Err(AdmissionError::DuplicateArrival { job });
-        }
-        Ok(self.decide_in_open_epoch(task, job, now, assignment))
-    }
-
     /// The admission decision proper: tentatively adds the candidate's
     /// shares to the ledger totals inside the open touch epoch, settles it
     /// exactly once (delta-applying every touched processor's `f(U)` step
@@ -1084,7 +1078,7 @@ impl AdmissionController {
         &mut self,
         task: &TaskSpec,
         job: JobId,
-        now: Time,
+        arrival: Time,
         assignment: Assignment,
     ) -> Decision {
         self.stats.tested += 1;
@@ -1107,7 +1101,7 @@ impl AdmissionController {
                 self.reserved.insert(task.id(), eid);
             } else {
                 let eid = self.register_entry(job, job, visits);
-                self.queue_expiry(now.saturating_add(task.deadline()), eid);
+                self.queue_expiry(arrival.saturating_add(task.deadline()), eid);
             }
             self.stats.admitted += 1;
             Decision::Accept { assignment, newly_admitted: true }
@@ -1622,6 +1616,27 @@ mod tests {
         // After both deadlines pass, the same task is admitted.
         assert!(ac.handle_arrival(&aperiodic(3, 20, 0), 0, at(100)).unwrap().is_accept());
         assert_eq!(ac.current_entries(), 1);
+    }
+
+    #[test]
+    fn a_decision_prunes_at_its_instant_and_expires_from_the_stamp() {
+        let mut ac = AdmissionController::new(cfg("J_N_N"), 1).unwrap();
+        for id in 0..2 {
+            assert!(ac.handle_arrival(&aperiodic(id, 20, 0), 0, Time::ZERO).unwrap().is_accept());
+        }
+        // Stamped 90 ms but decided at 100 ms: both holders' deadlines
+        // (100 ms) have passed at the instant, so a third 0.2 share fits.
+        // Pruned at the stamp instead, it would be rejected.
+        let late = aperiodic(2, 20, 0);
+        let decision = ac.handle_arrival_with(&late, 0, at(90), at(100), |locate| locate());
+        assert!(decision.unwrap().is_accept());
+        assert_eq!(ac.current_entries(), 1);
+        // Its share leaves at 90 + 100 ms, not at 100 + 100 ms.
+        ac.expire(at(189));
+        assert_eq!(ac.current_entries(), 1);
+        ac.expire(at(190));
+        assert_eq!(ac.current_entries(), 0);
+        assert_eq!(ac.ledger().utilization(ProcessorId(0)), 0.0);
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //! the trace across the whole combination lattice, exercising the ledger
 //! handover of `AdmissionController::reconfigure`), and the two
 //! controllers must agree on every `Decision`, every freed utilization,
-//! every `HandoverReport`, and the final ledger state to 1e-9.
+//! every `HandoverReport`, and the final ledger state to 1e-9. Half the
+//! arrivals are decided after their arrival stamp (by up to 40 ms), so the
+//! decision instant the current set is pruned at and the stamp the
+//! deadline runs from differ.
 //!
 //! Each property runs 256 cases (the vendored proptest is deterministic
 //! per test, so a green run is exactly reproducible), giving ≥ 256 traces
@@ -118,9 +121,16 @@ impl<'a> Replay<'a> {
         let task = &self.tasks[t_idx];
         match kind % 9 {
             // Weighted toward arrivals: they exercise the decision path.
+            // Half decide at their arrival instant; the other half carry a
+            // stamp up to 40 ms older than the decision instant, as a job
+            // queued behind the manager does, so the current set is pruned
+            // at the instant while the deadline runs from the stamp.
             0..=3 => {
                 let seq = self.next_seq(t_idx);
-                let decision = self.ac.handle_arrival(task, seq, self.now);
+                let age = if kind % 9 < 2 { 0 } else { u64::from(y % 41) * 1_000_000 };
+                let arrival = Time::from_nanos(self.now.as_nanos().saturating_sub(age));
+                let decision =
+                    self.ac.handle_arrival_with(task, seq, arrival, self.now, |locate| locate());
                 if let Ok(Decision::Accept { assignment, .. }) = &decision {
                     self.admitted.push((JobId::new(task.id(), seq), assignment.clone()));
                 }

@@ -5,10 +5,10 @@
 //! The manager consumes "Task Arrive" and "Idle Resetting" events, runs the
 //! core [`AdmissionController`] (which hosts the load balancer), and
 //! publishes "Accept"/"Reject" events back to the task effectors, deciding
-//! through the simulator's calls. Each operation is timed for the Figure 8
-//! overhead table: op 3 (plan generation), op 4 (admission test, expiry
-//! included), op 8 (utilization update), and the one-way communication
-//! delay of incoming events (op 2) measured on the shared clock.
+//! through the simulator's one call. Each operation is timed for the Figure
+//! 8 overhead table: op 3 (plan generation), op 4 (admission test, with the
+//! expiry at the decision instant in its touch epoch), op 8 (utilization
+//! update), and the one-way delay of incoming events (op 2), shared clock.
 //!
 //! The manager is also the coordinator of the **two-phase live
 //! reconfiguration protocol** (see DESIGN.md "Live reconfiguration"):
@@ -435,21 +435,20 @@ impl Manager {
         metrics.comm.record(now.elapsed_since(Time::from_nanos(msg.sent_ns)).as_nanos());
 
         let Some(task) = self.cfg.tasks.get(msg.job.task) else { return };
-        // On one shared clock a job cannot arrive after its decision starts;
-        // a stamp from the future would expire the whole current set.
+        // On one shared clock a job cannot arrive after its decision starts.
+        // The deadline runs from the clamped stamp, and the accept carries it.
         let arrival = Time::from_nanos(msg.arrival_ns).min(now);
 
-        // The simulator's two calls, against the job's true arrival-based
-        // deadline. Op 3 is the balancer call the decision makes (the
-        // "Location" call on the LB component; a pass-through makes none),
-        // op 4 the rest of the decision, expiry included.
+        // The simulator's one call, pruning at `now`. Op 3 is the balancer
+        // call it makes (the LB's "Location" call; a pass-through makes
+        // none), op 4 the rest of the decision, expiry included.
         let mut lb_plan = None;
         let started = Instant::now();
-        self.cfg.ac.expire(now);
-        let decision = self.cfg.ac.handle_arrival_with(task, msg.job.seq, arrival, |propose| {
+        let decision = self.cfg.ac.handle_arrival_with(task, msg.job.seq, arrival, now, |locate| {
             let lb_start = Instant::now();
-            propose();
+            let plan = locate();
             lb_plan = Some(lb_start.elapsed());
+            plan
         });
         let lb = lb_plan.unwrap_or_default();
         metrics.ac_test.record(Duration::from(started.elapsed().saturating_sub(lb)).as_nanos());

@@ -828,10 +828,9 @@ impl<'a> Simulation<'a> {
     fn decide(&mut self, arrival: usize, at: usize) -> Result<(), AdmissionError> {
         let task = &self.tasks.tasks()[at];
         let Arrival { seq, time: te_arrival, .. } = self.trace.arrivals()[arrival];
-        // Clean the current set up to manager time, then test against the
-        // job's true (arrival-based) deadline.
-        self.ac.expire(self.now);
-        match self.ac.handle_arrival(task, seq, te_arrival)? {
+        // Decided at manager time, against the job's true (arrival-based)
+        // deadline.
+        match self.ac.handle_arrival_with(task, seq, te_arrival, self.now, |locate| locate())? {
             Decision::Accept { assignment, .. } => {
                 self.skips.record(at, true);
                 if assignment.is_reallocation(task) {

@@ -218,10 +218,13 @@ fn simulate_cmd<'a>(it: &mut impl Iterator<Item = &'a str>) -> Result<String, Cl
                 combo = parse_combo(v)?;
             }
             "--horizon-secs" => {
-                let v = it
+                let v: u64 = it
                     .next()
                     .and_then(|v| v.parse().ok())
                     .ok_or_else(|| CliError::Usage("--horizon-secs needs a number".into()))?;
+                if v.checked_mul(1_000_000_000).is_none() {
+                    return Err(CliError::Usage(format!("--horizon-secs {v} overflows the clock")));
+                }
                 horizon = v;
             }
             "--seed" => {
@@ -394,6 +397,18 @@ mod tests {
         let path = spec_file();
         let err = run(&args(&["simulate", path.to_str().unwrap(), "--combo", "X"])).unwrap_err();
         assert!(matches!(err, CliError::Usage(_)));
+    }
+
+    #[test]
+    fn horizon_past_the_clock_is_a_usage_error() {
+        // The first whole second past u64 nanoseconds: unchecked, the
+        // horizon wraps to under a second and the run simulates no arrivals.
+        let path = spec_file();
+        let p = path.to_str().unwrap();
+        match run(&args(&["simulate", p, "--horizon-secs", "18446744074"])) {
+            Err(CliError::Usage(msg)) => assert!(msg.contains("overflows"), "{msg}"),
+            other => panic!("expected a usage error, got {other:?}"),
+        }
     }
 
     /// `rtcm simulate --poisson-factor <factor>`'s error.
