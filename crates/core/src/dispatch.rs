@@ -178,12 +178,6 @@ impl<T> Cpu<T> {
         self.running.is_none() && self.ready.is_empty()
     }
 
-    /// Number of subjobs waiting (not counting the running one).
-    #[must_use]
-    pub fn ready_count(&self) -> usize {
-        self.ready.len()
-    }
-
     /// Total time spent busy up to the last state change.
     #[must_use]
     pub fn busy_time(&self) -> Duration {
@@ -314,12 +308,19 @@ mod tests {
         let mut cpu: Cpu<&str> = Cpu::new();
         let s = cpu.enqueue(at(0), Priority(1), Duration::from_micros(10), "urgent").unwrap();
         assert!(cpu.enqueue(at(2), Priority(5), Duration::from_micros(4), "later").is_none());
-        assert_eq!(cpu.ready_count(), 1);
-        match cpu.complete(s.completes_at, s.gen) {
+        let n = match cpu.complete(s.completes_at, s.gen) {
             Completion::Done { payload, next } => {
                 assert_eq!(payload, "urgent");
-                let n = next.unwrap();
-                assert_eq!(n.completes_at, at(14));
+                next.unwrap()
+            }
+            Completion::Stale => panic!(),
+        };
+        assert_eq!(n.completes_at, at(14));
+        // "later" was the one subjob waiting.
+        match cpu.complete(n.completes_at, n.gen) {
+            Completion::Done { payload, next } => {
+                assert_eq!(payload, "later");
+                assert!(next.is_none());
             }
             Completion::Stale => panic!(),
         }

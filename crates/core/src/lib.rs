@@ -16,9 +16,9 @@
 //!   ([`admission`]), **idle resetting** ([`reset`]) and **load balancing**
 //!   ([`balance`]) — with their per-task / per-job / disabled strategies
 //!   ([`strategy`]) and the §4.5 validity rule (15 of 18 combinations);
-//! * the two per-processor components both substrates drive: the
-//!   preemptive EDMS subtask **dispatcher** ([`dispatch`]) and the **task
-//!   effector**'s per-task decision cache ([`effector`]);
+//! * the preemptive EDMS subtask **dispatcher** ([`dispatch`]) and the
+//!   per-processor **node step** both substrates drive ([`node`]): task
+//!   effector verdict cache, idle resetter and dispatcher, composed once;
 //! * run-time **reconfiguration** ([`reconfig`]): transition plans, timed
 //!   mode schedules, and the admission-state handover behind
 //!   `AdmissionController::reconfigure`;
@@ -68,11 +68,11 @@ pub mod analysis;
 pub mod aub;
 pub mod balance;
 pub mod dispatch;
-pub mod effector;
 pub mod govern;
 pub mod hash;
 pub mod ledger;
 pub mod metrics;
+pub mod node;
 pub mod priority;
 pub mod reconfig;
 pub mod reset;

@@ -64,21 +64,13 @@ pub struct IdleResetter {
     strategy: IrStrategy,
     processor: ProcessorId,
     pending: Vec<Pending>,
-    reports: u64,
-    recorded: u64,
 }
 
 impl IdleResetter {
     /// Creates a resetter for `processor` with the given strategy.
     #[must_use]
     pub fn new(strategy: IrStrategy, processor: ProcessorId) -> Self {
-        IdleResetter { strategy, processor, pending: Vec::new(), reports: 0, recorded: 0 }
-    }
-
-    /// The configured strategy.
-    #[must_use]
-    pub fn strategy(&self) -> IrStrategy {
-        self.strategy
+        IdleResetter { strategy, processor, pending: Vec::new() }
     }
 
     /// Changes the strategy at run time (the paper's component attributes
@@ -89,12 +81,6 @@ impl IdleResetter {
     /// resetter does not know).
     pub fn set_strategy(&mut self, strategy: IrStrategy) {
         self.strategy = strategy;
-    }
-
-    /// The processor this resetter serves.
-    #[must_use]
-    pub fn processor(&self) -> ProcessorId {
-        self.processor
     }
 
     /// Records a subjob completion (the subtask components' "Complete"
@@ -109,7 +95,6 @@ impl IdleResetter {
         };
         if record {
             self.pending.push(Pending { key, deadline });
-            self.recorded += 1;
         }
     }
 
@@ -126,26 +111,7 @@ impl IdleResetter {
         if completed.is_empty() {
             return None;
         }
-        self.reports += 1;
         Some(IdleResetReport { processor: self.processor, completed })
-    }
-
-    /// Completions currently awaiting an idle period.
-    #[must_use]
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Reports produced so far.
-    #[must_use]
-    pub fn report_count(&self) -> u64 {
-        self.reports
-    }
-
-    /// Completions recorded so far (after strategy filtering).
-    #[must_use]
-    pub fn recorded_count(&self) -> u64 {
-        self.recorded
     }
 }
 
@@ -168,9 +134,7 @@ mod tests {
         let mut ir = IdleResetter::new(IrStrategy::None, ProcessorId(0));
         ir.record_completion(key(0, 0, 0), at(100), false);
         ir.record_completion(key(1, 0, 0), at(100), true);
-        assert_eq!(ir.pending_count(), 0);
         assert!(ir.on_idle(at(1)).is_none());
-        assert_eq!(ir.recorded_count(), 0);
     }
 
     #[test]
@@ -197,7 +161,10 @@ mod tests {
         let mut ir = IdleResetter::new(IrStrategy::PerJob, ProcessorId(0));
         ir.record_completion(key(0, 0, 0), at(10), true);
         assert!(ir.on_idle(at(10)).is_none(), "deadline == now means expired");
-        assert_eq!(ir.pending_count(), 0, "expired entries are dropped, not retried");
+        // Expired entries are dropped, not retried: the next report holds
+        // only the live completion recorded after the expired one.
+        ir.record_completion(key(1, 0, 0), at(100), true);
+        assert_eq!(ir.on_idle(at(11)).unwrap().completed, vec![key(1, 0, 0)]);
     }
 
     #[test]
@@ -207,22 +174,20 @@ mod tests {
         assert!(ir.on_idle(at(1)).is_some());
         assert!(ir.on_idle(at(2)).is_none());
         ir.record_completion(key(0, 0, 1), at(100), true);
-        assert!(ir.on_idle(at(3)).is_some());
-        assert_eq!(ir.report_count(), 2);
+        assert_eq!(ir.on_idle(at(3)).unwrap().completed, vec![key(0, 0, 1)]);
     }
 
     #[test]
     fn strategy_can_change_at_runtime() {
         let mut ir = IdleResetter::new(IrStrategy::None, ProcessorId(0));
         ir.record_completion(key(0, 0, 0), at(100), false);
-        assert_eq!(ir.pending_count(), 0, "None records nothing");
         ir.set_strategy(IrStrategy::PerJob);
-        assert_eq!(ir.strategy(), IrStrategy::PerJob);
         ir.record_completion(key(0, 1, 0), at(100), true);
-        assert_eq!(ir.pending_count(), 1, "new strategy applies to new completions");
-        // Downgrading keeps already-pending entries reportable.
+        // Downgrading keeps already-pending entries reportable; the
+        // completion recorded under None is not among them, and the new
+        // strategy applied to the one after the swap.
         ir.set_strategy(IrStrategy::None);
-        assert!(ir.on_idle(at(1)).is_some());
+        assert_eq!(ir.on_idle(at(1)).unwrap().completed, vec![key(0, 1, 0)]);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!   node (admission control + load balancing) plus one node per
 //!   application processor (task effector, idle resetter, prioritized
 //!   subtask dispatcher);
-//! * [`node`] / [`manager`] — the node threads;
+//! * [`node`] / [`manager`] — the node threads (a node drives the
+//!   simulator's per-processor step, `rtcm_core::node::NodeCore`);
 //! * [`proto`] — the event payloads ("Task Arrive", "Accept", "Trigger",
 //!   "Idle Resetting");
 //! * [`stats`] — shared measurement, including per-operation delays
@@ -31,9 +32,8 @@
 //!   deterministic federation (time is injected, never read).
 //!
 //! Scheduling substitution (see DESIGN.md): instead of OS real-time
-//! priorities, each node runs a single dispatcher thread driving
-//! `rtcm_core::dispatch::Cpu`, the preemptive fixed-priority state machine
-//! the simulator runs. Execution is parking until the running subjob's
+//! priorities, each node thread drives its `NodeCore`'s preemptive
+//! fixed-priority dispatcher, as the simulator does. Execution is parking until the running subjob's
 //! completion instant — the node's only timer entry — and a more urgent
 //! arrival preempts when it is received, so a subjob costs one timer
 //! wakeup and an idle node none at all.

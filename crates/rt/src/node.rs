@@ -1,27 +1,26 @@
-//! An application-processor node: one thread hosting the task effector,
-//! the idle resetter, and the prioritized subtask dispatcher (the F/I and
-//! Last Subtask components of Figure 3).
+//! An application-processor node: one thread driving the processor's
+//! [`NodeCore`] — the task effector, the idle resetter, and the prioritized
+//! subtask dispatcher (the F/I and Last Subtask components of Figure 3) —
+//! with decode, publish and a reactor around it.
 //!
-//! The dispatcher is [`rtcm_core::dispatch::Cpu`] — the preemptive EDMS
-//! state machine the simulator runs and the AUB analysis assumes — driven
-//! off the wall clock instead of OS real-time priorities (see DESIGN.md for
+//! `NodeCore` is the step the simulator runs too; here its dispatcher, the
+//! preemptive EDMS state machine the AUB analysis assumes, is driven off
+//! the wall clock instead of OS real-time priorities (see DESIGN.md for
 //! this substitution). Execution is simulated ([`ExecMode`]): in
 //! [`ExecMode::Sleep`] the running subjob *is* a timer-wheel entry at its
 //! completion instant and the thread parks on `min(completion, mailbox)`.
-//! A more urgent arrival preempts the moment it is received: `Cpu` banks
-//! the time the preempted run consumed and the entry is re-aimed at the
-//! new run. That entry is the only one a node ever holds, so a subjob costs
-//! one timer wake-up however long it runs, and an idle node blocks on its
-//! mailbox indefinitely: **zero wakeups while idle**.
+//! A more urgent arrival preempts the moment it is received: the
+//! dispatcher banks the time the preempted run consumed and the entry is
+//! re-aimed at the new run. That entry is the only one a node ever holds,
+//! so a subjob costs one timer wake-up however long it runs, and an idle
+//! node blocks on its mailbox indefinitely: **zero wakeups while idle**.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use rtcm_core::dispatch::{Completion, Cpu, Started};
-use rtcm_core::effector::{Local, TaskEffector};
-use rtcm_core::ledger::ContributionKey;
+use rtcm_core::dispatch::Started;
+use rtcm_core::node::{Done, Local, NodeCore, Subjob};
 use rtcm_core::priority::Priority;
-use rtcm_core::reset::IdleResetter;
 use rtcm_core::strategy::ServiceConfig;
 use rtcm_core::task::{JobId, ProcessorId, TaskSet};
 use rtcm_core::time::{Duration, Time};
@@ -45,16 +44,9 @@ pub enum ExecMode {
     Noop,
 }
 
-/// What a subjob carries through the dispatcher to its completion.
-#[derive(Debug, Clone)]
-struct Subjob {
-    job: JobId,
-    subtask: usize,
-    assignment: Vec<u16>,
-    arrival_ns: u64,
-    deadline_ns: u64,
-    trace: u64,
-}
+/// What a stage carries besides its [`Subjob`] fields: the placement the
+/// next trigger names, and the trace id.
+type Stage = Subjob<(Vec<u16>, u64)>;
 
 /// Everything a node thread needs at spawn time.
 ///
@@ -88,9 +80,7 @@ struct Node {
     cfg: NodeConfig,
     inject_topic: Topic,
     ctl_topic: Topic,
-    te: TaskEffector<Vec<u16>>,
-    resetter: IdleResetter,
-    cpu: Cpu<Subjob>,
+    core: NodeCore<Vec<u16>, (Vec<u16>, u64)>,
     /// Set between a reconfiguration *prepare* and its *commit*/*abort*,
     /// keyed by `(coordinator, epoch)`: while fenced, the TE fast path is
     /// disabled so every arrival routes through the AC and no local
@@ -111,13 +101,10 @@ struct Node {
 
 impl Node {
     fn new(cfg: NodeConfig) -> Self {
-        let resetter = IdleResetter::new(cfg.services.ir, ProcessorId(cfg.processor));
         Node {
             inject_topic: topics::inject(cfg.processor),
             ctl_topic: topics::node_ctl(cfg.processor),
-            te: TaskEffector::new(cfg.tasks.len()),
-            resetter,
-            cpu: Cpu::new(),
+            core: NodeCore::new(cfg.services, ProcessorId(cfg.processor), cfg.tasks.len()),
             fence: None,
             running: true,
             reactor: Reactor::new(cfg.clock, DEFAULT_TICK),
@@ -147,9 +134,7 @@ impl Node {
             // dispatcher says nothing about releases already queued behind
             // it, and reporting there sends an idle reset per completion
             // instead of one per idle period.
-            if self.cpu.is_idle() {
-                self.report_idle();
-            }
+            self.report_idle();
             match self.reactor.wait(&self.cfg.mailbox) {
                 Wake::Event(ev) => self.dispatch(&ev),
                 Wake::Timer => self.cfg.stats.timer_wakeups.inc(),
@@ -236,13 +221,10 @@ impl Node {
                 if self.fence != Some((msg.coordinator, msg.epoch)) {
                     return;
                 }
-                // Adopt the committed configuration: swap the resetter
-                // strategy in place and drop cached TE decisions — they
-                // were taken under the old configuration (a drained
-                // reservation must not keep fast-path releasing).
-                self.cfg.services = msg.services;
-                self.resetter.set_strategy(msg.services.ir);
-                self.te.clear();
+                // Adopt the committed configuration: cached TE decisions
+                // were taken under the old one (a drained reservation must
+                // not keep fast-path releasing).
+                self.core.commit(msg.services);
                 self.fence = None;
             }
         }
@@ -283,38 +265,36 @@ impl Node {
         // to whichever configuration wins the swap.
         let local = match self.fence {
             Some(_) => Local::AskManager,
-            None => self.te.on_arrival(self.cfg.services, at, task),
+            None => self.core.arrive(at, task),
         };
         match local {
             Local::Release(assignment) => {
-                let assignment = assignment.clone();
-                let now = self.cfg.clock.now().as_nanos();
-                let deadline = now + task.deadline().as_nanos();
+                let now = self.cfg.clock.now();
                 let job = JobId::new(inj.task, inj.seq);
+                let release_proc = assignment[0];
                 m.released_utilization.add(task.job_utilization());
                 m.released_jobs.inc();
                 m.trace.record(
                     inj.trace,
-                    now,
+                    now.as_nanos(),
                     self.cfg.channel.host_id(),
                     "release",
-                    format!("{job} fast path, proc {}", assignment[0]),
+                    format!("{job} fast path, proc {release_proc}"),
                 );
-                if assignment[0] == self.cfg.processor {
-                    self.enqueue(job, 0, assignment, now, deadline, inj.trace);
+                let stage = Subjob {
+                    job,
+                    task: at,
+                    subtask: 0,
+                    arrival: now,
+                    deadline: now + task.deadline(),
+                    extra: (assignment.clone(), inj.trace),
+                };
+                if release_proc == self.cfg.processor {
+                    self.enqueue(stage);
                 } else {
                     // Release the duplicate on its processor via a
                     // trigger-style handoff.
-                    let msg = TriggerMsg {
-                        job,
-                        next_subtask: 0,
-                        assignment,
-                        arrival_ns: now,
-                        deadline_ns: deadline,
-                        sent_ns: now,
-                        trace: inj.trace,
-                    };
-                    self.cfg.channel.publish(topics::TRIGGER, proto::encode(&msg));
+                    self.trigger(stage, now);
                 }
                 return;
             }
@@ -350,7 +330,7 @@ impl Node {
         let arrival_proc = task.subtasks()[0].primary.0;
 
         if arrival_proc == self.cfg.processor {
-            self.te.on_accept(self.cfg.services, at, task, &msg.assignment);
+            self.core.accepted(at, task, &msg.assignment);
         }
 
         if msg.release_proc != self.cfg.processor {
@@ -380,7 +360,14 @@ impl Node {
         // The release (op 5/6) ends where the dispatcher takes over: what
         // `enqueue` does next — under Noop, the whole run — is not the TE's.
         m.release.record(Duration::from(release_start.elapsed()).as_nanos());
-        self.enqueue(msg.job, 0, msg.assignment, msg.arrival_ns, msg.deadline_ns, msg.trace);
+        self.enqueue(Subjob {
+            job: msg.job,
+            task: at,
+            subtask: 0,
+            arrival: Time::from_nanos(msg.arrival_ns),
+            deadline: Time::from_nanos(msg.deadline_ns),
+            extra: (msg.assignment, msg.trace),
+        });
     }
 
     fn on_reject(&mut self, msg: &RejectMsg) {
@@ -389,47 +376,43 @@ impl Node {
         }
         if msg.task_rejected {
             if let Some(at) = self.cfg.tasks.position(msg.job.task) {
-                self.te.on_task_rejected(at);
+                self.core.task_rejected(at);
             }
         }
         self.cfg.stats.job_out();
     }
 
     fn on_trigger(&mut self, msg: TriggerMsg) {
-        let Some(task) = self.cfg.tasks.get(msg.job.task) else { return };
-        if msg.assignment.len() != task.subtasks().len() {
+        let Some(at) = self.cfg.tasks.position(msg.job.task) else { return };
+        if msg.assignment.len() != self.cfg.tasks.tasks()[at].subtasks().len() {
             return; // decodable but not a placement of this task
         }
         let subtask = msg.next_subtask as usize;
         if msg.assignment.get(subtask).copied() != Some(self.cfg.processor) {
             return;
         }
-        self.enqueue(msg.job, subtask, msg.assignment, msg.arrival_ns, msg.deadline_ns, msg.trace);
+        self.enqueue(Subjob {
+            job: msg.job,
+            task: at,
+            subtask,
+            arrival: Time::from_nanos(msg.arrival_ns),
+            deadline: Time::from_nanos(msg.deadline_ns),
+            extra: (msg.assignment, msg.trace),
+        });
     }
 
-    /// Offers a released subjob to the dispatcher; it starts at once if the
-    /// processor is idle or it is more urgent than the running one.
-    fn enqueue(
-        &mut self,
-        job: JobId,
-        subtask: usize,
-        assignment: Vec<u16>,
-        arrival_ns: u64,
-        deadline_ns: u64,
-        trace: u64,
-    ) {
-        let Some(at) = self.cfg.tasks.position(job.task) else { return };
-        let Some(stage) = self.cfg.tasks.tasks()[at].subtasks().get(subtask) else { return };
+    /// Offers a released stage, whose placement the caller checked against
+    /// its task, to the dispatcher; it starts at once if the processor is
+    /// idle or it is more urgent than the running one.
+    fn enqueue(&mut self, stage: Stage) {
         let exec = match self.cfg.exec {
             ExecMode::Noop => Duration::ZERO,
-            ExecMode::Sleep => stage.execution_time,
+            ExecMode::Sleep => {
+                self.cfg.tasks.tasks()[stage.task].subtasks()[stage.subtask].execution_time
+            }
         };
-        let started = self.cpu.enqueue(
-            self.cfg.clock.now(),
-            self.cfg.priorities[at],
-            exec,
-            Subjob { job, subtask, assignment, arrival_ns, deadline_ns, trace },
-        );
+        let priority = self.cfg.priorities[stage.task];
+        let started = self.core.release(self.cfg.clock.now(), priority, exec, stage);
         self.follow(started);
     }
 
@@ -452,63 +435,61 @@ impl Node {
         }
     }
 
-    /// Completes run `gen` unless it was preempted meanwhile: the resetter
-    /// learns of it, and the job either finishes or triggers its next
-    /// stage. Returns the run the dispatcher started in its place.
+    /// Completes run `gen` unless it was preempted meanwhile: the job
+    /// either finishes or triggers its next stage. Returns the run the
+    /// dispatcher started in its place.
     fn complete(&mut self, gen: u64) -> Option<Started> {
         let now = self.cfg.clock.now();
-        let Completion::Done { payload: run, next } = self.cpu.complete(now, gen) else {
-            return None;
-        };
-        let Some(task) = self.cfg.tasks.get(run.job.task) else { return next };
-        self.resetter.record_completion(
-            ContributionKey::new(run.job, run.subtask),
-            Time::from_nanos(run.deadline_ns),
-            task.is_periodic(),
-        );
-        if run.subtask + 1 == task.subtasks().len() {
-            let response = now.elapsed_since(Time::from_nanos(run.arrival_ns));
-            let missed = now.as_nanos() > run.deadline_ns;
-            let m = &self.cfg.stats;
-            m.response.record(response.as_nanos());
-            m.jobs_completed.inc();
-            if missed {
-                m.deadline_misses.inc();
+        let (done, next) = self.core.complete(now, gen, &self.cfg.tasks)?;
+        match done {
+            Done::Job { stage, response, missed } => {
+                let m = &self.cfg.stats;
+                m.response.record(response.as_nanos());
+                m.jobs_completed.inc();
+                if missed {
+                    m.deadline_misses.inc();
+                }
+                m.trace.record(
+                    stage.extra.1,
+                    now.as_nanos(),
+                    self.cfg.channel.host_id(),
+                    "completion",
+                    format!(
+                        "{} on proc {}, deadline {}",
+                        stage.job,
+                        self.cfg.processor,
+                        if missed { "missed" } else { "met" }
+                    ),
+                );
+                m.job_out();
             }
-            m.trace.record(
-                run.trace,
-                now.as_nanos(),
-                self.cfg.channel.host_id(),
-                "completion",
-                format!(
-                    "{} on proc {}, deadline {}",
-                    run.job,
-                    self.cfg.processor,
-                    if missed { "missed" } else { "met" }
-                ),
-            );
-            self.cfg.stats.job_out();
-        } else {
-            let msg = TriggerMsg {
-                job: run.job,
-                next_subtask: (run.subtask + 1) as u32,
-                assignment: run.assignment,
-                arrival_ns: run.arrival_ns,
-                deadline_ns: run.deadline_ns,
-                sent_ns: now.as_nanos(),
-                trace: run.trace,
-            };
-            self.cfg.channel.publish(topics::TRIGGER, proto::encode(&msg));
+            Done::Next(stage) => self.trigger(stage, now),
         }
         next
     }
 
-    /// Idle transition (called from [`Node::run`] only): run the idle
-    /// detector (op 7) once. `on_idle` drains every pending completion in
-    /// one call, so no periodic probe is needed — the node then parks on
-    /// its mailbox with an empty wheel until the next event arrives.
+    /// Publishes `stage` as a trigger, for the node its placement names.
+    fn trigger(&self, stage: Stage, now: Time) {
+        let (assignment, trace) = stage.extra;
+        let msg = TriggerMsg {
+            job: stage.job,
+            next_subtask: stage.subtask as u32,
+            assignment,
+            arrival_ns: stage.arrival.as_nanos(),
+            deadline_ns: stage.deadline.as_nanos(),
+            sent_ns: now.as_nanos(),
+            trace,
+        };
+        self.cfg.channel.publish(topics::TRIGGER, proto::encode(&msg));
+    }
+
+    /// Idle check (called from [`Node::run`] only): run the idle detector
+    /// (op 7) once. It reports nothing while a stage is ready or running,
+    /// and drains every pending completion in one call, so no periodic
+    /// probe is needed — the node then parks on its mailbox with an empty
+    /// wheel until the next event arrives.
     fn report_idle(&mut self) {
-        if let Some(report) = self.resetter.on_idle(self.cfg.clock.now()) {
+        if let Some(report) = self.core.idle(self.cfg.clock.now()) {
             let started_ns = self.cfg.clock.now().as_nanos();
             let msg = IdleResetMsg {
                 processor: self.cfg.processor,

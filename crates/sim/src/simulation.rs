@@ -20,6 +20,10 @@
 //! admitted under AC-per-task (and load balancing is not per-job), later
 //! jobs release locally without any manager round-trip — and once rejected,
 //! later jobs are dropped locally.
+//!
+//! Each processor is one `rtcm_core::node::NodeCore`, as in the runtime;
+//! it idles at the completion that empties its dispatcher, where a runtime
+//! node idles after draining its mailbox (DESIGN.md "One node step").
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -32,17 +36,16 @@ use rtcm_core::admission::{
     AcStats, AdmissionController, AdmissionError, Decision, SENTINEL_SEQ_FLOOR,
 };
 use rtcm_core::balance::Assignment;
-use rtcm_core::dispatch::{Completion, Cpu, Transition};
-use rtcm_core::effector::{Local, TaskEffector};
+use rtcm_core::dispatch::Transition;
 use rtcm_core::govern::{
     slack_and_imbalance, CumulativeLoad, Governor, GovernorPolicy, PolicyError, WindowMetrics,
     WindowSensor,
 };
-use rtcm_core::ledger::ContributionKey;
 use rtcm_core::metrics::{DelayStats, SkipTracker, UtilizationRatio};
+use rtcm_core::node::{Done, Local, NodeCore, Subjob};
 use rtcm_core::priority::{edms_levels, Priority};
 use rtcm_core::reconfig::{HandoverReport, ModeChange, ModeSchedule};
-use rtcm_core::reset::{IdleResetReport, IdleResetter};
+use rtcm_core::reset::IdleResetReport;
 use rtcm_core::strategy::{InvalidConfigError, ServiceConfig};
 use rtcm_core::task::{JobId, ProcessorId, TaskId, TaskSet, TaskSpec};
 use rtcm_core::time::{Duration, Time};
@@ -162,12 +165,9 @@ enum Ev {
     /// counters, evaluate the policy, possibly reconfigure. Ticks chain
     /// themselves while the trace horizon lasts.
     GovernorTick,
-    Release {
-        /// The job's slot in `Simulation::jobs`.
-        slot: usize,
-        subtask: usize,
-        is_job_release: bool,
-    },
+    /// A stage lands on the processor its placement names; stage 0 is the
+    /// job's release.
+    Release(Stage),
     CpuComplete {
         proc: usize,
         gen: u64,
@@ -221,25 +221,9 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// A released job, from its release to its last completion.
-#[derive(Debug)]
-struct JobState {
-    /// Position of the job's task in the deployed set.
-    task: usize,
-    /// Index of the job's arrival in the trace — and of its [`JobRecord`].
-    arrival: usize,
-    te_arrival: Time,
-    abs_deadline: Time,
-    assignment: Assignment,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct SubjobCtx {
-    job: JobId,
-    /// The job's slot in `Simulation::jobs`.
-    slot: usize,
-    subtask: usize,
-}
+/// What a stage carries besides its [`Subjob`] fields: the job's placement,
+/// and the index of its arrival in the trace — and of its [`JobRecord`].
+type Stage = Subjob<(Assignment, usize)>;
 
 /// Per-job outcome, for experiments that need finer grain than the
 /// aggregate report (e.g. in-burst acceptance ratios).
@@ -400,19 +384,15 @@ struct Simulation<'a> {
     trace: &'a ArrivalTrace,
     services: ServiceConfig,
     overheads: OverheadModel,
-    /// EDMS levels, by task position — as `te` and `skips` are.
+    /// EDMS levels, by task position — as verdicts and `skips` are.
     priorities: Vec<Priority>,
     /// `TaskSpec::job_utilization`, by task position: the weight every
     /// arrival and release records, summed once per task, not per job.
     job_utilizations: Vec<f64>,
     ac: AdmissionController,
-    cpus: Vec<Cpu<SubjobCtx>>,
-    resetters: Vec<IdleResetter>,
-    te: TaskEffector<Assignment>,
-    /// Released jobs in flight. Events name a job by its slot here, so the
-    /// job path hashes nothing; a finished job's slot is reused.
-    jobs: Vec<Option<JobState>>,
-    free_jobs: Vec<usize>,
+    /// One per processor. A task's verdicts live on its arrival
+    /// processor's node.
+    nodes: Vec<NodeCore<Assignment, (Assignment, usize)>>,
     manager_current: Option<ManagerReq>,
     manager_queue: VecDeque<ManagerReq>,
     events: EventQueue<Ev>,
@@ -426,7 +406,7 @@ struct Simulation<'a> {
     schedule: &'a [ModeChange],
     /// Closed-loop governor state (None for ungoverned runs).
     gov: Option<GovState>,
-    /// True if the CPUs log transitions for [`SimRun::spans`].
+    /// True if the nodes log transitions for [`SimRun::spans`].
     tracing: bool,
     /// The admission error that ended the run early, if one did.
     failed: Option<AdmissionError>,
@@ -482,9 +462,11 @@ impl<'a> Simulation<'a> {
             }
             None => None,
         };
-        let mut cpus: Vec<Cpu<SubjobCtx>> = (0..procs).map(|_| Cpu::new()).collect();
-        for cpu in &mut cpus {
-            cpu.set_tracing(options.trace_execution);
+        let mut nodes: Vec<NodeCore<_, _>> = (0..procs)
+            .map(|p| NodeCore::new(config.services, ProcessorId(p as u16), tasks.len()))
+            .collect();
+        for node in &mut nodes {
+            node.set_tracing(options.trace_execution);
         }
         Ok(Simulation {
             tasks,
@@ -494,13 +476,7 @@ impl<'a> Simulation<'a> {
             priorities: edms_levels(tasks),
             job_utilizations: tasks.iter().map(TaskSpec::job_utilization).collect(),
             ac,
-            cpus,
-            resetters: (0..procs)
-                .map(|p| IdleResetter::new(config.services.ir, ProcessorId(p as u16)))
-                .collect(),
-            te: TaskEffector::new(tasks.len()),
-            jobs: Vec::new(),
-            free_jobs: Vec::new(),
+            nodes,
             manager_current: None,
             manager_queue: VecDeque::new(),
             events: EventQueue::new(),
@@ -566,8 +542,8 @@ impl<'a> Simulation<'a> {
         let spans = self.tracing.then(|| self.drain_spans());
         self.report.end = self.now;
         self.report.ac = self.ac.stats();
-        for (p, cpu) in self.cpus.iter().enumerate() {
-            self.report.cpu_busy[p] = cpu.busy_time();
+        for (p, node) in self.nodes.iter().enumerate() {
+            self.report.cpu_busy[p] = node.busy_time();
         }
         self.report.skip_runs = self.skips.per_task(self.tasks);
         self.report.max_consecutive_skips = self.skips.worst_case();
@@ -579,26 +555,27 @@ impl<'a> Simulation<'a> {
         })
     }
 
-    /// Pairs the CPUs' transition logs (recorded only while tracing) into
+    /// Pairs the nodes' transition logs (recorded only while tracing) into
     /// execution spans, ordered by start time.
     fn drain_spans(&mut self) -> Vec<ExecSpan> {
         let mut spans = Vec::new();
-        for (p, cpu) in self.cpus.iter_mut().enumerate() {
-            let mut open: Option<(SubjobCtx, Time)> = None;
-            for transition in cpu.drain_transitions() {
+        for (p, node) in self.nodes.iter_mut().enumerate() {
+            let mut open: Option<(Stage, Time)> = None;
+            for transition in node.drain_transitions() {
                 match transition {
                     Transition::Start { at, payload } => {
                         debug_assert!(open.is_none(), "start while running");
                         open = Some((payload, at));
                     }
-                    Transition::Preempt { at, payload } | Transition::Finish { at, payload } => {
+                    Transition::Preempt { at, ref payload }
+                    | Transition::Finish { at, ref payload } => {
                         let completed = matches!(transition, Transition::Finish { .. });
-                        if let Some((ctx, start)) = open.take() {
-                            debug_assert_eq!(ctx.job, payload.job, "span pairing");
+                        if let Some((stage, start)) = open.take() {
+                            debug_assert_eq!(stage.job, payload.job, "span pairing");
                             spans.push(ExecSpan {
                                 processor: p as u16,
-                                job: ctx.job,
-                                subtask: ctx.subtask,
+                                job: stage.job,
+                                subtask: stage.subtask,
                                 start,
                                 end: at,
                                 completed,
@@ -630,17 +607,19 @@ impl<'a> Simulation<'a> {
         self.records.as_mut().map(|records| &mut records[arrival])
     }
 
-    /// Puts a released job in flight and schedules its first subjob at `t`.
-    fn release_job(&mut self, t: Time, state: JobState) {
-        let slot = match self.free_jobs.pop() {
-            Some(slot) => slot,
-            None => {
-                self.jobs.push(None);
-                self.jobs.len() - 1
-            }
+    /// Schedules the first stage of the trace's `arrival`-th job, of the
+    /// task at position `at`, placed on `assignment`, at `t`.
+    fn release_job(&mut self, t: Time, arrival: usize, at: usize, assignment: Assignment) {
+        let Arrival { task, seq, time } = self.trace.arrivals()[arrival];
+        let stage = Subjob {
+            job: JobId::new(task, seq),
+            task: at,
+            subtask: 0,
+            arrival: time,
+            deadline: time + self.tasks.tasks()[at].deadline(),
+            extra: (assignment, arrival),
         };
-        self.jobs[slot] = Some(state);
-        self.events.push(t, Ev::Release { slot, subtask: 0, is_job_release: true });
+        self.events.push(t, Ev::Release(stage));
     }
 
     fn comm(&mut self) -> Duration {
@@ -652,9 +631,7 @@ impl<'a> Simulation<'a> {
             Ev::Arrival(idx) => self.on_arrival(idx),
             Ev::ManagerRecv(req) => self.on_manager_recv(req),
             Ev::ManagerDone => self.on_manager_done(),
-            Ev::Release { slot, subtask, is_job_release } => {
-                self.on_release(slot, subtask, is_job_release);
-            }
+            Ev::Release(stage) => self.on_release(stage),
             Ev::CpuComplete { proc, gen } => self.on_cpu_complete(proc, gen),
             Ev::ModeSwitch(idx) => self.on_mode_switch(idx),
             Ev::GovernorTick => self.on_governor_tick(),
@@ -662,8 +639,7 @@ impl<'a> Simulation<'a> {
     }
 
     /// Executes one scheduled mode change, mirroring the runtime's commit
-    /// point: ledger handover at the manager, cache clear + resetter swap
-    /// at every node.
+    /// point: ledger handover at the manager, commit at every node.
     fn on_mode_switch(&mut self, idx: usize) {
         let target = self.schedule[idx].services;
         self.apply_switch(target);
@@ -676,9 +652,8 @@ impl<'a> Simulation<'a> {
             .reconfigure(target, self.now, self.tasks)
             .expect("switch targets are validated before the run starts");
         self.services = target;
-        self.te.clear();
-        for resetter in &mut self.resetters {
-            resetter.set_strategy(target.ir);
+        for node in &mut self.nodes {
+            node.commit(target);
         }
         self.report.mode_changes.push(handover);
         handover
@@ -742,25 +717,16 @@ impl<'a> Simulation<'a> {
         // The TE's per-task fast path: release or drop locally when the
         // periodic task's fate is already known and no per-job relocation is
         // configured.
-        match self.te.on_arrival(self.services, at, task) {
+        let arrival_proc = task.subtasks()[0].primary;
+        match self.nodes[arrival_proc.index()].arrive(at, task) {
             Local::Release(assignment) => {
                 let assignment = assignment.clone();
                 self.skips.record(at, true);
-                let arrival_proc = task.subtasks()[0].primary;
                 let mut t = self.now + self.overheads.te_release;
                 if assignment.processor(0) != arrival_proc {
                     t += self.comm();
                 }
-                self.release_job(
-                    t,
-                    JobState {
-                        task: at,
-                        arrival: idx,
-                        te_arrival: arrival.time,
-                        abs_deadline: arrival.time + task.deadline(),
-                        assignment,
-                    },
-                );
+                self.release_job(t, idx, at, assignment);
                 return;
             }
             Local::Drop => {
@@ -823,10 +789,12 @@ impl<'a> Simulation<'a> {
         }
     }
 
-    /// Runs the admission test for the trace's `arrival`-th job. The only
-    /// error left after `new`'s validation is a duplicate job.
+    /// Runs the admission test for the trace's `arrival`-th job; the
+    /// arrival node learns the verdict now, not when the release lands.
+    /// The only error left after `new`'s validation is a duplicate job.
     fn decide(&mut self, arrival: usize, at: usize) -> Result<(), AdmissionError> {
         let task = &self.tasks.tasks()[at];
+        let node = task.subtasks()[0].primary.index();
         let Arrival { seq, time: te_arrival, .. } = self.trace.arrivals()[arrival];
         // Decided at manager time, against the job's true (arrival-based)
         // deadline.
@@ -836,102 +804,67 @@ impl<'a> Simulation<'a> {
                 if assignment.is_reallocation(task) {
                     self.report.reallocations += 1;
                 }
-                self.te.on_accept(self.services, at, task, &assignment);
+                self.nodes[node].accepted(at, task, &assignment);
                 let t = self.now + self.comm() + self.overheads.te_release;
-                self.release_job(
-                    t,
-                    JobState {
-                        task: at,
-                        arrival,
-                        te_arrival,
-                        abs_deadline: te_arrival + task.deadline(),
-                        assignment,
-                    },
-                );
+                self.release_job(t, arrival, at, assignment);
             }
             Decision::Reject { .. } => {
                 self.skips.record(at, false);
                 if self.services.decides_per_task(task) {
-                    self.te.on_task_rejected(at);
+                    self.nodes[node].task_rejected(at);
                 }
             }
         }
         Ok(())
     }
 
-    fn on_release(&mut self, slot: usize, subtask: usize, is_job_release: bool) {
-        let state = self.jobs[slot].as_ref().expect("release of a job not in flight");
-        let (at, arrival) = (state.task, state.arrival);
-        let proc = state.assignment.processor(subtask).index();
-        let task = &self.tasks.tasks()[at];
-        if is_job_release {
+    fn on_release(&mut self, stage: Stage) {
+        let at = stage.task;
+        if stage.subtask == 0 {
             self.report.ratio.record_release(self.job_utilizations[at]);
-            if let Some(record) = self.record_of(arrival) {
+            if let Some(record) = self.record_of(stage.extra.1) {
                 record.released = true;
             }
         }
-        let Arrival { task: id, seq, .. } = self.trace.arrivals()[arrival];
-        let exec = task.subtasks()[subtask].execution_time;
-        if let Some(started) = self.cpus[proc].enqueue(
-            self.now,
-            self.priorities[at],
-            exec,
-            SubjobCtx { job: JobId::new(id, seq), slot, subtask },
-        ) {
+        let proc = stage.extra.0.processor(stage.subtask).index();
+        let exec = self.tasks.tasks()[at].subtasks()[stage.subtask].execution_time;
+        let started = self.nodes[proc].release(self.now, self.priorities[at], exec, stage);
+        if let Some(started) = started {
             self.events.push(started.completes_at, Ev::CpuComplete { proc, gen: started.gen });
         }
     }
 
     fn on_cpu_complete(&mut self, proc: usize, gen: u64) {
-        let outcome = self.cpus[proc].complete(self.now, gen);
-        let (ctx, next) = match outcome {
-            Completion::Stale => return,
-            Completion::Done { payload, next } => (payload, next),
+        let Some((done, next)) = self.nodes[proc].complete(self.now, gen, self.tasks) else {
+            return;
         };
         if let Some(started) = next {
             self.events.push(started.completes_at, Ev::CpuComplete { proc, gen: started.gen });
         }
-
-        let state = self.jobs[ctx.slot].as_ref().expect("completion of a job not in flight");
-        let task = &self.tasks.tasks()[state.task];
-        let abs_deadline = state.abs_deadline;
-
-        // Report to the local idle resetter (strategy-filtered inside).
-        self.resetters[proc].record_completion(
-            ContributionKey::new(ctx.job, ctx.subtask),
-            abs_deadline,
-            task.is_periodic(),
-        );
-
-        if ctx.subtask + 1 == task.subtasks().len() {
-            let state = self.jobs[ctx.slot].take().expect("borrowed just above");
-            self.free_jobs.push(ctx.slot);
-            let response = self.now.elapsed_since(state.te_arrival);
-            self.report.response.record(response);
-            self.report.jobs_completed += 1;
-            let missed = self.now > abs_deadline;
-            if missed {
-                self.report.deadline_misses += 1;
+        match done {
+            Done::Job { stage, response, missed } => {
+                self.report.response.record(response);
+                self.report.jobs_completed += 1;
+                if missed {
+                    self.report.deadline_misses += 1;
+                }
+                let completed = self.now;
+                if let Some(record) = self.record_of(stage.extra.1) {
+                    record.completed = Some(completed);
+                    record.missed = missed;
+                }
             }
-            let completed = self.now;
-            if let Some(record) = self.record_of(state.arrival) {
-                record.completed = Some(completed);
-                record.missed = missed;
+            Done::Next(stage) => {
+                let next_proc = stage.extra.0.processor(stage.subtask).index();
+                let delay = if next_proc == proc { Duration::ZERO } else { self.comm() };
+                self.events.push(self.now + delay, Ev::Release(stage));
             }
-        } else {
-            let next_proc = state.assignment.processor(ctx.subtask + 1);
-            let delay = if next_proc.index() == proc { Duration::ZERO } else { self.comm() };
-            self.events.push(
-                self.now + delay,
-                Ev::Release { slot: ctx.slot, subtask: ctx.subtask + 1, is_job_release: false },
-            );
         }
-
-        if self.cpus[proc].is_idle() {
-            if let Some(report) = self.resetters[proc].on_idle(self.now) {
-                let t = self.now + self.overheads.ir_report + self.comm();
-                self.events.push(t, Ev::ManagerRecv(ManagerReq::IdleReset(report)));
-            }
+        // The simulator declares idleness at the completion that emptied
+        // the dispatcher.
+        if let Some(report) = self.nodes[proc].idle(self.now) {
+            let t = self.now + self.overheads.ir_report + self.comm();
+            self.events.push(t, Ev::ManagerRecv(ManagerReq::IdleReset(report)));
         }
     }
 }
