@@ -121,11 +121,7 @@ fn run_scenario(services: &str, secs: u64, seed: u64) -> Scenario {
 fn ping_pong(iterations: u32) -> HistogramSnapshot {
     const PING: Topic = Topic(100);
     const PONG: Topic = Topic(101);
-    let fed = Federation::new(
-        2,
-        Latency::Uniform { lo: StdDuration::from_micros(283), hi: StdDuration::from_micros(361) },
-        7,
-    );
+    let fed = Federation::new(2, Latency::FIGURE_8, 7);
     let a = fed.handle(NodeId(0)).expect("node 0");
     let b = fed.handle(NodeId(1)).expect("node 1");
     let pong_rx = a.subscribe(PONG);

@@ -102,31 +102,19 @@ struct Running<T> {
     payload: T,
 }
 
-/// One observable scheduling transition (only recorded when tracing is
-/// enabled via [`Cpu::set_tracing`]).
+/// One uninterrupted run of a subjob, logged when it is preempted or
+/// finishes (only recorded when tracing is enabled via
+/// [`Cpu::set_tracing`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Transition<T> {
-    /// The subjob began (or resumed) executing.
-    Start {
-        /// When.
-        at: Time,
-        /// Whose payload.
-        payload: T,
-    },
-    /// The subjob was preempted by more urgent work.
-    Preempt {
-        /// When.
-        at: Time,
-        /// Whose payload.
-        payload: T,
-    },
-    /// The subjob finished.
-    Finish {
-        /// When.
-        at: Time,
-        /// Whose payload.
-        payload: T,
-    },
+pub struct Span<T> {
+    /// When the run began (or resumed).
+    pub start: Time,
+    /// When it was preempted or finished.
+    pub end: Time,
+    /// True if the run finished the subjob; false if it was preempted.
+    pub completed: bool,
+    /// Whose payload.
+    pub payload: T,
 }
 
 /// A preemptive fixed-priority single-CPU model.
@@ -138,7 +126,7 @@ pub struct Cpu<T> {
     next_gen: u64,
     busy_since: Option<Time>,
     busy_accum: Duration,
-    trace: Option<Vec<Transition<T>>>,
+    trace: Option<Vec<Span<T>>>,
 }
 
 impl<T> Default for Cpu<T> {
@@ -162,13 +150,14 @@ impl<T> Cpu<T> {
         }
     }
 
-    /// Enables or disables transition tracing.
+    /// Enables or disables span tracing.
     pub fn set_tracing(&mut self, on: bool) {
         self.trace = if on { Some(Vec::new()) } else { None };
     }
 
-    /// Drains recorded transitions (empty when tracing is off).
-    pub fn drain_transitions(&mut self) -> Vec<Transition<T>> {
+    /// Drains recorded spans, in the order they ended (empty when tracing
+    /// is off).
+    pub fn drain_spans(&mut self) -> Vec<Span<T>> {
         self.trace.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
@@ -212,9 +201,7 @@ impl<T: Clone> Cpu<T> {
             Some(run) => {
                 if incoming.priority.is_higher_than(run.priority) {
                     // Preempt: bank the consumed time and requeue the rest.
-                    if let Some(trace) = &mut self.trace {
-                        trace.push(Transition::Preempt { at: now, payload: run.payload.clone() });
-                    }
+                    self.log(&run, now, false);
                     let consumed = now.elapsed_since(run.started_at);
                     let remaining = run.remaining_at_start.saturating_sub(consumed);
                     self.ready.push(Ready {
@@ -243,9 +230,7 @@ impl<T: Clone> Cpu<T> {
         let run = self.running.take().expect("checked above");
         // A wall-clock driver delivers late, never early.
         debug_assert!(now >= run.started_at + run.remaining_at_start, "early completion");
-        if let Some(trace) = &mut self.trace {
-            trace.push(Transition::Finish { at: now, payload: run.payload.clone() });
-        }
+        self.log(&run, now, true);
         let next = if self.ready.is_empty() {
             if let Some(since) = self.busy_since.take() {
                 self.busy_accum += now.elapsed_since(since);
@@ -263,9 +248,6 @@ impl<T: Clone> Cpu<T> {
         let gen = self.next_gen;
         self.next_gen += 1;
         let completes_at = now + head.remaining;
-        if let Some(trace) = &mut self.trace {
-            trace.push(Transition::Start { at: now, payload: head.payload.clone() });
-        }
         self.running = Some(Running {
             priority: head.priority,
             seq: head.seq,
@@ -275,6 +257,14 @@ impl<T: Clone> Cpu<T> {
             payload: head.payload,
         });
         Started { gen, completes_at }
+    }
+
+    /// Logs `run` as a span ending at `end`, when tracing.
+    fn log(&mut self, run: &Running<T>, end: Time, completed: bool) {
+        if let Some(trace) = &mut self.trace {
+            let payload = run.payload.clone();
+            trace.push(Span { start: run.started_at, end, completed, payload });
+        }
     }
 }
 
@@ -405,25 +395,22 @@ mod tests {
             Completion::Stale => panic!(),
         };
         let _ = cpu.complete(resumed.completes_at, resumed.gen);
-        let t = cpu.drain_transitions();
+        let t = cpu.drain_spans();
         assert_eq!(
             t,
             vec![
-                Transition::Start { at: at(0), payload: "low" },
-                Transition::Preempt { at: at(4), payload: "low" },
-                Transition::Start { at: at(4), payload: "hi" },
-                Transition::Finish { at: at(6), payload: "hi" },
-                Transition::Start { at: at(6), payload: "low" },
-                Transition::Finish { at: at(12), payload: "low" },
+                Span { start: at(0), end: at(4), completed: false, payload: "low" },
+                Span { start: at(4), end: at(6), completed: true, payload: "hi" },
+                Span { start: at(6), end: at(12), completed: true, payload: "low" },
             ]
         );
         // Draining empties the buffer.
-        assert!(cpu.drain_transitions().is_empty());
+        assert!(cpu.drain_spans().is_empty());
         // Tracing off records nothing.
         cpu.set_tracing(false);
         let s = cpu.enqueue(at(20), Priority(1), Duration::from_micros(1), "x").unwrap();
         let _ = cpu.complete(s.completes_at, s.gen);
-        assert!(cpu.drain_transitions().is_empty());
+        assert!(cpu.drain_spans().is_empty());
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::dispatch::{Completion, Cpu, Started, Transition};
+use crate::dispatch::{Completion, Cpu, Span, Started};
 use crate::ledger::ContributionKey;
 use crate::priority::Priority;
 use crate::reset::{IdleResetReport, IdleResetter};
@@ -170,14 +170,14 @@ impl<P, X> NodeCore<P, X> {
         self.cpu.busy_time()
     }
 
-    /// Enables or disables the dispatcher's transition log.
+    /// Enables or disables the dispatcher's span log.
     pub fn set_tracing(&mut self, on: bool) {
         self.cpu.set_tracing(on);
     }
 
-    /// Drains the dispatcher's transition log (empty when tracing is off).
-    pub fn drain_transitions(&mut self) -> Vec<Transition<Subjob<X>>> {
-        self.cpu.drain_transitions()
+    /// Drains the dispatcher's span log (empty when tracing is off).
+    pub fn drain_spans(&mut self) -> Vec<Span<Subjob<X>>> {
+        self.cpu.drain_spans()
     }
 }
 

@@ -64,14 +64,17 @@ use std::time::{Duration as StdDuration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use serde::{Deserialize, Serialize};
 
 use crate::event::{Event, NodeId, Topic};
 use crate::fanout::{EventReceiver, FanoutCounters, FederationStats, Mailbox};
 use crate::lock;
 use crate::remote::LiveBridge;
 
-/// One-way network delay injected between distinct nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One-way network delay between distinct nodes: the runtime's federation
+/// injects it and the simulator prices its messages with it, so both
+/// substrates draw from one model (DESIGN.md substitution 3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Latency {
     /// Deliver as fast as the channel allows.
     None,
@@ -87,7 +90,13 @@ pub enum Latency {
 }
 
 impl Latency {
-    fn sample(&self, rng: &mut StdRng) -> StdDuration {
+    /// The paper's Figure 8 one-way event delay: 283–361 µs.
+    pub const FIGURE_8: Latency =
+        Latency::Uniform { lo: StdDuration::from_micros(283), hi: StdDuration::from_micros(361) };
+
+    /// Draws one delay; a `Uniform` with `hi <= lo` reads as `lo` and draws
+    /// nothing.
+    pub fn sample(&self, rng: &mut StdRng) -> StdDuration {
         match *self {
             Latency::None => StdDuration::ZERO,
             Latency::Constant(d) => d,
@@ -784,6 +793,50 @@ mod tests {
             assert!(e >= StdDuration::from_millis(4), "elapsed {e:?}");
             assert!(e < StdDuration::from_millis(500), "elapsed {e:?}");
         }
+    }
+
+    #[test]
+    fn constant_and_none_sample_exactly() {
+        let mut rng = StdRng::seed_from_u64(0);
+        assert_eq!(Latency::None.sample(&mut rng), StdDuration::ZERO);
+        let d = StdDuration::from_micros(322);
+        assert_eq!(Latency::Constant(d).sample(&mut rng), d);
+    }
+
+    #[test]
+    fn uniform_stays_in_range_and_centres() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let (lo, hi) = (StdDuration::from_micros(100), StdDuration::from_micros(200));
+        let m = Latency::Uniform { lo, hi };
+        let mut sum = StdDuration::ZERO;
+        const N: u32 = 4_000;
+        for _ in 0..N {
+            let s = m.sample(&mut rng);
+            assert!(s >= lo && s <= hi);
+            sum += s;
+        }
+        let mean = sum / N;
+        assert!(
+            mean > StdDuration::from_micros(145) && mean < StdDuration::from_micros(155),
+            "empirical mean {mean:?}"
+        );
+    }
+
+    #[test]
+    fn degenerate_uniform_returns_lo() {
+        let mut rng = StdRng::seed_from_u64(2);
+        let d = StdDuration::from_micros(5);
+        assert_eq!(Latency::Uniform { lo: d, hi: d }.sample(&mut rng), d);
+        assert_eq!(Latency::Uniform { lo: d, hi: StdDuration::ZERO }.sample(&mut rng), d);
+    }
+
+    #[test]
+    fn figure_8_draw_stream_is_pinned() {
+        // The simulator's comm delays and the runtime's injected delays
+        // are this stream; a change here moves every simulated trace.
+        let mut rng = StdRng::seed_from_u64(7);
+        let ns: Vec<u128> = (0..8).map(|_| Latency::FIGURE_8.sample(&mut rng).as_nanos()).collect();
+        assert_eq!(ns, [308027, 286685, 306023, 353675, 290817, 357752, 305265, 298211]);
     }
 
     #[test]

@@ -33,7 +33,10 @@ use crate::stats::{RtMetrics, SystemReport};
 #[derive(Debug, Clone, Copy)]
 pub struct RtOptions {
     /// One-way network latency between nodes. Defaults to the paper's
-    /// measured 283–361 µs band.
+    /// measured 283–361 µs band, [`Latency::FIGURE_8`], which the
+    /// simulator's `OverheadModel::paper_calibrated` uses too, so one value
+    /// configures both substrates. A `Latency::Uniform` with `hi <= lo`
+    /// reads as `lo`.
     pub latency: Latency,
     /// How subtask execution consumes time.
     pub exec: ExecMode,
@@ -47,10 +50,7 @@ pub struct RtOptions {
 impl Default for RtOptions {
     fn default() -> Self {
         RtOptions {
-            latency: Latency::Uniform {
-                lo: StdDuration::from_micros(283),
-                hi: StdDuration::from_micros(361),
-            },
+            latency: Latency::FIGURE_8,
             exec: ExecMode::Sleep,
             seed: 0,
             reconfig_ack_timeout: StdDuration::from_secs(2),

@@ -8,7 +8,9 @@
 //! balancing as a FIFO server), idle resetters and preemptive EDMS subtask
 //! execution — in virtual time, with a configurable [`overhead`] model for
 //! communication delays and service costs (calibrated by default to the
-//! paper's Figure 8 measurements).
+//! paper's Figure 8 measurements). Its communication delay is the
+//! runtime's `rtcm_events::Latency`, so one delay model, and one Figure 8
+//! band, serves the simulator and the threaded runtime alike.
 //!
 //! Because time is virtual and every random draw is seeded, the §7.1/§7.2
 //! experiments are exactly replayable: the same task sets and arrival
@@ -64,7 +66,7 @@ pub use fed::fault::{FaultAction, FaultEvent, FaultSchedule};
 pub use fed::federation::{
     EpochOutcome, EpochRecord, FedError, FedHostSpec, FedOptions, FedReport, Federation, HostReport,
 };
-pub use overhead::{DelayModel, OverheadModel};
+pub use overhead::OverheadModel;
 pub use simulation::{
     simulate, simulate_with, ExecSpan, GovernedSwitch, GovernorTrace, JobRecord, SimConfig,
     SimError, SimOptions, SimReport, SimRun,

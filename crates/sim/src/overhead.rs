@@ -9,61 +9,22 @@
 //! [`OverheadModel::zero`] turns every overhead off, which is the setting
 //! used to validate AUB soundness (no admitted job may miss its deadline
 //! when the analysis' zero-overhead assumptions hold).
+//!
+//! The one-way delay is the runtime's own [`Latency`], drawn by the same
+//! `Latency::sample` the threaded federation injects with, at the one
+//! Figure 8 band [`Latency::FIGURE_8`] that `RtOptions` defaults to too:
+//! one delay model serves both substrates.
 
-use rand::rngs::StdRng;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use rtcm_core::time::Duration;
-
-/// A sampled one-way message delay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DelayModel {
-    /// No delay at all.
-    None,
-    /// The same delay for every message.
-    Constant(Duration),
-    /// Uniformly distributed in `[lo, hi]`.
-    Uniform {
-        /// Minimum delay.
-        lo: Duration,
-        /// Maximum delay.
-        hi: Duration,
-    },
-}
-
-impl DelayModel {
-    /// Draws one delay.
-    pub fn sample(&self, rng: &mut StdRng) -> Duration {
-        match *self {
-            DelayModel::None => Duration::ZERO,
-            DelayModel::Constant(d) => d,
-            DelayModel::Uniform { lo, hi } => {
-                if hi <= lo {
-                    lo
-                } else {
-                    Duration::from_nanos(rng.gen_range(lo.as_nanos()..=hi.as_nanos()))
-                }
-            }
-        }
-    }
-
-    /// The mean of the model.
-    #[must_use]
-    pub fn mean(&self) -> Duration {
-        match *self {
-            DelayModel::None => Duration::ZERO,
-            DelayModel::Constant(d) => d,
-            DelayModel::Uniform { lo, hi } => (lo + hi) / 2,
-        }
-    }
-}
+use rtcm_events::Latency;
 
 /// Virtual-time costs of the middleware operations of Figure 7.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OverheadModel {
     /// One-way event-channel delay between distinct processors (op 2).
-    pub comm: DelayModel,
+    pub comm: Latency,
     /// TE: hold the task and push the "Task Arrive" event (op 1).
     pub te_hold: Duration,
     /// TE/subtask: release a job on its processor (ops 5/6).
@@ -86,10 +47,7 @@ impl OverheadModel {
     #[must_use]
     pub fn paper_calibrated() -> Self {
         OverheadModel {
-            comm: DelayModel::Uniform {
-                lo: Duration::from_micros(283),
-                hi: Duration::from_micros(361),
-            },
+            comm: Latency::FIGURE_8,
             te_hold: Duration::from_micros(150),
             te_release: Duration::from_micros(150),
             ac_test: Duration::from_micros(170),
@@ -103,7 +61,7 @@ impl OverheadModel {
     #[must_use]
     pub fn zero() -> Self {
         OverheadModel {
-            comm: DelayModel::None,
+            comm: Latency::None,
             te_hold: Duration::ZERO,
             te_release: Duration::ZERO,
             ac_test: Duration::ZERO,
@@ -123,48 +81,11 @@ impl Default for OverheadModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-
-    #[test]
-    fn constant_and_none_sample_exactly() {
-        let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(DelayModel::None.sample(&mut rng), Duration::ZERO);
-        let d = Duration::from_micros(322);
-        assert_eq!(DelayModel::Constant(d).sample(&mut rng), d);
-        assert_eq!(DelayModel::Constant(d).mean(), d);
-    }
-
-    #[test]
-    fn uniform_stays_in_range_and_centres() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let m =
-            DelayModel::Uniform { lo: Duration::from_micros(100), hi: Duration::from_micros(200) };
-        let mut sum = Duration::ZERO;
-        const N: u64 = 4_000;
-        for _ in 0..N {
-            let s = m.sample(&mut rng);
-            assert!(s >= Duration::from_micros(100) && s <= Duration::from_micros(200));
-            sum += s;
-        }
-        let mean = sum / N;
-        assert!(
-            mean > Duration::from_micros(145) && mean < Duration::from_micros(155),
-            "empirical mean {mean}"
-        );
-        assert_eq!(m.mean(), Duration::from_micros(150));
-    }
-
-    #[test]
-    fn degenerate_uniform_returns_lo() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let m = DelayModel::Uniform { lo: Duration::from_micros(5), hi: Duration::from_micros(5) };
-        assert_eq!(m.sample(&mut rng), Duration::from_micros(5));
-    }
 
     #[test]
     fn zero_model_is_all_zero() {
         let z = OverheadModel::zero();
-        assert_eq!(z.comm.mean(), Duration::ZERO);
+        assert_eq!(z.comm, Latency::None);
         assert!(z.te_hold.is_zero());
         assert!(z.ac_test.is_zero());
         assert!(z.ir_update.is_zero());
@@ -174,7 +95,9 @@ mod tests {
     fn calibrated_total_ac_path_matches_figure8_scale() {
         // hold + comm + test + comm + release ≈ 1114 µs in the paper.
         let m = OverheadModel::paper_calibrated();
-        let total = m.te_hold + m.comm.mean() + m.ac_test + m.comm.mean() + m.te_release;
+        let Latency::Uniform { lo, hi } = m.comm else { panic!("calibrated comm is a band") };
+        let comm = Duration::from((lo + hi) / 2);
+        let total = m.te_hold + comm + m.ac_test + comm + m.te_release;
         let us = total.as_micros();
         assert!((1_000..=1_300).contains(&us), "total AC path {us}µs");
     }

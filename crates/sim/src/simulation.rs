@@ -36,7 +36,6 @@ use rtcm_core::admission::{
     AcStats, AdmissionController, AdmissionError, Decision, SENTINEL_SEQ_FLOOR,
 };
 use rtcm_core::balance::Assignment;
-use rtcm_core::dispatch::Transition;
 use rtcm_core::govern::{
     slack_and_imbalance, CumulativeLoad, Governor, GovernorPolicy, PolicyError, WindowMetrics,
     WindowSensor,
@@ -406,7 +405,7 @@ struct Simulation<'a> {
     schedule: &'a [ModeChange],
     /// Closed-loop governor state (None for ungoverned runs).
     gov: Option<GovState>,
-    /// True if the nodes log transitions for [`SimRun::spans`].
+    /// True if the nodes log spans for [`SimRun::spans`].
     tracing: bool,
     /// The admission error that ended the run early, if one did.
     failed: Option<AdmissionError>,
@@ -555,35 +554,19 @@ impl<'a> Simulation<'a> {
         })
     }
 
-    /// Pairs the nodes' transition logs (recorded only while tracing) into
-    /// execution spans, ordered by start time.
+    /// The nodes' span logs (recorded only while tracing) as execution
+    /// spans, ordered by start time.
     fn drain_spans(&mut self) -> Vec<ExecSpan> {
         let mut spans = Vec::new();
         for (p, node) in self.nodes.iter_mut().enumerate() {
-            let mut open: Option<(Stage, Time)> = None;
-            for transition in node.drain_transitions() {
-                match transition {
-                    Transition::Start { at, payload } => {
-                        debug_assert!(open.is_none(), "start while running");
-                        open = Some((payload, at));
-                    }
-                    Transition::Preempt { at, ref payload }
-                    | Transition::Finish { at, ref payload } => {
-                        let completed = matches!(transition, Transition::Finish { .. });
-                        if let Some((stage, start)) = open.take() {
-                            debug_assert_eq!(stage.job, payload.job, "span pairing");
-                            spans.push(ExecSpan {
-                                processor: p as u16,
-                                job: stage.job,
-                                subtask: stage.subtask,
-                                start,
-                                end: at,
-                                completed,
-                            });
-                        }
-                    }
-                }
-            }
+            spans.extend(node.drain_spans().into_iter().map(|s| ExecSpan {
+                processor: p as u16,
+                job: s.payload.job,
+                subtask: s.payload.subtask,
+                start: s.start,
+                end: s.end,
+                completed: s.completed,
+            }));
         }
         spans.sort_by_key(|s| (s.start, s.processor));
         spans
@@ -623,7 +606,7 @@ impl<'a> Simulation<'a> {
     }
 
     fn comm(&mut self) -> Duration {
-        self.overheads.comm.sample(&mut self.rng)
+        Duration::from(self.overheads.comm.sample(&mut self.rng))
     }
 
     fn dispatch(&mut self, ev: Ev) {
