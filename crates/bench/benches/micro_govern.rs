@@ -8,22 +8,27 @@
 //! * `observe_{n}_rules` — one full policy evaluation (streak update +
 //!   rule scan) per window, against rule-list width, over a 64-window
 //!   stream;
-//! * `sensor_sample` — turning a cumulative-counter snapshot into window
-//!   metrics (the O(1) incremental sensing step);
-//! * `governed_cycle_{n}_rules` — sensor + governor together over an
-//!   alternating collapse/recovery stream, the realistic steady state.
+//! * `sense` — one `Governor::sense` on an idle 4-processor admission
+//!   controller: the boundary prune, the ledger's slack and imbalance
+//!   read, and the cumulative-counter delta (the O(1) sensing step both
+//!   substrates take);
+//! * `governed_cycle_{n}_rules` — `sense` (gauges off an idle controller)
+//!   plus `observe` over an alternating collapse/recovery counter stream.
 //!
-//! Each `observe` / `governed_cycle` sample starts from a fresh clone of
-//! the governor, made outside the timed region (`rtcm_bench::measure`).
+//! Each `observe` / `governed_cycle` sample starts from a fresh governor
+//! (and controller), made outside the timed region (`rtcm_bench::measure`).
 //! `RTCM_QUICK=1` drops the widest policies so smoke runs stay fast.
 
 use std::hint::black_box;
 
 use rtcm_bench::govern::{governor_policy, metrics_stream};
 use rtcm_bench::measure;
-use rtcm_core::govern::{CumulativeLoad, Governor, WindowSensor};
+use rtcm_core::admission::AdmissionController;
+use rtcm_core::govern::{CumulativeLoad, Governor};
+use rtcm_core::time::{Duration, Time};
 
 const SAMPLES: usize = 2_000;
+const WINDOW: Duration = Duration::from_millis(10);
 
 fn main() {
     let quick = std::env::var("RTCM_QUICK").is_ok();
@@ -48,15 +53,17 @@ fn main() {
         let timing = measure(
             SAMPLES,
             1,
-            || (governor.clone(), WindowSensor::new()),
-            |(g, sensor)| {
+            || (governor.clone(), AdmissionController::new(current, 4).unwrap()),
+            |(g, ac)| {
                 let mut cum = CumulativeLoad::default();
+                let mut now = Time::ZERO;
                 for m in &stream {
                     cum.arrived_jobs += m.arrived_jobs;
                     cum.arrived_utilization += m.arrived_utilization;
                     cum.released_utilization += m.released_utilization;
                     cum.ir_reports += m.ir_reports;
-                    let window = sensor.sample(cum, m.aub_slack, m.imbalance);
+                    now += WINDOW;
+                    let window = g.sense(ac, now, cum);
                     black_box(g.observe(current, &window));
                 }
             },
@@ -64,8 +71,10 @@ fn main() {
         println!("govern/{:<24} {timing}", format!("governed_cycle_{rules}_rules"));
     }
 
-    let mut sensor = WindowSensor::new();
+    let mut governor = Governor::new(governor_policy(2)).expect("fixture policies validate");
+    let mut ac = AdmissionController::new(current, 4).unwrap();
     let mut cum = CumulativeLoad::default();
+    let mut now = Time::ZERO;
     let timing = measure(
         SAMPLES * 10,
         16,
@@ -74,8 +83,9 @@ fn main() {
             cum.arrived_jobs += 10;
             cum.arrived_utilization += 1.0;
             cum.released_utilization += 0.5;
-            sensor.sample(cum, 0.4, 0.2)
+            now += WINDOW;
+            governor.sense(&mut ac, now, cum)
         },
     );
-    println!("govern/{:<24} {timing}", "sensor_sample");
+    println!("govern/{:<24} {timing}", "sense");
 }

@@ -6,14 +6,17 @@
 //! leaves *when* to change them to an operator. This module closes the
 //! loop declaratively:
 //!
-//! * **Sensing** — [`WindowSensor`] turns successive snapshots of the
-//!   runtime's cumulative counters into per-window [`WindowMetrics`]
-//!   (accepted ratio, idle-reset activity, AUB slack, deferred decisions,
-//!   per-processor imbalance) in O(1) per window. This deliberately lifts
-//!   the incremental-maintenance discipline of the admission path (PR 2's
-//!   touched-set trick) into the reporting path: a window is a *delta of
-//!   maintained totals*, never a rescan of jobs, records or ledger
-//!   contributions.
+//! * **Sensing** — [`Governor::sense`] closes one window in one call:
+//!   it prunes the admission controller's current set at the boundary,
+//!   reads AUB slack and per-processor imbalance off the ledger, and
+//!   differences the runtime's [`CumulativeLoad`] counters against the
+//!   previous boundary's, giving the window's [`WindowMetrics`] (accepted
+//!   ratio, idle-reset activity, deferred decisions) in O(1) per window.
+//!   This deliberately lifts the incremental-maintenance discipline of the
+//!   admission path (its touched-set trick) into the reporting path: a
+//!   window is a *delta of maintained totals*, never a rescan of jobs,
+//!   records or ledger contributions. Both substrates make this one call,
+//!   on the thread that admits jobs.
 //! * **Policy** — a [`GovernorPolicy`] is an ordered list of
 //!   [`GovernorRule`]s: *metric* crosses *threshold* for *N consecutive
 //!   windows* → switch to *target*. Consecutive-window streaks are the
@@ -50,7 +53,9 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use crate::admission::AdmissionController;
 use crate::strategy::{InvalidConfigError, ServiceConfig};
+use crate::time::Time;
 
 /// One sliding window's sensed load, as consumed by [`Governor::observe`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -104,8 +109,9 @@ impl WindowMetrics {
 }
 
 /// The cumulative counters a runtime exposes (monotone, maintained on the
-/// hot path anyway). [`WindowSensor`] differences two successive snapshots
-/// — sensing costs O(1) per window regardless of how many jobs flowed.
+/// hot path anyway). [`Governor::sense`] differences two successive
+/// snapshots — sensing costs O(1) per window regardless of how many jobs
+/// flowed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct CumulativeLoad {
     /// Jobs arrived since start.
@@ -120,60 +126,10 @@ pub struct CumulativeLoad {
     pub deferred: u64,
 }
 
-/// Turns cumulative counter snapshots into per-window deltas.
-///
-/// The gauges (`aub_slack`, `imbalance`) are instantaneous reads of the
-/// ledger's incrementally maintained per-processor totals — the same
-/// arrays the admission funnel keeps current — so the whole sensing path
-/// performs no per-window rescan of jobs or contributions.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct WindowSensor {
-    prev: CumulativeLoad,
-}
-
-impl WindowSensor {
-    /// A sensor whose first window starts at zero counters.
-    #[must_use]
-    pub fn new() -> Self {
-        WindowSensor::default()
-    }
-
-    /// Closes one window: returns the metrics of everything that happened
-    /// since the previous `sample` call. `aub_slack` and `imbalance` are
-    /// boundary gauges supplied by the caller (see
-    /// [`slack_and_imbalance`]).
-    pub fn sample(&mut self, cum: CumulativeLoad, aub_slack: f64, imbalance: f64) -> WindowMetrics {
-        let arrived_jobs = cum.arrived_jobs.saturating_sub(self.prev.arrived_jobs);
-        let arrived_utilization =
-            (cum.arrived_utilization - self.prev.arrived_utilization).max(0.0);
-        let released_utilization =
-            (cum.released_utilization - self.prev.released_utilization).max(0.0);
-        let accepted_ratio = if arrived_utilization > 0.0 {
-            (released_utilization / arrived_utilization).min(1.0)
-        } else {
-            1.0
-        };
-        let ir_reports = cum.ir_reports.saturating_sub(self.prev.ir_reports);
-        let deferred = cum.deferred.saturating_sub(self.prev.deferred);
-        self.prev = cum;
-        WindowMetrics {
-            arrived_jobs,
-            arrived_utilization,
-            released_utilization,
-            accepted_ratio,
-            ir_reports,
-            deferred,
-            aub_slack,
-            imbalance,
-        }
-    }
-}
-
-/// Computes the two boundary gauges from per-processor synthetic
-/// utilizations (e.g. `UtilizationLedger::utilizations`): `(1 − max U,
-/// max U − min U)`. An empty slice reads as full slack, zero imbalance.
-#[must_use]
-pub fn slack_and_imbalance(utilizations: &[f64]) -> (f64, f64) {
+/// The two boundary gauges from per-processor synthetic utilizations:
+/// `(1 − max U, max U − min U)`. An empty slice reads as full slack, zero
+/// imbalance.
+fn slack_and_imbalance(utilizations: &[f64]) -> (f64, f64) {
     let mut min = f64::INFINITY;
     let mut max = f64::NEG_INFINITY;
     for &u in utilizations {
@@ -497,25 +453,20 @@ pub struct GovernorDecision {
     pub window: u64,
 }
 
-/// Counters of a governor's activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GovernorStats {
-    /// Windows observed.
-    pub windows: u64,
-    /// Decisions emitted (swaps requested — the actuator may still abort).
-    pub decisions: u64,
-}
-
-/// The deterministic policy state machine. Feed it one [`WindowMetrics`]
-/// per window together with the *actual* current configuration (so an
-/// aborted actuation needs no rollback call — the governor trusts the
-/// caller's view, not its own last decision).
+/// The deterministic policy state machine and the sensor that feeds it.
+/// Close each window with [`Governor::sense`], then feed the metrics to
+/// [`Governor::observe`] together with the *actual* current configuration
+/// (so an aborted actuation needs no rollback call — the governor trusts
+/// the caller's view, not its own last decision).
 #[derive(Debug, Clone)]
 pub struct Governor {
     policy: GovernorPolicy,
     streaks: Vec<u32>,
     cooldown: u32,
-    stats: GovernorStats,
+    /// Windows observed.
+    windows: u64,
+    /// The counters at the last boundary [`Governor::sense`] closed.
+    prev: CumulativeLoad,
 }
 
 impl Governor {
@@ -527,7 +478,7 @@ impl Governor {
     pub fn new(policy: GovernorPolicy) -> Result<Self, PolicyError> {
         policy.validate()?;
         let streaks = vec![0; policy.rules.len()];
-        Ok(Governor { policy, streaks, cooldown: 0, stats: GovernorStats::default() })
+        Ok(Governor { policy, streaks, cooldown: 0, windows: 0, prev: CumulativeLoad::default() })
     }
 
     /// The policy being enforced.
@@ -536,10 +487,37 @@ impl Governor {
         &self.policy
     }
 
-    /// Activity counters.
-    #[must_use]
-    pub fn stats(&self) -> GovernorStats {
-        self.stats
+    /// Closes the window ending at `now`: prunes `ac`'s current set at the
+    /// boundary, so the gauges count live entries only, reads AUB slack
+    /// and imbalance off its ledger's maintained per-processor totals, and
+    /// returns everything `cum` gained since the previous boundary. The
+    /// first window starts at zero counters.
+    pub fn sense(
+        &mut self,
+        ac: &mut AdmissionController,
+        now: Time,
+        cum: CumulativeLoad,
+    ) -> WindowMetrics {
+        ac.expire(now);
+        let (aub_slack, imbalance) = slack_and_imbalance(&ac.ledger().utilizations());
+        let prev = std::mem::replace(&mut self.prev, cum);
+        let arrived_utilization = (cum.arrived_utilization - prev.arrived_utilization).max(0.0);
+        let released_utilization = (cum.released_utilization - prev.released_utilization).max(0.0);
+        let accepted_ratio = if arrived_utilization > 0.0 {
+            (released_utilization / arrived_utilization).min(1.0)
+        } else {
+            1.0
+        };
+        WindowMetrics {
+            arrived_jobs: cum.arrived_jobs.saturating_sub(prev.arrived_jobs),
+            arrived_utilization,
+            released_utilization,
+            accepted_ratio,
+            ir_reports: cum.ir_reports.saturating_sub(prev.ir_reports),
+            deferred: cum.deferred.saturating_sub(prev.deferred),
+            aub_slack,
+            imbalance,
+        }
     }
 
     /// Observes one closed window under the *actual* current configuration
@@ -557,7 +535,7 @@ impl Governor {
         current: ServiceConfig,
         metrics: &WindowMetrics,
     ) -> Option<GovernorDecision> {
-        self.stats.windows += 1;
+        self.windows += 1;
         for (i, rule) in self.policy.rules.iter().enumerate() {
             if metrics.arrived_jobs < rule.min_arrivals {
                 continue; // idle window: no evidence either way
@@ -584,13 +562,12 @@ impl Governor {
             rule_name: rule.name.clone(),
             target: rule.target,
             streak: self.streaks[i],
-            window: self.stats.windows,
+            window: self.windows,
         };
         self.cooldown = self.policy.cooldown_windows;
         for s in &mut self.streaks {
             *s = 0;
         }
-        self.stats.decisions += 1;
         Some(decision)
     }
 }
@@ -666,9 +643,24 @@ mod tests {
     }
 
     #[test]
-    fn sensor_differences_cumulative_counters() {
-        let mut sensor = WindowSensor::new();
-        let w1 = sensor.sample(
+    fn sense_differences_cumulative_counters() {
+        use crate::task::{ProcessorId, TaskBuilder, TaskId};
+        use crate::time::Duration;
+
+        let at = |ms| Time::ZERO + Duration::from_millis(ms);
+        let mut ac = AdmissionController::new(cfg("J_N_N"), 2).unwrap();
+        // One live job at U = 0.2 on processor 0 until its 100 ms deadline.
+        let task = TaskBuilder::aperiodic(TaskId(0))
+            .deadline(Duration::from_millis(100))
+            .subtask(Duration::from_millis(20), ProcessorId(0), [])
+            .build()
+            .unwrap();
+        assert!(ac.handle_arrival(&task, 0, Time::ZERO).unwrap().is_accept());
+
+        let mut g = Governor::new(policy()).unwrap();
+        let w1 = g.sense(
+            &mut ac,
+            at(50),
             CumulativeLoad {
                 arrived_jobs: 4,
                 arrived_utilization: 0.8,
@@ -676,16 +668,18 @@ mod tests {
                 ir_reports: 1,
                 deferred: 0,
             },
-            0.5,
-            0.1,
         );
         assert_eq!(w1.arrived_jobs, 4);
         assert!((w1.accepted_ratio - 0.25).abs() < 1e-12);
         assert_eq!(w1.ir_reports, 1);
-        assert!((w1.aub_slack - 0.5).abs() < 1e-12);
+        assert!((w1.aub_slack - 0.8).abs() < 1e-12, "the live job's 0.2 on processor 0");
+        assert!((w1.imbalance - 0.2).abs() < 1e-12);
 
-        // Second window sees only the delta.
-        let w2 = sensor.sample(
+        // Second window sees only the delta, and the boundary prune has
+        // dropped the job whose deadline passed.
+        let w2 = g.sense(
+            &mut ac,
+            at(100),
             CumulativeLoad {
                 arrived_jobs: 6,
                 arrived_utilization: 1.0,
@@ -693,17 +687,18 @@ mod tests {
                 ir_reports: 3,
                 deferred: 2,
             },
-            0.9,
-            0.0,
         );
         assert_eq!(w2.arrived_jobs, 2);
         assert!((w2.arrived_utilization - 0.2).abs() < 1e-12);
         assert!((w2.accepted_ratio - 1.0).abs() < 1e-12, "0.2 arrived, 0.2 released");
         assert_eq!(w2.ir_reports, 2);
         assert_eq!(w2.deferred, 2);
+        assert_eq!((w2.aub_slack, w2.imbalance), (1.0, 0.0), "expired at the boundary");
 
         // An empty window reads as idle.
-        let w3 = sensor.sample(
+        let w3 = g.sense(
+            &mut ac,
+            at(150),
             CumulativeLoad {
                 arrived_jobs: 6,
                 arrived_utilization: 1.0,
@@ -711,8 +706,6 @@ mod tests {
                 ir_reports: 3,
                 deferred: 2,
             },
-            1.0,
-            0.0,
         );
         assert_eq!(w3.arrived_jobs, 0);
         assert_eq!(w3.accepted_ratio, 1.0);
@@ -755,14 +748,13 @@ mod tests {
         // Alternate collapse/recovery every window for 200 windows: the
         // 2-window hysteresis must never be satisfied, so zero swaps.
         let mut g = Governor::new(policy()).unwrap();
-        let mut current = cfg("J_N_N");
         for i in 0..200 {
             let m = if i % 2 == 0 { busy(0.05) } else { busy(0.95) };
-            if let Some(d) = g.observe(current, &m) {
-                current = d.target;
-            }
+            assert!(
+                g.observe(cfg("J_N_N"), &m).is_none(),
+                "oscillation defeats the hysteresis, not the system"
+            );
         }
-        assert_eq!(g.stats().decisions, 0, "oscillation defeats the hysteresis, not the system");
     }
 
     #[test]
@@ -902,10 +894,9 @@ mod tests {
     #[test]
     fn stats_and_display() {
         let mut g = Governor::new(policy()).unwrap();
-        let _ = g.observe(cfg("J_N_N"), &busy(0.1));
-        let _ = g.observe(cfg("J_N_N"), &busy(0.1));
-        assert_eq!(g.stats().windows, 2);
-        assert_eq!(g.stats().decisions, 1);
+        assert!(g.observe(cfg("J_N_N"), &busy(0.1)).is_none());
+        assert!(g.observe(cfg("J_N_N"), &busy(0.1)).is_some(), "the second window fires");
+        assert_eq!(g.windows, 2);
         assert!(g.policy().to_string().contains("collapse-defense"));
         let rule = &g.policy().rules[0];
         assert!(rule.to_string().contains("accepted-ratio"));

@@ -1,13 +1,14 @@
 //! The runtime half of the adaptation governor. It is not a thread:
 //! `System::spawn_governor` hands an [`Attached`] governor to the manager,
 //! and each window boundary is an entry on the manager's reactor, beside
-//! the prepare deadline. At a boundary the manager runs, on the admission
-//! thread and at one instant, the simulator's sequence: expire the current
-//! set, read AUB slack and imbalance from the ledger, read the cumulative
-//! counters from the [`RtMetrics`] atomics, and close the window in a
-//! [`rtcm_core::govern::WindowSensor`]. The gauges and the counters
-//! describe one instant, an *idle* system's slack still tracks entry
-//! expiry, and the admission hot path pays nothing for sensing.
+//! the prepare deadline. At a boundary the manager reads the cumulative
+//! counters from the [`RtMetrics`] atomics and makes the simulator's one
+//! call, [`rtcm_core::govern::Governor::sense`], on the admission thread:
+//! it prunes the current set at the boundary, reads AUB slack and
+//! imbalance off the ledger and differences the counters. The gauges and
+//! the counters describe one instant, an *idle* system's slack still
+//! tracks entry expiry, and the admission hot path pays nothing for
+//! sensing.
 //!
 //! Policy evaluation is the pure [`rtcm_core::govern::Governor`], fed the
 //! admission controller's own configuration, and is skipped while a swap
@@ -25,10 +26,7 @@ use std::sync::Arc;
 use std::time::Duration as StdDuration;
 
 use rtcm_core::admission::AdmissionController;
-use rtcm_core::govern::{
-    slack_and_imbalance, CumulativeLoad, Governor, GovernorDecision, GovernorPolicy, PolicyError,
-    WindowSensor,
-};
+use rtcm_core::govern::{CumulativeLoad, Governor, GovernorDecision, GovernorPolicy, PolicyError};
 use rtcm_core::strategy::ServiceConfig;
 use rtcm_core::time::Time;
 
@@ -74,7 +72,6 @@ impl GovernorLog {
 /// [`GovernorHandle::stop`] returns once the last clone drops.
 pub(crate) struct Attached {
     governor: Governor,
-    sensor: WindowSensor,
     window_ns: u64,
     /// Absolute deadline (shared-clock ns) of the next window boundary.
     pub(crate) next_ns: u64,
@@ -88,9 +85,8 @@ impl Attached {
         Arc::ptr_eq(&self.log, log)
     }
 
-    /// Closes the window ending at `now` in the simulator's order: expire
-    /// the current set, read the ledger gauges and the cumulative
-    /// counters, sample, and book the gauges, the window and the
+    /// Closes the window ending at `now` through [`Governor::sense`], as
+    /// the simulator does, and books the gauges, the window and the
     /// boundaries overrun since the last one. Then, if `actuate`,
     /// evaluates the policy; a decision comes back with the [`Actuation`]
     /// that settles it.
@@ -107,12 +103,6 @@ impl Attached {
             self.next_ns = self.next_ns.saturating_add(self.window_ns);
             overruns += 1;
         }
-        ac.expire(now);
-        let (slack, imbalance) = slack_and_imbalance(&ac.ledger().utilizations());
-        stats.aub_slack.set(slack);
-        stats.util_imbalance.set(imbalance);
-        stats.governor_windows.inc();
-        stats.governor_overruns.add(overruns);
         let cum = CumulativeLoad {
             arrived_jobs: stats.arrived_jobs.get(),
             arrived_utilization: stats.arrived_utilization.get(),
@@ -120,7 +110,11 @@ impl Attached {
             ir_reports: stats.ir_reports.get(),
             deferred: stats.reconfig_deferred.get(),
         };
-        let metrics = self.sensor.sample(cum, slack, imbalance);
+        let metrics = self.governor.sense(ac, now, cum);
+        stats.aub_slack.set(metrics.aub_slack);
+        stats.util_imbalance.set(metrics.imbalance);
+        stats.governor_windows.inc();
+        stats.governor_overruns.add(overruns);
         if !actuate {
             return None;
         }
@@ -227,7 +221,6 @@ pub(crate) fn attach(
     let (lease, settled) = channel();
     manager.send(ManagerCtl::AttachGovernor(Attached {
         governor,
-        sensor: WindowSensor::new(),
         window_ns,
         next_ns: clock.now().as_nanos().saturating_add(window_ns),
         log: Arc::clone(&log),

@@ -36,10 +36,7 @@ use rtcm_core::admission::{
     AcStats, AdmissionController, AdmissionError, Decision, SENTINEL_SEQ_FLOOR,
 };
 use rtcm_core::balance::Assignment;
-use rtcm_core::govern::{
-    slack_and_imbalance, CumulativeLoad, Governor, GovernorPolicy, PolicyError, WindowMetrics,
-    WindowSensor,
-};
+use rtcm_core::govern::{CumulativeLoad, Governor, GovernorPolicy, PolicyError, WindowMetrics};
 use rtcm_core::metrics::{DelayStats, SkipTracker, UtilizationRatio};
 use rtcm_core::node::{Done, Local, NodeCore, Subjob};
 use rtcm_core::priority::{edms_levels, Priority};
@@ -275,8 +272,8 @@ pub struct SimOptions {
     /// virtual time and reconfigures the system itself when a rule's
     /// hysteresis is satisfied, exactly as `System::spawn_governor` does on
     /// the threaded runtime: the same `rtcm_core::govern` state machine,
-    /// fed by the same boundary sequence (expire, ledger gauges, counter
-    /// deltas, sample) on the thread that admits jobs, so a policy tuned
+    /// fed by the same call (`Governor::sense`: prune, ledger gauges,
+    /// counter deltas) on the thread that admits jobs, so a policy tuned
     /// here transfers verbatim. A window costs O(1): counter deltas plus
     /// the ledger's maintained per-processor totals, never a rescan of
     /// jobs or contributions.
@@ -381,7 +378,6 @@ pub struct ExecSpan {
 struct Simulation<'a> {
     tasks: &'a TaskSet,
     trace: &'a ArrivalTrace,
-    services: ServiceConfig,
     overheads: OverheadModel,
     /// EDMS levels, by task position — as verdicts and `skips` are.
     priorities: Vec<Priority>,
@@ -414,7 +410,6 @@ struct Simulation<'a> {
 /// Everything a governed run threads through its sensing ticks.
 struct GovState {
     governor: Governor,
-    sensor: WindowSensor,
     window: Duration,
     /// Last instant a tick may fire (one window past the final arrival, so
     /// the tail window is still sensed).
@@ -453,7 +448,6 @@ impl<'a> Simulation<'a> {
                 let horizon = trace.arrivals().last().map_or(Time::ZERO, |a| a.time) + *window;
                 Some(GovState {
                     governor,
-                    sensor: WindowSensor::new(),
                     window: *window,
                     horizon,
                     trace: GovernorTrace::default(),
@@ -470,7 +464,6 @@ impl<'a> Simulation<'a> {
         Ok(Simulation {
             tasks,
             trace,
-            services: config.services,
             overheads: config.overheads,
             priorities: edms_levels(tasks),
             job_utilizations: tasks.iter().map(TaskSpec::job_utilization).collect(),
@@ -634,7 +627,6 @@ impl<'a> Simulation<'a> {
             .ac
             .reconfigure(target, self.now, self.tasks)
             .expect("switch targets are validated before the run starts");
-        self.services = target;
         for node in &mut self.nodes {
             node.commit(target);
         }
@@ -642,15 +634,12 @@ impl<'a> Simulation<'a> {
         handover
     }
 
-    /// Closes one governor sensing window: O(1) counter deltas + ledger
-    /// gauge reads (the incrementally maintained per-processor totals), a
-    /// pure policy evaluation, and — if a rule fired — the same commit
-    /// point a scheduled switch takes.
+    /// Closes one governor sensing window through `Governor::sense` (the
+    /// boundary prune, the ledger gauges, O(1) counter deltas), a pure
+    /// policy evaluation, and — if a rule fired — the same commit point a
+    /// scheduled switch takes.
     fn on_governor_tick(&mut self) {
         let Some(mut gov) = self.gov.take() else { return };
-        // Clean the current set up to the boundary so the gauges reflect
-        // live entries only (heap-incremental, like any arrival).
-        self.ac.expire(self.now);
         let cum = CumulativeLoad {
             arrived_jobs: self.report.ratio.arrived_jobs(),
             arrived_utilization: self.report.ratio.arrived_utilization(),
@@ -660,11 +649,10 @@ impl<'a> Simulation<'a> {
             // window, so nothing is ever deferred.
             deferred: 0,
         };
-        let (slack, imbalance) = slack_and_imbalance(&self.ac.ledger().utilizations());
-        let metrics = gov.sensor.sample(cum, slack, imbalance);
+        let metrics = gov.governor.sense(&mut self.ac, self.now, cum);
         gov.trace.windows.push((self.now, metrics));
-        if let Some(decision) = gov.governor.observe(self.services, &metrics) {
-            let from = self.services;
+        let from = self.ac.config();
+        if let Some(decision) = gov.governor.observe(from, &metrics) {
             let handover = self.apply_switch(decision.target);
             gov.trace.switches.push(GovernedSwitch {
                 at: self.now,
@@ -726,7 +714,7 @@ impl<'a> Simulation<'a> {
     fn manager_service_time(&self, req: &ManagerReq) -> Duration {
         match req {
             ManagerReq::TaskArrive { .. } => {
-                let lb = if self.services.lb.is_enabled() {
+                let lb = if self.ac.config().lb.is_enabled() {
                     self.overheads.lb_plan
                 } else {
                     Duration::ZERO
@@ -793,7 +781,7 @@ impl<'a> Simulation<'a> {
             }
             Decision::Reject { .. } => {
                 self.skips.record(at, false);
-                if self.services.decides_per_task(task) {
+                if self.ac.config().decides_per_task(task) {
                     self.nodes[node].task_rejected(at);
                 }
             }
@@ -1324,7 +1312,7 @@ mod tests {
         ));
     }
 
-    /// The incremental window sensor against the brute-force oracle: every
+    /// The incremental window step against the brute-force oracle: every
     /// window's arrived/released figures recomputed by a full rescan of
     /// the per-job records must match the O(1) counter deltas exactly —
     /// the same differential discipline the incremental admission path is

@@ -96,21 +96,14 @@ impl ArrivalTrace {
                 seed ^ (0xA076_1D64_78BD_642F_u64.wrapping_mul(u64::from(task.id().0) + 1)),
             );
             match task.kind().period() {
-                Some(period) => {
-                    let phase = match config.phasing {
-                        Phasing::Simultaneous => Duration::ZERO,
-                        Phasing::RandomPhase => {
-                            Duration::from_nanos(rng.gen_range(0..period.as_nanos().max(1)))
-                        }
-                    };
-                    let mut t = Time::ZERO + phase;
-                    let mut seq = 0u64;
-                    while t.elapsed_since(Time::ZERO) < config.horizon {
-                        arrivals.push(Arrival { time: t, task: task.id(), seq });
-                        seq += 1;
-                        t += period;
-                    }
-                }
+                Some(period) => push_periodic(
+                    &mut rng,
+                    task.id(),
+                    period,
+                    config.phasing,
+                    config.horizon,
+                    &mut arrivals,
+                ),
                 None => {
                     let mean = task.deadline().mul_f64(config.poisson_factor);
                     assert!(
@@ -185,8 +178,32 @@ impl<'a> IntoIterator for &'a ArrivalTrace {
     }
 }
 
+/// Appends `task`'s strict periodic releases in `[0, horizon)`, the first
+/// at a phase drawn from `rng` under [`Phasing::RandomPhase`] (no draw under
+/// [`Phasing::Simultaneous`]).
+pub(crate) fn push_periodic(
+    rng: &mut StdRng,
+    task: TaskId,
+    period: Duration,
+    phasing: Phasing,
+    horizon: Duration,
+    out: &mut Vec<Arrival>,
+) {
+    let phase = match phasing {
+        Phasing::Simultaneous => Duration::ZERO,
+        Phasing::RandomPhase => Duration::from_nanos(rng.gen_range(0..period.as_nanos().max(1))),
+    };
+    let mut t = Time::ZERO + phase;
+    let mut seq = 0;
+    while t.elapsed_since(Time::ZERO) < horizon {
+        out.push(Arrival { time: t, task, seq });
+        seq += 1;
+        t += period;
+    }
+}
+
 /// Samples an exponential with the given mean via inverse transform.
-fn exponential(rng: &mut StdRng, mean: Duration) -> Duration {
+pub(crate) fn exponential(rng: &mut StdRng, mean: Duration) -> Duration {
     let u: f64 = rng.gen_range(f64::EPSILON..1.0);
     mean.mul_f64(-u.ln())
 }

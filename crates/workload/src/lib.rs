@@ -34,4 +34,4 @@ pub mod scenario;
 
 pub use arrivals::{Arrival, ArrivalConfig, ArrivalTrace, Phasing};
 pub use generate::{ImbalancedWorkload, RandomWorkload, WorkloadError};
-pub use scenario::{BurstScenario, CorrelatedBurstScenario, ModeChangeScenario};
+pub use scenario::{BurstScenario, ModeChangeScenario};

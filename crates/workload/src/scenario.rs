@@ -8,7 +8,9 @@
 //! whose aperiodic arrival rate is multiplied by `intensity` inside a
 //! burst window — a piecewise-constant non-homogeneous Poisson process
 //! (sampled exactly: exponential memorylessness lets the sampler restart
-//! at each rate boundary).
+//! at each rate boundary). The window hits every processor at once, or
+//! only the listed ones ([`BurstScenario::processors`]). Periodic tasks
+//! release through the same sampler as [`ArrivalTrace::generate`].
 //!
 //! # Examples
 //!
@@ -25,238 +27,41 @@
 //! ```
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use rtcm_core::reconfig::ModeSchedule;
 use rtcm_core::strategy::ServiceConfig;
-use rtcm_core::task::TaskSet;
+use rtcm_core::task::{TaskId, TaskSet};
 use rtcm_core::time::{Duration, Time};
 
-use crate::arrivals::{Arrival, ArrivalTrace, Phasing};
+use crate::arrivals::{exponential, push_periodic, Arrival, ArrivalTrace, Phasing};
 use crate::generate::{RandomWorkload, WorkloadError};
 
 /// A transient aperiodic overload on top of a random workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BurstScenario {
-    /// The underlying task-set shape.
-    pub workload: RandomWorkload,
-    /// Total trace horizon.
-    pub horizon: Duration,
-    /// Nominal mean aperiodic interarrival = `poisson_factor × deadline`.
-    pub poisson_factor: f64,
-    /// Periodic phasing.
-    pub phasing: Phasing,
-    /// Burst window start.
-    pub burst_start: Duration,
-    /// Burst window length.
-    pub burst_duration: Duration,
-    /// Arrival-rate multiplier inside the window (≥ 1).
-    pub intensity: f64,
-}
-
-impl Default for BurstScenario {
-    fn default() -> Self {
-        BurstScenario {
-            workload: RandomWorkload::default(),
-            horizon: Duration::from_secs(120),
-            poisson_factor: 2.0,
-            phasing: Phasing::RandomPhase,
-            burst_start: Duration::from_secs(40),
-            burst_duration: Duration::from_secs(20),
-            intensity: 8.0,
-        }
-    }
-}
-
-impl BurstScenario {
-    /// End of the burst window.
-    #[must_use]
-    pub fn burst_end(&self) -> Duration {
-        self.burst_start + self.burst_duration
-    }
-
-    /// Returns true if `t` lies inside the burst window.
-    #[must_use]
-    pub fn in_burst(&self, t: Time) -> bool {
-        let offset = t.elapsed_since(Time::ZERO);
-        offset >= self.burst_start && offset < self.burst_end()
-    }
-
-    /// Generates the task set and its burst-shaped arrival trace.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WorkloadError`] for inconsistent parameters (zero/negative
-    /// intensity or factor, burst outside the horizon) or unsatisfiable
-    /// workload shapes.
-    pub fn generate(&self, seed: u64) -> Result<(TaskSet, ArrivalTrace), WorkloadError> {
-        validate_burst_window(
-            self.intensity,
-            self.poisson_factor,
-            self.burst_start,
-            self.burst_end(),
-            self.horizon,
-        )?;
-        let tasks = self.workload.generate(seed)?;
-        let mut arrivals = Vec::new();
-        for task in tasks.iter() {
-            let mut rng = task_stream(seed, task.id());
-            match task.kind().period() {
-                Some(period) => push_periodic_arrivals(
-                    &mut rng,
-                    period,
-                    self.phasing,
-                    self.horizon,
-                    task.id(),
-                    &mut arrivals,
-                ),
-                None => {
-                    let base_mean = task.deadline().mul_f64(self.poisson_factor);
-                    sample_piecewise_poisson(
-                        &mut rng,
-                        base_mean,
-                        base_mean.mul_f64(1.0 / self.intensity),
-                        self.burst_start,
-                        self.burst_end(),
-                        self.horizon,
-                        task.id(),
-                        &mut arrivals,
-                    );
-                }
-            }
-        }
-        Ok((tasks, ArrivalTrace::from_arrivals(arrivals)))
-    }
-}
-
-/// Per-task deterministic RNG stream, independent of iteration order.
-fn task_stream(seed: u64, task: rtcm_core::task::TaskId) -> StdRng {
-    StdRng::seed_from_u64(seed ^ (0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(u64::from(task.0) + 1)))
-}
-
-fn validate_burst_window(
-    intensity: f64,
-    poisson_factor: f64,
-    burst_start: Duration,
-    burst_end: Duration,
-    horizon: Duration,
-) -> Result<(), WorkloadError> {
-    if !(intensity.is_finite() && intensity >= 1.0) {
-        return Err(WorkloadError::Parameters(format!(
-            "burst intensity {intensity} must be finite and >= 1"
-        )));
-    }
-    if !(poisson_factor.is_finite() && poisson_factor > 0.0) {
-        return Err(WorkloadError::Parameters(format!(
-            "poisson factor {poisson_factor} must be positive and finite"
-        )));
-    }
-    if burst_end > horizon {
-        return Err(WorkloadError::Parameters(format!(
-            "burst window [{burst_start}, {burst_end}) extends beyond the horizon {horizon}"
-        )));
-    }
-    Ok(())
-}
-
-/// Strict periodic releases with the configured phasing.
-fn push_periodic_arrivals(
-    rng: &mut StdRng,
-    period: Duration,
-    phasing: Phasing,
-    horizon: Duration,
-    task: rtcm_core::task::TaskId,
-    out: &mut Vec<Arrival>,
-) {
-    let phase = match phasing {
-        Phasing::Simultaneous => Duration::ZERO,
-        Phasing::RandomPhase => Duration::from_nanos(rng.gen_range(0..period.as_nanos().max(1))),
-    };
-    let mut t = Time::ZERO + phase;
-    let mut seq = 0;
-    while t.elapsed_since(Time::ZERO) < horizon {
-        out.push(Arrival { time: t, task, seq });
-        seq += 1;
-        t += period;
-    }
-}
-
-/// Piecewise-constant non-homogeneous Poisson sampling: advance with the
-/// current window's mean interarrival (`burst_mean` inside
-/// `[burst_start, burst_end)`, `base_mean` outside); a jump crossing a
-/// window boundary is clamped to the boundary and resampled (exact, by
-/// memorylessness).
-#[allow(clippy::too_many_arguments)]
-fn sample_piecewise_poisson(
-    rng: &mut StdRng,
-    base_mean: Duration,
-    burst_mean: Duration,
-    burst_start: Duration,
-    burst_end: Duration,
-    horizon: Duration,
-    task: rtcm_core::task::TaskId,
-    out: &mut Vec<Arrival>,
-) {
-    let mut t = Duration::ZERO;
-    let mut seq = 0;
-    loop {
-        let (mean, window_end) = if t < burst_start {
-            (base_mean, burst_start)
-        } else if t < burst_end {
-            (burst_mean, burst_end)
-        } else {
-            (base_mean, horizon)
-        };
-        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let step = mean.mul_f64(-u.ln());
-        let next = t + step;
-        if next >= horizon {
-            if window_end >= horizon {
-                break;
-            }
-            // The jump crossed into the next window before the horizon:
-            // clamp and resample from the boundary.
-            t = window_end;
-            continue;
-        }
-        if next >= window_end && window_end < horizon {
-            t = window_end;
-            continue;
-        }
-        t = next;
-        out.push(Arrival { time: Time::ZERO + t, task, seq });
-        seq += 1;
-    }
-}
-
-/// A **correlated** overload: simultaneous aperiodic bursts on *multiple*
-/// processors at once — the paper's motivating cascade ("a blockage …
-/// increase[s] the load on the processors immediately connected to it")
-/// scaled up to a plant-wide event that floods several processors in the
-/// same window. Load balancing alone cannot absorb it (every replica
-/// group is busy too), which is exactly the situation an adaptation
-/// governor must detect and defend against; `examples/governed_recovery.rs`
-/// uses this scenario to stress the closed loop.
 ///
 /// Aperiodic tasks whose *arrival processor* (first subtask's primary) is
-/// in [`CorrelatedBurstScenario::processors`] burst together during the
-/// window; others keep their nominal rate. An empty processor list bursts
-/// **every** processor simultaneously.
+/// in [`BurstScenario::processors`] burst together during the window;
+/// others keep their nominal rate. The default, an empty list, bursts
+/// **every** processor at once: the paper's motivating cascade scaled up
+/// to a plant-wide event, which load balancing alone cannot absorb (every
+/// replica group is busy too). `examples/governed_recovery.rs` uses it to
+/// stress the governor's closed loop.
 ///
 /// # Examples
 ///
 /// ```
-/// use rtcm_workload::CorrelatedBurstScenario;
+/// use rtcm_workload::BurstScenario;
 ///
-/// let scenario = CorrelatedBurstScenario::default();
+/// let scenario = BurstScenario { processors: vec![0, 2], ..BurstScenario::default() };
 /// let (tasks, trace) = scenario.generate(3)?;
 /// assert!(!trace.is_empty());
+/// assert!(scenario.hits_processor(2) && !scenario.hits_processor(1));
 /// # let _ = tasks;
 /// # Ok::<(), rtcm_workload::WorkloadError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CorrelatedBurstScenario {
+pub struct BurstScenario {
     /// The underlying task-set shape.
     pub workload: RandomWorkload,
     /// Total trace horizon.
@@ -276,9 +81,9 @@ pub struct CorrelatedBurstScenario {
     pub processors: Vec<u16>,
 }
 
-impl Default for CorrelatedBurstScenario {
+impl Default for BurstScenario {
     fn default() -> Self {
-        CorrelatedBurstScenario {
+        BurstScenario {
             workload: RandomWorkload::default(),
             horizon: Duration::from_secs(120),
             poisson_factor: 2.0,
@@ -291,7 +96,7 @@ impl Default for CorrelatedBurstScenario {
     }
 }
 
-impl CorrelatedBurstScenario {
+impl BurstScenario {
     /// End of the burst window.
     #[must_use]
     pub fn burst_end(&self) -> Duration {
@@ -311,54 +116,46 @@ impl CorrelatedBurstScenario {
         self.processors.is_empty() || self.processors.contains(&processor)
     }
 
-    /// Generates the task set and its correlated-burst arrival trace.
+    /// Generates the task set and its burst-shaped arrival trace.
     ///
     /// # Errors
     ///
-    /// As [`BurstScenario::generate`], plus a parameter error when a
-    /// listed processor is outside the workload's processor range.
+    /// Returns [`WorkloadError::Parameters`] for inconsistent parameters
+    /// (intensity below 1 or factor not positive, burst outside the
+    /// horizon, a listed processor outside the workload's range, an
+    /// aperiodic task whose base or burst mean interarrival rounds to
+    /// 0 ns), or the workload's error for unsatisfiable shapes.
     pub fn generate(&self, seed: u64) -> Result<(TaskSet, ArrivalTrace), WorkloadError> {
-        validate_burst_window(
-            self.intensity,
-            self.poisson_factor,
-            self.burst_start,
-            self.burst_end(),
-            self.horizon,
-        )?;
-        if let Some(&bad) = self.processors.iter().find(|p| **p >= self.workload.processors) {
-            return Err(WorkloadError::Parameters(format!(
-                "burst processor {bad} outside the workload's 0..{} range",
-                self.workload.processors
-            )));
-        }
+        self.validate()?;
         let tasks = self.workload.generate(seed)?;
         let mut arrivals = Vec::new();
         for task in tasks.iter() {
             let mut rng = task_stream(seed, task.id());
             match task.kind().period() {
-                Some(period) => push_periodic_arrivals(
+                Some(period) => push_periodic(
                     &mut rng,
+                    task.id(),
                     period,
                     self.phasing,
                     self.horizon,
-                    task.id(),
                     &mut arrivals,
                 ),
                 None => {
                     let base_mean = task.deadline().mul_f64(self.poisson_factor);
-                    let arrival_proc = task.subtasks()[0].primary.0;
-                    let burst_mean = if self.hits_processor(arrival_proc) {
+                    let burst_mean = if self.hits_processor(task.subtasks()[0].primary.0) {
                         base_mean.mul_f64(1.0 / self.intensity)
                     } else {
                         base_mean // unaffected: homogeneous throughout
                     };
-                    sample_piecewise_poisson(
+                    // The burst mean is the smaller: 0 ns here would never advance.
+                    if burst_mean.is_zero() {
+                        let msg = format!("{} would arrive every 0 ns", task.id());
+                        return Err(WorkloadError::Parameters(msg));
+                    }
+                    self.sample_piecewise_poisson(
                         &mut rng,
                         base_mean,
                         burst_mean,
-                        self.burst_start,
-                        self.burst_end(),
-                        self.horizon,
                         task.id(),
                         &mut arrivals,
                     );
@@ -367,6 +164,72 @@ impl CorrelatedBurstScenario {
         }
         Ok((tasks, ArrivalTrace::from_arrivals(arrivals)))
     }
+
+    fn validate(&self) -> Result<(), WorkloadError> {
+        let Self { intensity, poisson_factor: factor, burst_start: start, horizon, .. } = self;
+        let (end, procs) = (self.burst_end(), self.workload.processors);
+        let msg = if !(intensity.is_finite() && *intensity >= 1.0) {
+            format!("burst intensity {intensity} must be finite and >= 1")
+        } else if !(factor.is_finite() && *factor > 0.0) {
+            format!("poisson factor {factor} must be positive and finite")
+        } else if end > *horizon {
+            format!("burst window [{start}, {end}) extends beyond the horizon {horizon}")
+        } else if let Some(bad) = self.processors.iter().find(|p| **p >= procs) {
+            format!("burst processor {bad} outside the workload's 0..{procs} range")
+        } else {
+            return Ok(());
+        };
+        Err(WorkloadError::Parameters(msg))
+    }
+
+    /// Piecewise-constant non-homogeneous Poisson sampling: advance with
+    /// the current window's mean interarrival (`burst_mean` inside the
+    /// burst window, `base_mean` outside); a jump crossing a window
+    /// boundary is clamped to the boundary and resampled (exact, by
+    /// memorylessness).
+    fn sample_piecewise_poisson(
+        &self,
+        rng: &mut StdRng,
+        base_mean: Duration,
+        burst_mean: Duration,
+        task: TaskId,
+        out: &mut Vec<Arrival>,
+    ) {
+        let (burst_start, burst_end, horizon) = (self.burst_start, self.burst_end(), self.horizon);
+        let mut t = Duration::ZERO;
+        let mut seq = 0;
+        loop {
+            let (mean, window_end) = if t < burst_start {
+                (base_mean, burst_start)
+            } else if t < burst_end {
+                (burst_mean, burst_end)
+            } else {
+                (base_mean, horizon)
+            };
+            let next = t + exponential(rng, mean);
+            if next >= horizon {
+                if window_end >= horizon {
+                    break;
+                }
+                // The jump crossed into the next window before the
+                // horizon: clamp and resample from the boundary.
+                t = window_end;
+                continue;
+            }
+            if next >= window_end && window_end < horizon {
+                t = window_end;
+                continue;
+            }
+            t = next;
+            out.push(Arrival { time: Time::ZERO + t, task, seq });
+            seq += 1;
+        }
+    }
+}
+
+/// Per-task deterministic RNG stream, independent of iteration order.
+fn task_stream(seed: u64, task: TaskId) -> StdRng {
+    StdRng::seed_from_u64(seed ^ (0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(u64::from(task.0) + 1)))
 }
 
 /// A [`BurstScenario`] paired with a **defensive mode change**: the system
@@ -562,6 +425,23 @@ mod tests {
     }
 
     #[test]
+    fn zero_mean_interarrival_is_an_error_naming_the_task() {
+        // A burst mean of 0 ns would push arrivals at one instant forever.
+        let s = BurstScenario { intensity: 1e12, ..scenario() };
+        let Err(WorkloadError::Parameters(msg)) = s.generate(1) else {
+            panic!("a 0 ns burst mean must be refused");
+        };
+        let tasks = s.workload.generate(1).unwrap();
+        let first = tasks.iter().find(|t| !t.is_periodic()).unwrap().id();
+        assert!(msg.starts_with(&format!("{first} would arrive every 0 ns")), "{msg}");
+
+        // A factor that rounds the base mean to 0 ns hits the same loop
+        // outside the window, on spared processors too.
+        let s = BurstScenario { poisson_factor: 1e-12, processors: vec![0], ..scenario() };
+        assert!(matches!(s.generate(1), Err(WorkloadError::Parameters(_))));
+    }
+
+    #[test]
     fn mode_change_scenario_builds_schedule_inside_burst() {
         let s = ModeChangeScenario {
             burst: scenario(),
@@ -595,15 +475,8 @@ mod tests {
         assert!(s.generate(0).is_err(), "switch after the burst window");
     }
 
-    fn correlated(processors: Vec<u16>) -> CorrelatedBurstScenario {
-        CorrelatedBurstScenario {
-            horizon: Duration::from_secs(90),
-            burst_start: Duration::from_secs(30),
-            burst_duration: Duration::from_secs(30),
-            intensity: 10.0,
-            processors,
-            ..CorrelatedBurstScenario::default()
-        }
+    fn correlated(processors: Vec<u16>) -> BurstScenario {
+        BurstScenario { processors, ..scenario() }
     }
 
     /// In-window vs out-of-window arrival counts for the given tasks.

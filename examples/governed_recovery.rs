@@ -11,8 +11,8 @@
 //!    `GovernorPolicy` with **no schedule at all**. The governor must
 //!    recover accepted utilization comparably to the script it replaces.
 //! 2. **Threaded runtime**: `System::spawn_governor` senses a live
-//!    overload in windows the manager closes on its own reactor and
-//!    actuates the two-phase swap on its own.
+//!    overload in windows the manager closes on its own reactor (the
+//!    simulator's one call, `Governor::sense`) and actuates the swap.
 //! 3. **Two-host quorum**: a TCP-bridged federation is registered as a
 //!    *voting* prepare-quorum member: its ack is required for commit, and
 //!    withholding it (a simulated partition) aborts the swap cleanly with
@@ -32,7 +32,7 @@ use rtcm::rt::{
     QuorumMember, QuorumOptions, ReconfigAbortReason, ReconfigureError, RtOptions, System,
 };
 use rtcm::sim::{simulate_with, JobRecord, SimConfig, SimOptions};
-use rtcm::workload::{CorrelatedBurstScenario, RandomWorkload};
+use rtcm::workload::{BurstScenario, RandomWorkload};
 use rtcm_config::configure_with;
 
 /// Utilization-weighted accepted ratio of the arrivals inside `[lo, hi)`.
@@ -64,7 +64,7 @@ fn print_buckets(label: &str, records: &[JobRecord], horizon_secs: u64) {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- Act 1: governed simulation vs. the scripted operator -----------
-    let scenario = CorrelatedBurstScenario {
+    let scenario = BurstScenario {
         horizon: Duration::from_secs(60),
         burst_start: Duration::from_secs(20),
         burst_duration: Duration::from_secs(20),
