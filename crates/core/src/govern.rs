@@ -16,7 +16,8 @@
 //!   admission path (its touched-set trick) into the reporting path: a
 //!   window is a *delta of maintained totals*, never a rescan of jobs,
 //!   records or ledger contributions. Both substrates make this one call,
-//!   on the thread that admits jobs.
+//!   on the thread that admits jobs, through `rtcm_rt::stats::RtMetrics::sense`,
+//!   which reads the counters off the registry both book.
 //! * **Policy** — a [`GovernorPolicy`] is an ordered list of
 //!   [`GovernorRule`]s: *metric* crosses *threshold* for *N consecutive
 //!   windows* → switch to *target*. Consecutive-window streaks are the

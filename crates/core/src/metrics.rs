@@ -1,5 +1,9 @@
 //! Shared evaluation metrics: the paper's *accepted utilization ratio* and
 //! mean/max latency accounting for the overhead table (Figure 8).
+//!
+//! [`UtilizationRatio`] and [`DelayStats`] are read-only snapshots: both
+//! substrates count into the runtime's telemetry registry
+//! (`rtcm_rt::stats::RtMetrics`) and read these back with `from_parts`.
 
 use std::fmt;
 
@@ -17,10 +21,8 @@ use crate::time::Duration;
 /// ```
 /// use rtcm_core::metrics::UtilizationRatio;
 ///
-/// let mut r = UtilizationRatio::new();
-/// r.record_arrival(0.4);
-/// r.record_release(0.4);
-/// r.record_arrival(0.6);
+/// // 1.0 of utilization arrived over two jobs; the 0.4 job was released.
+/// let r = UtilizationRatio::from_parts(1.0, 0.4, 2, 1);
 /// assert!((r.ratio() - 0.4).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -32,30 +34,12 @@ pub struct UtilizationRatio {
 }
 
 impl UtilizationRatio {
-    /// Creates an empty accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        UtilizationRatio::default()
-    }
-
-    /// Reassembles an accumulator from externally maintained parts — the
-    /// runtime's lock-free telemetry registry keeps these as atomics and
-    /// folds them back into a ratio at snapshot time.
+    /// The ratio of the given parts: arrived and released utilization
+    /// weight, arrived and released job counts — the registry's atomics,
+    /// read at snapshot time.
     #[must_use]
     pub fn from_parts(arrived: f64, released: f64, arrived_jobs: u64, released_jobs: u64) -> Self {
         UtilizationRatio { arrived, released, arrived_jobs, released_jobs }
-    }
-
-    /// Records an arriving job of the given utilization weight.
-    pub fn record_arrival(&mut self, utilization: f64) {
-        self.arrived += utilization;
-        self.arrived_jobs += 1;
-    }
-
-    /// Records a released (admitted) job of the given utilization weight.
-    pub fn record_release(&mut self, utilization: f64) {
-        self.released += utilization;
-        self.released_jobs += 1;
     }
 
     /// Released / arrived utilization; defined as 1 when nothing arrived.
@@ -91,14 +75,6 @@ impl UtilizationRatio {
     pub fn released_jobs(&self) -> u64 {
         self.released_jobs
     }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &UtilizationRatio) {
-        self.arrived += other.arrived;
-        self.released += other.released;
-        self.arrived_jobs += other.arrived_jobs;
-        self.released_jobs += other.released_jobs;
-    }
 }
 
 impl fmt::Display for UtilizationRatio {
@@ -115,8 +91,8 @@ impl fmt::Display for UtilizationRatio {
     }
 }
 
-/// Mean / max / min accumulation of operation delays, as reported in the
-/// paper's Figure 8 (µs rows).
+/// Mean / max / min of an operation's delays, as reported in the paper's
+/// Figure 8 (µs rows).
 ///
 /// # Examples
 ///
@@ -124,11 +100,12 @@ impl fmt::Display for UtilizationRatio {
 /// use rtcm_core::metrics::DelayStats;
 /// use rtcm_core::time::Duration;
 ///
-/// let mut s = DelayStats::new();
-/// s.record(Duration::from_micros(100));
-/// s.record(Duration::from_micros(300));
-/// assert_eq!(s.mean(), Duration::from_micros(200));
-/// assert_eq!(s.max(), Duration::from_micros(300));
+/// // Two samples, 100 µs and 300 µs.
+/// let us = Duration::from_micros;
+/// let s = DelayStats::from_parts(2, 400_000, us(100), us(300));
+/// assert_eq!(s.mean(), us(200));
+/// assert_eq!(s.max(), us(300));
+/// assert_eq!(DelayStats::from_parts(0, 0, us(0), us(0)), DelayStats::default());
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DelayStats {
@@ -139,32 +116,17 @@ pub struct DelayStats {
 }
 
 impl DelayStats {
-    /// Creates an empty accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        DelayStats { count: 0, total_ns: 0, max: Duration::ZERO, min: Duration::MAX }
-    }
-
-    /// Reassembles an accumulator from externally maintained parts
-    /// (sample count, exact nanosecond sum, exact extremes) — the bridge
-    /// from the telemetry registry's atomic histograms back to the
-    /// report's mean/max/min rows. An empty part set (`count == 0`)
-    /// yields the canonical empty accumulator.
+    /// The row of the given parts (sample count, exact nanosecond sum,
+    /// exact extremes) — the bridge from the telemetry registry's atomic
+    /// histograms to the report's mean/max/min rows. An empty part set
+    /// (`count == 0`) is the one empty row, [`DelayStats::default`].
     #[must_use]
     pub fn from_parts(count: u64, total_ns: u128, min: Duration, max: Duration) -> Self {
         if count == 0 {
-            DelayStats::new()
+            DelayStats::default()
         } else {
             DelayStats { count, total_ns, max, min }
         }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, sample: Duration) {
-        self.count += 1;
-        self.total_ns += u128::from(sample.as_nanos());
-        self.max = self.max.max(sample);
-        self.min = self.min.min(sample);
     }
 
     /// Number of samples.
@@ -187,32 +149,13 @@ impl DelayStats {
     /// Largest sample; zero when empty.
     #[must_use]
     pub fn max(&self) -> Duration {
-        if self.count == 0 {
-            Duration::ZERO
-        } else {
-            self.max
-        }
+        self.max
     }
 
     /// Smallest sample; zero when empty.
     #[must_use]
     pub fn min(&self) -> Duration {
-        if self.count == 0 {
-            Duration::ZERO
-        } else {
-            self.min
-        }
-    }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &DelayStats) {
-        if other.count == 0 {
-            return;
-        }
-        self.count += other.count;
-        self.total_ns += other.total_ns;
-        self.max = self.max.max(other.max);
-        self.min = self.min.min(other.min);
+        self.min
     }
 }
 
@@ -316,38 +259,22 @@ mod tests {
 
     #[test]
     fn ratio_of_empty_is_one() {
-        assert_eq!(UtilizationRatio::new().ratio(), 1.0);
+        assert_eq!(UtilizationRatio::default().ratio(), 1.0);
     }
 
     #[test]
     fn ratio_tracks_weights_not_counts() {
-        let mut r = UtilizationRatio::new();
-        r.record_arrival(0.9);
-        r.record_arrival(0.1);
-        r.record_release(0.9);
         // 1 of 2 jobs but 90% of the utilization.
+        let r = UtilizationRatio::from_parts(0.9 + 0.1, 0.9, 2, 1);
         assert!((r.ratio() - 0.9).abs() < 1e-12);
         assert_eq!(r.arrived_jobs(), 2);
         assert_eq!(r.released_jobs(), 1);
     }
 
     #[test]
-    fn ratio_merge_combines() {
-        let mut a = UtilizationRatio::new();
-        a.record_arrival(1.0);
-        a.record_release(1.0);
-        let mut b = UtilizationRatio::new();
-        b.record_arrival(1.0);
-        a.merge(&b);
-        assert!((a.ratio() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn delay_stats_mean_max_min() {
-        let mut s = DelayStats::new();
-        for us in [10u64, 20, 60] {
-            s.record(Duration::from_micros(us));
-        }
+        let us = Duration::from_micros;
+        let s = DelayStats::from_parts(3, 90_000, us(10), us(60));
         assert_eq!(s.mean(), Duration::from_micros(30));
         assert_eq!(s.max(), Duration::from_micros(60));
         assert_eq!(s.min(), Duration::from_micros(10));
@@ -356,26 +283,11 @@ mod tests {
 
     #[test]
     fn delay_stats_empty_reads_zero() {
-        let s = DelayStats::new();
+        let s = DelayStats::from_parts(0, 0, Duration::MAX, Duration::ZERO);
+        assert_eq!(s, DelayStats::default());
         assert_eq!(s.mean(), Duration::ZERO);
         assert_eq!(s.max(), Duration::ZERO);
         assert_eq!(s.min(), Duration::ZERO);
-    }
-
-    #[test]
-    fn delay_stats_merge() {
-        let mut a = DelayStats::new();
-        a.record(Duration::from_micros(10));
-        let mut b = DelayStats::new();
-        b.record(Duration::from_micros(50));
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.mean(), Duration::from_micros(30));
-        assert_eq!(a.max(), Duration::from_micros(50));
-        assert_eq!(a.min(), Duration::from_micros(10));
-        let empty = DelayStats::new();
-        a.merge(&empty);
-        assert_eq!(a.count(), 2);
     }
 
     #[test]
@@ -413,11 +325,10 @@ mod tests {
 
     #[test]
     fn display_is_nonempty() {
-        let mut s = DelayStats::new();
-        s.record(Duration::from_micros(5));
+        let five = Duration::from_micros(5);
+        let s = DelayStats::from_parts(1, 5_000, five, five);
         assert!(!s.to_string().is_empty());
-        let mut r = UtilizationRatio::new();
-        r.record_arrival(0.5);
+        let r = UtilizationRatio::from_parts(0.5, 0.0, 1, 0);
         assert!(!r.to_string().is_empty());
     }
 }

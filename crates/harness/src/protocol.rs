@@ -108,7 +108,7 @@ mod tests {
     fn reply_round_trips_with_report() {
         let mut reply = Reply::success();
         let mut report = SystemReport::default();
-        report.reconfig_abort_reasons.record(rtcm_rt::ReconfigAbortReason::AckTimeout);
+        report.reconfig_abort_reasons.ack_timeout = 1;
         report.bridge_rx_errors = 2;
         reply.report = Some(report);
         reply.commits = Some(vec!["J_J_J".into(), "T_T_T".into()]);

@@ -1,14 +1,14 @@
 //! The runtime half of the adaptation governor. It is not a thread:
 //! `System::spawn_governor` hands an [`Attached`] governor to the manager,
 //! and each window boundary is an entry on the manager's reactor, beside
-//! the prepare deadline. At a boundary the manager reads the cumulative
-//! counters from the [`RtMetrics`] atomics and makes the simulator's one
-//! call, [`rtcm_core::govern::Governor::sense`], on the admission thread:
-//! it prunes the current set at the boundary, reads AUB slack and
-//! imbalance off the ledger and differences the counters. The gauges and
-//! the counters describe one instant, an *idle* system's slack still
-//! tracks entry expiry, and the admission hot path pays nothing for
-//! sensing.
+//! the prepare deadline. At a boundary the manager makes the simulator's
+//! one call, [`RtMetrics::sense`], on the admission thread: it reads the
+//! cumulative counters off the registry, prunes the current set at the
+//! boundary, reads AUB slack and imbalance off the ledger, differences the
+//! counters ([`rtcm_core::govern::Governor::sense`]) and books the window
+//! and its gauges. The gauges and the counters describe one instant, an
+//! *idle* system's slack still tracks entry expiry, and the admission hot
+//! path pays nothing for sensing.
 //!
 //! Policy evaluation is the pure [`rtcm_core::govern::Governor`], fed the
 //! admission controller's own configuration, and is skipped while a swap
@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::time::Duration as StdDuration;
 
 use rtcm_core::admission::AdmissionController;
-use rtcm_core::govern::{CumulativeLoad, Governor, GovernorDecision, GovernorPolicy, PolicyError};
+use rtcm_core::govern::{Governor, GovernorDecision, GovernorPolicy, PolicyError};
 use rtcm_core::strategy::ServiceConfig;
 use rtcm_core::time::Time;
 
@@ -85,9 +85,9 @@ impl Attached {
         Arc::ptr_eq(&self.log, log)
     }
 
-    /// Closes the window ending at `now` through [`Governor::sense`], as
-    /// the simulator does, and books the gauges, the window and the
-    /// boundaries overrun since the last one. Then, if `actuate`,
+    /// Closes the window ending at `now` through [`RtMetrics::sense`], as
+    /// the simulator does, and books the boundaries overrun since the last
+    /// one. Then, if `actuate`,
     /// evaluates the policy; a decision comes back with the [`Actuation`]
     /// that settles it.
     pub(crate) fn close_window(
@@ -103,17 +103,7 @@ impl Attached {
             self.next_ns = self.next_ns.saturating_add(self.window_ns);
             overruns += 1;
         }
-        let cum = CumulativeLoad {
-            arrived_jobs: stats.arrived_jobs.get(),
-            arrived_utilization: stats.arrived_utilization.get(),
-            released_utilization: stats.released_utilization.get(),
-            ir_reports: stats.ir_reports.get(),
-            deferred: stats.reconfig_deferred.get(),
-        };
-        let metrics = self.governor.sense(ac, now, cum);
-        stats.aub_slack.set(metrics.aub_slack);
-        stats.util_imbalance.set(metrics.imbalance);
-        stats.governor_windows.inc();
+        let metrics = stats.sense(&mut self.governor, ac, now);
         stats.governor_overruns.add(overruns);
         if !actuate {
             return None;

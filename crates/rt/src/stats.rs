@@ -1,4 +1,4 @@
-//! The runtime's statistics, including the per-operation delay
+//! The report plane of both substrates, including the per-operation delay
 //! accounting behind the paper's Figure 8.
 //!
 //! Every row lives in one place, the lock-free [`RtMetrics`] registry
@@ -7,6 +7,9 @@
 //! reactor threads with a couple of relaxed atomic adds, and the
 //! once-per-swap and once-per-window rows (reconfiguration outcomes,
 //! governor windows and gauges), which only the manager thread writes.
+//! The simulator books the same registry (`SimRun::telemetry`), all but
+//! the per-operation rows, and on both substrates a governor window
+//! closes through [`RtMetrics::sense`].
 //! The histograms keep exact counts, sums and extremes, so
 //! [`RtMetrics::snapshot`] reads the familiar [`DelayStats`] mean/min/max
 //! rows losslessly into a [`SystemReport`], and additionally serves
@@ -22,8 +25,10 @@ use std::time::{Duration as StdDuration, Instant};
 
 use serde::{Deserialize, Serialize};
 
+use rtcm_core::admission::AdmissionController;
+use rtcm_core::govern::{CumulativeLoad, Governor, WindowMetrics};
 use rtcm_core::metrics::{DelayStats, UtilizationRatio};
-use rtcm_core::time::Duration;
+use rtcm_core::time::{Duration, Time};
 use rtcm_events::FederationStats;
 use rtcm_telemetry::{
     Counter, Exposition, Gauge, Histogram, HistogramSnapshot, Registry, TraceBuffer,
@@ -51,15 +56,6 @@ pub struct ReconfigAbortBreakdown {
 }
 
 impl ReconfigAbortBreakdown {
-    /// Counts one abort of the given reason.
-    pub fn record(&mut self, reason: ReconfigAbortReason) {
-        match reason {
-            ReconfigAbortReason::AckTimeout => self.ack_timeout += 1,
-            ReconfigAbortReason::Validation => self.validation += 1,
-            ReconfigAbortReason::ForeignCoordinator => self.foreign_coordinator += 1,
-        }
-    }
-
     /// Total failed reconfiguration attempts across all reasons.
     #[must_use]
     pub fn total(&self) -> u64 {
@@ -176,8 +172,8 @@ pub struct SystemReport {
     pub timer_wakeups: u64,
 }
 
-/// The runtime's one report plane: every row it measures lives here as
-/// an atomic counter, gauge or log2 latency histogram from
+/// The one report plane of the runtime and the simulator: every row they
+/// measure lives here as an atomic counter, gauge or log2 latency histogram from
 /// `rtcm-telemetry`, registered under a stable `rtcm_*` exposition name,
 /// beside the in-flight gate that [`System::quiesce`](crate::System::quiesce)
 /// blocks on. [`RtMetrics::snapshot`] reads the registry into a
@@ -408,6 +404,31 @@ impl RtMetrics {
         }
     }
 
+    /// Closes one governor window at `now`: reads the cumulative counters,
+    /// makes the window step ([`Governor::sense`]: the boundary prune, the
+    /// ledger gauges, the counter deltas) and books the window and its
+    /// `aub_slack` / `util_imbalance` gauges. The metrics come back for
+    /// the policy.
+    pub fn sense(
+        &self,
+        governor: &mut Governor,
+        ac: &mut AdmissionController,
+        now: Time,
+    ) -> WindowMetrics {
+        let cum = CumulativeLoad {
+            arrived_jobs: self.arrived_jobs.get(),
+            arrived_utilization: self.arrived_utilization.get(),
+            released_utilization: self.released_utilization.get(),
+            ir_reports: self.ir_reports.get(),
+            deferred: self.reconfig_deferred.get(),
+        };
+        let metrics = governor.sense(ac, now, cum);
+        self.aub_slack.set(metrics.aub_slack);
+        self.util_imbalance.set(metrics.imbalance);
+        self.governor_windows.inc();
+        metrics
+    }
+
     /// The accepted utilization ratio, from its four parts.
     fn ratio(&self) -> UtilizationRatio {
         UtilizationRatio::from_parts(
@@ -613,6 +634,58 @@ mod tests {
             ReconfigAbortBreakdown { ack_timeout: 1, validation: 1, foreign_coordinator: 1 }
         );
         assert_eq!(snap.governor_windows, 7);
+    }
+
+    #[test]
+    fn an_empty_registry_reads_the_empty_report() {
+        let snap = RtMetrics::new().snapshot();
+        assert_eq!(snap, SystemReport::default());
+        let json = serde_json::to_string(&snap).unwrap();
+        assert!(!json.contains(&u64::MAX.to_string()), "an empty row reads zero: {json}");
+    }
+
+    #[test]
+    fn sense_books_the_window_and_its_gauges() {
+        use rtcm_core::admission::Decision;
+        use rtcm_core::govern::GovernorPolicy;
+        use rtcm_core::task::{ProcessorId, TaskBuilder, TaskId};
+
+        // One admitted 0.2-utilization job on processor 0 of two.
+        let task = TaskBuilder::aperiodic(TaskId(0))
+            .deadline(Duration::from_millis(100))
+            .subtask(Duration::from_millis(20), ProcessorId(0), [])
+            .build()
+            .unwrap();
+        let mut ac = AdmissionController::new("J_N_N".parse().unwrap(), 2).unwrap();
+        assert!(matches!(ac.handle_arrival(&task, 0, Time::ZERO), Ok(Decision::Accept { .. })));
+        let mut governor = Governor::new(GovernorPolicy::new()).unwrap();
+        let m = RtMetrics::new();
+        m.arrived_jobs.inc();
+        m.arrived_utilization.add(0.2);
+        m.released_utilization.add(0.2);
+        m.reconfig_deferred.add(3);
+
+        let ms = |n| Time::ZERO + Duration::from_millis(n);
+        let first = m.sense(&mut governor, &mut ac, ms(10));
+        assert_eq!((first.arrived_jobs, first.deferred), (1, 3));
+        assert!((first.aub_slack - 0.8).abs() < 1e-12, "{first:?}");
+        assert!((first.imbalance - 0.2).abs() < 1e-12, "{first:?}");
+        let snap = m.snapshot();
+        assert_eq!(snap.governor_windows, 1);
+        assert_eq!(snap.aub_slack, first.aub_slack);
+        assert_eq!(snap.util_imbalance, first.imbalance);
+        assert_eq!(snap.reconfig_deferred, first.deferred);
+
+        // The second window reads what changed since the first; past the
+        // job's deadline the boundary prune frees its share.
+        m.arrived_jobs.inc();
+        m.reconfig_deferred.inc();
+        let second = m.sense(&mut governor, &mut ac, ms(200));
+        assert_eq!((second.arrived_jobs, second.deferred), (1, 1));
+        assert_eq!((second.aub_slack, second.imbalance), (1.0, 0.0));
+        let snap = m.snapshot();
+        assert_eq!(snap.governor_windows, 2);
+        assert_eq!((snap.aub_slack, snap.util_imbalance), (1.0, 0.0));
     }
 
     #[test]

@@ -22,6 +22,12 @@
 //! mode schedule, a governor, per-job records, an execution trace — and
 //! returns a [`SimRun`] carrying whatever was asked for beside the report.
 //!
+//! The simulator counts in the runtime's report plane: every run books
+//! the `rtcm_rt::stats::RtMetrics` registry a runtime `System` books, and
+//! [`SimRun::telemetry`] returns it, so a simulated run renders the
+//! runtime's `/metrics` page. Its per-operation rows (ops 1–8) read 0
+//! samples: the simulator prices those operations, it does not time them.
+//!
 //! # Examples
 //!
 //! A static run, then the same trace switching to per-task admission ten

@@ -27,6 +27,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -36,7 +37,7 @@ use rtcm_core::admission::{
     AcStats, AdmissionController, AdmissionError, Decision, SENTINEL_SEQ_FLOOR,
 };
 use rtcm_core::balance::Assignment;
-use rtcm_core::govern::{CumulativeLoad, Governor, GovernorPolicy, PolicyError, WindowMetrics};
+use rtcm_core::govern::{Governor, GovernorPolicy, PolicyError, WindowMetrics};
 use rtcm_core::metrics::{DelayStats, SkipTracker, UtilizationRatio};
 use rtcm_core::node::{Done, Local, NodeCore, Subjob};
 use rtcm_core::priority::{edms_levels, Priority};
@@ -45,6 +46,7 @@ use rtcm_core::reset::IdleResetReport;
 use rtcm_core::strategy::{InvalidConfigError, ServiceConfig};
 use rtcm_core::task::{JobId, ProcessorId, TaskId, TaskSet, TaskSpec};
 use rtcm_core::time::{Duration, Time};
+use rtcm_rt::stats::RtMetrics;
 use rtcm_workload::{Arrival, ArrivalTrace};
 
 use crate::overhead::OverheadModel;
@@ -74,7 +76,8 @@ impl SimConfig {
     }
 }
 
-/// Everything measured by one simulation run.
+/// Everything measured by one simulation run. The first six rows are read
+/// off the run's [`SimRun::telemetry`]; only the simulator measures the rest.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimReport {
     /// The paper's accepted utilization ratio.
@@ -272,11 +275,11 @@ pub struct SimOptions {
     /// virtual time and reconfigures the system itself when a rule's
     /// hysteresis is satisfied, exactly as `System::spawn_governor` does on
     /// the threaded runtime: the same `rtcm_core::govern` state machine,
-    /// fed by the same call (`Governor::sense`: prune, ledger gauges,
-    /// counter deltas) on the thread that admits jobs, so a policy tuned
-    /// here transfers verbatim. A window costs O(1): counter deltas plus
-    /// the ledger's maintained per-processor totals, never a rescan of
-    /// jobs or contributions.
+    /// fed by the same call (`RtMetrics::sense`: the registry's counters,
+    /// prune, ledger gauges, counter deltas, the window booked) on the
+    /// thread that admits jobs, so a policy tuned here transfers verbatim.
+    /// A window costs O(1): counter deltas plus the ledger's maintained
+    /// per-processor totals, never a rescan of jobs or contributions.
     pub governor: Option<(GovernorPolicy, Duration)>,
     /// Return one [`JobRecord`] per trace arrival, in arrival order.
     pub record_jobs: bool,
@@ -287,10 +290,15 @@ pub struct SimOptions {
 
 /// Everything one [`simulate_with`] run produced. Each `Option` is `Some`
 /// exactly when its [`SimOptions`] switch asked for it.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct SimRun {
     /// The aggregate measurements, as [`simulate`] returns them.
     pub report: SimReport,
+    /// The registry the run booked, as a runtime `System` books its
+    /// `System::telemetry` (one `reconfig_swaps` per executed mode switch);
+    /// `render_exposition` renders it as the runtime's `/metrics` page. The
+    /// op 1–8 rows and `reconfig_deferred` stay 0: switches are instantaneous.
+    pub telemetry: Arc<RtMetrics>,
     /// One record per trace arrival ([`SimOptions::record_jobs`]).
     pub records: Option<Vec<JobRecord>>,
     /// The governor's windows and switches ([`SimOptions::governor`]).
@@ -393,7 +401,10 @@ struct Simulation<'a> {
     events: EventQueue<Ev>,
     now: Time,
     rng: StdRng,
-    report: SimReport,
+    /// The shared rows, booked as the runtime books them.
+    telemetry: Arc<RtMetrics>,
+    max_manager_queue: usize,
+    mode_changes: Vec<HandoverReport>,
     /// One record per arrival so far, in trace order.
     records: Option<Vec<JobRecord>>,
     skips: SkipTracker,
@@ -474,21 +485,9 @@ impl<'a> Simulation<'a> {
             events: EventQueue::new(),
             now: Time::ZERO,
             rng: StdRng::seed_from_u64(config.seed),
-            report: SimReport {
-                ratio: UtilizationRatio::new(),
-                jobs_completed: 0,
-                deadline_misses: 0,
-                response: DelayStats::new(),
-                reallocations: 0,
-                ir_reports: 0,
-                ac: AcStats::default(),
-                max_manager_queue: 0,
-                cpu_busy: vec![Duration::ZERO; procs],
-                skip_runs: Vec::new(),
-                max_consecutive_skips: 0,
-                mode_changes: Vec::new(),
-                end: Time::ZERO,
-            },
+            telemetry: Arc::new(RtMetrics::new()),
+            max_manager_queue: 0,
+            mode_changes: Vec::new(),
             records: options.record_jobs.then(Vec::new),
             skips: SkipTracker::new(tasks.len()),
             schedule: options.schedule.changes(),
@@ -532,15 +531,25 @@ impl<'a> Simulation<'a> {
             return Err(SimError::InvalidArrival(e));
         }
         let spans = self.tracing.then(|| self.drain_spans());
-        self.report.end = self.now;
-        self.report.ac = self.ac.stats();
-        for (p, node) in self.nodes.iter().enumerate() {
-            self.report.cpu_busy[p] = node.busy_time();
-        }
-        self.report.skip_runs = self.skips.per_task(self.tasks);
-        self.report.max_consecutive_skips = self.skips.worst_case();
+        let shared = self.telemetry.snapshot();
+        let report = SimReport {
+            ratio: shared.ratio,
+            jobs_completed: shared.jobs_completed,
+            deadline_misses: shared.deadline_misses,
+            response: shared.response,
+            reallocations: shared.reallocations,
+            ir_reports: shared.ir_reports,
+            ac: self.ac.stats(),
+            max_manager_queue: self.max_manager_queue,
+            cpu_busy: self.nodes.iter().map(NodeCore::busy_time).collect(),
+            skip_runs: self.skips.per_task(self.tasks),
+            max_consecutive_skips: self.skips.worst_case(),
+            mode_changes: self.mode_changes,
+            end: self.now,
+        };
         Ok(SimRun {
-            report: self.report,
+            report,
+            telemetry: self.telemetry,
             records: self.records,
             governor: self.gov.map(|g| g.trace),
             spans,
@@ -630,30 +639,23 @@ impl<'a> Simulation<'a> {
         for node in &mut self.nodes {
             node.commit(target);
         }
-        self.report.mode_changes.push(handover);
+        self.telemetry.reconfig_swaps.inc();
+        self.mode_changes.push(handover);
         handover
     }
 
-    /// Closes one governor sensing window through `Governor::sense` (the
-    /// boundary prune, the ledger gauges, O(1) counter deltas), a pure
-    /// policy evaluation, and — if a rule fired — the same commit point a
-    /// scheduled switch takes.
+    /// Closes one governor sensing window through `RtMetrics::sense` (the
+    /// boundary prune, the ledger gauges, O(1) counter deltas, the window's
+    /// rows booked), a pure policy evaluation, and — if a rule fired — the
+    /// same commit point a scheduled switch takes.
     fn on_governor_tick(&mut self) {
         let Some(mut gov) = self.gov.take() else { return };
-        let cum = CumulativeLoad {
-            arrived_jobs: self.report.ratio.arrived_jobs(),
-            arrived_utilization: self.report.ratio.arrived_utilization(),
-            released_utilization: self.report.ratio.released_utilization(),
-            ir_reports: self.report.ir_reports,
-            // The simulator's switches are instantaneous: no prepare
-            // window, so nothing is ever deferred.
-            deferred: 0,
-        };
-        let metrics = gov.governor.sense(&mut self.ac, self.now, cum);
+        let metrics = self.telemetry.sense(&mut gov.governor, &mut self.ac, self.now);
         gov.trace.windows.push((self.now, metrics));
         let from = self.ac.config();
         if let Some(decision) = gov.governor.observe(from, &metrics) {
             let handover = self.apply_switch(decision.target);
+            self.telemetry.governor_swaps.inc();
             gov.trace.switches.push(GovernedSwitch {
                 at: self.now,
                 window: decision.window,
@@ -682,7 +684,8 @@ impl<'a> Simulation<'a> {
         let at = self.tasks.position(arrival.task).expect("validated in new()");
         let task = &self.tasks.tasks()[at];
         let utilization = self.job_utilizations[at];
-        self.report.ratio.record_arrival(utilization);
+        self.telemetry.arrived_utilization.add(utilization);
+        self.telemetry.arrived_jobs.inc();
         self.record_arrival(JobId::new(arrival.task, arrival.seq), arrival.time, utilization);
 
         // The TE's per-task fast path: release or drop locally when the
@@ -732,8 +735,7 @@ impl<'a> Simulation<'a> {
             self.events.push(self.now + svc, Ev::ManagerDone);
         } else {
             self.manager_queue.push_back(req);
-            self.report.max_manager_queue =
-                self.report.max_manager_queue.max(self.manager_queue.len());
+            self.max_manager_queue = self.max_manager_queue.max(self.manager_queue.len());
         }
     }
 
@@ -750,7 +752,7 @@ impl<'a> Simulation<'a> {
             }
             ManagerReq::IdleReset(report) => {
                 self.ac.apply_idle_reset(report.processor, &report.completed);
-                self.report.ir_reports += 1;
+                self.telemetry.ir_reports.inc();
             }
         }
         if let Some(next) = self.manager_queue.pop_front() {
@@ -773,7 +775,7 @@ impl<'a> Simulation<'a> {
             Decision::Accept { assignment, .. } => {
                 self.skips.record(at, true);
                 if assignment.is_reallocation(task) {
-                    self.report.reallocations += 1;
+                    self.telemetry.reallocations.inc();
                 }
                 self.nodes[node].accepted(at, task, &assignment);
                 let t = self.now + self.comm() + self.overheads.te_release;
@@ -792,7 +794,8 @@ impl<'a> Simulation<'a> {
     fn on_release(&mut self, stage: Stage) {
         let at = stage.task;
         if stage.subtask == 0 {
-            self.report.ratio.record_release(self.job_utilizations[at]);
+            self.telemetry.released_utilization.add(self.job_utilizations[at]);
+            self.telemetry.released_jobs.inc();
             if let Some(record) = self.record_of(stage.extra.1) {
                 record.released = true;
             }
@@ -814,10 +817,10 @@ impl<'a> Simulation<'a> {
         }
         match done {
             Done::Job { stage, response, missed } => {
-                self.report.response.record(response);
-                self.report.jobs_completed += 1;
+                self.telemetry.response.record(response.as_nanos());
+                self.telemetry.jobs_completed.inc();
                 if missed {
-                    self.report.deadline_misses += 1;
+                    self.telemetry.deadline_misses.inc();
                 }
                 let completed = self.now;
                 if let Some(record) = self.record_of(stage.extra.1) {
@@ -1289,6 +1292,39 @@ mod tests {
     }
 
     #[test]
+    fn telemetry_page_reads_the_report() {
+        use rtcm_events::FederationStats;
+        let tasks = one_task_set();
+        let trace = trace_for(&tasks, 2_000);
+        let cfg = SimConfig::new("J_J_J".parse().unwrap());
+        let switch_at = Time::ZERO + Duration::from_secs(1);
+        let options = SimOptions {
+            schedule: ModeSchedule::new().then_at(switch_at, "J_J_T".parse().unwrap()),
+            ..governed(inert_policy(), Duration::from_millis(100))
+        };
+        let run = simulate_with(&tasks, &trace, &cfg, &options).unwrap();
+        let report = &run.report;
+        let windows = run.governor.as_ref().expect("governed").windows.len() as u64;
+        assert_eq!(report.mode_changes.len(), 1, "the scheduled switch alone");
+        assert!(windows > 10 && report.jobs_completed > 0);
+        let page = run.telemetry.render_exposition(&FederationStats::default());
+        for (row, value) in [
+            ("rtcm_jobs_arrived_total", report.ratio.arrived_jobs()),
+            ("rtcm_jobs_released_total", report.ratio.released_jobs()),
+            ("rtcm_jobs_completed_total", report.jobs_completed),
+            ("rtcm_deadline_misses_total", report.deadline_misses),
+            ("rtcm_reallocations_total", report.reallocations),
+            ("rtcm_ir_reports_total", report.ir_reports),
+            ("rtcm_response_ns_count", report.response.count()),
+            ("rtcm_reconfig_swaps_total", report.mode_changes.len() as u64),
+            ("rtcm_governor_windows_total", windows),
+        ] {
+            let line = format!("\n{row} {value}\n");
+            assert!(page.contains(&line), "{line:?} is not on the page:\n{page}");
+        }
+    }
+
+    #[test]
     fn invalid_governor_policy_is_rejected_before_the_run() {
         use rtcm_core::govern::{GovernorRule, Metric, Trigger};
         let tasks = one_task_set();
@@ -1518,7 +1554,7 @@ mod tests {
         assert_eq!(swaps, run.report.mode_changes.len(), "every switch was the governor's");
         // Deterministic replay.
         let again = simulate_with(&tasks, &trace, &cfg, &options).unwrap();
-        assert_eq!(run, again);
+        assert_eq!((run.report, run.governor), (again.report, again.governor));
     }
 
     #[test]

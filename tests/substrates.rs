@@ -17,7 +17,10 @@
 //!   the simulator, whose stages take virtual time.
 //!
 //! Compared per job: accept or reject, the processor each stage ran on,
-//! and the idle-reset reports the manager has applied so far.
+//! and the idle-reset reports the manager has applied so far. Compared per
+//! case, at its end: seven rows of the one registry both substrates book
+//! (`RtMetrics`), read off the runtime's final report and the simulated
+//! run's `telemetry`.
 
 use std::time::{Duration as StdDuration, Instant};
 
@@ -31,7 +34,7 @@ use rtcm::core::task::{JobId, TaskId};
 use rtcm::core::time::{Duration, Time};
 use rtcm::events::{topics, NodeId};
 use rtcm::rt::proto::{self, AcceptMsg, TriggerMsg};
-use rtcm::rt::{RtOptions, System};
+use rtcm::rt::{RtOptions, System, SystemReport};
 use rtcm::sim::{simulate_with, SimConfig, SimOptions, SimRun};
 use rtcm::workload::{Arrival, ArrivalTrace};
 
@@ -47,6 +50,21 @@ const REPORT_WAIT: StdDuration = StdDuration::from_secs(5);
 /// the job was rejected), and the idle-reset reports applied once it was
 /// done.
 type Outcome = Vec<(JobId, Option<Vec<u16>>, u64)>;
+
+/// The registry rows both substrates must agree on at a case's end:
+/// arrived, released and completed jobs, deadline misses, reallocations,
+/// idle-reset reports and committed swaps.
+fn rows(r: &SystemReport) -> [u64; 7] {
+    [
+        r.ratio.arrived_jobs(),
+        r.ratio.released_jobs(),
+        r.jobs_completed,
+        r.deadline_misses,
+        r.reallocations,
+        r.ir_reports,
+        r.reconfig_swaps,
+    ]
+}
 
 /// One generated case: a deployment, an arrival order and, maybe, a swap
 /// to a target configuration just before the `k`-th arrival.
@@ -149,11 +167,12 @@ impl Case {
         simulate_with(&self.deployment.tasks, &prefix, &config, &options).unwrap()
     }
 
-    fn simulated(&self) -> Outcome {
+    /// The simulator's outcome, and its registry at the end of the trace.
+    fn simulated(&self) -> (Outcome, SystemReport) {
         let arrivals = self.trace.arrivals();
         let run = self.simulate(arrivals.len(), true);
         let (records, spans) = (run.records.unwrap(), run.spans.unwrap());
-        arrivals
+        let outcome = arrivals
             .iter()
             .zip(&records)
             .enumerate()
@@ -173,13 +192,15 @@ impl Case {
                 });
                 (job, placement, self.simulate(k + 1, false).report.ir_reports)
             })
-            .collect()
+            .collect();
+        (outcome, run.telemetry.snapshot())
     }
 
     /// The runtime over the whole trace. `reports[k]` is the simulator's
     /// idle-reset count after arrival `k`: a report may still be in flight
     /// when `quiesce` returns, so the runtime gets a bounded wait for it.
-    fn threaded(&self, reports: &[u64]) -> Outcome {
+    /// The final report comes back beside the outcome.
+    fn threaded(&self, reports: &[u64]) -> (Outcome, SystemReport) {
         let system = System::launch(&self.deployment, RtOptions::fast()).unwrap();
         let observer = system
             .federation()
@@ -226,8 +247,7 @@ impl Case {
             }
             outcome.push((job, placement, metrics.ir_reports.get()));
         }
-        let _ = system.shutdown();
-        outcome
+        (outcome, system.shutdown())
     }
 }
 
@@ -239,13 +259,15 @@ fn net(swap: bool) -> (usize, usize, usize) {
         for i in 0..CASES {
             let seed = ((c as u64) << 16) | (u64::from(swap) << 8) | i;
             let case = Case::generate(services, seed, swap);
-            let simulated = case.simulated();
+            let (simulated, sim_report) = case.simulated();
             let reports: Vec<u64> = simulated.iter().map(|(_, _, r)| *r).collect();
-            let threaded = case.threaded(&reports);
+            let (threaded, rt_report) = case.threaded(&reports);
+            let context = format!("{services}, seed {seed}, swap {:?}\n{}", case.swap, case.spec);
+            assert_eq!(threaded, simulated, "runtime (left) vs simulator (right): {context}");
             assert_eq!(
-                threaded, simulated,
-                "runtime (left) vs simulator (right): {services}, seed {seed}, swap {:?}\n{}",
-                case.swap, case.spec
+                rows(&rt_report),
+                rows(&sim_report),
+                "registry rows, runtime (left) vs simulator (right): {context}"
             );
             for (job, placement, _) in &simulated {
                 jobs += 1;
