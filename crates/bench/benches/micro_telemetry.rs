@@ -7,8 +7,10 @@
 //! * a counter increment and a histogram record must cost **under
 //!   100 ns** and stay within **2×** of a bare relaxed `fetch_add` (the
 //!   cheapest possible "something happened" a thread can write);
-//! * a gauge store and a trace-ring append (one short mutex hold) are
-//!   reported alongside so their cost stays visible, not assumed;
+//! * a gauge store and two trace-ring appends (one short mutex hold
+//!   each) are reported alongside so their cost stays visible, not
+//!   assumed: a job stage as the runtime records it (packed numbers) and
+//!   a free-form text record with a `format!`-built detail;
 //! * rendering the full exposition page is timed per scrape — cold-path,
 //!   but an operator polling at 1 Hz should know what they spend.
 //!
@@ -19,6 +21,8 @@
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use rtcm_core::task::{JobId, TaskId};
+use rtcm_rt::job_trace;
 use rtcm_telemetry::{Registry, TraceBuffer};
 
 const WINDOW: usize = 16;
@@ -63,11 +67,21 @@ fn main() {
         hist.record(black_box(v >> 40));
     });
 
+    // A job stage as the runtime records it: packed numbers, rendered
+    // only at scrape. Against it, the free-form text path that reconfig
+    // phases and decode errors still take, with a realistic detail.
     let trace = TraceBuffer::default();
     let mut seq = 0u64;
-    run("trace_record", &mut || {
+    run("trace_record_job", &mut || {
         seq += 1;
-        trace.record(seq, seq, 0, "arrival", String::new());
+        let job = JobId::new(TaskId(3), seq);
+        trace.record_packed(seq, seq, 0, &job_trace::COMPLETION_MET, job_trace::words(job, 1));
+    });
+    let trace = TraceBuffer::default();
+    run("trace_record_text", &mut || {
+        seq += 1;
+        let job = JobId::new(TaskId(3), seq);
+        trace.record(seq, seq, 0, "release", format!("{job} on proc {}", seq % 3));
     });
 
     // Scrape cost on a realistically sized page: the rt runtime registers

@@ -396,11 +396,15 @@ fn network_loop(inner: &Arc<Inner>) {
         match wait {
             Some(StdDuration::ZERO) => continue,
             Some(d) if d < StdDuration::from_millis(2) => {
-                // Spin for short waits: OS timers on coarse-HZ kernels
-                // overshoot sub-millisecond parks by ~1 ms, and injected
-                // communication delay is a measured quantity that must stay
-                // accurate. The spin window is bounded by the delay model
-                // (hundreds of µs), so the burn is brief.
+                // Spin for short waits: injected communication delay is a
+                // measured quantity, and a timed park wakes late by the
+                // timer slack (≈ 60 µs on a 2-core Linux VM, the reactor's
+                // `wake_lateness_p50_us`), which would move every hop. The
+                // price is CPU: under a sub-2 ms delay band with a steady
+                // stream of parcels this thread spins most of the run
+                // (`paper_replay`, 15 s: ≈ 5.9–6.2 s of user CPU spinning,
+                // ≈ 0.6 s parked, which adds ≈ 55–75 µs per hop). Spinning
+                // keeps the comm delay faithful.
                 std::hint::spin_loop();
                 continue;
             }

@@ -44,6 +44,7 @@
 
 pub mod clock;
 pub mod govern;
+pub mod job_trace;
 pub mod manager;
 pub mod node;
 pub mod proto;

@@ -39,6 +39,7 @@ use rtcm_events::{topics, ChannelHandle, Event, EventReceiver};
 
 use crate::clock::Clock;
 use crate::govern::{Actuation, Attached, GovernorLog};
+use crate::job_trace;
 use crate::lock;
 use crate::proto::{
     self, AcceptMsg, ArriveMsg, IdleResetMsg, ReconfigAbortReason, ReconfigMsg, ReconfigPhase,
@@ -458,26 +459,23 @@ impl Manager {
         metrics.admission_live_entries.set(self.cfg.ac.current_entries() as f64);
 
         let host = self.cfg.channel.host_id();
-        let (task_rejected, why) = match decision {
+        let (task_rejected, stage) = match decision {
             Ok(Decision::Accept { assignment, newly_admitted }) => {
-                metrics.trace.record(
+                metrics.trace.record_packed(
                     msg.trace,
                     self.cfg.clock.now().as_nanos(),
                     host,
-                    "admission",
-                    format!("{} accepted (fresh test: {newly_admitted})", msg.job),
+                    &job_trace::ACCEPTED,
+                    job_trace::words(msg.job, newly_admitted.into()),
                 );
                 if assignment.is_reallocation(task) {
-                    metrics.trace.record(
+                    job_trace::record_reallocation(
+                        &metrics.trace,
                         msg.trace,
                         self.cfg.clock.now().as_nanos(),
                         host,
-                        "reallocation",
-                        format!(
-                            "{} placed {:?}",
-                            msg.job,
-                            assignment.as_slice().iter().map(|p| p.0).collect::<Vec<_>>()
-                        ),
+                        msg.job,
+                        assignment.as_slice(),
                     );
                 }
                 let reply = AcceptMsg {
@@ -495,19 +493,19 @@ impl Manager {
             }
             Ok(Decision::Reject { .. }) => {
                 let task_rejected = self.cfg.ac.config().decides_per_task(task);
-                (task_rejected, format!("task rejected: {task_rejected}"))
+                (task_rejected, &job_trace::REJECTED)
             }
             // Duplicate submissions (same task, same sequence) are caller
             // mistakes; reject the extra copy so the arrival TE releases its
             // bookkeeping and the system stays live.
-            Err(_duplicate_or_misroute) => (false, "duplicate".to_owned()),
+            Err(_duplicate_or_misroute) => (false, &job_trace::DUPLICATE),
         };
-        metrics.trace.record(
+        metrics.trace.record_packed(
             msg.trace,
             self.cfg.clock.now().as_nanos(),
             host,
-            "admission",
-            format!("{} rejected ({why})", msg.job),
+            stage,
+            job_trace::words(msg.job, task_rejected.into()),
         );
         let reply = RejectMsg {
             job: msg.job,

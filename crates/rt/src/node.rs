@@ -27,6 +27,7 @@ use rtcm_core::time::{Duration, Time};
 use rtcm_events::{topics, ChannelHandle, Event, EventReceiver, Topic};
 
 use crate::clock::Clock;
+use crate::job_trace;
 use crate::proto::{
     self, AcceptMsg, ArriveMsg, IdleResetMsg, InjectMsg, ReconfigAckMsg, ReconfigMsg,
     ReconfigPhase, RejectMsg, TriggerMsg, Wire,
@@ -252,12 +253,12 @@ impl Node {
         let m = &self.cfg.stats;
         m.arrived_utilization.add(task.job_utilization());
         m.arrived_jobs.inc();
-        m.trace.record(
+        m.trace.record_packed(
             inj.trace,
             self.cfg.clock.now().as_nanos(),
             self.cfg.channel.host_id(),
-            "arrival",
-            format!("{} at proc {}", JobId::new(inj.task, inj.seq), self.cfg.processor),
+            &job_trace::ARRIVAL,
+            job_trace::words(JobId::new(inj.task, inj.seq), self.cfg.processor.into()),
         );
 
         // While fenced for a pending reconfiguration, the fast path is
@@ -274,12 +275,12 @@ impl Node {
                 let release_proc = assignment[0];
                 m.released_utilization.add(task.job_utilization());
                 m.released_jobs.inc();
-                m.trace.record(
+                m.trace.record_packed(
                     inj.trace,
                     now.as_nanos(),
                     self.cfg.channel.host_id(),
-                    "release",
-                    format!("{job} fast path, proc {release_proc}"),
+                    &job_trace::FAST_RELEASE,
+                    job_trace::words(job, release_proc.into()),
                 );
                 let stage = Subjob {
                     job,
@@ -350,12 +351,12 @@ impl Node {
         if msg.assignment.iter().zip(task.subtasks()).any(|(c, s)| *c != s.primary.0) {
             m.reallocations.inc();
         }
-        m.trace.record(
+        m.trace.record_packed(
             msg.trace,
             now.as_nanos(),
             self.cfg.channel.host_id(),
-            "release",
-            format!("{} on proc {}", msg.job, msg.release_proc),
+            &job_trace::RELEASE,
+            job_trace::words(msg.job, msg.release_proc.into()),
         );
         // The release (op 5/6) ends where the dispatcher takes over: what
         // `enqueue` does next — under Noop, the whole run — is not the TE's.
@@ -449,17 +450,12 @@ impl Node {
                 if missed {
                     m.deadline_misses.inc();
                 }
-                m.trace.record(
+                m.trace.record_packed(
                     stage.extra.1,
                     now.as_nanos(),
                     self.cfg.channel.host_id(),
-                    "completion",
-                    format!(
-                        "{} on proc {}, deadline {}",
-                        stage.job,
-                        self.cfg.processor,
-                        if missed { "missed" } else { "met" }
-                    ),
+                    if missed { &job_trace::COMPLETION_MISSED } else { &job_trace::COMPLETION_MET },
+                    job_trace::words(stage.job, self.cfg.processor.into()),
                 );
                 m.job_out();
             }

@@ -39,4 +39,4 @@ pub use metrics::{
     Registry, HISTOGRAM_BUCKETS,
 };
 pub use oam::{scrape, OamRoutes, OamServer, RouteFn};
-pub use trace::{splitmix64, TraceBuffer, TraceRecord, DEFAULT_TRACE_CAPACITY};
+pub use trace::{splitmix64, PackedStage, TraceBuffer, TraceRecord, DEFAULT_TRACE_CAPACITY};
