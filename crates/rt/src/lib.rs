@@ -11,7 +11,8 @@
 //!   application processor (task effector, idle resetter, prioritized
 //!   subtask dispatcher);
 //! * [`node`] / [`manager`] — the node threads (a node drives the
-//!   simulator's per-processor step, `rtcm_core::node::NodeCore`);
+//!   simulator's per-processor step, `rtcm_core::node::NodeCore`), each a
+//!   handler of the one reactor loop;
 //! * [`proto`] — the event payloads ("Task Arrive", "Accept", "Trigger",
 //!   "Idle Resetting");
 //! * [`stats`] — shared measurement, including per-operation delays
@@ -19,8 +20,9 @@
 //! * [`clock`] — the shared time axis that makes one-way delays measurable,
 //!   plus the [`clock::TimerDriver`] trait a reactor reads it through;
 //! * [`reactor`] — the event-driven core: a sorted list of exact timer
-//!   deadlines and the single blocking wait on `min(next timer, mailbox)`
-//!   every runtime thread parks on (zero wakeups when idle);
+//!   deadlines, the single blocking wait on `min(next timer, mailbox)`
+//!   every runtime thread parks on (zero wakeups when idle), and the one
+//!   `step` that drives the node, manager and quorum-member handlers;
 //! * [`govern`] — the adaptation governor (`System::spawn_governor`):
 //!   windowed load sensing driving automatic reconfiguration, closed by
 //!   the manager thread at window-boundary timer entries (no thread of
@@ -33,10 +35,7 @@
 //!
 //! Scheduling substitution (see DESIGN.md): instead of OS real-time
 //! priorities, each node thread drives its `NodeCore`'s preemptive
-//! fixed-priority dispatcher, as the simulator does. Execution is parking until the running subjob's
-//! completion instant — the node's only timer entry — and a more urgent
-//! arrival preempts when it is received, so a subjob costs one timer
-//! wakeup and an idle node none at all.
+//! fixed-priority dispatcher, as the simulator does (see [`node`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -18,14 +18,15 @@
 //! controller's ledger handover, and publishes *commit* — or *abort*,
 //! restoring the old configuration, if a node never acks. The protocol
 //! itself is the pure [`CoordinatorSm`]; this thread only moves its
-//! messages and arms its timer, from the one loop that does everything
-//! else.
+//! messages and arms its timer.
 //!
-//! The same loop closes every attached adaptation governor's windows (see
-//! [`crate::govern`]): a window boundary is a second kind of timer entry,
-//! and a governor's decision is one more swap request.
+//! The thread is a reactor handler (`crate::reactor`): `on_event` handles
+//! the mailbox, `on_timer` the prepare deadline and every attached
+//! governor's window boundary (see [`crate::govern`]; a governor's decision
+//! is one more swap request), and `settle` polls the control channel.
 
 use std::collections::{HashSet, VecDeque};
+use std::ops::ControlFlow;
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration as StdDuration, Instant};
@@ -42,11 +43,11 @@ use crate::govern::{Actuation, Attached, GovernorLog};
 use crate::job_trace;
 use crate::lock;
 use crate::proto::{
-    self, AcceptMsg, ArriveMsg, IdleResetMsg, ReconfigAbortReason, ReconfigMsg, ReconfigPhase,
-    RejectMsg, Wire,
+    self, AcceptMsg, ArriveMsg, IdleResetMsg, ReconfigAbortReason, ReconfigAckMsg, ReconfigMsg,
+    ReconfigPhase, RejectMsg, Wire,
 };
 use crate::quorum_sm::{CoordinatorSm, SwapResolution};
-use crate::reactor::{Reactor, TimerId, Wake, DEFAULT_TICK};
+use crate::reactor::{Handler, Reactor, TimerId, DEFAULT_TICK};
 use crate::stats::RtMetrics;
 use crate::system::{ReconfigReport, ReconfigureError};
 
@@ -120,8 +121,9 @@ pub(crate) struct ManagerConfig {
     pub mailbox: EventReceiver,
 }
 
-/// Most mailbox events handled between control polls, so a saturating
-/// event flood cannot starve reconfigure or shutdown requests.
+/// Most mailbox events drained after a wake's own before the control poll,
+/// so a saturating event flood cannot starve reconfigure or shutdown
+/// requests.
 const DRAIN_BATCH: usize = 256;
 
 /// Source of manager-instance coordinator ids (see
@@ -129,28 +131,11 @@ const DRAIN_BATCH: usize = 256;
 /// bridged hosts can never mint the same identity.
 static NEXT_COORDINATOR: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
 
-/// Runs the manager loop until shutdown. Spawned by `System::launch`.
-pub(crate) fn run_manager(cfg: ManagerConfig) {
-    let coordinator = (u64::from(std::process::id()) << 32)
-        | NEXT_COORDINATOR.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let reactor = Reactor::new(cfg.clock, DEFAULT_TICK);
-    let swap = CoordinatorSm::new(coordinator, cfg.channel.host_id());
-    let mut manager = Manager {
-        cfg,
-        swap,
-        parked: None,
-        queued: VecDeque::new(),
-        governors: Vec::new(),
-        reactor,
-    };
-    manager.run();
-}
-
 /// Timer tags for the manager's reactor. With no swap pending and no
 /// governor attached its list is empty and the thread blocks on the
 /// mailbox indefinitely.
 #[derive(Debug, Clone, Copy)]
-enum MgrTimer {
+pub(crate) enum MgrTimer {
     /// The prepare phase's ack deadline passed — abort the swap.
     PrepareDeadline,
     /// An attached governor's window boundary; the governor is the one
@@ -158,7 +143,7 @@ enum MgrTimer {
     GovernorWindow,
 }
 
-struct Manager {
+pub(crate) struct Manager {
     cfg: ManagerConfig,
     /// The swap coordinator — the same machine the federation simulator
     /// drives in virtual time. Its wire identity is unique to this manager,
@@ -173,62 +158,21 @@ struct Manager {
     queued: VecDeque<(ServiceConfig, SwapReply)>,
     /// Attached governors, each with its pending window-boundary entry.
     governors: Vec<(TimerId, Attached)>,
-    /// Timer wheel + single-wait loop (see [`MgrTimer`]).
+    /// Swap deadlines and governor windows (see [`MgrTimer`]).
     reactor: Reactor<Clock, MgrTimer>,
 }
 
-/// What the manager loop should do after a control-channel poll.
-enum CtlFlow {
-    Continue,
-    Exit,
-}
-
 impl Manager {
-    fn run(&mut self) {
-        let mut fired: Vec<(TimerId, MgrTimer)> = Vec::new();
-        while matches!(self.poll_ctl(), CtlFlow::Continue) {
-            // Park on the mailbox. Every control request is followed by a
-            // `topics::MANAGER_WAKE` kick (`ManagerLink::send`), so this
-            // wait needs no poll cadence: with an empty wheel it blocks
-            // until something actually happens — zero wakeups while idle.
-            match self.reactor.wait(&self.cfg.mailbox) {
-                Wake::Event(ev) => {
-                    self.on_event(&ev);
-                    // Drain a *bounded* backlog batch before the next
-                    // control poll: a sustained arrival flood must not
-                    // starve reconfigure/shutdown requests (the fairness
-                    // the old multi-channel select! provided).
-                    for _ in 0..DRAIN_BATCH {
-                        match self.cfg.mailbox.try_recv() {
-                            Ok(ev) => self.on_event(&ev),
-                            Err(_) => break,
-                        }
-                    }
-                }
-                Wake::Timer => {
-                    self.cfg.stats.timer_wakeups.inc();
-                    fired.clear();
-                    self.reactor.poll(&mut fired);
-                    for &(id, timer) in &fired {
-                        match timer {
-                            MgrTimer::PrepareDeadline => {
-                                let now_ns = self.cfg.clock.now().as_nanos();
-                                if let Some(resolution) = self.swap.on_deadline(now_ns) {
-                                    self.finish_swap(resolution);
-                                }
-                            }
-                            MgrTimer::GovernorWindow => self.close_window(id),
-                        }
-                    }
-                }
-                Wake::Closed => break,
-            }
-        }
-        // Leaving with a prepare out: nothing was applied anywhere and
-        // member fences expire on their own, so there is no abort to
-        // publish — the requester just learns the system closed.
-        if let Some((reply, _)) = self.parked.take() {
-            self.reply(reply, Err(ReconfigureError::Closed));
+    pub(crate) fn new(cfg: ManagerConfig) -> Self {
+        let coordinator = (u64::from(std::process::id()) << 32)
+            | NEXT_COORDINATOR.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        Manager {
+            swap: CoordinatorSm::new(coordinator, cfg.channel.host_id()),
+            parked: None,
+            queued: VecDeque::new(),
+            governors: Vec::new(),
+            reactor: Reactor::new(cfg.clock, DEFAULT_TICK),
+            cfg,
         }
     }
 
@@ -258,70 +202,13 @@ impl Manager {
         }
     }
 
-    /// The one event dispatch, inside a prepare window and out.
-    fn on_event(&mut self, ev: &Event) {
-        if ev.topic == topics::TASK_ARRIVE {
-            if let Some(msg) = self.decode::<ArriveMsg>(ev) {
-                // Quiesce-free: running subjobs continue through a swap;
-                // only *new admission decisions* wait for it to resolve.
-                if self.swap.pending_epoch().is_some() {
-                    self.swap.defer(msg);
-                } else {
-                    self.on_arrive(&msg);
-                }
-            }
-        } else if ev.topic == topics::IDLE_RESET {
-            // Idle resets carry no decision; mid-prepare too they apply
-            // at once.
-            if let Some(msg) = self.decode(ev) {
-                self.on_reset(&msg);
-            }
-        } else if ev.topic == topics::RECONFIG_ACK {
-            // An undecodable vote is no vote, and one arriving outside a
-            // prepare window is stale: the machine drops it.
-            if let Some(ack) = self.decode(ev) {
-                let now_ns = self.cfg.clock.now().as_nanos();
-                if let Some(resolution) = self.swap.on_ack(&ack, now_ns) {
-                    self.finish_swap(resolution);
-                }
-            }
+    /// Hands a mailbox payload to `on`; a malformed one is dropped and
+    /// counted (see [`proto::DecodeErrors::receive`]).
+    fn decoded<T: Wire>(&mut self, ev: &Event, on: fn(&mut Self, T)) {
+        let (m, channel) = (&self.cfg.stats, &self.cfg.channel);
+        if let Some(msg) = m.decode_errors.receive(ev, channel, &m.trace, self.cfg.clock) {
+            on(self, msg);
         }
-    }
-
-    /// Decodes a mailbox payload; a malformed one is dropped and counted
-    /// (see [`proto::DecodeErrors::receive`]).
-    fn decode<T: Wire>(&self, ev: &Event) -> Option<T> {
-        let m = &self.cfg.stats;
-        m.decode_errors.receive(ev, &self.cfg.channel, &m.trace, self.cfg.clock)
-    }
-
-    /// Polls the control channel without blocking.
-    fn poll_ctl(&mut self) -> CtlFlow {
-        loop {
-            match self.cfg.ctl_rx.try_recv() {
-                Ok(ManagerCtl::Reconfigure { target, reply }) => {
-                    self.queued.push_back((target, SwapReply::Caller(reply)));
-                }
-                Ok(ManagerCtl::AttachGovernor(governor)) => {
-                    let timer =
-                        self.reactor.schedule_at(governor.next_ns, MgrTimer::GovernorWindow);
-                    self.governors.push((timer, governor));
-                }
-                Ok(ManagerCtl::DetachGovernor(log)) => {
-                    if let Some(at) = self.governors.iter().position(|(_, g)| g.logs_to(&log)) {
-                        let (timer, _) = self.governors.swap_remove(at);
-                        self.reactor.cancel(timer);
-                    }
-                }
-                Ok(ManagerCtl::Shutdown) | Err(TryRecvError::Disconnected) => return CtlFlow::Exit,
-                Err(TryRecvError::Empty) => break,
-            }
-        }
-        while self.parked.is_none() {
-            let Some((target, reply)) = self.queued.pop_front() else { break };
-            self.begin_swap(target, reply);
-        }
-        CtlFlow::Continue
     }
 
     /// Phase 1 (prepare): fence every task effector's local fast path. The
@@ -516,7 +403,7 @@ impl Manager {
         self.cfg.channel.publish(topics::REJECT, proto::encode(&reply));
     }
 
-    fn on_reset(&mut self, msg: &IdleResetMsg) {
+    fn on_reset(&mut self, msg: IdleResetMsg) {
         if msg.processor >= self.cfg.processors {
             return; // decodable, but no processor of this deployment
         }
@@ -535,5 +422,162 @@ impl Manager {
         m.admission_live_entries.set(self.cfg.ac.current_entries() as f64);
         m.ir_path.record(now.elapsed_since(Time::from_nanos(msg.started_ns)).as_nanos());
         m.ir_reports.inc();
+    }
+}
+
+impl Handler for Manager {
+    type Timer = MgrTimer;
+
+    const DRAIN: usize = DRAIN_BATCH;
+
+    fn io(&mut self) -> (&mut Reactor<Clock, MgrTimer>, &EventReceiver) {
+        (&mut self.reactor, &self.cfg.mailbox)
+    }
+
+    /// The one event dispatch, inside a prepare window and out.
+    fn on_event(&mut self, ev: &Event) -> ControlFlow<()> {
+        match ev.topic {
+            topics::TASK_ARRIVE => self.decoded(ev, |m, msg: ArriveMsg| {
+                // Quiesce-free: running subjobs continue through a swap;
+                // only *new admission decisions* wait for it to resolve.
+                if m.swap.pending_epoch().is_some() {
+                    m.swap.defer(msg);
+                } else {
+                    m.on_arrive(&msg);
+                }
+            }),
+            // Idle resets carry no decision: mid-prepare too they apply.
+            topics::IDLE_RESET => self.decoded(ev, Self::on_reset),
+            // An undecodable vote is no vote, and one arriving outside a
+            // prepare window is stale: the machine drops it.
+            topics::RECONFIG_ACK => self.decoded(ev, |m, ack: ReconfigAckMsg| {
+                let now_ns = m.cfg.clock.now().as_nanos();
+                if let Some(resolution) = m.swap.on_ack(&ack, now_ns) {
+                    m.finish_swap(resolution);
+                }
+            }),
+            _ => {}
+        }
+        ControlFlow::Continue(())
+    }
+
+    fn on_timer(&mut self, id: TimerId, timer: MgrTimer) {
+        match timer {
+            MgrTimer::PrepareDeadline => {
+                let now_ns = self.cfg.clock.now().as_nanos();
+                if let Some(resolution) = self.swap.on_deadline(now_ns) {
+                    self.finish_swap(resolution);
+                }
+            }
+            MgrTimer::GovernorWindow => self.close_window(id),
+        }
+    }
+
+    fn on_timer_wake(&mut self) {
+        self.cfg.stats.timer_wakeups.inc();
+    }
+
+    /// Polls the control channel without blocking (each request comes with
+    /// a wake-up kick, see [`ManagerLink`]), then starts the oldest queued
+    /// swap if none is out.
+    fn settle(&mut self) -> ControlFlow<()> {
+        loop {
+            match self.cfg.ctl_rx.try_recv() {
+                Ok(ManagerCtl::Reconfigure { target, reply }) => {
+                    self.queued.push_back((target, SwapReply::Caller(reply)));
+                }
+                Ok(ManagerCtl::AttachGovernor(governor)) => {
+                    let timer =
+                        self.reactor.schedule_at(governor.next_ns, MgrTimer::GovernorWindow);
+                    self.governors.push((timer, governor));
+                }
+                Ok(ManagerCtl::DetachGovernor(log)) => {
+                    if let Some(at) = self.governors.iter().position(|(_, g)| g.logs_to(&log)) {
+                        let (timer, _) = self.governors.swap_remove(at);
+                        self.reactor.cancel(timer);
+                    }
+                }
+                Ok(ManagerCtl::Shutdown) | Err(TryRecvError::Disconnected) => {
+                    // Leaving with a prepare out: nothing was applied
+                    // anywhere and member fences expire on their own, so
+                    // there is no abort to publish — the requester just
+                    // learns the system closed.
+                    if let Some((reply, _)) = self.parked.take() {
+                        self.reply(reply, Err(ReconfigureError::Closed));
+                    }
+                    return ControlFlow::Break(());
+                }
+                Err(TryRecvError::Empty) => break,
+            }
+        }
+        while self.parked.is_none() {
+            let Some((target, reply)) = self.queued.pop_front() else { break };
+            self.begin_swap(target, reply);
+        }
+        ControlFlow::Continue(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::mpsc::channel;
+
+    use rtcm_config::{configure_with, WorkloadSpec};
+    use rtcm_core::task::{JobId, TaskId};
+    use rtcm_events::{Federation, Latency, NodeId};
+
+    use super::*;
+    use crate::reactor::{step, Wake};
+
+    #[test]
+    fn a_reconfigure_waits_at_most_one_drain_batch_behind_arrivals() {
+        let spec = "workload w\nprocessors 1\n\
+                    task t aperiodic deadline=1000ms\n  subtask exec=1ms proc=0\n";
+        let spec = WorkloadSpec::parse(spec).unwrap();
+        let deployment = configure_with(&spec, "J_N_N".parse().unwrap()).unwrap();
+        let federation = Federation::new(1, Latency::None, 7);
+        let handle = federation.handle(NodeId(0)).unwrap();
+        let decisions = handle.subscribe_many(&[topics::ACCEPT, topics::REJECT, topics::RECONFIG]);
+        let (ctl, ctl_rx) = channel();
+        let cfg = ManagerConfig {
+            ac: AdmissionController::new(deployment.services, 1).unwrap(),
+            tasks: Arc::new(deployment.tasks.clone()),
+            mailbox: handle.subscribe_many(&[topics::TASK_ARRIVE, topics::MANAGER_WAKE]),
+            channel: handle.clone(),
+            clock: Clock::new(),
+            stats: Arc::new(RtMetrics::new()),
+            processors: 1,
+            ack_timeout: StdDuration::from_secs(600),
+            remote_voters: Arc::default(),
+            services: Arc::new(Mutex::new(deployment.services)),
+            ctl_rx,
+        };
+        let mut manager = Manager::new(cfg);
+        for seq in 0..(DRAIN_BATCH + 50) as u64 {
+            let job = JobId::new(TaskId(0), seq);
+            let msg = ArriveMsg { job, arrival_proc: 0, arrival_ns: 0, sent_ns: 0, trace: seq };
+            manager.cfg.channel.publish(topics::TASK_ARRIVE, proto::encode(&msg));
+        }
+        let link = ManagerLink { ctl, wake: handle };
+        let (reply, outcome) = channel();
+        assert!(link.send(ManagerCtl::Reconfigure { target: "J_J_N".parse().unwrap(), reply }));
+
+        let first = manager.cfg.mailbox.try_recv().unwrap();
+        assert_eq!(step(&mut manager, Wake::Event(first)), ControlFlow::Continue(()));
+        let seen: Vec<_> =
+            std::iter::from_fn(|| decisions.try_recv().ok()).map(|e| e.topic).collect();
+        assert_eq!(seen.len(), 1 + DRAIN_BATCH + 1, "a batch of decisions, then the prepare");
+        assert_eq!(seen.last(), Some(&topics::RECONFIG));
+        assert!(seen[..=DRAIN_BATCH].iter().all(|&t| t != topics::RECONFIG));
+        // The rest arrive under the prepare and wait for the swap.
+        let next = manager.cfg.mailbox.try_recv().unwrap();
+        assert_eq!(step(&mut manager, Wake::Event(next)), ControlFlow::Continue(()));
+        assert!(decisions.try_recv().is_err(), "deferred, not decided");
+        assert!(manager.cfg.mailbox.is_empty());
+        // Shutdown with the prepare out answers the requester.
+        assert!(link.send(ManagerCtl::Shutdown));
+        let kick = manager.cfg.mailbox.try_recv().unwrap();
+        assert_eq!(step(&mut manager, Wake::Event(kick)), ControlFlow::Break(()));
+        assert!(matches!(outcome.try_recv(), Ok(Err(ReconfigureError::Closed))));
     }
 }

@@ -1,7 +1,9 @@
 //! An application-processor node: one thread driving the processor's
 //! [`NodeCore`] — the task effector, the idle resetter, and the prioritized
 //! subtask dispatcher (the F/I and Last Subtask components of Figure 3) —
-//! with decode, publish and a reactor around it.
+//! as a reactor handler (`crate::reactor`): `on_event` decodes and routes
+//! one message, `on_timer` completes the running subjob, and `settle`
+//! declares idleness once the step has drained the mailbox.
 //!
 //! `NodeCore` is the step the simulator runs too; here its dispatcher, the
 //! preemptive EDMS state machine the AUB analysis assumes, is driven off
@@ -15,6 +17,7 @@
 //! so a subjob costs one timer wake-up however long it runs, and an idle
 //! node blocks on its mailbox indefinitely: **zero wakeups while idle**.
 
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -32,7 +35,7 @@ use crate::proto::{
     self, AcceptMsg, ArriveMsg, IdleResetMsg, InjectMsg, ReconfigAckMsg, ReconfigMsg,
     ReconfigPhase, RejectMsg, TriggerMsg, Wire,
 };
-use crate::reactor::{Reactor, TimerId, Wake, DEFAULT_TICK};
+use crate::reactor::{Handler, Reactor, TimerId, DEFAULT_TICK};
 use crate::stats::RtMetrics;
 
 /// How subtask execution consumes time.
@@ -71,13 +74,7 @@ pub(crate) struct NodeConfig {
     pub mailbox: EventReceiver,
 }
 
-/// Runs the node loop until shutdown. Spawned by `System::launch`.
-pub(crate) fn run_node(cfg: NodeConfig) {
-    let mut node = Node::new(cfg);
-    node.run();
-}
-
-struct Node {
+pub(crate) struct Node {
     cfg: NodeConfig,
     inject_topic: Topic,
     ctl_topic: Topic,
@@ -89,99 +86,33 @@ struct Node {
     /// matching fence, so an unrelated (e.g. bridged-in foreign) commit
     /// can never half-apply.
     fence: Option<(u64, u64)>,
-    running: bool,
-    /// Timer wheel + single-wait loop; entries are tagged with the
-    /// generation of the run they complete.
+    /// Entries are tagged with the generation of the run they complete.
     reactor: Reactor<Clock, u64>,
     /// The node's one wheel entry: the running subjob's completion. `None`
     /// while nothing runs — and always under [`ExecMode::Noop`].
     completion: Option<TimerId>,
-    /// Scratch buffer for fired timers (avoids per-wake allocation).
-    fired: Vec<(TimerId, u64)>,
 }
 
 impl Node {
-    fn new(cfg: NodeConfig) -> Self {
+    pub(crate) fn new(cfg: NodeConfig) -> Self {
         Node {
             inject_topic: topics::inject(cfg.processor),
             ctl_topic: topics::node_ctl(cfg.processor),
             core: NodeCore::new(cfg.services, ProcessorId(cfg.processor), cfg.tasks.len()),
             fence: None,
-            running: true,
             reactor: Reactor::new(cfg.clock, DEFAULT_TICK),
             completion: None,
-            fired: Vec::new(),
             cfg,
         }
     }
 
-    fn run(&mut self) {
-        while self.running {
-            let mut fired = std::mem::take(&mut self.fired);
-            fired.clear();
-            self.reactor.poll(&mut fired);
-            for (_, gen) in fired.drain(..) {
-                self.completion = None;
-                let next = self.complete(gen);
-                self.follow(next);
-            }
-            self.fired = fired;
-            self.drain_messages();
-            if !self.running {
-                break;
-            }
-            // Idleness is declared here and nowhere else: only now is the
-            // mailbox known to be empty. A completion that empties the
-            // dispatcher says nothing about releases already queued behind
-            // it, and reporting there sends an idle reset per completion
-            // instead of one per idle period.
-            self.report_idle();
-            match self.reactor.wait(&self.cfg.mailbox) {
-                Wake::Event(ev) => self.dispatch(&ev),
-                Wake::Timer => self.cfg.stats.timer_wakeups.inc(),
-                // Federation gone (launcher dropped without a shutdown
-                // event): nothing can ever arrive again, so stop instead
-                // of spinning.
-                Wake::Closed => self.running = false,
-            }
+    /// Hands a mailbox payload to `on`; a malformed one is dropped and
+    /// counted (see [`proto::DecodeErrors::receive`]).
+    fn decoded<T: Wire>(&mut self, ev: &Event, on: fn(&mut Self, T)) {
+        let (m, channel) = (&self.cfg.stats, &self.cfg.channel);
+        if let Some(msg) = m.decode_errors.receive(ev, channel, &m.trace, self.cfg.clock) {
+            on(self, msg);
         }
-    }
-
-    /// Routes one mailbox event to its handler. All node input — protocol
-    /// events, injected arrivals, shutdown — arrives through the single
-    /// mailbox in publish order.
-    fn dispatch(&mut self, ev: &Event) {
-        let topic = ev.topic;
-        if topic == topics::ACCEPT {
-            if let Some(msg) = self.decode(ev) {
-                self.on_accept(msg);
-            }
-        } else if topic == topics::REJECT {
-            if let Some(msg) = self.decode(ev) {
-                self.on_reject(&msg);
-            }
-        } else if topic == topics::TRIGGER {
-            if let Some(msg) = self.decode(ev) {
-                self.on_trigger(msg);
-            }
-        } else if topic == topics::RECONFIG {
-            if let Some(msg) = self.decode(ev) {
-                self.on_reconfig(msg);
-            }
-        } else if topic == self.inject_topic {
-            if let Some(msg) = self.decode(ev) {
-                self.on_inject(msg);
-            }
-        } else if topic == self.ctl_topic {
-            self.running = false;
-        }
-    }
-
-    /// Decodes a mailbox payload; a malformed one is dropped and counted
-    /// (see [`proto::DecodeErrors::receive`]).
-    fn decode<T: Wire>(&self, ev: &Event) -> Option<T> {
-        let m = &self.cfg.stats;
-        m.decode_errors.receive(ev, &self.cfg.channel, &m.trace, self.cfg.clock)
     }
 
     /// One phase of a live reconfiguration (published by the AC on the
@@ -227,15 +158,6 @@ impl Node {
                 // not keep fast-path releasing).
                 self.core.commit(msg.services);
                 self.fence = None;
-            }
-        }
-    }
-
-    fn drain_messages(&mut self) {
-        while let Ok(ev) = self.cfg.mailbox.try_recv() {
-            self.dispatch(&ev);
-            if !self.running {
-                return;
             }
         }
     }
@@ -371,7 +293,7 @@ impl Node {
         });
     }
 
-    fn on_reject(&mut self, msg: &RejectMsg) {
+    fn on_reject(&mut self, msg: RejectMsg) {
         if msg.arrival_proc != self.cfg.processor {
             return;
         }
@@ -478,13 +400,48 @@ impl Node {
         };
         self.cfg.channel.publish(topics::TRIGGER, proto::encode(&msg));
     }
+}
 
-    /// Idle check (called from [`Node::run`] only): run the idle detector
-    /// (op 7) once. It reports nothing while a stage is ready or running,
-    /// and drains every pending completion in one call, so no periodic
-    /// probe is needed — the node then parks on its mailbox with an empty
-    /// wheel until the next event arrives.
-    fn report_idle(&mut self) {
+impl Handler for Node {
+    type Timer = u64;
+
+    fn io(&mut self) -> (&mut Reactor<Clock, u64>, &EventReceiver) {
+        (&mut self.reactor, &self.cfg.mailbox)
+    }
+
+    /// Routes one mailbox event to its handler. All node input — protocol
+    /// events, injected arrivals, shutdown — arrives through the single
+    /// mailbox in publish order.
+    fn on_event(&mut self, ev: &Event) -> ControlFlow<()> {
+        match ev.topic {
+            topics::ACCEPT => self.decoded(ev, Self::on_accept),
+            topics::REJECT => self.decoded(ev, Self::on_reject),
+            topics::TRIGGER => self.decoded(ev, Self::on_trigger),
+            topics::RECONFIG => self.decoded(ev, Self::on_reconfig),
+            topic if topic == self.inject_topic => self.decoded(ev, Self::on_inject),
+            topic if topic == self.ctl_topic => return ControlFlow::Break(()),
+            _ => {}
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// The running subjob's completion instant.
+    fn on_timer(&mut self, _: TimerId, gen: u64) {
+        self.completion = None;
+        let next = self.complete(gen);
+        self.follow(next);
+    }
+
+    fn on_timer_wake(&mut self) {
+        self.cfg.stats.timer_wakeups.inc();
+    }
+
+    /// The idle detector (op 7), run here and nowhere else: only now is the
+    /// mailbox known to be empty. A completion that empties the dispatcher
+    /// says nothing about releases queued behind it, and reporting there
+    /// sends an idle reset per completion instead of one per idle period.
+    /// `NodeCore::idle` reports every pending completion in one call.
+    fn settle(&mut self) -> ControlFlow<()> {
         if let Some(report) = self.core.idle(self.cfg.clock.now()) {
             let started_ns = self.cfg.clock.now().as_nanos();
             let msg = IdleResetMsg {
@@ -494,5 +451,86 @@ impl Node {
             };
             self.cfg.channel.publish(topics::IDLE_RESET, proto::encode(&msg));
         }
+        ControlFlow::Continue(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::ops::ControlFlow;
+
+    use rtcm_config::{configure_with, WorkloadSpec};
+    use rtcm_core::task::TaskId;
+    use rtcm_events::{Federation, Latency, NodeId};
+
+    use super::*;
+    use crate::reactor::{step, Wake};
+
+    /// A one-processor node under `ExecMode::Noop`, per-job idle resetting,
+    /// with its federation (keep it alive) and a subscriber to its idle
+    /// resets. No thread runs it: the tests step it by hand.
+    fn noop_node() -> (Federation, Node, EventReceiver) {
+        let spec = "workload w\nprocessors 1\n\
+                    task t aperiodic deadline=1000ms\n  subtask exec=1ms proc=0\n";
+        let spec = WorkloadSpec::parse(spec).unwrap();
+        let deployment = configure_with(&spec, "J_J_N".parse().unwrap()).unwrap();
+        let tasks = Arc::new(deployment.tasks.clone());
+        let priorities = Arc::new(tasks.iter().map(|t| deployment.priorities[&t.id()]).collect());
+        let federation = Federation::new(1, Latency::None, 7);
+        let channel = federation.handle(NodeId(0)).unwrap();
+        let idle_resets = channel.subscribe(topics::IDLE_RESET);
+        let mailbox = channel.subscribe_many(&[topics::ACCEPT, topics::node_ctl(0)]);
+        let cfg = NodeConfig {
+            processor: 0,
+            services: deployment.services,
+            tasks,
+            priorities,
+            channel,
+            clock: Clock::new(),
+            stats: Arc::new(RtMetrics::new()),
+            exec: ExecMode::Noop,
+            mailbox,
+        };
+        (federation, Node::new(cfg), idle_resets)
+    }
+
+    fn accept(seq: u64) -> Vec<u8> {
+        proto::encode(&AcceptMsg {
+            job: JobId::new(TaskId(0), seq),
+            assignment: vec![0],
+            release_proc: 0,
+            arrival_ns: 0,
+            deadline_ns: 1_000_000_000_000,
+            newly_admitted: true,
+            sent_ns: 0,
+            trace: seq,
+        })
+    }
+
+    #[test]
+    fn idle_is_reported_once_after_the_drain() {
+        let (_federation, mut node, idle_resets) = noop_node();
+        for seq in 0..2 {
+            node.cfg.channel.publish(topics::ACCEPT, accept(seq));
+        }
+        let first = node.cfg.mailbox.try_recv().unwrap();
+        assert_eq!(step(&mut node, Wake::Event(first)), ControlFlow::Continue(()));
+        // Each Noop release completes inline and empties the dispatcher, so
+        // a report per completion would show up here as two.
+        let report = proto::decode::<IdleResetMsg>(&idle_resets.try_recv().unwrap().payload);
+        assert_eq!(report.completed.len(), 2, "one report, after both releases");
+        assert!(idle_resets.try_recv().is_err(), "exactly one idle reset");
+        assert_eq!(node.cfg.stats.jobs_completed.get(), 2);
+    }
+
+    #[test]
+    fn the_control_topic_stops_the_node() {
+        let (_federation, mut node, _) = noop_node();
+        node.cfg.channel.publish(topics::node_ctl(0), &b""[..]);
+        node.cfg.channel.publish(topics::ACCEPT, accept(0));
+        let kick = node.cfg.mailbox.try_recv().unwrap();
+        assert_eq!(step(&mut node, Wake::Event(kick)), ControlFlow::Break(()));
+        assert_eq!(node.cfg.mailbox.len(), 1, "nothing is handled after the stop");
+        assert_eq!(step(&mut node, Wake::Closed), ControlFlow::Break(()));
     }
 }

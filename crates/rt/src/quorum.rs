@@ -31,26 +31,28 @@
 //! [`TimerDriver`] clock — never `Instant` — so the identical machine runs
 //! under a skewed virtual clock in `rtcm-sim`.
 //!
-//! The delegate thread is reactor-driven: a standing fence's expiry
-//! deadline is a timer-wheel entry, so recovery happens *at* the deadline
-//! instead of up to a 20 ms poll period late, and an unfenced idle member
-//! blocks on its mailbox without any wakeups. Stop requests publish a
-//! `topics::QUORUM_CTL` kick so the indefinite block stays interruptible.
+//! The delegate thread is a reactor handler (`crate::reactor`): a standing
+//! fence's expiry is its one timer entry, so recovery happens *at* the
+//! deadline, and an unfenced idle member blocks on its mailbox without any
+//! wakeups. A stop sets a flag and publishes a `topics::QUORUM_CTL` kick,
+//! so the indefinite block stays interruptible.
 
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration as StdDuration;
 
 use rtcm_core::strategy::ServiceConfig;
-use rtcm_events::{topics, ChannelHandle, Federation, NodeId, UnknownNodeError};
-use rtcm_telemetry::{TraceBuffer, DEFAULT_TRACE_CAPACITY};
+use rtcm_events::{
+    topics, ChannelHandle, Event, EventReceiver, Federation, NodeId, UnknownNodeError,
+};
+use rtcm_telemetry::TraceBuffer;
 
 use crate::clock::{Clock, TimerDriver};
 use crate::lock;
 use crate::proto::{self, DecodeErrors, ReconfigMsg, ReconfigVote};
 use crate::quorum_sm::{MemberReaction, MemberSm};
-use crate::reactor::{Reactor, TimerId, Wake, DEFAULT_TICK};
+use crate::reactor::{self, Handler, Reactor, TimerId, DEFAULT_TICK};
 
 /// Tunables for a [`QuorumMember`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,13 +73,9 @@ impl Default for QuorumOptions {
 /// deregister the host first for a clean departure).
 pub struct QuorumMember {
     host: u64,
-    hold: Arc<AtomicBool>,
-    state: Arc<Mutex<MemberSm>>,
-    trace: Arc<TraceBuffer>,
-    decode_errors: Arc<DecodeErrors>,
-    stop: Sender<()>,
+    shared: Arc<Shared>,
     /// Publishes the `topics::QUORUM_CTL` kick that wakes the delegate's
-    /// blocking mailbox wait after a stop request is enqueued.
+    /// blocking mailbox wait after `stop` is set.
     wake: ChannelHandle,
     thread: Option<std::thread::JoinHandle<()>>,
 }
@@ -103,106 +101,10 @@ impl QuorumMember {
         options: QuorumOptions,
     ) -> Result<Self, UnknownNodeError> {
         let handle = federation.handle(node)?;
-        let wake = handle.clone();
-        let host = federation.host_id();
-        // One merged mailbox: reconfiguration phases plus the stop kick.
-        let mailbox = handle.subscribe_many(&[topics::RECONFIG, topics::QUORUM_CTL]);
-        let hold = Arc::new(AtomicBool::new(false));
-        let state: Arc<Mutex<MemberSm>> = Arc::new(Mutex::new(MemberSm::new()));
-        let trace = Arc::new(TraceBuffer::new(DEFAULT_TRACE_CAPACITY));
-        let decode_errors = Arc::new(DecodeErrors::default());
-        let (stop_tx, stop_rx) = channel::<()>();
-        let clock = Clock::new();
-        let fence_timeout_ns = options.fence_timeout.as_nanos() as u64;
-        let thread_hold = Arc::clone(&hold);
-        let thread_state = Arc::clone(&state);
-        let thread_trace = Arc::clone(&trace);
-        let thread_errors = Arc::clone(&decode_errors);
-        let thread = std::thread::Builder::new()
-            .name("rtcm-quorum-member".into())
-            .spawn(move || {
-                let mut reactor: Reactor<Clock, ()> = Reactor::new(clock, DEFAULT_TICK);
-                // Wheel entry mirroring the standing fence, keyed by
-                // `(coordinator, epoch)` so a superseding prepare reslots
-                // the deadline.
-                let mut fence_timer: Option<(TimerId, (u64, u64))> = None;
-                let mut fired: Vec<(TimerId, ())> = Vec::new();
-                loop {
-                    match stop_rx.try_recv() {
-                        Ok(()) | Err(TryRecvError::Disconnected) => return,
-                        Err(TryRecvError::Empty) => {}
-                    }
-                    fired.clear();
-                    reactor.poll(&mut fired);
-                    if !fired.is_empty() {
-                        // The fence deadline fired (the only entry this
-                        // reactor ever holds) — drop the stale fence *at*
-                        // the deadline, not up to a poll period later.
-                        fence_timer = None;
-                        lock(&thread_state).expire_fence(clock.now_ns(), fence_timeout_ns);
-                    }
-                    // Re-sync the wheel with the current fence.
-                    let fence = lock(&thread_state).fence();
-                    match fence {
-                        Some(f) => {
-                            let key = (f.coordinator, f.epoch);
-                            let stale = fence_timer.is_none_or(|(_, k)| k != key);
-                            if stale {
-                                if let Some((id, _)) = fence_timer.take() {
-                                    reactor.cancel(id);
-                                }
-                                let deadline_ns = f.raised_ns + fence_timeout_ns;
-                                let id = reactor.schedule_at(deadline_ns, ());
-                                fence_timer = Some((id, key));
-                            }
-                        }
-                        None => {
-                            if let Some((id, _)) = fence_timer.take() {
-                                reactor.cancel(id);
-                            }
-                        }
-                    }
-                    match reactor.wait(&mailbox) {
-                        Wake::Event(ev) if ev.topic == topics::RECONFIG => {
-                            // Prepares arrive from a foreign host over the
-                            // bridge: a malformed one is dropped, counted,
-                            // and costs that bridge its link — never this
-                            // thread.
-                            let Some(msg) = thread_errors.receive::<ReconfigMsg>(
-                                &ev,
-                                &handle,
-                                &thread_trace,
-                                clock,
-                            ) else {
-                                continue;
-                            };
-                            let holding = thread_hold.load(Ordering::SeqCst);
-                            let reaction = lock(&thread_state).on_phase(
-                                &msg,
-                                host,
-                                clock.now_ns(),
-                                fence_timeout_ns,
-                                holding,
-                            );
-                            react(&msg, host, &handle, clock, &thread_trace, reaction);
-                        }
-                        // A QUORUM_CTL kick: loop back to the stop check.
-                        Wake::Event(_) | Wake::Timer => {}
-                        Wake::Closed => return,
-                    }
-                }
-            })
-            .expect("spawn quorum member");
-        Ok(QuorumMember {
-            host,
-            hold,
-            state,
-            trace,
-            decode_errors,
-            stop: stop_tx,
-            wake,
-            thread: Some(thread),
-        })
+        let member = Member::new(handle.clone(), federation.host_id(), options);
+        let shared = Arc::clone(&member.shared);
+        let thread = reactor::spawn("rtcm-quorum-member".into(), member);
+        Ok(QuorumMember { host: federation.host_id(), shared, wake: handle, thread: Some(thread) })
     }
 
     /// The host identity this member votes as (its federation's id).
@@ -215,31 +117,31 @@ impl QuorumMember {
     /// fences nor votes, simulating a partitioned or crashed host. The
     /// coordinator's swap then aborts at the ack deadline.
     pub fn set_holding(&self, hold: bool) {
-        self.hold.store(hold, Ordering::SeqCst);
+        self.shared.hold.store(hold, Ordering::SeqCst);
     }
 
     /// Configurations whose commits this member witnessed, in order.
     #[must_use]
     pub fn observed_commits(&self) -> Vec<ServiceConfig> {
-        lock(&self.state).commits().to_vec()
+        lock(&self.shared.state).commits().to_vec()
     }
 
     /// Prepares acked so far.
     #[must_use]
     pub fn ack_count(&self) -> u64 {
-        lock(&self.state).acks()
+        lock(&self.shared.state).acks()
     }
 
     /// Prepares vetoed so far (foreign-coordinator collisions).
     #[must_use]
     pub fn nack_count(&self) -> u64 {
-        lock(&self.state).nacks()
+        lock(&self.shared.state).nacks()
     }
 
     /// True while the member is fenced for a pending foreign swap.
     #[must_use]
     pub fn is_fenced(&self) -> bool {
-        lock(&self.state).fence().is_some()
+        lock(&self.shared.state).fence().is_some()
     }
 
     /// The member's trace buffer: every foreign reconfiguration phase it
@@ -247,14 +149,14 @@ impl QuorumMember {
     /// dumps from both hosts correlate without extra wire traffic.
     #[must_use]
     pub fn trace(&self) -> &Arc<TraceBuffer> {
-        &self.trace
+        &self.shared.trace
     }
 
     /// Reconfiguration payloads this member dropped because they did not
     /// decode (each one also fail-stopped the bridge it arrived over).
     #[must_use]
     pub fn decode_errors(&self) -> u64 {
-        self.decode_errors.total()
+        self.shared.decode_errors.total()
     }
 
     /// Detaches the member, joining its thread.
@@ -263,10 +165,10 @@ impl QuorumMember {
     }
 
     fn halt(&mut self) {
-        let _ = self.stop.send(());
+        self.shared.stop.store(true, Ordering::SeqCst);
         // Kick the mailbox *after* the stop request is visible, so the
         // delegate's indefinite block wakes and observes it. Other members
-        // sharing the federation just re-check their own stop channel.
+        // sharing the federation just re-check their own stop flag.
         self.wake.publish(topics::QUORUM_CTL, Vec::new());
         if let Some(t) = self.thread.take() {
             let _ = t.join();
@@ -280,50 +182,172 @@ impl Drop for QuorumMember {
     }
 }
 
-/// Carries a [`MemberReaction`] out into the world: publishes the vote
-/// and records the witnessed phase in the member's trace ring.
-fn react(
-    msg: &ReconfigMsg,
+/// What a [`QuorumMember`] shares with its delegate thread.
+#[derive(Default)]
+struct Shared {
+    hold: AtomicBool,
+    /// Set to stop the delegate, which reads it before each wait.
+    stop: AtomicBool,
+    state: Mutex<MemberSm>,
+    trace: Arc<TraceBuffer>,
+    decode_errors: DecodeErrors,
+}
+
+/// The delegate thread: the member's state machine behind one mailbox
+/// (reconfiguration phases plus the stop kick) and one timer, the
+/// standing fence's expiry.
+struct Member {
     host: u64,
-    handle: &ChannelHandle,
+    handle: ChannelHandle,
+    mailbox: EventReceiver,
     clock: Clock,
-    trace: &Arc<TraceBuffer>,
-    reaction: MemberReaction,
-) {
-    match reaction {
-        MemberReaction::Ignored => {}
-        MemberReaction::Vote(ack) => {
-            trace.record(
-                msg.trace,
-                clock.now_ns(),
-                host,
-                "reconfig_prepare",
-                format!(
-                    "foreign epoch {} from coordinator {}, voted {}",
-                    msg.epoch,
-                    msg.coordinator,
-                    if matches!(ack.vote, ReconfigVote::Ack) { "ack" } else { "nack" }
-                ),
-            );
-            handle.publish(topics::RECONFIG_ACK, proto::encode(&ack));
+    fence_timeout_ns: u64,
+    shared: Arc<Shared>,
+    reactor: Reactor<Clock, ()>,
+    /// The wheel entry mirroring the standing fence, keyed by
+    /// `(coordinator, epoch)` so a superseding prepare reslots the
+    /// deadline.
+    fence_timer: Option<(TimerId, (u64, u64))>,
+}
+
+impl Member {
+    fn new(handle: ChannelHandle, host: u64, options: QuorumOptions) -> Self {
+        let clock = Clock::new();
+        Member {
+            host,
+            mailbox: handle.subscribe_many(&[topics::RECONFIG, topics::QUORUM_CTL]),
+            handle,
+            clock,
+            fence_timeout_ns: options.fence_timeout.as_nanos() as u64,
+            shared: Arc::default(),
+            reactor: Reactor::new(clock, DEFAULT_TICK),
+            fence_timer: None,
         }
-        MemberReaction::Committed(services) => {
-            trace.record(
-                msg.trace,
-                clock.now_ns(),
-                host,
-                "reconfig_commit",
-                format!("foreign epoch {} committed {}", msg.epoch, services.label()),
-            );
+    }
+
+    /// Carries a [`MemberReaction`] out into the world: records the
+    /// witnessed phase in the member's trace ring and publishes the vote.
+    fn react(&self, msg: &ReconfigMsg, reaction: MemberReaction) {
+        let epoch = msg.epoch;
+        let (stage, detail, vote) = match reaction {
+            MemberReaction::Ignored => return,
+            MemberReaction::Vote(ack) => {
+                let voted = if matches!(ack.vote, ReconfigVote::Ack) { "ack" } else { "nack" };
+                let from = msg.coordinator;
+                let detail =
+                    format!("foreign epoch {epoch} from coordinator {from}, voted {voted}");
+                ("reconfig_prepare", detail, Some(ack))
+            }
+            MemberReaction::Committed(services) => {
+                let detail = format!("foreign epoch {epoch} committed {}", services.label());
+                ("reconfig_commit", detail, None)
+            }
+            MemberReaction::Aborted => {
+                ("reconfig_abort", format!("foreign epoch {epoch} aborted"), None)
+            }
+        };
+        self.shared.trace.record(msg.trace, self.clock.now_ns(), self.host, stage, detail);
+        if let Some(ack) = vote {
+            self.handle.publish(topics::RECONFIG_ACK, proto::encode(&ack));
         }
-        MemberReaction::Aborted => {
-            trace.record(
-                msg.trace,
-                clock.now_ns(),
-                host,
-                "reconfig_abort",
-                format!("foreign epoch {} aborted", msg.epoch),
-            );
+    }
+}
+
+impl Handler for Member {
+    type Timer = ();
+
+    fn io(&mut self) -> (&mut Reactor<Clock, ()>, &EventReceiver) {
+        (&mut self.reactor, &self.mailbox)
+    }
+
+    /// A reconfiguration phase; a `topics::QUORUM_CTL` kick carries
+    /// nothing, because `settle` reads the stop flag.
+    fn on_event(&mut self, ev: &Event) -> ControlFlow<()> {
+        if ev.topic != topics::RECONFIG {
+            return ControlFlow::Continue(());
         }
+        // Prepares arrive from a foreign host over the bridge: a malformed
+        // one is dropped, counted, and costs that bridge its link — never
+        // this thread.
+        let Shared { hold, trace, decode_errors, state, .. } = &*self.shared;
+        if let Some(msg) = decode_errors.receive(ev, &self.handle, trace, self.clock) {
+            let (now_ns, holding) = (self.clock.now_ns(), hold.load(Ordering::SeqCst));
+            let reaction =
+                lock(state).on_phase(&msg, self.host, now_ns, self.fence_timeout_ns, holding);
+            self.react(&msg, reaction);
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// The fence deadline (the only entry this reactor ever holds): drop
+    /// the stale fence *at* the deadline.
+    fn on_timer(&mut self, _: TimerId, (): ()) {
+        self.fence_timer = None;
+        lock(&self.shared.state).expire_fence(self.clock.now_ns(), self.fence_timeout_ns);
+    }
+
+    /// Stops once the stop flag is set; otherwise re-syncs the wheel with
+    /// the current fence.
+    fn settle(&mut self) -> ControlFlow<()> {
+        if self.shared.stop.load(Ordering::SeqCst) {
+            return ControlFlow::Break(());
+        }
+        let fence =
+            lock(&self.shared.state).fence().map(|f| ((f.coordinator, f.epoch), f.raised_ns));
+        if fence.map(|(key, _)| key) != self.fence_timer.map(|(_, key)| key) {
+            if let Some((id, _)) = self.fence_timer.take() {
+                self.reactor.cancel(id);
+            }
+            if let Some((key, raised_ns)) = fence {
+                let id = self.reactor.schedule_at(raised_ns + self.fence_timeout_ns, ());
+                self.fence_timer = Some((id, key));
+            }
+        }
+        ControlFlow::Continue(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use rtcm_events::Latency;
+
+    use super::*;
+    use crate::proto::ReconfigPhase;
+    use crate::reactor::{step, Wake};
+
+    #[test]
+    fn a_stale_fence_drops_at_its_timer_and_the_kick_stops_a_stopped_member() {
+        let federation = Federation::new(1, Latency::None, 7);
+        let handle = federation.handle(NodeId(0)).unwrap();
+        // A zero timeout makes the fence stale the moment it is raised, so
+        // its timer is due at once and nothing sleeps.
+        let options = QuorumOptions { fence_timeout: StdDuration::ZERO };
+        let mut member = Member::new(handle.clone(), federation.host_id(), options);
+        let prepare = ReconfigMsg {
+            coordinator: 1,
+            host: federation.host_id() + 1,
+            epoch: 1,
+            phase: ReconfigPhase::Prepare,
+            services: "J_J_N".parse().unwrap(),
+            sent_ns: 0,
+            trace: 1,
+        };
+        handle.publish(topics::RECONFIG, proto::encode(&prepare));
+        let ev = member.mailbox.try_recv().unwrap();
+        assert_eq!(step(&mut member, Wake::Event(ev)), ControlFlow::Continue(()));
+        assert!(lock(&member.shared.state).fence().is_some(), "the prepare fenced");
+        assert!(member.fence_timer.is_some(), "settle armed the fence timer");
+
+        assert_eq!(step(&mut member, Wake::Timer), ControlFlow::Continue(()));
+        assert!(lock(&member.shared.state).fence().is_none(), "on_timer dropped it");
+        assert!(member.fence_timer.is_none());
+
+        handle.publish(topics::QUORUM_CTL, Vec::new());
+        let kick = member.mailbox.try_recv().unwrap();
+        assert_eq!(step(&mut member, Wake::Event(kick)), ControlFlow::Continue(()));
+        member.shared.stop.store(true, Ordering::SeqCst);
+        handle.publish(topics::QUORUM_CTL, Vec::new());
+        let kick = member.mailbox.try_recv().unwrap();
+        assert_eq!(step(&mut member, Wake::Event(kick)), ControlFlow::Break(()));
     }
 }

@@ -1,5 +1,6 @@
-//! Event-driven reactor core: a sorted deadline list plus a single
-//! blocking wait on `min(next timer, mailbox)`.
+//! Event-driven reactor core: a sorted deadline list, a single blocking
+//! wait on `min(next timer, mailbox)`, and the one loop every runtime
+//! thread runs around it.
 //!
 //! Every time-driven obligation of a runtime thread — a node's running
 //! subjob completion, the manager's prepare deadline and each attached
@@ -13,12 +14,19 @@
 //! operation linear in pending entries. A timer fires once `deadline_ns <=
 //! now_ns` — never early — in `(deadline_ns, insertion)` order, and a thread
 //! wakes at the exact deadline: one wakeup per timer, however far away.
+//!
+//! The node, the manager and the quorum member are `Handler`s: one `step`
+//! does everything a thread does between two waits, and `run` is `step`
+//! around [`Reactor::wait`], so a host that supplies the wakes can drive
+//! the same threads.
 
+use std::ops::ControlFlow;
+use std::thread::JoinHandle;
 use std::time::Duration as StdDuration;
 
 use rtcm_events::{Event, EventReceiver, RecvTimeoutError};
 
-use crate::clock::TimerDriver;
+use crate::clock::{Clock, TimerDriver};
 
 /// The tick every runtime reactor is built with. Deadlines are kept
 /// exactly, so it is unused beyond [`TimerWheel::new`]'s non-zero check;
@@ -94,6 +102,15 @@ impl<T> TimerWheel<T> {
         let due = self.entries.partition_point(|&(d, _, _)| d <= now_ns);
         fired.extend(self.entries.drain(..due).map(|(_, id, tag)| (TimerId(id), tag)));
     }
+
+    /// Removes and returns the earliest timer if it is due at `now_ns`.
+    fn pop_due(&mut self, now_ns: u64) -> Option<(TimerId, T)> {
+        let &(deadline_ns, _, _) = self.entries.first()?;
+        (deadline_ns <= now_ns).then(|| {
+            let (_, id, tag) = self.entries.remove(0);
+            (TimerId(id), tag)
+        })
+    }
 }
 
 /// What woke a reactor thread.
@@ -103,7 +120,9 @@ pub enum Wake {
     Event(Event),
     /// The earliest timer deadline passed — call [`Reactor::poll`].
     Timer,
-    /// The mailbox closed (federation dropped); the thread should exit.
+    /// The mailbox closed: its federation is gone. No runtime thread sees
+    /// this while it runs, because each holds a `ChannelHandle`, which
+    /// keeps its federation, and so its mailbox, alive.
     Closed,
 }
 
@@ -144,22 +163,80 @@ impl<D: TimerDriver, T> Reactor<D, T> {
     /// timer is due. With no pending timer this blocks **indefinitely** on
     /// the mailbox — zero wakeups while idle.
     pub fn wait(&self, mailbox: &EventReceiver) -> Wake {
-        match self.wheel.next_deadline_ns() {
-            None => match mailbox.recv() {
-                Ok(event) => Wake::Event(event),
-                Err(_) => Wake::Closed,
-            },
+        let timeout = match self.wheel.next_deadline_ns() {
+            None => StdDuration::MAX,
             Some(deadline_ns) => {
                 let now = self.driver.now_ns();
                 if deadline_ns <= now {
                     return Wake::Timer;
                 }
-                match mailbox.recv_timeout(StdDuration::from_nanos(deadline_ns - now)) {
-                    Ok(event) => Wake::Event(event),
-                    Err(RecvTimeoutError::Timeout) => Wake::Timer,
-                    Err(RecvTimeoutError::Disconnected) => Wake::Closed,
-                }
+                StdDuration::from_nanos(deadline_ns - now)
             }
+        };
+        match mailbox.recv_timeout(timeout) {
+            Ok(event) => Wake::Event(event),
+            Err(RecvTimeoutError::Timeout) => Wake::Timer,
+            Err(RecvTimeoutError::Disconnected) => Wake::Closed,
+        }
+    }
+}
+
+/// A runtime thread's reactions (RSM's `Runnable`, SNIPPETS.md #1). The
+/// thread owns its reactor and its mailbox; [`step`] calls the hooks.
+pub(crate) trait Handler {
+    /// The tag of this thread's timer entries.
+    type Timer;
+    /// Most mailbox events a step drains after the wake's own; a thread
+    /// that polls an out-of-band channel in `settle` caps it.
+    const DRAIN: usize = usize::MAX;
+    /// The thread's reactor and mailbox.
+    fn io(&mut self) -> (&mut Reactor<Clock, Self::Timer>, &EventReceiver);
+    /// One mailbox event; `Break` stops the thread at once.
+    fn on_event(&mut self, ev: &Event) -> ControlFlow<()>;
+    /// One due timer, in `(deadline_ns, insertion)` order.
+    fn on_timer(&mut self, id: TimerId, tag: Self::Timer);
+    /// The wait returned [`Wake::Timer`]: where a thread counts its wakeups.
+    fn on_timer_wake(&mut self) {}
+    /// Runs last in every step, right before the thread parks again;
+    /// `Break` stops the thread.
+    fn settle(&mut self) -> ControlFlow<()>;
+}
+
+/// Everything a thread does between two waits: handle `wake`, fire every
+/// timer due now into `on_timer`, drain up to `H::DRAIN` mailbox events
+/// into `on_event`, then `settle`. `Break` means the thread stops.
+pub(crate) fn step<H: Handler>(h: &mut H, wake: Wake) -> ControlFlow<()> {
+    match wake {
+        Wake::Event(ev) => h.on_event(&ev)?,
+        Wake::Timer => h.on_timer_wake(),
+        // A guard, not a shutdown path (see `Wake::Closed`): a thread whose
+        // mailbox did close would otherwise spin on it.
+        Wake::Closed => return ControlFlow::Break(()),
+    }
+    let now_ns = h.io().0.driver.now_ns();
+    while let Some((id, tag)) = h.io().0.wheel.pop_due(now_ns) {
+        h.on_timer(id, tag);
+    }
+    for _ in 0..H::DRAIN {
+        let Ok(ev) = h.io().1.try_recv() else { break };
+        h.on_event(&ev)?;
+    }
+    h.settle()
+}
+
+/// Spawns the thread `name`, whose body [`run`]s `h`.
+pub(crate) fn spawn<H: Handler + Send + 'static>(name: String, mut h: H) -> JoinHandle<()> {
+    let thread = std::thread::Builder::new().name(name);
+    thread.spawn(move || run(&mut h)).expect("spawn a reactor thread")
+}
+
+/// A runtime thread's body: park, then [`step`], until a step breaks.
+pub(crate) fn run<H: Handler>(h: &mut H) {
+    loop {
+        let (reactor, mailbox) = h.io();
+        let wake = reactor.wait(mailbox);
+        if step(h, wake).is_break() {
+            return;
         }
     }
 }

@@ -24,9 +24,10 @@ use rtcm_telemetry::{OamRoutes, OamServer};
 use crate::clock::Clock;
 use crate::govern::{self, GovernorHandle};
 use crate::lock;
-use crate::manager::{run_manager, ManagerConfig, ManagerCtl, ManagerLink};
-use crate::node::{run_node, ExecMode, NodeConfig};
+use crate::manager::{Manager, ManagerConfig, ManagerCtl, ManagerLink};
+use crate::node::{ExecMode, Node, NodeConfig};
 use crate::proto::{self, ReconfigAbortReason};
+use crate::reactor;
 use crate::stats::{RtMetrics, SystemReport};
 
 /// Runtime options.
@@ -288,12 +289,7 @@ impl System {
             ctl_rx: mgr_ctl_rx,
             mailbox: mgr_mailbox,
         };
-        handles.push(
-            std::thread::Builder::new()
-                .name("rtcm-manager".into())
-                .spawn(move || run_manager(mgr_cfg))
-                .expect("spawn manager thread"),
-        );
+        handles.push(reactor::spawn("rtcm-manager".into(), Manager::new(mgr_cfg)));
 
         let mut node_handles = Vec::with_capacity(procs as usize);
         for p in 0..procs {
@@ -318,12 +314,7 @@ impl System {
                 exec: options.exec,
                 mailbox,
             };
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("rtcm-app-{p}"))
-                    .spawn(move || run_node(cfg))
-                    .expect("spawn node thread"),
-            );
+            handles.push(reactor::spawn(format!("rtcm-app-{p}"), Node::new(cfg)));
         }
 
         Ok(System {
