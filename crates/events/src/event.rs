@@ -93,10 +93,10 @@ pub mod topics {
     /// manager park on one wait point instead of polling that channel.
     pub const MANAGER_WAKE: Topic = Topic(CONTROL_BASE | 0x0200_0000);
 
-    /// Owner → quorum-member delegate: a stop request was enqueued on the
-    /// member's out-of-band channel — wake its mailbox (payload ignored).
-    /// Lets the delegate park on one wait point (fence deadline or
-    /// reconfiguration traffic) instead of polling its stop channel.
+    /// Owner → quorum-member delegate: its stop flag was set — wake its
+    /// mailbox (payload ignored; the delegate reads the flag in `settle`,
+    /// after every wake). Lets it park on one wait point (fence deadline or
+    /// reconfiguration traffic) instead of polling the flag.
     pub const QUORUM_CTL: Topic = Topic(CONTROL_BASE | 0x0300_0000);
 }
 

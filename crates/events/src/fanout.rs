@@ -161,22 +161,15 @@ impl Mailbox {
     /// Queues one event; returns the deliveries it counts (1, or 0 once
     /// the receiver is gone or the mailbox closed).
     pub(crate) fn push(&self, event: &Event) -> usize {
-        self.push_batch(std::slice::from_ref(event))
-    }
-
-    /// Queues a whole batch under **one** lock acquisition — the reader
-    /// side of a TCP bridge republishes every frame drained per wakeup
-    /// through this. Returns the deliveries it counts.
-    pub(crate) fn push_batch(&self, events: &[Event]) -> usize {
         let mut s = self.lock();
         if s.closed || s.detached {
             return 0;
         }
-        s.queue.extend(events.iter().cloned());
-        if s.waiters > 0 && !events.is_empty() {
+        s.queue.push_back(event.clone());
+        if s.waiters > 0 {
             self.ready.notify_all();
         }
-        events.len()
+        1
     }
 
     /// Marks the mailbox closed: pending events remain receivable, then
@@ -332,20 +325,11 @@ mod tests {
     }
 
     #[test]
-    fn push_batch_delivers_in_order_and_respects_bounds() {
-        let (mailbox, rx) = Mailbox::open();
-        let events: Vec<Event> = (0..5u8).map(ev).collect();
-        assert_eq!(mailbox.push_batch(&events), 5);
-        for i in 0..5u8 {
-            assert_eq!(rx.try_recv().unwrap().payload.as_ref(), &[i]);
-        }
-        assert_eq!(mailbox.push_batch(&[]), 0, "empty batch is free");
-    }
-
-    #[test]
     fn gc_reclaims_consumed_prefix() {
         let (mailbox, rx) = Mailbox::open();
-        mailbox.push_batch(&(0..10).map(ev).collect::<Vec<_>>());
+        for i in 0..10 {
+            mailbox.push(&ev(i));
+        }
         for _ in 0..10 {
             rx.recv().unwrap();
         }
@@ -355,7 +339,9 @@ mod tests {
     #[test]
     fn dropping_a_stalled_receiver_releases_its_backlog() {
         let (stalled_box, stalled) = Mailbox::open();
-        stalled_box.push_batch(&(0..8).map(ev).collect::<Vec<_>>());
+        for i in 0..8 {
+            stalled_box.push(&ev(i));
+        }
         assert_eq!(stalled.len(), 8);
         drop(stalled);
         assert_eq!(stalled_box.lock().queue.len(), 0, "backlog freed with the receiver");

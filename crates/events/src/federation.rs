@@ -383,37 +383,28 @@ impl Drop for Federation {
     }
 }
 
+/// The network thread: delivers every parcel once its `deliver_at` has
+/// passed, in `(deliver_at, seq)` order, and between deliveries always
+/// parks on `net_ready` — timed to the next parcel, untimed while none is
+/// in flight. A timed park wakes late by the timer slack (≈ 60 µs on a
+/// 2-core Linux VM, the reactor's `wake_lateness_p50_us`), so a hop takes
+/// its injected delay plus that slack, never less. A spin would keep hops
+/// exact, but it burns the processor the receiving threads share
+/// (DESIGN.md "Single-lock parcels, batched writes").
 fn network_loop(inner: &Arc<Inner>) {
     let mut heap: BinaryHeap<Parcel> = BinaryHeap::new();
     loop {
         let now = Instant::now();
-        // Deliver everything due.
         while heap.peek().is_some_and(|p| p.deliver_at <= now) {
             let p = heap.pop().expect("peeked");
             inner.deliver_remote(p.to, &p.event);
         }
-        let wait = heap.peek().map(|p| p.deliver_at.saturating_duration_since(now));
-        match wait {
-            Some(StdDuration::ZERO) => continue,
-            Some(d) if d < StdDuration::from_millis(2) => {
-                // Spin for short waits: injected communication delay is a
-                // measured quantity, and a timed park wakes late by the
-                // timer slack (≈ 60 µs on a 2-core Linux VM, the reactor's
-                // `wake_lateness_p50_us`), which would move every hop. The
-                // price is CPU: under a sub-2 ms delay band with a steady
-                // stream of parcels this thread spins most of the run
-                // (`paper_replay`, 15 s: ≈ 5.9–6.2 s of user CPU spinning,
-                // ≈ 0.6 s parked, which adds ≈ 55–75 µs per hop). Spinning
-                // keeps the comm delay faithful.
-                std::hint::spin_loop();
-                continue;
-            }
-            _ => {}
-        }
         // Park until parcels arrive, the next delivery is due, or shutdown;
-        // whatever woke us, take what is there and look again.
+        // whatever woke us, take what is there and look again. The timeout
+        // is read after the deliveries, so their cost does not stretch it.
         let mut net = lock(&inner.net);
         if net.inbox.as_ref().is_some_and(Vec::is_empty) {
+            let wait = heap.peek().map(|p| p.deliver_at.saturating_duration_since(Instant::now()));
             net = match wait {
                 Some(d) => {
                     inner.net_ready.wait_timeout(net, d).unwrap_or_else(PoisonError::into_inner).0
@@ -433,10 +424,10 @@ fn network_loop(inner: &Arc<Inner>) {
 }
 
 /// The per-handle route cache: one topic's route, validated against the
-/// table generation with a single atomic load.
+/// table generation with a single atomic load. The default is already a
+/// correct entry: generation 0 is the empty table, which routes no topic.
 #[derive(Default)]
 struct RouteCache {
-    valid: bool,
     generation: u64,
     topic: Topic,
     route: Option<Arc<TopicRoute>>,
@@ -513,10 +504,9 @@ impl ChannelHandle {
         // publishes on one topic never touch the table or its lock.
         let generation = self.inner.generation.load(Ordering::Acquire);
         let mut cache = lock(&self.cache);
-        if !(cache.valid && cache.generation == generation && cache.topic == topic) {
+        if !(cache.generation == generation && cache.topic == topic) {
             let table = self.inner.table.read().unwrap_or_else(PoisonError::into_inner).clone();
             *cache = RouteCache {
-                valid: true,
                 generation: table.generation,
                 topic,
                 route: table.routes.get(&(self.node, topic)).cloned(),
@@ -533,69 +523,12 @@ impl ChannelHandle {
         // sent, as documented).
         let mut delivered = local_delivered;
         if !route.remotes.is_empty() {
-            delivered += self.send_parcels(route.remotes.iter().map(|&to| (to, &event)));
+            delivered += self.send_parcels(&route.remotes, &event);
         }
         if local_delivered > 0 {
             counters.delivered.fetch_add(local_delivered as u64, Ordering::Relaxed);
         }
         delivered
-    }
-
-    /// Publishes a whole batch of events from this node in **one** pass:
-    /// consecutive same-topic runs share one route resolution and one lock
-    /// per local mailbox (`Mailbox::push_batch`), the routing table is
-    /// read once for the entire batch, and every remote parcel of the
-    /// batch is sequenced under a single `net` lock acquisition and sent
-    /// to the network thread as one message. This is the reader side of a
-    /// TCP bridge republishing a drained frame batch — the mirror image of
-    /// the forwarder's write coalescing. Returns local deliveries plus
-    /// remote parcels sent, like [`ChannelHandle::publish`].
-    pub fn publish_batch(&self, batch: &[(Topic, bytes::Bytes)]) -> usize {
-        if batch.is_empty() {
-            return 0;
-        }
-        let counters = &self.inner.counters;
-        counters.published.fetch_add(batch.len() as u64, Ordering::Relaxed);
-        let table = self.inner.table.read().unwrap_or_else(PoisonError::into_inner).clone();
-
-        let mut local_delivered = 0usize;
-        let mut parcels: Vec<(&[NodeId], Vec<Event>)> = Vec::new();
-        let mut start = 0usize;
-        while start < batch.len() {
-            let topic = batch[start].0;
-            let mut end = start + 1;
-            while end < batch.len() && batch[end].0 == topic {
-                end += 1;
-            }
-            if let Some(route) = table.routes.get(&(self.node, topic)) {
-                let events: Vec<Event> = batch[start..end]
-                    .iter()
-                    .map(|(t, p)| Event::new(*t, self.node, p.clone()))
-                    .collect();
-                for mailbox in &route.local {
-                    local_delivered += mailbox.push_batch(&events);
-                }
-                if !route.remotes.is_empty() {
-                    parcels.push((&route.remotes, events));
-                }
-            }
-            start = end;
-        }
-
-        // One net-lock acquisition for every remote parcel of the whole
-        // batch.
-        let sent = if parcels.is_empty() {
-            0
-        } else {
-            self.send_parcels(parcels.iter().flat_map(|(remotes, events)| {
-                events.iter().flat_map(move |event| remotes.iter().map(move |&to| (to, event)))
-            }))
-        };
-
-        if local_delivered > 0 {
-            counters.delivered.fetch_add(local_delivered as u64, Ordering::Relaxed);
-        }
-        local_delivered + sent
     }
 
     /// The owning federation's fan-out counters (bridges bump their
@@ -619,28 +552,26 @@ impl ChannelHandle {
         self.inner.counters.snapshot()
     }
 
-    /// Sequences and latency-samples a publish's whole destination batch
-    /// and puts it in the network thread's inbox, all under one `net` lock
-    /// acquisition. Destinations ascend per event, so the per-seed RNG
+    /// Sequences and latency-samples one parcel of `event` per remote
+    /// destination and puts them in the network thread's inbox, all under
+    /// one `net` lock acquisition. Destinations ascend, so the per-seed RNG
     /// stream is stable.
-    fn send_parcels<'e>(&self, parcels: impl Iterator<Item = (NodeId, &'e Event)>) -> usize {
+    fn send_parcels(&self, remotes: &[NodeId], event: &Event) -> usize {
         let mut guard = lock(&self.inner.net);
         let net = &mut *guard;
         let Some(inbox) = net.inbox.as_mut() else {
             return 0; // shut down: no forwarding, no RNG consumption
         };
         let now = Instant::now();
-        let before = inbox.len();
-        for (to, event) in parcels {
+        for &to in remotes {
             let delay = self.inner.latency.sample(&mut net.rng);
             net.seq += 1;
             inbox.push(Parcel { deliver_at: now + delay, seq: net.seq, to, event: event.clone() });
         }
-        let sent = inbox.len() - before;
         drop(guard);
         self.inner.net_ready.notify_one();
-        self.inner.counters.remote_parcels.fetch_add(sent as u64, Ordering::Relaxed);
-        sent
+        self.inner.counters.remote_parcels.fetch_add(remotes.len() as u64, Ordering::Relaxed);
+        remotes.len()
     }
 }
 
@@ -739,6 +670,45 @@ mod tests {
             let e = rx.recv_timeout(RECV).unwrap();
             assert_eq!(e.payload.as_ref(), &[i]);
         }
+    }
+
+    #[test]
+    fn sub_2ms_latency_is_never_early() {
+        // A Figure 8-sized delay, under 2 ms, where the timer slack is a
+        // large share of the hop: the network thread's timed park may wake
+        // late, never early, and parcels keep their publish order. Each
+        // publish is stamped before the call, each arrival after `recv`
+        // returns, so a hop shorter than the delay is an early delivery.
+        const DELAY: StdDuration = StdDuration::from_micros(300);
+        const N: u8 = 64;
+        let fed = Federation::new(2, Latency::Constant(DELAY), 0);
+        let rx = fed.handle(NodeId(1)).unwrap().subscribe(Topic(1));
+        let h = fed.handle(NodeId(0)).unwrap();
+        let publisher = std::thread::spawn(move || {
+            (0..N)
+                .map(|i| {
+                    let at = Instant::now();
+                    assert_eq!(h.publish(Topic(1), vec![i]), 1, "one parcel, no local delivery");
+                    std::thread::sleep(StdDuration::from_micros(100));
+                    at
+                })
+                .collect::<Vec<Instant>>()
+        });
+        let arrivals: Vec<(u8, Instant)> = (0..N)
+            .map(|_| {
+                let e = rx.recv_timeout(RECV).unwrap();
+                (e.payload[0], Instant::now())
+            })
+            .collect();
+        let published = publisher.join().unwrap();
+        for (i, &(tag, at)) in arrivals.iter().enumerate() {
+            assert_eq!(usize::from(tag), i, "parcels arrive in publish order");
+            let hop = at.saturating_duration_since(published[i]);
+            assert!(hop >= DELAY, "parcel {i} arrived after {hop:?}, under {DELAY:?}");
+            assert!(hop <= StdDuration::from_millis(50), "parcel {i} took {hop:?}");
+        }
+        let stats = fed.stats();
+        assert_eq!((stats.events_published, stats.remote_parcels), (N.into(), N.into()));
     }
 
     #[test]
@@ -969,32 +939,6 @@ mod tests {
             break;
         }
         assert!(validated, "no attempt had a clean publish window in 10 tries");
-    }
-
-    #[test]
-    fn publish_batch_matches_per_event_publish() {
-        let fed = Federation::new(3, Latency::None, 0);
-        let local = fed.handle(NodeId(0)).unwrap().subscribe(Topic(1));
-        let far = fed.handle(NodeId(1)).unwrap().subscribe_many(&[Topic(1), Topic(2)]);
-        let h = fed.handle(NodeId(0)).unwrap();
-        let batch: Vec<(Topic, bytes::Bytes)> = (0..6u8)
-            .map(|i| (if i < 3 { Topic(1) } else { Topic(2) }, bytes::Bytes::from(vec![i])))
-            .collect();
-        let n = h.publish_batch(&batch);
-        assert_eq!(n, 3 + 6, "3 local deliveries on topic 1, 6 parcels to node 1");
-        for i in 0..3u8 {
-            assert_eq!(local.try_recv().unwrap().payload.as_ref(), &[i]);
-        }
-        // The remote mailbox sees the full batch in publish order.
-        for i in 0..6u8 {
-            let e = far.recv_timeout(RECV).unwrap();
-            assert_eq!(e.payload.as_ref(), &[i]);
-            assert_eq!(e.source, NodeId(0));
-        }
-        let stats = fed.stats();
-        assert_eq!(stats.events_published, 6);
-        assert_eq!(stats.remote_parcels, 6);
-        assert_eq!(h.publish_batch(&[]), 0, "empty batch publishes nothing");
     }
 
     #[test]

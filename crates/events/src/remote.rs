@@ -19,16 +19,17 @@
 //! The wire format is the versioned binary codec of [`crate::wire`]
 //! (4-byte length prefix, version byte, topic, raw payload bytes).
 //!
-//! Both directions of a bridge are batched. The forwarding side rides the
-//! event fast path: all bridged topics feed **one** gateway mailbox
-//! (`subscribe_many`), drained by a single forwarder thread that coalesces
-//! every queued event into one framed buffer and issues one `write_all`
-//! per batch — a burst of *n* parcels costs one syscall, not *n*. The
-//! reader mirrors it: each socket read feeds a [`wire::FrameDecoder`],
-//! every complete buffered frame is drained at once (payloads as
-//! zero-copy views of the batch buffer), and the whole batch is
-//! republished through **one** locked pass
-//! ([`ChannelHandle::publish_batch`]).
+//! The forwarding side batches; the receiving side does not. All bridged
+//! topics feed **one** gateway mailbox (`subscribe_many`), drained by a
+//! single forwarder thread that coalesces every queued event into one
+//! framed buffer and issues one `write_all` per batch — a burst of *n*
+//! parcels costs one syscall, not *n*. The reader feeds each socket read
+//! to a [`wire::FrameDecoder`], drains every complete buffered frame at
+//! once (payloads as zero-copy views of the drained buffer) and
+//! republishes the frames one by one with [`ChannelHandle::publish`]:
+//! bridged reconfiguration traffic drains one to three frames per read,
+//! so a batched republish would have nothing to batch (DESIGN.md
+//! "Single-lock parcels, batched writes").
 //!
 //! Both ends set `TCP_NODELAY`. The forwarder already hands the kernel one
 //! buffer per drained batch, so Nagle's algorithm has nothing left to
@@ -72,8 +73,6 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use bytes::Bytes;
-
 use crate::event::{Event, NodeId, Topic};
 use crate::fanout::{EventReceiver, Mailbox};
 use crate::federation::{ChannelHandle, Federation};
@@ -84,7 +83,7 @@ use crate::wire::{self, FrameDecoder};
 /// buffer growth under sustained floods).
 const MAX_BATCH: usize = 128;
 
-/// Socket read chunk size for the batching reader.
+/// Socket read chunk size for the reader.
 const READ_CHUNK: usize = 64 * 1024;
 
 /// Why a bridge link closed.
@@ -184,7 +183,9 @@ impl ChannelHandle {
 pub struct BridgeHandle {
     link: SharedLink,
     stop: Arc<AtomicBool>,
-    threads: Vec<std::thread::JoinHandle<()>>,
+    /// The link's reader thread (the acceptor, on a listening side), which
+    /// joins the forwarder it started before it ends.
+    thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for BridgeHandle {
@@ -217,7 +218,7 @@ impl BridgeHandle {
 
     fn close(&mut self) {
         close_link(&self.link, &self.stop, BridgeCloseReason::Shutdown);
-        for t in self.threads.drain(..) {
+        if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
     }
@@ -290,7 +291,7 @@ pub fn listen(
         })
         .expect("spawn acceptor");
 
-    Ok((local, BridgeHandle { link, stop, threads: vec![acceptor] }))
+    Ok((local, BridgeHandle { link, stop, thread: Some(acceptor) }))
 }
 
 /// Connects to a listening gateway and bridges `topics` through the local
@@ -328,7 +329,7 @@ pub fn connect(
             run_bridge(&handle, gateway, bridge_stream, mailbox, &bridge_stop, &bridge_link);
         })
         .expect("spawn bridge");
-    Ok(BridgeHandle { link, stop, threads: vec![thread] })
+    Ok(BridgeHandle { link, stop, thread: Some(thread) })
 }
 
 /// Appends one binary frame for `event` to `buf` (skipping gateway-sourced
@@ -347,9 +348,9 @@ fn append_event(buf: &mut Vec<u8>, gateway: NodeId, event: &Event) -> u64 {
 }
 
 /// Runs both directions of one bridge: the batching forwarder (local
-/// mailbox → peer, one coalesced write per drained batch) and the batching
-/// reader (peer → one `publish_batch` per drained frame batch). Any
-/// failure on either side tears the whole link down.
+/// mailbox → peer, one coalesced write per drained batch) and the reader
+/// (peer → one `publish` per decoded frame). Any failure on either side
+/// tears the whole link down.
 fn run_bridge(
     handle: &ChannelHandle,
     gateway: NodeId,
@@ -413,8 +414,7 @@ fn run_bridge(
         })
         .expect("spawn forwarder");
 
-    // Batching reader loop: peer → drained frame batch → one locked
-    // republish pass.
+    // Reader loop: peer → drained frames → one local publish each.
     let mut reader = stream;
     let mut decoder = FrameDecoder::new();
     let mut chunk = vec![0u8; READ_CHUNK];
@@ -430,10 +430,8 @@ fn run_bridge(
             Ok(n) => {
                 decoder.extend(&chunk[..n]);
                 let drained = decoder.drain();
-                if !drained.frames.is_empty() {
-                    let batch: Vec<(Topic, Bytes)> =
-                        drained.frames.into_iter().map(|f| (f.topic, f.payload)).collect();
-                    handle.publish_batch(&batch);
+                for frame in drained.frames {
+                    handle.publish(frame.topic, frame.payload);
                 }
                 if drained.fatal.is_some() {
                     handle.counters().bridge_rx_errors.fetch_add(1, Ordering::Relaxed);
