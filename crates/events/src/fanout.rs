@@ -197,7 +197,11 @@ impl Mailbox {
             }
             s.waiters += 1;
             s = match remaining {
-                Some(r) => self.ready.wait_timeout(s, r).unwrap_or_else(PoisonError::into_inner).0,
+                Some(r) => {
+                    crate::slack::precisely(|| self.ready.wait_timeout(s, r))
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
                 None => self.ready.wait(s).unwrap_or_else(PoisonError::into_inner),
             };
             s.waiters -= 1;
@@ -251,6 +255,11 @@ impl EventReceiver {
     /// Blocks up to `timeout` for an event. A timeout too large to add to
     /// the current instant (e.g. [`Duration::MAX`]) blocks like
     /// [`EventReceiver::recv`].
+    ///
+    /// The wait is precise: on Linux the calling thread's timer slack is
+    /// 1 ns while it waits, so a timeout wakes it within microseconds of
+    /// the deadline rather than up to the default 50 µs slack late, and
+    /// never early. The caller's own slack is restored before this returns.
     ///
     /// # Errors
     ///
@@ -374,7 +383,10 @@ mod tests {
     #[test]
     fn recv_timeout_waits_and_wakes() {
         let (mailbox, rx) = Mailbox::open();
-        assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Err(RecvTimeoutError::Timeout));
+        let asked = Duration::from_millis(10);
+        let start = Instant::now();
+        assert_eq!(rx.recv_timeout(asked), Err(RecvTimeoutError::Timeout));
+        assert!(start.elapsed() >= asked, "a precise timeout is still never early");
         let t = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
             mailbox.push(&ev(7));

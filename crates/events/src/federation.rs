@@ -386,11 +386,13 @@ impl Drop for Federation {
 /// The network thread: delivers every parcel once its `deliver_at` has
 /// passed, in `(deliver_at, seq)` order, and between deliveries always
 /// parks on `net_ready` — timed to the next parcel, untimed while none is
-/// in flight. A timed park wakes late by the timer slack (≈ 60 µs on a
-/// 2-core Linux VM, the reactor's `wake_lateness_p50_us`), so a hop takes
-/// its injected delay plus that slack, never less. A spin would keep hops
-/// exact, but it burns the processor the receiving threads share
-/// (DESIGN.md "Single-lock parcels, batched writes").
+/// in flight. The timed park is precise (the thread's timer slack is 1 ns
+/// while it waits), so a hop takes its injected delay plus the thread's
+/// wake-up latency, never less: ≈ 25 µs at the median for a 300 µs hop on
+/// a 2-core Linux VM, against ≈ 70 µs under the default 50 µs slack. A
+/// spin would keep hops exact, but it burns the processor the receiving
+/// threads share (DESIGN.md "Single-lock parcels, batched writes",
+/// "Precise timed waits").
 fn network_loop(inner: &Arc<Inner>) {
     let mut heap: BinaryHeap<Parcel> = BinaryHeap::new();
     loop {
@@ -407,7 +409,9 @@ fn network_loop(inner: &Arc<Inner>) {
             let wait = heap.peek().map(|p| p.deliver_at.saturating_duration_since(Instant::now()));
             net = match wait {
                 Some(d) => {
-                    inner.net_ready.wait_timeout(net, d).unwrap_or_else(PoisonError::into_inner).0
+                    crate::slack::precisely(|| inner.net_ready.wait_timeout(net, d))
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
                 }
                 None => inner.net_ready.wait(net).unwrap_or_else(PoisonError::into_inner),
             };
@@ -674,9 +678,9 @@ mod tests {
 
     #[test]
     fn sub_2ms_latency_is_never_early() {
-        // A Figure 8-sized delay, under 2 ms, where the timer slack is a
-        // large share of the hop: the network thread's timed park may wake
-        // late, never early, and parcels keep their publish order. Each
+        // A Figure 8-sized delay, under 2 ms, where the wake-up latency is
+        // a large share of the hop: the network thread's precise timed park
+        // may wake late, never early, and parcels keep their publish order. Each
         // publish is stamped before the call, each arrival after `recv`
         // returns, so a hop shorter than the delay is an early delivery.
         const DELAY: StdDuration = StdDuration::from_micros(300);

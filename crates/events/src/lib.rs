@@ -35,12 +35,13 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod event;
 pub mod fanout;
 pub mod federation;
 pub mod remote;
+mod slack;
 pub mod wire;
 
 pub use event::{topics, Event, NodeId, Topic};
