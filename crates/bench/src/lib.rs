@@ -46,14 +46,12 @@ impl ComboResult {
     }
 
     /// Total deadline misses over seeds.
-    #[must_use]
-    pub fn total_misses(&self) -> u64 {
+    fn total_misses(&self) -> u64 {
         self.misses.iter().sum()
     }
 
     /// Mean re-allocations per run.
-    #[must_use]
-    pub fn mean_reallocations(&self) -> f64 {
+    fn mean_reallocations(&self) -> f64 {
         if self.reallocations.is_empty() {
             0.0
         } else {
@@ -62,8 +60,7 @@ impl ComboResult {
     }
 
     /// Worst consecutive-skip run over all seeds.
-    #[must_use]
-    pub fn max_skip_depth(&self) -> u32 {
+    fn max_skip_depth(&self) -> u32 {
         self.skip_depths.iter().copied().max().unwrap_or(0)
     }
 }

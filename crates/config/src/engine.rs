@@ -30,7 +30,7 @@ pub const TASK_MANAGER_NODE: &str = "task-manager";
 
 /// Node name of application processor `p`.
 #[must_use]
-pub fn app_node(p: u16) -> String {
+pub(crate) fn app_node(p: u16) -> String {
     format!("app-{p}")
 }
 
@@ -310,7 +310,7 @@ fn build(
 /// Instance id of the component executing subtask `j` of task `i` on
 /// processor `p`.
 #[must_use]
-pub fn subtask_instance_id(task: usize, subtask: usize, processor: u16) -> String {
+pub(crate) fn subtask_instance_id(task: usize, subtask: usize, processor: u16) -> String {
     format!("task{task}-sub{subtask}@app{processor}")
 }
 

@@ -41,8 +41,7 @@ pub mod spec;
 
 pub use characteristics::{CpsCharacteristics, MappedConfig, OverheadTolerance};
 pub use engine::{
-    app_node, configure, configure_with, subtask_instance_id, summarize, Deployment, EngineError,
-    TASK_MANAGER_NODE,
+    configure, configure_with, summarize, Deployment, EngineError, TASK_MANAGER_NODE,
 };
 pub use plan::{ComponentType, Connection, DeploymentPlan, Instance, PlanError, PropValue};
 pub use spec::{SpecError, SpecKind, SubtaskEntry, TaskEntry, WorkloadSpec};

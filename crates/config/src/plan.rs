@@ -133,11 +133,6 @@ impl DeploymentPlan {
         self.instances.iter().find(|i| i.id == id)
     }
 
-    /// All instances placed on `node`.
-    pub fn instances_on<'a>(&'a self, node: &'a str) -> impl Iterator<Item = &'a Instance> {
-        self.instances.iter().filter(move |i| i.node == node)
-    }
-
     /// The distinct node names, in first-appearance order.
     #[must_use]
     pub fn nodes(&self) -> Vec<&str> {
@@ -310,7 +305,6 @@ mod tests {
         assert!(plan.instance("Central-AC").is_some());
         assert!(plan.instance("nope").is_none());
         assert_eq!(plan.nodes(), vec!["task-manager", "app-0"]);
-        assert_eq!(plan.instances_on("app-0").count(), 1);
         assert_eq!(
             plan.instance("Central-AC").unwrap().property("LB_Strategy"),
             Some(&PropValue::Str("PT".into()))

@@ -545,13 +545,6 @@ impl AdmissionController {
         self.mode
     }
 
-    /// Switches the admission mode. Free at any point: both modes maintain
-    /// the same incremental bookkeeping, the mode only selects the decision
-    /// procedure.
-    pub fn set_mode(&mut self, mode: AdmissionMode) {
-        self.mode = mode;
-    }
-
     /// Hot-swaps the full service configuration, executing the
     /// [`ReconfigPlan`] between the current and the target configuration
     /// (§5's run-time attribute modification, generalized to all three
@@ -978,12 +971,6 @@ impl AdmissionController {
         self.reserved.contains_key(&task)
     }
 
-    /// True if `task` was permanently rejected by a per-task test.
-    #[must_use]
-    pub fn is_rejected(&self, task: TaskId) -> bool {
-        self.rejected_tasks.contains(&task)
-    }
-
     /// Rejects caller-supplied sequence numbers inside the sentinel range
     /// the controller owns for reservations and drained-reservation ids —
     /// without this, a hostile seq near `u64::MAX` could collide with
@@ -1222,7 +1209,7 @@ impl AdmissionController {
     /// for `rtcm_core::analysis::audit_controller` and the differential
     /// harness.
     #[must_use]
-    pub fn entry_bounds(&self) -> Vec<EntryBound> {
+    pub(crate) fn entry_bounds(&self) -> Vec<EntryBound> {
         self.entries
             .iter()
             .enumerate()
@@ -1670,7 +1657,6 @@ mod tests {
         }
         let t = periodic(10, 25, 0);
         assert!(!ac.handle_arrival(&t, 0, Time::ZERO).unwrap().is_accept());
-        assert!(ac.is_rejected(t.id()));
         // Even after the aperiodic load expires, the task stays rejected...
         let d = ac.handle_arrival(&t, 1, at(500)).unwrap();
         assert_eq!(d, Decision::Reject { reason: RejectReason::TaskPreviouslyRejected });
@@ -2204,20 +2190,6 @@ mod tests {
         assert!(ac.reconcile() < 1e-12);
     }
 
-    #[test]
-    fn set_mode_switches_decision_procedure_in_place() {
-        let mut ac = AdmissionController::new(cfg("J_N_N"), 1).unwrap();
-        assert!(ac.handle_arrival(&aperiodic(0, 20, 0), 0, Time::ZERO).unwrap().is_accept());
-        ac.set_mode(AdmissionMode::BruteForce);
-        assert_eq!(ac.mode(), AdmissionMode::BruteForce);
-        assert!(ac.handle_arrival(&aperiodic(1, 20, 0), 0, at(1)).unwrap().is_accept());
-        ac.set_mode(AdmissionMode::Incremental);
-        // The bookkeeping never stopped, so the incremental path picks up
-        // mid-flight: the third task overflows and is rejected.
-        assert!(!ac.handle_arrival(&aperiodic(2, 20, 0), 0, at(2)).unwrap().is_accept());
-        assert!((ac.ledger().utilization(ProcessorId(0)) - 0.4).abs() < 1e-12);
-    }
-
     fn set_of(tasks: &[&TaskSpec]) -> crate::task::TaskSet {
         crate::task::TaskSet::from_tasks(tasks.iter().map(|t| (*t).clone())).unwrap()
     }
@@ -2254,14 +2226,14 @@ mod tests {
         // A second heavy periodic task fails and is sticky-rejected.
         let hog = periodic(1, 40, 0);
         assert!(!ac.handle_arrival(&hog, 0, at(1)).unwrap().is_accept());
-        assert!(ac.is_rejected(hog.id()));
+        assert!(ac.rejected_tasks.contains(&hog.id()));
 
         let report = ac.reconfigure(cfg("J_N_N"), at(10), &set_of(&[&t, &hog])).unwrap();
         assert_eq!(report.reservations_drained, 1);
         assert_eq!(report.rejections_cleared, 1);
         assert_eq!(report.entries_carried, 1);
         assert!(!ac.is_reserved(t.id()));
-        assert!(!ac.is_rejected(hog.id()), "sticky rejection cleared by the swap");
+        assert!(!ac.rejected_tasks.contains(&hog.id()), "sticky rejection cleared by the swap");
         // The drained contribution still guards in-flight jobs...
         assert!((ac.ledger().utilization(ProcessorId(0)) - 0.4).abs() < 1e-12);
         // ...then frees at now + deadline (10 + 100 ms), not a tick before.

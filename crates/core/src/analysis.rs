@@ -26,7 +26,7 @@
 //!     .build()?;
 //! let set = TaskSet::from_tasks([modest])?;
 //! let report = analyze(&set);
-//! assert!(report.is_feasible());
+//! assert!(report.never_admittable().is_empty() && report.contended().is_empty());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -54,14 +54,12 @@ pub struct TaskBound {
 
 impl TaskBound {
     /// True if the task passes the bound alone.
-    #[must_use]
-    pub fn admittable_alone(&self) -> bool {
+    fn admittable_alone(&self) -> bool {
         self.lhs_alone <= 1.0 + BOUND_EPSILON
     }
 
     /// True if the task passes even with everything else current.
-    #[must_use]
-    pub fn admittable_simultaneously(&self) -> bool {
+    fn admittable_simultaneously(&self) -> bool {
         self.lhs_simultaneous <= 1.0 + BOUND_EPSILON
     }
 }
@@ -109,8 +107,7 @@ impl FeasibilityReport {
 
     /// True when every task passes the simultaneous bound: the whole set
     /// can be admitted under any arrival phasing.
-    #[must_use]
-    pub fn is_feasible(&self) -> bool {
+    fn is_feasible(&self) -> bool {
         self.task_bounds.iter().all(TaskBound::admittable_simultaneously)
     }
 }

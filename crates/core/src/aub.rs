@@ -18,12 +18,12 @@
 //! # Examples
 //!
 //! ```
-//! use rtcm_core::aub::{aub_term, satisfies_bound};
+//! use rtcm_core::aub::{aub_term, bound_lhs};
 //!
 //! // A two-stage task across processors at synthetic utilization 0.3:
-//! assert!(satisfies_bound([0.3, 0.3]));
+//! assert!(bound_lhs([0.3, 0.3]) <= 1.0);
 //! // ... but not at 0.5 (f(0.5) = 0.75, and 2 × 0.75 > 1):
-//! assert!(!satisfies_bound([0.5, 0.5]));
+//! assert!(bound_lhs([0.5, 0.5]) > 1.0);
 //! assert!((aub_term(0.5) - 0.75).abs() < 1e-12);
 //! ```
 
@@ -57,13 +57,6 @@ pub fn bound_lhs(utilizations: impl IntoIterator<Item = f64>) -> f64 {
     utilizations.into_iter().map(aub_term).sum()
 }
 
-/// Returns true if a task visiting processors with the given synthetic
-/// utilizations satisfies the AUB condition.
-#[must_use]
-pub fn satisfies_bound(utilizations: impl IntoIterator<Item = f64>) -> bool {
-    bound_lhs(utilizations) <= 1.0 + BOUND_EPSILON
-}
-
 /// The change `f(u_new) − f(u_old)` a processor's utilization step
 /// contributes to the AUB sum of every task visiting it — the delta the
 /// incremental admission path applies to its cached per-entry sums.
@@ -81,31 +74,32 @@ pub fn satisfies_bound(utilizations: impl IntoIterator<Item = f64>) -> bool {
 /// delta-apply once `f` exceeds a comfortable magnitude — the admission
 /// controller uses 1e4, bounding the per-application error near 2e-12.
 #[must_use]
-pub fn aub_delta(u_old: f64, u_new: f64) -> f64 {
+pub(crate) fn aub_delta(u_old: f64, u_new: f64) -> f64 {
     if u_old == u_new {
         return 0.0;
     }
     aub_term(u_new) - aub_term(u_old)
 }
 
-/// The single-processor utilization at which `f(U) = 1`, i.e. the largest
-/// synthetic utilization a one-stage task may observe and still pass:
-/// `2 − √2 ≈ 0.586`, the classic aperiodic utilization bound.
-#[must_use]
-pub fn single_stage_bound() -> f64 {
-    2.0 - std::f64::consts::SQRT_2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The single-processor utilization at which `f(U) = 1`, i.e. the
+    /// largest synthetic utilization a one-stage task may observe and still
+    /// pass: `2 − √2 ≈ 0.586`, the classic aperiodic utilization bound.
+    const SINGLE_STAGE_BOUND: f64 = 2.0 - std::f64::consts::SQRT_2;
+
+    fn passes(utilizations: impl IntoIterator<Item = f64>) -> bool {
+        bound_lhs(utilizations) <= 1.0 + BOUND_EPSILON
+    }
 
     #[test]
     fn term_at_known_points() {
         assert_eq!(aub_term(0.0), 0.0);
         assert!((aub_term(0.5) - 0.75).abs() < 1e-12);
         // f(2 - sqrt(2)) = 1 exactly (algebraically).
-        assert!((aub_term(single_stage_bound()) - 1.0).abs() < 1e-9);
+        assert!((aub_term(SINGLE_STAGE_BOUND) - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -123,7 +117,7 @@ mod tests {
     fn saturated_processor_fails_everything() {
         assert_eq!(aub_term(1.0), f64::INFINITY);
         assert_eq!(aub_term(1.5), f64::INFINITY);
-        assert!(!satisfies_bound([0.0, 1.0]));
+        assert!(!passes([0.0, 1.0]));
     }
 
     #[test]
@@ -133,15 +127,15 @@ mod tests {
 
     #[test]
     fn empty_visit_list_is_trivially_schedulable() {
-        assert!(satisfies_bound(std::iter::empty()));
+        assert!(passes(std::iter::empty()));
         assert_eq!(bound_lhs(std::iter::empty()), 0.0);
     }
 
     #[test]
     fn single_stage_bound_is_the_crossover() {
-        let b = single_stage_bound();
-        assert!(satisfies_bound([b - 1e-6]));
-        assert!(!satisfies_bound([b + 1e-6]));
+        let b = SINGLE_STAGE_BOUND;
+        assert!(passes([b - 1e-6]));
+        assert!(!passes([b + 1e-6]));
     }
 
     #[test]
@@ -170,7 +164,7 @@ mod tests {
     #[test]
     fn epsilon_tolerates_exact_boundary() {
         // A sum that is exactly 1 up to floating error must pass.
-        let u = single_stage_bound();
-        assert!(satisfies_bound([u]));
+        let u = SINGLE_STAGE_BOUND;
+        assert!(passes([u]));
     }
 }

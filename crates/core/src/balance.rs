@@ -154,7 +154,7 @@ impl LoadBalancer {
     /// a stale pin surviving a round trip through per-job could resurrect
     /// a placement chosen against a long-gone load picture). Returns the
     /// number of pins forgotten.
-    pub fn set_strategy(&mut self, strategy: LbStrategy) -> usize {
+    pub(crate) fn set_strategy(&mut self, strategy: LbStrategy) -> usize {
         if strategy == self.strategy {
             return 0;
         }
@@ -216,20 +216,8 @@ impl LoadBalancer {
     }
 
     /// Drops the pinned plan for a task (task departure or rejection).
-    pub fn forget_task(&mut self, task: TaskId) {
+    pub(crate) fn forget_task(&mut self, task: TaskId) {
         self.plans.remove(&task);
-    }
-
-    /// The pinned plan for `task`, if any (only under `PerTask`).
-    #[must_use]
-    pub fn pinned_plan(&self, task: TaskId) -> Option<&Assignment> {
-        self.plans.get(&task)
-    }
-
-    /// Number of pinned plans (diagnostic).
-    #[must_use]
-    pub fn pinned_count(&self) -> usize {
-        self.plans.len()
     }
 }
 
@@ -309,9 +297,10 @@ mod tests {
         load(&mut ledger, first.processor(0).0, 0.9);
         let second = lb.assignment_for(&task, &ledger);
         assert_eq!(first, second);
-        assert_eq!(lb.pinned_plan(task.id()), Some(&first));
+        // Forgetting the pin lets the next job follow the load again.
         lb.forget_task(task.id());
-        assert_eq!(lb.pinned_count(), 0);
+        let third = lb.assignment_for(&task, &ledger);
+        assert_ne!(third.processor(0), first.processor(0));
     }
 
     #[test]

@@ -163,7 +163,7 @@ impl<T> Cpu<T> {
 
     /// Returns true if nothing is running or ready.
     #[must_use]
-    pub fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         self.running.is_none() && self.ready.is_empty()
     }
 

@@ -328,38 +328,6 @@ impl GovernorPolicy {
             .cooldown(3)
     }
 
-    /// The canned **imbalance-triggered LB-axis switch** (the ROADMAP
-    /// leftover on the `Imbalance` gauge): synthetic-utilization spread
-    /// `max_p U_p − min_p U_p` holding above 0.35 for 2 busy windows
-    /// switches to `balanced` — a target whose LB axis is engaged, so
-    /// skewed arrivals start spilling onto replicas — and the spread
-    /// settling below 0.1 for 5 windows relaxes back to `baseline`. The
-    /// asymmetric thresholds are the hysteresis band: a spread oscillating
-    /// inside (0.1, 0.35) trips neither rule, and the policy-wide cooldown
-    /// bounds the swap rate on top.
-    #[must_use]
-    pub fn imbalance_rebalance(baseline: ServiceConfig, balanced: ServiceConfig) -> Self {
-        GovernorPolicy::new()
-            .rule(
-                GovernorRule::new(
-                    "imbalance-rebalance",
-                    Metric::Imbalance,
-                    Trigger::Above(0.35),
-                    2,
-                    balanced,
-                )
-                .min_arrivals(1),
-            )
-            .rule(GovernorRule::new(
-                "rebalance-relax",
-                Metric::Imbalance,
-                Trigger::Below(0.1),
-                5,
-                baseline,
-            ))
-            .cooldown(3)
-    }
-
     /// Validates every rule: targets must satisfy the §4.5 combination
     /// rule, `for_windows ≥ 1`, thresholds finite.
     ///
@@ -596,13 +564,43 @@ mod tests {
         GovernorPolicy::defensive_recovery(cfg("J_N_N"), cfg("T_T_T"))
     }
 
+    /// An **imbalance-triggered LB-axis switch**: synthetic-utilization spread
+    /// `max_p U_p − min_p U_p` holding above 0.35 for 2 busy windows
+    /// switches to `balanced` — a target whose LB axis is engaged, so
+    /// skewed arrivals start spilling onto replicas — and the spread
+    /// settling below 0.1 for 5 windows relaxes back to `baseline`. The
+    /// asymmetric thresholds are the hysteresis band: a spread oscillating
+    /// inside (0.1, 0.35) trips neither rule, and the policy-wide cooldown
+    /// bounds the swap rate on top.
+    fn imbalance_rebalance(baseline: ServiceConfig, balanced: ServiceConfig) -> GovernorPolicy {
+        GovernorPolicy::new()
+            .rule(
+                GovernorRule::new(
+                    "imbalance-rebalance",
+                    Metric::Imbalance,
+                    Trigger::Above(0.35),
+                    2,
+                    balanced,
+                )
+                .min_arrivals(1),
+            )
+            .rule(GovernorRule::new(
+                "rebalance-relax",
+                Metric::Imbalance,
+                Trigger::Below(0.1),
+                5,
+                baseline,
+            ))
+            .cooldown(3)
+    }
+
     #[test]
     fn imbalance_policy_switches_lb_axis_and_relaxes() {
         // A pure LB-axis flip: same admission and idle-reset strategies,
         // load balancing engaged under skew, disengaged once it settles.
         let baseline = cfg("J_N_N");
         let balanced = cfg("J_N_T");
-        let policy = GovernorPolicy::imbalance_rebalance(baseline, balanced);
+        let policy = imbalance_rebalance(baseline, balanced);
         policy.validate().unwrap();
         let mut governor = Governor::new(policy).unwrap();
 
@@ -630,7 +628,7 @@ mod tests {
     #[test]
     fn imbalance_policy_hysteresis_band_holds() {
         // Inside the (0.1, 0.35) band neither rule can ever fire.
-        let policy = GovernorPolicy::imbalance_rebalance(cfg("J_N_N"), cfg("J_N_T"));
+        let policy = imbalance_rebalance(cfg("J_N_N"), cfg("J_N_T"));
         let mut governor = Governor::new(policy).unwrap();
         let wobble = WindowMetrics { arrived_jobs: 10, imbalance: 0.2, ..WindowMetrics::IDLE };
         for _ in 0..32 {

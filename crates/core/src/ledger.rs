@@ -36,7 +36,7 @@ use serde::{Deserialize, Serialize};
 use crate::task::{JobId, ProcessorId};
 
 /// Identifies one subtask's share of one job: what an idle-reset report
-/// names, and the order [`UtilizationLedger::recompute_totals`] is fed in.
+/// names, and the order `UtilizationLedger::recompute_totals` is fed in.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
 )]
@@ -87,7 +87,7 @@ impl ProcTotal {
 #[derive(Debug, Clone)]
 pub struct UtilizationLedger {
     procs: Vec<ProcTotal>,
-    /// Touch-tracking epoch (see [`UtilizationLedger::begin_touch_epoch`]).
+    /// Touch-tracking epoch (see `UtilizationLedger::begin_touch_epoch`).
     epoch: u64,
     /// Last epoch each processor's total was touched in; `0` = never.
     touch_epoch: Vec<u64>,
@@ -116,7 +116,7 @@ impl UtilizationLedger {
     /// at first touch). Without an explicit epoch the record is still
     /// bounded by the processor count (each processor is recorded at most
     /// once per epoch).
-    pub fn begin_touch_epoch(&mut self) {
+    pub(crate) fn begin_touch_epoch(&mut self) {
         self.epoch += 1;
         self.touched.clear();
     }
@@ -169,12 +169,6 @@ impl UtilizationLedger {
     #[must_use]
     pub fn contribution_count(&self, processor: ProcessorId) -> usize {
         self.procs[processor.index()].live
-    }
-
-    /// Total number of live shares.
-    #[must_use]
-    pub fn total_contributions(&self) -> usize {
-        self.procs.iter().map(|p| p.live).sum()
     }
 
     /// Adds a share of `utilization` to `processor`.
@@ -236,7 +230,7 @@ impl UtilizationLedger {
     /// # Panics
     ///
     /// Panics if a share names a processor out of range.
-    pub fn recompute_totals(
+    pub(crate) fn recompute_totals(
         &mut self,
         shares: impl IntoIterator<Item = (ProcessorId, f64)>,
     ) -> f64 {
@@ -291,6 +285,13 @@ mod tests {
     use crate::admission::{AdmissionController, AdmissionError};
     use crate::task::{TaskBuilder, TaskId, TaskSpec};
     use crate::time::{Duration, Time};
+
+    impl UtilizationLedger {
+        /// Total number of live shares.
+        fn total_contributions(&self) -> usize {
+            self.procs.iter().map(|p| p.live).sum()
+        }
+    }
 
     fn key(task: u32, seq: u64, subtask: usize) -> ContributionKey {
         ContributionKey::new(JobId::new(TaskId(task), seq), subtask)

@@ -81,22 +81,3 @@ pub mod shard;
 pub mod strategy;
 pub mod task;
 pub mod time;
-
-/// Convenience re-exports of the most commonly used types.
-pub mod prelude {
-    pub use crate::admission::{AdmissionController, Decision, RejectReason};
-    pub use crate::balance::{Assignment, LoadBalancer};
-    pub use crate::govern::{
-        Governor, GovernorPolicy, GovernorRule, Metric, Trigger, WindowMetrics,
-    };
-    pub use crate::ledger::{ContributionKey, UtilizationLedger};
-    pub use crate::metrics::{DelayStats, UtilizationRatio};
-    pub use crate::priority::{assign_edms, Priority};
-    pub use crate::reconfig::{HandoverReport, ModeSchedule, ReconfigPlan};
-    pub use crate::reset::{IdleResetReport, IdleResetter};
-    pub use crate::strategy::{AcStrategy, IrStrategy, LbStrategy, ServiceConfig};
-    pub use crate::task::{
-        JobId, ProcessorId, SubtaskSpec, TaskBuilder, TaskId, TaskKind, TaskSet, TaskSpec,
-    };
-    pub use crate::time::{Duration, Time};
-}

@@ -193,7 +193,6 @@ impl fmt::Display for DelayStats {
 /// s.record(0, false); // skipped
 /// s.record(0, false); // skipped again
 /// s.record(0, true);  // released
-/// assert_eq!(s.max_consecutive(0), 2);
 /// assert_eq!(s.worst_case(), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -226,12 +225,6 @@ impl SkipTracker {
         }
     }
 
-    /// Longest skip run observed for the `task`-th task.
-    #[must_use]
-    pub fn max_consecutive(&self, task: usize) -> u32 {
-        self.runs.get(task).map_or(0, |&(_, longest)| longest)
-    }
-
     /// Longest skip run observed across all tasks.
     #[must_use]
     pub fn worst_case(&self) -> u32 {
@@ -256,6 +249,13 @@ impl SkipTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SkipTracker {
+        /// Longest skip run observed for the `task`-th task.
+        fn max_consecutive(&self, task: usize) -> u32 {
+            self.runs.get(task).map_or(0, |&(_, longest)| longest)
+        }
+    }
 
     #[test]
     fn ratio_of_empty_is_one() {

@@ -41,8 +41,8 @@ use crate::task::{TaskId, TaskSet, TaskSpec};
 ///
 /// Follows the classic real-time convention: **lower numeric value means
 /// higher urgency**, with `Priority(0)` the most urgent. The derived `Ord`
-/// therefore orders by *numeric level*; use [`Priority::is_higher_than`] or
-/// [`Priority::cmp_urgency`] when you mean urgency.
+/// therefore orders by *numeric level*; use [`Priority::is_higher_than`]
+/// when you mean urgency.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
 )]
@@ -61,7 +61,7 @@ impl Priority {
 
     /// Compares by urgency: `Ordering::Greater` means `self` is more urgent.
     #[must_use]
-    pub fn cmp_urgency(self, other: Priority) -> std::cmp::Ordering {
+    pub(crate) fn cmp_urgency(self, other: Priority) -> std::cmp::Ordering {
         other.0.cmp(&self.0)
     }
 }

@@ -37,7 +37,7 @@
 //! assert!(plan.steps().contains(&TransitionStep::ReseedReservations));
 //!
 //! let schedule = ModeSchedule::new().then_at(Time::ZERO + Duration::from_secs(40), to);
-//! assert_eq!(schedule.active_at(Time::ZERO + Duration::from_secs(50), from), to);
+//! assert_eq!(schedule.changes()[0].services, to);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -142,12 +142,6 @@ impl ReconfigPlan {
     #[must_use]
     pub fn steps(&self) -> &[TransitionStep] {
         &self.steps
-    }
-
-    /// True if the transition changes nothing.
-    #[must_use]
-    pub fn is_noop(&self) -> bool {
-        self.steps.is_empty()
     }
 }
 
@@ -300,13 +294,6 @@ impl ModeSchedule {
         }
         Ok(())
     }
-
-    /// The configuration governing instant `t` under this schedule, given
-    /// the configuration active before the first change.
-    #[must_use]
-    pub fn active_at(&self, t: Time, initial: ServiceConfig) -> ServiceConfig {
-        self.changes.iter().take_while(|c| c.at <= t).last().map_or(initial, |c| c.services)
-    }
 }
 
 impl fmt::Display for ModeSchedule {
@@ -340,7 +327,6 @@ mod tests {
     #[test]
     fn plan_between_identical_configs_is_noop() {
         let plan = ReconfigPlan::between(cfg("J_T_T"), cfg("J_T_T")).unwrap();
-        assert!(plan.is_noop());
         assert_eq!(plan.steps(), &[]);
     }
 
@@ -377,23 +363,26 @@ mod tests {
         for from in ServiceConfig::all_valid() {
             for to in ServiceConfig::all_valid() {
                 let plan = ReconfigPlan::between(from, to).unwrap();
-                assert_eq!(plan.is_noop(), from == to, "{from} -> {to}");
+                assert_eq!(plan.steps().is_empty(), from == to, "{from} -> {to}");
             }
         }
     }
 
     #[test]
-    fn schedule_sorts_and_answers_active_at() {
+    fn schedule_sorts_its_changes() {
         let schedule = ModeSchedule::new()
             .then_at(at(200), cfg("T_T_T"))
             .then_at(at(100), cfg("J_J_J"))
             .then_at(at(300), cfg("J_N_N"));
-        let initial = cfg("J_T_N");
         assert_eq!(schedule.len(), 3);
-        assert_eq!(schedule.active_at(at(0), initial), initial);
-        assert_eq!(schedule.active_at(at(100), initial), cfg("J_J_J"));
-        assert_eq!(schedule.active_at(at(250), initial), cfg("T_T_T"));
-        assert_eq!(schedule.active_at(at(999), initial), cfg("J_N_N"));
+        assert_eq!(
+            schedule.changes(),
+            &[
+                ModeChange { at: at(100), services: cfg("J_J_J") },
+                ModeChange { at: at(200), services: cfg("T_T_T") },
+                ModeChange { at: at(300), services: cfg("J_N_N") },
+            ]
+        );
         schedule.validate().unwrap();
     }
 

@@ -1,9 +1,9 @@
 //! The idle-resetting service (§4.3): the application-processor side of the
 //! AUB resetting rule.
 //!
-//! Subtask components call [`IdleResetter::record_completion`] when a subjob
+//! Subtask components call `IdleResetter::record_completion` when a subjob
 //! finishes (the paper's "Complete" method call); when the processor's
-//! dispatcher runs out of ready work it calls [`IdleResetter::on_idle`],
+//! dispatcher runs out of ready work it calls `IdleResetter::on_idle`,
 //! which — if there is anything new to report — produces an
 //! [`IdleResetReport`] to push to the admission controller as an "Idle
 //! Resetting" event. The resetter only reports "when there is a newly
@@ -18,20 +18,34 @@
 //!
 //! # Examples
 //!
+//! A node step ([`NodeCore`](crate::node::NodeCore)) records each
+//! completion in its resetter and asks it for a report once idle:
+//!
 //! ```
 //! use rtcm_core::ledger::ContributionKey;
-//! use rtcm_core::reset::IdleResetter;
-//! use rtcm_core::strategy::IrStrategy;
-//! use rtcm_core::task::{JobId, ProcessorId, TaskId};
+//! use rtcm_core::node::{NodeCore, Subjob};
+//! use rtcm_core::priority::Priority;
+//! use rtcm_core::task::{JobId, ProcessorId, TaskBuilder, TaskId, TaskSet};
 //! use rtcm_core::time::{Duration, Time};
 //!
-//! let mut ir = IdleResetter::new(IrStrategy::PerTask, ProcessorId(0));
-//! let key = ContributionKey::new(JobId::new(TaskId(3), 0), 0);
-//! ir.record_completion(key, Time::ZERO + Duration::from_millis(100), false);
+//! let alert = TaskBuilder::aperiodic(TaskId(3))
+//!     .deadline(Duration::from_millis(100))
+//!     .subtask(Duration::from_millis(5), ProcessorId(0), [])
+//!     .build()?;
+//! let tasks = TaskSet::from_tasks([alert])?;
+//! let mut node: NodeCore<(), ()> = NodeCore::new("J_T_N".parse()?, ProcessorId(0), 1);
 //!
-//! let report = ir.on_idle(Time::ZERO + Duration::from_millis(10)).expect("new completion");
-//! assert_eq!(report.completed, vec![key]);
-//! assert!(ir.on_idle(Time::ZERO + Duration::from_millis(11)).is_none(), "no repeat");
+//! let job = JobId::new(TaskId(3), 0);
+//! let deadline = Time::ZERO + Duration::from_millis(100);
+//! let stage = Subjob { job, task: 0, subtask: 0, arrival: Time::ZERO, deadline, extra: () };
+//! let run = node.release(Time::ZERO, Priority::HIGHEST, Duration::from_millis(5), stage);
+//! let run = run.expect("an idle processor starts the stage at once");
+//! node.complete(run.completes_at, run.gen, &tasks).expect("not preempted");
+//!
+//! let report = node.idle(run.completes_at).expect("new completion");
+//! assert_eq!(report.completed, vec![ContributionKey::new(job, 0)]);
+//! assert!(node.idle(run.completes_at + Duration::from_millis(1)).is_none(), "no repeat");
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 use serde::{Deserialize, Serialize};
@@ -79,7 +93,7 @@ impl IdleResetter {
     /// filtered by the new one. The §4.5 validity rule is the caller's to
     /// enforce (it depends on the admission-control strategy, which the
     /// resetter does not know).
-    pub fn set_strategy(&mut self, strategy: IrStrategy) {
+    pub(crate) fn set_strategy(&mut self, strategy: IrStrategy) {
         self.strategy = strategy;
     }
 
@@ -87,7 +101,12 @@ impl IdleResetter {
     /// call). `deadline` is the job's absolute end-to-end deadline;
     /// `periodic` says whether the owning task is periodic. Completions the
     /// strategy does not cover are dropped.
-    pub fn record_completion(&mut self, key: ContributionKey, deadline: Time, periodic: bool) {
+    pub(crate) fn record_completion(
+        &mut self,
+        key: ContributionKey,
+        deadline: Time,
+        periodic: bool,
+    ) {
         let record = if periodic {
             self.strategy.resets_periodic()
         } else {
@@ -102,7 +121,7 @@ impl IdleResetter {
     /// any recorded completion is new and unexpired; otherwise `None` (the
     /// idle detector "only reports when there is a newly completed …
     /// subjob whose deadline has not expired").
-    pub fn on_idle(&mut self, now: Time) -> Option<IdleResetReport> {
+    pub(crate) fn on_idle(&mut self, now: Time) -> Option<IdleResetReport> {
         if self.pending.is_empty() {
             return None;
         }

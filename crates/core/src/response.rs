@@ -91,12 +91,6 @@ impl ResponseReport {
     pub fn end_to_end(&self, task: TaskId) -> Option<Duration> {
         self.tasks.iter().find(|t| t.task == task).and_then(TaskResponse::end_to_end)
     }
-
-    /// True if every task's bound converged and proves its deadline.
-    #[must_use]
-    pub fn all_schedulable(&self, tasks: &TaskSet) -> bool {
-        self.tasks.iter().all(|r| tasks.get(r.task).is_some_and(|spec| r.meets(spec.deadline())))
-    }
 }
 
 impl fmt::Display for ResponseReport {
@@ -282,6 +276,15 @@ pub fn analyze_response_times(
 mod tests {
     use super::*;
     use crate::task::{ProcessorId, TaskBuilder};
+
+    impl ResponseReport {
+        /// True if every task's bound converged and proves its deadline.
+        fn all_schedulable(&self, tasks: &TaskSet) -> bool {
+            self.tasks
+                .iter()
+                .all(|r| tasks.get(r.task).is_some_and(|spec| r.meets(spec.deadline())))
+        }
+    }
 
     fn periodic(id: u32, period_ms: u64, stages: &[(u64, u16)]) -> crate::task::TaskSpec {
         let mut b = TaskBuilder::periodic(TaskId(id), Duration::from_millis(period_ms));

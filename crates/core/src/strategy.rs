@@ -113,13 +113,13 @@ impl IrStrategy {
 
     /// Returns true if completed periodic subjobs are reported on idle.
     #[must_use]
-    pub fn resets_periodic(self) -> bool {
+    pub(crate) fn resets_periodic(self) -> bool {
         matches!(self, IrStrategy::PerJob)
     }
 
     /// Returns true if completed aperiodic subjobs are reported on idle.
     #[must_use]
-    pub fn resets_aperiodic(self) -> bool {
+    pub(crate) fn resets_aperiodic(self) -> bool {
         !matches!(self, IrStrategy::None)
     }
 }
@@ -257,7 +257,7 @@ impl ServiceConfig {
     /// locally at the arrival processor, with no manager round trip — it is
     /// decided per task and load balancing does not re-place each job (§5).
     #[must_use]
-    pub fn releases_locally(self, task: &TaskSpec) -> bool {
+    pub(crate) fn releases_locally(self, task: &TaskSpec) -> bool {
         self.decides_per_task(task) && self.lb != LbStrategy::PerJob
     }
 

@@ -274,7 +274,7 @@ impl TaskSpec {
     ///
     /// Panics if `subtask` is out of bounds.
     #[must_use]
-    pub fn subtask_utilization(&self, subtask: usize) -> f64 {
+    pub(crate) fn subtask_utilization(&self, subtask: usize) -> f64 {
         self.subtasks[subtask].execution_time.ratio(self.deadline)
     }
 
@@ -285,13 +285,6 @@ impl TaskSpec {
     #[must_use]
     pub fn job_utilization(&self) -> f64 {
         (0..self.subtasks.len()).map(|j| self.subtask_utilization(j)).sum()
-    }
-
-    /// Returns true if every subtask has at least one replica, i.e. the task
-    /// is eligible for load balancing (criterion C3).
-    #[must_use]
-    pub fn fully_replicated(&self) -> bool {
-        self.subtasks.iter().all(SubtaskSpec::is_replicated)
     }
 }
 
@@ -703,7 +696,6 @@ mod tests {
         let t = two_stage_task(0);
         assert!(t.subtasks()[0].is_replicated());
         assert!(!t.subtasks()[1].is_replicated());
-        assert!(!t.fully_replicated());
     }
 
     #[test]

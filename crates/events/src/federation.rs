@@ -599,6 +599,7 @@ impl std::error::Error for UnknownNodeError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fanout::TryRecvError;
     use std::time::Duration as StdDuration;
 
     const RECV: StdDuration = StdDuration::from_secs(2);
@@ -753,6 +754,23 @@ mod tests {
         h0.publish(Topic(1), &b"after"[..]);
         assert!(local.try_recv().is_ok());
         assert!(remote.recv_timeout(StdDuration::from_millis(50)).is_err());
+    }
+
+    #[test]
+    fn shutdown_delivers_parcels_in_flight() {
+        let mut fed = Federation::new(2, Latency::Constant(StdDuration::from_secs(10)), 0);
+        let h0 = fed.handle(NodeId(0)).unwrap();
+        let remote = fed.handle(NodeId(1)).unwrap().subscribe(Topic(1));
+        assert_eq!(h0.publish(Topic(1), &b"first"[..]), 1);
+        assert_eq!(h0.publish(Topic(1), &b"second"[..]), 1);
+        fed.shutdown();
+        // Both parcels were 10 s from due; shutdown handed them over at
+        // once, in publish order.
+        assert_eq!(remote.try_recv().unwrap().payload.as_ref(), b"first");
+        assert_eq!(remote.try_recv().unwrap().payload.as_ref(), b"second");
+        // Forwarding has stopped: nothing is sent, nothing arrives.
+        assert_eq!(h0.publish(Topic(1), &b"after"[..]), 0);
+        assert_eq!(remote.try_recv().unwrap_err(), TryRecvError::Empty);
     }
 
     #[test]

@@ -386,20 +386,4 @@ mod tests {
         assert_eq!(a.stats().bridge_rx_errors, 1, "receiver counted the corrupt frame");
         assert_eq!(a.stats().bridge_disconnects, 1, "and closed its link");
     }
-
-    #[test]
-    fn truncation_cuts_the_link_mid_frame() {
-        let (a, b, proxy) = bridged_pair();
-        let rx = a.handle(NodeId(1)).unwrap().subscribe(Topic(1));
-        proxy.truncate_next(Direction::Up);
-        b.handle(NodeId(1)).unwrap().publish(Topic(1), &b"cut mid-frame"[..]);
-        let deadline = Instant::now() + RECV;
-        while a.stats().bridge_disconnects == 0 && Instant::now() < deadline {
-            std::thread::sleep(StdDuration::from_millis(5));
-        }
-        let stats = a.stats();
-        assert_eq!(stats.bridge_disconnects, 1, "link died");
-        assert_eq!(stats.bridge_rx_errors, 0, "a truncated frame is a disconnect, not rx junk");
-        assert!(rx.try_recv().is_err(), "the half frame never became an event");
-    }
 }

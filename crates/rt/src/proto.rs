@@ -379,7 +379,7 @@ mod codec {
         }
         /// Checks that exactly `count` elements of `size` bytes remain —
         /// the bound that must hold before a tail is allocated.
-        pub fn expect_tail(&self, count: usize, size: usize) -> Result<(), DecodeError> {
+        pub(super) fn expect_tail(&self, count: usize, size: usize) -> Result<(), DecodeError> {
             if count.checked_mul(size) == Some(self.0.len()) {
                 Ok(())
             } else {

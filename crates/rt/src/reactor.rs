@@ -91,8 +91,7 @@ impl<T> TimerWheel<T> {
     /// Absolute deadline (ns) the owning thread should wake at — the
     /// earliest pending timer's, exactly — or `None` when the list is
     /// empty and the thread can block indefinitely.
-    #[must_use]
-    pub fn next_deadline_ns(&self) -> Option<u64> {
+    fn next_deadline_ns(&self) -> Option<u64> {
         self.entries.first().map(|&(d, _, _)| d)
     }
 
@@ -118,7 +117,7 @@ impl<T> TimerWheel<T> {
 pub enum Wake {
     /// An event arrived on the merged mailbox.
     Event(Event),
-    /// The earliest timer deadline passed — call [`Reactor::poll`].
+    /// The earliest timer deadline passed: `step` fires the due timers.
     Timer,
     /// The mailbox closed: its federation is gone. No runtime thread sees
     /// this while it runs, because each holds a `ChannelHandle`, which

@@ -392,7 +392,7 @@ impl RtMetrics {
     /// (a prepare was published and rolled back) also counts in
     /// [`SystemReport::reconfig_aborts`]; a validation refusal, decided
     /// before any phase went out, counts under its reason alone.
-    pub fn record_abort(&self, reason: ReconfigAbortReason) {
+    pub(crate) fn record_abort(&self, reason: ReconfigAbortReason) {
         let by_reason = match reason {
             ReconfigAbortReason::AckTimeout => &self.reconfig_aborts_ack_timeout,
             ReconfigAbortReason::Validation => &self.reconfig_aborts_validation,
@@ -483,13 +483,13 @@ impl RtMetrics {
     }
 
     /// A job entered the system (arrived at a TE).
-    pub fn job_in(&self) {
+    pub(crate) fn job_in(&self) {
         self.in_flight.fetch_add(1, Ordering::SeqCst);
     }
 
     /// A job left the system (completed, rejected or dropped). Reaching
     /// zero in-flight jobs notifies [`RtMetrics::wait_quiet`] blockers.
-    pub fn job_out(&self) {
+    pub(crate) fn job_out(&self) {
         if self.in_flight.fetch_sub(1, Ordering::SeqCst) <= 1 {
             // Take the lock so the notification cannot slip between a
             // waiter's counter check and its wait.
@@ -507,7 +507,7 @@ impl RtMetrics {
     /// Blocks until no jobs are in flight (completion notification from
     /// [`RtMetrics::job_out`] — no polling). Returns false on timeout.
     #[must_use]
-    pub fn wait_quiet(&self, timeout: StdDuration) -> bool {
+    pub(crate) fn wait_quiet(&self, timeout: StdDuration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut guard = lock(&self.quiet);
         while self.in_flight() > 0 {

@@ -299,8 +299,7 @@ impl Campaign {
 }
 
 /// Checks the campaign invariants on one report; returns the violations.
-#[must_use]
-pub fn check_invariants(report: &FedReport, converge_target: Option<ServiceConfig>) -> Vec<String> {
+fn check_invariants(report: &FedReport, converge_target: Option<ServiceConfig>) -> Vec<String> {
     let mut violations = Vec::new();
 
     // 1. Every initiated epoch resolves.

@@ -61,7 +61,7 @@ impl VirtualClock {
     /// Returns `None` if the local instant is already in the past at
     /// `from_global_ns`.
     #[must_use]
-    pub fn global_for_local(&self, local_ns: u64, from_global_ns: u64) -> Option<u64> {
+    pub(crate) fn global_for_local(&self, local_ns: u64, from_global_ns: u64) -> Option<u64> {
         if local_ns <= self.local_ns(from_global_ns) {
             return None;
         }
@@ -84,7 +84,7 @@ impl VirtualClock {
 
     /// Changes the drift rate to `ppm` at global instant `at_global_ns`,
     /// re-anchoring so the local timeline is continuous at the change.
-    pub fn set_drift(&mut self, at_global_ns: u64, ppm: i64) {
+    pub(crate) fn set_drift(&mut self, at_global_ns: u64, ppm: i64) {
         let local = self.local_ns(at_global_ns);
         self.anchor_global = at_global_ns;
         self.anchor_local = local;

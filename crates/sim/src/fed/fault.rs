@@ -136,26 +136,6 @@ impl FaultSchedule {
         self
     }
 
-    /// Appends a crash-during-prepare: `coordinator` starts a swap to
-    /// `target` at `at_ms`, and `victim` (a required voter) crashes
-    /// `victim_lag_ms` later — within the prepare window if the lag is
-    /// shorter than the ack timeout. The victim restarts after
-    /// `downtime_ms`.
-    pub fn crash_during_prepare(
-        &mut self,
-        coordinator: u16,
-        victim: u16,
-        target: &str,
-        at_ms: u64,
-        victim_lag_ms: u64,
-        downtime_ms: u64,
-    ) -> &mut Self {
-        self.push(at_ms, FaultAction::Swap { host: coordinator, target: target.to_string() });
-        self.push(at_ms + victim_lag_ms, FaultAction::Crash { host: victim });
-        self.push(at_ms + victim_lag_ms + downtime_ms, FaultAction::Restart { host: victim });
-        self
-    }
-
     /// The actions in firing order: stable-sorted by `at_ms`, listed order
     /// preserved within a tie.
     #[must_use]

@@ -964,8 +964,7 @@ impl Federation {
 }
 
 /// The deterministic coordinator identity of a host's manager.
-#[must_use]
-pub fn coordinator_id(host: usize) -> u64 {
+fn coordinator_id(host: usize) -> u64 {
     ((host as u64) + 1) << 32
 }
 
@@ -974,6 +973,28 @@ mod tests {
     use super::*;
     use rtcm_core::time::Duration;
     use rtcm_workload::{ArrivalConfig, RandomWorkload};
+
+    impl FaultSchedule {
+        /// Appends a crash-during-prepare: `coordinator` starts a swap to
+        /// `target` at `at_ms`, and `victim` (a required voter) crashes
+        /// `victim_lag_ms` later — within the prepare window if the lag is
+        /// shorter than the ack timeout. The victim restarts after
+        /// `downtime_ms`.
+        fn crash_during_prepare(
+            &mut self,
+            coordinator: u16,
+            victim: u16,
+            target: &str,
+            at_ms: u64,
+            victim_lag_ms: u64,
+            downtime_ms: u64,
+        ) -> &mut Self {
+            self.push(at_ms, FaultAction::Swap { host: coordinator, target: target.to_string() });
+            self.push(at_ms + victim_lag_ms, FaultAction::Crash { host: victim });
+            self.push(at_ms + victim_lag_ms + downtime_ms, FaultAction::Restart { host: victim });
+            self
+        }
+    }
 
     fn small_spec(seed: u64) -> FedHostSpec {
         let tasks =

@@ -61,7 +61,7 @@ impl Link {
     /// delay, `None` to drop. The draw consumes RNG state even when the
     /// link is down, so healing a partition never shifts the remaining
     /// random sequence between seeds of the same campaign.
-    pub fn delivery_delay(&mut self, rng: &mut StdRng) -> Option<u64> {
+    pub(crate) fn delivery_delay(&mut self, rng: &mut StdRng) -> Option<u64> {
         self.sent += 1;
         let loss_draw: u32 = rng.gen_range(0..1000);
         let jitter_us =

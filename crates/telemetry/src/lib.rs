@@ -35,8 +35,7 @@ pub mod trace;
 
 pub use expo::Exposition;
 pub use metrics::{
-    bucket_index, bucket_upper_bound, Counter, Gauge, Histogram, HistogramSnapshot, MetricKind,
-    Registry, HISTOGRAM_BUCKETS,
+    Counter, Gauge, Histogram, HistogramSnapshot, MetricKind, Registry, HISTOGRAM_BUCKETS,
 };
 pub use oam::{scrape, OamRoutes, OamServer, RouteFn};
 pub use trace::{splitmix64, PackedStage, TraceBuffer, TraceRecord, DEFAULT_TRACE_CAPACITY};

@@ -84,7 +84,7 @@ impl Gauge {
 /// bucket `i` spans `[2^(i-1), 2^i - 1]`.
 #[inline]
 #[must_use]
-pub fn bucket_index(value: u64) -> usize {
+pub(crate) fn bucket_index(value: u64) -> usize {
     if value == 0 {
         0
     } else {
@@ -95,7 +95,7 @@ pub fn bucket_index(value: u64) -> usize {
 /// Inclusive upper bound of bucket `i` (`le` label in the exposition).
 #[inline]
 #[must_use]
-pub fn bucket_upper_bound(i: usize) -> u64 {
+pub(crate) fn bucket_upper_bound(i: usize) -> u64 {
     if i == 0 {
         0
     } else if i >= 63 {
@@ -193,7 +193,7 @@ impl Histogram {
 /// A point-in-time copy of a [`Histogram`], with quantile estimation.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
-    /// Per-bucket sample counts (see [`bucket_index`]).
+    /// Per-bucket sample counts (see `bucket_index`).
     pub buckets: Vec<u64>,
     /// Total samples.
     pub count: u64,

@@ -58,22 +58,9 @@ pub struct OamServer {
 
 impl OamServer {
     /// Binds `addr` (use port 0 for an OS-assigned port) and starts
-    /// serving `routes`. The endpoint is loopback-only: non-local bind
-    /// addresses are refused — use [`OamServer::start_with`] with an
-    /// explicit opt-in to expose the endpoint beyond the host.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from binding, or a non-loopback `addr`.
-    pub fn start(addr: impl ToSocketAddrs, routes: OamRoutes) -> std::io::Result<OamServer> {
-        Self::start_with(addr, routes, false)
-    }
-
-    /// Like [`OamServer::start`], but with the loopback gate explicit:
-    /// `allow_non_local = true` permits binding a non-loopback address
-    /// (e.g. `0.0.0.0`), exposing unauthenticated metrics and traces to
-    /// the network. Keep it `false` unless the deployment really scrapes
-    /// from another host.
+    /// serving `routes`. The endpoint is unauthenticated, so it is
+    /// loopback-only: non-loopback bind addresses are refused; to scrape
+    /// from another host, put a proxy in front of it.
     ///
     /// Every resolved candidate address is tried in turn (matching
     /// [`TcpListener::bind`]'s each-in-turn semantics, with the loopback
@@ -85,21 +72,17 @@ impl OamServer {
     ///
     /// The last bind error if no candidate could be bound, or
     /// [`PermissionDenied`](std::io::ErrorKind::PermissionDenied) if the
-    /// remaining candidates were all non-loopback without the opt-in.
-    pub fn start_with(
-        addr: impl ToSocketAddrs,
-        routes: OamRoutes,
-        allow_non_local: bool,
-    ) -> std::io::Result<OamServer> {
+    /// remaining candidates were all non-loopback.
+    pub fn start(addr: impl ToSocketAddrs, routes: OamRoutes) -> std::io::Result<OamServer> {
         let mut listener = None;
         let mut last_err = None;
         for candidate in addr.to_socket_addrs()? {
-            if !allow_non_local && !candidate.ip().is_loopback() {
+            if !candidate.ip().is_loopback() {
                 last_err = Some(std::io::Error::new(
                     std::io::ErrorKind::PermissionDenied,
                     format!(
                         "refusing non-local OAM bind {candidate}: the endpoint is \
-                         unauthenticated; pass allow_non_local = true to expose it \
+                         unauthenticated; put a proxy in front of it to expose it \
                          beyond loopback"
                     ),
                 ));
@@ -289,12 +272,6 @@ mod tests {
         // Loopback is unaffected.
         let server = OamServer::start("127.0.0.1:0", routes("ok\n", "")).unwrap();
         assert_eq!(scrape(server.addr(), "/metrics").unwrap(), "ok\n");
-        server.shutdown();
-
-        // The explicit opt-in permits a wildcard bind.
-        let server = OamServer::start_with("0.0.0.0:0", routes("wide\n", ""), true).unwrap();
-        let port = server.addr().port();
-        assert_eq!(scrape(("127.0.0.1", port), "/metrics").unwrap(), "wide\n");
         server.shutdown();
     }
 

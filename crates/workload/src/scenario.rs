@@ -56,7 +56,6 @@ use crate::generate::{RandomWorkload, WorkloadError};
 /// let scenario = BurstScenario { processors: vec![0, 2], ..BurstScenario::default() };
 /// let (tasks, trace) = scenario.generate(3)?;
 /// assert!(!trace.is_empty());
-/// assert!(scenario.hits_processor(2) && !scenario.hits_processor(1));
 /// # let _ = tasks;
 /// # Ok::<(), rtcm_workload::WorkloadError>(())
 /// ```
@@ -103,16 +102,8 @@ impl BurstScenario {
         self.burst_start + self.burst_duration
     }
 
-    /// Returns true if `t` lies inside the burst window.
-    #[must_use]
-    pub fn in_burst(&self, t: Time) -> bool {
-        let offset = t.elapsed_since(Time::ZERO);
-        offset >= self.burst_start && offset < self.burst_end()
-    }
-
     /// True if an aperiodic task arriving on `processor` bursts.
-    #[must_use]
-    pub fn hits_processor(&self, processor: u16) -> bool {
+    fn hits_processor(&self, processor: u16) -> bool {
         self.processors.is_empty() || self.processors.contains(&processor)
     }
 
@@ -400,15 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn in_burst_predicate() {
-        let s = scenario();
-        assert!(!s.in_burst(Time::ZERO + Duration::from_secs(29)));
-        assert!(s.in_burst(Time::ZERO + Duration::from_secs(30)));
-        assert!(s.in_burst(Time::ZERO + Duration::from_secs(59)));
-        assert!(!s.in_burst(Time::ZERO + Duration::from_secs(60)));
-    }
-
-    #[test]
     fn rejects_bad_parameters() {
         let mut s = scenario();
         s.intensity = 0.5;
@@ -456,7 +438,11 @@ mod tests {
         assert_eq!(schedule.changes()[0].services, s.defensive);
         assert_eq!(schedule.changes()[1].at, Time::ZERO + Duration::from_secs(70));
         assert_eq!(schedule.changes()[1].services, s.baseline);
-        assert!(s.burst.in_burst(s.switch_at()), "the switch lands mid-burst");
+        let switch = s.switch_at().elapsed_since(Time::ZERO);
+        assert!(
+            s.burst.burst_start <= switch && switch < s.burst.burst_end(),
+            "the switch lands mid-burst"
+        );
         schedule.validate().unwrap();
     }
 

@@ -28,8 +28,3 @@ pub use rtcm_rt as rt;
 pub use rtcm_sim as sim;
 pub use rtcm_telemetry as telemetry;
 pub use rtcm_workload as workload;
-
-/// Widely used types from across the workspace.
-pub mod prelude {
-    pub use rtcm_core::prelude::*;
-}
