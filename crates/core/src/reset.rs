@@ -72,9 +72,10 @@ struct Pending {
 }
 
 /// The configurable idle-resetting component deployed on each application
-/// processor.
+/// processor. Only [`NodeCore`](crate::node::NodeCore) builds and drives
+/// one: outside it a resetter could be built but never used.
 #[derive(Debug, Clone)]
-pub struct IdleResetter {
+pub(crate) struct IdleResetter {
     strategy: IrStrategy,
     processor: ProcessorId,
     pending: Vec<Pending>,
@@ -83,7 +84,7 @@ pub struct IdleResetter {
 impl IdleResetter {
     /// Creates a resetter for `processor` with the given strategy.
     #[must_use]
-    pub fn new(strategy: IrStrategy, processor: ProcessorId) -> Self {
+    pub(crate) fn new(strategy: IrStrategy, processor: ProcessorId) -> Self {
         IdleResetter { strategy, processor, pending: Vec::new() }
     }
 

@@ -88,10 +88,11 @@ pub(crate) struct FanoutCounters {
 impl FanoutCounters {
     pub(crate) fn snapshot(&self) -> FederationStats {
         FederationStats {
+            // First, acquiring what the bridge reader did before counting.
+            bridge_rx_errors: self.bridge_rx_errors.load(Ordering::Acquire),
             events_published: self.published.load(Ordering::Relaxed),
             local_deliveries: self.delivered.load(Ordering::Relaxed),
             remote_parcels: self.remote_parcels.load(Ordering::Relaxed),
-            bridge_rx_errors: self.bridge_rx_errors.load(Ordering::Relaxed),
             bridge_disconnects: self.bridge_disconnects.load(Ordering::Relaxed),
             bridge_tx_dropped: self.bridge_tx_dropped.load(Ordering::Relaxed),
         }

@@ -19,7 +19,7 @@
 //! "Event fast path"):
 //!
 //! * **Snapshot routing (RCU).** Subscriptions build an immutable
-//!   [`RouteTable`] — per `(node, topic)`, the local mailboxes plus the
+//!   `RouteTable` — per `(node, topic)`, the local mailboxes plus the
 //!   precomputed remote destination list — and swap it in under a
 //!   write lock while bumping a generation counter. Publishers never
 //!   mutate shared routing state.
@@ -33,8 +33,11 @@
 //!   receiver, and every receiver observes the same [`bytes::Bytes`]
 //!   payload allocation.
 //! * **Single-lock parcels.** Remote destinations are sequenced,
-//!   latency-sampled and handed to the network thread under **one** `net`
-//!   lock acquisition per publish: its inbox lives behind that same lock.
+//!   latency-sampled and handed to the network under **one** `net` lock
+//!   acquisition per publish: its inbox lives behind that same lock.
+//! * **One delivery step.** [`Network::deliver_due`] lands the due parcels:
+//!   on the wall clock in the network thread, or a [`Federation::stepped`]
+//!   caller's clock.
 //!
 //! Determinism contract: for a fixed seed, a fixed subscription set and a
 //! single publishing thread, delivery order and the sampled parcel
@@ -56,7 +59,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use std::collections::{BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
@@ -109,31 +112,6 @@ impl Latency {
                 }
             }
         }
-    }
-}
-
-struct Parcel {
-    deliver_at: Instant,
-    seq: u64,
-    to: NodeId,
-    event: Event,
-}
-
-impl PartialEq for Parcel {
-    fn eq(&self, other: &Self) -> bool {
-        self.deliver_at == other.deliver_at && self.seq == other.seq
-    }
-}
-impl Eq for Parcel {}
-impl PartialOrd for Parcel {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Parcel {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: earliest (deliver_at, seq) first in the max-heap.
-        (other.deliver_at, other.seq).cmp(&(self.deliver_at, self.seq))
     }
 }
 
@@ -209,21 +187,25 @@ impl Registry {
 }
 
 /// Remote-parcel state: the jitter RNG, the parcel sequencer and the
-/// network thread's inbox share **one** lock so a publish acquires it once
-/// for its whole destination batch.
+/// network's inbox share **one** lock so a publish acquires it once for
+/// its whole destination batch.
 struct NetState {
     rng: StdRng,
     seq: u64,
-    /// Parcels sequenced but not yet taken by the network thread, which
-    /// parks on [`Inner::net_ready`] while it is empty; `None` once shut
-    /// down.
-    inbox: Option<Vec<Parcel>>,
+    /// Parcels `((deliver_at ns, seq), (to, event))` not yet taken by
+    /// [`Network::deliver_due`] (the network thread parks on
+    /// `Inner::net_ready` while it is empty).
+    inbox: Vec<((u64, u64), (NodeId, Event))>,
+    /// Cleared by [`Federation::shutdown`]: nothing is forwarded after it.
+    open: bool,
 }
 
 struct Inner {
     node_count: u16,
     host_id: u64,
     latency: Latency,
+    /// The nanosecond axis parcels are stamped on.
+    now_ns: Box<dyn Fn() -> u64 + Send + Sync>,
     registry: Mutex<Registry>,
     table: RwLock<Arc<RouteTable>>,
     /// Published *after* the table swap (release); handle caches validate
@@ -261,18 +243,6 @@ impl Inner {
             Arc::new(RouteTable { generation, routes });
         self.generation.store(generation, Ordering::Release);
     }
-
-    /// Delivers a network parcel to the destination node's local
-    /// mailboxes.
-    fn deliver_remote(&self, to: NodeId, event: &Event) {
-        let table = self.table.read().unwrap_or_else(PoisonError::into_inner);
-        let Some(route) = table.routes.get(&(to, event.topic)) else { return };
-        let delivered: usize = route.local.iter().map(|mailbox| mailbox.push(event)).sum();
-        drop(table);
-        if delivered > 0 {
-            self.counters.delivered.fetch_add(delivered as u64, Ordering::Relaxed);
-        }
-    }
 }
 
 impl Drop for Inner {
@@ -307,28 +277,45 @@ impl Federation {
     /// jitter sampling.
     #[must_use]
     pub fn new(node_count: u16, latency: Latency, seed: u64) -> Self {
+        let origin = Instant::now();
+        let wall = move || origin.elapsed().as_nanos() as u64;
+        let (mut federation, network) = Federation::stepped(node_count, latency, seed, wall);
+        let thread = std::thread::Builder::new().name("rtcm-events-net".into());
+        let net_thread = thread.spawn(move || network_loop(network)).expect("spawn network thread");
+        federation.net_thread = Some(net_thread);
+        federation
+    }
+
+    /// A federation whose parcels are stamped by `now_ns`, a nanosecond
+    /// clock the caller advances. It spawns no thread: the caller delivers
+    /// parcels by calling [`Network::deliver_due`] on the returned network.
+    #[must_use]
+    pub fn stepped(
+        node_count: u16,
+        latency: Latency,
+        seed: u64,
+        now_ns: impl Fn() -> u64 + Send + Sync + 'static,
+    ) -> (Self, Network) {
         let inner = Arc::new(Inner {
             node_count,
             host_id: mint_host_id(),
             latency,
+            now_ns: Box::new(now_ns),
             registry: Mutex::new(Registry::default()),
             table: RwLock::new(Arc::new(RouteTable { generation: 0, routes: HashMap::new() })),
             generation: AtomicU64::new(0),
             net: Mutex::new(NetState {
                 rng: StdRng::seed_from_u64(seed),
                 seq: 0,
-                inbox: Some(Vec::new()),
+                inbox: Vec::new(),
+                open: true,
             }),
             net_ready: Condvar::new(),
             counters: FanoutCounters::default(),
             bridges: Mutex::new(Vec::new()),
         });
-        let thread_inner = Arc::clone(&inner);
-        let net_thread = std::thread::Builder::new()
-            .name("rtcm-events-net".into())
-            .spawn(move || network_loop(&thread_inner))
-            .expect("spawn network thread");
-        Federation { inner, net_thread: Some(net_thread) }
+        let network = Network { inner: Arc::clone(&inner), queue: BTreeMap::new() };
+        (Federation { inner, net_thread: None }, network)
     }
 
     /// This federation's unique host identity. Events do not carry it; it
@@ -361,18 +348,14 @@ impl Federation {
         Ok(ChannelHandle::new(node, Arc::clone(&self.inner)))
     }
 
-    /// Stops the network thread, delivering any in-flight parcels
-    /// immediately (best effort). Local publish/subscribe keeps working;
-    /// cross-node forwarding stops.
+    /// Stops forwarding; the network thread delivers every parcel in flight
+    /// at once, in `(deliver_at, seq)` order (a stepped federation's stay
+    /// with its [`Network`]). Local publish/subscribe keeps working.
     pub fn shutdown(&mut self) {
-        let unsent = lock(&self.inner.net).inbox.take();
+        lock(&self.inner.net).open = false;
         self.inner.net_ready.notify_one();
         if let Some(t) = self.net_thread.take() {
             let _ = t.join();
-        }
-        // After the thread flushed what it already held, in hand-over order.
-        for p in unsent.into_iter().flatten() {
-            self.inner.deliver_remote(p.to, &p.event);
         }
     }
 }
@@ -383,9 +366,32 @@ impl Drop for Federation {
     }
 }
 
-/// The network thread: delivers every parcel once its `deliver_at` has
-/// passed, in `(deliver_at, seq)` order, and between deliveries always
-/// parks on `net_ready` — timed to the next parcel, untimed while none is
+/// The network's delivery queue, parcels in flight in landing order: the
+/// network thread's, or a [`Federation::stepped`] caller's.
+pub struct Network {
+    inner: Arc<Inner>,
+    queue: BTreeMap<(u64, u64), (NodeId, Event)>,
+}
+
+impl Network {
+    /// The one delivery step: takes the parcels published since the last
+    /// call, delivers every parcel due at `now_ns`, in `(deliver_at, seq)`
+    /// order, and returns the next one's due instant.
+    pub fn deliver_due(&mut self, now_ns: u64) -> Option<u64> {
+        self.queue.extend(lock(&self.inner.net).inbox.drain(..));
+        while let Some(parcel) = self.queue.first_entry().filter(|p| p.key().0 <= now_ns) {
+            let (to, event) = parcel.remove();
+            let table = self.inner.table.read().unwrap_or_else(PoisonError::into_inner);
+            let Some(route) = table.routes.get(&(to, event.topic)) else { continue };
+            let delivered: usize = route.local.iter().map(|mailbox| mailbox.push(&event)).sum();
+            self.inner.counters.delivered.fetch_add(delivered as u64, Ordering::Relaxed);
+        }
+        self.queue.first_key_value().map(|(&(at, _), _)| at)
+    }
+}
+
+/// The network thread: [`Network::deliver_due`] on the wall clock, then a
+/// park on `net_ready` — timed to the next parcel, untimed while none is
 /// in flight. The timed park is precise (the thread's timer slack is 1 ns
 /// while it waits), so a hop takes its injected delay plus the thread's
 /// wake-up latency, never less: ≈ 25 µs at the median for a 300 µs hop on
@@ -393,38 +399,27 @@ impl Drop for Federation {
 /// spin would keep hops exact, but it burns the processor the receiving
 /// threads share (DESIGN.md "Single-lock parcels, batched writes",
 /// "Precise timed waits").
-fn network_loop(inner: &Arc<Inner>) {
-    let mut heap: BinaryHeap<Parcel> = BinaryHeap::new();
+fn network_loop(mut network: Network) {
     loop {
-        let now = Instant::now();
-        while heap.peek().is_some_and(|p| p.deliver_at <= now) {
-            let p = heap.pop().expect("peeked");
-            inner.deliver_remote(p.to, &p.event);
+        let next = network.deliver_due((network.inner.now_ns)());
+        // Park until parcels arrive, the next delivery is due, or shutdown.
+        // The timeout is read after the deliveries, so their cost does not
+        // stretch it.
+        let inner = &network.inner;
+        let net = lock(&inner.net);
+        if !net.open {
+            break;
         }
-        // Park until parcels arrive, the next delivery is due, or shutdown;
-        // whatever woke us, take what is there and look again. The timeout
-        // is read after the deliveries, so their cost does not stretch it.
-        let mut net = lock(&inner.net);
-        if net.inbox.as_ref().is_some_and(Vec::is_empty) {
-            let wait = heap.peek().map(|p| p.deliver_at.saturating_duration_since(Instant::now()));
-            net = match wait {
-                Some(d) => {
-                    crate::slack::precisely(|| inner.net_ready.wait_timeout(net, d))
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0
-                }
-                None => inner.net_ready.wait(net).unwrap_or_else(PoisonError::into_inner),
-            };
+        if !net.inbox.is_empty() {
+            continue;
         }
-        match net.inbox.as_mut() {
-            Some(inbox) => heap.extend(inbox.drain(..)),
-            None => break,
+        match next.map(|at| StdDuration::from_nanos(at.saturating_sub((inner.now_ns)()))) {
+            Some(d) => drop(crate::slack::precisely(|| inner.net_ready.wait_timeout(net, d))),
+            None => drop(inner.net_ready.wait(net)),
         }
     }
     // Shutdown: flush whatever is left, immediately.
-    while let Some(p) = heap.pop() {
-        inner.deliver_remote(p.to, &p.event);
-    }
+    network.deliver_due(u64::MAX);
 }
 
 /// The per-handle route cache: one topic's route, validated against the
@@ -522,7 +517,7 @@ impl ChannelHandle {
 
         let local_delivered: usize = route.local.iter().map(|mailbox| mailbox.push(&event)).sum();
         // The delivered counter takes only the local fan-out here; remote
-        // parcels are counted by `deliver_remote` when they actually land
+        // parcels are counted by `Network::deliver_due` when they land
         // (the return value still reports local deliveries + parcels
         // sent, as documented).
         let mut delivered = local_delivered;
@@ -557,20 +552,20 @@ impl ChannelHandle {
     }
 
     /// Sequences and latency-samples one parcel of `event` per remote
-    /// destination and puts them in the network thread's inbox, all under
+    /// destination and puts them in the network's inbox, all under
     /// one `net` lock acquisition. Destinations ascend, so the per-seed RNG
     /// stream is stable.
     fn send_parcels(&self, remotes: &[NodeId], event: &Event) -> usize {
         let mut guard = lock(&self.inner.net);
         let net = &mut *guard;
-        let Some(inbox) = net.inbox.as_mut() else {
+        if !net.open {
             return 0; // shut down: no forwarding, no RNG consumption
-        };
-        let now = Instant::now();
+        }
+        let now = (self.inner.now_ns)();
         for &to in remotes {
-            let delay = self.inner.latency.sample(&mut net.rng);
+            let delay = self.inner.latency.sample(&mut net.rng).as_nanos() as u64;
             net.seq += 1;
-            inbox.push(Parcel { deliver_at: now + delay, seq: net.seq, to, event: event.clone() });
+            net.inbox.push(((now + delay, net.seq), (to, event.clone())));
         }
         drop(guard);
         self.inner.net_ready.notify_one();
@@ -909,10 +904,12 @@ mod tests {
         // The publish path consumes the jitter RNG once per remote
         // destination, in publish order — so with one remote subscriber,
         // the sampled delay stream is exactly `Latency::sample` on an
-        // identically seeded RNG, and jittered parcels must arrive in the
-        // order of those samples (a later publish with a smaller delay
-        // overtakes). Predicting the order from the samples pins both
-        // halves of the determinism contract at once.
+        // identically seeded RNG. A stepped network lands each parcel at
+        // exactly its publish instant plus that draw, and the network
+        // thread, on the wall clock, must deliver in the stepped order (a
+        // later publish with a smaller delay overtakes). Both halves of
+        // the determinism contract, on both drivers of the one delivery
+        // step.
         const SEED: u64 = 3;
         const N: usize = 8;
         let latency = Latency::Uniform { lo: StdDuration::ZERO, hi: StdDuration::from_millis(400) };
@@ -932,11 +929,34 @@ mod tests {
                 "seed {SEED} samples too close for a timing-robust order: {delays:?}"
             );
         }
-        let mut expected: Vec<(StdDuration, u8)> = delays.iter().copied().zip(0u8..).collect();
-        expected.sort();
-        let expected: Vec<u8> = expected.into_iter().map(|(_, i)| i).collect();
 
-        // The prediction also assumes the publish *instants* are close
+        // The stepped network: publishes 1 µs apart, then every due
+        // instant in turn.
+        let now = Arc::new(AtomicU64::new(0));
+        let clock = Arc::clone(&now);
+        let (fed, mut network) =
+            Federation::stepped(2, latency, SEED, move || clock.load(Ordering::Relaxed));
+        let rx = fed.handle(NodeId(1)).unwrap().subscribe(Topic(1));
+        let h = fed.handle(NodeId(0)).unwrap();
+        for i in 0..N {
+            now.store(i as u64 * 1_000, Ordering::Relaxed);
+            assert_eq!(h.publish(Topic(1), vec![i as u8]), 1);
+        }
+        let mut landed = Vec::new();
+        let mut next = network.deliver_due(now.load(Ordering::Relaxed));
+        while let Some(at) = next {
+            now.store(at, Ordering::Relaxed);
+            next = network.deliver_due(at);
+            landed.extend(std::iter::from_fn(|| rx.try_recv().ok()).map(|e| (e.payload[0], at)));
+        }
+        for &(i, at) in &landed {
+            let drawn = u64::from(i) * 1_000 + delays[usize::from(i)].as_nanos() as u64;
+            assert_eq!(at, drawn, "parcel {i} lands at its drawn instant, not before or after");
+        }
+        let expected: Vec<u8> = landed.iter().map(|&(i, _)| i).collect();
+        assert_eq!(expected.len(), N);
+
+        // The threads match only if the publish *instants* are close
         // together relative to the delay gaps. A descheduled publisher
         // (loaded CI) can stretch them past the 8 ms floor, so attempts
         // whose publish window exceeded half that floor are discarded and

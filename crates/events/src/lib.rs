@@ -46,7 +46,7 @@ pub mod wire;
 
 pub use event::{topics, Event, NodeId, Topic};
 pub use fanout::{EventReceiver, FederationStats, RecvError, RecvTimeoutError, TryRecvError};
-pub use federation::{ChannelHandle, Federation, Latency, UnknownNodeError};
+pub use federation::{ChannelHandle, Federation, Latency, Network, UnknownNodeError};
 pub use remote::{BridgeCloseReason, BridgeHandle, BridgeState};
 
 /// Locks `mutex`, recovering it if a panicking thread poisoned it. Every

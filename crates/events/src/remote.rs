@@ -434,7 +434,6 @@ fn run_bridge(
                     handle.publish(frame.topic, frame.payload);
                 }
                 if drained.fatal.is_some() {
-                    handle.counters().bridge_rx_errors.fetch_add(1, Ordering::Relaxed);
                     break BridgeCloseReason::CorruptFrame;
                 }
             }
@@ -453,6 +452,11 @@ fn run_bridge(
     // One disconnect per established link, counted where the link's pumps
     // end (covers peer loss, write failure, corrupt frames and shutdown).
     handle.counters().bridge_disconnects.fetch_add(1, Ordering::Relaxed);
+    // Counted last (release; the stats snapshot acquires), so whoever reads
+    // a corrupt frame's rx error finds the link closed and counted.
+    if reason == BridgeCloseReason::CorruptFrame {
+        handle.counters().bridge_rx_errors.fetch_add(1, Ordering::Release);
+    }
     let _ = forwarder.join();
 }
 

@@ -25,7 +25,7 @@ pub enum ProcError {
     Spawn(String),
     /// The child's stdout closed or produced garbage where a reply was due.
     Protocol(String),
-    /// No reply line arrived within [`REPLY_TIMEOUT`].
+    /// No reply line arrived within `REPLY_TIMEOUT` (30 s).
     Timeout,
 }
 

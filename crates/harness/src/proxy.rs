@@ -159,7 +159,7 @@ impl FaultProxy {
 
     /// While set, each pump holds one frame back and emits it *after* the
     /// next frame of the same direction — pairwise reordering. A held
-    /// frame with no successor is flushed after one [`TICK`].
+    /// frame with no successor is flushed after one `TICK` (25 ms).
     pub fn set_reorder(&self, on: bool) {
         self.faults.reorder.store(on, Ordering::SeqCst);
     }

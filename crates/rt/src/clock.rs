@@ -10,16 +10,21 @@
 
 use std::time::Instant;
 
-use rtcm_core::time::{Duration, Time};
+use rtcm_core::time::Time;
 
-/// A monotonic nanosecond source a [`crate::reactor::Reactor`] reads.
+/// A monotonic nanosecond source: the one time source of a runtime
+/// handler, read through its [`crate::reactor::Reactor`].
 ///
-/// The threaded runtime implements this with the wall [`Clock`]. The
-/// [`crate::reactor::TimerWheel`] under a reactor never reads a clock, so a
-/// test steps time by passing its own `now_ns` to `TimerWheel::advance`.
+/// The threads run on the wall [`Clock`]; a [`crate::host::Host`] runs the
+/// same handlers on a virtual clock it advances itself.
 pub trait TimerDriver {
     /// Nanoseconds elapsed on this driver's time axis (monotone).
     fn now_ns(&self) -> u64;
+
+    /// [`TimerDriver::now_ns`] on the core time axis.
+    fn now(&self) -> Time {
+        Time::from_nanos(self.now_ns())
+    }
 }
 
 /// A monotonic clock anchored at its creation instant.
@@ -34,12 +39,6 @@ impl Clock {
     pub fn new() -> Self {
         Clock { origin: Instant::now() }
     }
-
-    /// Current time on the shared axis.
-    #[must_use]
-    pub fn now(&self) -> Time {
-        Time::ZERO + Duration::from(self.origin.elapsed())
-    }
 }
 
 impl Default for Clock {
@@ -50,12 +49,14 @@ impl Default for Clock {
 
 impl TimerDriver for Clock {
     fn now_ns(&self) -> u64 {
-        self.now().as_nanos()
+        self.origin.elapsed().as_nanos() as u64
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use rtcm_core::time::Duration;
+
     use super::*;
 
     #[test]

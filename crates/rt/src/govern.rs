@@ -1,5 +1,5 @@
 //! The runtime half of the adaptation governor. It is not a thread:
-//! `System::spawn_governor` hands an [`Attached`] governor to the manager,
+//! `System::spawn_governor` hands an `Attached` governor to the manager,
 //! and each window boundary is an entry on the manager's reactor, beside
 //! the prepare deadline. At a boundary the manager makes the simulator's
 //! one call, [`RtMetrics::sense`], on the admission thread: it reads the
@@ -30,7 +30,6 @@ use rtcm_core::govern::{Governor, GovernorDecision, GovernorPolicy, PolicyError}
 use rtcm_core::strategy::ServiceConfig;
 use rtcm_core::time::Time;
 
-use crate::clock::Clock;
 use crate::manager::{ManagerCtl, ManagerLink, SwapOutcome};
 use crate::stats::RtMetrics;
 use crate::system::{ReconfigReport, ReconfigureError};
@@ -73,7 +72,7 @@ impl GovernorLog {
 pub(crate) struct Attached {
     governor: Governor,
     window_ns: u64,
-    /// Absolute deadline (shared-clock ns) of the next window boundary.
+    /// Absolute deadline (manager-clock ns) of the next window boundary.
     pub(crate) next_ns: u64,
     log: Arc<GovernorLog>,
     lease: Sender<()>,
@@ -198,12 +197,13 @@ impl Drop for GovernorHandle {
 }
 
 /// Hands a governor to the manager behind `manager` (used by
-/// `System::spawn_governor`). Its first boundary is one `window` from now.
+/// `System::spawn_governor`). Its first boundary is one `window` after
+/// `now_ns` on the manager's clock.
 pub(crate) fn attach(
     policy: GovernorPolicy,
     window: StdDuration,
     manager: &ManagerLink,
-    clock: Clock,
+    now_ns: u64,
 ) -> Result<GovernorHandle, PolicyError> {
     let governor = Governor::new(policy)?;
     let window_ns = u64::try_from(window.as_nanos()).unwrap_or(u64::MAX);
@@ -212,7 +212,7 @@ pub(crate) fn attach(
     manager.send(ManagerCtl::AttachGovernor(Attached {
         governor,
         window_ns,
-        next_ns: clock.now().as_nanos().saturating_add(window_ns),
+        next_ns: now_ns.saturating_add(window_ns),
         log: Arc::clone(&log),
         lease,
     }));

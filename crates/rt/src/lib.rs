@@ -9,7 +9,7 @@
 //!   engine's [`rtcm_config::Deployment`] and spins up one task-manager
 //!   node (admission control + load balancing) plus one node per
 //!   application processor (task effector, idle resetter, prioritized
-//!   subtask dispatcher);
+//!   subtask dispatcher); [`host::Host`] steps them on one thread and a virtual clock;
 //! * [`node`] / [`manager`] — the node threads (a node drives the
 //!   simulator's per-processor step, `rtcm_core::node::NodeCore`), each a
 //!   handler of the one reactor loop;
@@ -43,6 +43,7 @@
 
 pub mod clock;
 pub mod govern;
+pub mod host;
 pub mod job_trace;
 pub mod manager;
 pub mod node;

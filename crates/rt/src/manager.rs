@@ -12,7 +12,7 @@
 //!
 //! The manager is also the coordinator of the **two-phase live
 //! reconfiguration protocol** (see DESIGN.md "Live reconfiguration"):
-//! on a [`ManagerCtl::Reconfigure`] request it publishes a *prepare*
+//! on a `ManagerCtl::Reconfigure` request it publishes a *prepare*
 //! event fencing every task effector's local fast path, defers incoming
 //! admission decisions while collecting acks, executes the admission
 //! controller's ledger handover, and publishes *commit* — or *abort*,
@@ -38,7 +38,7 @@ use rtcm_core::task::{ProcessorId, TaskSet};
 use rtcm_core::time::{Duration, Time};
 use rtcm_events::{topics, ChannelHandle, Event, EventReceiver};
 
-use crate::clock::Clock;
+use crate::clock::TimerDriver;
 use crate::govern::{Actuation, Attached, GovernorLog};
 use crate::job_trace;
 use crate::lock;
@@ -101,7 +101,6 @@ pub(crate) struct ManagerConfig {
     pub ac: AdmissionController,
     pub tasks: Arc<TaskSet>,
     pub channel: ChannelHandle,
-    pub clock: Clock,
     pub stats: Arc<RtMetrics>,
     pub processors: u16,
     /// How long the prepare phase waits for node acks before aborting.
@@ -143,7 +142,7 @@ pub(crate) enum MgrTimer {
     GovernorWindow,
 }
 
-pub(crate) struct Manager {
+pub(crate) struct Manager<D> {
     cfg: ManagerConfig,
     /// The swap coordinator — the same machine the federation simulator
     /// drives in virtual time. Its wire identity is unique to this manager,
@@ -159,11 +158,11 @@ pub(crate) struct Manager {
     /// Attached governors, each with its pending window-boundary entry.
     governors: Vec<(TimerId, Attached)>,
     /// Swap deadlines and governor windows (see [`MgrTimer`]).
-    reactor: Reactor<Clock, MgrTimer>,
+    reactor: Reactor<D, MgrTimer>,
 }
 
-impl Manager {
-    pub(crate) fn new(cfg: ManagerConfig) -> Self {
+impl<D: TimerDriver> Manager<D> {
+    pub(crate) fn new(cfg: ManagerConfig, driver: D) -> Self {
         let coordinator = (u64::from(std::process::id()) << 32)
             | NEXT_COORDINATOR.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         Manager {
@@ -171,7 +170,7 @@ impl Manager {
             parked: None,
             queued: VecDeque::new(),
             governors: Vec::new(),
-            reactor: Reactor::new(cfg.clock, DEFAULT_TICK),
+            reactor: Reactor::new(driver, DEFAULT_TICK),
             cfg,
         }
     }
@@ -194,7 +193,7 @@ impl Manager {
         };
         let actuate = self.parked.is_none() && self.queued.is_empty();
         let (timer, governor) = &mut self.governors[at];
-        let now = self.cfg.clock.now();
+        let now = self.reactor.now();
         let decision = governor.close_window(&mut self.cfg.ac, &self.cfg.stats, now, actuate);
         *timer = self.reactor.schedule_at(governor.next_ns, MgrTimer::GovernorWindow);
         if let Some((target, actuation)) = decision {
@@ -206,7 +205,7 @@ impl Manager {
     /// counted (see [`proto::DecodeErrors::receive`]).
     fn decoded<T: Wire>(&mut self, ev: &Event, on: fn(&mut Self, T)) {
         let (m, channel) = (&self.cfg.stats, &self.cfg.channel);
-        if let Some(msg) = m.decode_errors.receive(ev, channel, &m.trace, self.cfg.clock) {
+        if let Some(msg) = m.decode_errors.receive(ev, channel, &m.trace, &self.reactor) {
             on(self, msg);
         }
     }
@@ -223,7 +222,7 @@ impl Manager {
             self.cfg.ac.config(),
             self.cfg.processors,
             remote,
-            self.cfg.clock.now().as_nanos(),
+            self.reactor.now_ns(),
             self.cfg.ack_timeout.as_nanos() as u64,
         );
         match begun {
@@ -265,7 +264,7 @@ impl Manager {
         } else {
             // Phase 2 (commit): every fast path is fenced, so the ledger
             // handover runs race-free while jobs keep executing.
-            let now = self.cfg.clock.now();
+            let now = self.reactor.now();
             let handover = self
                 .cfg
                 .ac
@@ -275,7 +274,7 @@ impl Manager {
             self.publish_phase(&message);
 
             let swap_latency =
-                Duration::from_nanos(self.cfg.clock.now().as_nanos().saturating_sub(started_ns));
+                Duration::from_nanos(self.reactor.now_ns().saturating_sub(started_ns));
             let jobs_in_flight = self.cfg.stats.in_flight();
             let decisions_deferred = deferred.len() as u64;
             let m = &self.cfg.stats;
@@ -318,7 +317,7 @@ impl Manager {
     }
 
     fn on_arrive(&mut self, msg: &ArriveMsg) {
-        let now = self.cfg.clock.now();
+        let now = self.reactor.now();
         let metrics = &self.cfg.stats;
         metrics.comm.record(now.elapsed_since(Time::from_nanos(msg.sent_ns)).as_nanos());
 
@@ -350,7 +349,7 @@ impl Manager {
             Ok(Decision::Accept { assignment, newly_admitted }) => {
                 metrics.trace.record_packed(
                     msg.trace,
-                    self.cfg.clock.now().as_nanos(),
+                    self.reactor.now_ns(),
                     host,
                     &job_trace::ACCEPTED,
                     job_trace::words(msg.job, newly_admitted.into()),
@@ -359,7 +358,7 @@ impl Manager {
                     job_trace::record_reallocation(
                         &metrics.trace,
                         msg.trace,
-                        self.cfg.clock.now().as_nanos(),
+                        self.reactor.now_ns(),
                         host,
                         msg.job,
                         assignment.as_slice(),
@@ -372,7 +371,7 @@ impl Manager {
                     arrival_ns: arrival.as_nanos(),
                     deadline_ns: (arrival + task.deadline()).as_nanos(),
                     newly_admitted,
-                    sent_ns: self.cfg.clock.now().as_nanos(),
+                    sent_ns: self.reactor.now_ns(),
                     trace: msg.trace,
                 };
                 self.cfg.channel.publish(topics::ACCEPT, proto::encode(&reply));
@@ -389,7 +388,7 @@ impl Manager {
         };
         metrics.trace.record_packed(
             msg.trace,
-            self.cfg.clock.now().as_nanos(),
+            self.reactor.now_ns(),
             host,
             stage,
             job_trace::words(msg.job, task_rejected.into()),
@@ -407,7 +406,7 @@ impl Manager {
         if msg.processor >= self.cfg.processors {
             return; // decodable, but no processor of this deployment
         }
-        let now = self.cfg.clock.now();
+        let now = self.reactor.now();
         let keys: Vec<ContributionKey> = msg
             .completed
             .iter()
@@ -425,12 +424,13 @@ impl Manager {
     }
 }
 
-impl Handler for Manager {
+impl<D: TimerDriver> Handler for Manager<D> {
+    type Driver = D;
     type Timer = MgrTimer;
 
     const DRAIN: usize = DRAIN_BATCH;
 
-    fn io(&mut self) -> (&mut Reactor<Clock, MgrTimer>, &EventReceiver) {
+    fn io(&mut self) -> (&mut Reactor<D, MgrTimer>, &EventReceiver) {
         (&mut self.reactor, &self.cfg.mailbox)
     }
 
@@ -451,7 +451,7 @@ impl Handler for Manager {
             // An undecodable vote is no vote, and one arriving outside a
             // prepare window is stale: the machine drops it.
             topics::RECONFIG_ACK => self.decoded(ev, |m, ack: ReconfigAckMsg| {
-                let now_ns = m.cfg.clock.now().as_nanos();
+                let now_ns = m.reactor.now_ns();
                 if let Some(resolution) = m.swap.on_ack(&ack, now_ns) {
                     m.finish_swap(resolution);
                 }
@@ -464,7 +464,7 @@ impl Handler for Manager {
     fn on_timer(&mut self, id: TimerId, timer: MgrTimer) {
         match timer {
             MgrTimer::PrepareDeadline => {
-                let now_ns = self.cfg.clock.now().as_nanos();
+                let now_ns = self.reactor.now_ns();
                 if let Some(resolution) = self.swap.on_deadline(now_ns) {
                     self.finish_swap(resolution);
                 }
@@ -527,6 +527,7 @@ mod tests {
     use rtcm_events::{Federation, Latency, NodeId};
 
     use super::*;
+    use crate::clock::Clock;
     use crate::reactor::{step, Wake};
 
     #[test]
@@ -544,7 +545,6 @@ mod tests {
             tasks: Arc::new(deployment.tasks.clone()),
             mailbox: handle.subscribe_many(&[topics::TASK_ARRIVE, topics::MANAGER_WAKE]),
             channel: handle.clone(),
-            clock: Clock::new(),
             stats: Arc::new(RtMetrics::new()),
             processors: 1,
             ack_timeout: StdDuration::from_secs(600),
@@ -552,7 +552,7 @@ mod tests {
             services: Arc::new(Mutex::new(deployment.services)),
             ctl_rx,
         };
-        let mut manager = Manager::new(cfg);
+        let mut manager = Manager::new(cfg, Clock::new());
         for seq in 0..(DRAIN_BATCH + 50) as u64 {
             let job = JobId::new(TaskId(0), seq);
             let msg = ArriveMsg { job, arrival_proc: 0, arrival_ns: 0, sent_ns: 0, trace: seq };

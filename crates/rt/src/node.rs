@@ -7,7 +7,7 @@
 //!
 //! `NodeCore` is the step the simulator runs too; here its dispatcher, the
 //! preemptive EDMS state machine the AUB analysis assumes, is driven off
-//! the wall clock instead of OS real-time priorities (see DESIGN.md for
+//! the node's clock instead of OS real-time priorities (see DESIGN.md for
 //! this substitution). Execution is simulated ([`ExecMode`]): in
 //! [`ExecMode::Sleep`] the running subjob *is* a timer-wheel entry at its
 //! completion instant and the thread parks on `min(completion, mailbox)`.
@@ -29,7 +29,7 @@ use rtcm_core::task::{JobId, ProcessorId, TaskSet};
 use rtcm_core::time::{Duration, Time};
 use rtcm_events::{topics, ChannelHandle, Event, EventReceiver, Topic};
 
-use crate::clock::Clock;
+use crate::clock::TimerDriver;
 use crate::job_trace;
 use crate::proto::{
     self, AcceptMsg, ArriveMsg, IdleResetMsg, InjectMsg, ReconfigAckMsg, ReconfigMsg,
@@ -68,13 +68,12 @@ pub(crate) struct NodeConfig {
     /// verdicts are: one `TaskSet::position` per message names all three.
     pub priorities: Arc<Vec<Priority>>,
     pub channel: ChannelHandle,
-    pub clock: Clock,
     pub stats: Arc<RtMetrics>,
     pub exec: ExecMode,
     pub mailbox: EventReceiver,
 }
 
-pub(crate) struct Node {
+pub(crate) struct Node<D> {
     cfg: NodeConfig,
     inject_topic: Topic,
     ctl_topic: Topic,
@@ -87,20 +86,20 @@ pub(crate) struct Node {
     /// can never half-apply.
     fence: Option<(u64, u64)>,
     /// Entries are tagged with the generation of the run they complete.
-    reactor: Reactor<Clock, u64>,
+    reactor: Reactor<D, u64>,
     /// The node's one wheel entry: the running subjob's completion. `None`
     /// while nothing runs — and always under [`ExecMode::Noop`].
     completion: Option<TimerId>,
 }
 
-impl Node {
-    pub(crate) fn new(cfg: NodeConfig) -> Self {
+impl<D: TimerDriver> Node<D> {
+    pub(crate) fn new(cfg: NodeConfig, driver: D) -> Self {
         Node {
             inject_topic: topics::inject(cfg.processor),
             ctl_topic: topics::node_ctl(cfg.processor),
             core: NodeCore::new(cfg.services, ProcessorId(cfg.processor), cfg.tasks.len()),
             fence: None,
-            reactor: Reactor::new(cfg.clock, DEFAULT_TICK),
+            reactor: Reactor::new(driver, DEFAULT_TICK),
             completion: None,
             cfg,
         }
@@ -110,7 +109,7 @@ impl Node {
     /// counted (see [`proto::DecodeErrors::receive`]).
     fn decoded<T: Wire>(&mut self, ev: &Event, on: fn(&mut Self, T)) {
         let (m, channel) = (&self.cfg.stats, &self.cfg.channel);
-        if let Some(msg) = m.decode_errors.receive(ev, channel, &m.trace, self.cfg.clock) {
+        if let Some(msg) = m.decode_errors.receive(ev, channel, &m.trace, &self.reactor) {
             on(self, msg);
         }
     }
@@ -135,7 +134,7 @@ impl Node {
                     host: self.cfg.channel.host_id(),
                     processor: self.cfg.processor,
                     vote: proto::ReconfigVote::Ack,
-                    sent_ns: self.cfg.clock.now().as_nanos(),
+                    sent_ns: self.reactor.now_ns(),
                     trace: msg.trace,
                 };
                 self.cfg.channel.publish(topics::RECONFIG_ACK, proto::encode(&ack));
@@ -177,7 +176,7 @@ impl Node {
         m.arrived_jobs.inc();
         m.trace.record_packed(
             inj.trace,
-            self.cfg.clock.now().as_nanos(),
+            self.reactor.now_ns(),
             self.cfg.channel.host_id(),
             &job_trace::ARRIVAL,
             job_trace::words(JobId::new(inj.task, inj.seq), self.cfg.processor.into()),
@@ -192,7 +191,7 @@ impl Node {
         };
         match local {
             Local::Release(assignment) => {
-                let now = self.cfg.clock.now();
+                let now = self.reactor.now();
                 let job = JobId::new(inj.task, inj.seq);
                 let release_proc = assignment[0];
                 m.released_utilization.add(task.job_utilization());
@@ -229,12 +228,12 @@ impl Node {
         }
 
         let hold_start = Instant::now();
-        let arrival_ns = self.cfg.clock.now().as_nanos();
+        let arrival_ns = self.reactor.now_ns();
         let msg = ArriveMsg {
             job: JobId::new(inj.task, inj.seq),
             arrival_proc: self.cfg.processor,
             arrival_ns,
-            sent_ns: self.cfg.clock.now().as_nanos(),
+            sent_ns: self.reactor.now_ns(),
             trace: inj.trace,
         };
         self.cfg.channel.publish(topics::TASK_ARRIVE, proto::encode(&msg));
@@ -260,7 +259,7 @@ impl Node {
             return;
         }
         let release_start = Instant::now();
-        let now = self.cfg.clock.now();
+        let now = self.reactor.now();
         let total = now.elapsed_since(Time::from_nanos(msg.arrival_ns));
         let m = &self.cfg.stats;
         m.released_utilization.add(task.job_utilization());
@@ -335,7 +334,7 @@ impl Node {
             }
         };
         let priority = self.cfg.priorities[stage.task];
-        let started = self.core.release(self.cfg.clock.now(), priority, exec, stage);
+        let started = self.core.release(self.reactor.now(), priority, exec, stage);
         self.follow(started);
     }
 
@@ -349,7 +348,7 @@ impl Node {
             if let Some(previous) = self.completion.take() {
                 self.reactor.cancel(previous);
             }
-            if run.completes_at > self.cfg.clock.now() {
+            if run.completes_at > self.reactor.now() {
                 self.completion =
                     Some(self.reactor.schedule_at(run.completes_at.as_nanos(), run.gen));
                 return;
@@ -362,7 +361,7 @@ impl Node {
     /// either finishes or triggers its next stage. Returns the run the
     /// dispatcher started in its place.
     fn complete(&mut self, gen: u64) -> Option<Started> {
-        let now = self.cfg.clock.now();
+        let now = self.reactor.now();
         let (done, next) = self.core.complete(now, gen, &self.cfg.tasks)?;
         match done {
             Done::Job { stage, response, missed } => {
@@ -402,10 +401,11 @@ impl Node {
     }
 }
 
-impl Handler for Node {
+impl<D: TimerDriver> Handler for Node<D> {
+    type Driver = D;
     type Timer = u64;
 
-    fn io(&mut self) -> (&mut Reactor<Clock, u64>, &EventReceiver) {
+    fn io(&mut self) -> (&mut Reactor<D, u64>, &EventReceiver) {
         (&mut self.reactor, &self.cfg.mailbox)
     }
 
@@ -442,8 +442,8 @@ impl Handler for Node {
     /// sends an idle reset per completion instead of one per idle period.
     /// `NodeCore::idle` reports every pending completion in one call.
     fn settle(&mut self) -> ControlFlow<()> {
-        if let Some(report) = self.core.idle(self.cfg.clock.now()) {
-            let started_ns = self.cfg.clock.now().as_nanos();
+        if let Some(report) = self.core.idle(self.reactor.now()) {
+            let started_ns = self.reactor.now_ns();
             let msg = IdleResetMsg {
                 processor: self.cfg.processor,
                 completed: report.completed.iter().map(|k| (k.job, k.subtask as u32)).collect(),
@@ -464,12 +464,13 @@ mod tests {
     use rtcm_events::{Federation, Latency, NodeId};
 
     use super::*;
+    use crate::clock::Clock;
     use crate::reactor::{step, Wake};
 
     /// A one-processor node under `ExecMode::Noop`, per-job idle resetting,
     /// with its federation (keep it alive) and a subscriber to its idle
     /// resets. No thread runs it: the tests step it by hand.
-    fn noop_node() -> (Federation, Node, EventReceiver) {
+    fn noop_node() -> (Federation, Node<Clock>, EventReceiver) {
         let spec = "workload w\nprocessors 1\n\
                     task t aperiodic deadline=1000ms\n  subtask exec=1ms proc=0\n";
         let spec = WorkloadSpec::parse(spec).unwrap();
@@ -486,12 +487,11 @@ mod tests {
             tasks,
             priorities,
             channel,
-            clock: Clock::new(),
             stats: Arc::new(RtMetrics::new()),
             exec: ExecMode::Noop,
             mailbox,
         };
-        (federation, Node::new(cfg), idle_resets)
+        (federation, Node::new(cfg, Clock::new()), idle_resets)
     }
 
     fn accept(seq: u64) -> Vec<u8> {

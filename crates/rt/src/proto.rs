@@ -27,7 +27,7 @@
 //! # `decode` vs `try_decode`
 //!
 //! Every receiver inside the program decodes with [`try_decode`] (through
-//! [`DecodeErrors::receive`]): a payload that arrives from a mailbox may
+//! `DecodeErrors::receive`): a payload that arrives from a mailbox may
 //! have crossed a TCP bridge from a foreign host, so a malformed one is
 //! dropped and counted, never a panic. The infallible [`decode`] stays
 //! for payloads the caller produced itself — tests, benches, observers.
@@ -37,7 +37,7 @@ use rtcm_core::task::{JobId, TaskId};
 use rtcm_events::{ChannelHandle, Event};
 use rtcm_telemetry::{Counter, TraceBuffer};
 
-use crate::clock::Clock;
+use crate::clock::TimerDriver;
 
 /// Launcher → TE: an arrival injected by `System::submit`. Rides the
 /// federated event channel on the arrival processor's reserved
@@ -739,7 +739,7 @@ impl DecodeErrors {
         ev: &Event,
         channel: &ChannelHandle,
         trace: &TraceBuffer,
-        clock: Clock,
+        clock: &impl TimerDriver,
     ) -> Option<T> {
         match try_decode(&ev.payload) {
             Ok(msg) => Some(msg),
@@ -748,7 +748,7 @@ impl DecodeErrors {
                 let closed = channel.fail_bridges_from(ev.source);
                 trace.record(
                     0,
-                    clock.now().as_nanos(),
+                    clock.now_ns(),
                     channel.host_id(),
                     "decode_error",
                     format!(

@@ -25,7 +25,7 @@
 //! host out of all future quorums.
 //!
 //! The voting/fencing logic itself lives in the pure
-//! [`MemberSm`](crate::quorum_sm::MemberSm) state machine (shared with the
+//! [`MemberSm`] state machine (shared with the
 //! deterministic federation simulator); this module is only the threaded
 //! shell around it. All fence timestamps are read off the member's
 //! [`TimerDriver`] clock — never `Instant` — so the identical machine runs
@@ -101,7 +101,7 @@ impl QuorumMember {
         options: QuorumOptions,
     ) -> Result<Self, UnknownNodeError> {
         let handle = federation.handle(node)?;
-        let member = Member::new(handle.clone(), federation.host_id(), options);
+        let member = Member::new(handle.clone(), federation.host_id(), options, Clock::new());
         let shared = Arc::clone(&member.shared);
         let thread = reactor::spawn("rtcm-quorum-member".into(), member);
         Ok(QuorumMember { host: federation.host_id(), shared, wake: handle, thread: Some(thread) })
@@ -196,31 +196,28 @@ struct Shared {
 /// The delegate thread: the member's state machine behind one mailbox
 /// (reconfiguration phases plus the stop kick) and one timer, the
 /// standing fence's expiry.
-struct Member {
+struct Member<D> {
     host: u64,
     handle: ChannelHandle,
     mailbox: EventReceiver,
-    clock: Clock,
     fence_timeout_ns: u64,
     shared: Arc<Shared>,
-    reactor: Reactor<Clock, ()>,
+    reactor: Reactor<D, ()>,
     /// The wheel entry mirroring the standing fence, keyed by
     /// `(coordinator, epoch)` so a superseding prepare reslots the
     /// deadline.
     fence_timer: Option<(TimerId, (u64, u64))>,
 }
 
-impl Member {
-    fn new(handle: ChannelHandle, host: u64, options: QuorumOptions) -> Self {
-        let clock = Clock::new();
+impl<D: TimerDriver> Member<D> {
+    fn new(handle: ChannelHandle, host: u64, options: QuorumOptions, driver: D) -> Self {
         Member {
             host,
             mailbox: handle.subscribe_many(&[topics::RECONFIG, topics::QUORUM_CTL]),
             handle,
-            clock,
             fence_timeout_ns: options.fence_timeout.as_nanos() as u64,
             shared: Arc::default(),
-            reactor: Reactor::new(clock, DEFAULT_TICK),
+            reactor: Reactor::new(driver, DEFAULT_TICK),
             fence_timer: None,
         }
     }
@@ -246,17 +243,18 @@ impl Member {
                 ("reconfig_abort", format!("foreign epoch {epoch} aborted"), None)
             }
         };
-        self.shared.trace.record(msg.trace, self.clock.now_ns(), self.host, stage, detail);
+        self.shared.trace.record(msg.trace, self.reactor.now_ns(), self.host, stage, detail);
         if let Some(ack) = vote {
             self.handle.publish(topics::RECONFIG_ACK, proto::encode(&ack));
         }
     }
 }
 
-impl Handler for Member {
+impl<D: TimerDriver> Handler for Member<D> {
+    type Driver = D;
     type Timer = ();
 
-    fn io(&mut self) -> (&mut Reactor<Clock, ()>, &EventReceiver) {
+    fn io(&mut self) -> (&mut Reactor<D, ()>, &EventReceiver) {
         (&mut self.reactor, &self.mailbox)
     }
 
@@ -270,8 +268,8 @@ impl Handler for Member {
         // one is dropped, counted, and costs that bridge its link — never
         // this thread.
         let Shared { hold, trace, decode_errors, state, .. } = &*self.shared;
-        if let Some(msg) = decode_errors.receive(ev, &self.handle, trace, self.clock) {
-            let (now_ns, holding) = (self.clock.now_ns(), hold.load(Ordering::SeqCst));
+        if let Some(msg) = decode_errors.receive(ev, &self.handle, trace, &self.reactor) {
+            let (now_ns, holding) = (self.reactor.now_ns(), hold.load(Ordering::SeqCst));
             let reaction =
                 lock(state).on_phase(&msg, self.host, now_ns, self.fence_timeout_ns, holding);
             self.react(&msg, reaction);
@@ -283,7 +281,7 @@ impl Handler for Member {
     /// the stale fence *at* the deadline.
     fn on_timer(&mut self, _: TimerId, (): ()) {
         self.fence_timer = None;
-        lock(&self.shared.state).expire_fence(self.clock.now_ns(), self.fence_timeout_ns);
+        lock(&self.shared.state).expire_fence(self.reactor.now_ns(), self.fence_timeout_ns);
     }
 
     /// Stops once the stop flag is set; otherwise re-syncs the wheel with
@@ -322,7 +320,7 @@ mod tests {
         // A zero timeout makes the fence stale the moment it is raised, so
         // its timer is due at once and nothing sleeps.
         let options = QuorumOptions { fence_timeout: StdDuration::ZERO };
-        let mut member = Member::new(handle.clone(), federation.host_id(), options);
+        let mut member = Member::new(handle.clone(), federation.host_id(), options, Clock::new());
         let prepare = ReconfigMsg {
             coordinator: 1,
             host: federation.host_id() + 1,

@@ -15,10 +15,10 @@
 //! now_ns` — never early — in `(deadline_ns, insertion)` order, and a thread
 //! wakes at the exact deadline: one wakeup per timer, however far away.
 //!
-//! The node, the manager and the quorum member are `Handler`s: one `step`
-//! does everything a thread does between two waits, and `run` is `step`
-//! around [`Reactor::wait`], so a host that supplies the wakes can drive
-//! the same threads.
+//! The node, the manager and the quorum member are `Handler`s that read
+//! time only through their reactor's [`TimerDriver`]: one `step` does
+//! everything a thread does between two waits, `run` is `step` around
+//! [`Reactor::wait`], and [`crate::host::Host`] steps them on its clock.
 
 use std::ops::ControlFlow;
 use std::thread::JoinHandle;
@@ -26,7 +26,7 @@ use std::time::Duration as StdDuration;
 
 use rtcm_events::{Event, EventReceiver, RecvTimeoutError};
 
-use crate::clock::{Clock, TimerDriver};
+use crate::clock::TimerDriver;
 
 /// The tick every runtime reactor is built with. Deadlines are kept
 /// exactly, so it is unused beyond [`TimerWheel::new`]'s non-zero check;
@@ -91,7 +91,7 @@ impl<T> TimerWheel<T> {
     /// Absolute deadline (ns) the owning thread should wake at — the
     /// earliest pending timer's, exactly — or `None` when the list is
     /// empty and the thread can block indefinitely.
-    fn next_deadline_ns(&self) -> Option<u64> {
+    pub(crate) fn next_deadline_ns(&self) -> Option<u64> {
         self.entries.first().map(|&(d, _, _)| d)
     }
 
@@ -130,7 +130,7 @@ pub enum Wake {
 #[derive(Debug)]
 pub struct Reactor<D, T> {
     driver: D,
-    wheel: TimerWheel<T>,
+    pub(crate) wheel: TimerWheel<T>,
 }
 
 impl<D: TimerDriver, T> Reactor<D, T> {
@@ -184,16 +184,24 @@ impl<D: TimerDriver, T> Reactor<D, T> {
     }
 }
 
+impl<D: TimerDriver, T> TimerDriver for Reactor<D, T> {
+    fn now_ns(&self) -> u64 {
+        self.driver.now_ns()
+    }
+}
+
 /// A runtime thread's reactions (RSM's `Runnable`, SNIPPETS.md #1). The
 /// thread owns its reactor and its mailbox; [`step`] calls the hooks.
 pub(crate) trait Handler {
+    /// The clock this handler's reactor reads.
+    type Driver: TimerDriver;
     /// The tag of this thread's timer entries.
     type Timer;
     /// Most mailbox events a step drains after the wake's own; a thread
     /// that polls an out-of-band channel in `settle` caps it.
     const DRAIN: usize = usize::MAX;
     /// The thread's reactor and mailbox.
-    fn io(&mut self) -> (&mut Reactor<Clock, Self::Timer>, &EventReceiver);
+    fn io(&mut self) -> (&mut Reactor<Self::Driver, Self::Timer>, &EventReceiver);
     /// One mailbox event; `Break` stops the thread at once.
     fn on_event(&mut self, ev: &Event) -> ControlFlow<()>;
     /// One due timer, in `(deadline_ns, insertion)` order.

@@ -18,10 +18,10 @@ use rtcm_core::reconfig::HandoverReport;
 use rtcm_core::strategy::{InvalidConfigError, ServiceConfig};
 use rtcm_core::task::{TaskId, TaskSet};
 use rtcm_core::time::Duration;
-use rtcm_events::{topics, ChannelHandle, Federation, FederationStats, Latency, NodeId};
+use rtcm_events::{topics, ChannelHandle, Federation, Latency, NodeId};
 use rtcm_telemetry::{OamRoutes, OamServer};
 
-use crate::clock::Clock;
+use crate::clock::{Clock, TimerDriver};
 use crate::govern::{self, GovernorHandle};
 use crate::lock;
 use crate::manager::{Manager, ManagerConfig, ManagerCtl, ManagerLink};
@@ -187,7 +187,8 @@ impl fmt::Display for ReconfigReport {
     }
 }
 
-/// A running middleware system.
+/// A running middleware system. A [`crate::host::Host`] holds one whose
+/// handlers it steps itself, on no thread of their own.
 ///
 /// # Examples
 ///
@@ -213,11 +214,11 @@ pub struct System {
     tasks: Arc<TaskSet>,
     /// The manager's control channel: swap requests, governor attach /
     /// detach, shutdown.
-    manager: ManagerLink,
+    pub(crate) manager: ManagerLink,
+    driver: Arc<dyn TimerDriver + Send + Sync>,
     /// The active configuration; written by the manager at each commit.
     services: Arc<Mutex<ServiceConfig>>,
     stats: Arc<RtMetrics>,
-    clock: Clock,
     federation: Federation,
     remote_voters: Arc<Mutex<HashSet<u64>>>,
     /// One channel handle per application processor: `submit` publishes
@@ -247,87 +248,13 @@ impl System {
     /// combination is invalid — impossible for deployments built by
     /// `rtcm-config`, which validates first.
     pub fn launch(deployment: &Deployment, options: RtOptions) -> Result<Self, LaunchError> {
-        let procs = deployment.processors;
-        let tasks = Arc::new(deployment.tasks.clone());
-        // By task position, the form the nodes index.
-        let priorities: Arc<Vec<Priority>> =
-            Arc::new(tasks.iter().map(|t| deployment.priorities[&t.id()]).collect());
-        let services = deployment.services;
-        let ac = AdmissionController::new(services, procs as usize)
-            .map_err(LaunchError::InvalidConfig)?;
-
-        let clock = Clock::new();
-        let stats = Arc::new(RtMetrics::new());
-        // Node 0 is the task manager; app processor p is node p + 1.
-        let federation = Federation::new(procs + 1, options.latency, options.seed);
-
-        let mut handles = Vec::with_capacity(procs as usize + 1);
-
-        let (mgr_ctl_tx, mgr_ctl_rx) = channel();
-        let remote_voters: Arc<Mutex<HashSet<u64>>> = Arc::new(Mutex::new(HashSet::new()));
-        let active = Arc::new(Mutex::new(services));
-        // Subscribe every consumer on this thread, before any node runs, so
-        // no early publication can be dropped for lack of subscribers.
-        let mgr_channel = federation.handle(NodeId(0)).expect("node 0 exists");
-        let mgr_mailbox = mgr_channel.subscribe_many(&[
-            topics::TASK_ARRIVE,
-            topics::IDLE_RESET,
-            topics::RECONFIG_ACK,
-            topics::MANAGER_WAKE,
-        ]);
-        let manager = ManagerLink { ctl: mgr_ctl_tx, wake: mgr_channel.clone() };
-        let mgr_cfg = ManagerConfig {
-            ac,
-            tasks: Arc::clone(&tasks),
-            channel: mgr_channel,
-            clock,
-            stats: Arc::clone(&stats),
-            processors: procs,
-            ack_timeout: options.reconfig_ack_timeout,
-            remote_voters: Arc::clone(&remote_voters),
-            services: Arc::clone(&active),
-            ctl_rx: mgr_ctl_rx,
-            mailbox: mgr_mailbox,
-        };
-        handles.push(reactor::spawn("rtcm-manager".into(), Manager::new(mgr_cfg)));
-
-        let mut node_handles = Vec::with_capacity(procs as usize);
-        for p in 0..procs {
-            let channel = federation.handle(NodeId(p + 1)).expect("app nodes exist");
-            let mailbox = channel.subscribe_many(&[
-                topics::ACCEPT,
-                topics::REJECT,
-                topics::TRIGGER,
-                topics::RECONFIG,
-                topics::inject(p),
-                topics::node_ctl(p),
-            ]);
-            node_handles.push(channel.clone());
-            let cfg = NodeConfig {
-                processor: p,
-                services,
-                tasks: Arc::clone(&tasks),
-                priorities: Arc::clone(&priorities),
-                channel,
-                clock,
-                stats: Arc::clone(&stats),
-                exec: options.exec,
-                mailbox,
-            };
-            handles.push(reactor::spawn(format!("rtcm-app-{p}"), Node::new(cfg)));
+        let federation = Federation::new(deployment.processors + 1, options.latency, options.seed);
+        let (mut system, manager, nodes) = wire(deployment, options, federation, &Clock::new())?;
+        system.handles.push(reactor::spawn("rtcm-manager".into(), manager));
+        for (p, node) in nodes.into_iter().enumerate() {
+            system.handles.push(reactor::spawn(format!("rtcm-app-{p}"), node));
         }
-
-        Ok(System {
-            tasks,
-            manager,
-            services: active,
-            stats,
-            clock,
-            federation,
-            remote_voters,
-            node_handles,
-            handles,
-        })
+        Ok(system)
     }
 
     /// The active strategy combination (reflects runtime reconfiguration:
@@ -412,7 +339,7 @@ impl System {
         window: StdDuration,
     ) -> Result<GovernorHandle, rtcm_core::govern::PolicyError> {
         assert!(!window.is_zero(), "governor window must be positive");
-        govern::attach(policy, window, &self.manager, self.clock)
+        govern::attach(policy, window, &self.manager, self.driver.now_ns())
     }
 
     /// Registers a TCP-bridged federation (by its `Federation::host_id`)
@@ -470,12 +397,6 @@ impl System {
     #[must_use]
     pub fn tasks(&self) -> &TaskSet {
         &self.tasks
-    }
-
-    /// The shared runtime clock.
-    #[must_use]
-    pub fn clock(&self) -> Clock {
-        self.clock
     }
 
     /// Injects job `seq` of `task` at the task effector of its arrival
@@ -564,7 +485,14 @@ impl System {
     /// drops, remote parcels, bridge errors/disconnects) merged in.
     #[must_use]
     pub fn stats(&self) -> SystemReport {
-        self.merged_report()
+        let (mut report, events) = (self.stats.snapshot(), self.federation.stats());
+        report.events_published = events.events_published;
+        report.events_delivered = events.local_deliveries;
+        report.remote_parcels = events.remote_parcels;
+        report.bridge_rx_errors = events.bridge_rx_errors;
+        report.bridge_disconnects = events.bridge_disconnects;
+        report.bridge_tx_dropped = events.bridge_tx_dropped;
+        report
     }
 
     /// The live telemetry plane: every counter, gauge and histogram the
@@ -607,13 +535,7 @@ impl System {
     #[must_use]
     pub fn shutdown(mut self) -> SystemReport {
         self.stop_threads();
-        self.merged_report()
-    }
-
-    fn merged_report(&self) -> SystemReport {
-        let mut report = self.stats.snapshot();
-        fold_federation(&mut report, &self.federation.stats());
-        report
+        self.stats()
     }
 
     fn stop_threads(&mut self) {
@@ -633,15 +555,87 @@ impl Drop for System {
     }
 }
 
-/// Merges the federation's event-path counters into a report snapshot.
-fn fold_federation(report: &mut SystemReport, events: &FederationStats) {
-    report.events_published = events.events_published;
-    report.events_delivered = events.local_deliveries;
-    report.remote_parcels = events.remote_parcels;
-    report.bridge_rx_errors = events.bridge_rx_errors;
-    report.bridge_disconnects = events.bridge_disconnects;
-    report.bridge_tx_dropped = events.bridge_tx_dropped;
+/// The handlers of `deployment` on `federation`, each on a copy of `driver`, and the
+/// [`System`] fronting them, with no thread yet: the manager on `NodeId(0)`, application
+/// processor `p` on `NodeId(p + 1)`. `System::launch` spawns them; the host steps them.
+pub(crate) fn wire<D: TimerDriver + Clone + Send + Sync + 'static>(
+    deployment: &Deployment,
+    options: RtOptions,
+    federation: Federation,
+    driver: &D,
+) -> Result<Wired<D>, LaunchError> {
+    let procs = deployment.processors;
+    let tasks = Arc::new(deployment.tasks.clone());
+    // By task position, the form the nodes index.
+    let priorities: Arc<Vec<Priority>> =
+        Arc::new(tasks.iter().map(|t| deployment.priorities[&t.id()]).collect());
+    let services = deployment.services;
+    let stats = Arc::new(RtMetrics::new());
+    let (mgr_ctl_tx, mgr_ctl_rx) = channel();
+    let remote_voters: Arc<Mutex<HashSet<u64>>> = Arc::new(Mutex::new(HashSet::new()));
+    let active = Arc::new(Mutex::new(services));
+    // Subscribe every consumer here, before any handler runs, so no early
+    // publication can be dropped for lack of subscribers.
+    let mgr_channel = federation.handle(NodeId(0)).expect("node 0 exists");
+    let mgr_mailbox = mgr_channel.subscribe_many(&[
+        topics::TASK_ARRIVE,
+        topics::IDLE_RESET,
+        topics::RECONFIG_ACK,
+        topics::MANAGER_WAKE,
+    ]);
+    let manager = ManagerLink { ctl: mgr_ctl_tx, wake: mgr_channel.clone() };
+    let mgr_cfg = ManagerConfig {
+        ac: AdmissionController::new(services, procs as usize)
+            .map_err(LaunchError::InvalidConfig)?,
+        tasks: Arc::clone(&tasks),
+        channel: mgr_channel,
+        stats: Arc::clone(&stats),
+        processors: procs,
+        ack_timeout: options.reconfig_ack_timeout,
+        remote_voters: Arc::clone(&remote_voters),
+        services: Arc::clone(&active),
+        ctl_rx: mgr_ctl_rx,
+        mailbox: mgr_mailbox,
+    };
+    let (mut node_handles, mut nodes) = (Vec::new(), Vec::new());
+    for p in 0..procs {
+        let channel = federation.handle(NodeId(p + 1)).expect("app nodes exist");
+        let mailbox = channel.subscribe_many(&[
+            topics::ACCEPT,
+            topics::REJECT,
+            topics::TRIGGER,
+            topics::RECONFIG,
+            topics::inject(p),
+            topics::node_ctl(p),
+        ]);
+        node_handles.push(channel.clone());
+        let cfg = NodeConfig {
+            processor: p,
+            services,
+            tasks: Arc::clone(&tasks),
+            priorities: Arc::clone(&priorities),
+            channel,
+            stats: Arc::clone(&stats),
+            exec: options.exec,
+            mailbox,
+        };
+        nodes.push(Node::new(cfg, driver.clone()));
+    }
+    let system = System {
+        tasks,
+        manager,
+        driver: Arc::new(driver.clone()),
+        services: active,
+        stats,
+        federation,
+        remote_voters,
+        node_handles,
+        handles: Vec::new(),
+    };
+    Ok((system, Manager::new(mgr_cfg, driver.clone()), nodes))
 }
+
+type Wired<D> = (System, Manager<D>, Vec<Node<D>>);
 
 /// Scaled due time for a replayed arrival: `nanos / speed` in u128 integer
 /// math. The speed factor is held as the rational `num / 1e9`, so every

@@ -2,7 +2,7 @@
 //!
 //! [`Exposition`] is a plain text builder: callers append counters, gauges
 //! and histograms from wherever the values live — the lock-free
-//! [`Registry`](crate::Registry) renders itself through it, and the
+//! [`Registry`] renders itself through it, and the
 //! runtime appends its mutex-held report counters the same way, so one
 //! scrape shows the whole system. Output is deterministic in append
 //! order; the golden test pins names, labels and HELP/TYPE lines.
