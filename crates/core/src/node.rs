@@ -1,7 +1,7 @@
 //! One application processor's step (Figure 3): the task effector's
 //! per-task verdict cache, the idle resetter and the prioritized subtask
 //! dispatcher, composed once. The simulator drives one [`NodeCore`] per
-//! processor in virtual time and the runtime's node thread its own off the
+//! processor in virtual time and the runtime's node handler its own off the
 //! wall clock; each only moves messages, keeps the time, and picks the
 //! instant it calls [`NodeCore::idle`].
 //!

@@ -68,10 +68,10 @@ pub mod topics {
     pub const RECONFIG_ACK: Topic = Topic(7);
 
     /// Base of the reserved per-node control range (`0x4000_0000..`):
-    /// topics the runtime mints per processor so launcher↔node control
-    /// traffic (injected arrivals, shutdown) rides the same federated
-    /// channel — and the same fast path — as every middleware event.
-    /// Application topics should stay below this range.
+    /// topics the runtime mints so launcher→node control traffic (injected
+    /// arrivals, wake-up kicks) rides the same federated channel — and the
+    /// same fast path — as every middleware event. Application topics
+    /// should stay below this range.
     pub const CONTROL_BASE: u32 = 0x4000_0000;
 
     /// Launcher → TE of `processor`: an injected arrival
@@ -79,12 +79,6 @@ pub mod topics {
     #[must_use]
     pub const fn inject(processor: u16) -> Topic {
         Topic(CONTROL_BASE | processor as u32)
-    }
-
-    /// Launcher → node thread of `processor`: stop (payload ignored).
-    #[must_use]
-    pub const fn node_ctl(processor: u16) -> Topic {
-        Topic(CONTROL_BASE | 0x0100_0000 | processor as u32)
     }
 
     /// Launcher → task manager: a control request (a swap, a governor

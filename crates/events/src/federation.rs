@@ -37,7 +37,8 @@
 //!   acquisition per publish: its inbox lives behind that same lock.
 //! * **One delivery step.** [`Network::deliver_due`] lands the due parcels:
 //!   on the wall clock in the network thread, or a [`Federation::stepped`]
-//!   caller's clock.
+//!   caller's clock. A caller that steps a federation on the wall clock
+//!   waits in [`Network::park`] for the next parcel or for a publish.
 //!
 //! Determinism contract: for a fixed seed, a fixed subscription set and a
 //! single publishing thread, delivery order and the sampled parcel
@@ -61,7 +62,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::time::{Duration as StdDuration, Instant};
 
@@ -214,6 +215,9 @@ struct Inner {
     /// The network thread waits on `net_ready` with this lock.
     net: Mutex<NetState>,
     net_ready: Condvar,
+    /// Rung by every publish that delivers or sends something; only
+    /// [`Network::park`] waits on it.
+    bell: Bell,
     counters: FanoutCounters,
     /// TCP bridges currently running on this federation (see
     /// [`ChannelHandle::fail_bridges_from`]).
@@ -252,6 +256,32 @@ impl Drop for Inner {
         let reg = self.registry.get_mut().unwrap_or_else(PoisonError::into_inner);
         for mailbox in reg.subs.values().flatten() {
             mailbox.close();
+        }
+    }
+}
+
+/// What wakes the one thread stepping a federation on the wall clock: a
+/// ring count every publish bumps, and a condvar it is notified on only
+/// while that thread is parked, so a publish costs two atomics, not a
+/// system call.
+#[derive(Default)]
+struct Bell {
+    rings: AtomicU64,
+    parked: AtomicBool,
+    lock: Mutex<()>,
+    rung: Condvar,
+}
+
+impl Bell {
+    fn ring(&self) {
+        self.rings.fetch_add(1, Ordering::SeqCst);
+        // Sequentially consistent with `park`'s store-then-load: either the
+        // parker reads this ring, or this reads `parked`; then taking the
+        // lock, which the parker holds until it waits, puts the notify
+        // after the wait began.
+        if self.parked.load(Ordering::SeqCst) {
+            drop(lock(&self.lock));
+            self.rung.notify_one();
         }
     }
 }
@@ -311,10 +341,11 @@ impl Federation {
                 open: true,
             }),
             net_ready: Condvar::new(),
+            bell: Bell::default(),
             counters: FanoutCounters::default(),
             bridges: Mutex::new(Vec::new()),
         });
-        let network = Network { inner: Arc::clone(&inner), queue: BTreeMap::new() };
+        let network = Network { inner: Arc::clone(&inner), queue: BTreeMap::new(), rings: 0 };
         (Federation { inner, net_thread: None }, network)
     }
 
@@ -371,6 +402,8 @@ impl Drop for Federation {
 pub struct Network {
     inner: Arc<Inner>,
     queue: BTreeMap<(u64, u64), (NodeId, Event)>,
+    /// The bell's ring count when the last delivery step began.
+    rings: u64,
 }
 
 impl Network {
@@ -378,6 +411,7 @@ impl Network {
     /// call, delivers every parcel due at `now_ns`, in `(deliver_at, seq)`
     /// order, and returns the next one's due instant.
     pub fn deliver_due(&mut self, now_ns: u64) -> Option<u64> {
+        self.rings = self.inner.bell.rings.load(Ordering::SeqCst);
         self.queue.extend(lock(&self.inner.net).inbox.drain(..));
         while let Some(parcel) = self.queue.first_entry().filter(|p| p.key().0 <= now_ns) {
             let (to, event) = parcel.remove();
@@ -387,6 +421,26 @@ impl Network {
             self.inner.counters.delivered.fetch_add(delivered as u64, Ordering::Relaxed);
         }
         self.queue.first_key_value().map(|(&(at, _), _)| at)
+    }
+
+    /// Parks the calling thread until `until_ns` on the federation's clock
+    /// (untimed for `None`) or until a publish, whichever comes first; it
+    /// returns at once if something was published since the last
+    /// [`Network::deliver_due`] began. A caller that found nothing to do
+    /// after that step parks here without missing a publish from another
+    /// thread. The timed park is precise, as the network thread's is.
+    pub fn park(&self, until_ns: Option<u64>) {
+        let bell = &self.inner.bell;
+        let guard = lock(&bell.lock);
+        bell.parked.store(true, Ordering::SeqCst);
+        if bell.rings.load(Ordering::SeqCst) == self.rings {
+            let now_ns = (self.inner.now_ns)();
+            match until_ns.map(|at| StdDuration::from_nanos(at.saturating_sub(now_ns))) {
+                Some(wait) => drop(crate::slack::precisely(|| bell.rung.wait_timeout(guard, wait))),
+                None => drop(bell.rung.wait(guard)),
+            }
+        }
+        bell.parked.store(false, Ordering::SeqCst);
     }
 }
 
@@ -526,6 +580,9 @@ impl ChannelHandle {
         }
         if local_delivered > 0 {
             counters.delivered.fetch_add(local_delivered as u64, Ordering::Relaxed);
+        }
+        if delivered > 0 {
+            self.inner.bell.ring();
         }
         delivered
     }

@@ -2,7 +2,7 @@
 //! `System::spawn_governor` hands an `Attached` governor to the manager,
 //! and each window boundary is an entry on the manager's reactor, beside
 //! the prepare deadline. At a boundary the manager makes the simulator's
-//! one call, [`RtMetrics::sense`], on the admission thread: it reads the
+//! one call, [`RtMetrics::sense`], in the admission step: it reads the
 //! cumulative counters off the registry, prunes the current set at the
 //! boundary, reads AUB slack and imbalance off the ledger, differences the
 //! counters ([`rtcm_core::govern::Governor::sense`]) and books the window
@@ -66,7 +66,7 @@ impl GovernorLog {
     }
 }
 
-/// One attached governor, owned by the manager thread. It and each of its
+/// One attached governor, owned by the manager. It and each of its
 /// [`Actuation`]s hold a clone of `lease`, a sender nothing is sent on:
 /// [`GovernorHandle::stop`] returns once the last clone drops.
 pub(crate) struct Attached {

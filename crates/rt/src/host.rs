@@ -1,26 +1,32 @@
-//! The deterministic host: the runtime's own handlers — the manager and
-//! one node per application processor, built by the one wiring
-//! `System::launch` uses — stepped on one thread over a virtual clock.
+//! The deterministic host, and the one loop every launched
+//! [`System`] runs: the runtime's own handlers — the manager and one node
+//! per application processor, built by the one wiring — stepped on one
+//! thread.
 //!
 //! A [`Host`] is not a second runtime and not the simulator. It owns no
 //! component logic: every reaction is the handler's `reactor::step`, and
 //! every cross-node hop is the federation's own delivery step
 //! ([`rtcm_events::Network::deliver_due`]) on a network that spawns no
-//! thread. What the host adds is the schedule:
+//! thread. What the loop adds is the schedule, one move at a time:
 //!
 //! 1. deliver every parcel due now;
 //! 2. among the handlers with a queued event or a due timer, pick one with
 //!    the seeded RNG (the tie rule);
 //! 3. step it, with `Wake::Timer` if a timer is due, else with the event
 //!    it pops — the order a thread's `Reactor::wait` returns them in;
-//! 4. when nothing is ready, jump the clock to the earliest pending
-//!    parcel or timer.
+//! 4. when nothing is ready, wait for the earliest pending parcel or
+//!    timer.
 //!
-//! Time advances only in step 4, so a step takes no virtual time: an
+//! The host and a launched [`System`] differ only in step 4. The host runs
+//! on a virtual clock and jumps it, so a step takes no virtual time: an
 //! admission round trip under `Latency::None` completes at its arrival
 //! instant, and `ExecMode::Sleep` subjobs complete at their exact
 //! completion instants. One seed gives one run: `RtOptions::seed` draws
-//! the latency jitter and breaks the ties.
+//! the latency jitter and breaks the ties. A launched system's one thread
+//! runs on the wall clock and parks instead
+//! ([`rtcm_events::Network::park`]) until that instant or until another
+//! thread publishes into the federation: a `submit`, a control request to
+//! the manager, a bridge reader.
 //!
 //! # Examples
 //!
@@ -58,7 +64,7 @@ use rtcm_core::time::Time;
 use rtcm_events::{Federation, Network};
 use rtcm_telemetry::splitmix64;
 
-use crate::clock::TimerDriver;
+use crate::clock::{Clock, TimerDriver};
 use crate::manager::{Manager, ManagerCtl};
 use crate::node::Node;
 use crate::reactor::{self, Handler, Wake};
@@ -83,22 +89,16 @@ impl TimerDriver for HostClock {
 /// the [module docs](self)).
 pub struct Host {
     /// The front end the threads' callers hold too; its handlers are the
-    /// ones below, and none of them has a thread.
+    /// ones below, and no thread runs them.
     system: System,
-    clock: HostClock,
-    network: Network,
-    manager: Manager<HostClock>,
-    nodes: Vec<Node<HostClock>>,
-    /// The tie rule's state: a splitmix64 counter seeded from
-    /// `RtOptions::seed`.
-    ties: u64,
+    handlers: Handlers<HostClock>,
 }
 
 impl fmt::Debug for Host {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Host")
             .field("now", &self.now())
-            .field("processors", &self.nodes.len())
+            .field("processors", &self.handlers.nodes.len())
             .finish()
     }
 }
@@ -112,22 +112,14 @@ impl Host {
     ///
     /// As [`crate::System::launch`].
     pub fn launch(deployment: &Deployment, options: RtOptions) -> Result<Self, LaunchError> {
-        let clock = HostClock(Arc::new(AtomicU64::new(0)));
-        let network_clock = clock.clone();
-        let (federation, network) = Federation::stepped(
-            deployment.processors + 1,
-            options.latency,
-            options.seed,
-            move || network_clock.now_ns(),
-        );
-        let (system, manager, nodes) = wire(deployment, options, federation, &clock)?;
-        Ok(Host { system, clock, network, manager, nodes, ties: options.seed })
+        let (system, handlers) = wire(deployment, options, HostClock(Arc::default()))?;
+        Ok(Host { system, handlers })
     }
 
     /// The current virtual instant.
     #[must_use]
     pub fn now(&self) -> Time {
-        self.clock.now()
+        self.handlers.clock.now()
     }
 
     /// Injects job `seq` of `task` at the current instant, as
@@ -145,7 +137,7 @@ impl Host {
     /// clock to `until` (it never goes back).
     pub fn run_until(&mut self, until: Time) {
         while self.advance(until.as_nanos()) {}
-        self.clock.0.fetch_max(until.as_nanos(), Ordering::Relaxed);
+        self.handlers.clock.0.fetch_max(until.as_nanos(), Ordering::Relaxed);
     }
 
     /// Steps until nothing is pending: no event, no parcel, no timer.
@@ -210,40 +202,102 @@ impl Host {
         self.system.stats()
     }
 
-    /// One move: delivers the parcels due now, then steps one ready
-    /// handler, picked by the tie rule; with none ready, jumps the clock
-    /// to the earliest pending parcel or timer if that is not past
-    /// `horizon`. False when nothing is pending up to `horizon`.
+    /// One move of the loop; with nothing ready, jumps the clock to the
+    /// earliest pending parcel or timer if that is not past `horizon`.
+    /// False when nothing is pending up to `horizon`.
     fn advance(&mut self, horizon: u64) -> bool {
+        match self.handlers.advance() {
+            Move::Stepped => true,
+            Move::Idle(Some(at)) if at <= horizon => {
+                self.handlers.clock.0.store(at, Ordering::Relaxed);
+                true
+            }
+            Move::Idle(_) => false,
+            Move::Stopped => unreachable!("a hosted manager stopped; only a launched one is"),
+        }
+    }
+}
+
+/// The handlers of one deployment and the network between them, on one
+/// clock: what a [`Host`] and a launched [`System`]'s thread step.
+pub(crate) struct Handlers<D> {
+    clock: D,
+    network: Network,
+    manager: Manager<D>,
+    nodes: Vec<Node<D>>,
+    /// The tie rule's state: a splitmix64 counter seeded from
+    /// `RtOptions::seed`.
+    ties: u64,
+    /// The handlers ready in the current move (kept to reuse its buffer).
+    ready: Vec<usize>,
+}
+
+/// What one [`Handlers::advance`] did.
+enum Move {
+    /// It stepped one handler.
+    Stepped,
+    /// Nothing was ready; the earliest pending parcel or timer, if any.
+    Idle(Option<u64>),
+    /// The manager took `ManagerCtl::Shutdown`: the loop ends.
+    Stopped,
+}
+
+impl<D: TimerDriver> Handlers<D> {
+    pub(crate) fn new(
+        clock: D,
+        network: Network,
+        manager: Manager<D>,
+        nodes: Vec<Node<D>>,
+        seed: u64,
+    ) -> Self {
+        Handlers { clock, network, manager, nodes, ties: seed, ready: Vec::new() }
+    }
+
+    /// One move: delivers the parcels due now, then steps one ready
+    /// handler, picked by the tie rule.
+    fn advance(&mut self) -> Move {
         let now = self.clock.now_ns();
         let mut next = self.network.deliver_due(now);
-        let mut ready = Vec::new();
+        self.ready.clear();
         let pending = std::iter::once(ready_at(&mut self.manager, now))
             .chain(self.nodes.iter_mut().map(|node| ready_at(node, now)));
         for (at, handler) in pending.zip(0..) {
             match at {
-                Some(at) if at <= now => ready.push(handler),
+                Some(at) if at <= now => self.ready.push(handler),
                 Some(at) => next = Some(next.map_or(at, |n| n.min(at))),
                 None => {}
             }
         }
-        if ready.is_empty() {
-            return match next.filter(|&at| at <= horizon) {
-                Some(at) => {
-                    self.clock.0.store(at, Ordering::Relaxed);
-                    true
-                }
-                None => false,
-            };
+        if self.ready.is_empty() {
+            return Move::Idle(next);
         }
         self.ties = self.ties.wrapping_add(1);
-        let pick = ready[(splitmix64(self.ties) % ready.len() as u64) as usize];
+        let pick = self.ready[(splitmix64(self.ties) % self.ready.len() as u64) as usize];
         let flow = match pick {
             0 => wake(&mut self.manager, now),
             p => wake(&mut self.nodes[p - 1], now),
         };
-        assert!(flow.is_continue(), "a hosted handler stopped; the host never stops one");
-        true
+        match flow {
+            ControlFlow::Continue(()) => Move::Stepped,
+            ControlFlow::Break(()) => Move::Stopped,
+        }
+    }
+}
+
+impl Handlers<Clock> {
+    /// A launched [`System`]'s one thread: the host's moves on the wall
+    /// clock, parked where the host would jump its clock, until the
+    /// manager takes `ManagerCtl::Shutdown`. Parcels still in flight then
+    /// land at once, as a federation's shutdown lands its own.
+    pub(crate) fn run(mut self) {
+        loop {
+            match self.advance() {
+                Move::Stepped => {}
+                Move::Idle(next) => self.network.park(next),
+                Move::Stopped => break,
+            }
+        }
+        self.network.deliver_due(u64::MAX);
     }
 }
 

@@ -1,18 +1,21 @@
 //! # rtcm-rt
 //!
-//! The threaded middleware runtime of **rtcm**: real threads, real wall
-//! clocks, the federated event channel in between — the substitute for the
-//! paper's CIAO/TAO deployment on a six-machine testbed, and the substrate
-//! on which the Figure 8 overhead table is measured.
+//! The middleware runtime of **rtcm**: the paper's components as event
+//! handlers on wall clocks, the federated event channel in between — the
+//! substitute for the paper's CIAO/TAO deployment on a six-machine
+//! testbed, and the substrate on which the Figure 8 overhead table is
+//! measured.
 //!
 //! * [`system::System`] — the DAnCE-style launcher: takes the configuration
-//!   engine's [`rtcm_config::Deployment`] and spins up one task-manager
+//!   engine's [`rtcm_config::Deployment`] and starts one task-manager
 //!   node (admission control + load balancing) plus one node per
 //!   application processor (task effector, idle resetter, prioritized
-//!   subtask dispatcher); [`host::Host`] steps them on one thread and a virtual clock;
-//! * [`node`] / [`manager`] — the node threads (a node drives the
-//!   simulator's per-processor step, `rtcm_core::node::NodeCore`), each a
-//!   handler of the one reactor loop;
+//!   subtask dispatcher), all stepped by one thread on the wall clock;
+//! * [`host`] — that thread's loop, and [`host::Host`], the same loop on
+//!   the caller's thread and a virtual clock;
+//! * [`node`] / [`manager`] — the node and manager handlers (a node drives
+//!   the simulator's per-processor step, `rtcm_core::node::NodeCore`),
+//!   each stepped through the one `reactor::step`;
 //! * [`proto`] — the event payloads ("Task Arrive", "Accept", "Trigger",
 //!   "Idle Resetting");
 //! * [`stats`] — shared measurement, including per-operation delays
@@ -20,13 +23,12 @@
 //! * [`clock`] — the shared time axis that makes one-way delays measurable,
 //!   plus the [`clock::TimerDriver`] trait a reactor reads it through;
 //! * [`reactor`] — the event-driven core: a sorted list of exact timer
-//!   deadlines, the single blocking wait on `min(next timer, mailbox)`
-//!   every runtime thread parks on (zero wakeups when idle), and the one
-//!   `step` that drives the node, manager and quorum-member handlers;
+//!   deadlines per handler, the one `step` that drives the node, manager
+//!   and quorum-member handlers, and the single blocking wait on
+//!   `min(next timer, mailbox)` the quorum member's thread parks on;
 //! * [`govern`] — the adaptation governor (`System::spawn_governor`):
 //!   windowed load sensing driving automatic reconfiguration, closed by
-//!   the manager thread at window-boundary timer entries (no thread of
-//!   its own);
+//!   the manager at window-boundary timer entries (no thread of its own);
 //! * [`quorum`] — the voting delegate that makes a TCP-bridged federation
 //!   a full reconfiguration prepare-quorum member;
 //! * [`quorum_sm`] — the pure coordinator/member state machines of the
@@ -34,7 +36,7 @@
 //!   deterministic federation (time is injected, never read).
 //!
 //! Scheduling substitution (see DESIGN.md): instead of OS real-time
-//! priorities, each node thread drives its `NodeCore`'s preemptive
+//! priorities, each node drives its `NodeCore`'s preemptive
 //! fixed-priority dispatcher, as the simulator does (see [`node`]).
 
 #![warn(missing_docs)]

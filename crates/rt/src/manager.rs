@@ -17,10 +17,10 @@
 //! admission decisions while collecting acks, executes the admission
 //! controller's ledger handover, and publishes *commit* — or *abort*,
 //! restoring the old configuration, if a node never acks. The protocol
-//! itself is the pure [`CoordinatorSm`]; this thread only moves its
+//! itself is the pure [`CoordinatorSm`]; this handler only moves its
 //! messages and arms its timer.
 //!
-//! The thread is a reactor handler (`crate::reactor`): `on_event` handles
+//! The manager is a reactor handler (`crate::reactor`): `on_event` handles
 //! the mailbox, `on_timer` the prepare deadline and every attached
 //! governor's window boundary (see [`crate::govern`]; a governor's decision
 //! is one more swap request), and `settle` polls the control channel.
@@ -62,7 +62,7 @@ enum SwapReply {
     Governor(Actuation),
 }
 
-/// Control requests to the manager thread, the one out-of-band channel
+/// Control requests to the manager, the one out-of-band channel
 /// beside its mailbox.
 pub(crate) enum ManagerCtl {
     /// Run the two-phase swap to `target` and reply with the outcome.
@@ -115,7 +115,7 @@ pub(crate) struct ManagerConfig {
     pub ctl_rx: Receiver<ManagerCtl>,
     /// The manager's single inbox — "Task Arrive", "Idle Resetting",
     /// reconfiguration acks and `topics::MANAGER_WAKE` kicks merged in
-    /// publish order. Subscribed by the launcher before any thread starts
+    /// publish order. Subscribed by the launcher before any handler runs
     /// (no startup race).
     pub mailbox: EventReceiver,
 }
@@ -131,8 +131,8 @@ const DRAIN_BATCH: usize = 256;
 static NEXT_COORDINATOR: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
 
 /// Timer tags for the manager's reactor. With no swap pending and no
-/// governor attached its list is empty and the thread blocks on the
-/// mailbox indefinitely.
+/// governor attached its list is empty and the manager is stepped only
+/// for its mailbox.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum MgrTimer {
     /// The prepare phase's ack deadline passed — abort the swap.
@@ -435,7 +435,7 @@ impl<D: TimerDriver> Handler for Manager<D> {
     }
 
     /// The one event dispatch, inside a prepare window and out.
-    fn on_event(&mut self, ev: &Event) -> ControlFlow<()> {
+    fn on_event(&mut self, ev: &Event) {
         match ev.topic {
             topics::TASK_ARRIVE => self.decoded(ev, |m, msg: ArriveMsg| {
                 // Quiesce-free: running subjobs continue through a swap;
@@ -458,7 +458,6 @@ impl<D: TimerDriver> Handler for Manager<D> {
             }),
             _ => {}
         }
-        ControlFlow::Continue(())
     }
 
     fn on_timer(&mut self, id: TimerId, timer: MgrTimer) {

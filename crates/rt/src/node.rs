@@ -1,21 +1,23 @@
-//! An application-processor node: one thread driving the processor's
-//! [`NodeCore`] — the task effector, the idle resetter, and the prioritized
-//! subtask dispatcher (the F/I and Last Subtask components of Figure 3) —
-//! as a reactor handler (`crate::reactor`): `on_event` decodes and routes
-//! one message, `on_timer` completes the running subjob, and `settle`
-//! declares idleness once the step has drained the mailbox.
+//! An application-processor node: a reactor handler (`crate::reactor`)
+//! driving the processor's [`NodeCore`] — the task effector, the idle
+//! resetter, and the prioritized subtask dispatcher (the F/I and Last
+//! Subtask components of Figure 3): `on_event` decodes and routes one
+//! message, `on_timer` completes the running subjob, and `settle` declares
+//! idleness once the step has drained the mailbox. The nodes and the
+//! manager of one system are stepped by one thread (`crate::host`).
 //!
 //! `NodeCore` is the step the simulator runs too; here its dispatcher, the
 //! preemptive EDMS state machine the AUB analysis assumes, is driven off
 //! the node's clock instead of OS real-time priorities (see DESIGN.md for
 //! this substitution). Execution is simulated ([`ExecMode`]): in
 //! [`ExecMode::Sleep`] the running subjob *is* a timer-wheel entry at its
-//! completion instant and the thread parks on `min(completion, mailbox)`.
+//! completion instant, and the node is stepped again at that instant or
+//! at its next event, whichever comes first.
 //! A more urgent arrival preempts the moment it is received: the
 //! dispatcher banks the time the preempted run consumed and the entry is
 //! re-aimed at the new run. That entry is the only one a node ever holds,
 //! so a subjob costs one timer wake-up however long it runs, and an idle
-//! node blocks on its mailbox indefinitely: **zero wakeups while idle**.
+//! node is not stepped at all: **zero wakeups while idle**.
 
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -52,14 +54,13 @@ pub enum ExecMode {
 /// next trigger names, and the trace id.
 type Stage = Subjob<(Vec<u16>, u64)>;
 
-/// Everything a node thread needs at spawn time.
+/// Everything a node needs at launch.
 ///
 /// The **mailbox** is the node's single inbox: one subscription merging
 /// accept/reject/trigger/reconfig traffic with this processor's reserved
-/// inject and control topics, created by the *launcher* before any thread
-/// starts, so no publication can race past an unsubscribed consumer. One
-/// queue means one wait point and a global FIFO over everything the node
-/// reacts to.
+/// inject topic, created by the *launcher* before any handler runs, so no
+/// publication can race past an unsubscribed consumer. One queue means one
+/// readiness test and a global FIFO over everything the node reacts to.
 pub(crate) struct NodeConfig {
     pub processor: u16,
     pub services: ServiceConfig,
@@ -76,7 +77,6 @@ pub(crate) struct NodeConfig {
 pub(crate) struct Node<D> {
     cfg: NodeConfig,
     inject_topic: Topic,
-    ctl_topic: Topic,
     core: NodeCore<Vec<u16>, (Vec<u16>, u64)>,
     /// Set between a reconfiguration *prepare* and its *commit*/*abort*,
     /// keyed by `(coordinator, epoch)`: while fenced, the TE fast path is
@@ -96,7 +96,6 @@ impl<D: TimerDriver> Node<D> {
     pub(crate) fn new(cfg: NodeConfig, driver: D) -> Self {
         Node {
             inject_topic: topics::inject(cfg.processor),
-            ctl_topic: topics::node_ctl(cfg.processor),
             core: NodeCore::new(cfg.services, ProcessorId(cfg.processor), cfg.tasks.len()),
             fence: None,
             reactor: Reactor::new(driver, DEFAULT_TICK),
@@ -410,19 +409,17 @@ impl<D: TimerDriver> Handler for Node<D> {
     }
 
     /// Routes one mailbox event to its handler. All node input — protocol
-    /// events, injected arrivals, shutdown — arrives through the single
-    /// mailbox in publish order.
-    fn on_event(&mut self, ev: &Event) -> ControlFlow<()> {
+    /// events and injected arrivals — arrives through the single mailbox in
+    /// publish order.
+    fn on_event(&mut self, ev: &Event) {
         match ev.topic {
             topics::ACCEPT => self.decoded(ev, Self::on_accept),
             topics::REJECT => self.decoded(ev, Self::on_reject),
             topics::TRIGGER => self.decoded(ev, Self::on_trigger),
             topics::RECONFIG => self.decoded(ev, Self::on_reconfig),
             topic if topic == self.inject_topic => self.decoded(ev, Self::on_inject),
-            topic if topic == self.ctl_topic => return ControlFlow::Break(()),
             _ => {}
         }
-        ControlFlow::Continue(())
     }
 
     /// The running subjob's completion instant.
@@ -480,7 +477,7 @@ mod tests {
         let federation = Federation::new(1, Latency::None, 7);
         let channel = federation.handle(NodeId(0)).unwrap();
         let idle_resets = channel.subscribe(topics::IDLE_RESET);
-        let mailbox = channel.subscribe_many(&[topics::ACCEPT, topics::node_ctl(0)]);
+        let mailbox = channel.subscribe(topics::ACCEPT);
         let cfg = NodeConfig {
             processor: 0,
             services: deployment.services,
@@ -521,16 +518,5 @@ mod tests {
         assert_eq!(report.completed.len(), 2, "one report, after both releases");
         assert!(idle_resets.try_recv().is_err(), "exactly one idle reset");
         assert_eq!(node.cfg.stats.jobs_completed.get(), 2);
-    }
-
-    #[test]
-    fn the_control_topic_stops_the_node() {
-        let (_federation, mut node, _) = noop_node();
-        node.cfg.channel.publish(topics::node_ctl(0), &b""[..]);
-        node.cfg.channel.publish(topics::ACCEPT, accept(0));
-        let kick = node.cfg.mailbox.try_recv().unwrap();
-        assert_eq!(step(&mut node, Wake::Event(kick)), ControlFlow::Break(()));
-        assert_eq!(node.cfg.mailbox.len(), 1, "nothing is handled after the stop");
-        assert_eq!(step(&mut node, Wake::Closed), ControlFlow::Break(()));
     }
 }

@@ -260,9 +260,9 @@ impl<D: TimerDriver> Handler for Member<D> {
 
     /// A reconfiguration phase; a `topics::QUORUM_CTL` kick carries
     /// nothing, because `settle` reads the stop flag.
-    fn on_event(&mut self, ev: &Event) -> ControlFlow<()> {
+    fn on_event(&mut self, ev: &Event) {
         if ev.topic != topics::RECONFIG {
-            return ControlFlow::Continue(());
+            return;
         }
         // Prepares arrive from a foreign host over the bridge: a malformed
         // one is dropped, counted, and costs that bridge its link — never
@@ -274,7 +274,6 @@ impl<D: TimerDriver> Handler for Member<D> {
                 lock(state).on_phase(&msg, self.host, now_ns, self.fence_timeout_ns, holding);
             self.react(&msg, reaction);
         }
-        ControlFlow::Continue(())
     }
 
     /// The fence deadline (the only entry this reactor ever holds): drop

@@ -15,7 +15,7 @@
 //! machines run against the wall clock (threaded runtime), a manual
 //! clock (tests) or a per-host *virtual* clock with injected skew
 //! (`rtcm-sim`'s federation). The threaded [`crate::quorum::QuorumMember`]
-//! and the manager thread are shells around them; the simulator drives the
+//! and the manager handler are shells around them; the simulator drives the
 //! identical transition functions — one protocol, two schedulers.
 
 use std::collections::HashSet;

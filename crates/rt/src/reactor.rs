@@ -1,24 +1,26 @@
-//! Event-driven reactor core: a sorted deadline list, a single blocking
-//! wait on `min(next timer, mailbox)`, and the one loop every runtime
-//! thread runs around it.
+//! Event-driven reactor core: a sorted deadline list per handler, the one
+//! `step` every handler is driven through, and a single blocking wait on
+//! `min(next timer, mailbox)` for a handler with a thread of its own.
 //!
-//! Every time-driven obligation of a runtime thread — a node's running
-//! subjob completion, the manager's prepare deadline and each attached
-//! governor's window boundary, the quorum member's fence — is a timer
-//! entry, and the thread parks on its merged mailbox until an event
-//! arrives or the earliest entry is due. With no pending timer it blocks
-//! **indefinitely**: an idle host performs zero wakeups.
+//! Every time-driven obligation of a handler — a node's running subjob
+//! completion, the manager's prepare deadline and each attached governor's
+//! window boundary, the quorum member's fence — is a timer entry. With no
+//! pending timer and an empty mailbox a handler is not stepped at all: an
+//! idle host performs zero wakeups.
 //!
-//! No thread holds more than a few entries, so [`TimerWheel`] has the shape
-//! of RTFM's timer queue: a `Vec` sorted by `(deadline_ns, id)`, every
-//! operation linear in pending entries. A timer fires once `deadline_ns <=
-//! now_ns` — never early — in `(deadline_ns, insertion)` order, and a thread
-//! wakes at the exact deadline: one wakeup per timer, however far away.
+//! No handler holds more than a few entries, so [`TimerWheel`] has the
+//! shape of RTFM's timer queue: a `Vec` sorted by `(deadline_ns, id)`,
+//! every operation linear in pending entries. A timer fires once
+//! `deadline_ns <= now_ns` — never early — in `(deadline_ns, insertion)`
+//! order, and its handler is stepped at the exact deadline: one wakeup per
+//! timer, however far away.
 //!
 //! The node, the manager and the quorum member are `Handler`s that read
 //! time only through their reactor's [`TimerDriver`]: one `step` does
-//! everything a thread does between two waits, `run` is `step` around
-//! [`Reactor::wait`], and [`crate::host::Host`] steps them on its clock.
+//! everything a handler does between two waits. The manager and the nodes
+//! are stepped by the loop of [`crate::host`], on a virtual clock or on a
+//! launched [`crate::System`]'s one thread; `run`, `step` around
+//! [`Reactor::wait`], is the quorum member's thread.
 
 use std::ops::ControlFlow;
 use std::thread::JoinHandle;
@@ -112,16 +114,16 @@ impl<T> TimerWheel<T> {
     }
 }
 
-/// What woke a reactor thread.
+/// What a handler is stepped for.
 #[derive(Debug)]
 pub enum Wake {
     /// An event arrived on the merged mailbox.
     Event(Event),
     /// The earliest timer deadline passed: `step` fires the due timers.
     Timer,
-    /// The mailbox closed: its federation is gone. No runtime thread sees
-    /// this while it runs, because each holds a `ChannelHandle`, which
-    /// keeps its federation, and so its mailbox, alive.
+    /// The mailbox closed: its federation is gone. No running handler sees
+    /// this, because each holds a `ChannelHandle`, which keeps its
+    /// federation, and so its mailbox, alive.
     Closed,
 }
 
@@ -190,47 +192,50 @@ impl<D: TimerDriver, T> TimerDriver for Reactor<D, T> {
     }
 }
 
-/// A runtime thread's reactions (RSM's `Runnable`, SNIPPETS.md #1). The
-/// thread owns its reactor and its mailbox; [`step`] calls the hooks.
+/// A runtime handler's reactions (RSM's `Runnable`, SNIPPETS.md #1). The
+/// handler owns its reactor and its mailbox; [`step`] calls the hooks.
 pub(crate) trait Handler {
     /// The clock this handler's reactor reads.
     type Driver: TimerDriver;
-    /// The tag of this thread's timer entries.
+    /// The tag of this handler's timer entries.
     type Timer;
-    /// Most mailbox events a step drains after the wake's own; a thread
+    /// Most mailbox events a step drains after the wake's own; a handler
     /// that polls an out-of-band channel in `settle` caps it.
     const DRAIN: usize = usize::MAX;
-    /// The thread's reactor and mailbox.
+    /// The handler's reactor and mailbox.
     fn io(&mut self) -> (&mut Reactor<Self::Driver, Self::Timer>, &EventReceiver);
-    /// One mailbox event; `Break` stops the thread at once.
-    fn on_event(&mut self, ev: &Event) -> ControlFlow<()>;
+    /// One mailbox event.
+    fn on_event(&mut self, ev: &Event);
     /// One due timer, in `(deadline_ns, insertion)` order.
     fn on_timer(&mut self, id: TimerId, tag: Self::Timer);
-    /// The wait returned [`Wake::Timer`]: where a thread counts its wakeups.
+    /// The step is about to fire its due timers: where a handler counts
+    /// its timer wakeups, one per step that fires any.
     fn on_timer_wake(&mut self) {}
-    /// Runs last in every step, right before the thread parks again;
-    /// `Break` stops the thread.
+    /// Runs last in every step; `Break` stops the handler.
     fn settle(&mut self) -> ControlFlow<()>;
 }
 
-/// Everything a thread does between two waits: handle `wake`, fire every
+/// Everything a handler does between two waits: handle `wake`, fire every
 /// timer due now into `on_timer`, drain up to `H::DRAIN` mailbox events
-/// into `on_event`, then `settle`. `Break` means the thread stops.
+/// into `on_event`, then `settle`. `Break` means the handler stops.
 pub(crate) fn step<H: Handler>(h: &mut H, wake: Wake) -> ControlFlow<()> {
     match wake {
-        Wake::Event(ev) => h.on_event(&ev)?,
-        Wake::Timer => h.on_timer_wake(),
+        Wake::Event(ev) => h.on_event(&ev),
+        Wake::Timer => {}
         // A guard, not a shutdown path (see `Wake::Closed`): a thread whose
         // mailbox did close would otherwise spin on it.
         Wake::Closed => return ControlFlow::Break(()),
     }
     let now_ns = h.io().0.driver.now_ns();
-    while let Some((id, tag)) = h.io().0.wheel.pop_due(now_ns) {
-        h.on_timer(id, tag);
+    if h.io().0.wheel.next_deadline_ns().is_some_and(|at| at <= now_ns) {
+        h.on_timer_wake();
+        while let Some((id, tag)) = h.io().0.wheel.pop_due(now_ns) {
+            h.on_timer(id, tag);
+        }
     }
     for _ in 0..H::DRAIN {
         let Ok(ev) = h.io().1.try_recv() else { break };
-        h.on_event(&ev)?;
+        h.on_event(&ev);
     }
     h.settle()
 }
@@ -241,7 +246,7 @@ pub(crate) fn spawn<H: Handler + Send + 'static>(name: String, mut h: H) -> Join
     thread.spawn(move || run(&mut h)).expect("spawn a reactor thread")
 }
 
-/// A runtime thread's body: park, then [`step`], until a step breaks.
+/// A handler thread's body: park, then [`step`], until a step breaks.
 pub(crate) fn run<H: Handler>(h: &mut H) {
     loop {
         let (reactor, mailbox) = h.io();

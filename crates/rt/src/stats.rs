@@ -3,10 +3,10 @@
 //!
 //! Every row lives in one place, the lock-free [`RtMetrics`] registry
 //! (`rtcm-telemetry`): per-job counters, the utilization ratio parts and
-//! every per-operation delay series, recorded by nodes, the manager and
-//! reactor threads with a couple of relaxed atomic adds, and the
-//! once-per-swap and once-per-window rows (reconfiguration outcomes,
-//! governor windows and gauges), which only the manager thread writes.
+//! every per-operation delay series, recorded by nodes and the manager
+//! with a couple of relaxed atomic adds, and the once-per-swap and
+//! once-per-window rows (reconfiguration outcomes, governor windows and
+//! gauges), which only the manager writes.
 //! The simulator books the same registry (`SimRun::telemetry`), all but
 //! the per-operation rows, and on both substrates a governor window
 //! closes through [`RtMetrics::sense`].
@@ -163,12 +163,11 @@ pub struct SystemReport {
     /// limit.
     pub bridge_tx_dropped: u64,
 
-    /// Timer-deadline wakeups performed by reactor threads (subjob
-    /// completions, prepare-fence deadlines, governor window boundaries),
-    /// one per deadline. An **idle** system records none: every thread
-    /// parks on its mailbox with no pending timer, where the polling
-    /// design paid ~2000 wakeups/s/node. Pinned by the zero-wakeup runtime
-    /// test.
+    /// Handler steps that fired timer deadlines (subjob completions,
+    /// prepare-fence deadlines, governor window boundaries), one per
+    /// deadline. An **idle** system records none: with no pending timer no
+    /// handler is stepped, where the polling design paid ~2000
+    /// wakeups/s/node. Pinned by the zero-wakeup runtime test.
     pub timer_wakeups: u64,
 }
 
@@ -182,7 +181,7 @@ pub struct SystemReport {
 #[derive(Debug)]
 pub struct RtMetrics {
     registry: Arc<Registry>,
-    /// The bounded job/reconfig tracer shared by every thread of one
+    /// The bounded job/reconfig tracer shared by every handler of one
     /// system (arrival → admission → (re)allocation → release →
     /// completion, plus reconfiguration phases).
     pub trace: Arc<TraceBuffer>,
@@ -208,7 +207,7 @@ pub struct RtMetrics {
     pub reallocations: Arc<Counter>,
     /// Idle-reset reports applied by the manager.
     pub ir_reports: Arc<Counter>,
-    /// Timer-deadline wakeups performed by reactor threads.
+    /// Handler steps that fired timer deadlines.
     pub timer_wakeups: Arc<Counter>,
     /// Mailbox payloads the manager or a node dropped because they did
     /// not decode, per message kind.
@@ -302,10 +301,8 @@ impl RtMetrics {
             ),
             ir_reports: r
                 .counter("rtcm_ir_reports_total", "Idle-reset reports applied by the manager."),
-            timer_wakeups: r.counter(
-                "rtcm_timer_wakeups_total",
-                "Timer-deadline wakeups performed by reactor threads.",
-            ),
+            timer_wakeups: r
+                .counter("rtcm_timer_wakeups_total", "Handler steps that fired timer deadlines."),
             arrived_utilization: r.gauge(
                 "rtcm_arrived_utilization",
                 "Cumulative utilization weight (sum C/D) of arrived jobs.",

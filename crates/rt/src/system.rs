@@ -1,6 +1,7 @@
 //! The runtime system: the DAnCE-style launcher that turns a
-//! [`Deployment`] into running threads — one task-manager node plus one
-//! node per application processor, wired by the federated event channel.
+//! [`Deployment`] into running handlers — one task-manager node plus one
+//! node per application processor, wired by the federated event channel —
+//! stepped by one thread on the wall clock (the loop of [`crate::host`]).
 
 use std::collections::HashSet;
 use std::fmt;
@@ -23,11 +24,11 @@ use rtcm_telemetry::{OamRoutes, OamServer};
 
 use crate::clock::{Clock, TimerDriver};
 use crate::govern::{self, GovernorHandle};
+use crate::host::Handlers;
 use crate::lock;
 use crate::manager::{Manager, ManagerConfig, ManagerCtl, ManagerLink};
 use crate::node::{ExecMode, Node, NodeConfig};
 use crate::proto::{self, ReconfigAbortReason};
-use crate::reactor;
 use crate::stats::{RtMetrics, SystemReport};
 
 /// Runtime options.
@@ -187,8 +188,9 @@ impl fmt::Display for ReconfigReport {
     }
 }
 
-/// A running middleware system. A [`crate::host::Host`] holds one whose
-/// handlers it steps itself, on no thread of their own.
+/// A running middleware system: its handlers run on one thread of their
+/// own. A [`crate::host::Host`] holds one whose handlers it steps itself,
+/// on a virtual clock.
 ///
 /// # Examples
 ///
@@ -222,11 +224,12 @@ pub struct System {
     federation: Federation,
     remote_voters: Arc<Mutex<HashSet<u64>>>,
     /// One channel handle per application processor: `submit` publishes
-    /// injected arrivals on the processor's reserved inject topic, and
-    /// shutdown publishes its control topic — launcher↔node traffic rides
-    /// the same event fast path as everything else.
+    /// injected arrivals on the processor's reserved inject topic, so
+    /// launcher→node traffic rides the same event fast path as everything
+    /// else.
     node_handles: Vec<ChannelHandle>,
-    handles: Vec<std::thread::JoinHandle<()>>,
+    /// The thread stepping the handlers; `None` under a host.
+    thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl fmt::Debug for System {
@@ -240,7 +243,8 @@ impl fmt::Debug for System {
 
 impl System {
     /// Launches all nodes of `deployment` (the runtime half of DAnCE's
-    /// plan-launcher → node-application pipeline).
+    /// plan-launcher → node-application pipeline) on one thread, which
+    /// steps them as a [`crate::host::Host`] does, on the wall clock.
     ///
     /// # Errors
     ///
@@ -248,12 +252,9 @@ impl System {
     /// combination is invalid — impossible for deployments built by
     /// `rtcm-config`, which validates first.
     pub fn launch(deployment: &Deployment, options: RtOptions) -> Result<Self, LaunchError> {
-        let federation = Federation::new(deployment.processors + 1, options.latency, options.seed);
-        let (mut system, manager, nodes) = wire(deployment, options, federation, &Clock::new())?;
-        system.handles.push(reactor::spawn("rtcm-manager".into(), manager));
-        for (p, node) in nodes.into_iter().enumerate() {
-            system.handles.push(reactor::spawn(format!("rtcm-app-{p}"), node));
-        }
+        let (mut system, handlers) = wire(deployment, options, Clock::new())?;
+        let thread = std::thread::Builder::new().name("rtcm-host".into());
+        system.thread = Some(thread.spawn(move || handlers.run()).expect("spawn the host thread"));
         Ok(system)
     }
 
@@ -312,7 +313,7 @@ impl System {
     }
 
     /// Attaches an **adaptation governor** that closes the sensing →
-    /// policy → actuation loop every `window`, on the manager thread (see
+    /// policy → actuation loop every `window`, in the manager (see
     /// [`crate::govern`]): it senses the window as the simulator does
     /// (`rtcm_sim::SimOptions::governor`), evaluates `policy` unless a
     /// swap is already pending, and actuates through the same two-phase
@@ -410,7 +411,7 @@ impl System {
         let spec = self.tasks.get(task).ok_or(SubmitError::UnknownTask { task })?;
         let proc = spec.subtasks()[0].primary.index();
         let handle = self.node_handles.get(proc).ok_or(SubmitError::Closed)?;
-        // Count the job in *before* handing it to the node thread so that
+        // Count the job in *before* handing it to the node so that
         // quiesce() cannot observe a spuriously empty system.
         self.stats.job_in();
         // One deterministic trace id follows the job through every stage
@@ -420,8 +421,8 @@ impl System {
             seq,
             trace: proto::mint_trace(self.federation.host_id(), task, seq),
         };
-        // Delivered count 0 means the node's mailbox is gone (thread
-        // exited): the system is shutting down.
+        // Delivered count 0 means the node's mailbox is gone (the loop
+        // ended): the system is shutting down.
         if handle.publish(topics::inject(proc as u16), proto::encode(&msg)) > 0 {
             Ok(())
         } else {
@@ -531,40 +532,44 @@ impl System {
         )
     }
 
-    /// Stops all node threads and returns the final report.
+    /// Stops the handlers' thread and returns the final report.
     #[must_use]
     pub fn shutdown(mut self) -> SystemReport {
-        self.stop_threads();
+        self.stop();
         self.stats()
     }
 
-    fn stop_threads(&mut self) {
+    /// Ends the one loop: the manager takes the shutdown request and the
+    /// thread returns.
+    fn stop(&mut self) {
         self.manager.send(ManagerCtl::Shutdown);
-        for (p, handle) in self.node_handles.iter().enumerate() {
-            let _ = handle.publish(topics::node_ctl(p as u16), &b""[..]);
-        }
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
         }
     }
 }
 
 impl Drop for System {
     fn drop(&mut self) {
-        self.stop_threads();
+        self.stop();
     }
 }
 
-/// The handlers of `deployment` on `federation`, each on a copy of `driver`, and the
-/// [`System`] fronting them, with no thread yet: the manager on `NodeId(0)`, application
-/// processor `p` on `NodeId(p + 1)`. `System::launch` spawns them; the host steps them.
+/// The handlers of `deployment` on a stepped federation, all on copies of
+/// `driver`, and the [`System`] fronting them, with no thread yet: the
+/// manager on `NodeId(0)`, application processor `p` on `NodeId(p + 1)`.
+/// `System::launch` runs them on a thread; the host steps them.
 pub(crate) fn wire<D: TimerDriver + Clone + Send + Sync + 'static>(
     deployment: &Deployment,
     options: RtOptions,
-    federation: Federation,
-    driver: &D,
-) -> Result<Wired<D>, LaunchError> {
+    driver: D,
+) -> Result<(System, Handlers<D>), LaunchError> {
     let procs = deployment.processors;
+    let network_clock = driver.clone();
+    let (federation, network) =
+        Federation::stepped(procs + 1, options.latency, options.seed, move || {
+            network_clock.now_ns()
+        });
     let tasks = Arc::new(deployment.tasks.clone());
     // By task position, the form the nodes index.
     let priorities: Arc<Vec<Priority>> =
@@ -606,7 +611,6 @@ pub(crate) fn wire<D: TimerDriver + Clone + Send + Sync + 'static>(
             topics::TRIGGER,
             topics::RECONFIG,
             topics::inject(p),
-            topics::node_ctl(p),
         ]);
         node_handles.push(channel.clone());
         let cfg = NodeConfig {
@@ -630,12 +634,11 @@ pub(crate) fn wire<D: TimerDriver + Clone + Send + Sync + 'static>(
         federation,
         remote_voters,
         node_handles,
-        handles: Vec::new(),
+        thread: None,
     };
-    Ok((system, Manager::new(mgr_cfg, driver.clone()), nodes))
+    let manager = Manager::new(mgr_cfg, driver.clone());
+    Ok((system, Handlers::new(driver, network, manager, nodes, options.seed)))
 }
-
-type Wired<D> = (System, Manager<D>, Vec<Node<D>>);
 
 /// Scaled due time for a replayed arrival: `nanos / speed` in u128 integer
 /// math. The speed factor is held as the rational `num / 1e9`, so every

@@ -869,7 +869,7 @@ fn garbage_vote_mid_prepare_is_no_vote_and_the_manager_lives() {
     assert_eq!(server.state(), BridgeState::Closed { reason: BridgeCloseReason::CorruptPayload });
     assert_eq!(metric(&page, "rtcm_bridge_rx_errors_total"), 1);
 
-    // The manager thread is alive: once the host is reachable and willing
+    // The manager is alive: once the host is reachable and willing
     // again, the next swap commits.
     member.set_holding(false);
     drop((server, client));
@@ -1254,16 +1254,16 @@ fn event_channel_counters_surface_in_the_report() {
 /// The tentpole's headline number: an idle system performs **zero** timer
 /// wakeups. Before the reactor rework every node and the manager woke on
 /// a 500 µs control poll (~2000 wakeups/s/node — ~128k/s for this spec);
-/// now each thread blocks indefinitely on its merged mailbox whenever its
-/// wheel is empty. The counter rides [`SystemReport::timer_wakeups`], so
-/// any regression back toward polling shows up as a nonzero report here.
+/// now a handler whose wheel is empty is stepped only for its mailbox.
+/// The counter rides [`SystemReport::timer_wakeups`], so any regression
+/// back toward polling shows up as a nonzero report here.
 #[test]
 fn idle_system_performs_zero_timer_wakeups() {
     let system = launch(
         "workload w\nprocessors 64\ntask t aperiodic deadline=500ms\n  subtask exec=1ms proc=0\n",
         "J_N_N",
     );
-    // 64 node threads + the manager, all idle for a measured interval.
+    // 64 nodes + the manager, all idle for a measured interval.
     std::thread::sleep(StdDuration::from_millis(300));
     assert_eq!(system.stats().timer_wakeups, 0, "idle threads must not wake on timers");
 
