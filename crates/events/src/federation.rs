@@ -35,10 +35,13 @@
 //! * **Single-lock parcels.** Remote destinations are sequenced,
 //!   latency-sampled and handed to the network under **one** `net` lock
 //!   acquisition per publish: its inbox lives behind that same lock.
-//! * **One delivery step.** [`Network::deliver_due`] lands the due parcels:
-//!   on the wall clock in the network thread, or a [`Federation::stepped`]
-//!   caller's clock. A caller that steps a federation on the wall clock
-//!   waits in [`Network::park`] for the next parcel or for a publish.
+//! * **One executor.** A federation's [`Network`] lands the due parcels
+//!   and steps the [`Consumer`]s hosted on it ([`Federation::host`]), one
+//!   move at a time ([`Network::advance`]): on the wall clock on the one
+//!   thread [`Federation::spawn`] starts (a [`Federation::new`] starts
+//!   it), or on a [`Federation::stepped`] caller's clock. That thread
+//!   waits on one bell; a parcel always rings it, a local delivery only
+//!   in a federation that hosts a consumer.
 //!
 //! Determinism contract: for a fixed seed, a fixed subscription set and a
 //! single publishing thread, delivery order and the sampled parcel
@@ -62,6 +65,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::time::{Duration as StdDuration, Instant};
@@ -122,6 +126,17 @@ impl Latency {
 /// e.g. the reconfiguration quorum counts one vote per bridged host.
 static NEXT_HOST_ID: AtomicU64 = AtomicU64::new(1);
 
+/// splitmix64's increment, the golden ratio in 64 bits.
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The splitmix64 finalizer: a bijection whose every output bit depends
+/// on every input bit.
+fn finalize(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 fn mint_host_id() -> u64 {
     let counter = NEXT_HOST_ID.fetch_add(1, Ordering::Relaxed);
     let pid = u64::from(std::process::id());
@@ -136,12 +151,9 @@ fn mint_host_id() -> u64 {
     // `counter` for a fixed (pid, clock) and splitmix64 is a bijection,
     // so ids within one process stay guaranteed distinct while the
     // avalanche de-collides processes at full 64-bit strength.
-    let mut z = clock
-        .wrapping_add(pid.rotate_left(32))
-        .wrapping_add(counter.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    finalize(
+        clock.wrapping_add(pid.rotate_left(32)).wrapping_add(counter.wrapping_mul(GOLDEN_GAMMA)),
+    )
 }
 
 /// The precomputed route of one `(publisher node, topic)` pair.
@@ -193,11 +205,14 @@ impl Registry {
 struct NetState {
     rng: StdRng,
     seq: u64,
-    /// Parcels `((deliver_at ns, seq), (to, event))` not yet taken by
-    /// [`Network::deliver_due`] (the network thread parks on
-    /// `Inner::net_ready` while it is empty).
+    /// Parcels `((deliver_at ns, seq), (to, event))` the [`Network`] has
+    /// not taken yet.
     inbox: Vec<((u64, u64), (NodeId, Event))>,
-    /// Cleared by [`Federation::shutdown`]: nothing is forwarded after it.
+    /// Consumers hosted since the [`Network`]'s last move, in hosting
+    /// order.
+    hosted: Vec<Box<dyn Consumer>>,
+    /// Cleared by [`Federation::shutdown`] and by dropping the
+    /// [`Network`]: nothing is forwarded or hosted after it.
     open: bool,
 }
 
@@ -212,11 +227,13 @@ struct Inner {
     /// Published *after* the table swap (release); handle caches validate
     /// against it with one acquire load.
     generation: AtomicU64,
-    /// The network thread waits on `net_ready` with this lock.
     net: Mutex<NetState>,
-    net_ready: Condvar,
-    /// Rung by every publish that delivers or sends something; only
-    /// [`Network::park`] waits on it.
+    /// Set by [`Federation::host`], cleared by the executor's delivery
+    /// step once it hosts nothing: while it is set, a local delivery may
+    /// be a hosted consumer's event, and rings the bell.
+    hosting: AtomicBool,
+    /// Rung by every parcel, every hosting and shutdown, and by a local
+    /// delivery while `hosting` is set; only the executor's thread waits on it.
     bell: Bell,
     counters: FanoutCounters,
     /// TCP bridges currently running on this federation (see
@@ -260,10 +277,10 @@ impl Drop for Inner {
     }
 }
 
-/// What wakes the one thread stepping a federation on the wall clock: a
-/// ring count every publish bumps, and a condvar it is notified on only
-/// while that thread is parked, so a publish costs two atomics, not a
-/// system call.
+/// What wakes the one thread running a federation's executor on the wall
+/// clock, its one wait: a ring count every ring bumps, and a condvar it is
+/// notified on only while that thread is parked, so a ring costs two
+/// atomics, not a system call.
 #[derive(Default)]
 struct Bell {
     rings: AtomicU64,
@@ -286,6 +303,18 @@ impl Bell {
     }
 }
 
+/// A consumer that a federation's executor steps: a run-to-completion
+/// task in the sense of RTFM (SNIPPETS.md #2), hosted with
+/// [`Federation::host`]. Both calls read the federation's clock.
+pub trait Consumer: Send {
+    /// When the consumer is next ready: at or before `now_ns` if it can
+    /// step now, a later instant for a deadline, `None` while only an
+    /// event can make it ready.
+    fn ready_at(&mut self, now_ns: u64) -> Option<u64>;
+    /// One step at `now_ns`; `Break` removes the consumer.
+    fn step(&mut self, now_ns: u64) -> ControlFlow<()>;
+}
+
 /// A federation of local event channels over a latency-injecting
 /// in-process network.
 pub struct Federation {
@@ -303,22 +332,22 @@ impl fmt::Debug for Federation {
 }
 
 impl Federation {
-    /// Creates a federation of `node_count` nodes. `seed` drives latency
-    /// jitter sampling.
+    /// Creates a federation of `node_count` nodes on the wall clock and
+    /// starts its one thread ([`Federation::spawn`]). `seed` drives
+    /// latency jitter sampling and the tie rule.
     #[must_use]
     pub fn new(node_count: u16, latency: Latency, seed: u64) -> Self {
         let origin = Instant::now();
         let wall = move || origin.elapsed().as_nanos() as u64;
         let (mut federation, network) = Federation::stepped(node_count, latency, seed, wall);
-        let thread = std::thread::Builder::new().name("rtcm-events-net".into());
-        let net_thread = thread.spawn(move || network_loop(network)).expect("spawn network thread");
-        federation.net_thread = Some(net_thread);
+        federation.spawn(network, "rtcm-events-net");
         federation
     }
 
     /// A federation whose parcels are stamped by `now_ns`, a nanosecond
-    /// clock the caller advances. It spawns no thread: the caller delivers
-    /// parcels by calling [`Network::deliver_due`] on the returned network.
+    /// clock. It spawns no thread: the caller steps the returned executor
+    /// with [`Network::advance`], or hands it to [`Federation::spawn`].
+    /// `seed` drives latency jitter sampling and the tie rule.
     #[must_use]
     pub fn stepped(
         node_count: u16,
@@ -338,14 +367,23 @@ impl Federation {
                 rng: StdRng::seed_from_u64(seed),
                 seq: 0,
                 inbox: Vec::new(),
+                hosted: Vec::new(),
                 open: true,
             }),
-            net_ready: Condvar::new(),
+            hosting: AtomicBool::new(false),
             bell: Bell::default(),
             counters: FanoutCounters::default(),
             bridges: Mutex::new(Vec::new()),
         });
-        let network = Network { inner: Arc::clone(&inner), queue: BTreeMap::new(), rings: 0 };
+        let network = Network {
+            inner: Arc::clone(&inner),
+            queue: BTreeMap::new(),
+            rings: 0,
+            open: true,
+            consumers: Vec::new(),
+            ties: seed,
+            ready: Vec::new(),
+        };
         (Federation { inner, net_thread: None }, network)
     }
 
@@ -379,12 +417,52 @@ impl Federation {
         Ok(ChannelHandle::new(node, Arc::clone(&self.inner)))
     }
 
-    /// Stops forwarding; the network thread delivers every parcel in flight
-    /// at once, in `(deliver_at, seq)` order (a stepped federation's stay
-    /// with its [`Network`]). Local publish/subscribe keeps working.
+    /// Hosts `consumer` on this federation's executor, after every
+    /// consumer hosted before it (the order the tie rule draws from). The
+    /// executor steps it until a step returns `Break` or the executor
+    /// ends, and drops it then; after [`Federation::shutdown`] it is
+    /// dropped at once.
+    pub fn host(&self, consumer: impl Consumer + 'static) {
+        let mut net = lock(&self.inner.net);
+        if net.open {
+            net.hosted.push(Box::new(consumer));
+            self.inner.hosting.store(true, Ordering::SeqCst);
+            drop(net);
+            self.inner.bell.ring();
+        }
+    }
+
+    /// Runs `network`, this federation's executor, on a thread of its own
+    /// named `name`: on the federation's clock, parked on its bell where a
+    /// stepping caller would jump the clock, until the first idle move
+    /// after [`Federation::shutdown`], which joins the thread.
+    ///
+    /// # Panics
+    ///
+    /// If `network` is another federation's executor, which this one's
+    /// shutdown would never end.
+    pub fn spawn(&mut self, network: Network, name: &str) {
+        assert!(Arc::ptr_eq(&self.inner, &network.inner), "spawn runs this federation's network");
+        let thread = std::thread::Builder::new().name(name.into());
+        self.net_thread = Some(thread.spawn(move || network.run()).expect("spawn a thread"));
+    }
+
+    /// True from [`Federation::spawn`] (which [`Federation::new`] calls)
+    /// until [`Federation::shutdown`]: a thread runs the executor. False
+    /// while a caller steps it with [`Network::advance`].
+    #[must_use]
+    pub fn has_thread(&self) -> bool {
+        self.net_thread.is_some()
+    }
+
+    /// Stops forwarding and hosting; the executor ends at its next idle
+    /// move and delivers every parcel in flight at once, in
+    /// `(deliver_at, seq)` order. This joins the thread
+    /// [`Federation::spawn`] started; a stepped federation's executor is
+    /// its caller's. Local publish/subscribe keeps working.
     pub fn shutdown(&mut self) {
         lock(&self.inner.net).open = false;
-        self.inner.net_ready.notify_one();
+        self.inner.bell.ring();
         if let Some(t) = self.net_thread.take() {
             let _ = t.join();
         }
@@ -397,22 +475,90 @@ impl Drop for Federation {
     }
 }
 
-/// The network's delivery queue, parcels in flight in landing order: the
-/// network thread's, or a [`Federation::stepped`] caller's.
+/// A federation's executor: the parcels in flight, in landing order, and
+/// the consumers hosted on it. It is the thread of a [`Federation::new`],
+/// or a [`Federation::stepped`] caller's.
 pub struct Network {
     inner: Arc<Inner>,
     queue: BTreeMap<(u64, u64), (NodeId, Event)>,
     /// The bell's ring count when the last delivery step began.
     rings: u64,
+    /// False once the federation shut down, as of the last delivery step.
+    open: bool,
+    /// The hosted consumers, in hosting order.
+    consumers: Vec<Box<dyn Consumer>>,
+    /// The tie rule's state: a splitmix64 counter seeded with the
+    /// federation's seed.
+    ties: u64,
+    /// The consumers ready in the current move (kept to reuse its buffer).
+    ready: Vec<usize>,
 }
 
 impl Network {
-    /// The one delivery step: takes the parcels published since the last
-    /// call, delivers every parcel due at `now_ns`, in `(deliver_at, seq)`
+    /// One move: delivers every parcel due at `now_ns`, in
+    /// `(deliver_at, seq)` order, then steps one ready consumer, picked
+    /// with the seeded tie rule. Returns `now_ns` if it stepped one, else
+    /// the earliest instant a parcel lands or a consumer is ready (`None`
+    /// while nothing is pending).
+    pub fn advance(&mut self, now_ns: u64) -> Option<u64> {
+        let mut next = self.deliver_due(now_ns);
+        self.ready.clear();
+        for (c, consumer) in self.consumers.iter_mut().enumerate() {
+            match consumer.ready_at(now_ns) {
+                Some(at) if at <= now_ns => self.ready.push(c),
+                Some(at) => next = Some(next.map_or(at, |n| n.min(at))),
+                None => {}
+            }
+        }
+        if self.ready.is_empty() {
+            return next;
+        }
+        self.ties = self.ties.wrapping_add(1);
+        let draw = finalize(self.ties.wrapping_add(GOLDEN_GAMMA));
+        let pick = self.ready[(draw % self.ready.len() as u64) as usize];
+        if self.consumers[pick].step(now_ns).is_break() {
+            self.consumers.remove(pick);
+        }
+        Some(now_ns)
+    }
+
+    /// The executor on the federation's clock: [`Network::advance`] until
+    /// its first idle move after [`Federation::shutdown`], parked on the
+    /// bell where a stepped caller would jump its clock; then every
+    /// parcel still in flight lands at once. The timed park is precise
+    /// (the thread's timer slack is 1 ns while it waits), so a hop takes
+    /// its injected delay plus the thread's wake-up latency, never less:
+    /// ≈ 25 µs at the median for a 300 µs hop on a 2-core Linux VM,
+    /// against ≈ 70 µs under the default 50 µs slack. A spin would keep
+    /// hops exact, but it burns the processor the receiving threads share
+    /// (DESIGN.md "Single-lock parcels, batched writes", "Precise timed
+    /// waits").
+    fn run(mut self) {
+        loop {
+            let now_ns = (self.inner.now_ns)();
+            match self.advance(now_ns) {
+                Some(at) if at == now_ns => {}
+                _ if !self.open => break,
+                next => self.park(next),
+            }
+        }
+        self.deliver_due(u64::MAX);
+    }
+
+    /// Takes the parcels and consumers handed over since the last call,
+    /// delivers every parcel due at `now_ns`, in `(deliver_at, seq)`
     /// order, and returns the next one's due instant.
-    pub fn deliver_due(&mut self, now_ns: u64) -> Option<u64> {
+    fn deliver_due(&mut self, now_ns: u64) -> Option<u64> {
         self.rings = self.inner.bell.rings.load(Ordering::SeqCst);
-        self.queue.extend(lock(&self.inner.net).inbox.drain(..));
+        let mut net = lock(&self.inner.net);
+        self.queue.extend(net.inbox.drain(..));
+        self.consumers.append(&mut net.hosted);
+        if self.consumers.is_empty() {
+            // Under the lock `host` sets it under: nothing is hosted now.
+            self.inner.hosting.store(false, Ordering::SeqCst);
+        }
+        self.open = net.open;
+        drop(net);
         while let Some(parcel) = self.queue.first_entry().filter(|p| p.key().0 <= now_ns) {
             let (to, event) = parcel.remove();
             let table = self.inner.table.read().unwrap_or_else(PoisonError::into_inner);
@@ -424,12 +570,11 @@ impl Network {
     }
 
     /// Parks the calling thread until `until_ns` on the federation's clock
-    /// (untimed for `None`) or until a publish, whichever comes first; it
-    /// returns at once if something was published since the last
-    /// [`Network::deliver_due`] began. A caller that found nothing to do
-    /// after that step parks here without missing a publish from another
-    /// thread. The timed park is precise, as the network thread's is.
-    pub fn park(&self, until_ns: Option<u64>) {
+    /// (untimed for `None`) or until the bell rings, whichever comes
+    /// first; it returns at once if the bell rang since the last delivery
+    /// step began, so a move that found nothing to do parks without
+    /// missing a ring from another thread.
+    fn park(&self, until_ns: Option<u64>) {
         let bell = &self.inner.bell;
         let guard = lock(&bell.lock);
         bell.parked.store(true, Ordering::SeqCst);
@@ -444,36 +589,15 @@ impl Network {
     }
 }
 
-/// The network thread: [`Network::deliver_due`] on the wall clock, then a
-/// park on `net_ready` — timed to the next parcel, untimed while none is
-/// in flight. The timed park is precise (the thread's timer slack is 1 ns
-/// while it waits), so a hop takes its injected delay plus the thread's
-/// wake-up latency, never less: ≈ 25 µs at the median for a 300 µs hop on
-/// a 2-core Linux VM, against ≈ 70 µs under the default 50 µs slack. A
-/// spin would keep hops exact, but it burns the processor the receiving
-/// threads share (DESIGN.md "Single-lock parcels, batched writes",
-/// "Precise timed waits").
-fn network_loop(mut network: Network) {
-    loop {
-        let next = network.deliver_due((network.inner.now_ns)());
-        // Park until parcels arrive, the next delivery is due, or shutdown.
-        // The timeout is read after the deliveries, so their cost does not
-        // stretch it.
-        let inner = &network.inner;
-        let net = lock(&inner.net);
-        if !net.open {
-            break;
-        }
-        if !net.inbox.is_empty() {
-            continue;
-        }
-        match next.map(|at| StdDuration::from_nanos(at.saturating_sub((inner.now_ns)()))) {
-            Some(d) => drop(crate::slack::precisely(|| inner.net_ready.wait_timeout(net, d))),
-            None => drop(inner.net_ready.wait(net)),
-        }
+impl Drop for Network {
+    /// The executor is gone: nothing is forwarded or hosted any more, and
+    /// a consumer hosted since its last move is dropped with the ones it
+    /// stepped.
+    fn drop(&mut self) {
+        let mut net = lock(&self.inner.net);
+        net.open = false;
+        net.hosted.clear();
     }
-    // Shutdown: flush whatever is left, immediately.
-    network.deliver_due(u64::MAX);
 }
 
 /// The per-handle route cache: one topic's route, validated against the
@@ -516,6 +640,13 @@ impl ChannelHandle {
     #[must_use]
     pub fn host_id(&self) -> u64 {
         self.inner.host_id
+    }
+
+    /// The owning federation's clock, in nanoseconds: the axis its
+    /// parcels are stamped on and its executor steps consumers on.
+    #[must_use]
+    pub fn now_ns(&self) -> u64 {
+        (self.inner.now_ns)()
     }
 
     /// Registers a consumer for `topic` on this node and returns its
@@ -574,17 +705,17 @@ impl ChannelHandle {
         // parcels are counted by `Network::deliver_due` when they land
         // (the return value still reports local deliveries + parcels
         // sent, as documented).
-        let mut delivered = local_delivered;
-        if !route.remotes.is_empty() {
-            delivered += self.send_parcels(&route.remotes, &event);
-        }
+        let sent =
+            if route.remotes.is_empty() { 0 } else { self.send_parcels(&route.remotes, &event) };
         if local_delivered > 0 {
             counters.delivered.fetch_add(local_delivered as u64, Ordering::Relaxed);
         }
-        if delivered > 0 {
+        // The ring rule: a parcel always wakes the executor; a local
+        // delivery only where a hosted consumer may be waiting for it.
+        if sent > 0 || (local_delivered > 0 && self.inner.hosting.load(Ordering::SeqCst)) {
             self.inner.bell.ring();
         }
-        delivered
+        local_delivered + sent
     }
 
     /// The owning federation's fan-out counters (bridges bump their
@@ -625,7 +756,6 @@ impl ChannelHandle {
             net.inbox.push(((now + delay, net.seq), (to, event.clone())));
         }
         drop(guard);
-        self.inner.net_ready.notify_one();
         self.inner.counters.remote_parcels.fetch_add(remotes.len() as u64, Ordering::Relaxed);
         remotes.len()
     }
@@ -794,6 +924,14 @@ mod tests {
         let err = fed.handle(NodeId(7)).unwrap_err();
         assert_eq!(err, UnknownNodeError { node: NodeId(7), node_count: 2 });
         assert!(err.to_string().contains("N7"));
+    }
+
+    #[test]
+    #[should_panic(expected = "spawn runs this federation's network")]
+    fn spawn_takes_only_its_own_network() {
+        let (mut federation, _network) = Federation::stepped(1, Latency::None, 0, || 0);
+        let (_other, network) = Federation::stepped(1, Latency::None, 0, || 0);
+        federation.spawn(network, "rtcm-test");
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //!   topics) and node ids;
 //! * [`federation`] — local channels + gateway forwarding over an
 //!   in-process network with injectable one-way [`Latency`], so
-//!   communication delay is measurable exactly where Figure 8 measures it;
+//!   communication delay is measurable exactly where Figure 8 measures it,
+//!   and each federation's one executor, its [`Network`], which lands the
+//!   parcels and steps the [`Consumer`]s hosted on it;
 //! * [`fanout`] — local delivery: every subscription owns one unbounded
 //!   single-consumer queue, its [`EventReceiver`];
 //! * [`remote`] / [`wire`] — TCP gateways between federations and their
@@ -46,7 +48,7 @@ pub mod wire;
 
 pub use event::{topics, Event, NodeId, Topic};
 pub use fanout::{EventReceiver, FederationStats, RecvError, RecvTimeoutError, TryRecvError};
-pub use federation::{ChannelHandle, Federation, Latency, Network, UnknownNodeError};
+pub use federation::{ChannelHandle, Consumer, Federation, Latency, Network, UnknownNodeError};
 pub use remote::{BridgeCloseReason, BridgeHandle, BridgeState};
 
 /// Locks `mutex`, recovering it if a panicking thread poisoned it. Every

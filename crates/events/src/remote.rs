@@ -39,6 +39,10 @@
 //! With it off an idle link sends each batch at once, and a burst is still
 //! one segment per drained batch, not one per event.
 //!
+//! A listening side's acceptor blocks in `accept`, so an idle listener
+//! costs no wake-ups; closing a link that is still connecting connects to
+//! the listener's own address to wake it.
+//!
 //! Lifecycle: a [`BridgeHandle`] exposes its real [`BridgeState`]
 //! (`Connecting` → `Connected` → `Closed { reason }`). Any failure — a
 //! forwarder write error, a peer disconnect, a corrupt frame, a consumer
@@ -69,7 +73,7 @@
 //! ```
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -183,6 +187,9 @@ impl ChannelHandle {
 pub struct BridgeHandle {
     link: SharedLink,
     stop: Arc<AtomicBool>,
+    /// Where a listening side's acceptor waits in `accept`: closing the
+    /// link while it still waits connects here to wake it.
+    acceptor: Option<SocketAddr>,
     /// The link's reader thread (the acceptor, on a listening side), which
     /// joins the forwarder it started before it ends.
     thread: Option<std::thread::JoinHandle<()>>,
@@ -217,7 +224,12 @@ impl BridgeHandle {
     }
 
     fn close(&mut self) {
+        let accepting = matches!(lock(&self.link).state, BridgeState::Connecting);
         close_link(&self.link, &self.stop, BridgeCloseReason::Shutdown);
+        if let Some(addr) = self.acceptor.filter(|_| accepting) {
+            // The acceptor finds the stop flag raised and drops this peer.
+            let _ = TcpStream::connect(addr);
+        }
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -246,8 +258,16 @@ pub fn listen(
     topics: Vec<Topic>,
 ) -> std::io::Result<(SocketAddr, BridgeHandle)> {
     let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
     let local = listener.local_addr()?;
+    // A listener bound to every interface is reached on loopback.
+    let mut wake = local;
+    if wake.ip().is_unspecified() {
+        wake.set_ip(if wake.is_ipv4() {
+            Ipv4Addr::LOCALHOST.into()
+        } else {
+            Ipv6Addr::LOCALHOST.into()
+        });
+    }
     let handle = federation
         .handle(gateway)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()))?;
@@ -263,27 +283,24 @@ pub fn listen(
     }));
     let accept_stop = Arc::clone(&stop);
     let accept_link = Arc::clone(&link);
-    let acceptor = std::thread::Builder::new()
+    let acceptor_thread = std::thread::Builder::new()
         .name("rtcm-events-accept".into())
         .spawn(move || {
-            // Poll-accept so shutdown-before-connect cannot hang.
-            let peer = loop {
-                if accept_stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                match listener.accept() {
-                    Ok((s, _)) => break s,
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(std::time::Duration::from_millis(5));
-                    }
-                    Err(_) => return,
-                }
-            };
-            if peer.set_nonblocking(false).is_err() || peer.set_nodelay(true).is_err() {
+            // Blocks until a peer connects, or until `close` connects to
+            // wake it.
+            let Ok((peer, _)) = listener.accept() else { return };
+            drop(listener);
+            if peer.set_nodelay(true).is_err() {
                 return;
             }
             if let Ok(clone) = peer.try_clone() {
                 let mut l = lock(&accept_link);
+                // Checked under the link's lock, which `close_link` takes
+                // after raising the flag: a link closed while the acceptor
+                // waited never reads `Connected`.
+                if accept_stop.load(Ordering::SeqCst) {
+                    return;
+                }
                 l.stream = Some(clone);
                 l.state = BridgeState::Connected;
             }
@@ -291,7 +308,7 @@ pub fn listen(
         })
         .expect("spawn acceptor");
 
-    Ok((local, BridgeHandle { link, stop, thread: Some(acceptor) }))
+    Ok((local, BridgeHandle { link, stop, acceptor: Some(wake), thread: Some(acceptor_thread) }))
 }
 
 /// Connects to a listening gateway and bridges `topics` through the local
@@ -329,7 +346,7 @@ pub fn connect(
             run_bridge(&handle, gateway, bridge_stream, mailbox, &bridge_stop, &bridge_link);
         })
         .expect("spawn bridge");
-    Ok(BridgeHandle { link, stop, thread: Some(thread) })
+    Ok(BridgeHandle { link, stop, acceptor: None, thread: Some(thread) })
 }
 
 /// Appends one binary frame for `event` to `buf` (skipping gateway-sourced

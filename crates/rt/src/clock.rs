@@ -11,6 +11,7 @@
 use std::time::Instant;
 
 use rtcm_core::time::Time;
+use rtcm_events::ChannelHandle;
 
 /// A monotonic nanosecond source: the one time source of a runtime
 /// handler, read through its [`crate::reactor::Reactor`].
@@ -50,6 +51,14 @@ impl Default for Clock {
 impl TimerDriver for Clock {
     fn now_ns(&self) -> u64 {
         self.origin.elapsed().as_nanos() as u64
+    }
+}
+
+/// A federation's own clock, read through one of its handles: the axis
+/// its executor compares a hosted handler's deadlines with.
+impl TimerDriver for ChannelHandle {
+    fn now_ns(&self) -> u64 {
+        ChannelHandle::now_ns(self)
     }
 }
 

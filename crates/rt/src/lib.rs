@@ -10,9 +10,10 @@
 //!   engine's [`rtcm_config::Deployment`] and starts one task-manager
 //!   node (admission control + load balancing) plus one node per
 //!   application processor (task effector, idle resetter, prioritized
-//!   subtask dispatcher), all stepped by one thread on the wall clock;
-//! * [`host`] — that thread's loop, and [`host::Host`], the same loop on
-//!   the caller's thread and a virtual clock;
+//!   subtask dispatcher), all consumers of their federation's executor
+//!   ([`rtcm_events::Network`]), which one thread runs on the wall clock;
+//! * [`host`] — [`host::Host`], the same executor stepped on the
+//!   caller's thread and a virtual clock;
 //! * [`node`] / [`manager`] — the node and manager handlers (a node drives
 //!   the simulator's per-processor step, `rtcm_core::node::NodeCore`),
 //!   each stepped through the one `reactor::step`;
@@ -24,13 +25,14 @@
 //!   plus the [`clock::TimerDriver`] trait a reactor reads it through;
 //! * [`reactor`] — the event-driven core: a sorted list of exact timer
 //!   deadlines per handler, the one `step` that drives the node, manager
-//!   and quorum-member handlers, and the single blocking wait on
-//!   `min(next timer, mailbox)` the quorum member's thread parks on;
+//!   and quorum-member handlers, and the one driver that hosts each of
+//!   them on its federation's executor;
 //! * [`govern`] — the adaptation governor (`System::spawn_governor`):
 //!   windowed load sensing driving automatic reconfiguration, closed by
 //!   the manager at window-boundary timer entries (no thread of its own);
 //! * [`quorum`] — the voting delegate that makes a TCP-bridged federation
-//!   a full reconfiguration prepare-quorum member;
+//!   a full reconfiguration prepare-quorum member, hosted on that
+//!   federation's executor (no thread of its own);
 //! * [`quorum_sm`] — the pure coordinator/member state machines of the
 //!   two-phase swap protocol, shared verbatim with `rtcm-sim`'s
 //!   deterministic federation (time is injected, never read).

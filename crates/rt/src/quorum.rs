@@ -26,20 +26,25 @@
 //!
 //! The voting/fencing logic itself lives in the pure
 //! [`MemberSm`] state machine (shared with the
-//! deterministic federation simulator); this module is only the threaded
+//! deterministic federation simulator); this module is only the event
 //! shell around it. All fence timestamps are read off the member's
 //! [`TimerDriver`] clock — never `Instant` — so the identical machine runs
 //! under a skewed virtual clock in `rtcm-sim`.
 //!
-//! The delegate thread is a reactor handler (`crate::reactor`): a standing
-//! fence's expiry is its one timer entry, so recovery happens *at* the
-//! deadline, and an unfenced idle member blocks on its mailbox without any
-//! wakeups. A stop sets a flag and publishes a `topics::QUORUM_CTL` kick,
-//! so the indefinite block stays interruptible.
+//! The delegate is a reactor handler (`crate::reactor`) hosted on its
+//! federation's executor, so attaching it starts no thread. It reads the
+//! federation's own clock, the one the executor compares its deadline
+//! with: a standing fence's expiry is its one timer entry, so recovery
+//! happens *at* the deadline, and an unfenced idle member is not stepped at
+//! all. A stop sets a flag and publishes a `topics::QUORUM_CTL` kick; the
+//! member ignores every event from then on, its next step ends it, the
+//! executor drops it, and the stop returns — at once where no thread ran
+//! the executor at the attach (a `Host`'s federation, whose caller steps
+//! it).
 
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration as StdDuration;
 
 use rtcm_core::strategy::ServiceConfig;
@@ -48,11 +53,11 @@ use rtcm_events::{
 };
 use rtcm_telemetry::TraceBuffer;
 
-use crate::clock::{Clock, TimerDriver};
+use crate::clock::TimerDriver;
 use crate::lock;
 use crate::proto::{self, DecodeErrors, ReconfigMsg, ReconfigVote};
 use crate::quorum_sm::{MemberReaction, MemberSm};
-use crate::reactor::{self, Handler, Reactor, TimerId, DEFAULT_TICK};
+use crate::reactor::{Handler, OnLoop, Reactor, TimerId, DEFAULT_TICK};
 
 /// Tunables for a [`QuorumMember`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,11 +78,13 @@ impl Default for QuorumOptions {
 /// deregister the host first for a clean departure).
 pub struct QuorumMember {
     host: u64,
+    /// Whether a thread ran the federation's executor at the attach; only
+    /// then does a stop wait for it.
+    threaded: bool,
     shared: Arc<Shared>,
-    /// Publishes the `topics::QUORUM_CTL` kick that wakes the delegate's
-    /// blocking mailbox wait after `stop` is set.
+    /// Publishes the `topics::QUORUM_CTL` kick that makes the executor
+    /// step the delegate after `stop` is set.
     wake: ChannelHandle,
-    thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for QuorumMember {
@@ -86,11 +93,24 @@ impl std::fmt::Debug for QuorumMember {
     }
 }
 
+// Shared across threads, as a cluster node's control and report threads do.
+const _: () = {
+    const fn shared_across_threads<T: Send + Sync>() {}
+    shared_across_threads::<QuorumMember>();
+};
+
 impl QuorumMember {
     /// Attaches a voting member to `federation`, publishing and consuming
-    /// through `node` (use a dedicated gateway-side node). Register the
-    /// returned [`QuorumMember::host_id`] at the coordinator to make this
-    /// host's vote required.
+    /// through `node` (use a dedicated gateway-side node), and hosts it on
+    /// the federation's executor. Register the returned
+    /// [`QuorumMember::host_id`] at the coordinator to make this host's
+    /// vote required.
+    ///
+    /// Stopping the member ([`QuorumMember::shutdown`] or dropping it)
+    /// waits for the executor only if a thread ran it at the attach
+    /// ([`Federation::has_thread`]); on a federation its caller steps,
+    /// such as [`crate::host::Host`]'s, the member leaves at the caller's
+    /// next move.
     ///
     /// # Errors
     ///
@@ -101,10 +121,11 @@ impl QuorumMember {
         options: QuorumOptions,
     ) -> Result<Self, UnknownNodeError> {
         let handle = federation.handle(node)?;
-        let member = Member::new(handle.clone(), federation.host_id(), options, Clock::new());
+        let member = Member::new(handle.clone(), federation.host_id(), options, handle.clone());
         let shared = Arc::clone(&member.shared);
-        let thread = reactor::spawn("rtcm-quorum-member".into(), member);
-        Ok(QuorumMember { host: federation.host_id(), shared, wake: handle, thread: Some(thread) })
+        federation.host(OnLoop(member));
+        let threaded = federation.has_thread();
+        Ok(QuorumMember { host: federation.host_id(), threaded, shared, wake: handle })
     }
 
     /// The host identity this member votes as (its federation's id).
@@ -159,41 +180,46 @@ impl QuorumMember {
         self.shared.decode_errors.total()
     }
 
-    /// Detaches the member, joining its thread.
-    pub fn shutdown(mut self) {
-        self.halt();
-    }
-
-    fn halt(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        // Kick the mailbox *after* the stop request is visible, so the
-        // delegate's indefinite block wakes and observes it. Other members
-        // sharing the federation just re-check their own stop flag.
-        self.wake.publish(topics::QUORUM_CTL, Vec::new());
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+    /// Detaches the member: from now on it ignores every event. Returns
+    /// once its federation's executor has dropped it, at once if that
+    /// executor has ended or had no thread at the attach (a caller-stepped
+    /// [`rtcm_events::Network`] drops it at its next move).
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for QuorumMember {
     fn drop(&mut self) {
-        self.halt();
+        self.shared.stop.store(true, Ordering::SeqCst);
+        // Kick the mailbox *after* the stop request is visible, so the
+        // executor steps the delegate and it observes it. Other members
+        // sharing the federation just re-check their own stop flag.
+        self.wake.publish(topics::QUORUM_CTL, Vec::new());
+        // Without a thread, the caller steps the executor: maybe this one.
+        let mut dropped = lock(&self.shared.dropped);
+        while self.threaded && !*dropped {
+            dropped = self.shared.gone.wait(dropped).unwrap_or_else(PoisonError::into_inner);
+        }
     }
 }
 
-/// What a [`QuorumMember`] shares with its delegate thread.
+/// What a [`QuorumMember`] shares with its delegate.
 #[derive(Default)]
 struct Shared {
     hold: AtomicBool,
-    /// Set to stop the delegate, which reads it before each wait.
+    /// Set to stop the delegate, which ignores events from then on and
+    /// ends at the end of its next step.
     stop: AtomicBool,
     state: Mutex<MemberSm>,
     trace: Arc<TraceBuffer>,
     decode_errors: DecodeErrors,
+    /// Set, and `gone` notified, when the delegate is dropped.
+    dropped: Mutex<bool>,
+    gone: Condvar,
 }
 
-/// The delegate thread: the member's state machine behind one mailbox
+/// The delegate: the member's state machine behind one mailbox
 /// (reconfiguration phases plus the stop kick) and one timer, the
 /// standing fence's expiry.
 struct Member<D> {
@@ -250,6 +276,13 @@ impl<D: TimerDriver> Member<D> {
     }
 }
 
+impl<D> Drop for Member<D> {
+    fn drop(&mut self) {
+        *lock(&self.shared.dropped) = true;
+        self.shared.gone.notify_all();
+    }
+}
+
 impl<D: TimerDriver> Handler for Member<D> {
     type Driver = D;
     type Timer = ();
@@ -258,10 +291,11 @@ impl<D: TimerDriver> Handler for Member<D> {
         (&mut self.reactor, &self.mailbox)
     }
 
-    /// A reconfiguration phase; a `topics::QUORUM_CTL` kick carries
-    /// nothing, because `settle` reads the stop flag.
+    /// A reconfiguration phase, unless the member is stopped; a
+    /// `topics::QUORUM_CTL` kick carries nothing, because `settle` reads
+    /// the stop flag.
     fn on_event(&mut self, ev: &Event) {
-        if ev.topic != topics::RECONFIG {
+        if ev.topic != topics::RECONFIG || self.shared.stop.load(Ordering::SeqCst) {
             return;
         }
         // Prepares arrive from a foreign host over the bridge: a malformed
@@ -309,6 +343,7 @@ mod tests {
     use rtcm_events::Latency;
 
     use super::*;
+    use crate::clock::Clock;
     use crate::proto::ReconfigPhase;
     use crate::reactor::{step, Wake};
 

@@ -1,6 +1,6 @@
 //! Event-driven reactor core: a sorted deadline list per handler, the one
-//! `step` every handler is driven through, and a single blocking wait on
-//! `min(next timer, mailbox)` for a handler with a thread of its own.
+//! `step` every handler is driven through, and the one driver that hosts a
+//! handler on its federation's executor.
 //!
 //! Every time-driven obligation of a handler — a node's running subjob
 //! completion, the manager's prepare deadline and each attached governor's
@@ -15,18 +15,21 @@
 //! order, and its handler is stepped at the exact deadline: one wakeup per
 //! timer, however far away.
 //!
-//! The node, the manager and the quorum member are `Handler`s that read
-//! time only through their reactor's [`TimerDriver`]: one `step` does
-//! everything a handler does between two waits. The manager and the nodes
-//! are stepped by the loop of [`crate::host`], on a virtual clock or on a
-//! launched [`crate::System`]'s one thread; `run`, `step` around
-//! [`Reactor::wait`], is the quorum member's thread.
+//! The node, the manager and the quorum member are the three `Handler`s;
+//! each reads time only through its reactor's [`TimerDriver`], and one
+//! `step` does everything it does between two waits. `OnLoop`, the one
+//! driver, makes a handler an [`rtcm_events::Consumer`] of its
+//! federation's executor ([`rtcm_events::Network`]), which steps it on a
+//! virtual clock under a [`crate::host::Host`], on a launched
+//! [`crate::System`]'s one thread, or on the thread of the federation a
+//! [`crate::QuorumMember`] attaches to. No crate code parks in
+//! [`Reactor::wait`]; it stays for callers that drive a reactor on a
+//! thread of their own.
 
 use std::ops::ControlFlow;
-use std::thread::JoinHandle;
 use std::time::Duration as StdDuration;
 
-use rtcm_events::{Event, EventReceiver, RecvTimeoutError};
+use rtcm_events::{Consumer, Event, EventReceiver, RecvTimeoutError};
 
 use crate::clock::TimerDriver;
 
@@ -240,20 +243,32 @@ pub(crate) fn step<H: Handler>(h: &mut H, wake: Wake) -> ControlFlow<()> {
     h.settle()
 }
 
-/// Spawns the thread `name`, whose body [`run`]s `h`.
-pub(crate) fn spawn<H: Handler + Send + 'static>(name: String, mut h: H) -> JoinHandle<()> {
-    let thread = std::thread::Builder::new().name(name);
-    thread.spawn(move || run(&mut h)).expect("spawn a reactor thread")
-}
+/// A handler hosted on its federation's executor; its reactor must read
+/// the federation's clock.
+pub(crate) struct OnLoop<H>(pub(crate) H);
 
-/// A handler thread's body: park, then [`step`], until a step breaks.
-pub(crate) fn run<H: Handler>(h: &mut H) {
-    loop {
-        let (reactor, mailbox) = h.io();
-        let wake = reactor.wait(mailbox);
-        if step(h, wake).is_break() {
-            return;
+impl<H: Handler + Send> Consumer for OnLoop<H> {
+    /// Now if the mailbox holds an event, else the earliest timer's
+    /// deadline.
+    fn ready_at(&mut self, now_ns: u64) -> Option<u64> {
+        let (reactor, mailbox) = self.0.io();
+        if mailbox.is_empty() {
+            reactor.wheel.next_deadline_ns()
+        } else {
+            Some(now_ns)
         }
+    }
+
+    /// Steps on the due timers if there are any, else on the event at the
+    /// head of the mailbox: the order [`Reactor::wait`] returns them in.
+    fn step(&mut self, now_ns: u64) -> ControlFlow<()> {
+        let (reactor, mailbox) = self.0.io();
+        let wake = if reactor.wheel.next_deadline_ns().is_some_and(|at| at <= now_ns) {
+            Wake::Timer
+        } else {
+            Wake::Event(mailbox.try_recv().expect("a ready handler's mailbox holds an event"))
+        };
+        step(&mut self.0, wake)
     }
 }
 

@@ -1,7 +1,8 @@
 //! The runtime system: the DAnCE-style launcher that turns a
 //! [`Deployment`] into running handlers — one task-manager node plus one
 //! node per application processor, wired by the federated event channel —
-//! stepped by one thread on the wall clock (the loop of [`crate::host`]).
+//! hosted on that federation's executor, which one thread runs on the wall
+//! clock ([`rtcm_events::Federation::spawn`]).
 
 use std::collections::HashSet;
 use std::fmt;
@@ -19,16 +20,16 @@ use rtcm_core::reconfig::HandoverReport;
 use rtcm_core::strategy::{InvalidConfigError, ServiceConfig};
 use rtcm_core::task::{TaskId, TaskSet};
 use rtcm_core::time::Duration;
-use rtcm_events::{topics, ChannelHandle, Federation, Latency, NodeId};
+use rtcm_events::{topics, ChannelHandle, Federation, Latency, Network, NodeId};
 use rtcm_telemetry::{OamRoutes, OamServer};
 
 use crate::clock::{Clock, TimerDriver};
 use crate::govern::{self, GovernorHandle};
-use crate::host::Handlers;
 use crate::lock;
 use crate::manager::{Manager, ManagerConfig, ManagerCtl, ManagerLink};
 use crate::node::{ExecMode, Node, NodeConfig};
 use crate::proto::{self, ReconfigAbortReason};
+use crate::reactor::OnLoop;
 use crate::stats::{RtMetrics, SystemReport};
 
 /// Runtime options.
@@ -188,9 +189,10 @@ impl fmt::Display for ReconfigReport {
     }
 }
 
-/// A running middleware system: its handlers run on one thread of their
-/// own. A [`crate::host::Host`] holds one whose handlers it steps itself,
-/// on a virtual clock.
+/// A running middleware system: its handlers are consumers of its
+/// federation's executor, which runs on one thread of its own. A
+/// [`crate::host::Host`] holds one whose executor it steps itself, on a
+/// virtual clock.
 ///
 /// # Examples
 ///
@@ -228,8 +230,6 @@ pub struct System {
     /// launcher→node traffic rides the same event fast path as everything
     /// else.
     node_handles: Vec<ChannelHandle>,
-    /// The thread stepping the handlers; `None` under a host.
-    thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl fmt::Debug for System {
@@ -244,7 +244,8 @@ impl fmt::Debug for System {
 impl System {
     /// Launches all nodes of `deployment` (the runtime half of DAnCE's
     /// plan-launcher → node-application pipeline) on one thread, which
-    /// steps them as a [`crate::host::Host`] does, on the wall clock.
+    /// runs their federation's executor as a [`crate::host::Host`] does,
+    /// on the wall clock.
     ///
     /// # Errors
     ///
@@ -252,9 +253,8 @@ impl System {
     /// combination is invalid — impossible for deployments built by
     /// `rtcm-config`, which validates first.
     pub fn launch(deployment: &Deployment, options: RtOptions) -> Result<Self, LaunchError> {
-        let (mut system, handlers) = wire(deployment, options, Clock::new())?;
-        let thread = std::thread::Builder::new().name("rtcm-host".into());
-        system.thread = Some(thread.spawn(move || handlers.run()).expect("spawn the host thread"));
+        let (mut system, network) = wire(deployment, options, Clock::new())?;
+        system.federation.spawn(network, "rtcm-host");
         Ok(system)
     }
 
@@ -532,20 +532,19 @@ impl System {
         )
     }
 
-    /// Stops the handlers' thread and returns the final report.
+    /// Stops the executor's thread and returns the final report.
     #[must_use]
     pub fn shutdown(mut self) -> SystemReport {
         self.stop();
         self.stats()
     }
 
-    /// Ends the one loop: the manager takes the shutdown request and the
-    /// thread returns.
+    /// Ends the executor: the manager takes the shutdown request, and
+    /// answers a parked swap with `Closed`, before the executor's first
+    /// idle move after the federation's shutdown ends the thread.
     fn stop(&mut self) {
         self.manager.send(ManagerCtl::Shutdown);
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
+        self.federation.shutdown();
     }
 }
 
@@ -555,15 +554,16 @@ impl Drop for System {
     }
 }
 
-/// The handlers of `deployment` on a stepped federation, all on copies of
-/// `driver`, and the [`System`] fronting them, with no thread yet: the
-/// manager on `NodeId(0)`, application processor `p` on `NodeId(p + 1)`.
-/// `System::launch` runs them on a thread; the host steps them.
+/// The handlers of `deployment`, all on copies of `driver`, hosted on a
+/// stepped federation that reads it too, and the [`System`] fronting them,
+/// with no thread yet: the manager on `NodeId(0)`, hosted first, then
+/// application processor `p` on `NodeId(p + 1)`. `System::launch` runs the
+/// returned executor on a thread; the host steps it.
 pub(crate) fn wire<D: TimerDriver + Clone + Send + Sync + 'static>(
     deployment: &Deployment,
     options: RtOptions,
     driver: D,
-) -> Result<(System, Handlers<D>), LaunchError> {
+) -> Result<(System, Network), LaunchError> {
     let procs = deployment.processors;
     let network_clock = driver.clone();
     let (federation, network) =
@@ -602,7 +602,8 @@ pub(crate) fn wire<D: TimerDriver + Clone + Send + Sync + 'static>(
         ctl_rx: mgr_ctl_rx,
         mailbox: mgr_mailbox,
     };
-    let (mut node_handles, mut nodes) = (Vec::new(), Vec::new());
+    federation.host(OnLoop(Manager::new(mgr_cfg, driver.clone())));
+    let mut node_handles = Vec::new();
     for p in 0..procs {
         let channel = federation.handle(NodeId(p + 1)).expect("app nodes exist");
         let mailbox = channel.subscribe_many(&[
@@ -623,21 +624,19 @@ pub(crate) fn wire<D: TimerDriver + Clone + Send + Sync + 'static>(
             exec: options.exec,
             mailbox,
         };
-        nodes.push(Node::new(cfg, driver.clone()));
+        federation.host(OnLoop(Node::new(cfg, driver.clone())));
     }
     let system = System {
         tasks,
         manager,
-        driver: Arc::new(driver.clone()),
+        driver: Arc::new(driver),
         services: active,
         stats,
         federation,
         remote_voters,
         node_handles,
-        thread: None,
     };
-    let manager = Manager::new(mgr_cfg, driver.clone());
-    Ok((system, Handlers::new(driver, network, manager, nodes, options.seed)))
+    Ok((system, network))
 }
 
 /// Scaled due time for a replayed arrival: `nanos / speed` in u128 integer

@@ -1722,3 +1722,51 @@ fn governor_handle_notifies_instead_of_polling() {
     assert!(system.quiesce(QUIESCE));
     let _ = system.shutdown();
 }
+
+/// Runs `f` on a thread of its own and waits at most 5 s for it.
+fn returns_promptly(what: &str, f: impl FnOnce() + Send + 'static) {
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        f();
+        let _ = done.send(());
+    });
+    assert!(finished.recv_timeout(StdDuration::from_secs(5)).is_ok(), "{what} never returned");
+}
+
+#[test]
+fn a_member_stops_promptly_once_its_federation_has_shut_down() {
+    use rtcm_events::{Federation, Latency, NodeId};
+    use rtcm_rt::{QuorumMember, QuorumOptions};
+
+    // The federation's executor has ended, and dropped the member with it.
+    let mut federation = Federation::new(2, Latency::None, 7);
+    let member = QuorumMember::attach(&federation, NodeId(1), QuorumOptions::default()).unwrap();
+    federation.shutdown();
+    returns_promptly("a member's shutdown after its federation's", move || member.shutdown());
+
+    // Attached after the shutdown: no executor ever hosts it.
+    let member = QuorumMember::attach(&federation, NodeId(1), QuorumOptions::default()).unwrap();
+    returns_promptly("a member attached after the shutdown", move || member.shutdown());
+}
+
+#[test]
+fn a_member_on_a_host_stops_at_once_and_leaves_at_the_next_move() {
+    use rtcm_events::NodeId;
+    use rtcm_rt::{QuorumMember, QuorumOptions};
+
+    // No thread runs a host's executor: the stop cannot wait for it.
+    returns_promptly("a member's shutdown on its host's thread", || {
+        let mut host = host(
+            "workload w\nprocessors 2\ntask chain aperiodic deadline=50ms\n  \
+             subtask exec=3ms proc=0\n  subtask exec=4ms proc=1\n",
+            "J_J_N",
+        );
+        let member =
+            QuorumMember::attach(host.federation(), NodeId(1), QuorumOptions::default()).unwrap();
+        let trace = std::sync::Arc::clone(member.trace());
+        member.shutdown();
+        assert_eq!(std::sync::Arc::strong_count(&trace), 2, "the delegate is still hosted");
+        host.run();
+        assert_eq!(std::sync::Arc::strong_count(&trace), 1, "the host's next move dropped it");
+    });
+}
