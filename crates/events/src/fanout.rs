@@ -8,11 +8,11 @@
 //! same payload allocation) and notifies only a parked receiver; a receive
 //! pops the event out. Queues are unbounded, so publishers never block and
 //! nothing is dropped. Dropping the receiver frees its backlog, later
-//! pushes count no delivery, and the registry forgets the mailbox.
+//! pushes count no delivery, and the next subscription change forgets the
+//! mailbox.
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -73,34 +73,8 @@ impl fmt::Display for RecvTimeoutError {
 
 impl std::error::Error for RecvTimeoutError {}
 
-/// Aggregate event-path counters of one federation, updated with relaxed
-/// atomics on the publish path (no locks).
-#[derive(Debug, Default)]
-pub(crate) struct FanoutCounters {
-    pub published: AtomicU64,
-    pub delivered: AtomicU64,
-    pub remote_parcels: AtomicU64,
-    pub bridge_rx_errors: AtomicU64,
-    pub bridge_disconnects: AtomicU64,
-    pub bridge_tx_dropped: AtomicU64,
-}
-
-impl FanoutCounters {
-    pub(crate) fn snapshot(&self) -> FederationStats {
-        FederationStats {
-            // First, acquiring what the bridge reader did before counting.
-            bridge_rx_errors: self.bridge_rx_errors.load(Ordering::Acquire),
-            events_published: self.published.load(Ordering::Relaxed),
-            local_deliveries: self.delivered.load(Ordering::Relaxed),
-            remote_parcels: self.remote_parcels.load(Ordering::Relaxed),
-            bridge_disconnects: self.bridge_disconnects.load(Ordering::Relaxed),
-            bridge_tx_dropped: self.bridge_tx_dropped.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Snapshot of a federation's event-path counters (see
-/// [`crate::Federation::stats`]).
+/// A federation's event-path counters (see [`crate::Federation::stats`]):
+/// kept under the federation's lock, copied out by a read.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FederationStats {
     /// `publish` calls made through any handle.
@@ -133,8 +107,8 @@ struct MailboxState {
     detached: bool,
 }
 
-/// One receiver's queue: the publish side holds it through the route
-/// table, the [`EventReceiver`] is its single consumer.
+/// One receiver's queue: the publish side holds it in the federation's
+/// subscribers, the [`EventReceiver`] is its single consumer.
 #[derive(Debug, Default)]
 pub(crate) struct Mailbox {
     state: Mutex<MailboxState>,
@@ -153,7 +127,7 @@ impl Mailbox {
         crate::lock(&self.state)
     }
 
-    /// Whether the receiver is still alive (the registry reclaims
+    /// Whether the receiver is still alive (the federation forgets
     /// detached mailboxes on subscription changes).
     pub(crate) fn is_attached(&self) -> bool {
         !self.lock().detached

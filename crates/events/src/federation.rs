@@ -15,33 +15,28 @@
 //!
 //! # The event fast path
 //!
-//! Publishing is engineered as a read-mostly fast path (see DESIGN.md
-//! "Event fast path"):
+//! Publishing takes one lock (see DESIGN.md "Event fast path"):
 //!
-//! * **Snapshot routing (RCU).** Subscriptions build an immutable
-//!   `RouteTable` — per `(node, topic)`, the local mailboxes plus the
-//!   precomputed remote destination list — and swap it in under a
-//!   write lock while bumping a generation counter. Publishers never
-//!   mutate shared routing state.
-//! * **Per-handle route cache.** Each [`ChannelHandle`] caches the route
-//!   of the last topic it published, validated by a single atomic
-//!   generation load — repeat publishes on one topic skip the table and
-//!   its lock entirely.
+//! * **One lock per federation.** Everything a federation's publishers,
+//!   subscribers and executor share — the subscribers per topic, the
+//!   parcel inbox, the jitter RNG and sequencer, the bell and the
+//!   counters — is one `State` behind one mutex. A publish takes it once:
+//!   one map lookup finds the topic's subscribed nodes, ascending; the
+//!   publisher's own node gets its mailboxes pushed, every other node one
+//!   sequenced, latency-sampled parcel.
 //! * **One queue per receiver.** Every subscription — `subscribe(topic)`
 //!   is `subscribe_many(&[topic])` — owns one mailbox
 //!   ([`crate::fanout`]): a publish is one lock + one push per local
 //!   receiver, and every receiver observes the same [`bytes::Bytes`]
 //!   payload allocation.
-//! * **Single-lock parcels.** Remote destinations are sequenced,
-//!   latency-sampled and handed to the network under **one** `net` lock
-//!   acquisition per publish: its inbox lives behind that same lock.
 //! * **One executor.** A federation's [`Network`] lands the due parcels
 //!   and steps the [`Consumer`]s hosted on it ([`Federation::host`]), one
 //!   move at a time ([`Network::advance`]): on the wall clock on the one
 //!   thread [`Federation::spawn`] starts (a [`Federation::new`] starts
 //!   it), or on a [`Federation::stepped`] caller's clock. That thread
-//!   waits on one bell; a parcel always rings it, a local delivery only
-//!   in a federation that hosts a consumer.
+//!   parks on the state's condvar, the bell; a parcel always rings it, a
+//!   local delivery only in a federation that hosts a consumer, and the
+//!   ringer notifies only after it has released the lock.
 //!
 //! Determinism contract: for a fixed seed, a fixed subscription set and a
 //! single publishing thread, delivery order and the sampled parcel
@@ -66,8 +61,8 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration as StdDuration, Instant};
 
 use rand::rngs::StdRng;
@@ -75,7 +70,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::event::{Event, NodeId, Topic};
-use crate::fanout::{EventReceiver, FanoutCounters, FederationStats, Mailbox};
+use crate::fanout::{EventReceiver, FederationStats, Mailbox};
 use crate::lock;
 use crate::remote::LiveBridge;
 
@@ -156,53 +151,14 @@ fn mint_host_id() -> u64 {
     )
 }
 
-/// The precomputed route of one `(publisher node, topic)` pair.
-struct TopicRoute {
-    /// Mailboxes of subscribers on the publishing node itself, in
-    /// subscription order.
-    local: Vec<Arc<Mailbox>>,
-    /// Other nodes with subscribers on the topic, ascending — empty for a
-    /// pure-local topic, so such publishes do no remote work at all.
-    remotes: Box<[NodeId]>,
-}
-
-/// An immutable routing snapshot (RCU): readers load the [`Arc`] and go;
-/// subscription changes build a fresh table and swap it in.
-struct RouteTable {
-    generation: u64,
-    routes: HashMap<(NodeId, Topic), Arc<TopicRoute>>,
-}
-
-/// The mutable subscription registry behind the snapshots (writer side
-/// only — publishers never touch it).
-#[derive(Default)]
-struct Registry {
-    /// Every mailbox registered under a `(node, topic)`, in subscription
-    /// order.
-    subs: HashMap<(NodeId, Topic), Vec<Arc<Mailbox>>>,
-    /// Which nodes have (ever had) subscribers per topic — drives remote
-    /// forwarding, exactly like TAO's gateway subscription propagation.
-    topic_nodes: HashMap<Topic, BTreeSet<NodeId>>,
-}
-
-impl Registry {
-    /// Drops mailboxes whose receivers are gone, so subscriber churn (e.g.
-    /// a TCP bridge reconnecting and minting a fresh mailbox each time)
-    /// cannot grow the registry — or the rebuilt routes, and with them
-    /// per-publish cost — without bound. Run on every subscription change;
-    /// `topic_nodes` intentionally keeps its "ever subscribed" semantics.
-    fn purge_detached(&mut self) {
-        self.subs.retain(|_, mailboxes| {
-            mailboxes.retain(|mailbox| mailbox.is_attached());
-            !mailboxes.is_empty()
-        });
-    }
-}
-
-/// Remote-parcel state: the jitter RNG, the parcel sequencer and the
-/// network's inbox share **one** lock so a publish acquires it once for
-/// its whole destination batch.
-struct NetState {
+/// Everything a federation's publishers, subscribers and executor share,
+/// behind its one lock. Lock order: this state before a mailbox's or a
+/// bridge link's lock, never after one.
+pub(crate) struct State {
+    /// Per topic, every node that has ever subscribed to it, ascending —
+    /// the remote destinations, exactly like TAO's gateway subscription
+    /// propagation — with the node's live mailboxes in subscription order.
+    subscribers: HashMap<Topic, BTreeMap<NodeId, Vec<Arc<Mailbox>>>>,
     rng: StdRng,
     seq: u64,
     /// Parcels `((deliver_at ns, seq), (to, event))` the [`Network`] has
@@ -214,6 +170,19 @@ struct NetState {
     /// Cleared by [`Federation::shutdown`] and by dropping the
     /// [`Network`]: nothing is forwarded or hosted after it.
     open: bool,
+    /// Set by [`Federation::host`], cleared by the executor's delivery
+    /// step once it hosts nothing: while it is set, a local delivery may
+    /// be a hosted consumer's event, and rings the bell.
+    hosting: bool,
+    /// The bell's ring count, bumped by every parcel, every hosting and
+    /// shutdown, and by a local delivery while `hosting` is set.
+    rings: u64,
+    /// Whether the executor's thread waits on the bell.
+    parked: bool,
+    pub(crate) stats: FederationStats,
+    /// TCP bridges currently running on this federation (see
+    /// [`ChannelHandle::fail_bridges_from`]).
+    pub(crate) bridges: Vec<LiveBridge>,
 }
 
 struct Inner {
@@ -222,47 +191,23 @@ struct Inner {
     latency: Latency,
     /// The nanosecond axis parcels are stamped on.
     now_ns: Box<dyn Fn() -> u64 + Send + Sync>,
-    registry: Mutex<Registry>,
-    table: RwLock<Arc<RouteTable>>,
-    /// Published *after* the table swap (release); handle caches validate
-    /// against it with one acquire load.
-    generation: AtomicU64,
-    net: Mutex<NetState>,
-    /// Set by [`Federation::host`], cleared by the executor's delivery
-    /// step once it hosts nothing: while it is set, a local delivery may
-    /// be a hosted consumer's event, and rings the bell.
-    hosting: AtomicBool,
-    /// Rung by every parcel, every hosting and shutdown, and by a local
-    /// delivery while `hosting` is set; only the executor's thread waits on it.
-    bell: Bell,
-    counters: FanoutCounters,
-    /// TCP bridges currently running on this federation (see
-    /// [`ChannelHandle::fail_bridges_from`]).
-    bridges: Mutex<Vec<LiveBridge>>,
+    state: Mutex<State>,
+    /// The bell: the one thread running the executor on the wall clock
+    /// waits on it, and only then is it notified.
+    bell: Condvar,
 }
 
 impl Inner {
-    /// Rebuilds the routing snapshot from the registry (caller holds the
-    /// registry lock, serializing writers).
-    fn rebuild_table(&self, reg: &Registry) {
-        let generation = self.generation.load(Ordering::Relaxed) + 1;
-        let mut routes = HashMap::new();
-        for (&topic, nodes) in &reg.topic_nodes {
-            let sorted: Vec<NodeId> = nodes.iter().copied().collect();
-            for n in 0..self.node_count {
-                let node = NodeId(n);
-                let local = reg.subs.get(&(node, topic)).cloned().unwrap_or_default();
-                let remotes: Box<[NodeId]> =
-                    sorted.iter().copied().filter(|&m| m != node).collect();
-                if local.is_empty() && remotes.is_empty() {
-                    continue;
-                }
-                routes.insert((node, topic), Arc::new(TopicRoute { local, remotes }));
-            }
+    /// Rings the bell and releases `state`, then notifies the executor's
+    /// thread if it is parked: after the unlock, so the woken thread does
+    /// not wait for the lock the ringer still holds.
+    fn ring(&self, mut state: MutexGuard<'_, State>) {
+        state.rings += 1;
+        let parked = state.parked;
+        drop(state);
+        if parked {
+            self.bell.notify_one();
         }
-        *self.table.write().unwrap_or_else(PoisonError::into_inner) =
-            Arc::new(RouteTable { generation, routes });
-        self.generation.store(generation, Ordering::Release);
     }
 }
 
@@ -270,35 +215,9 @@ impl Drop for Inner {
     fn drop(&mut self) {
         // Close every mailbox so outstanding receivers observe
         // `Disconnected` once they drain — when the last handle went away.
-        let reg = self.registry.get_mut().unwrap_or_else(PoisonError::into_inner);
-        for mailbox in reg.subs.values().flatten() {
+        let state = self.state.get_mut().unwrap_or_else(PoisonError::into_inner);
+        for mailbox in state.subscribers.values().flat_map(BTreeMap::values).flatten() {
             mailbox.close();
-        }
-    }
-}
-
-/// What wakes the one thread running a federation's executor on the wall
-/// clock, its one wait: a ring count every ring bumps, and a condvar it is
-/// notified on only while that thread is parked, so a ring costs two
-/// atomics, not a system call.
-#[derive(Default)]
-struct Bell {
-    rings: AtomicU64,
-    parked: AtomicBool,
-    lock: Mutex<()>,
-    rung: Condvar,
-}
-
-impl Bell {
-    fn ring(&self) {
-        self.rings.fetch_add(1, Ordering::SeqCst);
-        // Sequentially consistent with `park`'s store-then-load: either the
-        // parker reads this ring, or this reads `parked`; then taking the
-        // lock, which the parker holds until it waits, puts the notify
-        // after the wait began.
-        if self.parked.load(Ordering::SeqCst) {
-            drop(lock(&self.lock));
-            self.rung.notify_one();
         }
     }
 }
@@ -360,20 +279,20 @@ impl Federation {
             host_id: mint_host_id(),
             latency,
             now_ns: Box::new(now_ns),
-            registry: Mutex::new(Registry::default()),
-            table: RwLock::new(Arc::new(RouteTable { generation: 0, routes: HashMap::new() })),
-            generation: AtomicU64::new(0),
-            net: Mutex::new(NetState {
+            state: Mutex::new(State {
+                subscribers: HashMap::new(),
                 rng: StdRng::seed_from_u64(seed),
                 seq: 0,
                 inbox: Vec::new(),
                 hosted: Vec::new(),
                 open: true,
+                hosting: false,
+                rings: 0,
+                parked: false,
+                stats: FederationStats::default(),
+                bridges: Vec::new(),
             }),
-            hosting: AtomicBool::new(false),
-            bell: Bell::default(),
-            counters: FanoutCounters::default(),
-            bridges: Mutex::new(Vec::new()),
+            bell: Condvar::new(),
         });
         let network = Network {
             inner: Arc::clone(&inner),
@@ -398,11 +317,10 @@ impl Federation {
     }
 
     /// Aggregate event-path counters: publishes, per-subscriber
-    /// deliveries, remote parcels and bridge tallies. Maintained with
-    /// relaxed atomics on the publish path.
+    /// deliveries, remote parcels and bridge tallies.
     #[must_use]
     pub fn stats(&self) -> FederationStats {
-        self.inner.counters.snapshot()
+        lock(&self.inner.state).stats
     }
 
     /// Obtains the channel handle of `node`.
@@ -414,7 +332,7 @@ impl Federation {
         if node.0 >= self.inner.node_count {
             return Err(UnknownNodeError { node, node_count: self.inner.node_count });
         }
-        Ok(ChannelHandle::new(node, Arc::clone(&self.inner)))
+        Ok(ChannelHandle { node, inner: Arc::clone(&self.inner) })
     }
 
     /// Hosts `consumer` on this federation's executor, after every
@@ -423,12 +341,11 @@ impl Federation {
     /// ends, and drops it then; after [`Federation::shutdown`] it is
     /// dropped at once.
     pub fn host(&self, consumer: impl Consumer + 'static) {
-        let mut net = lock(&self.inner.net);
-        if net.open {
-            net.hosted.push(Box::new(consumer));
-            self.inner.hosting.store(true, Ordering::SeqCst);
-            drop(net);
-            self.inner.bell.ring();
+        let mut state = lock(&self.inner.state);
+        if state.open {
+            state.hosted.push(Box::new(consumer));
+            state.hosting = true;
+            self.inner.ring(state);
         }
     }
 
@@ -447,22 +364,15 @@ impl Federation {
         self.net_thread = Some(thread.spawn(move || network.run()).expect("spawn a thread"));
     }
 
-    /// True from [`Federation::spawn`] (which [`Federation::new`] calls)
-    /// until [`Federation::shutdown`]: a thread runs the executor. False
-    /// while a caller steps it with [`Network::advance`].
-    #[must_use]
-    pub fn has_thread(&self) -> bool {
-        self.net_thread.is_some()
-    }
-
     /// Stops forwarding and hosting; the executor ends at its next idle
     /// move and delivers every parcel in flight at once, in
     /// `(deliver_at, seq)` order. This joins the thread
     /// [`Federation::spawn`] started; a stepped federation's executor is
     /// its caller's. Local publish/subscribe keeps working.
     pub fn shutdown(&mut self) {
-        lock(&self.inner.net).open = false;
-        self.inner.bell.ring();
+        let mut state = lock(&self.inner.state);
+        state.open = false;
+        self.inner.ring(state);
         if let Some(t) = self.net_thread.take() {
             let _ = t.join();
         }
@@ -481,7 +391,7 @@ impl Drop for Federation {
 pub struct Network {
     inner: Arc<Inner>,
     queue: BTreeMap<(u64, u64), (NodeId, Event)>,
-    /// The bell's ring count when the last delivery step began.
+    /// The bell's ring count as of the last delivery step.
     rings: u64,
     /// False once the federation shut down, as of the last delivery step.
     open: bool,
@@ -531,8 +441,7 @@ impl Network {
     /// ≈ 25 µs at the median for a 300 µs hop on a 2-core Linux VM,
     /// against ≈ 70 µs under the default 50 µs slack. A spin would keep
     /// hops exact, but it burns the processor the receiving threads share
-    /// (DESIGN.md "Single-lock parcels, batched writes", "Precise timed
-    /// waits").
+    /// (DESIGN.md "One lock per federation", "Precise timed waits").
     fn run(mut self) {
         loop {
             let now_ns = (self.inner.now_ns)();
@@ -547,24 +456,22 @@ impl Network {
 
     /// Takes the parcels and consumers handed over since the last call,
     /// delivers every parcel due at `now_ns`, in `(deliver_at, seq)`
-    /// order, and returns the next one's due instant.
+    /// order, and returns the next one's due instant; all under one hold
+    /// of the federation's lock.
     fn deliver_due(&mut self, now_ns: u64) -> Option<u64> {
-        self.rings = self.inner.bell.rings.load(Ordering::SeqCst);
-        let mut net = lock(&self.inner.net);
-        self.queue.extend(net.inbox.drain(..));
-        self.consumers.append(&mut net.hosted);
-        if self.consumers.is_empty() {
-            // Under the lock `host` sets it under: nothing is hosted now.
-            self.inner.hosting.store(false, Ordering::SeqCst);
-        }
-        self.open = net.open;
-        drop(net);
+        let mut guard = lock(&self.inner.state);
+        let state = &mut *guard;
+        self.rings = state.rings;
+        self.queue.extend(state.inbox.drain(..));
+        self.consumers.append(&mut state.hosted);
+        state.hosting = !self.consumers.is_empty();
+        self.open = state.open;
         while let Some(parcel) = self.queue.first_entry().filter(|p| p.key().0 <= now_ns) {
             let (to, event) = parcel.remove();
-            let table = self.inner.table.read().unwrap_or_else(PoisonError::into_inner);
-            let Some(route) = table.routes.get(&(to, event.topic)) else { continue };
-            let delivered: usize = route.local.iter().map(|mailbox| mailbox.push(&event)).sum();
-            self.inner.counters.delivered.fetch_add(delivered as u64, Ordering::Relaxed);
+            let nodes = state.subscribers.get(&event.topic);
+            let Some(mailboxes) = nodes.and_then(|nodes| nodes.get(&to)) else { continue };
+            let delivered: usize = mailboxes.iter().map(|mailbox| mailbox.push(&event)).sum();
+            state.stats.local_deliveries += delivered as u64;
         }
         self.queue.first_key_value().map(|(&(at, _), _)| at)
     }
@@ -572,49 +479,48 @@ impl Network {
     /// Parks the calling thread until `until_ns` on the federation's clock
     /// (untimed for `None`) or until the bell rings, whichever comes
     /// first; it returns at once if the bell rang since the last delivery
-    /// step began, so a move that found nothing to do parks without
-    /// missing a ring from another thread.
+    /// step, so a move that found nothing to do parks without missing a
+    /// ring from another thread: the check and the wait are under one
+    /// hold of the lock every ring takes.
     fn park(&self, until_ns: Option<u64>) {
-        let bell = &self.inner.bell;
-        let guard = lock(&bell.lock);
-        bell.parked.store(true, Ordering::SeqCst);
-        if bell.rings.load(Ordering::SeqCst) == self.rings {
-            let now_ns = (self.inner.now_ns)();
-            match until_ns.map(|at| StdDuration::from_nanos(at.saturating_sub(now_ns))) {
-                Some(wait) => drop(crate::slack::precisely(|| bell.rung.wait_timeout(guard, wait))),
-                None => drop(bell.rung.wait(guard)),
-            }
+        let mut state = lock(&self.inner.state);
+        if state.rings != self.rings {
+            return;
         }
-        bell.parked.store(false, Ordering::SeqCst);
+        state.parked = true;
+        let bell = &self.inner.bell;
+        let now_ns = (self.inner.now_ns)();
+        state = match until_ns.map(|at| StdDuration::from_nanos(at.saturating_sub(now_ns))) {
+            Some(wait) => {
+                crate::slack::precisely(|| bell.wait_timeout(state, wait))
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0
+            }
+            None => bell.wait(state).unwrap_or_else(PoisonError::into_inner),
+        };
+        state.parked = false;
     }
 }
 
 impl Drop for Network {
     /// The executor is gone: nothing is forwarded or hosted any more, and
     /// a consumer hosted since its last move is dropped with the ones it
-    /// stepped.
+    /// stepped, after the lock is released (a consumer's drop may
+    /// publish).
     fn drop(&mut self) {
-        let mut net = lock(&self.inner.net);
-        net.open = false;
-        net.hosted.clear();
+        let mut state = lock(&self.inner.state);
+        state.open = false;
+        let hosted = std::mem::take(&mut state.hosted);
+        drop(state);
+        drop(hosted);
     }
 }
 
-/// The per-handle route cache: one topic's route, validated against the
-/// table generation with a single atomic load. The default is already a
-/// correct entry: generation 0 is the empty table, which routes no topic.
-#[derive(Default)]
-struct RouteCache {
-    generation: u64,
-    topic: Topic,
-    route: Option<Arc<TopicRoute>>,
-}
-
 /// A node's local event channel within a [`Federation`].
+#[derive(Clone)]
 pub struct ChannelHandle {
     node: NodeId,
     inner: Arc<Inner>,
-    cache: Mutex<RouteCache>,
 }
 
 impl fmt::Debug for ChannelHandle {
@@ -623,19 +529,7 @@ impl fmt::Debug for ChannelHandle {
     }
 }
 
-impl Clone for ChannelHandle {
-    fn clone(&self) -> Self {
-        // Fresh (cold) cache: caches are per-handle so clones on other
-        // threads never contend.
-        ChannelHandle::new(self.node, Arc::clone(&self.inner))
-    }
-}
-
 impl ChannelHandle {
-    fn new(node: NodeId, inner: Arc<Inner>) -> Self {
-        ChannelHandle { node, inner, cache: Mutex::new(RouteCache::default()) }
-    }
-
     /// The owning federation's host identity (see [`Federation::host_id`]).
     #[must_use]
     pub fn host_id(&self) -> u64 {
@@ -663,15 +557,20 @@ impl ChannelHandle {
     /// runtime's node/manager inbox shape — one queue, one wait point.
     /// Duplicate topics are ignored.
     pub fn subscribe_many(&self, topics: &[Topic]) -> EventReceiver {
-        let mut reg = lock(&self.inner.registry);
-        reg.purge_detached();
         let (mailbox, rx) = Mailbox::open();
+        let mut state = self.state();
+        // Drop mailboxes whose receivers are gone, so subscriber churn
+        // (e.g. a TCP bridge reconnecting and minting a fresh mailbox each
+        // time) cannot grow the lists, and with them per-publish cost,
+        // without bound. A node's key stays: it has subscribed.
+        for mailboxes in state.subscribers.values_mut().flat_map(BTreeMap::values_mut) {
+            mailboxes.retain(|mailbox| mailbox.is_attached());
+        }
         let unique: BTreeSet<Topic> = topics.iter().copied().collect();
         for topic in unique {
-            reg.subs.entry((self.node, topic)).or_default().push(Arc::clone(&mailbox));
-            reg.topic_nodes.entry(topic).or_default().insert(self.node);
+            let nodes = state.subscribers.entry(topic).or_default();
+            nodes.entry(self.node).or_default().push(Arc::clone(&mailbox));
         }
-        self.inner.rebuild_table(&reg);
         rx
     }
 
@@ -681,53 +580,44 @@ impl ChannelHandle {
     /// sent.
     pub fn publish(&self, topic: Topic, payload: impl Into<bytes::Bytes>) -> usize {
         let event = Event::new(topic, self.node, payload);
-        let counters = &self.inner.counters;
-        counters.published.fetch_add(1, Ordering::Relaxed);
-
-        // Fast path: one acquire load validates the cached route; repeat
-        // publishes on one topic never touch the table or its lock.
-        let generation = self.inner.generation.load(Ordering::Acquire);
-        let mut cache = lock(&self.cache);
-        if !(cache.generation == generation && cache.topic == topic) {
-            let table = self.inner.table.read().unwrap_or_else(PoisonError::into_inner).clone();
-            *cache = RouteCache {
-                generation: table.generation,
-                topic,
-                route: table.routes.get(&(self.node, topic)).cloned(),
-            };
-        }
-        let Some(route) = cache.route.as_ref() else {
+        let mut guard = self.state();
+        let state = &mut *guard;
+        state.stats.events_published += 1;
+        let Some(nodes) = state.subscribers.get(&topic) else {
             return 0; // no subscribers anywhere: nothing to do
         };
-
-        let local_delivered: usize = route.local.iter().map(|mailbox| mailbox.push(&event)).sum();
+        let (mut local, mut sent, mut stamp) = (0, 0, None);
+        // Destinations ascend, so the per-seed RNG stream is stable; after
+        // a shutdown nothing is forwarded and no RNG is consumed.
+        for (&node, mailboxes) in nodes {
+            if node == self.node {
+                local = mailboxes.iter().map(|mailbox| mailbox.push(&event)).sum();
+            } else if state.open {
+                let now = *stamp.get_or_insert_with(|| (self.inner.now_ns)());
+                let delay = self.inner.latency.sample(&mut state.rng).as_nanos() as u64;
+                state.seq += 1;
+                state.inbox.push(((now + delay, state.seq), (node, event.clone())));
+                sent += 1;
+            }
+        }
         // The delivered counter takes only the local fan-out here; remote
         // parcels are counted by `Network::deliver_due` when they land
         // (the return value still reports local deliveries + parcels
         // sent, as documented).
-        let sent =
-            if route.remotes.is_empty() { 0 } else { self.send_parcels(&route.remotes, &event) };
-        if local_delivered > 0 {
-            counters.delivered.fetch_add(local_delivered as u64, Ordering::Relaxed);
-        }
+        state.stats.local_deliveries += local as u64;
+        state.stats.remote_parcels += sent as u64;
         // The ring rule: a parcel always wakes the executor; a local
         // delivery only where a hosted consumer may be waiting for it.
-        if sent > 0 || (local_delivered > 0 && self.inner.hosting.load(Ordering::SeqCst)) {
-            self.inner.bell.ring();
+        if sent > 0 || (local > 0 && state.hosting) {
+            self.inner.ring(guard);
         }
-        local_delivered + sent
+        local + sent
     }
 
-    /// The owning federation's fan-out counters (bridges bump their
-    /// rx-error / disconnect / tx-drop tallies through this).
-    pub(crate) fn counters(&self) -> &FanoutCounters {
-        &self.inner.counters
-    }
-
-    /// The owning federation's running TCP bridges (each registers itself
-    /// for as long as its pumps run).
-    pub(crate) fn bridges(&self) -> &Mutex<Vec<LiveBridge>> {
-        &self.inner.bridges
+    /// The owning federation's state, locked: bridges register themselves
+    /// and count their tallies through it.
+    pub(crate) fn state(&self) -> MutexGuard<'_, State> {
+        lock(&self.inner.state)
     }
 
     /// Snapshot of the owning federation's event-path counters — the same
@@ -736,28 +626,7 @@ impl ChannelHandle {
     /// the federation itself.
     #[must_use]
     pub fn federation_stats(&self) -> FederationStats {
-        self.inner.counters.snapshot()
-    }
-
-    /// Sequences and latency-samples one parcel of `event` per remote
-    /// destination and puts them in the network's inbox, all under
-    /// one `net` lock acquisition. Destinations ascend, so the per-seed RNG
-    /// stream is stable.
-    fn send_parcels(&self, remotes: &[NodeId], event: &Event) -> usize {
-        let mut guard = lock(&self.inner.net);
-        let net = &mut *guard;
-        if !net.open {
-            return 0; // shut down: no forwarding, no RNG consumption
-        }
-        let now = (self.inner.now_ns)();
-        for &to in remotes {
-            let delay = self.inner.latency.sample(&mut net.rng).as_nanos() as u64;
-            net.seq += 1;
-            net.inbox.push(((now + delay, net.seq), (to, event.clone())));
-        }
-        drop(guard);
-        self.inner.counters.remote_parcels.fetch_add(remotes.len() as u64, Ordering::Relaxed);
-        remotes.len()
+        self.state().stats
     }
 }
 
@@ -1043,14 +912,14 @@ mod tests {
     }
 
     #[test]
-    fn route_cache_tracks_new_subscriptions() {
+    fn publishes_reach_new_subscriptions() {
         let fed = Federation::new(1, Latency::None, 0);
         let h = fed.handle(NodeId(0)).unwrap();
         let a = h.subscribe(Topic(1));
-        assert_eq!(h.publish(Topic(1), &b"one"[..]), 1, "cache warmed on one subscriber");
-        // A later subscription must invalidate the publisher's cache.
+        assert_eq!(h.publish(Topic(1), &b"one"[..]), 1, "one subscriber");
+        // A later subscription reaches the same publisher's next publish.
         let b = h.subscribe(Topic(1));
-        assert_eq!(h.publish(Topic(1), &b"two"[..]), 2, "generation bump reaches the cache");
+        assert_eq!(h.publish(Topic(1), &b"two"[..]), 2, "the new subscriber is routed");
         assert_eq!(a.len(), 2);
         assert_eq!(b.len(), 1, "late subscriber sees only future events");
     }
@@ -1186,13 +1055,64 @@ mod tests {
         for _ in 0..64 {
             drop(h.subscribe_many(&[Topic(1), Topic(2)]));
         }
-        // The next subscription change purges them from the registry, so
-        // a publish pays for live mailboxes only.
+        // The next subscription change purges them from the subscribers,
+        // so a publish pays for live mailboxes only.
         let live = h.subscribe(Topic(1));
         assert_eq!(h.publish(Topic(1), &b"x"[..]), 1);
         assert_eq!(live.len(), 1);
-        let reg = lock(&fed.inner.registry);
-        assert_eq!(reg.subs.get(&(NodeId(0), Topic(1))).map(Vec::len), Some(1));
-        assert!(!reg.subs.contains_key(&(NodeId(0), Topic(2))), "dead-only key removed");
+        let state = lock(&fed.inner.state);
+        let mailboxes = |topic| state.subscribers[&topic].get(&NodeId(0)).map(Vec::len);
+        assert_eq!(mailboxes(Topic(1)), Some(1));
+        // The node's key stays (it has subscribed), with no dead mailbox.
+        assert_eq!(mailboxes(Topic(2)), Some(0), "no dead mailbox left under (Topic(2), N0)");
+    }
+
+    #[test]
+    fn publishers_on_two_threads_reach_early_and_late_subscribers_once_in_order() {
+        // Each node's publisher runs three phases of events tagged with
+        // its node and index; the late receiver subscribes while the
+        // second phase runs. Latency::None lands every parcel at once, and
+        // shutdown lands whatever is still in flight.
+        const PHASE: u32 = 1_000;
+        let mut fed = Federation::new(2, Latency::None, 0);
+        let early = fed.handle(NodeId(0)).unwrap().subscribe(Topic(1));
+        let barrier = Arc::new(std::sync::Barrier::new(3));
+        let publishers: Vec<_> = (0..2u8)
+            .map(|n| {
+                let h = fed.handle(NodeId(n.into())).unwrap();
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    for i in 0..3 * PHASE {
+                        if i > 0 && i % PHASE == 0 {
+                            barrier.wait();
+                        }
+                        h.publish(Topic(1), [&[n][..], &i.to_le_bytes()].concat());
+                    }
+                })
+            })
+            .collect();
+        barrier.wait();
+        let late = fed.handle(NodeId(1)).unwrap().subscribe(Topic(1));
+        barrier.wait();
+        for publisher in publishers {
+            publisher.join().unwrap();
+        }
+        fed.shutdown();
+        let indices = |rx: &EventReceiver| {
+            let mut by_node = [Vec::new(), Vec::new()];
+            while let Ok(e) = rx.try_recv() {
+                let i = u32::from_le_bytes(e.payload[1..5].try_into().unwrap());
+                by_node[usize::from(e.payload[0])].push(i);
+            }
+            by_node
+        };
+        for (n, got) in indices(&early).iter().enumerate() {
+            assert!(got.iter().copied().eq(0..3 * PHASE), "early receiver, publisher {n}");
+        }
+        for (n, got) in indices(&late).iter().enumerate() {
+            let first = got.first().copied().unwrap_or(3 * PHASE);
+            assert!((PHASE..=2 * PHASE).contains(&first), "publisher {n}: late from {first}");
+            assert!(got.iter().copied().eq(first..3 * PHASE), "late receiver, publisher {n}");
+        }
     }
 }

@@ -29,7 +29,7 @@
 //! republishes the frames one by one with [`ChannelHandle::publish`]:
 //! bridged reconfiguration traffic drains one to three frames per read,
 //! so a batched republish would have nothing to batch (DESIGN.md
-//! "Single-lock parcels, batched writes").
+//! "Event fast path").
 //!
 //! Both ends set `TCP_NODELAY`. The forwarder already hands the kernel one
 //! buffer per drained batch, so Nagle's algorithm has nothing left to
@@ -171,13 +171,14 @@ impl ChannelHandle {
     /// one that breaks framing. Each closed link counts one
     /// `bridge_rx_errors` and reports [`BridgeCloseReason::CorruptPayload`].
     pub fn fail_bridges_from(&self, source: NodeId) -> usize {
-        let mut closed = 0;
-        for bridge in lock(self.bridges()).iter().filter(|b| b.gateway == source) {
-            if close_link(&bridge.link, &bridge.stop, BridgeCloseReason::CorruptPayload) {
-                closed += 1;
-            }
-        }
-        self.counters().bridge_rx_errors.fetch_add(closed as u64, Ordering::Relaxed);
+        let mut state = self.state();
+        let closed = state
+            .bridges
+            .iter()
+            .filter(|b| b.gateway == source)
+            .filter(|b| close_link(&b.link, &b.stop, BridgeCloseReason::CorruptPayload))
+            .count();
+        state.stats.bridge_rx_errors += closed as u64;
         closed
     }
 }
@@ -383,7 +384,7 @@ fn run_bridge(
             return;
         }
     };
-    lock(handle.bridges()).push(LiveBridge {
+    handle.state().bridges.push(LiveBridge {
         gateway,
         link: Arc::clone(link),
         stop: Arc::clone(stop),
@@ -412,10 +413,7 @@ fn run_bridge(
                     }
                 }
                 if tx_dropped > 0 {
-                    fwd_handle
-                        .counters()
-                        .bridge_tx_dropped
-                        .fetch_add(tx_dropped, Ordering::Relaxed);
+                    fwd_handle.state().stats.bridge_tx_dropped += tx_dropped;
                 }
                 if buf.is_empty() {
                     continue; // all gateway-sourced (no echo) or dropped
@@ -464,16 +462,20 @@ fn run_bridge(
             }
         }
     };
+    // The link closes first and its lock is released before the
+    // federation's is taken (the lock order), so whoever reads a corrupt
+    // frame's rx error in the stats finds the link closed, forgotten and
+    // counted as one disconnect.
     close_link(link, stop, reason);
-    lock(handle.bridges()).retain(|b| !Arc::ptr_eq(&b.link, link));
+    let mut state = handle.state();
+    state.bridges.retain(|b| !Arc::ptr_eq(&b.link, link));
     // One disconnect per established link, counted where the link's pumps
     // end (covers peer loss, write failure, corrupt frames and shutdown).
-    handle.counters().bridge_disconnects.fetch_add(1, Ordering::Relaxed);
-    // Counted last (release; the stats snapshot acquires), so whoever reads
-    // a corrupt frame's rx error finds the link closed and counted.
+    state.stats.bridge_disconnects += 1;
     if reason == BridgeCloseReason::CorruptFrame {
-        handle.counters().bridge_rx_errors.fetch_add(1, Ordering::Release);
+        state.stats.bridge_rx_errors += 1;
     }
+    drop(state);
     let _ = forwarder.join();
 }
 

@@ -92,7 +92,6 @@ impl FaultProxy {
     /// I/O errors from binding the proxy's listener.
     pub fn spawn(upstream: SocketAddr) -> std::io::Result<Self> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let faults = Arc::new(Faults::default());
         let stop = Arc::new(AtomicBool::new(false));
@@ -102,19 +101,12 @@ impl FaultProxy {
         let acceptor = std::thread::Builder::new()
             .name("rtcm-proxy-accept".into())
             .spawn(move || {
-                let client = loop {
-                    if accept_stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    match listener.accept() {
-                        Ok((s, _)) => break s,
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(_) => return,
-                    }
-                };
-                if client.set_nonblocking(false).is_err() {
+                // Blocks until a peer connects, or until `close` connects
+                // to wake it: then the stop flag is raised and that peer
+                // is dropped.
+                let Ok((client, _)) = listener.accept() else { return };
+                drop(listener);
+                if accept_stop.load(Ordering::SeqCst) {
                     return;
                 }
                 let Ok(server) = TcpStream::connect(upstream) else {
@@ -190,6 +182,9 @@ impl FaultProxy {
 
     fn close(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
+        // Wakes an acceptor still waiting in `accept`; refused once it has
+        // accepted its peer and dropped the listener.
+        let _ = TcpStream::connect(self.addr);
         for t in self.threads.drain(..) {
             let _ = t.join();
         }

@@ -36,15 +36,15 @@
 //! federation's own clock, the one the executor compares its deadline
 //! with: a standing fence's expiry is its one timer entry, so recovery
 //! happens *at* the deadline, and an unfenced idle member is not stepped at
-//! all. A stop sets a flag and publishes a `topics::QUORUM_CTL` kick; the
-//! member ignores every event from then on, its next step ends it, the
-//! executor drops it, and the stop returns — at once where no thread ran
-//! the executor at the attach (a `Host`'s federation, whose caller steps
-//! it).
+//! all. A stop sets a flag under the member's state lock, which the
+//! delegate holds while it decides and votes, publishes a
+//! `topics::QUORUM_CTL` kick and returns at once: from then on the member
+//! neither votes nor records anything, and the executor drops it at its
+//! next move.
 
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::Duration as StdDuration;
 
 use rtcm_core::strategy::ServiceConfig;
@@ -78,9 +78,6 @@ impl Default for QuorumOptions {
 /// deregister the host first for a clean departure).
 pub struct QuorumMember {
     host: u64,
-    /// Whether a thread ran the federation's executor at the attach; only
-    /// then does a stop wait for it.
-    threaded: bool,
     shared: Arc<Shared>,
     /// Publishes the `topics::QUORUM_CTL` kick that makes the executor
     /// step the delegate after `stop` is set.
@@ -107,10 +104,9 @@ impl QuorumMember {
     /// vote required.
     ///
     /// Stopping the member ([`QuorumMember::shutdown`] or dropping it)
-    /// waits for the executor only if a thread ran it at the attach
-    /// ([`Federation::has_thread`]); on a federation its caller steps,
-    /// such as [`crate::host::Host`]'s, the member leaves at the caller's
-    /// next move.
+    /// never waits for the executor: the member leaves at its next move,
+    /// whether a thread runs it or a caller steps it, such as
+    /// [`crate::host::Host`].
     ///
     /// # Errors
     ///
@@ -124,8 +120,7 @@ impl QuorumMember {
         let member = Member::new(handle.clone(), federation.host_id(), options, handle.clone());
         let shared = Arc::clone(&member.shared);
         federation.host(OnLoop(member));
-        let threaded = federation.has_thread();
-        Ok(QuorumMember { host: federation.host_id(), threaded, shared, wake: handle })
+        Ok(QuorumMember { host: federation.host_id(), shared, wake: handle })
     }
 
     /// The host identity this member votes as (its federation's id).
@@ -180,10 +175,9 @@ impl QuorumMember {
         self.shared.decode_errors.total()
     }
 
-    /// Detaches the member: from now on it ignores every event. Returns
-    /// once its federation's executor has dropped it, at once if that
-    /// executor has ended or had no thread at the attach (a caller-stepped
-    /// [`rtcm_events::Network`] drops it at its next move).
+    /// Detaches the member and returns at once: from now on it neither
+    /// votes nor records anything, and its federation's executor drops it
+    /// at its next move.
     pub fn shutdown(self) {
         drop(self);
     }
@@ -191,16 +185,15 @@ impl QuorumMember {
 
 impl Drop for QuorumMember {
     fn drop(&mut self) {
+        // Under the state lock, which the delegate holds while it decides
+        // and votes: a vote under way ends first, and none starts after.
+        let state = lock(&self.shared.state);
         self.shared.stop.store(true, Ordering::SeqCst);
+        drop(state);
         // Kick the mailbox *after* the stop request is visible, so the
         // executor steps the delegate and it observes it. Other members
         // sharing the federation just re-check their own stop flag.
         self.wake.publish(topics::QUORUM_CTL, Vec::new());
-        // Without a thread, the caller steps the executor: maybe this one.
-        let mut dropped = lock(&self.shared.dropped);
-        while self.threaded && !*dropped {
-            dropped = self.shared.gone.wait(dropped).unwrap_or_else(PoisonError::into_inner);
-        }
     }
 }
 
@@ -208,15 +201,12 @@ impl Drop for QuorumMember {
 #[derive(Default)]
 struct Shared {
     hold: AtomicBool,
-    /// Set to stop the delegate, which ignores events from then on and
-    /// ends at the end of its next step.
+    /// Set, under the `state` lock, to stop the delegate, which ignores
+    /// events from then on and ends at the end of its next step.
     stop: AtomicBool,
     state: Mutex<MemberSm>,
     trace: Arc<TraceBuffer>,
     decode_errors: DecodeErrors,
-    /// Set, and `gone` notified, when the delegate is dropped.
-    dropped: Mutex<bool>,
-    gone: Condvar,
 }
 
 /// The delegate: the member's state machine behind one mailbox
@@ -276,13 +266,6 @@ impl<D: TimerDriver> Member<D> {
     }
 }
 
-impl<D> Drop for Member<D> {
-    fn drop(&mut self) {
-        *lock(&self.shared.dropped) = true;
-        self.shared.gone.notify_all();
-    }
-}
-
 impl<D: TimerDriver> Handler for Member<D> {
     type Driver = D;
     type Timer = ();
@@ -293,19 +276,23 @@ impl<D: TimerDriver> Handler for Member<D> {
 
     /// A reconfiguration phase, unless the member is stopped; a
     /// `topics::QUORUM_CTL` kick carries nothing, because `settle` reads
-    /// the stop flag.
+    /// the stop flag. The state lock is held from the stop check to the
+    /// vote, so a stop waits for a vote under way and none follows it.
     fn on_event(&mut self, ev: &Event) {
-        if ev.topic != topics::RECONFIG || self.shared.stop.load(Ordering::SeqCst) {
+        if ev.topic != topics::RECONFIG {
+            return;
+        }
+        let Shared { hold, stop, trace, decode_errors, state } = &*self.shared;
+        let mut sm = lock(state);
+        if stop.load(Ordering::SeqCst) {
             return;
         }
         // Prepares arrive from a foreign host over the bridge: a malformed
         // one is dropped, counted, and costs that bridge its link — never
         // this thread.
-        let Shared { hold, trace, decode_errors, state, .. } = &*self.shared;
         if let Some(msg) = decode_errors.receive(ev, &self.handle, trace, &self.reactor) {
             let (now_ns, holding) = (self.reactor.now_ns(), hold.load(Ordering::SeqCst));
-            let reaction =
-                lock(state).on_phase(&msg, self.host, now_ns, self.fence_timeout_ns, holding);
+            let reaction = sm.on_phase(&msg, self.host, now_ns, self.fence_timeout_ns, holding);
             self.react(&msg, reaction);
         }
     }

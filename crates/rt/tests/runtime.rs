@@ -1770,3 +1770,37 @@ fn a_member_on_a_host_stops_at_once_and_leaves_at_the_next_move() {
         assert_eq!(std::sync::Arc::strong_count(&trace), 1, "the host's next move dropped it");
     });
 }
+
+#[test]
+fn a_stopped_member_never_votes_on_a_prepare_already_in_its_mailbox() {
+    use rtcm_events::{topics, NodeId};
+    use rtcm_rt::proto::{self, ReconfigMsg, ReconfigPhase};
+    use rtcm_rt::{QuorumMember, QuorumOptions};
+
+    let mut host = host(
+        "workload w\nprocessors 2\ntask chain aperiodic deadline=50ms\n  \
+         subtask exec=3ms proc=0\n  subtask exec=4ms proc=1\n",
+        "J_J_N",
+    );
+    let member =
+        QuorumMember::attach(host.federation(), NodeId(1), QuorumOptions::default()).unwrap();
+    let handle = host.federation().handle(NodeId(1)).unwrap();
+    let acks = handle.subscribe(topics::RECONFIG_ACK);
+    // A foreign prepare published on the member's node sits in its mailbox
+    // until the host's next move; the host's own nodes ignore it.
+    let foreign = ReconfigMsg {
+        coordinator: 0xDEAD_BEEF,
+        host: host.host_id() + 1,
+        epoch: 1,
+        phase: ReconfigPhase::Prepare,
+        services: "T_T_T".parse().unwrap(),
+        sent_ns: 0,
+        trace: proto::swap_trace(0xDEAD_BEEF, 1),
+    };
+    handle.publish(topics::RECONFIG, proto::encode(&foreign));
+    let trace = std::sync::Arc::clone(member.trace());
+    member.shutdown();
+    host.run();
+    assert!(acks.try_recv().is_err(), "a stopped member voted");
+    assert!(trace.is_empty(), "a stopped member recorded {:?}", trace.snapshot());
+}
